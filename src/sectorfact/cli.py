@@ -55,7 +55,7 @@ from .orthcat import (
     validate_category,
     validate_group_action,
 )
-from .reports import SchemaError, attach_citation, dump_json, render_text
+from .reports import PreconditionError, SchemaError, attach_citation, dump_json, render_text
 from .sectors import (
     SectorGroupData,
     check_haag_duality,
@@ -679,6 +679,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except SchemaError as exc:
         sys.stderr.write(f"schema error: {exc}\n")
+        return EXIT_SCHEMA
+    except PreconditionError as exc:
+        sys.stderr.write(f"precondition error: {exc}\n")
         return EXIT_SCHEMA
 
 

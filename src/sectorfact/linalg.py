@@ -2,10 +2,21 @@
 
 Scalars are complex numbers with rational real and imaginary parts, so
 every verdict downstream (commutants, span equalities, intertwiner laws)
-is a matter of exact equality rather than tolerance.  Matrices are kept
-sparse; the bundled fixtures are signed-permutation / Pauli-type matrices
-with at most one nonzero entry per row, and all kernels here are tuned
-for that shape while remaining correct on dense input.
+is a matter of exact equality rather than tolerance.
+
+Matrices (``GMat``) have two exact forms.  The sparse form maps (row, col)
+to nonzero scalars and serves every input.  The monomial form applies when
+a matrix is a permutation times phases in {1, i, -1, -i}, which covers
+every unitary the sector calculus builds: Pauli strings with unit
+coefficient, the site reflection, CZ, the identity, and their products and
+adjoints.  It stores the row and the phase exponent (mod 4) of each
+column, so products, adjoints, inner products, equality, hashing and the
+unitarity and scalar tests are O(n) work on small ints, in the spirit of
+stabilizer-circuit simulation (Aaronson and Gottesman,
+arXiv:quant-ph/0406196).  Any operand without that form (non-unit entries
+such as 2 or 3/5+4/5i, dense matrices, image-built endomorphisms) takes
+the sparse path, and ``sparse_matmul`` is both that path's product and the
+reference the monomial product is tested against.
 """
 
 from __future__ import annotations
@@ -21,6 +32,7 @@ __all__ = [
     "GR_I",
     "GMat",
     "SpanBasis",
+    "sparse_matmul",
     "nullspace",
     "parse_rational",
     "format_rational",
@@ -118,14 +130,58 @@ GR_MINUS_ONE = GaussianRational(Fraction(-1))
 
 
 class GMat:
-    """Immutable sparse square matrix over the Gaussian rationals."""
+    """Immutable square matrix over the Gaussian rationals.
 
-    __slots__ = ("n", "data", "_hash")
+    Two exact forms describe the same entries.  The sparse form ``data``
+    maps (row, col) to a nonzero scalar and works for any matrix.  The
+    monomial form ``(rows, phases)`` exists when every column holds exactly
+    one entry, the rows form a permutation and every entry is a unit
+    i**p: column j then holds i**phases[j] at row rows[j], with phases
+    ints mod 4.  Pauli strings with unit coefficient, the site reflection,
+    CZ and the identity are of this shape, and so are their products and
+    adjoints.
+
+    The monomial form is produced directly by ``identity``,
+    ``pauli_string`` and monomial products and adjoints, or found once from
+    ``data`` on first use; ``data`` is then built lazily from it.  Products,
+    adjoints, Hilbert-Schmidt inner products, equality, hashing and the
+    identity, unitarity and scalar tests run on the monomial form when
+    every operand has one, and on the sparse form otherwise (non-unit
+    entries, dense or image-built matrices).
+    """
+
+    __slots__ = ("n", "_data", "_mono", "_hash")
 
     def __init__(self, n: int, data: dict[tuple[int, int], GaussianRational]):
         self.n = n
-        self.data = {k: v for k, v in data.items() if not v.is_zero()}
+        self._data = {k: v for k, v in data.items() if not v.is_zero()}
+        self._mono = None  # (rows, phases), False when not monomial, None until found
         self._hash = None
+
+    @staticmethod
+    def _monomial_of(n: int, rows: tuple, phases: tuple) -> "GMat":
+        m = GMat.__new__(GMat)
+        m.n = n
+        m._data = None
+        m._mono = (rows, phases)
+        m._hash = None
+        return m
+
+    @property
+    def data(self) -> dict[tuple[int, int], GaussianRational]:
+        if self._data is None:
+            rows, phases = self._mono
+            self._data = {
+                (r, j): _UNITS[p] for j, (r, p) in enumerate(zip(rows, phases))
+            }
+        return self._data
+
+    def _monomial(self) -> tuple[tuple, tuple] | None:
+        """The (rows, phases) form, or None when self is not monomial."""
+        mono = self._mono
+        if mono is None:
+            mono = self._mono = _find_monomial(self.n, self._data)
+        return mono or None
 
     # -- constructors ---------------------------------------------------
 
@@ -135,7 +191,7 @@ class GMat:
 
     @staticmethod
     def identity(n: int) -> "GMat":
-        return GMat(n, {(i, i): GR_ONE for i in range(n)})
+        return GMat._monomial_of(n, tuple(range(n)), (0,) * n)
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[GaussianRational]]) -> "GMat":
@@ -176,25 +232,28 @@ class GMat:
     def __matmul__(self, other: "GMat") -> "GMat":
         if self.n != other.n:
             raise ValueError("size mismatch")
-        by_row: dict[int, list[tuple[int, GaussianRational]]] = {}
-        for (i, j), v in other.data.items():
-            by_row.setdefault(i, []).append((j, v))
-        out: dict[tuple[int, int], GaussianRational] = {}
-        for (i, k), a in self.data.items():
-            cols = by_row.get(k)
-            if not cols:
-                continue
-            for j, b in cols:
-                key = (i, j)
-                s = out.get(key, GR_ZERO) + a * b
-                if s.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-        return GMat(self.n, out)
+        a, b = self._monomial(), other._monomial()
+        if a is None or b is None:
+            return sparse_matmul(self, other)
+        # column j of other is i**pb at row k = rb[j]; self maps it to row ra[k]
+        (ra, pa), (rb, pb) = a, b
+        return GMat._monomial_of(
+            self.n,
+            tuple([ra[k] for k in rb]),
+            tuple([(pa[k] + q) & 3 for k, q in zip(rb, pb)]),
+        )
 
     def adjoint(self) -> "GMat":
-        return GMat(self.n, {(j, i): v.conj() for (i, j), v in self.data.items()})
+        mono = self._monomial()
+        if mono is None:
+            return GMat(self.n, {(j, i): v.conj() for (i, j), v in self.data.items()})
+        rows, phases = mono
+        out_rows = [0] * self.n
+        out_phases = [0] * self.n
+        for j, (r, p) in enumerate(zip(rows, phases)):
+            out_rows[r] = j
+            out_phases[r] = -p & 3
+        return GMat._monomial_of(self.n, tuple(out_rows), tuple(out_phases))
 
     def trace(self) -> GaussianRational:
         t = GR_ZERO
@@ -205,6 +264,14 @@ class GMat:
 
     def hs_inner(self, other: "GMat") -> GaussianRational:
         """Hilbert-Schmidt inner product tr(self* other)."""
+        a, b = self._monomial(), other._monomial()
+        if a is not None and b is not None:
+            # conj(i**p) * i**q = i**(q - p) in every column where the rows agree
+            counts = [0, 0, 0, 0]
+            for ra, pa, rb, pb in zip(*a, *b):
+                if ra == rb:
+                    counts[(pb - pa) & 3] += 1
+            return GaussianRational.of(counts[0] - counts[2], counts[1] - counts[3])
         t = GR_ZERO
         small, big, conj_small = (
             (self.data, other.data, True)
@@ -217,27 +284,37 @@ class GMat:
                 t = t + (v.conj() * w if conj_small else w.conj() * v)
         return t
 
-    def commutator(self, other: "GMat") -> "GMat":
-        return (self @ other) - (other @ self)
-
     def commutes_with(self, other: "GMat") -> bool:
-        return not self.commutator(other).data
+        return self @ other == other @ self
 
     def is_zero(self) -> bool:
         return not self.data
 
     def is_identity(self) -> bool:
+        mono = self._monomial()
+        if mono is not None:
+            rows, phases = mono
+            return rows == tuple(range(self.n)) and not any(phases)
         if len(self.data) != self.n:
             return False
         return all(self.data.get((i, i)) == GR_ONE for i in range(self.n))
 
     def is_unitary(self) -> bool:
+        if self._monomial() is not None:
+            return True
         return (self @ self.adjoint()).is_identity() and (
             self.adjoint() @ self
         ).is_identity()
 
     def scalar_multiple_of_identity(self) -> GaussianRational | None:
         """The scalar c with self == c*1, or None."""
+        mono = self._monomial()
+        if mono is not None and self.n:
+            rows, phases = mono
+            p = phases[0]
+            if rows == tuple(range(self.n)) and all(q == p for q in phases):
+                return _UNITS[p]
+            return None
         c = self.data.get((0, 0), GR_ZERO)
         if c.is_zero():
             return GR_ZERO if self.is_zero() else None
@@ -257,10 +334,21 @@ class GMat:
     # -- identity & hashing ------------------------------------------------
 
     def key(self):
+        """Hashable value, equal for equal matrices.  Whether a matrix is
+        monomial depends only on its entries, so the two shapes of key never
+        describe the same matrix."""
+        mono = self._monomial()
+        if mono is not None:
+            return (self.n,) + mono
         return (self.n, tuple(sorted(self.data.items())))
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, GMat) and self.n == other.n and self.data == other.data
+        if not isinstance(other, GMat) or self.n != other.n:
+            return False
+        a, b = self._monomial(), other._monomial()
+        if a is not None or b is not None:
+            return a == b
+        return self.data == other.data
 
     def __hash__(self):
         if self._hash is None:
@@ -284,6 +372,59 @@ class GMat:
 
     def __repr__(self) -> str:
         return f"GMat(n={self.n}, nnz={len(self.data)})"
+
+
+# i**p for p = 0..3
+_UNITS = (GR_ONE, GR_I, GR_MINUS_ONE, GaussianRational(Fraction(0), Fraction(-1)))
+
+
+def _unit_phase(v: GaussianRational) -> int | None:
+    """p with v == i**p, or None when v is not a unit of that form."""
+    if not v.im:
+        return 0 if v.re == 1 else 2 if v.re == -1 else None
+    if not v.re:
+        return 1 if v.im == 1 else 3 if v.im == -1 else None
+    return None
+
+
+def _find_monomial(n: int, data: dict) -> tuple[tuple, tuple] | bool:
+    """The (rows, phases) form of a sparse matrix, or False."""
+    if len(data) != n:
+        return False
+    rows = [-1] * n
+    phases = [0] * n
+    for (i, j), v in data.items():
+        p = _unit_phase(v)
+        if p is None or rows[j] >= 0:
+            return False
+        rows[j] = i
+        phases[j] = p
+    if len(set(rows)) != n:
+        return False
+    return tuple(rows), tuple(phases)
+
+
+def sparse_matmul(a: GMat, b: GMat) -> GMat:
+    """Product on the sparse form: the general path of ``GMat.__matmul__``
+    and the reference its monomial path is tested against."""
+    if a.n != b.n:
+        raise ValueError("size mismatch")
+    by_row: dict[int, list[tuple[int, GaussianRational]]] = {}
+    for (i, j), v in b.data.items():
+        by_row.setdefault(i, []).append((j, v))
+    out: dict[tuple[int, int], GaussianRational] = {}
+    for (i, k), a_ik in a.data.items():
+        cols = by_row.get(k)
+        if not cols:
+            continue
+        for j, b_kj in cols:
+            key = (i, j)
+            s = out.get(key, GR_ZERO) + a_ik * b_kj
+            if s.is_zero():
+                out.pop(key, None)
+            else:
+                out[key] = s
+    return GMat(a.n, out)
 
 
 class SpanBasis:
@@ -372,23 +513,21 @@ def nullspace(
 
 
 def pauli_string(L: int, x: int, z: int, coeff: GaussianRational = GR_ONE) -> GMat:
-    """coeff * P(x, z) on L qubits; site 0 is the most significant bit."""
+    """coeff * P(x, z) on L qubits; site 0 is the most significant bit.
+
+    Column c holds the entry at row c ^ x.  Each Y site contributes i, and
+    each Z or Y site whose bit of c is set contributes -1, so the entry is
+    coeff * i**(|x & z| + 2 |z & c|).
+    """
     n = 1 << L
-    data = {}
-    for col in range(n):
-        row = col ^ x
-        val = coeff
-        for s in range(L):
-            shift = L - 1 - s
-            xb = (x >> shift) & 1
-            zb = (z >> shift) & 1
-            cb = (col >> shift) & 1
-            if xb and zb:  # Y: col 0 -> i, col 1 -> -i
-                val = val * (GR_I if cb == 0 else GaussianRational.of(0, -1))
-            elif zb and cb:  # Z on |1>
-                val = val * GR_MINUS_ONE
-        data[(row, col)] = val
-    return GMat(n, data)
+    c = _unit_phase(coeff)
+    base = (0 if c is None else c) + (x & z).bit_count()
+    m = GMat._monomial_of(
+        n,
+        tuple([col ^ x for col in range(n)]),
+        tuple([(base + 2 * (z & col).bit_count()) & 3 for col in range(n)]),
+    )
+    return m if c is not None else m.scale(coeff)
 
 
 def as_pauli_string(m: GMat) -> tuple[int, int, GaussianRational] | None:
@@ -397,6 +536,18 @@ def as_pauli_string(m: GMat) -> tuple[int, int, GaussianRational] | None:
     if n <= 0 or n & (n - 1):
         return None
     L = n.bit_length() - 1
+    mono = m._monomial()
+    if mono is not None:
+        # the relative phase of column 1 << s is 2 * (z bit s); the only
+        # candidate is then checked entry by entry
+        rows, phases = mono
+        x = rows[0]
+        z = 0
+        for s in range(L):
+            if (phases[1 << s] - phases[0]) & 3 == 2:
+                z |= 1 << s
+        coeff = _UNITS[(phases[0] - (x & z).bit_count()) & 3]
+        return (x, z, coeff) if pauli_string(L, x, z, coeff) == m else None
     if len(m.data) != n:
         return None
     cols = {}

@@ -259,7 +259,10 @@ def commutant(alg: MatrixAlg) -> MatrixAlg:
 def bicommutant(alg: MatrixAlg) -> MatrixAlg:
     """Commutant applied twice; equals the algebra itself in finite dimension."""
     out = commutant(commutant(alg))
-    assert span_equal(out, alg), "double commutant differs from the algebra"
+    if not span_equal(out, alg):
+        raise PreconditionError(
+            f"double commutant of {alg.name or 'the algebra'} differs from it"
+        )
     return out
 
 
@@ -327,20 +330,11 @@ class MatrixNet:
 
     def global_algebra(self) -> MatrixAlg:
         if "__global__" not in self._cache:
-            span = SpanBasis(self.n)
-            basis: list[GMat] = []
-            masks: set[tuple[int, int]] = set()
-            all_pauli = True
-            for u in self.category.objects:
-                alg = self.algebra(u)
-                if alg.pauli is None:
-                    all_pauli = False
-                for m in alg.basis:
-                    if span.add(m):
-                        basis.append(m)
-            if all_pauli:
-                for u in self.category.objects:
-                    masks |= self.algebra(u).masks()
+            algs = [self.algebra(u) for u in self.category.objects]
+            if all(alg.pauli is not None for alg in algs):
+                masks: set[tuple[int, int]] = set()
+                for alg in algs:
+                    masks |= alg.masks()
                 # close under products across regions
                 frontier = sorted(masks)
                 closed = set(masks)
@@ -359,6 +353,8 @@ class MatrixNet:
                     self.sites, closed, name="A(global)"
                 )
             else:
+                span = SpanBasis(self.n)
+                basis = [m for alg in algs for m in alg.basis if span.add(m)]
                 self._cache["__global__"] = MatrixAlg(
                     self.n, basis, validate=False, name="A(global)"
                 )
@@ -515,22 +511,19 @@ class LocalizedEndo:
         for img in self._images:
             if not span.contains(img):
                 raise PreconditionError("image leaves the global algebra")
-        idx = {m.key(): i for i, m in enumerate(glob.basis)}
         ident = GMat.identity(self.net.n)
         if not self.apply(ident).is_identity():
             raise PreconditionError("endomorphism is not unital")
-        for i, a in enumerate(glob.basis):
+        for a in glob.basis:
             if not self.apply(a.adjoint()) == self.apply(a).adjoint():
                 raise PreconditionError("endomorphism does not respect adjoints")
             for b in glob.basis:
                 if not self.apply(a @ b) == self.apply(a) @ self.apply(b):
                     raise PreconditionError("endomorphism is not multiplicative")
-        del idx
 
     def apply(self, m: GMat) -> GMat:
         if self.unitary is not None:
             return self.unitary @ m @ self.unitary.adjoint()
-        glob = self.net.global_algebra()
         out = GMat.zero(self.net.n)
         for coeff, img in zip(self._coords(m), self._images):
             if not coeff.is_zero():

@@ -291,3 +291,15 @@ def test_render_text_shapes():
     text = render_text({"check": "demo", "ok": True, "nested": {"a": [1, 2]}})
     assert text.startswith("== demo")
     assert dump_json({"b": 1, "a": 2}).index('"a"') < dump_json({"b": 1, "a": 2}).index('"b"')
+
+
+def test_precondition_error_exits_2_without_traceback(workdir, capsys):
+    # the same cone twice is not causally disjoint, so no witness exists
+    tmp, export = workdir
+    u1, ut = export("cone-u1"), export("cone-utilde")
+    capsys.readouterr()
+    code = main(["geometry", "witness", "--u1", u1, "--u2", u1, "--utilde", ut])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("precondition error: ") and err.count("\n") == 1
+    assert "Traceback" not in err

@@ -18,6 +18,7 @@ from sectorfact.linalg import (
     pauli_commutant_masks,
     pauli_commute,
     pauli_string,
+    sparse_matmul,
 )
 
 fractions = st.fractions(min_value=-50, max_value=50, max_denominator=20)
@@ -127,6 +128,35 @@ def test_string_products_stay_strings():
         assert got[2].abs2() == 1
 
 
+def _pauli_string_per_site(L, x, z, coeff):
+    """Reference construction: multiply the site factors column by column."""
+    data = {}
+    for col in range(1 << L):
+        val = coeff
+        for s in range(L):
+            shift = L - 1 - s
+            xb, zb, cb = (x >> shift) & 1, (z >> shift) & 1, (col >> shift) & 1
+            if xb and zb:  # Y: col 0 -> i, col 1 -> -i
+                val = val * (GR_I if cb == 0 else GaussianRational.of(0, -1))
+            elif zb and cb:  # Z on |1>
+                val = val * GaussianRational.of(-1)
+        data[(col ^ x, col)] = val
+    return GMat(1 << L, data)
+
+
+def test_pauli_string_against_per_site_construction():
+    units = [GR_ONE, GR_I, GaussianRational.of(-1), GaussianRational.of(0, -1)]
+    for L in range(4):
+        for x, z in itertools.product(range(1 << L), repeat=2):
+            for coeff in units:
+                got = pauli_string(L, x, z, coeff)
+                want = _pauli_string_per_site(L, x, z, coeff)
+                assert got.data == want.data
+                assert as_pauli_string(got) == (x, z, coeff)
+                assert got == want and got.key() == want.key()
+                assert hash(got) == hash(want)
+
+
 def test_commutant_masks_against_enumeration():
     # brute-force oracle: enumerate all strings and test commutation directly
     L = 3
@@ -195,3 +225,131 @@ def test_span_basis_membership():
     assert sb.contains(i2 + x.scale(GaussianRational.of(7)))
     assert not sb.contains(z)
     assert sb.dim == 2
+
+
+# -- monomial fast path against the sparse-dict oracle ----------------------------
+
+UNITS = [GR_ONE, GR_I, GaussianRational.of(-1), GaussianRational.of(0, -1)]
+NON_UNITS = [
+    GaussianRational.of(2),
+    GaussianRational.of(Fraction(3, 5), Fraction(4, 5)),
+    GaussianRational.of(Fraction(-1, 2)),
+]
+small_scalars = st.builds(
+    GaussianRational,
+    st.fractions(min_value=-3, max_value=3, max_denominator=3),
+    st.fractions(min_value=-3, max_value=3, max_denominator=3),
+)
+
+
+@st.composite
+def monomial_entries(draw, n):
+    rows = draw(st.permutations(range(n)))
+    phases = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    return {(rows[j], j): UNITS[p] for j, p in enumerate(phases)}
+
+
+@st.composite
+def non_unit_entries(draw, n):
+    data = draw(monomial_entries(n))
+    key = sorted(data)[draw(st.integers(0, n - 1))]
+    data[key] = draw(st.sampled_from(NON_UNITS))
+    return data
+
+
+@st.composite
+def dense_entries(draw, n):
+    values = draw(st.lists(small_scalars, min_size=n * n, max_size=n * n))
+    return {(k // n, k % n): v for k, v in enumerate(values) if not v.is_zero()}
+
+
+def matrix_pairs(left, right, max_n=16):
+    return st.integers(1, max_n).flatmap(
+        lambda n: st.tuples(st.just(n), left(n), right(n))
+    )
+
+
+def _adjoint_oracle(data):
+    return {(j, i): v.conj() for (i, j), v in data.items()}
+
+
+def _scalar_oracle(n, data):
+    c = data.get((0, 0), GR_ZERO)
+    if c.is_zero():
+        return GR_ZERO if not data else None
+    if len(data) == n and all(data.get((i, i)) == c for i in range(n)):
+        return c
+    return None
+
+
+def _unitary_oracle(n, data):
+    m, adj = GMat(n, data), GMat(n, _adjoint_oracle(data))
+    ident = {(i, i): GR_ONE for i in range(n)}
+    return sparse_matmul(m, adj).data == ident and sparse_matmul(adj, m).data == ident
+
+
+def _hs_oracle(da, db):
+    t = GR_ZERO
+    for k, v in da.items():
+        if k in db:
+            t = t + v.conj() * db[k]
+    return t
+
+
+def _check_against_oracle(n, da, db):
+    a, b = GMat(n, da), GMat(n, db)
+    prod = a @ b
+    want = sparse_matmul(GMat(n, da), GMat(n, db))
+    assert prod.data == want.data
+    assert prod == want and prod.key() == want.key() and hash(prod) == hash(want)
+    assert a.adjoint().data == _adjoint_oracle(da)
+    assert a.hs_inner(b) == _hs_oracle(da, db) and b.hs_inner(a) == _hs_oracle(db, da)
+    assert (a == b) == (da == db) == (a.key() == b.key())
+    if a == b:
+        assert hash(a) == hash(b)
+    for m, d in ((a, da), (b, db), (prod, want.data)):
+        assert m.scalar_multiple_of_identity() == _scalar_oracle(n, d)
+        assert m.is_unitary() == _unitary_oracle(n, d)
+        assert m.is_identity() == (d == {(i, i): GR_ONE for i in range(n)})
+    return a, b, prod
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrix_pairs(monomial_entries, monomial_entries))
+def test_monomial_products_match_oracle(case):
+    n, da, db = case
+    a, b, prod = _check_against_oracle(n, da, db)
+    assert a._monomial() is not None and prod._monomial() is not None
+    assert a.is_unitary() and prod.is_unitary()
+    assert a == GMat(n, dict(da)) and hash(a) == hash(GMat(n, dict(da)))
+    assert (prod @ prod.adjoint()).is_identity()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 16).flatmap(lambda n: st.tuples(st.just(n), monomial_entries(n))))
+def test_monomial_scalar_multiples_of_identity(case):
+    n, data = case
+    m = GMat(n, data)
+    for phase in UNITS:
+        ident = GMat.identity(n).scale(phase)
+        assert ident.scalar_multiple_of_identity() == phase
+        assert (m @ ident) == m.scale(phase)
+        assert (m.adjoint() @ m.scale(phase)).scalar_multiple_of_identity() == phase
+
+
+@settings(max_examples=75, deadline=None)
+@given(matrix_pairs(monomial_entries, dense_entries, max_n=6))
+def test_monomial_by_dense_matches_oracle(case):
+    n, da, db = case
+    _check_against_oracle(n, da, db)
+    _check_against_oracle(n, db, da)
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrix_pairs(non_unit_entries, monomial_entries))
+def test_non_unit_monomials_take_sparse_path(case):
+    n, da, db = case
+    a, _, prod = _check_against_oracle(n, da, db)
+    _check_against_oracle(n, db, da)
+    assert a._monomial() is None and prod._monomial() is None
+    assert a.data == da

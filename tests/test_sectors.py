@@ -107,6 +107,53 @@ def test_bicommutant_fixtures(net4):
     assert span_equal(bicommutant(scalars), scalars)
 
 
+def test_bicommutant_check_detects_corrupted_commutant(monkeypatch):
+    # corruption probe: a commutant that loses one basis element must make
+    # the double-commutant check fail loudly
+    import sectorfact.sectors as sectors
+
+    real = sectors.commutant
+
+    def corrupted(alg):
+        out = real(alg)
+        return MatrixAlg(out.n, out.basis[:-1], validate=False, name=out.name)
+
+    alg = MatrixAlg.full_on_sites(2, [0], name="A(0)")
+    monkeypatch.setattr(sectors, "commutant", corrupted)
+    with pytest.raises(PreconditionError, match="double commutant"):
+        bicommutant(alg)
+
+
+def test_bicommutant_check_survives_optimize():
+    import os
+    import subprocess
+    import sys
+
+    import sectorfact
+
+    script = (
+        "import sys\n"
+        "import sectorfact.sectors as sectors\n"
+        "from sectorfact.reports import PreconditionError\n"
+        "assert False, 'asserts must be stripped'\n"
+        "real = sectors.commutant\n"
+        "def corrupted(alg):\n"
+        "    out = real(alg)\n"
+        "    return sectors.MatrixAlg(out.n, out.basis[:-1], validate=False)\n"
+        "sectors.commutant = corrupted\n"
+        "try:\n"
+        "    sectors.bicommutant(sectors.MatrixAlg.full_on_sites(2, [0]))\n"
+        "except PreconditionError:\n"
+        "    sys.exit(3)\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sectorfact.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, env=env, timeout=60
+    )
+    assert result.returncode == 3, result.stderr
+
+
 def test_commutant_dimension_inequality(net4):
     n2 = net4.n ** 2
     for region in net4.category.objects:
