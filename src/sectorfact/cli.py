@@ -12,9 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from . import __version__
@@ -100,13 +98,6 @@ class CampaignSpec:
                     pass
             except OSError as exc:
                 raise SchemaError(f"input file not readable: {path}") from exc
-
-
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("SECTORFACT_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _load_json(path: str) -> dict:
@@ -297,22 +288,13 @@ def cmd_homotopy_verify(args) -> int:
     )
     spec.validate()
     cone = cone_from_json(_load_json(args.cone))
-    seeds = [args.seed + i for i in range(args.cases)]
-
-    def run_case(seed: int) -> dict:
-        config = sample_causal_config(cone, args.m, seed=seed)
-        report = certify_homotopy(config)
+    cases = []
+    for seed in range(args.seed, args.seed + args.cases):
+        report = certify_homotopy(sample_causal_config(cone, args.m, seed=seed))
         case = {"seed": seed, "certified": report.certified}
         if args.detail:
             case["pairs"] = report.pairs
-        return case
-
-    workers = _threads()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            cases = list(pool.map(run_case, seeds))
-    else:
-        cases = [run_case(s) for s in seeds]
+        cases.append(case)
     certified = sum(1 for c in cases if c["certified"])
     doc = {
         "check": "homotopy-certification",

@@ -182,13 +182,16 @@ def sample_spatial_config(
 
 def project_config(config: CausalConfig) -> SpatialConfig:
     """Pointwise spatial projection; distinctness of the images follows from
-    the exact projection inequality and is asserted."""
+    the exact projection inequality, which is re-checked for every pair."""
     shadow = project_cone(config.cone)
     points = tuple(p.x for p in config.points)
     for i in range(len(points)):
         for j in range(i + 1, len(points)):
             gap = sq_interval(config.points[i], config.points[j])
-            assert _euclid_sq(points[i], points[j]) >= gap > 0
+            if not _euclid_sq(points[i], points[j]) >= gap > 0:
+                raise PreconditionError(
+                    f"projection inequality fails for points {i} and {j}"
+                )
     return SpatialConfig(shadow=shadow, points=points)
 
 
@@ -203,7 +206,8 @@ def lift_config(cone: DoubleCone, spatial: SpatialConfig) -> CausalConfig:
         raise PreconditionError("spatial configuration lives in a different shadow")
     lifted = tuple(cauchy_lift(cone, q) for q in spatial.points)
     config = CausalConfig(cone=cone, points=lifted)
-    assert project_config(config).points == spatial.points
+    if project_config(config).points != spatial.points:
+        raise PreconditionError("lifted configuration does not project back")
     return config
 
 

@@ -648,8 +648,10 @@ def cauchy_lift(cone: DoubleCone, q: Sequence[Fraction]) -> MPoint:
     dt = axis.t
     t = center.t + sum((qi - ci) * di for qi, ci, di in zip(q, center.x, axis.x)) / dt
     p = MPoint(t, q)
-    assert minkowski_inner(p - center, axis) == 0
-    assert cone_contains(cone, p), "section left the cone"
+    if minkowski_inner(p - center, axis) != 0:
+        raise PreconditionError("section point is not orthogonal to the tip axis")
+    if not cone_contains(cone, p):
+        raise PreconditionError("section left the cone")
     return p
 
 

@@ -86,6 +86,7 @@ class MatrixAlg:
         self.name = name
         self.pauli: list[tuple[int, int, GaussianRational]] | None = None
         self.L: int | None = None
+        self._hs_norms: list[GaussianRational] | None = None
         if n & (n - 1) == 0 and n > 1:
             decomp = [as_pauli_string(m) for m in basis]
             if all(d is not None for d in decomp):
@@ -159,6 +160,12 @@ class MatrixAlg:
         if self.pauli is None:
             return None
         return {(x, z) for x, z, _ in self.pauli}
+
+    def hs_norms(self) -> list[GaussianRational]:
+        """Squared Hilbert-Schmidt norms of the basis elements, computed once."""
+        if self._hs_norms is None:
+            self._hs_norms = [m.hs_inner(m) for m in self.basis]
+        return self._hs_norms
 
     def span(self) -> SpanBasis:
         sb = SpanBasis(self.n)
@@ -534,10 +541,10 @@ class LocalizedEndo:
         glob = self.net.global_algebra()
         if glob.pauli is not None:
             # strings are HS-orthogonal with squared norm n/|coeff|^-2
-            coeffs = []
-            for base in glob.basis:
-                norm = base.hs_inner(base)
-                coeffs.append(base.hs_inner(m) / norm)
+            coeffs = [
+                base.hs_inner(m) / norm
+                for base, norm in zip(glob.basis, glob.hs_norms())
+            ]
             residual = m
             for c, base in zip(coeffs, glob.basis):
                 if not c.is_zero():

@@ -182,22 +182,6 @@ def test_determinism_byte_identical(workdir):
     assert outs[0] == outs[1]
 
 
-def test_threaded_campaign_matches_sequential(workdir, tmp_path, monkeypatch):
-    tmp, export = workdir
-    cone = export("wide-cone-m2")
-    argv = [
-        "homotopy", "verify", "--cone", cone, "--m", "3",
-        "--cases", "12", "--seed", "3", "--detail",
-    ]
-    seq = tmp_path / "seq.json"
-    monkeypatch.delenv("SECTORFACT_THREADS", raising=False)
-    main(argv + ["--out", str(seq)])
-    par = tmp_path / "par.json"
-    monkeypatch.setenv("SECTORFACT_THREADS", "3")
-    main(argv + ["--out", str(par)])
-    assert seq.read_bytes() == par.read_bytes()
-
-
 def test_determinism_across_processes(workdir):
     import subprocess
     import sys

@@ -149,3 +149,54 @@ def test_json_shapes():
     spatial = project_config(config)
     doc2 = spatial.to_json()
     assert set(doc2) == {"shadow", "points"}
+
+
+def test_section_checks_survive_optimize():
+    # each check in cauchy_lift, project_config and lift_config must still
+    # reject a bad section when python -O strips asserts
+    import os
+    import subprocess
+    import sys
+
+    import sectorfact
+
+    script = (
+        "import sys\n"
+        "from fractions import Fraction as F\n"
+        "import sectorfact.configspace as configspace\n"
+        "import sectorfact.minkowski as minkowski\n"
+        "from sectorfact.minkowski import DoubleCone, MPoint, project_cone\n"
+        "from sectorfact.reports import PreconditionError\n"
+        "assert False, 'asserts must be stripped'\n"
+        "unit = DoubleCone(MPoint.of(-1, 0), MPoint.of(1, 0))\n"
+        "spatial = configspace.SpatialConfig(project_cone(unit), ((F(0),),))\n"
+        "pair = configspace.CausalConfig(unit, (MPoint.of(0, 0), MPoint.of(0, F(1, 2))))\n"
+        "def raises(run):\n"
+        "    try:\n"
+        "        run()\n"
+        "    except PreconditionError:\n"
+        "        return True\n"
+        "    return False\n"
+        "real_inner, real_contains = minkowski.minkowski_inner, minkowski.cone_contains\n"
+        "minkowski.minkowski_inner = lambda p, q: 1\n"
+        "tilted = raises(lambda: minkowski.cauchy_lift(unit, (F(0),)))\n"
+        "minkowski.minkowski_inner = real_inner\n"
+        "minkowski.cone_contains = lambda cone, p: False\n"
+        "outside = raises(lambda: minkowski.cauchy_lift(unit, (F(0),)))\n"
+        "minkowski.cone_contains = real_contains\n"
+        "real_lift = configspace.cauchy_lift\n"
+        "configspace.cauchy_lift = lambda cone, q: MPoint(F(0), (q[0] + F(1, 8),))\n"
+        "shifted = raises(lambda: configspace.lift_config(unit, spatial))\n"
+        "configspace.cauchy_lift = real_lift\n"
+        "configspace.sq_interval = lambda p, q: F(1)\n"
+        "inequality = raises(lambda: configspace.project_config(pair))\n"
+        "if tilted and outside and shifted and inequality:\n"
+        "    sys.exit(3)\n"
+        "print(tilted, outside, shifted, inequality)\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sectorfact.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, env=env, timeout=60
+    )
+    assert result.returncode == 3, (result.stdout, result.stderr)

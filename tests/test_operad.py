@@ -19,8 +19,13 @@ from sectorfact.operad import (
     validate_equivariant_algebra,
     validate_operad,
 )
-from sectorfact.orthcat import OrthCategory
-from sectorfact.reports import PreconditionError, SchemaError
+from sectorfact.orthcat import Morphism, OrthCategory
+from sectorfact.reports import (
+    PreconditionError,
+    SchemaError,
+    ValidationReport,
+    dump_json,
+)
 
 
 def unary(cat, u, v):
@@ -336,3 +341,272 @@ def test_non_intertwining_iso_detected(net2):
     report = validate_equivariant_algebra(net2.category, assign, data.action, bound=1)
     assert not report.ok
     assert any("g" in v.witness and v.witness["g"] == "r" for v in report.violations)
+
+
+# -- the interned kernel against the brute-force reference ---------------------------
+
+
+def _reference_inner_tuples(ops_by_target, sources, budget):
+    if not sources:
+        yield ()
+        return
+    head, rest = sources[0], sources[1:]
+    for g in ops_by_target.get(head, []):
+        remaining = budget - g.arity
+        if remaining < 0:
+            continue
+        for tail in _reference_inner_tuples(ops_by_target, rest, remaining):
+            yield (g,) + tail
+
+
+def reference_validate_operad(cat, bound=3):
+    """The brute-force sweep over `compose` that `validate_operad` ran
+    before its interned kernel, kept verbatim as the differential oracle."""
+    report = ValidationReport(check="operad-axioms", subject=cat.name)
+    report.schema_errors = cat.schema_errors()
+    if report.schema_errors:
+        return report
+
+    ops = enumerate_all_operations(cat, bound)
+    ops_by_target = {}
+    for op in ops:
+        ops_by_target.setdefault(op.target, []).append(op)
+
+    def guarded(outer, inners, context):
+        try:
+            return compose(cat, outer, inners)
+        except PreconditionError as exc:
+            report.add(
+                "composition-welldefined",
+                {
+                    "context": context,
+                    "outer": outer.label(),
+                    "inners": [g.label() for g in inners],
+                    "detail": str(exc),
+                },
+            )
+            return None
+
+    # unit laws
+    for op in ops:
+        ids = tuple(
+            PrefactOperation(u, (u,), (cat.identities[u],)) for u in op.sources
+        )
+        right = guarded(op, ids, "unit-right")
+        if right is not None and right != op:
+            report.add("unit-right", {"op": op.label(), "got": right.label()})
+        unary_id = PrefactOperation(
+            op.target, (op.target,), (cat.identities[op.target],)
+        )
+        left = guarded(unary_id, (op,), "unit-left")
+        if left is not None and left != op:
+            report.add("unit-left", {"op": op.label(), "got": left.label()})
+
+    # associativity gamma(gamma(f;g);h) = gamma(f; gamma(g_i;h_i))
+    for f in ops:
+        if f.arity == 0:
+            continue
+        for gs in _reference_inner_tuples(ops_by_target, f.sources, bound):
+            fg = guarded(f, gs, "associativity")
+            if fg is None:
+                continue
+            for hs in _reference_inner_tuples(ops_by_target, fg.sources, bound):
+                left = guarded(fg, hs, "associativity")
+                if left is None:
+                    continue
+                pos = 0
+                gh = []
+                ok = True
+                for g in gs:
+                    block = hs[pos : pos + g.arity]
+                    pos += g.arity
+                    inner = guarded(g, block, "associativity")
+                    if inner is None:
+                        ok = False
+                        break
+                    gh.append(inner)
+                if not ok:
+                    continue
+                right = guarded(f, gh, "associativity")
+                if right is not None and left != right:
+                    report.add(
+                        "associativity",
+                        {
+                            "f": f.label(),
+                            "g": [g.label() for g in gs],
+                            "h": [h.label() for h in hs],
+                        },
+                    )
+
+    # equivariance: gamma(f sigma; g_{sigma(1)},...) = gamma(f; g) sigma<k>
+    for f in ops:
+        if f.arity < 2:
+            continue
+        for gs in _reference_inner_tuples(ops_by_target, f.sources, bound):
+            fg = guarded(f, gs, "equivariance")
+            if fg is None:
+                continue
+            for sigma in itertools.permutations(range(f.arity)):
+                lhs = guarded(
+                    permute(f, sigma), tuple(gs[s] for s in sigma), "equivariance"
+                )
+                if lhs is None:
+                    continue
+                expected_arrows = []
+                expected_sources = []
+                blocks = []
+                pos = 0
+                for g in gs:
+                    blocks.append(
+                        (fg.arrows[pos : pos + g.arity], fg.sources[pos : pos + g.arity])
+                    )
+                    pos += g.arity
+                for s in sigma:
+                    expected_arrows.extend(blocks[s][0])
+                    expected_sources.extend(blocks[s][1])
+                rhs = PrefactOperation(
+                    fg.target, tuple(expected_sources), tuple(expected_arrows)
+                )
+                if lhs != rhs:
+                    report.add(
+                        "equivariance",
+                        {
+                            "f": f.label(),
+                            "sigma": list(sigma),
+                            "g": [g.label() for g in gs],
+                        },
+                    )
+    return report
+
+
+def assert_same_report(cat, bound):
+    got = dump_json(validate_operad(cat, bound).to_dict())
+    want = dump_json(reference_validate_operad(cat, bound).to_dict())
+    assert got == want
+    return want
+
+
+def with_orth(cat, orth, name):
+    return OrthCategory(
+        cat.objects, cat.morphisms.values(), cat.compose_table, cat.identities,
+        orth, name=name,
+    )
+
+
+def probe_a(cat):
+    """Criterion-5 probe A: one composite redirected to a wrong-signature arrow."""
+    table = dict(cat.compose_table)
+    victim = next(
+        (g, f)
+        for (g, f), r in table.items()
+        if cat.morphisms[f].src == "[1,1]"
+        and cat.morphisms[r].tgt == "[1,3]"
+        and g != cat.identities["[1,3]"]
+    )
+    table[victim] = cat.hom("[2,2]", "[1,3]")[0].id
+    return OrthCategory(
+        cat.objects, cat.morphisms.values(), table, cat.identities, cat.orth,
+        name="corrupted-table",
+    )
+
+
+PROBE_B_DROP = {("[1,1]<=[1,4]", "[3,3]<=[1,4]"), ("[3,3]<=[1,4]", "[1,1]<=[1,4]")}
+
+
+def probe_b(cat):
+    """Criterion-5 probe B: one closure pair dropped in both directions."""
+    return with_orth(cat, [p for p in cat.orth if p not in PROBE_B_DROP], "corrupted-orth")
+
+
+def nonassociative_category():
+    """A chain A -> B -> C -> D whose table is schema-clean but breaks the
+    laws: (fg) h2 = v while f (g h2) = w, and id_D v = w.  (u, v) is
+    orthogonal and (u, w) is not, so gamma(f; gamma(g; (h1, h2))) and the
+    left unit of (u, v) are undefined while gamma(gamma(f; g); (h1, h2)) is
+    defined."""
+    arrows = {
+        "idA": "AA", "idB": "BB", "idC": "CC", "idD": "DD", "h1": "AB", "h2": "AB",
+        "g": "BC", "gh1": "AC", "gh2": "AC", "f": "CD", "fg": "BD",
+        "u": "AD", "v": "AD", "w": "AD",
+    }
+    mors = [Morphism(a, st[0], st[1]) for a, st in arrows.items()]
+    identities = {u: f"id{u}" for u in "ABCD"}
+    table = {}
+    for a, (src, tgt) in arrows.items():
+        table[(a, identities[src])] = a
+        table[(identities[tgt], a)] = a
+    table.update({
+        ("g", "h1"): "gh1", ("g", "h2"): "gh2", ("fg", "h1"): "u", ("fg", "h2"): "v",
+        ("f", "g"): "fg", ("f", "gh1"): "u", ("f", "gh2"): "w", ("idD", "v"): "w",
+    })
+    orth = [("h1", "h2"), ("gh1", "gh2"), ("u", "v")]
+    orth += [(b, a) for a, b in orth]
+    return OrthCategory("ABCD", mors, table, identities, orth, name="nonassociative")
+
+
+@pytest.mark.parametrize("n,bound", [(4, 3), (6, 2)])
+def test_kernel_matches_reference_on_interval_categories(n, bound):
+    assert_same_report(interval_category(n), bound)
+
+
+def test_kernel_matches_reference_on_probes(intcat6):
+    assert '"schema_errors": []' not in assert_same_report(probe_a(intcat6), 2)
+    report = assert_same_report(probe_b(intcat6), 2)
+    assert "composition-welldefined" in report
+
+
+def test_kernel_matches_reference_on_one_directional_drop(intcat6):
+    # only (a, b) goes: the row mask of a loses b, the column mask of b keeps a
+    one_way = ("[1,1]<=[1,4]", "[3,3]<=[1,4]")
+    cat = with_orth(intcat6, [p for p in intcat6.orth if p != one_way], "one-way")
+    assert "composition-welldefined" in assert_same_report(cat, 2)
+
+
+def test_kernel_matches_reference_on_broken_laws():
+    cat = nonassociative_category()
+    assert not cat.schema_errors()
+    report = assert_same_report(cat, 3)
+    for axiom in ("unit-left", "associativity", "composition-welldefined"):
+        assert f'"axiom": "{axiom}"' in report
+    assert '"context": "unit-left"' in report
+
+
+_INTERVAL_CATS = {n: interval_category(n) for n in (4, 5)}
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.data())
+def test_kernel_matches_reference_on_dropped_orth_pairs(data):
+    n = data.draw(st.sampled_from([4, 5]), label="n")
+    bound = data.draw(st.integers(2, 3) if n == 4 else st.just(2), label="bound")
+    cat = _INTERVAL_CATS[n]
+    pairs = sorted(cat.orth)
+    dropped = data.draw(
+        st.lists(st.sampled_from(pairs), min_size=1, max_size=3, unique=True),
+        label="dropped",
+    )
+    both = data.draw(st.booleans(), label="both directions")
+    gone = set(dropped) | ({(b, a) for a, b in dropped} if both else set())
+    assert_same_report(with_orth(cat, [p for p in cat.orth if p not in gone], "dropped"), bound)
+
+
+def test_kernel_accepting_non_orthogonal_tuple_is_caught(intcat6, monkeypatch):
+    import sectorfact.operad as operad_module
+
+    # a kernel that takes every pair as orthogonal loses probe B's witnesses
+    monkeypatch.setattr(
+        operad_module, "_mutual_orth_masks", lambda cat, index: [-1] * len(index)
+    )
+    cat = probe_b(intcat6)
+    got = dump_json(validate_operad(cat, 2).to_dict())
+    assert got != dump_json(reference_validate_operad(cat, 2).to_dict())
+
+
+def test_kernel_rejecting_orthogonal_tuple_is_internal_error(intcat4, monkeypatch):
+    import sectorfact.operad as operad_module
+
+    monkeypatch.setattr(
+        operad_module, "_mutual_orth_masks", lambda cat, index: [0] * len(index)
+    )
+    with pytest.raises(RuntimeError, match="compose accepts"):
+        validate_operad(intcat4, 2)
