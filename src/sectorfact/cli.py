@@ -5,18 +5,20 @@ machine-readable reports (optionally rendered as text).  Runs are
 deterministic for fixed inputs and seed: reports carry no timestamps and
 all numbers are exact rationals serialized as strings.
 
-Exit codes: 0 all checks passed, 1 violations found, 2 schema errors.
+Exit codes: 0 all checks passed, 1 violations found, 2 schema errors,
+failed preconditions and exhausted sampling.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass, field
 
 from . import __version__
-from .configspace import certify_homotopy, sample_causal_config
+from .configspace import SamplingExhausted, certify_homotopy, sample_causal_config
 from .fixtures import (
     abelian_reflection_data,
     collapse_sector,
@@ -523,7 +525,10 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process: parsing keeps no state in it,
+    each `parse_args` returns a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="sectorfact",
         description="exact validation campaigns for finite orthogonal categories, "
@@ -664,6 +669,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_SCHEMA
     except PreconditionError as exc:
         sys.stderr.write(f"precondition error: {exc}\n")
+        return EXIT_SCHEMA
+    except SamplingExhausted as exc:
+        sys.stderr.write(f"sampling exhausted: {exc}\n")
         return EXIT_SCHEMA
 
 

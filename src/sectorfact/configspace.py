@@ -6,10 +6,19 @@ cone's shadow.  The projection and Cauchy-surface section are exact, and
 the straight-line homotopy between a configuration and its surface
 projection is certified spacelike for all intermediate times by exact
 quadratic sign analysis (not sampling).
+
+The causal sampler draws grid points center + (half/d)*k with k an integer
+vector in [-d, d]^n.  Both of its tests (inside the cone, spacelike to every
+accepted point) are signs of squared intervals, which a positive rescaling
+keeps, so they run on k in an integer frame: scaled by d/half, and by the
+common denominator L of axis.x/axis.t, the tips sit at the integer vectors
+±L*d*axis/axis.t.  Rationals are built only for the accepted points, and
+the CausalConfig constructor re-verifies every point and pair exactly.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -22,7 +31,6 @@ from .minkowski import (
     cone_contains,
     certify_segment_spacelike,
     point_to_json,
-    project_cone,
     segment_spacelike_data,
     sq_interval,
     _euclid_sq,
@@ -108,17 +116,36 @@ class SpatialConfig:
 
 
 def _grid_point_in_cone(
-    cone: DoubleCone, rng: random.Random, denom: int
-) -> MPoint | None:
-    """One rejection draw from the rational grid inside the cone's box."""
-    half = (cone.pplus.t - cone.pminus.t) / 2
-    c = cone.center
-    t = c.t + _F(rng.randint(-denom, denom), denom) * half
-    xs = tuple(
-        ci + _F(rng.randint(-denom, denom), denom) * half for ci in c.x
-    )
-    p = MPoint(t, xs)
-    return p if cone_contains(cone, p) else None
+    frame: tuple[int, int, tuple[int, ...]], rng: random.Random
+) -> tuple[int, ...] | None:
+    """One rejection draw from the grid inside the cone's box.
+
+    `frame` is (d, L, tip): the grid denominator, the common denominator of
+    axis.x/axis.t and the spatial part of the future tip, L*d*axis.x/axis.t.
+    Returns the integer vector k = (kt, k1, ...) of a point strictly inside
+    the cone, or None."""
+    d, scale, tip = frame
+    kt = rng.randint(-d, d)
+    ks = [rng.randint(-d, d) for _ in tip]
+    # time gaps to the tips; |kt| <= d keeps them >= 0, so the strict
+    # interval tests below also decide that both gaps are positive
+    future, past = scale * (d - kt), scale * (d + kt)
+    to_future = to_past = 0
+    for ki, ti in zip(ks, tip):
+        lk = scale * ki
+        to_future += (ti - lk) ** 2
+        to_past += (ti + lk) ** 2
+    if to_future < future * future and to_past < past * past:
+        return (kt, *ks)
+    return None
+
+
+def _grid_spacelike(k: tuple[int, ...], j: tuple[int, ...]) -> bool:
+    """Squared interval between two grid vectors of one frame is positive."""
+    total = -((k[0] - j[0]) ** 2)
+    for a, b in zip(k[1:], j[1:]):
+        total += (a - b) ** 2
+    return total > 0
 
 
 def sample_causal_config(
@@ -126,23 +153,39 @@ def sample_causal_config(
 ) -> CausalConfig:
     """Rejection-sample m pairwise causally disjoint points, deterministically
     per seed; the grid denominator doubles (up to 1024) when the budget runs
-    out at the current resolution."""
+    out at the current resolution.
+
+    Each draw is center + (half/d)*k for an integer vector k in [-d, d]^n
+    (one `rng.randint` for t, then one per spatial coordinate).  Cone
+    membership and pairwise spacelikeness are decided on k in the integer
+    frame of the module docstring; the accepted points are then built as
+    rationals and re-verified exactly by the CausalConfig constructor."""
     if m < 0:
         raise PreconditionError("configuration size must be nonnegative")
     rng = random.Random(seed)
+    c, axis = cone.center, cone.axis
+    slopes = [xi / axis.t for xi in axis.x]
+    scale = math.lcm(*(s.denominator for s in slopes))
+    lifted = [int(s * scale) for s in slopes]
     d = denom
     while True:
-        points: list[MPoint] = []
+        frame = (d, scale, tuple(d * a for a in lifted))
+        accepted: list[tuple[int, ...]] = []
         for _ in range(budget):
-            if len(points) == m:
+            if len(accepted) == m:
                 break
-            p = _grid_point_in_cone(cone, rng, d)
-            if p is None:
+            k = _grid_point_in_cone(frame, rng)
+            if k is None:
                 continue
-            if all(sq_interval(p, q) > 0 for q in points):
-                points.append(p)
-        if len(points) == m:
-            return CausalConfig(cone=cone, points=tuple(points))
+            if all(_grid_spacelike(k, j) for j in accepted):
+                accepted.append(k)
+        if len(accepted) == m:
+            step = axis.t / (2 * d)  # half the cone's height over d
+            points = tuple(
+                MPoint(c.t + k[0] * step, tuple(ci + ki * step for ci, ki in zip(c.x, k[1:])))
+                for k in accepted
+            )
+            return CausalConfig(cone=cone, points=points)
         if d >= 1024:
             raise SamplingExhausted(
                 f"could not place {m} causally disjoint points (denominator {d})"
@@ -156,7 +199,7 @@ def sample_spatial_config(
     """Rejection-sample m distinct spatial points in the cone's shadow."""
     if m < 0:
         raise PreconditionError("configuration size must be nonnegative")
-    shadow = project_cone(cone)
+    shadow = cone.shadow
     rng = random.Random(seed)
     half = (cone.pplus.t - cone.pminus.t) / 2
     marked = shadow.marked
@@ -183,7 +226,7 @@ def sample_spatial_config(
 def project_config(config: CausalConfig) -> SpatialConfig:
     """Pointwise spatial projection; distinctness of the images follows from
     the exact projection inequality, which is re-checked for every pair."""
-    shadow = project_cone(config.cone)
+    shadow = config.cone.shadow
     points = tuple(p.x for p in config.points)
     for i in range(len(points)):
         for j in range(i + 1, len(points)):
@@ -202,7 +245,7 @@ def lift_config(cone: DoubleCone, spatial: SpatialConfig) -> CausalConfig:
     pairwise spacelike (they lie in a spacelike hyperplane), re-verified by
     the CausalConfig constructor, and project back to the input exactly.
     """
-    if spatial.shadow != project_cone(cone):
+    if spatial.shadow != cone.shadow:
         raise PreconditionError("spatial configuration lives in a different shadow")
     lifted = tuple(cauchy_lift(cone, q) for q in spatial.points)
     config = CausalConfig(cone=cone, points=lifted)

@@ -10,6 +10,7 @@ is re-verified exactly after rounding (with retries at finer resolution).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -139,13 +140,20 @@ class DoubleCone:
     def dim(self) -> int:
         return self.pminus.dim
 
-    @property
+    # cached in the instance dict (bypassing the frozen __setattr__); equality
+    # and hashing stay on the two tips
+    @functools.cached_property
     def center(self) -> MPoint:
         return self.pminus + (self.pplus - self.pminus).scale(_F(1, 2))
 
-    @property
+    @functools.cached_property
     def axis(self) -> MPoint:
         return self.pplus - self.pminus
+
+    @functools.cached_property
+    def shadow(self) -> "SpatialConvex":
+        """The spatial image `project_cone(self)`."""
+        return project_cone(self)
 
     def __str__(self) -> str:
         return f"Cone[{self.pminus}..{self.pplus}]"
@@ -640,8 +648,7 @@ def cauchy_lift(cone: DoubleCone, q: Sequence[Fraction]) -> MPoint:
     """The unique point of the canonical Cauchy surface over the spatial
     point q: Minkowski-orthogonal to the tip axis through the center."""
     q = tuple(_F(v) for v in q)
-    shadow = project_cone(cone)
-    if not shadow.contains(q):
+    if not cone.shadow.contains(q):
         raise PreconditionError(f"spatial point {q} outside the cone shadow")
     center = cone.center
     axis = cone.axis

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from sectorfact.cli import main
+from sectorfact.cli import build_parser, main
 from sectorfact.reports import dump_json, render_text
 
 
@@ -287,3 +287,35 @@ def test_precondition_error_exits_2_without_traceback(workdir, capsys):
     assert code == 2
     assert err.startswith("precondition error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_sampling_exhausted_exits_2_without_traceback(tmp_path, capsys):
+    # two distinct points of a cone with no spatial dimension are never
+    # spacelike, so no configuration of size 2 exists
+    cone = tmp_path / "time-only.json"
+    cone.write_text('{"pminus":{"t":"-1","x":[]},"pplus":{"t":"1","x":[]}}')
+    capsys.readouterr()
+    code = main(["homotopy", "verify", "--cone", str(cone), "--m", "2", "--cases", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("sampling exhausted: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
+def test_cached_parser_keeps_no_state_between_calls(workdir):
+    assert build_parser() is build_parser()
+    tmp, export = workdir
+    cone, net = export("wide-cone-m2"), export("qubit4")
+    detailed, plain = tmp / "detailed.json", tmp / "plain.json"
+    verify = ["homotopy", "verify", "--cone", cone, "--m", "2", "--cases", "2"]
+    assert main(verify + ["--detail", "--out", str(detailed)]) == 0
+    assert main(verify + ["--out", str(plain)]) == 0
+    assert all("pairs" in case for case in read(detailed)["per_seed"])
+    assert not any("pairs" in case for case in read(plain)["per_seed"])
+
+    one, every = tmp / "one.json", tmp / "every.json"
+    assert main(["sectors", "haag", "--net", net, "--region", "2-3", "--out", str(one)]) == 0
+    assert main(["sectors", "haag", "--net", net, "--out", str(every)]) == 0
+    assert len(read(one)["regions"]) == 1
+    assert len(read(every)["regions"]) > 1

@@ -1,7 +1,11 @@
+import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import sectorfact.configspace as configspace
 from sectorfact.configspace import (
     CausalConfig,
     SamplingExhausted,
@@ -16,6 +20,7 @@ from sectorfact.minkowski import (
     DoubleCone,
     MPoint,
     cauchy_lift,
+    cone_contains,
     homotopy_point,
     project_cone,
     sq_interval,
@@ -23,6 +28,7 @@ from sectorfact.minkowski import (
 from sectorfact.reports import PreconditionError
 
 P = MPoint.of
+_F = F
 
 WIDE = DoubleCone(P(-5, 0), P(5, 0))
 TILTED = DoubleCone(P(-2, 0, 0), P(2, 1, F(1, 2)))
@@ -200,3 +206,180 @@ def test_section_checks_survive_optimize():
         [sys.executable, "-O", "-c", script], capture_output=True, env=env, timeout=60
     )
     assert result.returncode == 3, (result.stdout, result.stderr)
+
+
+# ---------------------------------------------------------------------------
+# Reference oracle: the rejection sampler in Fraction arithmetic, as it was
+# before the integer frame; the fast sampler must return the same points and
+# the same SamplingExhausted outcomes.
+# ---------------------------------------------------------------------------
+
+
+def _reference_grid_point_in_cone(
+    cone: DoubleCone, rng: random.Random, denom: int
+) -> MPoint | None:
+    """One rejection draw from the rational grid inside the cone's box."""
+    half = (cone.pplus.t - cone.pminus.t) / 2
+    c = cone.center
+    t = c.t + _F(rng.randint(-denom, denom), denom) * half
+    xs = tuple(
+        ci + _F(rng.randint(-denom, denom), denom) * half for ci in c.x
+    )
+    p = MPoint(t, xs)
+    return p if cone_contains(cone, p) else None
+
+
+def reference_sample_causal_config(
+    cone: DoubleCone, m: int, seed: int, denom: int = 64, budget: int = 20000
+) -> CausalConfig:
+    """Rejection-sample m pairwise causally disjoint points, deterministically
+    per seed; the grid denominator doubles (up to 1024) when the budget runs
+    out at the current resolution."""
+    if m < 0:
+        raise PreconditionError("configuration size must be nonnegative")
+    rng = random.Random(seed)
+    d = denom
+    while True:
+        points: list[MPoint] = []
+        for _ in range(budget):
+            if len(points) == m:
+                break
+            p = _reference_grid_point_in_cone(cone, rng, d)
+            if p is None:
+                continue
+            if all(sq_interval(p, q) > 0 for q in points):
+                points.append(p)
+        if len(points) == m:
+            return CausalConfig(cone=cone, points=tuple(points))
+        if d >= 1024:
+            raise SamplingExhausted(
+                f"could not place {m} causally disjoint points (denominator {d})"
+            )
+        d *= 2
+
+
+def _outcome(sampler, *args, **kwargs):
+    try:
+        return sampler(*args, **kwargs).points
+    except SamplingExhausted as exc:
+        return f"exhausted: {exc}"
+
+
+def _same_outcome(cone, m, seed, **kwargs):
+    fast = _outcome(sample_causal_config, cone, m, seed, **kwargs)
+    assert fast == _outcome(reference_sample_causal_config, cone, m, seed, **kwargs)
+    return fast
+
+
+# tilted cones whose axis.x/axis.t have denominators 3, 7, 5*7 and 2*3
+TILTED_CONES = [
+    DoubleCone(P(F(-1, 2), F(1, 3)), P(F(5, 2), F(4, 3))),
+    DoubleCone(P(-2, 0, 0), P(F(3, 2), F(1, 2), F(-1, 4))),
+    DoubleCone(P(0, 1, -1), P(7, F(3, 5), F(2, 7) - 1)),
+    DoubleCone(P(F(-7, 3), F(1, 2), 0, F(-5, 4)), P(F(2, 3), F(3, 2), F(-1, 3), F(-1, 4))),
+]
+
+
+def test_sampler_matches_reference_on_tilted_cones():
+    for cone in TILTED_CONES:
+        slopes = [xi / cone.axis.t for xi in cone.axis.x]
+        assert any(s.denominator > 1 for s in slopes)
+        for seed in range(6):
+            for m in (0, 1, 3, 5):
+                points = _same_outcome(cone, m, seed)
+                assert len(points) == m
+
+
+def test_sampler_matches_reference_on_small_budgets(monkeypatch):
+    # budgets small enough that the denominator doubles, and cones where no
+    # budget suffices: the exhaustion messages must match as well
+    denominators = set()
+    draw = configspace._grid_point_in_cone
+
+    def recording_draw(frame, rng):
+        denominators.add(frame[0])
+        return draw(frame, rng)
+
+    monkeypatch.setattr(configspace, "_grid_point_in_cone", recording_draw)
+    time_only = DoubleCone(P(-1), P(1))
+    tiny = DoubleCone(P(F(-1, 64), 0), P(F(1, 64), 0))
+    doubled = exhausted = 0
+    for cone, m, denom, budget in [
+        (TILTED_CONES[1], 6, 2, 4),
+        (TILTED_CONES[2], 5, 1, 3),
+        (TILTED_CONES[3], 4, 4, 6),
+        (WIDE, 6, 1, 5),
+        (tiny, 12, 64, 50),
+        (time_only, 2, 64, 40),
+        (time_only, 1, 1, 2),
+    ]:
+        for seed in range(4):
+            denominators.clear()
+            outcome = _same_outcome(cone, m, seed, denom=denom, budget=budget)
+            if isinstance(outcome, str):
+                exhausted += 1
+                assert max(denominators) == 1024
+            else:
+                doubled += max(denominators) > denom
+    assert doubled and exhausted
+
+
+@st.composite
+def cones(draw):
+    dim = draw(st.integers(1, 4))
+    rational = st.fractions(min_value=-6, max_value=6, max_denominator=12)
+    pminus = MPoint(draw(rational), tuple(draw(rational) for _ in range(dim - 1)))
+    axis_x = tuple(draw(rational) for _ in range(dim - 1))
+    lead = draw(st.fractions(min_value=F(1, 8), max_value=4, max_denominator=9))
+    axis_t = sum(abs(v) for v in axis_x) + lead
+    pplus = MPoint(pminus.t + axis_t, tuple(a + b for a, b in zip(pminus.x, axis_x)))
+    return DoubleCone(pminus, pplus)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    cones(),
+    st.integers(0, 6),
+    st.integers(0, 2**32),
+    st.sampled_from([1, 2, 8, 64]),
+    st.sampled_from([3, 40, 300]),
+)
+def test_sampler_matches_reference_property(cone, m, seed, denom, budget):
+    _same_outcome(cone, m, seed, denom=denom, budget=budget)
+
+
+def test_sampler_reverifies_grid_points_on_the_tip(monkeypatch):
+    # a draw that the integer test wrongly accepts on the future tip (kt = d)
+    # is rejected by the exact Fraction check in CausalConfig
+    monkeypatch.setattr(configspace, "_grid_point_in_cone", lambda frame, rng: (frame[0], 0))
+    with pytest.raises(PreconditionError, match="outside the cone"):
+        sample_causal_config(WIDE, 1, seed=0)
+
+
+def test_sampler_reverifies_pairs(monkeypatch):
+    # accepting every pair lets timelike pairs through the integer test;
+    # the exact pairwise check in CausalConfig rejects them
+    monkeypatch.setattr(configspace, "_grid_spacelike", lambda k, j: True)
+    with pytest.raises(PreconditionError, match="not causally disjoint"):
+        sample_causal_config(WIDE, 5, seed=0)
+
+
+def test_cone_caches_keep_equality_and_hash():
+    warm = DoubleCone(P(-2, 0, 0), P(2, 1, F(1, 2)))
+    cold = DoubleCone(P(-2, 0, 0), P(2, 1, F(1, 2)))
+    assert warm.center == P(0, F(1, 2), F(1, 4))
+    assert warm.axis == P(4, 1, F(1, 2))
+    assert warm.shadow == project_cone(cold)
+    assert {"center", "axis", "shadow"} <= set(vars(warm))
+    assert not {"center", "axis", "shadow"} & set(vars(cold))
+    assert warm == cold and hash(warm) == hash(cold)
+    assert len({warm, cold}) == 1
+
+
+def test_cauchy_lift_rejects_point_outside_shadow():
+    unit = DoubleCone(P(-1, 0), P(1, 0))
+    assert cauchy_lift(unit, (F(1, 2),)) == P(0, F(1, 2))
+    with pytest.raises(PreconditionError, match="outside the cone shadow"):
+        cauchy_lift(unit, (F(1),))
+    with pytest.raises(PreconditionError, match="outside the cone shadow"):
+        cauchy_lift(TILTED, (F(3), F(3)))
