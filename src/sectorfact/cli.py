@@ -15,7 +15,6 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass, field
 
 from . import __version__
 from .configspace import SamplingExhausted, certify_homotopy, sample_causal_config
@@ -57,13 +56,10 @@ from .orthcat import (
 )
 from .reports import PreconditionError, SchemaError, attach_citation, dump_json, render_text
 from .sectors import (
-    SectorGroupData,
     check_haag_duality,
-    check_localized,
     check_perp_commutativity,
     check_transportable,
     diamond,
-    diamond_covariance,
     find_covariance,
     g_act_sector,
     identity_sector,
@@ -77,37 +73,25 @@ EXIT_VIOLATIONS = 1
 EXIT_SCHEMA = 2
 
 
-@dataclass
-class CampaignSpec:
-    """Resolved parameters of a batch campaign: validated before any work,
-    so malformed requests exit with the schema code."""
-
-    command: str
-    inputs: list[str]
-    seed: int = 0
-    bound: int = 3
-    retry_budget: int = 8
-    counts: dict[str, int] = field(default_factory=dict)
-
-    def validate(self) -> None:
-        for name, value in {"bound": self.bound, "retry_budget": self.retry_budget,
-                            **self.counts}.items():
-            if value < 0:
-                raise SchemaError(f"count {name} must be nonnegative, got {value}")
-        for path in self.inputs:
-            try:
-                with open(path, "r", encoding="utf-8"):
-                    pass
-            except OSError as exc:
-                raise SchemaError(f"input file not readable: {path}") from exc
+def _check_counts(**counts: int) -> None:
+    """Refuse a negative count before any work, with the schema exit code."""
+    for name, value in counts.items():
+        if value < 0:
+            raise SchemaError(f"count {name} must be nonnegative, got {value}")
 
 
 def _load_json(path: str) -> dict:
+    """Parse an input file; a file that cannot be read or decoded is a
+    schema error, like malformed JSON."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except FileNotFoundError as exc:
         raise SchemaError(f"input file not found: {path}") from exc
+    except OSError as exc:
+        raise SchemaError(f"input file not readable: {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"input file is not UTF-8 text: {path}") from exc
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON in {path}: {exc}") from exc
 
@@ -175,6 +159,7 @@ def cmd_validate_action(args) -> int:
 
 
 def cmd_operad_check(args) -> int:
+    _check_counts(bound=args.bound)
     cat = category_from_json(_load_json(args.infile))
     report = validate_operad(cat, bound=args.bound).to_dict()
     if args.dump:
@@ -193,6 +178,7 @@ def cmd_operad_check(args) -> int:
 
 
 def cmd_operad_algebra(args) -> int:
+    _check_counts(bound=args.bound)
     net = net_from_json(_load_json(args.net))
     family = standard_sector_family(net)
     if args.equivariant:
@@ -258,12 +244,7 @@ def cmd_geometry_project(args) -> int:
 
 
 def cmd_geometry_witness(args) -> int:
-    spec = CampaignSpec(
-        command="geometry-witness",
-        inputs=[args.u1, args.u2, args.utilde],
-        retry_budget=args.budget,
-    )
-    spec.validate()
+    _check_counts(retry_budget=args.budget)
     u1 = cone_from_json(_load_json(args.u1))
     u2 = cone_from_json(_load_json(args.u2))
     ut = cone_from_json(_load_json(args.utilde))
@@ -282,13 +263,7 @@ def cmd_geometry_witness(args) -> int:
 
 
 def cmd_homotopy_verify(args) -> int:
-    spec = CampaignSpec(
-        command="homotopy-verify",
-        inputs=[args.cone],
-        seed=args.seed,
-        counts={"m": args.m, "cases": args.cases},
-    )
-    spec.validate()
+    _check_counts(m=args.m, cases=args.cases)
     cone = cone_from_json(_load_json(args.cone))
     cases = []
     for seed in range(args.seed, args.seed + args.cases):
@@ -437,6 +412,7 @@ def cmd_sectors_equivariance(args) -> int:
 
 
 def cmd_sectors_theorem311(args) -> int:
+    _check_counts(bound=args.bound)
     net = net_from_json(_load_json(args.net))
     family = standard_sector_family(net)
     report = validate_theorem_3_11(net, family, bound=args.bound).to_dict()

@@ -221,31 +221,32 @@ class MatrixAlg:
         return f"MatrixAlg({self.name or 'anon'}, n={self.n}, dim={self.dim}{tag})"
 
 
-def _dense_commutant(n: int, constraints: list[GMat]) -> list[GMat]:
-    """Exact nullspace of X A - A X = 0 over all constraint matrices A."""
+def _sylvester_basis(n: int, pairs: list[tuple[GMat, GMat]]) -> list[GMat]:
+    """Exact nullspace basis of {Y : L Y = Y R for every pair (L, R)}, one
+    row of the linear system per entry (i, j) of L Y - Y R."""
     rows = []
-    for a in constraints:
+    for lhs, rhs in pairs:
         for i in range(n):
             for j in range(n):
                 row = [GR_ZERO] * (n * n)
                 for k in range(n):
-                    akj = a.data.get((k, j))
-                    if akj is not None:
-                        row[i * n + k] = row[i * n + k] + akj
-                    aik = a.data.get((i, k))
-                    if aik is not None:
-                        row[k * n + j] = row[k * n + j] - aik
+                    lik = lhs.data.get((i, k))
+                    if lik is not None:
+                        row[k * n + j] = row[k * n + j] + lik
+                    rkj = rhs.data.get((k, j))
+                    if rkj is not None:
+                        row[i * n + k] = row[i * n + k] - rkj
                 if any(not v.is_zero() for v in row):
                     rows.append(row)
-    basis = nullspace(rows, n * n)
-    out = []
-    for vec in basis:
-        data = {}
-        for idx, v in enumerate(vec):
-            if not v.is_zero():
-                data[(idx // n, idx % n)] = v
-        out.append(GMat(n, data))
-    return out
+    return [
+        GMat(n, {(k // n, k % n): v for k, v in enumerate(vec) if not v.is_zero()})
+        for vec in nullspace(rows, n * n)
+    ]
+
+
+def _dense_commutant(n: int, constraints: list[GMat]) -> list[GMat]:
+    """Exact nullspace of X A - A X = 0 over all constraint matrices A."""
+    return _sylvester_basis(n, [(a, a) for a in constraints])
 
 
 def _commutant_of(n: int, mats: list[GMat], name: str) -> MatrixAlg:
@@ -556,15 +557,9 @@ class LocalizedEndo:
 
     def same_map(self, other: "LocalizedEndo") -> bool:
         """Equality as maps on the global basis (region labels ignored)."""
-        if (
-            self.unitary is not None
-            and other.unitary is not None
-            and self.net.global_algebra().dim == self.net.n ** 2
-        ):
-            prod = other.unitary.adjoint() @ self.unitary
-            return prod.scalar_multiple_of_identity() is not None
-        glob = self.net.global_algebra()
-        return all(self.apply(a) == other.apply(a) for a in glob.basis)
+        if self.unitary is not None and other.unitary is not None:
+            return _ad_equal(self.net, self.unitary, other.unitary)
+        return _maps_equal_on_basis(self.net, self.apply, other.apply)
 
     def relabel(self, region: str, label: str | None = None) -> "LocalizedEndo":
         return LocalizedEndo(
@@ -1179,23 +1174,7 @@ def _solve_intertwiner(
         if all(lhs @ y == y @ rhs for lhs, rhs in pairs):
             return y
         return None
-    rows = []
-    for lhs, rhs in pairs:
-        for i in range(n):
-            for j in range(n):
-                row = [GR_ZERO] * (n * n)
-                for k in range(n):
-                    lik = lhs.data.get((i, k))
-                    if lik is not None:
-                        row[k * n + j] = row[k * n + j] + lik
-                    rkj = rhs.data.get((k, j))
-                    if rkj is not None:
-                        row[i * n + k] = row[i * n + k] - rkj
-                if any(not v.is_zero() for v in row):
-                    rows.append(row)
-    basis = nullspace(rows, n * n)
-    for vec in basis:
-        y = GMat(n, {(k // n, k % n): v for k, v in enumerate(vec) if not v.is_zero()})
+    for y in _sylvester_basis(n, pairs):
         prod = (y @ y.adjoint()).scalar_multiple_of_identity()
         if prod is not None and not prod.is_zero():
             return y

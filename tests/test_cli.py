@@ -319,3 +319,24 @@ def test_cached_parser_keeps_no_state_between_calls(workdir):
     assert main(["sectors", "haag", "--net", net, "--out", str(every)]) == 0
     assert len(read(one)["regions"]) == 1
     assert len(read(every)["regions"]) > 1
+
+
+def test_unreadable_input_and_negative_bound_exit_2(workdir, capsys):
+    tmp, export = workdir
+    undecodable = tmp / "undecodable.json"
+    undecodable.write_bytes(b"\xff{}")
+    cat, net = export("intcat4"), export("qubit2")
+    for argv in (
+        ["sectors", "haag", "--net", str(tmp)],
+        ["operad", "check", "--in", str(undecodable)],
+        ["operad", "check", "--in", cat, "--bound", "-1"],
+        ["operad", "algebra", "--net", net, "--bound", "-1"],
+        ["sectors", "theorem311", "--net", net, "--bound", "-1"],
+    ):
+        capsys.readouterr()
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2, argv
+        assert captured.out == ""
+        assert captured.err.startswith("schema error: ") and captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err

@@ -610,3 +610,13 @@ def test_kernel_rejecting_orthogonal_tuple_is_internal_error(intcat4, monkeypatc
     )
     with pytest.raises(RuntimeError, match="compose accepts"):
         validate_operad(intcat4, 2)
+
+
+def test_equivariance_walk_keeps_its_witnesses(intcat6):
+    # equivariance itself cannot fail, but an undefined gamma(f; g) with f
+    # of arity >= 2 is witnessed once more under context equivariance
+    report = validate_operad(probe_b(intcat6), 2)
+    contexts = [
+        v.witness["context"] for v in report.violations if v.axiom == "composition-welldefined"
+    ]
+    assert contexts.count("equivariance") == 14

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sectorfact.fixtures import (
     diagonal_net,
@@ -10,7 +12,9 @@ from sectorfact.fixtures import (
 from sectorfact.linalg import (
     GMat,
     GR_ONE,
+    GR_ZERO,
     GaussianRational,
+    nullspace,
     pauli_string,
 )
 from sectorfact.reports import PreconditionError
@@ -26,6 +30,8 @@ from sectorfact.sectors import (
     check_perp_commutativity_sectors,
     check_transportable,
     commutant,
+    _dense_commutant,
+    _solve_intertwiner,
     diamond,
     diamond_mor,
     identity_sector,
@@ -388,6 +394,108 @@ def test_intertwiner_for_general_endomorphism(bits4):
     # sites) but lies outside the abelian local algebra of the join region
     with pytest.raises(PreconditionError):
         Intertwiner(rho, rho, pauli_string(4, 0b1000, 0))  # X at site 0
+
+
+# -- the dense Sylvester solver against the builders it replaced -----------------------
+
+
+def reference_dense_commutant(n, constraints):
+    """`_dense_commutant` before it shared its row builder with
+    `_solve_intertwiner`, kept verbatim as the oracle."""
+    rows = []
+    for a in constraints:
+        for i in range(n):
+            for j in range(n):
+                row = [GR_ZERO] * (n * n)
+                for k in range(n):
+                    akj = a.data.get((k, j))
+                    if akj is not None:
+                        row[i * n + k] = row[i * n + k] + akj
+                    aik = a.data.get((i, k))
+                    if aik is not None:
+                        row[k * n + j] = row[k * n + j] - aik
+                if any(not v.is_zero() for v in row):
+                    rows.append(row)
+    basis = nullspace(rows, n * n)
+    out = []
+    for vec in basis:
+        data = {}
+        for idx, v in enumerate(vec):
+            if not v.is_zero():
+                data[(idx // n, idx % n)] = v
+        out.append(GMat(n, data))
+    return out
+
+
+def reference_dense_intertwiner(n, pairs):
+    """The dense branch of `_solve_intertwiner` before the merge, verbatim."""
+    rows = []
+    for lhs, rhs in pairs:
+        for i in range(n):
+            for j in range(n):
+                row = [GR_ZERO] * (n * n)
+                for k in range(n):
+                    lik = lhs.data.get((i, k))
+                    if lik is not None:
+                        row[k * n + j] = row[k * n + j] + lik
+                    rkj = rhs.data.get((k, j))
+                    if rkj is not None:
+                        row[i * n + k] = row[i * n + k] - rkj
+                if any(not v.is_zero() for v in row):
+                    rows.append(row)
+    basis = nullspace(rows, n * n)
+    for vec in basis:
+        y = GMat(n, {(k // n, k % n): v for k, v in enumerate(vec) if not v.is_zero()})
+        prod = (y @ y.adjoint()).scalar_multiple_of_identity()
+        if prod is not None and not prod.is_zero():
+            return y
+    return None
+
+
+_small = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+_UNITS = [GR_ONE, GaussianRational.of(0, 1), -GR_ONE, GaussianRational.of(0, -1)]
+
+
+def gmats(n):
+    return st.dictionaries(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+        st.builds(GaussianRational, _small, _small),
+        max_size=n * n,
+    ).map(lambda data: GMat(n, data))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_dense_commutant_matches_reference(data):
+    n = data.draw(st.integers(1, 3), label="n")
+    mats = data.draw(st.lists(gmats(n), max_size=3), label="constraints")
+    got = _dense_commutant(n, mats)
+    assert [m.key() for m in got] == [m.key() for m in reference_dense_commutant(n, mats)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_dense_intertwiner_matches_reference(data):
+    n = data.draw(st.integers(2, 3), label="n")
+    rhs = data.draw(st.lists(gmats(n), min_size=1, max_size=3), label="rhs")
+    if all(i == j for m in rhs for i, j in m.data):
+        # one off-diagonal entry sends the solve down the dense branch
+        rhs.append(GMat(n, {(0, n - 1): GR_ONE}))
+    if data.draw(st.booleans(), label="conjugated"):
+        # lhs = u rhs u* for a monomial unitary u, so an intertwiner exists
+        perm = data.draw(st.permutations(range(n)), label="perm")
+        phases = data.draw(st.lists(st.sampled_from(_UNITS), min_size=n, max_size=n))
+        u = GMat(n, {(i, perm[i]): p for i, p in enumerate(phases)})
+        lhs = [u @ r @ u.adjoint() for r in rhs]
+    else:
+        lhs = data.draw(st.lists(gmats(n), min_size=len(rhs), max_size=len(rhs)), label="lhs")
+    pairs = list(zip(lhs, rhs))
+    got = _solve_intertwiner(n, pairs)
+    want = reference_dense_intertwiner(n, pairs)
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert got.key() == want.key()
+        assert all(a @ got == got @ b for a, b in pairs)
 
 
 def test_diamond_mor_identity(net4):
