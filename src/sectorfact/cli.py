@@ -96,6 +96,16 @@ def _load_json(path: str) -> dict:
         raise SchemaError(f"invalid JSON in {path}: {exc}") from exc
 
 
+def _write_file(path: str, payload: str) -> None:
+    """Write an output file; a path that cannot be written is a schema
+    error, like an unreadable input."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(payload)
+    except OSError as exc:
+        raise SchemaError(f"output file not writable: {path}: {exc.strerror}") from exc
+
+
 def _emit(doc: dict, args) -> None:
     doc = dict(doc)
     doc["tool_version"] = __version__
@@ -103,8 +113,7 @@ def _emit(doc: dict, args) -> None:
         doc = attach_citation(doc)
     payload = dump_json(doc)
     if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        _write_file(args.out, payload)
     if getattr(args, "render", False) or not getattr(args, "out", None):
         sys.stdout.write(render_text(doc) if getattr(args, "render", False) else payload)
 
@@ -169,8 +178,7 @@ def cmd_operad_check(args) -> int:
         for op in enumerate_all_operations(cat, args.bound):
             key = f"({','.join(op.sources)})->{op.target}"
             grouped.setdefault(key, []).append(list(op.arrows))
-        with open(args.dump, "w", encoding="utf-8") as fh:
-            fh.write(dump_json({"bound": args.bound, "operations": grouped}))
+        _write_file(args.dump, dump_json({"bound": args.bound, "operations": grouped}))
     _emit(report, args)
     if report["schema_errors"]:
         return EXIT_SCHEMA
@@ -422,6 +430,8 @@ def cmd_sectors_theorem311(args) -> int:
 
 def cmd_report_render(args) -> int:
     doc = _load_json(args.infile)
+    if not isinstance(doc, dict):
+        raise SchemaError(f"report in {args.infile} is not a JSON object")
     sys.stdout.write(render_text(doc))
     return EXIT_OK
 
@@ -459,8 +469,7 @@ def cmd_fixtures(args) -> int:
         return EXIT_SCHEMA
     payload = dump_json(bundled[args.name]())
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        _write_file(args.out, payload)
     else:
         sys.stdout.write(payload)
     return EXIT_OK

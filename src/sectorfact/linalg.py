@@ -40,6 +40,7 @@ __all__ = [
     "as_pauli_string",
     "pauli_commute",
     "pauli_commutant_masks",
+    "pauli_mask_span",
 ]
 
 
@@ -508,7 +509,9 @@ def nullspace(
 # generator: expanding any commuting X in the string basis, conjugation by
 # a generator flips the sign of anticommuting components, which therefore
 # vanish.  This turns commutant computations on string algebras into
-# nullspace solves over F_2.
+# nullspace solves over F_2, and the closure of a mask set under products
+# into its row-reduced span; ``_gf2_pivots`` is the one elimination routine
+# behind both.
 # ---------------------------------------------------------------------------
 
 
@@ -587,9 +590,11 @@ def pauli_commute(x1: int, z1: int, x2: int, z2: int) -> bool:
     ) % 2 == 0
 
 
-def _gf2_nullspace(rows: list[int], width: int) -> list[int]:
-    """Nullspace basis of a GF(2) system; vectors encoded as ints."""
-    pivots: list[tuple[int, int]] = []  # (pivot bit, reduced row)
+def _gf2_pivots(rows: list[int]) -> list[tuple[int, int]]:
+    """Gauss-Jordan elimination over GF(2), vectors encoded as ints: one
+    (pivot bit, reduced row) pair per unit of rank, the pivot bit set in its
+    own row only, the rows spanning the same space as the input."""
+    pivots: list[tuple[int, int]] = []
     for row in rows:
         r = row
         for bit, pr in pivots:
@@ -602,6 +607,12 @@ def _gf2_nullspace(rows: list[int], width: int) -> list[int]:
             if (pr >> bit) & 1:
                 pivots[idx] = (b, pr ^ r)
         pivots.append((bit, r))
+    return pivots
+
+
+def _gf2_nullspace(rows: list[int], width: int) -> list[int]:
+    """Nullspace basis of a GF(2) system; vectors encoded as ints."""
+    pivots = _gf2_pivots(rows)
     pivot_bits = {b for b, _ in pivots}
     basis = []
     for free in range(width):
@@ -615,23 +626,27 @@ def _gf2_nullspace(rows: list[int], width: int) -> list[int]:
     return basis
 
 
+def _mask_span(L: int, vectors: list[int]) -> set[tuple[int, int]]:
+    """(x, z) masks of every XOR combination of 2L-bit vectors x << L | z."""
+    span = [0]
+    for _, r in _gf2_pivots(vectors):
+        span += [v ^ r for v in span]
+    low = (1 << L) - 1
+    return {(v >> L, v & low) for v in span}
+
+
+def pauli_mask_span(L: int, masks) -> set[tuple[int, int]]:
+    """XOR closure of (x, z) masks on L qubits, (0, 0) included: the masks
+    of every product of the given strings, found by row reduction in time
+    linear in the size of the result."""
+    return _mask_span(L, [(x << L) | z for x, z in masks])
+
+
 def pauli_commutant_masks(L: int, masks: list[tuple[int, int]]) -> list[tuple[int, int]]:
     """All (x, z) masks whose string commutes with every P(x_k, z_k).
 
-    The constraint is linear over F_2, so the result is the full subgroup
-    enumerated from a nullspace basis (2L-bit vectors encoded as z | x<<L).
+    The constraint is linear over F_2, so the result is the span of a
+    nullspace basis (2L-bit vectors encoded as x << L | z).
     """
     rows = [(zk << L) | xk for xk, zk in masks]
-    basis = _gf2_nullspace(rows, 2 * L)
-    out = set()
-    for combo in range(1 << len(basis)):
-        v = 0
-        c = combo
-        i = 0
-        while c:
-            if c & 1:
-                v ^= basis[i]
-            c >>= 1
-            i += 1
-        out.add((v >> L, v & ((1 << L) - 1)))
-    return sorted(out)
+    return sorted(_mask_span(L, _gf2_nullspace(rows, 2 * L)))

@@ -4,8 +4,10 @@ A net assigns to every region of a finite orthogonal index category a
 unital *-subalgebra of a global matrix algebra over the Gaussian
 rationals.  The bundled nets are qubit chains whose local algebras are
 spanned by Pauli strings, which keeps commutants, Haag duality and all
-sector identities decidable by exact symplectic/mask arithmetic; a dense
-exact nullspace solver covers small general inputs.  Sectors are unital
+sector identities decidable by exact symplectic/mask arithmetic: a set of
+(x, z) masks holding (0, 0) spans an algebra exactly when it is as large
+as its GF(2) span, and a commutant is a GF(2) nullspace.  A dense exact
+nullspace solver covers small general inputs.  Sectors are unital
 *-endomorphisms of the global algebra acting as the identity on every
 algebra orthogonal to their localization region; the bundled ones are
 inner (conjugation by a local unitary).
@@ -26,6 +28,7 @@ from .linalg import (
     nullspace,
     pauli_commutant_masks,
     pauli_commute,
+    pauli_mask_span,
     pauli_string,
 )
 from .orthcat import GroupActionSpec, OrthCategory
@@ -86,12 +89,15 @@ class MatrixAlg:
         self.name = name
         self.pauli: list[tuple[int, int, GaussianRational]] | None = None
         self.L: int | None = None
+        self._masks: frozenset[tuple[int, int]] | None = None
         self._hs_norms: list[GaussianRational] | None = None
+        self._span: SpanBasis | None = None
         if n & (n - 1) == 0 and n > 1:
             decomp = [as_pauli_string(m) for m in basis]
             if all(d is not None for d in decomp):
                 self.pauli = decomp  # type: ignore[assignment]
                 self.L = n.bit_length() - 1
+                self._masks = frozenset((x, z) for x, z, _ in decomp)
         if validate:
             errs = self._closure_errors()
             if errs:
@@ -104,51 +110,25 @@ class MatrixAlg:
         """Algebra spanned by the Pauli strings of the given (x, z) masks.
 
         The mask set must contain (0,0) and be closed under XOR, which makes
-        the span a unital *-subalgebra by construction.
+        the span a unital *-subalgebra; ``_closure_errors`` decides this as
+        a size test against the GF(2) span and raises SchemaError otherwise.
         """
-        masks = sorted(set(masks))
-        mset = set(masks)
-        if (0, 0) not in mset:
-            raise SchemaError("mask set must contain the identity string")
-        for (x1, z1), (x2, z2) in itertools.combinations(masks, 2):
-            if (x1 ^ x2, z1 ^ z2) not in mset:
-                raise SchemaError("mask set is not closed under products")
-        alg = MatrixAlg(
-            1 << L,
-            [pauli_string(L, x, z) for x, z in masks],
-            validate=False,
-            name=name,
+        return MatrixAlg(
+            1 << L, [pauli_string(L, x, z) for x, z in sorted(set(masks))], name=name
         )
-        return alg
 
     @staticmethod
     def full_on_sites(L: int, sites, name: str = "") -> "MatrixAlg":
         """Tensor factor: all Pauli strings supported on the given sites."""
-        sites = sorted(sites)
-        masks = []
-        for letters in itertools.product(range(4), repeat=len(sites)):
-            x = z = 0
-            for site, letter in zip(sites, letters):
-                shift = L - 1 - site
-                if letter in (1, 3):
-                    x |= 1 << shift
-                if letter in (2, 3):
-                    z |= 1 << shift
-            masks.append((x, z))
-        return MatrixAlg.pauli_span(L, masks, name=name)
+        bits = [1 << (L - 1 - site) for site in sites]
+        gens = [(b, 0) for b in bits] + [(0, b) for b in bits]
+        return MatrixAlg.pauli_span(L, pauli_mask_span(L, gens), name=name)
 
     @staticmethod
     def diagonal_on_sites(L: int, sites, name: str = "") -> "MatrixAlg":
         """Abelian subalgebra: Z-type strings supported on the given sites."""
-        sites = sorted(sites)
-        masks = []
-        for bits in itertools.product((0, 1), repeat=len(sites)):
-            z = 0
-            for site, b in zip(sites, bits):
-                if b:
-                    z |= 1 << (L - 1 - site)
-            masks.append((0, z))
-        return MatrixAlg.pauli_span(L, masks, name=name)
+        gens = [(0, 1 << (L - 1 - site)) for site in sites]
+        return MatrixAlg.pauli_span(L, pauli_mask_span(L, gens), name=name)
 
     # -- structure ---------------------------------------------------------
 
@@ -156,10 +136,9 @@ class MatrixAlg:
     def dim(self) -> int:
         return len(self.basis)
 
-    def masks(self) -> set[tuple[int, int]] | None:
-        if self.pauli is None:
-            return None
-        return {(x, z) for x, z, _ in self.pauli}
+    def masks(self) -> frozenset[tuple[int, int]] | None:
+        """The (x, z) masks of a string basis, or None for other bases."""
+        return self._masks
 
     def hs_norms(self) -> list[GaussianRational]:
         """Squared Hilbert-Schmidt norms of the basis elements, computed once."""
@@ -168,30 +147,32 @@ class MatrixAlg:
         return self._hs_norms
 
     def span(self) -> SpanBasis:
-        sb = SpanBasis(self.n)
-        for m in self.basis:
-            sb.add(m)
-        return sb
+        """Orthogonalized basis for exact membership tests, built once."""
+        if self._span is None:
+            self._span = SpanBasis(self.n)
+            for m in self.basis:
+                self._span.add(m)
+        return self._span
 
     def contains(self, m: GMat) -> bool:
-        if self.pauli is not None:
+        if self._masks is not None:
             p = as_pauli_string(m)
             if p is not None:
-                return (p[0], p[1]) in self.masks()
+                return (p[0], p[1]) in self._masks
         return self.span().contains(m)
 
     def _closure_errors(self) -> list[str]:
-        if self.pauli is not None:
-            mset = self.masks()
+        mset = self._masks
+        if mset is not None:
             errs = []
-            if (0, 0) not in mset:
-                errs.append("identity string missing from basis span")
             if len(mset) != len(self.basis):
                 errs.append("basis strings are linearly dependent")
-            for (x1, z1), (x2, z2) in itertools.combinations(sorted(mset), 2):
-                if (x1 ^ x2, z1 ^ z2) not in mset:
-                    errs.append("span not closed under products")
-                    break
+            # a mask set holding (0, 0) is XOR-closed exactly when it is as
+            # large as its GF(2) span
+            if (0, 0) not in mset:
+                errs.append("identity string missing from basis span")
+            elif len(pauli_mask_span(self.L, mset)) != len(mset):
+                errs.append("span not closed under products")
             return errs
         errs = []
         sb = SpanBasis(self.n)
@@ -340,25 +321,11 @@ class MatrixNet:
         if "__global__" not in self._cache:
             algs = [self.algebra(u) for u in self.category.objects]
             if all(alg.pauli is not None for alg in algs):
-                masks: set[tuple[int, int]] = set()
-                for alg in algs:
-                    masks |= alg.masks()
-                # close under products across regions
-                frontier = sorted(masks)
-                closed = set(masks)
-                while True:
-                    new = set()
-                    for (x1, z1) in frontier:
-                        for (x2, z2) in sorted(closed):
-                            m = (x1 ^ x2, z1 ^ z2)
-                            if m not in closed:
-                                new.add(m)
-                    if not new:
-                        break
-                    closed |= new
-                    frontier = sorted(new)
+                masks = pauli_mask_span(
+                    self.sites, [m for alg in algs for m in alg.masks()]
+                )
                 self._cache["__global__"] = MatrixAlg.pauli_span(
-                    self.sites, closed, name="A(global)"
+                    self.sites, masks, name="A(global)"
                 )
             else:
                 span = SpanBasis(self.n)
@@ -1016,13 +983,8 @@ class SectorGroupData:
                 img = functor.apply_obj(region)
                 alg = self.net.algebra(region)
                 target = self.net.algebra(img)
-                span = target.span() if target.masks() is None else None
                 for m in alg.basis:
-                    moved = u @ m @ u.adjoint()
-                    inside = (
-                        target.contains(moved) if span is None else span.contains(moved)
-                    )
-                    if not inside:
+                    if not target.contains(u @ m @ u.adjoint()):
                         report.add(
                             "covariant-implementation", {"g": g, "region": region}
                         )

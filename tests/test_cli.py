@@ -340,3 +340,35 @@ def test_unreadable_input_and_negative_bound_exit_2(workdir, capsys):
         assert captured.out == ""
         assert captured.err.startswith("schema error: ") and captured.err.count("\n") == 1
         assert "Traceback" not in captured.err
+
+
+def test_unwritable_output_exits_2_without_traceback(workdir, capsys):
+    # the campaign runs, then the output path lies in a missing directory
+    tmp, export = workdir
+    cat = export("intcat4")
+    missing = tmp / "nodir"
+    for argv in (
+        ["validate-category", "--in", cat, "--out", str(missing / "r.json")],
+        ["fixtures", "export", "intcat4", "--out", str(missing / "x.json")],
+        ["operad", "check", "--in", cat, "--bound", "2", "--dump", str(missing / "d.json")],
+    ):
+        capsys.readouterr()
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2, argv
+        assert captured.out == ""
+        assert captured.err.startswith("schema error: ") and captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+    assert not missing.exists()
+
+
+@pytest.mark.parametrize("payload", ["[]", "3", '"x"'])
+def test_report_render_non_object_exits_2(tmp_path, capsys, payload):
+    doc = tmp_path / "doc.json"
+    doc.write_text(payload)
+    capsys.readouterr()
+    code = main(["report", "render", "--in", str(doc)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("schema error: ") and captured.err.count("\n") == 1

@@ -17,6 +17,7 @@ from sectorfact.linalg import (
     parse_rational,
     pauli_commutant_masks,
     pauli_commute,
+    pauli_mask_span,
     pauli_string,
     sparse_matmul,
 )
@@ -168,6 +169,34 @@ def test_commutant_masks_against_enumeration():
         if all(pauli_commute(x, z, gx, gz) for gx, gz in gens)
     )
     assert pauli_commutant_masks(L, gens) == expected
+
+
+def _frontier_closure(gens):
+    """Reference XOR closure: grow {(0, 0)} by the generators until stable."""
+    masks = {(0, 0)}
+    frontier = [(0, 0)]
+    while frontier:
+        x, z = frontier.pop()
+        for gx, gz in gens:
+            m = (x ^ gx, z ^ gz)
+            if m not in masks:
+                masks.add(m)
+                frontier.append(m)
+    return masks
+
+
+@st.composite
+def mask_generators(draw):
+    L = draw(st.integers(1, 4))
+    mask = st.integers(0, (1 << L) - 1)
+    return L, draw(st.lists(st.tuples(mask, mask), max_size=6))
+
+
+@settings(max_examples=150, deadline=None)
+@given(mask_generators())
+def test_mask_span_matches_frontier_closure(case):
+    L, gens = case
+    assert pauli_mask_span(L, gens) == _frontier_closure(gens)
 
 
 # -- exact linear algebra ------------------------------------------------------

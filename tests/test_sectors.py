@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,7 +19,7 @@ from sectorfact.linalg import (
     nullspace,
     pauli_string,
 )
-from sectorfact.reports import PreconditionError
+from sectorfact.reports import PreconditionError, SchemaError
 from sectorfact.sectors import (
     Intertwiner,
     LocalizedEndo,
@@ -650,3 +652,83 @@ def test_net_json_schema_errors():
         net_from_json({"sites": 2, "regions": [{"id": "a", "sites": [0], "algebra": "weird"}]})
     with pytest.raises(SchemaError):
         net_from_json({"sites": 2, "local_dim": 3, "regions": [{"id": "a", "sites": [0]}]})
+
+
+# -- mask closure -----------------------------------------------------------------------
+
+
+def _letter_product_masks(L, sites):
+    """Pre-GF(2) enumeration of ``full_on_sites`` masks, kept as the oracle."""
+    sites = sorted(sites)
+    masks = []
+    for letters in itertools.product(range(4), repeat=len(sites)):
+        x = z = 0
+        for site, letter in zip(sites, letters):
+            shift = L - 1 - site
+            if letter in (1, 3):
+                x |= 1 << shift
+            if letter in (2, 3):
+                z |= 1 << shift
+        masks.append((x, z))
+    return masks
+
+
+def _bit_product_masks(L, sites):
+    """Pre-GF(2) enumeration of ``diagonal_on_sites`` masks, kept as the oracle."""
+    sites = sorted(sites)
+    masks = []
+    for bits in itertools.product((0, 1), repeat=len(sites)):
+        z = 0
+        for site, b in zip(sites, bits):
+            if b:
+                z |= 1 << (L - 1 - site)
+        masks.append((0, z))
+    return masks
+
+
+def test_site_algebras_match_letter_enumeration():
+    for L in range(1, 5):
+        for k in range(L + 1):
+            for sites in itertools.combinations(range(L), k):
+                full = MatrixAlg.full_on_sites(L, sites)
+                diag = MatrixAlg.diagonal_on_sites(L, sites)
+                assert full.masks() == set(_letter_product_masks(L, sites))
+                assert diag.masks() == set(_bit_product_masks(L, sites))
+                assert full.dim == 4**k and diag.dim == 2**k
+
+
+def _assert_rejects_unclosed():
+    not_closed = [(0, 0), (1, 0), (0, 1)]  # X and Z without Y = iXZ
+    no_identity = [(1, 0), (0, 1), (1, 1)]
+    for masks in (not_closed, no_identity):
+        with pytest.raises(SchemaError):
+            MatrixAlg.pauli_span(1, masks)
+        with pytest.raises(SchemaError):
+            MatrixAlg(2, [pauli_string(1, x, z) for x, z in masks])
+    with pytest.raises(SchemaError):
+        MatrixAlg.pauli_span(2, [(0, 0), (1, 0), (2, 0)])  # (3, 0) missing
+
+
+def test_unclosed_mask_sets_are_rejected():
+    _assert_rejects_unclosed()
+    assert MatrixAlg.pauli_span(1, [(0, 0), (1, 0), (0, 1), (1, 1)]).dim == 4
+
+
+def test_unclosed_mask_check_can_fail(monkeypatch):
+    # corruption probe: a closure helper that returns its input unchanged
+    # must let a non-closed mask set through
+    import sectorfact.sectors as sectors
+
+    monkeypatch.setattr(sectors, "pauli_mask_span", lambda L, masks: set(masks))
+    with pytest.raises(pytest.fail.Exception):
+        _assert_rejects_unclosed()
+
+
+def test_algebra_lookups_built_once(net4):
+    alg = net4.algebra("[2,3]")
+    assert isinstance(alg.masks(), frozenset) and alg.masks() is alg.masks()
+    assert alg.span() is alg.span()
+
+
+def test_global_algebra_of_six_sites():
+    assert qubit_net(6).global_algebra().dim == 4096
