@@ -19,7 +19,6 @@ import sys
 from . import __version__
 from .configspace import SamplingExhausted, certify_homotopy, sample_causal_config
 from .fixtures import (
-    abelian_reflection_data,
     collapse_sector,
     cyclic_arc_category,
     diagonal_net,
@@ -372,11 +371,10 @@ def cmd_sectors_transport(args) -> int:
 
 def cmd_sectors_equivariance(args) -> int:
     net = net_from_json(_load_json(args.net))
+    data = qubit_reflection_data(net)
     if any(u in net.overrides for u in net.category.objects):
-        data = abelian_reflection_data(net)
         family = {}
     else:
-        data = qubit_reflection_data(net)
         family = standard_sector_family(net)
     impl = data.validate()
     doc = {
@@ -394,9 +392,7 @@ def cmd_sectors_equivariance(args) -> int:
             entry["action_regions"] = {g: m.region for g, m in moved.items()}
             unit_ok = moved[group.unit()].same_map(rho)
             comp_ok = all(
-                g_act_sector(g2, moved[g1], data).same_map(
-                    g_act_sector(group.mult(g2, g1), rho, data)
-                )
+                g_act_sector(g2, moved[g1], data).same_map(moved[group.mult(g2, g1)])
                 for g1 in group.elements
                 for g2 in group.elements
             )

@@ -33,7 +33,6 @@ __all__ = [
     "entangler_unitary",
     "diagonal_net",
     "collapse_sector",
-    "abelian_reflection_data",
     "net_to_json",
     "net_from_json",
 ]
@@ -98,16 +97,15 @@ def interval_category(n: int, max_len: int | None = None) -> OrthCategory:
     )
 
 
-def cyclic_arc_category(m: int, big_len: int | None = None) -> OrthCategory:
+def cyclic_arc_category(m: int) -> OrthCategory:
     """Arcs on a cyclic m-site lattice ordered by inclusion.
 
     Cospans are orthogonal when their sources are disjoint, and every
-    cospan into an arc of length >= big_len (default m-1) is orthogonal:
+    cospan into an arc of length m-1 (the longest) is orthogonal:
     at full scale the lattice wraps onto itself and independence
     trivializes.  This keeps the relation closed under composition while
     giving every cospan room to extend sideways.
     """
-    big_len = m - 1 if big_len is None else big_len
     regions = {}
     for s in range(m):
         for length in range(1, m):
@@ -115,7 +113,7 @@ def cyclic_arc_category(m: int, big_len: int | None = None) -> OrthCategory:
             regions[f"arc({s},{length})"] = cells
 
     def pred(s1, s2, tgt):
-        return len(tgt) >= big_len or not (s1 & s2)
+        return len(tgt) >= m - 1 or not (s1 & s2)
 
     return poset_orth_category(f"CycCat({m})", regions, pred)
 
@@ -184,12 +182,10 @@ def reflection_unitary(sites: int) -> GMat:
 
 def qubit_reflection_data(net: MatrixNet) -> SectorGroupData:
     """Z2 site-reflection on the qubit chain implemented by the SWAP network."""
-    action = interval_reflection_action(net.sites)
-    u = reflection_unitary(net.sites)
     return SectorGroupData(
         net=net,
-        action=GroupActionSpec(group=action.group, action=action.action, name=action.name),
-        unitaries={"e": GMat.identity(net.n), "r": u},
+        action=interval_reflection_action(net.sites),
+        unitaries={"e": GMat.identity(net.n), "r": reflection_unitary(net.sites)},
         name=f"Z2|{net.name}",
     )
 
@@ -284,16 +280,6 @@ def collapse_sector(net: MatrixNet, region: str = "[1,2]") -> LocalizedEndo:
     return LocalizedEndo(net, region, images=images, label=f"reset@{region}")
 
 
-def abelian_reflection_data(net: MatrixNet) -> SectorGroupData:
-    action = interval_reflection_action(net.sites)
-    return SectorGroupData(
-        net=net,
-        action=action,
-        unitaries={"e": GMat.identity(net.n), "r": reflection_unitary(net.sites)},
-        name=f"Z2|{net.name}",
-    )
-
-
 # ---------------------------------------------------------------------------
 # Net JSON interchange
 # ---------------------------------------------------------------------------
@@ -326,15 +312,21 @@ def net_from_json(doc: dict) -> MatrixNet:
         }
         kinds = {str(r["id"]): str(r.get("algebra", "full")) for r in doc["regions"]}
         orth_spec = doc.get("orth", "disjoint")
+        marked = (
+            None if orth_spec == "disjoint"
+            else {frozenset((str(a), str(b))) for a, b in orth_spec}
+        )
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"malformed net document: {exc}") from exc
     for u, cells in region_sites.items():
         if any(s < 0 or s >= sites for s in cells):
             raise SchemaError(f"region {u} has sites outside the chain")
-    if orth_spec == "disjoint":
+    if marked is None:
         pred = lambda s1, s2, _tgt: not (s1 & s2)
     else:
-        marked = {frozenset((str(a), str(b))) for a, b in orth_spec}
+        unknown = sorted(set().union(*marked) - region_sites.keys())
+        if unknown:
+            raise SchemaError(f"orth names unknown region {unknown[0]}")
         by_cells = {cells: u for u, cells in region_sites.items()}
         pred = lambda s1, s2, _tgt: frozenset(
             (by_cells[s1], by_cells[s2])

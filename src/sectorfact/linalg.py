@@ -108,17 +108,6 @@ class GaussianRational:
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
 
-    def to_json(self) -> dict:
-        return {"re": format_rational(self.re), "im": format_rational(self.im)}
-
-    @staticmethod
-    def from_json(obj) -> "GaussianRational":
-        if isinstance(obj, dict):
-            return GaussianRational(
-                parse_rational(obj.get("re", "0")), parse_rational(obj.get("im", "0"))
-            )
-        return GaussianRational(parse_rational(obj))
-
     def __str__(self) -> str:
         sign = "+" if self.im >= 0 else ""
         return f"{format_rational(self.re)}{sign}{format_rational(self.im)}i"
@@ -205,10 +194,6 @@ class GMat:
                 if not v.is_zero():
                     data[(i, j)] = v
         return GMat(n, data)
-
-    @staticmethod
-    def from_int_rows(rows: Sequence[Sequence[int]]) -> "GMat":
-        return GMat.from_rows([[GaussianRational.of(v) for v in row] for row in rows])
 
     # -- algebra ----------------------------------------------------------
 
@@ -355,21 +340,6 @@ class GMat:
         if self._hash is None:
             self._hash = hash(self.key())
         return self._hash
-
-    # -- serialization -----------------------------------------------------
-
-    def to_json(self) -> list:
-        """Row-major dense listing; entries {"re","im"} with rational strings."""
-        return [
-            [self.data.get((i, j), GR_ZERO).to_json() for j in range(self.n)]
-            for i in range(self.n)
-        ]
-
-    @staticmethod
-    def from_json(rows: list) -> "GMat":
-        return GMat.from_rows(
-            [[GaussianRational.from_json(v) for v in row] for row in rows]
-        )
 
     def __repr__(self) -> str:
         return f"GMat(n={self.n}, nnz={len(self.data)})"

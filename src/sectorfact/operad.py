@@ -9,6 +9,8 @@ exhaustive enumeration up to an arity bound.  Operad equivariance holds by
 construction wherever the composite is defined, since reindexing a
 pairwise-orthogonal tuple keeps it pairwise orthogonal; `validate_operad`
 checks that each composite it needs is defined and walks no permutation.
+Its associativity sweep skips the (f, g) that an interned proof clears and
+runs the reference loop over `compose` for the rest.
 """
 
 from __future__ import annotations
@@ -191,8 +193,7 @@ def permute(op: PrefactOperation, sigma: Sequence[int]) -> PrefactOperation:
 def _inner_tuples(ops_by_target: dict, sources: tuple, budget: int):
     """All tuples (g_1,...,g_n) with g_i targeting sources[i], total arity <= budget.
 
-    Anything with an `arity` works as g: operations, interned operations,
-    or the kernel's blocks keyed by position."""
+    Anything with an `arity` works as g: operations or interned operations."""
     if not sources:
         yield ()
         return
@@ -230,23 +231,6 @@ class _IOp(NamedTuple):
     arity: int
 
 
-class _Entry(NamedTuple):
-    """One block h of inner operations for g_i, with the arrows of
-    gamma(g_i; h) (`inner`), of the matching block of gamma(gamma(f; g); h)
-    (`left`) and of gamma(f; gamma(g; h)) (`right`, None unless `inner` is
-    defined), each with its orthogonality fold (ok, OR of bits, AND of
-    mutual masks)."""
-
-    arity: int
-    hs: tuple[_IOp, ...]
-    inner: tuple[int, ...]
-    inner_fold: tuple[bool, int, int]
-    left: tuple[int, ...]
-    left_fold: tuple[bool, int, int]
-    right: tuple[int, ...] | None
-    right_fold: tuple[bool, int, int]
-
-
 class _OperadKernel:
     """The operad-axiom sweep of `validate_operad` on an interned form of a
     schema-clean category, built once per call.
@@ -256,11 +240,15 @@ class _OperadKernel:
     orthogonality mask, so that a tuple is pairwise orthogonal exactly when
     folding `acc &= mutual[a]` over it never meets an arrow outside `acc`.
     On a schema-clean category every operation's sources are the sources
-    of its arrows, so operations are `(target, arrows)`.
+    of its arrows, so operations are `(target, arrows)`, and `_IOp.index`
+    is the position of the public operation in `public`.
 
-    Whenever the kernel finds a composite undefined it re-runs the public
-    `compose`, the reference, to obtain the exact `PreconditionError` for
-    the witness; `compose` accepting such a composite is an internal error.
+    The kernel decides the unit laws and which gamma(f; g) are defined, and
+    proves associativity for the (f, g) it can; every associativity
+    witness comes from the public `compose`, the reference.  Each composite
+    the kernel finds undefined is re-run through `compose` for its
+    `PreconditionError`; `compose` disagreeing either way is an internal
+    error.
     """
 
     def __init__(self, cat: OrthCategory, bound: int, report: ValidationReport):
@@ -278,10 +266,14 @@ class _OperadKernel:
             self.comp[aid[g]][aid[f]] = aid[r]
         self.bit = [1 << a for a in range(n)]
         self.mutual = _mutual_orth_masks(cat, aid)
+        self.public = enumerate_all_operations(cat, bound)
+        self.public_by_target: dict[str, list[PrefactOperation]] = {}
+        for op in self.public:
+            self.public_by_target.setdefault(op.target, []).append(op)
         self.ops = [
             _IOp(k, obj_id[op.target], tuple(aid[a] for a in op.arrows),
                  tuple(obj_id[u] for u in op.sources), op.arity)
-            for k, op in enumerate(enumerate_all_operations(cat, bound))
+            for k, op in enumerate(self.public)
         ]
         self.by_target: dict[int, list[_IOp]] = {}
         for op in self.ops:
@@ -316,32 +308,10 @@ class _OperadKernel:
             meet &= m
         return True
 
-    def block(self, fi: int, g: _IOp):
-        """The block of gamma(f; g) that f_i contributes, with its fold."""
+    def block(self, fi: int, g: _IOp) -> tuple[bool, int, int]:
+        """The fold of the block of gamma(f; g) that f_i contributes."""
         row = self.comp[fi]
-        arrows = tuple([row[a] for a in g.arrows])
-        return arrows, self.fold(arrows)
-
-    def entries(self, fi: int, g: _IOp, fg_block: tuple[int, ...]):
-        """Every block h for g (arity <= bound), in `_inner_tuples` order."""
-        comp = self.comp
-        row_f = comp[fi]
-        for hs in _inner_tuples(self.by_target, g.sources, self.bound):
-            inner: list[int] = []
-            left: list[int] = []
-            for gj, fgj, h in zip(g.arrows, fg_block, hs):
-                cg, cl = comp[gj], comp[fgj]
-                for a in h.arrows:
-                    inner.append(cg[a])
-                    left.append(cl[a])
-            inner_fold = self.fold(inner)
-            right = tuple([row_f[c] for c in inner]) if inner_fold[0] else None
-            yield _Entry(
-                sum(h.arity for h in hs), hs,
-                tuple(inner), inner_fold,
-                tuple(left), self.fold(left),
-                right, self.fold(right) if right is not None else (False, 0, 0),
-            )
+        return self.fold([row[a] for a in g.arrows])
 
     def position(self, fi: int, gj: int):
         """Summary folds (ok, OR of bits, AND of mutual masks) of the
@@ -392,12 +362,11 @@ class _OperadKernel:
             tuple(self.names[a] for a in arrows),
         )
 
-    def label(self, target: int, arrows) -> str:
-        return self.op(target, arrows).label()
-
-    def witness(self, outer: PrefactOperation, inners: list[PrefactOperation], context: str):
+    def guarded(self, outer: PrefactOperation, inners, context: str) -> PrefactOperation | None:
+        """`compose`, or None after witnessing its `PreconditionError` as
+        composition-welldefined under `context`."""
         try:
-            compose(self.cat, outer, inners)
+            return compose(self.cat, outer, inners)
         except PreconditionError as exc:
             self.report.add(
                 "composition-welldefined",
@@ -408,11 +377,15 @@ class _OperadKernel:
                     "detail": str(exc),
                 },
             )
-            return
-        raise RuntimeError(
-            f"operad kernel rejected {outer.label()} composed with "
-            f"{[g.label() for g in inners]}, which compose accepts"
-        )
+            return None
+
+    def witness(self, outer: PrefactOperation, inners: list[PrefactOperation], context: str):
+        """Witness a composite the kernel found undefined."""
+        if self.guarded(outer, inners, context) is not None:
+            raise RuntimeError(
+                f"operad kernel rejected {outer.label()} composed with "
+                f"{[g.label() for g in inners]}, which compose accepts"
+            )
 
     # -- the sweep -------------------------------------------------------------
 
@@ -424,52 +397,42 @@ class _OperadKernel:
     def unit_laws(self) -> None:
         comp, ident, src, report = self.comp, self.ident, self.src, self.report
         for op in self.ops:
+            pub = self.public[op.index]
             right = tuple([comp[a][ident[src[a]]] for a in op.arrows])
             if not self.fold(right)[0]:
-                self.witness(
-                    self.op(op.target, op.arrows),
-                    [self.op(u, (ident[u],)) for u in op.sources],
-                    "unit-right",
-                )
+                self.witness(pub, [self.op(u, (ident[u],)) for u in op.sources], "unit-right")
             elif right != op.arrows:
-                report.add("unit-right", {"op": self.label(op.target, op.arrows),
-                                          "got": self.label(op.target, right)})
+                report.add("unit-right", {"op": pub.label(),
+                                          "got": self.op(op.target, right).label()})
             row = comp[ident[op.target]]
             left = tuple([row[a] for a in op.arrows])
             if not self.fold(left)[0]:
-                self.witness(
-                    self.op(op.target, (ident[op.target],)),
-                    [self.op(op.target, op.arrows)],
-                    "unit-left",
-                )
+                self.witness(self.op(op.target, (ident[op.target],)), [pub], "unit-left")
             elif left != op.arrows:
-                report.add("unit-left", {"op": self.label(op.target, op.arrows),
-                                         "got": self.label(op.target, left)})
+                report.add("unit-left", {"op": pub.label(),
+                                         "got": self.op(op.target, left).label()})
 
     def outer_pairs(self, min_arity: int, context: str):
         """Each (f, gs) of the sweep with gamma(f; gs) defined, in the
-        reference order, as (f, gs, the block of arrows each f_i contributes);
-        an undefined gamma(f; gs) is witnessed instead.  Blocks are cached
-        per f."""
+        reference order; an undefined gamma(f; gs) is witnessed instead.
+        The fold of the block each f_i contributes is cached per f."""
         for f in self.ops:
             if f.arity < min_arity:
                 continue
-            cache: dict[tuple[int, int], tuple] = {}
+            cache: dict[tuple[int, int], tuple[bool, int, int]] = {}
             for gs in _inner_tuples(self.by_target, f.sources, self.bound):
-                blocks = []
+                folds = []
                 for fi, g in zip(f.arrows, gs):
                     key = (fi, g.index)
                     b = cache.get(key)
                     if b is None:
                         b = cache[key] = self.block(fi, g)
-                    blocks.append(b)
-                if self.joined(fold for _, fold in blocks):
-                    yield f, gs, [arrows for arrows, _ in blocks]
+                    folds.append(b)
+                if self.joined(folds):
+                    yield f, gs
                 else:
                     self.witness(
-                        self.op(f.target, f.arrows),
-                        [self.op(g.target, g.arrows) for g in gs],
-                        context,
+                        self.public[f.index], [self.public[g.index] for g in gs], context
                     )
 
     def associativity(self) -> None:
@@ -478,11 +441,11 @@ class _OperadKernel:
         Per f, each (f_i, g_i) is summarised once over all its blocks h;
         when every block is clean and the blocks of different positions are
         mutually orthogonal, no h for this (f, g) can fail and the product
-        is skipped.  Otherwise the product of blocks is walked in the
-        reference order."""
+        is skipped.  Every other (f, g) runs the reference loop over h on
+        `compose` (`walk`)."""
         summaries: dict[tuple[int, int], tuple[bool, int, int]] = {}
         current = None
-        for f, gs, blocks in self.outer_pairs(1, "associativity"):
+        for f, gs in self.outer_pairs(1, "associativity"):
             if f is not current:
                 current = f
                 summaries.clear()
@@ -493,43 +456,42 @@ class _OperadKernel:
                 if s is None:
                     s = summaries[key] = self.clean_summary(fi, g)
                 sums.append(s)
-            if self.joined(sums):
-                continue
-            self.walk(f, gs, blocks)
+            if not self.joined(sums):
+                self.walk(self.public[f.index], [self.public[g.index] for g in gs])
 
-    def walk(self, f: _IOp, gs: tuple[_IOp, ...], blocks: list[tuple[int, ...]]) -> None:
-        """The reference associativity loop over h for one (f, g)."""
-        lists = {i: list(self.entries(fi, g, block))
-                 for i, (fi, g, block) in enumerate(zip(f.arrows, gs, blocks))}
-        fg = (f.target, tuple(a for block in blocks for a in block))
-        for combo in _inner_tuples(lists, tuple(range(len(gs))), self.bound):
-            hs = [h for e in combo for h in e.hs]
-            if not self.joined(e.left_fold for e in combo):
-                self.witness(self.op(*fg), [self.op(h.target, h.arrows) for h in hs],
-                             "associativity")
+    def walk(self, f: PrefactOperation, gs: list[PrefactOperation]) -> None:
+        """The reference associativity loop over h for one (f, g), on
+        `compose`; the kernel has found gamma(f; g) defined."""
+        try:
+            fg = compose(self.cat, f, gs)
+        except PreconditionError as exc:
+            raise RuntimeError(
+                f"operad kernel accepted {f.label()} composed with "
+                f"{[g.label() for g in gs]}, which compose rejects: {exc}"
+            ) from exc
+        guarded = self.guarded
+        for hs in _inner_tuples(self.public_by_target, fg.sources, self.bound):
+            left = guarded(fg, hs, "associativity")
+            if left is None:
                 continue
-            bad = next((i for i, e in enumerate(combo) if not e.inner_fold[0]), None)
-            if bad is not None:
-                g = gs[bad]
-                self.witness(self.op(g.target, g.arrows),
-                             [self.op(h.target, h.arrows) for h in combo[bad].hs],
-                             "associativity")
-                continue
-            if not self.joined(e.right_fold for e in combo):
-                self.witness(
-                    self.op(f.target, f.arrows),
-                    [self.op(g.target, e.inner) for g, e in zip(gs, combo)],
-                    "associativity",
-                )
-            elif any(e.left != e.right for e in combo):
-                self.report.add(
-                    "associativity",
-                    {
-                        "f": self.label(f.target, f.arrows),
-                        "g": [self.label(g.target, g.arrows) for g in gs],
-                        "h": [self.label(h.target, h.arrows) for h in hs],
-                    },
-                )
+            gh, pos = [], 0
+            for g in gs:
+                inner = guarded(g, hs[pos : pos + g.arity], "associativity")
+                if inner is None:
+                    break
+                gh.append(inner)
+                pos += g.arity
+            else:
+                right = guarded(f, gh, "associativity")
+                if right is not None and left != right:
+                    self.report.add(
+                        "associativity",
+                        {
+                            "f": f.label(),
+                            "g": [g.label() for g in gs],
+                            "h": [h.label() for h in hs],
+                        },
+                    )
 
     def equivariance(self) -> None:
         """gamma(f sigma; g_sigma(1), ...) = gamma(f; g) sigma<k> holds by
@@ -558,13 +520,14 @@ def validate_operad(cat: OrthCategory, bound: int = 3) -> ValidationReport:
 
     The sweep runs on `_OperadKernel`, an interned form of the category
     built once per call: int arrows, the composition table as a list of
-    lists, one mutual-orthogonality bitmask per arrow, and inner
-    compositions gamma(g_i; h) computed per block of g_i.  An (f, g) whose
-    blocks are all proven clean skips the product over h; every other one
-    walks it in the reference order, so violations appear in the same
-    order.  `compose` is the reference: each composition the kernel finds
-    undefined is re-run through it for the witness, and the tests compare
-    the reports with the brute-force loop over `compose` byte for byte.
+    lists and one mutual-orthogonality bitmask per arrow.  The kernel
+    decides the unit laws and which gamma(f; g) are defined, and proves
+    the (f, g) for which no h can break associativity.  Every other (f, g)
+    runs the reference loop over h on `compose`, in the reference order,
+    so violations appear in the same order; each composition the kernel
+    finds undefined is re-run through `compose` for the witness.  The
+    tests compare the reports with the brute-force loop over `compose`
+    byte for byte.
     """
     report = ValidationReport(check="operad-axioms", subject=cat.name)
     report.schema_errors = cat.schema_errors()

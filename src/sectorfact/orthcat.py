@@ -603,7 +603,7 @@ def category_from_json(doc: dict) -> OrthCategory:
         }
         identities = {str(k): str(v) for k, v in doc.get("identities", {}).items()}
         orth = [(str(a), str(b)) for a, b in doc.get("orth", [])]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise SchemaError(f"malformed category document: {exc}") from exc
     ids = [m.id for m in morphisms]
     if len(set(ids)) != len(ids):
@@ -630,6 +630,8 @@ def action_from_json(doc: dict) -> GroupActionSpec:
                 {str(k): str(v) for k, v in maps["morphisms"].items()},
                 name=str(g),
             )
-    except (KeyError, TypeError) as exc:
+    except SchemaError:
+        raise
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise SchemaError(f"malformed action document: {exc}") from exc
     return GroupActionSpec(group=group, action=action, name=str(doc.get("name", "")))

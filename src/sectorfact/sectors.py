@@ -87,7 +87,6 @@ class MatrixAlg:
         self.n = n
         self.basis = list(basis)
         self.name = name
-        self.pauli: list[tuple[int, int, GaussianRational]] | None = None
         self.L: int | None = None
         self._masks: frozenset[tuple[int, int]] | None = None
         self._hs_norms: list[GaussianRational] | None = None
@@ -95,7 +94,6 @@ class MatrixAlg:
         if n & (n - 1) == 0 and n > 1:
             decomp = [as_pauli_string(m) for m in basis]
             if all(d is not None for d in decomp):
-                self.pauli = decomp  # type: ignore[assignment]
                 self.L = n.bit_length() - 1
                 self._masks = frozenset((x, z) for x, z, _ in decomp)
         if validate:
@@ -198,7 +196,7 @@ class MatrixAlg:
         return errs
 
     def __repr__(self) -> str:
-        tag = f" pauli L={self.L}" if self.pauli is not None else ""
+        tag = f" pauli L={self.L}" if self._masks is not None else ""
         return f"MatrixAlg({self.name or 'anon'}, n={self.n}, dim={self.dim}{tag})"
 
 
@@ -320,7 +318,7 @@ class MatrixNet:
     def global_algebra(self) -> MatrixAlg:
         if "__global__" not in self._cache:
             algs = [self.algebra(u) for u in self.category.objects]
-            if all(alg.pauli is not None for alg in algs):
+            if all(alg.masks() is not None for alg in algs):
                 masks = pauli_mask_span(
                     self.sites, [m for alg in algs for m in alg.masks()]
                 )
@@ -499,28 +497,22 @@ class LocalizedEndo:
     def apply(self, m: GMat) -> GMat:
         if self.unitary is not None:
             return self.unitary @ m @ self.unitary.adjoint()
-        out = GMat.zero(self.net.n)
-        for coeff, img in zip(self._coords(m), self._images):
-            if not coeff.is_zero():
-                out = out + img.scale(coeff)
-        return out
-
-    def _coords(self, m: GMat) -> list[GaussianRational]:
         glob = self.net.global_algebra()
-        if glob.pauli is not None:
-            # strings are HS-orthogonal with squared norm n/|coeff|^-2
-            coeffs = [
-                base.hs_inner(m) / norm
-                for base, norm in zip(glob.basis, glob.hs_norms())
-            ]
-            residual = m
-            for c, base in zip(coeffs, glob.basis):
-                if not c.is_zero():
-                    residual = residual - base.scale(c)
-            if not residual.is_zero():
-                raise PreconditionError("matrix outside the global algebra")
-            return coeffs
-        raise PreconditionError("general endomorphisms need a string global basis")
+        if glob.masks() is None:
+            raise PreconditionError("general endomorphisms need a string global basis")
+        # strings are HS-orthogonal: the coordinate on a string is its HS
+        # inner product with m over its squared norm
+        out, residual = GMat.zero(self.net.n), m
+        for base, norm, img in zip(glob.basis, glob.hs_norms(), self._images):
+            inner = base.hs_inner(m)
+            if inner.is_zero():
+                continue
+            coeff = inner / norm
+            residual = residual - base.scale(coeff)
+            out = out + img.scale(coeff)
+        if not residual.is_zero():
+            raise PreconditionError("matrix outside the global algebra")
+        return out
 
     def same_map(self, other: "LocalizedEndo") -> bool:
         """Equality as maps on the global basis (region labels ignored)."""
@@ -1032,16 +1024,6 @@ class CovarianceFamily:
     sector: str
     unitaries: dict[str, GMat]
     method: str
-    verified: bool = True
-
-    def to_dict(self) -> dict:
-        return {
-            "check": "covariance",
-            "sector": self.sector,
-            "found": True,
-            "method": self.method,
-            "verified": self.verified,
-        }
 
 
 def _maps_equal_on_basis(net: MatrixNet, f, g) -> bool:

@@ -372,3 +372,59 @@ def test_report_render_non_object_exits_2(tmp_path, capsys, payload):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("schema error: ") and captured.err.count("\n") == 1
+
+
+def _orth_triple(doc):
+    return {**doc, "orth": [["a", "b", "c"]]}
+
+
+def _category_identities(doc):
+    return {**doc, "identities": [1]}
+
+
+def _action_list(doc):
+    return {**doc, "action": [1]}
+
+
+def _functor_objects(doc):
+    return {**doc, "action": {**doc["action"], "r": {**doc["action"]["r"], "objects": [1]}}}
+
+
+def _action_category_identities(doc):
+    return {**doc, "category": _category_identities(doc["category"])}
+
+
+def _net_orth(value):
+    return lambda doc: {**doc, "orth": value}
+
+
+@pytest.mark.parametrize(
+    "fixture,command,corrupt",
+    [
+        pytest.param("intcat4", ["validate-category", "--in"], _orth_triple, id="category-orth-triple"),
+        pytest.param("intcat4", ["operad", "check", "--in"], _orth_triple, id="operad-orth-triple"),
+        pytest.param("intcat4", ["validate-category", "--in"], _category_identities, id="category-identities-list"),
+        pytest.param("intcat4", ["operad", "check", "--in"], _category_identities, id="operad-identities-list"),
+        pytest.param("z2-intcat6", ["validate-action", "--in"], _action_list, id="action-list"),
+        pytest.param("z2-intcat6", ["validate-action", "--in"], _functor_objects, id="functor-objects-list"),
+        pytest.param("z2-intcat6", ["validate-action", "--in"], _action_category_identities,
+                     id="action-identities-list"),
+        pytest.param("qubit2", ["sectors", "perp", "--net"], _net_orth(5), id="net-orth-int"),
+        pytest.param("qubit2", ["sectors", "perp", "--net"], _net_orth("bogus"), id="net-orth-string"),
+        pytest.param("qubit2", ["sectors", "perp", "--net"], _net_orth([["a"]]), id="net-orth-singleton"),
+        pytest.param("qubit2", ["sectors", "perp", "--net"], _net_orth([["[1,1]", "[9,9]"]]),
+                     id="net-orth-unknown-region"),
+    ],
+)
+def test_malformed_documents_exit_2_without_traceback(workdir, capsys, fixture, command, corrupt):
+    tmp, export = workdir
+    doc = corrupt(read(export(fixture)))
+    path = tmp / "malformed.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code = main(command + [str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("schema error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err

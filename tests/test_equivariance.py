@@ -1,5 +1,4 @@
 from sectorfact.fixtures import (
-    abelian_reflection_data,
     collapse_sector,
     pauli_sector,
     qubit_reflection_data,
@@ -128,7 +127,7 @@ def test_inner_sector_family_form(net4, z2_data, family4):
 
 
 def test_broken_symmetry_not_covariant(bits4):
-    data = abelian_reflection_data(bits4)
+    data = qubit_reflection_data(bits4)
     assert data.validate().ok
     rho = collapse_sector(bits4)
     assert check_localized(rho, bits4).ok

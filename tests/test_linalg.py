@@ -51,11 +51,6 @@ def test_rational_round_trip(q):
     assert parse_rational(format_rational(q)) == q
 
 
-def test_scalar_json_round_trip():
-    x = GaussianRational.of(Fraction(3, 7), Fraction(-2, 5))
-    assert GaussianRational.from_json(x.to_json()) == x
-
-
 # -- matrices ---------------------------------------------------------------
 
 
@@ -69,11 +64,6 @@ def test_matrix_ring_basics():
     assert y.adjoint() == y
     assert (x + z).adjoint() == x + z
     assert x.is_unitary() and not (x + z).is_unitary()
-
-
-def test_matrix_json_round_trip():
-    m = pauli_string(2, 2, 1, GaussianRational.of(Fraction(1, 2), Fraction(-1, 3)))
-    assert GMat.from_json(m.to_json()) == m
 
 
 def test_tensor_matches_string_construction():

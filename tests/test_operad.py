@@ -620,3 +620,53 @@ def test_equivariance_walk_keeps_its_witnesses(intcat6):
         v.witness["context"] for v in report.violations if v.axiom == "composition-welldefined"
     ]
     assert contexts.count("equivariance") == 14
+
+
+def _force_clean_summary(monkeypatch, clean):
+    import sectorfact.operad as operad_module
+
+    summary = (True, 0, -1) if clean else (False, 0, 0)
+    monkeypatch.setattr(
+        operad_module._OperadKernel, "clean_summary", lambda self, fi, g: summary
+    )
+
+
+def test_walking_every_pair_matches_reference_on_intcat4(intcat4, monkeypatch):
+    # with no (f, g) proven clean, every associativity check runs on compose
+    _force_clean_summary(monkeypatch, clean=False)
+    assert_same_report(intcat4, 3)
+
+
+def test_walking_every_pair_matches_reference_on_probe_b_drop(monkeypatch):
+    cat = probe_b(_INTERVAL_CATS[5])
+    _force_clean_summary(monkeypatch, clean=False)
+    assert '"axiom": "composition-welldefined"' in assert_same_report(cat, 2)
+
+
+def _associativity_witnesses(report):
+    return [
+        v for v in report.violations
+        if v.axiom == "associativity" or v.witness.get("context") == "associativity"
+    ]
+
+
+def test_proof_carries_the_associativity_result(intcat6, monkeypatch):
+    # a proof that clears every (f, g) loses probe B's witnesses from the walk
+    cat = probe_b(intcat6)
+    want = _associativity_witnesses(reference_validate_operad(cat, 2))
+    _force_clean_summary(monkeypatch, clean=True)
+    got = _associativity_witnesses(validate_operad(cat, 2))
+    assert len(got) < len(want)
+
+
+def test_kernel_accepting_undefined_outer_composite_is_internal_error(intcat6, monkeypatch):
+    import sectorfact.operad as operad_module
+
+    # every pair taken as orthogonal: the kernel accepts gamma(f; g) that
+    # compose rejects on probe B, and the walk must not start from it
+    monkeypatch.setattr(
+        operad_module, "_mutual_orth_masks", lambda cat, index: [-1] * len(index)
+    )
+    _force_clean_summary(monkeypatch, clean=False)
+    with pytest.raises(RuntimeError, match="compose rejects"):
+        validate_operad(probe_b(intcat6), 2)
