@@ -297,16 +297,22 @@ def net_to_json(net: MatrixNet) -> dict:
     return {
         "name": net.name,
         "sites": net.sites,
-        "local_dim": net.local_dim,
+        "local_dim": 2,
         "regions": regions,
         "orth": "disjoint",
     }
 
 
 def net_from_json(doc: dict) -> MatrixNet:
+    """Net from its JSON form.  Every region algebra is a Pauli-string
+    algebra ("full" or "diagonal" on the region's sites) and `local_dim`
+    must be 2.  An explicit `orth` list marks pairs of region ids; regions
+    on equal site sets are isomorphic objects, so a cospan is orthogonal
+    when any pair of ids with its two site sets is marked."""
     try:
         sites = int(doc["sites"])
         local_dim = int(doc.get("local_dim", 2))
+        ids = [str(r["id"]) for r in doc["regions"]]
         region_sites = {
             str(r["id"]): frozenset(int(s) for s in r["sites"]) for r in doc["regions"]
         }
@@ -314,23 +320,29 @@ def net_from_json(doc: dict) -> MatrixNet:
         orth_spec = doc.get("orth", "disjoint")
         marked = (
             None if orth_spec == "disjoint"
-            else {frozenset((str(a), str(b))) for a, b in orth_spec}
+            else [(str(a), str(b)) for a, b in orth_spec]
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"malformed net document: {exc}") from exc
+    if local_dim != 2:
+        raise SchemaError("only local dimension 2 (qubit chains) is supported")
+    if len(region_sites) != len(ids):
+        repeated = next(u for u in ids if ids.count(u) > 1)
+        raise SchemaError(f"region id {repeated} is repeated")
     for u, cells in region_sites.items():
         if any(s < 0 or s >= sites for s in cells):
             raise SchemaError(f"region {u} has sites outside the chain")
     if marked is None:
         pred = lambda s1, s2, _tgt: not (s1 & s2)
     else:
-        unknown = sorted(set().union(*marked) - region_sites.keys())
+        unknown = sorted({u for pair in marked for u in pair} - region_sites.keys())
         if unknown:
             raise SchemaError(f"orth names unknown region {unknown[0]}")
-        by_cells = {cells: u for u, cells in region_sites.items()}
-        pred = lambda s1, s2, _tgt: frozenset(
-            (by_cells[s1], by_cells[s2])
-        ) in marked
+        cell_pairs = set()
+        for a, b in marked:
+            cell_pairs.add((region_sites[a], region_sites[b]))
+            cell_pairs.add((region_sites[b], region_sites[a]))
+        pred = lambda s1, s2, _tgt: (s1, s2) in cell_pairs
     cat = poset_orth_category(str(doc.get("name", "net")), region_sites, pred)
     overrides = {}
     for u, kind in kinds.items():
@@ -344,7 +356,6 @@ def net_from_json(doc: dict) -> MatrixNet:
         category=cat,
         sites=sites,
         region_sites=region_sites,
-        local_dim=local_dim,
         overrides=overrides,
         name=str(doc.get("name", "net")),
     )

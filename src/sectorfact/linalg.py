@@ -508,49 +508,29 @@ def as_pauli_string(m: GMat) -> tuple[int, int, GaussianRational] | None:
     n = m.n
     if n <= 0 or n & (n - 1):
         return None
-    L = n.bit_length() - 1
     mono = m._monomial()
-    if mono is not None:
-        # the relative phase of column 1 << s is 2 * (z bit s); the only
-        # candidate is then checked entry by entry
-        rows, phases = mono
-        x = rows[0]
-        z = 0
-        for s in range(L):
-            if (phases[1 << s] - phases[0]) & 3 == 2:
-                z |= 1 << s
-        coeff = _UNITS[(phases[0] - (x & z).bit_count()) & 3]
-        return (x, z, coeff) if pauli_string(L, x, z, coeff) == m else None
-    if len(m.data) != n:
-        return None
-    cols = {}
-    for (i, j), v in m.data.items():
-        if j in cols:
+    if mono is None:
+        # a string with a non-unit coefficient has one entry in column 0;
+        # dividing by it leaves a string with coefficient 1, a monomial
+        col0 = [v for (_, j), v in m.data.items() if j == 0]
+        if len(col0) != 1:
             return None
-        cols[j] = (i, v)
-    if len(cols) != n:
-        return None
-    x = cols[0][0]  # row of column 0 is 0 ^ x
-    v0 = cols[0][1]
+        unit = m.scale(col0[0].inverse())
+        if unit._monomial() is None:
+            return None
+        got = as_pauli_string(unit)
+        return None if got is None else (got[0], got[1], got[2] * col0[0])
+    # the relative phase of column 1 << s is 2 * (z bit s); the only
+    # candidate is then checked entry by entry
+    L = n.bit_length() - 1
+    rows, phases = mono
+    x = rows[0]
     z = 0
     for s in range(L):
-        shift = L - 1 - s
-        col = 1 << shift
-        entry = cols.get(col)
-        if entry is None or entry[0] != (col ^ x):
-            return None
-        ratio = entry[1] / v0
-        if ratio == GR_ONE:
-            pass
-        elif ratio == GR_MINUS_ONE:
-            z |= col
-        else:
-            return None
-    base = pauli_string(L, x, z)
-    coeff = v0 / base.data[(x, 0)]
-    if base.scale(coeff) == m:
-        return (x, z, coeff)
-    return None
+        if (phases[1 << s] - phases[0]) & 3 == 2:
+            z |= 1 << s
+    coeff = _UNITS[(phases[0] - (x & z).bit_count()) & 3]
+    return (x, z, coeff) if pauli_string(L, x, z, coeff) == m else None
 
 
 def pauli_commute(x1: int, z1: int, x2: int, z2: int) -> bool:

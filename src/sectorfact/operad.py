@@ -279,6 +279,8 @@ class _OperadKernel:
         for op in self.ops:
             self.by_target.setdefault(op.target, []).append(op)
         self.positions: dict[tuple[int, int], tuple] = {}
+        # the (f, gs) with gamma(f; gs) undefined, in the order walked
+        self.undefined: list[tuple[_IOp, tuple]] = []
 
     # -- interned arithmetic ---------------------------------------------
 
@@ -390,9 +392,17 @@ class _OperadKernel:
     # -- the sweep -------------------------------------------------------------
 
     def run(self) -> None:
+        """Unit laws, then associativity, then the equivariance witnesses.
+
+        Equivariance needs no sigma walk (see `validate_operad`): what the
+        reference reports under it is each undefined gamma(f; g) with f of
+        arity at least 2, which the associativity walk has recorded."""
         self.unit_laws()
         self.associativity()
-        self.equivariance()
+        for f, gs in self.undefined:
+            if f.arity >= 2:
+                inners = [self.public[g.index] for g in gs]
+                self.witness(self.public[f.index], inners, "equivariance")
 
     def unit_laws(self) -> None:
         comp, ident, src, report = self.comp, self.ident, self.src, self.report
@@ -412,12 +422,13 @@ class _OperadKernel:
                 report.add("unit-left", {"op": pub.label(),
                                          "got": self.op(op.target, left).label()})
 
-    def outer_pairs(self, min_arity: int, context: str):
+    def outer_pairs(self):
         """Each (f, gs) of the sweep with gamma(f; gs) defined, in the
-        reference order; an undefined gamma(f; gs) is witnessed instead.
-        The fold of the block each f_i contributes is cached per f."""
+        reference order; an undefined gamma(f; gs) is witnessed under
+        `associativity` and recorded in `undefined` instead.  The fold of
+        the block each f_i contributes is cached per f."""
         for f in self.ops:
-            if f.arity < min_arity:
+            if not f.arity:
                 continue
             cache: dict[tuple[int, int], tuple[bool, int, int]] = {}
             for gs in _inner_tuples(self.by_target, f.sources, self.bound):
@@ -431,8 +442,11 @@ class _OperadKernel:
                 if self.joined(folds):
                     yield f, gs
                 else:
+                    self.undefined.append((f, gs))
                     self.witness(
-                        self.public[f.index], [self.public[g.index] for g in gs], context
+                        self.public[f.index],
+                        [self.public[g.index] for g in gs],
+                        "associativity",
                     )
 
     def associativity(self) -> None:
@@ -445,7 +459,7 @@ class _OperadKernel:
         `compose` (`walk`)."""
         summaries: dict[tuple[int, int], tuple[bool, int, int]] = {}
         current = None
-        for f, gs in self.outer_pairs(1, "associativity"):
+        for f, gs in self.outer_pairs():
             if f is not current:
                 current = f
                 summaries.clear()
@@ -493,22 +507,6 @@ class _OperadKernel:
                         },
                     )
 
-    def equivariance(self) -> None:
-        """gamma(f sigma; g_sigma(1), ...) = gamma(f; g) sigma<k> holds by
-        construction once gamma(f; g) is defined, so no sigma is walked.
-
-        The left side concatenates the blocks of the pairs (f_s, g_s) in
-        sigma order; the right side reorders the blocks of gamma(f; g),
-        which are the same blocks, so the arrow tuples are equal.  The
-        left side is pairwise orthogonal because gamma(f; g) is and the
-        mutual masks of `_mutual_orth_masks` are symmetric (row mask AND
-        column mask), so reordering a pairwise-orthogonal tuple keeps it
-        pairwise orthogonal.  What remains is the walk over (f, g) of arity
-        at least 2, which witnesses each undefined gamma(f; g) with context
-        `equivariance`, as the reference does."""
-        for _ in self.outer_pairs(2, "equivariance"):
-            pass
-
 
 def validate_operad(cat: OrthCategory, bound: int = 3) -> ValidationReport:
     """Exhaustive unit/associativity/equivariance check up to an arity bound.
@@ -516,7 +514,14 @@ def validate_operad(cat: OrthCategory, bound: int = 3) -> ValidationReport:
     Equivariance needs no permutation sweep: once gamma(f; g) is defined,
     gamma(f sigma; g_sigma) is the same blocks in sigma order and stays
     pairwise orthogonal, because orthogonality is checked in both
-    directions (see `_OperadKernel.equivariance`).
+    directions.  In detail: the left side concatenates the blocks of the
+    pairs (f_s, g_s) in sigma order; the right side reorders the blocks of
+    gamma(f; g), which are the same blocks, so the arrow tuples are equal.
+    The left side is pairwise orthogonal because gamma(f; g) is and the
+    mutual masks of `_mutual_orth_masks` are symmetric (row mask AND column
+    mask).  What the reference reports under equivariance is therefore
+    each undefined gamma(f; g) with f of arity at least 2, witnessed after
+    the associativity walk (`_OperadKernel.run`).
 
     The sweep runs on `_OperadKernel`, an interned form of the category
     built once per call: int arrows, the composition table as a list of

@@ -2,15 +2,16 @@
 
 A net assigns to every region of a finite orthogonal index category a
 unital *-subalgebra of a global matrix algebra over the Gaussian
-rationals.  The bundled nets are qubit chains whose local algebras are
-spanned by Pauli strings, which keeps commutants, Haag duality and all
-sector identities decidable by exact symplectic/mask arithmetic: a set of
-(x, z) masks holding (0, 0) spans an algebra exactly when it is as large
-as its GF(2) span, and a commutant is a GF(2) nullspace.  A dense exact
-nullspace solver covers small general inputs.  Sectors are unital
-*-endomorphisms of the global algebra acting as the identity on every
-algebra orthogonal to their localization region; the bundled ones are
-inner (conjugation by a local unitary).
+rationals.  Nets are qubit chains, and `MatrixNet` requires every local
+algebra to be spanned by Pauli strings.  That keeps commutants, Haag
+duality and all sector identities decidable by exact symplectic/mask
+arithmetic: a set of (x, z) masks holding (0, 0) spans an algebra exactly
+when it is as large as its GF(2) span, and a commutant is a GF(2)
+nullspace.  A dense exact nullspace solver covers standalone algebras
+with other bases and the intertwiner solve of `find_covariance`.  Sectors
+are unital *-endomorphisms of the global algebra acting as the identity
+on every algebra orthogonal to their localization region; the bundled
+ones are inner (conjugation by a local unitary).
 """
 
 from __future__ import annotations
@@ -89,7 +90,6 @@ class MatrixAlg:
         self.name = name
         self.L: int | None = None
         self._masks: frozenset[tuple[int, int]] | None = None
-        self._hs_norms: list[GaussianRational] | None = None
         self._span: SpanBasis | None = None
         if n & (n - 1) == 0 and n > 1:
             decomp = [as_pauli_string(m) for m in basis]
@@ -137,12 +137,6 @@ class MatrixAlg:
     def masks(self) -> frozenset[tuple[int, int]] | None:
         """The (x, z) masks of a string basis, or None for other bases."""
         return self._masks
-
-    def hs_norms(self) -> list[GaussianRational]:
-        """Squared Hilbert-Schmidt norms of the basis elements, computed once."""
-        if self._hs_norms is None:
-            self._hs_norms = [m.hs_inner(m) for m in self.basis]
-        return self._hs_norms
 
     def span(self) -> SpanBasis:
         """Orthogonalized basis for exact membership tests, built once."""
@@ -276,8 +270,10 @@ class MatrixNet:
 
     Regions name site sets; the default algebra of a region is the full
     tensor factor on its sites, overridable per region (used by the
-    counterexample fixtures).  Only local dimension 2 is supported: the
-    exact fast paths are built on Pauli strings.
+    counterexample fixtures).  Every region algebra is a Pauli-string
+    algebra on `sites` qubits, checked here once, so the net-level
+    checks (inclusion, perp-commutativity, Haag duality, the global
+    algebra and its commutant) run on (x, z) masks only.
     """
 
     def __init__(
@@ -285,53 +281,55 @@ class MatrixNet:
         category: OrthCategory,
         sites: int,
         region_sites: dict[str, frozenset[int]],
-        local_dim: int = 2,
         overrides: dict[str, MatrixAlg] | None = None,
         name: str = "",
     ):
-        if local_dim != 2:
-            raise SchemaError("only local dimension 2 (qubit chains) is supported")
         self.category = category
         self.sites = sites
-        self.local_dim = local_dim
         self.region_sites = dict(region_sites)
         self.overrides = dict(overrides or {})
         self.name = name
         self.n = 2 ** sites
+        self._algebras: dict[str, MatrixAlg] = {}
+        # "__global__": the global algebra, "__commutant__": its commutant
         self._cache: dict[str, MatrixAlg] = {}
         missing = [u for u in category.objects if u not in self.region_sites]
         if missing:
             raise SchemaError(f"regions without site sets: {missing}")
+        for u, alg in sorted(self.overrides.items()):
+            if alg.masks() is None or alg.n != self.n:
+                raise SchemaError(
+                    f"algebra of region {u} is not a Pauli-string algebra "
+                    f"on {sites} qubits"
+                )
 
     def algebra(self, region: str) -> MatrixAlg:
         if region not in self.region_sites:
             raise SchemaError(f"unknown region {region}")
-        if region not in self._cache:
+        if region not in self._algebras:
             if region in self.overrides:
-                self._cache[region] = self.overrides[region]
+                self._algebras[region] = self.overrides[region]
             else:
-                self._cache[region] = MatrixAlg.full_on_sites(
+                self._algebras[region] = MatrixAlg.full_on_sites(
                     self.sites, self.region_sites[region], name=f"A({region})"
                 )
-        return self._cache[region]
+        return self._algebras[region]
 
     def global_algebra(self) -> MatrixAlg:
         if "__global__" not in self._cache:
-            algs = [self.algebra(u) for u in self.category.objects]
-            if all(alg.masks() is not None for alg in algs):
-                masks = pauli_mask_span(
-                    self.sites, [m for alg in algs for m in alg.masks()]
-                )
-                self._cache["__global__"] = MatrixAlg.pauli_span(
-                    self.sites, masks, name="A(global)"
-                )
-            else:
-                span = SpanBasis(self.n)
-                basis = [m for alg in algs for m in alg.basis if span.add(m)]
-                self._cache["__global__"] = MatrixAlg(
-                    self.n, basis, validate=False, name="A(global)"
-                )
+            masks = pauli_mask_span(
+                self.sites,
+                [m for u in self.category.objects for m in self.algebra(u).masks()],
+            )
+            self._cache["__global__"] = MatrixAlg.pauli_span(
+                self.sites, masks, name="A(global)"
+            )
         return self._cache["__global__"]
+
+    def global_commutant(self) -> MatrixAlg:
+        if "__commutant__" not in self._cache:
+            self._cache["__commutant__"] = commutant(self.global_algebra())
+        return self._cache["__commutant__"]
 
     def orth_partners(self, region: str) -> list[str]:
         """Objects U' admitting an orthogonal cospan (U' -> V) perp (region -> V)."""
@@ -367,21 +365,14 @@ class MatrixNet:
                     "region-monotonicity", {"morphism": m.id, "src": m.src, "tgt": m.tgt}
                 )
                 continue
-            small, big = self.algebra(m.src), self.algebra(m.tgt)
-            sm, bm = small.masks(), big.masks()
-            if sm is not None and bm is not None:
-                if not sm <= bm:
-                    report.add("algebra-inclusion", {"morphism": m.id})
-            else:
-                sb = big.span()
-                if not all(sb.contains(x) for x in small.basis):
-                    report.add("algebra-inclusion", {"morphism": m.id})
+            if not self.algebra(m.src).masks() <= self.algebra(m.tgt).masks():
+                report.add("algebra-inclusion", {"morphism": m.id})
         return report
 
 
 def check_perp_commutativity(net: MatrixNet) -> ValidationReport:
-    """Elementwise commutation of the local algebras over every orthogonal
-    cospan of the index category, exact."""
+    """Commutation of the local algebras over every orthogonal cospan of
+    the index category, decided string by string by the symplectic form."""
     report = ValidationReport(check="perp-commutativity", subject=net.name)
     seen: set[tuple[str, str]] = set()
     for f1, f2 in sorted(net.category.orth):
@@ -390,33 +381,24 @@ def check_perp_commutativity(net: MatrixNet) -> ValidationReport:
         if key in seen or (key[1], key[0]) in seen:
             continue
         seen.add(key)
-        a1, a2 = net.algebra(m1.src), net.algebra(m2.src)
-        p1, p2 = a1.masks(), a2.masks()
-        if p1 is not None and p2 is not None:
-            for (x1, z1) in sorted(p1):
-                for (x2, z2) in sorted(p2):
-                    if not pauli_commute(x1, z1, x2, z2):
-                        report.add(
-                            "perp-commutation",
-                            {
-                                "regions": [m1.src, m2.src],
-                                "witness": [[x1, z1], [x2, z2]],
-                            },
-                        )
-        else:
-            for i, b1 in enumerate(a1.basis):
-                for j, b2 in enumerate(a2.basis):
-                    if not b1.commutes_with(b2):
-                        report.add(
-                            "perp-commutation",
-                            {"regions": [m1.src, m2.src], "witness": [i, j]},
-                        )
+        p1, p2 = net.algebra(m1.src).masks(), net.algebra(m2.src).masks()
+        for (x1, z1) in sorted(p1):
+            for (x2, z2) in sorted(p2):
+                if not pauli_commute(x1, z1, x2, z2):
+                    report.add(
+                        "perp-commutation",
+                        {
+                            "regions": [m1.src, m2.src],
+                            "witness": [[x1, z1], [x2, z2]],
+                        },
+                    )
     return report
 
 
 def check_haag_duality(net: MatrixNet, region: str) -> dict:
     """Bicommutant of A(U) against the joint commutant of all orthogonal
-    local algebras, as exact span equality."""
+    local algebras, as exact span equality; the joint commutant is the
+    symplectic complement of the partners' masks."""
     partners = net.orth_partners(region)
     if not partners:
         return {
@@ -428,10 +410,13 @@ def check_haag_duality(net: MatrixNet, region: str) -> dict:
             "assumption_failure": "orthocomplement",
         }
     lhs = bicommutant(net.algebra(region))
-    constraints: list[GMat] = []
-    for u in partners:
-        constraints.extend(net.algebra(u).basis)
-    rhs = _commutant_of(net.n, constraints, name=f"joint-commutant({region})")
+    rhs = MatrixAlg.pauli_span(
+        net.sites,
+        pauli_commutant_masks(
+            net.sites, [m for u in partners for m in net.algebra(u).masks()]
+        ),
+        name=f"joint-commutant({region})",
+    )
     holds = span_equal(lhs, rhs)
     return {
         "check": "haag-duality",
@@ -480,9 +465,8 @@ class LocalizedEndo:
 
     def _check_homomorphism(self) -> None:
         glob = self.net.global_algebra()
-        span = glob.span()
         for img in self._images:
-            if not span.contains(img):
+            if not glob.contains(img):
                 raise PreconditionError("image leaves the global algebra")
         ident = GMat.identity(self.net.n)
         if not self.apply(ident).is_identity():
@@ -497,13 +481,12 @@ class LocalizedEndo:
     def apply(self, m: GMat) -> GMat:
         if self.unitary is not None:
             return self.unitary @ m @ self.unitary.adjoint()
-        glob = self.net.global_algebra()
-        if glob.masks() is None:
-            raise PreconditionError("general endomorphisms need a string global basis")
-        # strings are HS-orthogonal: the coordinate on a string is its HS
-        # inner product with m over its squared norm
+        # the global basis is unit Pauli strings, HS-orthogonal with squared
+        # norm N: the coordinate on a string is its HS inner product with m
+        # over N
+        norm = GaussianRational.of(self.net.n)
         out, residual = GMat.zero(self.net.n), m
-        for base, norm, img in zip(glob.basis, glob.hs_norms(), self._images):
+        for base, img in zip(self.net.global_algebra().basis, self._images):
             inner = base.hs_inner(m)
             if inner.is_zero():
                 continue
@@ -963,11 +946,8 @@ class SectorGroupData:
                 report.add("unitary", {"g": g})
         if report.schema_errors or report.violations:
             return report
-        ident = self.unitaries[unit]
-        for a in self.net.global_algebra().basis:
-            if ident @ a @ ident.adjoint() != a:
-                report.add("unit-implementation", {"g": unit})
-                break
+        if not _ad_equal(self.net, self.unitaries[unit], GMat.identity(self.net.n)):
+            report.add("unit-implementation", {"g": unit})
         for g in group.elements:
             u = self.unitaries[g]
             functor = self.action.action[g]
@@ -1031,15 +1011,13 @@ def _maps_equal_on_basis(net: MatrixNet, f, g) -> bool:
 
 
 def _ad_equal(net: MatrixNet, a: GMat, b: GMat) -> bool:
-    """Ad_a == Ad_b on the global algebra.  On a full matrix algebra this is
-    a single scalar test; otherwise compare elementwise."""
-    if net.global_algebra().dim == net.n ** 2:
-        return (b.adjoint() @ a).scalar_multiple_of_identity() is not None
-    return _maps_equal_on_basis(
-        net,
-        lambda m: a @ m @ a.adjoint(),
-        lambda m: b @ m @ b.adjoint(),
-    )
+    """Ad_a == Ad_b on the global algebra, for unitaries a and b: exactly
+    when b* a commutes with the global algebra, that is, lies in its
+    commutant.  A scalar b* a is decided without the commutant."""
+    c = b.adjoint() @ a
+    if c.scalar_multiple_of_identity() is not None:
+        return True
+    return net.global_commutant().contains(c)
 
 
 def find_covariance(
@@ -1047,10 +1025,11 @@ def find_covariance(
 ) -> CovarianceFamily | None:
     """Projective family implementing the sector's covariance.
 
-    Inner sectors always admit the conjugated family; for general sectors
-    the intertwining system is solved exactly (entrywise when the
-    constraints are diagonal, dense nullspace otherwise) and None is
-    returned when no invertible solution exists.
+    Inner sectors always admit the conjugated family.  For general sectors
+    the intertwining system is solved exactly by `_solve_intertwiner`, and
+    None is returned when it finds no solution.  On diagonal constraints
+    (the abelian nets) that search is complete, so None proves that no
+    unitary family exists; on other constraints it is not.
     """
     net = data.net
     group = data.action.group
@@ -1081,7 +1060,14 @@ def find_covariance(
 def _solve_intertwiner(
     n: int, pairs: list[tuple[GMat, GMat]]
 ) -> GMat | None:
-    """Some invertible y with lhs*y = y*rhs for all pairs, or None."""
+    """A y with lhs*y = y*rhs for all pairs and y y* a nonzero scalar, or None.
+
+    On diagonal constraints the search is complete: None means no unitary
+    solution exists.  Otherwise only the nullspace basis vectors are tried,
+    so None can come back although a solution exists in their span: for
+    the single pair (X (x) I, X (x) I) the identity solves the system, yet
+    no basis vector of the 8-dimensional nullspace is unitary up to
+    scale."""
     if all(
         all(i == j for (i, j) in m.data) for pair in pairs for m in pair
     ):

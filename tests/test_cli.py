@@ -398,6 +398,10 @@ def _net_orth(value):
     return lambda doc: {**doc, "orth": value}
 
 
+def _net_repeated_region(doc):
+    return {**doc, "regions": doc["regions"] + doc["regions"][:1]}
+
+
 @pytest.mark.parametrize(
     "fixture,command,corrupt",
     [
@@ -414,6 +418,8 @@ def _net_orth(value):
         pytest.param("qubit2", ["sectors", "perp", "--net"], _net_orth([["a"]]), id="net-orth-singleton"),
         pytest.param("qubit2", ["sectors", "perp", "--net"], _net_orth([["[1,1]", "[9,9]"]]),
                      id="net-orth-unknown-region"),
+        pytest.param("qubit2", ["sectors", "perp", "--net"], _net_repeated_region,
+                     id="net-repeated-region"),
     ],
 )
 def test_malformed_documents_exit_2_without_traceback(workdir, capsys, fixture, command, corrupt):

@@ -372,3 +372,9 @@ def test_non_unit_monomials_take_sparse_path(case):
     _check_against_oracle(n, db, da)
     assert a._monomial() is None and prod._monomial() is None
     assert a.data == da
+
+
+def test_scaled_non_string_is_rejected():
+    # one entry in column 0, but the quotient diag(1, 3/2) is not a string
+    diag = GMat(2, {(0, 0): GaussianRational.of(2), (1, 1): GaussianRational.of(3)})
+    assert as_pauli_string(diag) is None

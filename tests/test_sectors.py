@@ -732,3 +732,95 @@ def test_algebra_lookups_built_once(net4):
 
 def test_global_algebra_of_six_sites():
     assert qubit_net(6).global_algebra().dim == 4096
+
+
+# -- the net layer: every region algebra is a string algebra ------------------------------
+
+
+def test_net_rejects_non_string_override():
+    base = qubit_net(2)
+    cz = entangler_unitary(base, 0, 1)
+    non_string = MatrixAlg(4, [GMat.identity(4), cz], name="CZ")
+    assert non_string.masks() is None
+    wrong_size = MatrixAlg.full_on_sites(1, [0], name="one-qubit")
+    for alg in (non_string, wrong_size):
+        with pytest.raises(SchemaError):
+            MatrixNet(
+                category=base.category,
+                sites=2,
+                region_sites=base.region_sites,
+                overrides={"[1,2]": alg},
+            )
+
+
+def _image_sector(rho):
+    """The inner sector rho rebuilt from its images of the global basis."""
+    glob = rho.net.global_algebra()
+    return LocalizedEndo(
+        rho.net, rho.region, images=[rho.apply(a) for a in glob.basis], label=f"img-{rho.label}"
+    )
+
+
+def test_image_sectors_agree_with_inner_sectors(net2):
+    x, z = pauli_sector(net2, "X", "[1,1]"), pauli_sector(net2, "Z", "[1,1]")
+    ix, iz = _image_sector(x), _image_sector(z)
+    assert ix.unitary is None and iz.unitary is None
+    for inner, image in ((x, ix), (z, iz)):
+        assert image.same_map(inner) and inner.same_map(image)
+    assert not ix.same_map(iz) and not iz.same_map(x)
+    prod = diamond(ix, iz)
+    assert prod.unitary is None and prod.region == "[1,1]"
+    assert prod.same_map(diamond(x, z)) and diamond(x, z).same_map(prod)
+
+
+def test_image_sector_transport_with_inner_transporter(net2):
+    x = pauli_sector(net2, "X", "[1,1]")
+    inner = check_transportable(x, "[2,2]", net2)
+    assert inner.found and inner.transporter_label == "translated-pattern"
+    got = check_transportable(_image_sector(x), "[2,2]", net2, [("inner", inner.transporter)])
+    assert got.found and got.transporter_label == "inner"
+    assert got.transported.unitary is None and got.transported.region == "[2,2]"
+    assert got.transported.same_map(inner.transported)
+    # without the candidate only the identity is tried, which leaves X on site 0
+    assert not check_transportable(_image_sector(x), "[2,2]", net2).found
+
+
+def test_net_json_orth_on_shared_site_sets():
+    from sectorfact.fixtures import net_from_json
+    from sectorfact.orthcat import validate_category
+
+    doc = {
+        "sites": 2,
+        "regions": [
+            {"id": "a", "sites": [0]},
+            {"id": "b", "sites": [0]},
+            {"id": "c", "sites": [1]},
+            {"id": "ac", "sites": [0, 1]},
+        ],
+        "orth": [["a", "c"]],
+    }
+    net = net_from_json(doc)
+    # a and b are isomorphic objects, so b inherits a's orthogonal cospans
+    assert len(net.category.orth) == 4
+    assert net.orth_partners("b") == ["c"] and net.orth_partners("c") == ["a", "b"]
+    assert validate_category(net.category).ok
+    assert check_perp_commutativity(net).ok
+
+
+def test_region_named_like_the_global_cache_key():
+    from sectorfact.fixtures import net_from_json
+
+    doc = {
+        "sites": 2,
+        "regions": [
+            {"id": "__global__", "sites": [0]},
+            {"id": "b", "sites": [1]},
+            {"id": "ab", "sites": [0, 1]},
+        ],
+    }
+    region_first = net_from_json(doc)
+    assert region_first.algebra("__global__").dim == 4
+    assert region_first.global_algebra().dim == 16
+    global_first = net_from_json(doc)
+    assert global_first.global_algebra().dim == 16
+    assert global_first.algebra("__global__").dim == 4
