@@ -14,6 +14,15 @@ keeps, so they run on k in an integer frame: scaled by d/half, and by the
 common denominator L of axis.x/axis.t, the tips sit at the integer vectors
 ±L*d*axis/axis.t.  Rationals are built only for the accepted points, and
 the CausalConfig constructor re-verifies every point and pair exactly.
+
+The constructor and `certify_homotopy` decide on the `ConeFrame` of the
+cone and the configuration's rational points (see `minkowski`): every
+coordinate times the lcm D of their denominators, and the Cauchy lifts at
+the scale 2*dt*D at which they are integer vectors.  Membership and
+spacelikeness are signs, which the positive scale keeps; each certificate
+value is an integer over the square of the lift scale, and a `Fraction` is
+built only to format it, so the reports are those of exact rational
+arithmetic.
 """
 
 from __future__ import annotations
@@ -24,16 +33,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .minkowski import (
+    ConeFrame,
     DoubleCone,
     MPoint,
     SpatialConvex,
     cauchy_lift,
-    cone_contains,
-    certify_segment_spacelike,
     point_to_json,
-    segment_spacelike_data,
     sq_interval,
     _euclid_sq,
+    _segment_certificate,
 )
 from .linalg import format_rational
 from .reports import PreconditionError
@@ -65,12 +73,13 @@ class CausalConfig:
     points: tuple[MPoint, ...]
 
     def __post_init__(self):
-        for p in self.points:
-            if not cone_contains(self.cone, p):
+        frame = ConeFrame(self.cone, self.points)
+        for i, p in enumerate(self.points):
+            if not frame.contains(i):
                 raise PreconditionError(f"configuration point {p} outside the cone")
         for i in range(len(self.points)):
             for j in range(i + 1, len(self.points)):
-                if not sq_interval(self.points[i], self.points[j]) > 0:
+                if not frame.spacelike(i, j):
                     raise PreconditionError(
                         f"points {i} and {j} are not causally disjoint"
                     )
@@ -274,15 +283,27 @@ class CertReport:
 
 def certify_homotopy(config: CausalConfig) -> CertReport:
     """For every pair i<j certify that (1-s)*(surface difference) + s*(original
-    difference) is spacelike for all s in [0,1], by exact quadratic analysis."""
+    difference) is spacelike for all s in [0,1], by exact quadratic analysis
+    on the configuration's integer frame."""
     report = CertReport(size=config.size)
-    base = {p: cauchy_lift(config.cone, p.x) for p in config.points}
-    pts = config.points
+    frame = ConeFrame(config.cone, config.points)
+    lifts = frame.lifts()
+    # the straight line from a lift to its point stays in the convex cone
+    # when both ends do; the lifts are checked, and so are the points, which
+    # the constructor has verified unless the config was built around it
+    for i, p in enumerate(config.points):
+        if not frame.contains(i):
+            raise PreconditionError(
+                f"homotopy section left the cone: configuration point {p} outside it"
+            )
+    s = 2 * frame.height
+    denom = (s * frame.scale) ** 2
+    pts = [tuple(s * v for v in row) for row in frame.rows]
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
-            v = base[pts[i]] - base[pts[j]]
-            w = pts[i] - pts[j]
-            data = segment_spacelike_data(v, w)
+            v = [a - b for a, b in zip(lifts[i], lifts[j])]
+            w = [a - b for a, b in zip(pts[i], pts[j])]
+            data = _segment_certificate(v, w, denom)
             data["pair"] = [i, j]
             report.pairs.append(data)
             if not data["positive"]:

@@ -21,6 +21,7 @@ reference the monomial product is tested against.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -44,12 +45,21 @@ __all__ = [
 ]
 
 
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def parse_rational(text: str | int) -> Fraction:
-    """"p/q" or "p" (plain ints also accepted) -> Fraction in lowest terms."""
-    if isinstance(text, int):
+    """"p/q" or "p" in decimal digits, or an int that is not a bool ->
+    Fraction in lowest terms; anything else raises ValueError.
+
+    Exponents, decimal points, underscores and whitespace are refused, so a
+    short string cannot make `Fraction` build a huge integer."""
+    if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)
+    if not isinstance(text, str) or not _RATIONAL.fullmatch(text):
+        raise ValueError(f"rational must be an int or a \"p/q\" string, not {text!r}")
     try:
-        return Fraction(str(text).strip())
+        return Fraction(text)
     except ZeroDivisionError as exc:
         raise ValueError(f"zero denominator in rational {text!r}") from exc
 

@@ -6,12 +6,24 @@ quadratic positivity certificates are decided exactly.  Light-cone roots
 are generally irrational: they are rounded to nearby rationals on the
 timelike side and every downstream condition, being a strict inequality,
 is re-verified exactly after rounding (with retries at finer resolution).
+
+Integer frames.  Cone membership, spacelike separation, the Cauchy lift's
+checks and the segment certificate are signs of forms of degree 1 or 2 in
+the coordinates, and a positive rescaling keeps every such sign.  A
+`ConeFrame` multiplies the tips and a set of points by the lcm D of all
+their denominators and decides these signs on the integer vectors.  For
+the lifts it multiplies once more by S = 2*dt, where dt = D*(p+.t - p-.t):
+at that scale the centre, dt*(P- + P+), and every lift are integer
+vectors.  A certificate value is a quadratic form of such vectors over
+the known square (S*D)^2, so it is reported as one `Fraction` built from
+two integers; the vertex -b/(2a) does not depend on the scale at all.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -41,6 +53,7 @@ __all__ = [
     "check_projection_inequality",
     "segment_lightcone_hit",
     "build_witness",
+    "ConeFrame",
     "cauchy_lift",
     "homotopy_point",
     "certify_segment_spacelike",
@@ -644,22 +657,102 @@ def _attempt_witness(u1, u2, utilde, a, b, k, push=0) -> WitnessDiagram | None:
 # ---------------------------------------------------------------------------
 
 
+def _integer_rows(points: Sequence[MPoint]) -> tuple[int, list[tuple[int, ...]]]:
+    """The lcm D of the denominators of every coordinate of `points`, and
+    each point times D as an integer tuple (t, x1, ...)."""
+    rows = [(p.t, *p.x) for p in points]
+    scale = math.lcm(*(v.denominator for row in rows for v in row))
+    return scale, [tuple(v.numerator * (scale // v.denominator) for v in row) for row in rows]
+
+
+def _int_inner(u: Sequence[int], v: Sequence[int]) -> int:
+    """Minkowski inner product of integer tuples (t, x1, ...)."""
+    return sum(map(operator.mul, u, v)) - 2 * u[0] * v[0]
+
+
+def _int_interval(p: Sequence[int], q: Sequence[int]) -> int:
+    d = [a - b for a, b in zip(p, q)]
+    return _int_inner(d, d)
+
+
+def _int_inside(minus: Sequence[int], plus: Sequence[int], p: Sequence[int]) -> bool:
+    """`cone_contains` for integer tips and an integer point of one scale."""
+    return (
+        plus[0] > p[0] > minus[0]
+        and _int_interval(plus, p) < 0
+        and _int_interval(p, minus) < 0
+    )
+
+
+class ConeFrame:
+    """A double cone and points of its space, all scaled to integers.
+
+    `scale` is the lcm D of the denominators of every tip and point
+    coordinate; `minus`, `plus` and `rows` are D*p-, D*p+ and D*p for each
+    point p, and `height` is dt = D*(p+.t - p-.t) > 0.  Lifts live at the
+    finer scale 2*dt*D (see the module docstring)."""
+
+    def __init__(self, cone: DoubleCone, points: Sequence[MPoint]):
+        self.points = points
+        self.scale, rows = _integer_rows((cone.pminus, cone.pplus, *points))
+        self.minus, self.plus = rows[0], rows[1]
+        self.rows = rows[2:]
+        self.height = self.plus[0] - self.minus[0]
+
+    def contains(self, i: int) -> bool:
+        """Point i lies in the open cone."""
+        row = self.rows[i]
+        if len(row) != len(self.minus):
+            raise PreconditionError("dimension mismatch")
+        return _int_inside(self.minus, self.plus, row)
+
+    def spacelike(self, i: int, j: int) -> bool:
+        """Points i and j are spacelike separated."""
+        return _int_interval(self.rows[i], self.rows[j]) > 0
+
+    def lifts(self) -> list[tuple[int, ...]]:
+        """`cauchy_lift` of every point's spatial part, as integer vectors at
+        scale 2*dt*D, each checked as `cauchy_lift` documents.
+
+        With Q = D*q, the lift's time times 2*dt*D is
+        dt*(P-.t + P+.t) + sum_i (2*Q_i - P-_i - P+_i)*(P+_i - P-_i)."""
+        minus, plus, dt = self.minus, self.plus, self.height
+        s = 2 * dt
+        centre = [dt * (a + b) for a, b in zip(minus, plus)]
+        axis = [b - a for a, b in zip(minus, plus)]
+        low, high = [s * a for a in minus], [s * b for b in plus]
+        xm, xp = minus[1:], plus[1:]
+        out = []
+        for p, row in zip(self.points, self.rows):
+            q = row[1:]
+            if len(q) != len(xm):
+                raise PreconditionError("dimension mismatch")
+            to_plus = sum((a - b) ** 2 for a, b in zip(q, xp))
+            to_minus = sum((a - b) ** 2 for a, b in zip(q, xm))
+            if not _sqrt_sum_lt(to_plus, to_minus, dt):
+                shown = tuple(_F(v) for v in p.x)
+                raise PreconditionError(f"spatial point {shown} outside the cone shadow")
+            t = centre[0] + sum((2 * a - b - c) * (c - b) for a, b, c in zip(q, xm, xp))
+            lifted = (t, *(s * a for a in q))
+            if _int_inner([a - b for a, b in zip(lifted, centre)], axis) != 0:
+                raise PreconditionError("section point is not orthogonal to the tip axis")
+            if not _int_inside(low, high, lifted):
+                raise PreconditionError("section left the cone")
+            out.append(lifted)
+        return out
+
+
 def cauchy_lift(cone: DoubleCone, q: Sequence[Fraction]) -> MPoint:
     """The unique point of the canonical Cauchy surface over the spatial
-    point q: Minkowski-orthogonal to the tip axis through the center."""
+    point q: Minkowski-orthogonal to the tip axis through the center.
+
+    Raises PreconditionError when q lies outside the cone's shadow, or when
+    the lifted point is not orthogonal to the axis or not in the cone; all
+    three checks run on the integer frame of the module docstring."""
     q = tuple(_F(v) for v in q)
-    if not cone.shadow.contains(q):
-        raise PreconditionError(f"spatial point {q} outside the cone shadow")
-    center = cone.center
-    axis = cone.axis
-    dt = axis.t
-    t = center.t + sum((qi - ci) * di for qi, ci, di in zip(q, center.x, axis.x)) / dt
-    p = MPoint(t, q)
-    if minkowski_inner(p - center, axis) != 0:
-        raise PreconditionError("section point is not orthogonal to the tip axis")
-    if not cone_contains(cone, p):
-        raise PreconditionError("section left the cone")
-    return p
+    frame = ConeFrame(cone, (MPoint(_F(0), q),))
+    (lifted,) = frame.lifts()
+    return MPoint(_F(lifted[0], 2 * frame.height * frame.scale), q)
 
 
 def homotopy_point(cone: DoubleCone, p: MPoint, s) -> MPoint:
@@ -673,36 +766,49 @@ def homotopy_point(cone: DoubleCone, p: MPoint, s) -> MPoint:
     return base + (p - base).scale(s)
 
 
-def segment_spacelike_data(v: MPoint, w: MPoint) -> dict:
-    """Quadratic data for ||(1-s)v + s w||^2 on [0,1] and the exact verdict."""
-    sv, sw = minkowski_sq(v), minkowski_sq(w)
-    if sv <= 0 or sw <= 0:
+def _segment_certificate(v: Sequence[int], w: Sequence[int], denom: int) -> dict:
+    """`segment_spacelike_data` for the vectors v/m and w/m, given as
+    integer tuples v, w and denom = m*m.
+
+    ||(1-s)v + s w||^2 = a s^2 + b s + c with a, b, c quadratic forms of
+    v, w over denom; signs and the vertex -b/(2a) are decided on the
+    integers, and the vertex value is (4ac - b^2)/(4a*denom)."""
+    c, q1 = _int_inner(v, v), _int_inner(w, w)
+    if c <= 0 or q1 <= 0:
         raise PreconditionError("both vectors must be spacelike")
-    diff = w - v
-    a = minkowski_sq(diff)
-    bb = 2 * minkowski_inner(v, diff)
-    c = sv
+    if len(v) != len(w):
+        raise PreconditionError("dimension mismatch")
+    diff = [b - a for a, b in zip(v, w)]
+    a = _int_inner(diff, diff)
+    b = 2 * _int_inner(v, diff)
+    shown_c = format_rational(_F(c, denom))
     data = {
-        "a": format_rational(a),
-        "b": format_rational(bb),
-        "c": format_rational(c),
-        "q0": format_rational(c),
-        "q1": format_rational(sw),
+        "a": format_rational(_F(a, denom)),
+        "b": format_rational(_F(b, denom)),
+        "c": shown_c,
+        "q0": shown_c,
+        "q1": format_rational(_F(q1, denom)),
     }
     if a <= 0:
         # concave or linear: minimum at the endpoints, both positive
         data["vertex"] = None
         data["positive"] = True
         return data
-    vertex = _F(-bb, 2 * a)
-    data["vertex"] = format_rational(vertex)
-    if 0 < vertex < 1:
-        vval = c - _F(bb * bb, 4 * a)
-        data["vertex_value"] = format_rational(vval)
-        data["positive"] = vval > 0
+    data["vertex"] = format_rational(_F(-b, 2 * a))
+    if 0 < -b < 2 * a:
+        gap = 4 * a * c - b * b
+        data["vertex_value"] = format_rational(_F(gap, 4 * a * denom))
+        data["positive"] = gap > 0
     else:
         data["positive"] = True
     return data
+
+
+def segment_spacelike_data(v: MPoint, w: MPoint) -> dict:
+    """Quadratic data for ||(1-s)v + s w||^2 on [0,1] and the exact verdict,
+    decided on v and w times their common denominator."""
+    scale, (vi, wi) = _integer_rows((v, w))
+    return _segment_certificate(vi, wi, scale * scale)
 
 
 def certify_segment_spacelike(v: MPoint, w: MPoint) -> bool:

@@ -241,6 +241,23 @@ def test_malformed_rationals_exit_schema(tmp_path):
     assert main(["geometry", "project", "--in", str(spacelike)]) == 2
 
 
+@pytest.mark.parametrize("coordinate", ['"1e10000000"', "true", '"0.5"', '"1_000"'])
+def test_rationals_outside_the_p_q_grammar_exit_2(tmp_path, capsys, coordinate):
+    # an exponent would make Fraction build a ten-million-digit integer
+    # before any check; a JSON boolean would load as 0 or 1
+    cone = tmp_path / "cone.json"
+    cone.write_text(
+        '{"pminus": {"t": "-1", "x": ["0"]}, "pplus": {"t": "1", "x": [%s]}}' % coordinate
+    )
+    capsys.readouterr()
+    code = main(["geometry", "project", "--in", str(cone)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("schema error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
 def test_fixtures_list(capsys):
     assert main(["fixtures", "list"]) == 0
     names = capsys.readouterr().out.split()

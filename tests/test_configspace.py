@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import sectorfact.configspace as configspace
 from sectorfact.configspace import (
     CausalConfig,
+    CertReport,
     SamplingExhausted,
     SpatialConfig,
     certify_homotopy,
@@ -16,16 +17,20 @@ from sectorfact.configspace import (
     sample_causal_config,
     sample_spatial_config,
 )
+from sectorfact.linalg import format_rational
 from sectorfact.minkowski import (
     DoubleCone,
     MPoint,
     cauchy_lift,
     cone_contains,
     homotopy_point,
+    minkowski_inner,
+    minkowski_sq,
     project_cone,
+    segment_spacelike_data,
     sq_interval,
 )
-from sectorfact.reports import PreconditionError
+from sectorfact.reports import PreconditionError, dump_json
 
 P = MPoint.of
 _F = F
@@ -158,8 +163,9 @@ def test_json_shapes():
 
 
 def test_section_checks_survive_optimize():
-    # each check in cauchy_lift, project_config and lift_config must still
-    # reject a bad section when python -O strips asserts
+    # each check in cauchy_lift (the orthogonality and cone checks of its
+    # integer frame), project_config and lift_config must still reject a bad
+    # section when python -O strips asserts
     import os
     import subprocess
     import sys
@@ -183,13 +189,13 @@ def test_section_checks_survive_optimize():
         "    except PreconditionError:\n"
         "        return True\n"
         "    return False\n"
-        "real_inner, real_contains = minkowski.minkowski_inner, minkowski.cone_contains\n"
-        "minkowski.minkowski_inner = lambda p, q: 1\n"
+        "real_inner, real_inside = minkowski._int_inner, minkowski._int_inside\n"
+        "minkowski._int_inner = lambda u, v: 1\n"
         "tilted = raises(lambda: minkowski.cauchy_lift(unit, (F(0),)))\n"
-        "minkowski.minkowski_inner = real_inner\n"
-        "minkowski.cone_contains = lambda cone, p: False\n"
+        "minkowski._int_inner = real_inner\n"
+        "minkowski._int_inside = lambda minus, plus, p: False\n"
         "outside = raises(lambda: minkowski.cauchy_lift(unit, (F(0),)))\n"
-        "minkowski.cone_contains = real_contains\n"
+        "minkowski._int_inside = real_inside\n"
         "real_lift = configspace.cauchy_lift\n"
         "configspace.cauchy_lift = lambda cone, q: MPoint(F(0), (q[0] + F(1, 8),))\n"
         "shifted = raises(lambda: configspace.lift_config(unit, spatial))\n"
@@ -345,20 +351,23 @@ def cones(draw):
     st.sampled_from([3, 40, 300]),
 )
 def test_sampler_matches_reference_property(cone, m, seed, denom, budget):
-    _same_outcome(cone, m, seed, denom=denom, budget=budget)
+    points = _same_outcome(cone, m, seed, denom=denom, budget=budget)
+    if not isinstance(points, str):
+        # the constructor and the certificates match their references too
+        assert _same_config_results(cone, points)
 
 
 def test_sampler_reverifies_grid_points_on_the_tip(monkeypatch):
-    # a draw that the integer test wrongly accepts on the future tip (kt = d)
-    # is rejected by the exact Fraction check in CausalConfig
+    # a draw that the grid test wrongly accepts on the future tip (kt = d)
+    # is rejected by CausalConfig's exact check on its own integer frame
     monkeypatch.setattr(configspace, "_grid_point_in_cone", lambda frame, rng: (frame[0], 0))
     with pytest.raises(PreconditionError, match="outside the cone"):
         sample_causal_config(WIDE, 1, seed=0)
 
 
 def test_sampler_reverifies_pairs(monkeypatch):
-    # accepting every pair lets timelike pairs through the integer test;
-    # the exact pairwise check in CausalConfig rejects them
+    # accepting every pair lets timelike pairs through the grid test; the
+    # exact pairwise check on CausalConfig's integer frame rejects them
     monkeypatch.setattr(configspace, "_grid_spacelike", lambda k, j: True)
     with pytest.raises(PreconditionError, match="not causally disjoint"):
         sample_causal_config(WIDE, 5, seed=0)
@@ -383,3 +392,266 @@ def test_cauchy_lift_rejects_point_outside_shadow():
         cauchy_lift(unit, (F(1),))
     with pytest.raises(PreconditionError, match="outside the cone shadow"):
         cauchy_lift(TILTED, (F(3), F(3)))
+
+
+# ---------------------------------------------------------------------------
+# Reference oracle: the CausalConfig checks, the Cauchy lift, the segment
+# certificate and certify_homotopy in Fraction arithmetic, as they were
+# before the integer frame.  The frame must give the same constructor
+# outcomes and byte-identical certificate reports.
+# ---------------------------------------------------------------------------
+
+
+def reference_check_config(cone: DoubleCone, points) -> None:
+    for p in points:
+        if not cone_contains(cone, p):
+            raise PreconditionError(f"configuration point {p} outside the cone")
+    for i in range(len(points)):
+        for j in range(i + 1, len(points)):
+            if not sq_interval(points[i], points[j]) > 0:
+                raise PreconditionError(f"points {i} and {j} are not causally disjoint")
+
+
+def reference_cauchy_lift(cone: DoubleCone, q) -> MPoint:
+    q = tuple(_F(v) for v in q)
+    if not cone.shadow.contains(q):
+        raise PreconditionError(f"spatial point {q} outside the cone shadow")
+    center = cone.center
+    axis = cone.axis
+    dt = axis.t
+    t = center.t + sum((qi - ci) * di for qi, ci, di in zip(q, center.x, axis.x)) / dt
+    p = MPoint(t, q)
+    if minkowski_inner(p - center, axis) != 0:
+        raise PreconditionError("section point is not orthogonal to the tip axis")
+    if not cone_contains(cone, p):
+        raise PreconditionError("section left the cone")
+    return p
+
+
+def reference_segment_spacelike_data(v: MPoint, w: MPoint) -> dict:
+    sv, sw = minkowski_sq(v), minkowski_sq(w)
+    if sv <= 0 or sw <= 0:
+        raise PreconditionError("both vectors must be spacelike")
+    diff = w - v
+    a = minkowski_sq(diff)
+    bb = 2 * minkowski_inner(v, diff)
+    c = sv
+    data = {
+        "a": format_rational(a),
+        "b": format_rational(bb),
+        "c": format_rational(c),
+        "q0": format_rational(c),
+        "q1": format_rational(sw),
+    }
+    if a <= 0:
+        data["vertex"] = None
+        data["positive"] = True
+        return data
+    vertex = _F(-bb, 2 * a)
+    data["vertex"] = format_rational(vertex)
+    if 0 < vertex < 1:
+        vval = c - _F(bb * bb, 4 * a)
+        data["vertex_value"] = format_rational(vval)
+        data["positive"] = vval > 0
+    else:
+        data["positive"] = True
+    return data
+
+
+def reference_certify_homotopy(config: CausalConfig) -> CertReport:
+    report = CertReport(size=config.size)
+    base = {p: reference_cauchy_lift(config.cone, p.x) for p in config.points}
+    pts = config.points
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            v = base[pts[i]] - base[pts[j]]
+            w = pts[i] - pts[j]
+            data = reference_segment_spacelike_data(v, w)
+            data["pair"] = [i, j]
+            report.pairs.append(data)
+            if not data["positive"]:
+                report.certified = False
+    return report
+
+
+def _result(run, *args):
+    """The value of run(*args), or the message of the PreconditionError it raises."""
+    try:
+        return run(*args)
+    except PreconditionError as exc:
+        return f"precondition: {exc}"
+
+
+def _same_config_results(cone: DoubleCone, points) -> bool:
+    """The constructor accepts exactly what the reference accepts, with the
+    same message otherwise, and an accepted configuration gets the
+    reference's certificate report byte for byte.  Returns acceptance."""
+    expected = _result(reference_check_config, cone, points)
+    config = _result(CausalConfig, cone, points)
+    if isinstance(config, str):
+        assert config == expected
+        return False
+    assert expected is None
+    report = dump_json(certify_homotopy(config).to_dict())
+    assert report == dump_json(reference_certify_homotopy(config).to_dict())
+    return True
+
+
+def test_certificates_match_reference_on_small_budgets(monkeypatch):
+    # budgets small enough that the grid denominator doubles: the sampled
+    # points sit on grids of denominator 2 to 1024
+    final = set()
+    draw = configspace._grid_point_in_cone
+
+    def recording_draw(frame, rng):
+        denominators.append(frame[0])
+        return draw(frame, rng)
+
+    monkeypatch.setattr(configspace, "_grid_point_in_cone", recording_draw)
+    for cone in TILTED_CONES + [WIDE]:
+        for m in (2, 3, 4):
+            for denom, budget in ((1, 3), (2, 10), (4, 12)):
+                for seed in range(3):
+                    denominators = []
+                    try:
+                        config = sample_causal_config(cone, m, seed, denom=denom, budget=budget)
+                    except SamplingExhausted:
+                        continue
+                    final.add(denominators[-1])
+                    assert _same_config_results(cone, config.points)
+    assert {2, 4, 8, 1024} <= final
+
+
+# offsets over 3, 5 and 7, so that the frames are tested off the dyadic grid
+odd_offsets = st.builds(
+    lambda num, den: _F(num, den), st.integers(-12, 12), st.sampled_from([3, 5, 7, 15, 21, 35])
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.one_of(cones(), st.sampled_from(TILTED_CONES)),
+    st.integers(0, 4),
+    st.integers(0, 2**16),
+    st.sampled_from([3, 5, 7]),
+    st.data(),
+)
+def test_lifted_and_shifted_configs_match_reference(cone, m, seed, denom, data):
+    # Cauchy lifts of spatial configurations over 3, 5 and 7, then each
+    # point moved in time by a multiple of half the cone's height over 3,
+    # 5 or 7: the constructor accepts some and rejects others
+    try:
+        spatial = sample_spatial_config(cone, m, seed, denom=denom, budget=50)
+    except SamplingExhausted:
+        return
+    lifted = lift_config(cone, spatial)
+    assert lifted.points == tuple(reference_cauchy_lift(cone, q) for q in spatial.points)
+    assert _same_config_results(cone, lifted.points)
+    half = cone.axis.t / 2
+    shifted = tuple(
+        MPoint(p.t + data.draw(odd_offsets) * half / 4, p.x) for p in lifted.points
+    )
+    _same_config_results(cone, shifted)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(TILTED_CONES), st.integers(1, 4), st.data())
+def test_points_over_odd_denominators_match_reference(cone, m, data):
+    # points scattered around the centre of a tilted cone, in and out of the
+    # cone and of its shadow: constructor, lift and segment data all agree
+    half = cone.axis.t / 2
+    points = tuple(
+        MPoint(
+            cone.center.t + data.draw(odd_offsets) * half / 6,
+            tuple(c + data.draw(odd_offsets) * half / 6 for c in cone.center.x),
+        )
+        for _ in range(m)
+    )
+    _same_config_results(cone, points)
+    for p in points:
+        assert _result(cauchy_lift, cone, p.x) == _result(reference_cauchy_lift, cone, p.x)
+    for p in points:
+        for q in points:
+            assert _result(segment_spacelike_data, p, q) == _result(
+                reference_segment_spacelike_data, p, q
+            )
+
+
+@settings(max_examples=100, deadline=None)
+@given(cones(), st.data())
+def test_cauchy_lift_matches_reference(cone, data):
+    # spatial points anywhere near the cone, including 1+0 dimensions (q = ())
+    rational = st.fractions(min_value=-8, max_value=8, max_denominator=35)
+    q = tuple(data.draw(rational) for _ in cone.center.x)
+    assert _result(cauchy_lift, cone, q) == _result(reference_cauchy_lift, cone, q)
+
+
+# -- corruption probes: strictness survives the scaling ---------------------
+
+
+def test_null_separation_is_rejected():
+    cone = TILTED_CONES[0]  # tips (-1/2; 1/3) and (5/2; 4/3)
+    on_future_cone = P(F(13, 6), 1)  # the future tip minus (1/3, 1/3)
+    on_past_cone = P(F(-1, 6), F(2, 3))  # the past tip plus (1/3, 1/3)
+    assert sq_interval(on_future_cone, cone.pplus) == 0
+    assert sq_interval(cone.pminus, on_past_cone) == 0
+    assert cone_contains(cone, P(2, 1))
+    null_pair = (P(F(1, 3), F(1, 7)), P(F(1, 3) + F(2, 5), F(1, 7) + F(2, 5)))
+    assert sq_interval(*null_pair) == 0 and all(cone_contains(WIDE, p) for p in null_pair)
+    for tip_null in (on_future_cone, on_past_cone):
+        with pytest.raises(PreconditionError, match="point .* outside the cone"):
+            CausalConfig(cone, (P(2, 1), tip_null))
+        assert not _same_config_results(cone, (P(2, 1), tip_null))
+    with pytest.raises(PreconditionError, match="points 0 and 1 are not causally disjoint"):
+        CausalConfig(WIDE, null_pair)
+    assert not _same_config_results(WIDE, null_pair)
+
+
+def test_segment_certificate_signs():
+    # the chord dips into the timelike region: vertex 1/2, value -1/9
+    dip = segment_spacelike_data(P(F(1, 3), F(2, 3)), P(F(1, 3), F(-2, 3)))
+    assert (dip["vertex"], dip["vertex_value"], dip["positive"]) == ("1/2", "-1/9", False)
+    # a < 0 and a = 0: the minimum is at an endpoint, so positive
+    concave = segment_spacelike_data(P(0, 2), P(1, 2))
+    assert (concave["a"], concave["vertex"], concave["positive"]) == ("-1", None, True)
+    flat = segment_spacelike_data(P(F(1, 5), 1), P(F(1, 5), 1))
+    assert (flat["a"], flat["vertex"], flat["positive"]) == ("0", None, True)
+    # a > 0 with the vertex outside (0, 1), or at 0: positive, and no vertex value
+    away = segment_spacelike_data(P(0, 1), P(0, 2))
+    assert (away["vertex"], away["positive"]) == ("-1", True)
+    at_zero = segment_spacelike_data(P(0, 1, 0), P(0, 1, F(1, 7)))
+    assert (at_zero["vertex"], at_zero["positive"]) == ("0", True)
+    assert "vertex_value" not in away and "vertex_value" not in at_zero
+    for v, w in [
+        (P(F(1, 3), F(2, 3)), P(F(1, 3), F(-2, 3))),
+        (P(0, 2), P(1, 2)),
+        (P(0, 1), P(0, 2)),
+        (P(0, 1, 0), P(0, 1, F(1, 7))),
+    ]:
+        assert segment_spacelike_data(v, w) == reference_segment_spacelike_data(v, w)
+    # a null or zero end is not spacelike
+    for v, w in [(P(F(1, 3), F(1, 3)), P(0, 1)), (P(0, 1), P(F(2, 5), F(-2, 5))), (P(0, 0), P(0, 1))]:
+        with pytest.raises(PreconditionError, match="both vectors must be spacelike"):
+            segment_spacelike_data(v, w)
+
+
+def test_dimension_mismatch_matches_reference():
+    bad = ((P(0, 0, 0),), (P(0, 1), P(0, F(-1, 3), 1)))
+    for points in bad:
+        with pytest.raises(PreconditionError, match="dimension mismatch"):
+            CausalConfig(WIDE, points)
+        assert not _same_config_results(WIDE, points)
+    for run in (cauchy_lift, reference_cauchy_lift):
+        assert _result(run, WIDE, (F(1, 3), 0)) == "precondition: dimension mismatch"
+    for run in (segment_spacelike_data, reference_segment_spacelike_data):
+        assert _result(run, P(0, 1), P(0, 1, 2)) == "precondition: dimension mismatch"
+
+
+def test_certify_rejects_forged_point_outside_the_cone():
+    # a config built around the constructor: the point's lift is the
+    # cone's centre, but the homotopy from there to the point leaves the cone
+    forged = object.__new__(CausalConfig)
+    object.__setattr__(forged, "cone", WIDE)
+    object.__setattr__(forged, "points", (P(100, 0),))
+    with pytest.raises(PreconditionError, match="section left the cone"):
+        certify_homotopy(forged)
