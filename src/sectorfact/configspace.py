@@ -171,6 +171,15 @@ def sample_causal_config(
     rationals and re-verified exactly by the CausalConfig constructor."""
     if m < 0:
         raise PreconditionError("configuration size must be nonnegative")
+    if m >= 2 and cone.dim == 1:
+        # no two points of a 1+0-dimensional cone are spacelike; refuse with
+        # the message the draws would end in, at the last denominator
+        d = denom
+        while d < 1024:
+            d *= 2
+        raise SamplingExhausted(
+            f"could not place {m} causally disjoint points (denominator {d})"
+        )
     rng = random.Random(seed)
     c, axis = cone.center, cone.axis
     slopes = [xi / axis.t for xi in axis.x]

@@ -545,9 +545,7 @@ def as_pauli_string(m: GMat) -> tuple[int, int, GaussianRational] | None:
 
 def pauli_commute(x1: int, z1: int, x2: int, z2: int) -> bool:
     """True iff P(x1,z1) and P(x2,z2) commute (symplectic form vanishes)."""
-    return (
-        bin(x1 & z2).count("1") + bin(z1 & x2).count("1")
-    ) % 2 == 0
+    return ((x1 & z2).bit_count() + (z1 & x2).bit_count()) % 2 == 0
 
 
 def _gf2_pivots(rows: list[int]) -> list[tuple[int, int]]:

@@ -12,6 +12,14 @@ with other bases and the intertwiner solve of `find_covariance`.  Sectors
 are unital *-endomorphisms of the global algebra acting as the identity
 on every algebra orthogonal to their localization region; the bundled
 ones are inner (conjugation by a local unitary).
+
+An inner sector whose unitary is a scalar times a Pauli string carries its
+(x, z) mask.  Products of such sectors get the XOR of the masks, and two
+of them are the same map exactly when the XOR lies in the mask set of the
+global commutant (Ad_a = Ad_b iff b* a commutes with the global algebra,
+and b* a is a scalar times the string of the XOR).  Other unitaries (CZ,
+the site reflection) are compared by `_ad_equal` on `GMat`s, image-built
+sectors on the global basis.
 """
 
 from __future__ import annotations
@@ -436,7 +444,12 @@ def check_haag_duality(net: MatrixNet, region: str) -> dict:
 
 class LocalizedEndo:
     """Unital *-endomorphism of the net's global algebra together with a
-    localization region; inner sectors carry their implementing unitary."""
+    localization region; inner sectors carry their implementing unitary.
+
+    An inner sector whose unitary is a scalar times the Pauli string
+    P(x, z) also carries the mask (x, z), decoded once when the sector is
+    built unless the caller passes it (products and relabelled copies do).
+    """
 
     def __init__(
         self,
@@ -446,6 +459,7 @@ class LocalizedEndo:
         images: list[GMat] | None = None,
         label: str = "",
         validate: bool = True,
+        mask: tuple[int, int] | None = None,
     ):
         if region not in net.region_sites:
             raise SchemaError(f"unknown region {region}")
@@ -456,6 +470,10 @@ class LocalizedEndo:
         self._images = images
         if unitary is not None and validate and not unitary.is_unitary():
             raise PreconditionError("implementing matrix is not unitary")
+        if unitary is not None and mask is None:
+            p = as_pauli_string(unitary)
+            mask = None if p is None else (p[0], p[1])
+        self._mask = mask
         if unitary is None and images is None:
             raise PreconditionError("endomorphism needs a unitary or basis images")
         if images is not None and len(images) != len(net.global_algebra().basis):
@@ -497,8 +515,25 @@ class LocalizedEndo:
             raise PreconditionError("matrix outside the global algebra")
         return out
 
+    @property
+    def mask(self) -> tuple[int, int] | None:
+        """(x, z) when the unitary is a scalar times P(x, z), else None."""
+        return self._mask
+
     def same_map(self, other: "LocalizedEndo") -> bool:
-        """Equality as maps on the global basis (region labels ignored)."""
+        """Equality as maps on the global basis (region labels ignored).
+
+        Two masked sectors are compared on their masks: b* a is a scalar
+        times P(xa ^ xb, za ^ zb), so the `_ad_equal` rule reads as a lookup
+        in the commutant's mask set; equal masks (a scalar b* a) are
+        decided without building the commutant.  Other inner pairs go
+        through `_ad_equal`, and image-built sectors are compared on the
+        basis."""
+        a, b = self.mask, other.mask
+        if a is not None and b is not None:
+            return a == b or (
+                (a[0] ^ b[0], a[1] ^ b[1]) in self.net.global_commutant().masks()
+            )
         if self.unitary is not None and other.unitary is not None:
             return _ad_equal(self.net, self.unitary, other.unitary)
         return _maps_equal_on_basis(self.net, self.apply, other.apply)
@@ -511,6 +546,7 @@ class LocalizedEndo:
             images=self._images,
             label=label or self.label,
             validate=False,
+            mask=self._mask,
         )
 
     def __repr__(self) -> str:
@@ -518,7 +554,7 @@ class LocalizedEndo:
 
 
 def identity_sector(net: MatrixNet, region: str) -> LocalizedEndo:
-    return LocalizedEndo(net, region, unitary=GMat.identity(net.n), label="1")
+    return LocalizedEndo(net, region, unitary=GMat.identity(net.n), label="1", mask=(0, 0))
 
 
 def check_localized(rho: LocalizedEndo, net: MatrixNet) -> ValidationReport:
@@ -679,12 +715,15 @@ def diamond(
                 raise PreconditionError(f"{r} is not included in {region}")
     label = f"({rho.label}<>{rhodot.label})"
     if rho.unitary is not None and rhodot.unitary is not None:
+        # a product of scaled Pauli strings is the scaled string of the XOR
+        a, b = rho.mask, rhodot.mask
         return LocalizedEndo(
             net,
             region,
             unitary=rho.unitary @ rhodot.unitary,
             label=label,
             validate=False,
+            mask=None if a is None or b is None else (a[0] ^ b[0], a[1] ^ b[1]),
         )
     glob = net.global_algebra()
     images = [rho.apply(rhodot.apply(a)) for a in glob.basis]
@@ -773,8 +812,10 @@ def sector_algebra_assignment(
     net: MatrixNet, family: dict[str, list[LocalizedEndo]]
 ):
     """Algebra-over-the-operad data for the sector model.  Structure-map
-    evaluations are cached on the implementing unitaries: the diagram
-    validators evaluate the same (operation, sectors) pairs repeatedly."""
+    evaluations are cached on the operation and the implementing unitaries
+    (equal unitaries share an entry; a `GMat` caches its hash): the diagram
+    validators evaluate the same (operation, sectors) pairs repeatedly.
+    Tuples holding an image-built sector are not cached."""
     from .operad import FiniteAlgebraAssignment
 
     carriers = sector_carriers(net, family)
@@ -782,14 +823,12 @@ def sector_algebra_assignment(
 
     def structure(op):
         def run(args):
-            key = None
-            if all(s.unitary is not None for s in args):
-                key = (op, tuple(s.unitary.key() for s in args))
-                if key in cache:
-                    return cache[key]
-            out = pfa_structure_map(op, args, net)
-            if key is not None:
-                cache[key] = out
+            key = (op, *[s.unitary for s in args])
+            out = cache.get(key)
+            if out is None:
+                out = pfa_structure_map(op, args, net)
+                if all(s.unitary is not None for s in args):
+                    cache[key] = out
             return out
 
         return run
@@ -808,20 +847,21 @@ def sector_equivariant_assignment(
 ):
     """Equivariant algebra data: the isomorphisms act by the implementing
     unitaries, sending sectors at U to transformed sectors at alpha_g(U).
-    Transformed sectors are cached; the diagram validators revisit the same
-    elements many times and each transform re-verifies localization."""
+    Transformed inner sectors are cached on (g, region, unitary); the
+    diagram validators revisit the same elements many times and each
+    transform re-verifies localization."""
     from .operad import EquivariantAlgebraAssignment
 
     base = sector_algebra_assignment(net, family)
     cache: dict = {}
 
     def act(g: str, rho: LocalizedEndo) -> LocalizedEndo:
-        key = (g, rho.region, rho.unitary.key()) if rho.unitary is not None else None
-        if key is not None and key in cache:
-            return cache[key]
-        out = g_act_sector(g, rho, data)
-        if key is not None:
-            cache[key] = out
+        key = (g, rho.region, rho.unitary)
+        out = cache.get(key)
+        if out is None:
+            out = g_act_sector(g, rho, data)
+            if rho.unitary is not None:
+                cache[key] = out
         return out
 
     return EquivariantAlgebraAssignment(
@@ -1013,7 +1053,11 @@ def _maps_equal_on_basis(net: MatrixNet, f, g) -> bool:
 def _ad_equal(net: MatrixNet, a: GMat, b: GMat) -> bool:
     """Ad_a == Ad_b on the global algebra, for unitaries a and b: exactly
     when b* a commutes with the global algebra, that is, lies in its
-    commutant.  A scalar b* a is decided without the commutant."""
+    commutant.  A scalar b* a is decided without the commutant.
+
+    `LocalizedEndo.same_map` reads this rule on masks when both unitaries
+    are scaled Pauli strings and calls it for every other inner pair; the
+    tests keep it as the oracle of the mask rule."""
     c = b.adjoint() @ a
     if c.scalar_multiple_of_identity() is not None:
         return True

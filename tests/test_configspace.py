@@ -324,10 +324,41 @@ def test_sampler_matches_reference_on_small_budgets(monkeypatch):
             outcome = _same_outcome(cone, m, seed, denom=denom, budget=budget)
             if isinstance(outcome, str):
                 exhausted += 1
-                assert max(denominators) == 1024
+                if cone is time_only:
+                    # refused before any draw: see the test below
+                    assert not denominators
+                else:
+                    assert max(denominators) == 1024
             else:
                 doubled += max(denominators) > denom
     assert doubled and exhausted
+
+
+def test_sampler_refuses_time_only_cone_without_drawing(monkeypatch):
+    # no two points of a 1+0-dimensional cone are spacelike, so m >= 2 is
+    # refused at once, with the message the reference reaches after drawing
+    # its whole budget at every denominator up to the first one >= 1024
+    draws = []
+    draw = configspace._grid_point_in_cone
+
+    def counting_draw(frame, rng):
+        draws.append(frame[0])
+        return draw(frame, rng)
+
+    monkeypatch.setattr(configspace, "_grid_point_in_cone", counting_draw)
+    time_only = DoubleCone(P(F(-1, 3)), P(F(5, 2)))
+    for m, denom, last in [(2, 64, 1024), (5, 1, 1024), (2, 3, 1536), (3, 2048, 2048)]:
+        with pytest.raises(SamplingExhausted) as exc:
+            sample_causal_config(time_only, m, seed=m, denom=denom)
+        assert str(exc.value) == (
+            f"could not place {m} causally disjoint points (denominator {last})"
+        )
+        assert _outcome(reference_sample_causal_config, time_only, m, 0,
+                        denom=denom, budget=5) == f"exhausted: {exc.value}"
+    assert draws == []
+    # one point still samples
+    assert len(sample_causal_config(time_only, 1, seed=0).points) == 1
+    assert draws
 
 
 @st.composite

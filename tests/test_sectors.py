@@ -1,4 +1,6 @@
 import itertools
+from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -9,17 +11,20 @@ from sectorfact.fixtures import (
     entangler_unitary,
     pauli_sector,
     qubit_net,
+    reflection_unitary,
     standard_sector_family,
 )
+import sectorfact.sectors as sectors_module
 from sectorfact.linalg import (
     GMat,
     GR_ONE,
     GR_ZERO,
     GaussianRational,
+    as_pauli_string,
     nullspace,
     pauli_string,
 )
-from sectorfact.reports import PreconditionError, SchemaError
+from sectorfact.reports import PreconditionError, SchemaError, dump_json
 from sectorfact.sectors import (
     Intertwiner,
     LocalizedEndo,
@@ -32,6 +37,7 @@ from sectorfact.sectors import (
     check_perp_commutativity_sectors,
     check_transportable,
     commutant,
+    _ad_equal,
     _dense_commutant,
     _solve_intertwiner,
     diamond,
@@ -824,3 +830,182 @@ def test_region_named_like_the_global_cache_key():
     global_first = net_from_json(doc)
     assert global_first.global_algebra().dim == 16
     assert global_first.algebra("__global__").dim == 4
+
+
+# -- the mask rule of same_map and diamond ---------------------------------------------------------
+#
+# A sector whose unitary is a scaled Pauli string carries its (x, z) mask;
+# `diamond` hands the XOR of two masks to the product, and `same_map` of two
+# masked sectors looks the XOR up in the global commutant's masks.  The
+# oracle is `_ad_equal` on the GMats and `as_pauli_string` of the product.
+
+# qubit chains have the scalars as global commutant; the diagonal net's is
+# the 16 Z-type strings, so distinct masks can give the same map there
+QUBIT_NETS = [qubit_net(L) for L in (1, 2, 3, 4)]
+BITS4 = diagonal_net(4)
+UNIMODULAR = [GR_ONE, GaussianRational.of(0, 1), GaussianRational.of(-1), GaussianRational.of(0, -1)]
+UNIMODULAR += [c * GaussianRational.of(F(3, 5), F(4, 5)) for c in UNIMODULAR]
+
+
+def _decoded(u):
+    p = as_pauli_string(u)
+    return None if p is None else (p[0], p[1])
+
+
+def _check_mask_rule(net, rho, sig):
+    """same_map and diamond on rho, sig and their products agree with the
+    GMat oracle; pairs without two masks must go through `_ad_equal`."""
+    prod, swapped = sectors_module.diamond(rho, sig), sectors_module.diamond(sig, rho)
+    for s in (rho, sig, prod, swapped):
+        assert s.mask == _decoded(s.unitary)
+    pairs = [(rho, sig), (sig, rho), (prod, swapped), (prod, rho), (sig, prod), (rho, rho)]
+    spy = mock.patch.object(sectors_module, "_ad_equal", wraps=_ad_equal)
+    for a, b in pairs:
+        with spy as oracle_calls:
+            got = a.same_map(b)
+        masked = a.mask is not None and b.mask is not None
+        assert oracle_calls.call_count == (0 if masked else 1)
+        assert got == _ad_equal(net, a.unitary, b.unitary)
+
+
+@st.composite
+def masked_pairs(draw):
+    # half the draws on the diagonal net, whose commutant branch is the one
+    # a rule testing a == b would get wrong
+    net = draw(st.one_of(st.sampled_from(QUBIT_NETS), st.just(BITS4)))
+    L, region = net.sites, draw(st.sampled_from(sorted(net.category.objects)))
+    commutant = sorted(net.global_commutant().masks())
+
+    def operand(near=None):
+        kinds = ["pauli"] * 3 + (["entangler", "reflection"] if L >= 2 else [])
+        kind = draw(st.sampled_from(kinds))
+        if kind == "entangler":
+            a, b = draw(st.lists(st.integers(0, L - 1), min_size=2, max_size=2, unique=True))
+            u = entangler_unitary(net, a, b)
+        elif kind == "reflection":
+            u = reflection_unitary(L)
+        else:
+            x, z = draw(st.integers(0, (1 << L) - 1)), draw(st.integers(0, (1 << L) - 1))
+            if near is not None and draw(st.booleans()):
+                # shift a masked operand by a commutant string: same map
+                cx, cz = draw(st.sampled_from(commutant))
+                x, z = near[0] ^ cx, near[1] ^ cz
+            u = pauli_string(L, x, z, draw(st.sampled_from(UNIMODULAR)))
+        return LocalizedEndo(net, region, unitary=u, label=kind, validate=False)
+
+    rho = operand()
+    return net, rho, operand(near=rho.mask)
+
+
+@settings(max_examples=150, deadline=None)
+@given(masked_pairs())
+def test_mask_rule_matches_ad_equal(case):
+    _check_mask_rule(*case)
+
+
+def test_mask_rule_covers_both_branches():
+    assert len(BITS4.global_commutant().masks()) == 16
+    x0 = LocalizedEndo(BITS4, "[1,1]", unitary=pauli_string(4, 8, 0), validate=False)
+    x0z1 = LocalizedEndo(
+        BITS4, "[1,1]", unitary=pauli_string(4, 8, 4, GaussianRational.of(F(3, 5), F(4, 5)))
+    )
+    # distinct masks, same map: the XOR (0, 4) is a commutant string
+    assert x0.mask == (8, 0) and x0z1.mask == (8, 4)
+    assert x0.same_map(x0z1) and _ad_equal(BITS4, x0.unitary, x0z1.unitary)
+    _check_mask_rule(BITS4, x0, x0z1)
+    net = qubit_net(4)
+    for u in (entangler_unitary(net, 0, 3), reflection_unitary(4)):
+        rho = LocalizedEndo(net, "[1,4]", unitary=u)
+        assert rho.mask is None and rho.relabel("[1,4]").mask is None
+        _check_mask_rule(net, rho, pauli_sector(net, "XZYI", "[1,4]"))
+
+
+def test_diamond_probe_or_instead_of_xor(monkeypatch):
+    # corruption probe: a product handed xa | xb instead of the XOR
+    real = sectors_module.diamond
+
+    def or_diamond(rho, rhodot, region=None):
+        out = real(rho, rhodot, region)
+        a, b = rho.mask, rhodot.mask
+        if a is not None and b is not None:
+            out._mask = (a[0] | b[0], a[1] | b[1])
+        return out
+
+    net = qubit_net(2)
+    x, y = pauli_sector(net, "X", "[1,1]"), pauli_sector(net, "Y", "[1,1]")
+    monkeypatch.setattr(sectors_module, "diamond", or_diamond)
+    # only the decoded product sees this: OR, like XOR, is associative and
+    # commutative, so both sides of every theorem311 diagram agree under it
+    with pytest.raises(AssertionError):
+        _check_mask_rule(net, x, y)
+
+
+def test_same_map_probe_ignoring_the_commutant(monkeypatch):
+    # corruption probe: a mask rule that tests a == b is right on the qubit
+    # chains (scalar commutant) and must fail on the diagonal net
+    real = LocalizedEndo.same_map
+
+    def naive(self, other):
+        if self.mask is not None and other.mask is not None:
+            return self.mask == other.mask
+        return real(self, other)
+
+    monkeypatch.setattr(LocalizedEndo, "same_map", naive)
+    net = qubit_net(4)
+    _check_mask_rule(net, pauli_sector(net, "XI", "[1,2]"), pauli_sector(net, "XZ", "[1,2]"))
+    x0 = LocalizedEndo(BITS4, "[1,1]", unitary=pauli_string(4, 8, 0))
+    x0z1 = LocalizedEndo(BITS4, "[1,1]", unitary=pauli_string(4, 8, 4))
+    with pytest.raises(AssertionError):
+        _check_mask_rule(BITS4, x0, x0z1)
+
+
+# -- reports with and without the mask rule --------------------------------------------------------
+
+
+def _wrong_site_family(net):
+    # an X on site 1 listed at region [1,1]: not localized there
+    family = standard_sector_family(net)
+    stray = LocalizedEndo(net, "[1,1]", unitary=pauli_string(net.sites, 1 << (net.sites - 2), 0),
+                          label="X@[2,2]-listed-at-[1,1]")
+    family["[1,1]"] = family["[1,1]"] + [stray]
+    return family
+
+
+@pytest.mark.parametrize(
+    "sites, bound, family_of",
+    [(4, 3, standard_sector_family), (5, 2, standard_sector_family), (4, 2, _wrong_site_family)],
+)
+def test_theorem_reports_identical_without_masks(monkeypatch, sites, bound, family_of):
+    def report():
+        net = qubit_net(sites)
+        return dump_json(validate_theorem_3_11(net, family_of(net), bound=bound).to_dict())
+
+    fast = report()
+    monkeypatch.setattr(LocalizedEndo, "mask", None)
+    assert report() == fast
+    if family_of is _wrong_site_family:
+        assert '"localization-precheck"' in fast and "X@[2,2]-listed-at-[1,1]" in fast
+
+
+def test_sector_campaigns_identical_without_masks(monkeypatch, tmp_path):
+    from sectorfact.cli import main
+
+    net = str(tmp_path / "qubit4.json")
+    assert main(["fixtures", "export", "qubit4", "--out", net]) == 0
+    campaigns = [
+        ["sectors", "equivariance", "--net", net],
+        ["operad", "algebra", "--net", net, "--bound", "2", "--equivariant"],
+        ["sectors", "diamond", "--net", net],
+    ]
+
+    def outputs(tag):
+        out = []
+        for i, argv in enumerate(campaigns):
+            path = tmp_path / f"{tag}-{i}.json"
+            assert main(argv + ["--out", str(path)]) == 0
+            out.append(path.read_bytes())
+        return out
+
+    fast = outputs("fast")
+    monkeypatch.setattr(LocalizedEndo, "mask", None)
+    assert outputs("slow") == fast
