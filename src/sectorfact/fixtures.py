@@ -268,15 +268,11 @@ def collapse_sector(net: MatrixNet, region: str = "[1,2]") -> LocalizedEndo:
     for s in range(net.sites):
         if s not in region_cells:
             keep |= 1 << (net.sites - 1 - s)
-    glob = net.global_algebra()
     images = []
-    for m in glob.basis:
-        from .linalg import as_pauli_string
-
-        x, z, coeff = as_pauli_string(m)
+    for x, z in sorted(net.global_algebra().masks()):
         if x != 0:
             raise SchemaError("collapse sector needs a diagonal net")
-        images.append(pauli_string(net.sites, 0, z & keep, coeff))
+        images.append(pauli_string(net.sites, 0, z & keep))
     return LocalizedEndo(net, region, images=images, label=f"reset@{region}")
 
 
@@ -285,21 +281,52 @@ def collapse_sector(net: MatrixNet, region: str = "[1,2]") -> LocalizedEndo:
 # ---------------------------------------------------------------------------
 
 
+def _region_category(name: str, region_sites: dict[str, frozenset], marked) -> OrthCategory:
+    """Inclusion category of the regions.  With `marked` None a cospan is
+    orthogonal when its sources are disjoint; otherwise `marked` lists pairs
+    of region ids, and a cospan is orthogonal when its two site sets are
+    those of a marked pair, in either order."""
+    if marked is None:
+        pred = lambda s1, s2, _tgt: not (s1 & s2)
+    else:
+        cell_pairs = set()
+        for a, b in marked:
+            cell_pairs.add((region_sites[a], region_sites[b]))
+            cell_pairs.add((region_sites[b], region_sites[a]))
+        pred = lambda s1, s2, _tgt: (s1, s2) in cell_pairs
+    return poset_orth_category(name, region_sites, pred)
+
+
 def net_to_json(net: MatrixNet) -> dict:
-    regions = [
-        {
-            "id": u,
-            "sites": sorted(net.region_sites[u]),
-            "algebra": "diagonal" if u in net.overrides else "full",
-        }
-        for u in net.category.objects
-    ]
+    """JSON form read back by `net_from_json`.  A region's algebra is
+    written as "full" or "diagonal" on its sites, and the orthogonality as
+    "disjoint" or as the marked pairs of region ids; SchemaError when
+    either cannot describe the net."""
+    regions = []
+    written = {u: net.region_sites[u] for u in net.category.objects}
+    for u, sites in written.items():
+        # a region without an override has the full algebra on its sites
+        alg = net.overrides.get(u)
+        if alg is None or alg.masks() == MatrixAlg.full_on_sites(net.sites, sites).masks():
+            kind = "full"
+        elif alg.masks() == MatrixAlg.diagonal_on_sites(net.sites, sites).masks():
+            kind = "diagonal"
+        else:
+            raise SchemaError(f"algebra of region {u} is neither full nor diagonal on its sites")
+        regions.append({"id": u, "sites": sorted(sites), "algebra": kind})
+    orth, spec = net.category.orth, "disjoint"
+    if _region_category(net.name, written, None).orth != orth:
+        mors = net.category.morphisms
+        pairs = sorted({tuple(sorted((mors[f1].src, mors[f2].src))) for f1, f2 in orth})
+        if _region_category(net.name, written, pairs).orth != orth:
+            raise SchemaError("the orthogonality of the net is not given by pairs of regions")
+        spec = [[a, b] for a, b in pairs]
     return {
         "name": net.name,
         "sites": net.sites,
         "local_dim": 2,
         "regions": regions,
-        "orth": "disjoint",
+        "orth": spec,
     }
 
 
@@ -332,18 +359,11 @@ def net_from_json(doc: dict) -> MatrixNet:
     for u, cells in region_sites.items():
         if any(s < 0 or s >= sites for s in cells):
             raise SchemaError(f"region {u} has sites outside the chain")
-    if marked is None:
-        pred = lambda s1, s2, _tgt: not (s1 & s2)
-    else:
+    if marked is not None:
         unknown = sorted({u for pair in marked for u in pair} - region_sites.keys())
         if unknown:
             raise SchemaError(f"orth names unknown region {unknown[0]}")
-        cell_pairs = set()
-        for a, b in marked:
-            cell_pairs.add((region_sites[a], region_sites[b]))
-            cell_pairs.add((region_sites[b], region_sites[a]))
-        pred = lambda s1, s2, _tgt: (s1, s2) in cell_pairs
-    cat = poset_orth_category(str(doc.get("name", "net")), region_sites, pred)
+    cat = _region_category(str(doc.get("name", "net")), region_sites, marked)
     overrides = {}
     for u, kind in kinds.items():
         if kind == "diagonal":

@@ -32,13 +32,13 @@ __all__ = [
     "GR_ONE",
     "GR_I",
     "GMat",
-    "SpanBasis",
     "sparse_matmul",
     "nullspace",
     "parse_rational",
     "format_rational",
     "pauli_string",
     "as_pauli_string",
+    "pauli_coefficients",
     "pauli_commute",
     "pauli_commutant_masks",
     "pauli_mask_span",
@@ -408,39 +408,6 @@ def sparse_matmul(a: GMat, b: GMat) -> GMat:
     return GMat(a.n, out)
 
 
-class SpanBasis:
-    """Exact span membership via unnormalized Gram-Schmidt in the HS inner product."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self.ortho: list[GMat] = []
-        self.norms: list[GaussianRational] = []
-
-    def _residual(self, m: GMat) -> GMat:
-        r = m
-        for b, nb in zip(self.ortho, self.norms):
-            c = b.hs_inner(r)
-            if not c.is_zero():
-                r = r - b.scale(c / nb)
-        return r
-
-    def add(self, m: GMat) -> bool:
-        """Insert m; True if it enlarged the span."""
-        r = self._residual(m)
-        if r.is_zero():
-            return False
-        self.ortho.append(r)
-        self.norms.append(r.hs_inner(r))
-        return True
-
-    def contains(self, m: GMat) -> bool:
-        return self._residual(m).is_zero()
-
-    @property
-    def dim(self) -> int:
-        return len(self.ortho)
-
-
 def nullspace(
     rows: list[list[GaussianRational]], ncols: int
 ) -> list[list[GaussianRational]]:
@@ -488,10 +455,13 @@ def nullspace(
 # is spanned by exactly the strings symplectically orthogonal to every
 # generator: expanding any commuting X in the string basis, conjugation by
 # a generator flips the sign of anticommuting components, which therefore
-# vanish.  This turns commutant computations on string algebras into
-# nullspace solves over F_2, and the closure of a mask set under products
-# into its row-reduced span; ``_gf2_pivots`` is the one elimination routine
-# behind both.
+# vanish.  The strings are an orthogonal basis of M_{2^L} (tr(P* Q) is N
+# for P == Q and 0 otherwise), so every matrix has one exact expansion in
+# them, and a matrix lies in a string algebra exactly when its expansion
+# uses only the algebra's strings.  This turns commutant computations on
+# string algebras into nullspace solves over F_2, and the closure of a mask
+# set under products into its row-reduced span; ``_gf2_pivots`` is the one
+# elimination routine behind both.
 # ---------------------------------------------------------------------------
 
 
@@ -541,6 +511,42 @@ def as_pauli_string(m: GMat) -> tuple[int, int, GaussianRational] | None:
             z |= 1 << s
     coeff = _UNITS[(phases[0] - (x & z).bit_count()) & 3]
     return (x, z, coeff) if pauli_string(L, x, z, coeff) == m else None
+
+
+def pauli_coefficients(m: GMat) -> dict[tuple[int, int], GaussianRational]:
+    """{(x, z): c} with m == sum of c * P(x, z), zero coefficients left out,
+    keys in sorted order.
+
+    The coefficient on P(x, z) is tr(P(x, z)* m) / N.  A scaled string
+    decodes through ``as_pauli_string``; any other matrix is expanded per
+    x = row ^ col: P(x, z)* holds i**-|x & z| * (-1)**|z & col| at
+    (col, col ^ x), so each coefficient is a signed sum of the entries of m
+    on that x.
+    """
+    n = m.n
+    if n <= 0 or n & (n - 1):
+        raise ValueError(f"no Pauli expansion of a matrix of size {n}")
+    p = as_pauli_string(m)
+    if p is not None:
+        return {(p[0], p[1]): p[2]}
+    by_x: dict[int, list[tuple[int, GaussianRational]]] = {}
+    for (row, col), v in m.data.items():
+        by_x.setdefault(row ^ col, []).append((col, v))
+    out = {}
+    for x in sorted(by_x):
+        entries = by_x[x]
+        for z in range(n):
+            re = im = Fraction(0)
+            for col, v in entries:
+                if (z & col).bit_count() & 1:
+                    re -= v.re
+                    im -= v.im
+                else:
+                    re += v.re
+                    im += v.im
+            if re or im:
+                out[(x, z)] = GaussianRational(re / n, im / n) * _UNITS[-(x & z).bit_count() & 3]
+    return out
 
 
 def pauli_commute(x1: int, z1: int, x2: int, z2: int) -> bool:

@@ -6,12 +6,14 @@ rationals.  Nets are qubit chains, and `MatrixNet` requires every local
 algebra to be spanned by Pauli strings.  That keeps commutants, Haag
 duality and all sector identities decidable by exact symplectic/mask
 arithmetic: a set of (x, z) masks holding (0, 0) spans an algebra exactly
-when it is as large as its GF(2) span, and a commutant is a GF(2)
-nullspace.  A dense exact nullspace solver covers standalone algebras
-with other bases and the intertwiner solve of `find_covariance`.  Sectors
-are unital *-endomorphisms of the global algebra acting as the identity
-on every algebra orthogonal to their localization region; the bundled
-ones are inner (conjugation by a local unitary).
+when it is as large as its GF(2) span, a commutant is a GF(2) nullspace,
+and a matrix lies in an algebra exactly when its exact Pauli expansion
+(`pauli_coefficients`) uses only the algebra's masks.  `MatrixAlg` is
+therefore its mask set alone.  The one dense exact solve left is the
+intertwiner search of `find_covariance` for sectors given by basis
+images.  Sectors are unital *-endomorphisms of the global algebra acting
+as the identity on every algebra orthogonal to their localization region;
+the bundled ones are inner (conjugation by a local unitary).
 
 An inner sector whose unitary is a scalar times a Pauli string carries its
 (x, z) mask.  Products of such sectors get the XOR of the masks, and two
@@ -19,11 +21,13 @@ of them are the same map exactly when the XOR lies in the mask set of the
 global commutant (Ad_a = Ad_b iff b* a commutes with the global algebra,
 and b* a is a scalar times the string of the XOR).  Other unitaries (CZ,
 the site reflection) are compared by `_ad_equal` on `GMat`s, image-built
-sectors on the global basis.
+sectors on the global basis.  An image-built sector maps a matrix by its
+Pauli expansion: each coefficient times the image of its string.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -31,10 +35,9 @@ from .linalg import (
     GMat,
     GR_ONE,
     GR_ZERO,
-    GaussianRational,
-    SpanBasis,
     as_pauli_string,
     nullspace,
+    pauli_coefficients,
     pauli_commutant_masks,
     pauli_commute,
     pauli_mask_span,
@@ -80,32 +83,36 @@ __all__ = [
 
 
 class MatrixAlg:
-    """Unital *-subalgebra of M_N given by a spanning basis.
+    """Unital *-subalgebra of M_N, N = 2**L, spanned by Pauli strings and
+    held as the frozenset of their (x, z) masks.
 
-    When every basis element is a scaled Pauli string the algebra carries
-    its mask presentation and the heavy operations (closure checks,
-    commutants, span comparison) run on masks; otherwise exact dense
-    linear algebra is used, which is intended for small N.
+    A mask set holding (0, 0) spans a unital *-algebra exactly when it is
+    closed under XOR, checked on construction as a size test against its
+    GF(2) span.  Membership of a matrix is read off its exact Pauli
+    expansion (`pauli_coefficients`), commutants are symplectic complements
+    and span equality is mask-set equality, so no operation needs the
+    strings as matrices; `basis` builds them only when a caller asks.
     """
 
     def __init__(self, n: int, basis: list[GMat], validate: bool = True, name: str = ""):
+        """Algebra spanned by a caller's basis: every element must be a
+        scaled Pauli string on log2(n) qubits, else SchemaError."""
         if not basis:
             raise SchemaError("algebra needs at least one basis element")
         if any(m.n != n for m in basis):
             raise SchemaError("basis dimensions disagree")
-        self.n = n
-        self.basis = list(basis)
+        decoded = [as_pauli_string(m) for m in basis]
+        if any(p is None for p in decoded):
+            raise SchemaError("basis element is not a scaled Pauli string")
+        self._init(n.bit_length() - 1, [(x, z) for x, z, _ in decoded], validate, name)
+
+    def _init(self, L: int, masks: list[tuple[int, int]], validate: bool, name: str) -> None:
+        self.L = L
+        self.n = 1 << L
         self.name = name
-        self.L: int | None = None
-        self._masks: frozenset[tuple[int, int]] | None = None
-        self._span: SpanBasis | None = None
-        if n & (n - 1) == 0 and n > 1:
-            decomp = [as_pauli_string(m) for m in basis]
-            if all(d is not None for d in decomp):
-                self.L = n.bit_length() - 1
-                self._masks = frozenset((x, z) for x, z, _ in decomp)
+        self._masks = frozenset(masks)
         if validate:
-            errs = self._closure_errors()
+            errs = self._closure_errors(len(masks))
             if errs:
                 raise SchemaError("; ".join(errs))
 
@@ -119,9 +126,9 @@ class MatrixAlg:
         the span a unital *-subalgebra; ``_closure_errors`` decides this as
         a size test against the GF(2) span and raises SchemaError otherwise.
         """
-        return MatrixAlg(
-            1 << L, [pauli_string(L, x, z) for x, z in sorted(set(masks))], name=name
-        )
+        alg = MatrixAlg.__new__(MatrixAlg)
+        alg._init(L, list(set(masks)), True, name)
+        return alg
 
     @staticmethod
     def full_on_sites(L: int, sites, name: str = "") -> "MatrixAlg":
@@ -140,66 +147,39 @@ class MatrixAlg:
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self._masks)
 
-    def masks(self) -> frozenset[tuple[int, int]] | None:
-        """The (x, z) masks of a string basis, or None for other bases."""
+    def masks(self) -> frozenset[tuple[int, int]]:
+        """The (x, z) masks of the spanning strings."""
         return self._masks
 
-    def span(self) -> SpanBasis:
-        """Orthogonalized basis for exact membership tests, built once."""
-        if self._span is None:
-            self._span = SpanBasis(self.n)
-            for m in self.basis:
-                self._span.add(m)
-        return self._span
+    @functools.cached_property
+    def basis(self) -> list[GMat]:
+        """The unit strings of the masks in sorted mask order, built on
+        first use."""
+        return [pauli_string(self.L, x, z) for x, z in sorted(self._masks)]
 
     def contains(self, m: GMat) -> bool:
-        if self._masks is not None:
-            p = as_pauli_string(m)
-            if p is not None:
-                return (p[0], p[1]) in self._masks
-        return self.span().contains(m)
+        """m lies in the algebra exactly when every Pauli coefficient of m
+        sits on one of its masks."""
+        return m.n == self.n and pauli_coefficients(m).keys() <= self._masks
 
-    def _closure_errors(self) -> list[str]:
+    def _closure_errors(self, count: int) -> list[str]:
+        """Why `count` strings with these masks span no unital *-algebra."""
         mset = self._masks
-        if mset is not None:
-            errs = []
-            if len(mset) != len(self.basis):
-                errs.append("basis strings are linearly dependent")
-            # a mask set holding (0, 0) is XOR-closed exactly when it is as
-            # large as its GF(2) span
-            if (0, 0) not in mset:
-                errs.append("identity string missing from basis span")
-            elif len(pauli_mask_span(self.L, mset)) != len(mset):
-                errs.append("span not closed under products")
-            return errs
         errs = []
-        sb = SpanBasis(self.n)
-        for m in self.basis:
-            if not sb.add(m):
-                errs.append("basis is linearly dependent")
-                break
-        if not sb.contains(GMat.identity(self.n)):
-            errs.append("identity not in span")
-        for m in self.basis:
-            if not sb.contains(m.adjoint()):
-                errs.append("span not closed under adjoints")
-                break
-        for a in self.basis:
-            closed = True
-            for b in self.basis:
-                if not sb.contains(a @ b):
-                    errs.append("span not closed under products")
-                    closed = False
-                    break
-            if not closed:
-                break
+        if len(mset) != count:
+            errs.append("basis strings are linearly dependent")
+        # a mask set holding (0, 0) is XOR-closed exactly when it is as
+        # large as its GF(2) span
+        if (0, 0) not in mset:
+            errs.append("identity string missing from basis span")
+        elif len(pauli_mask_span(self.L, mset)) != len(mset):
+            errs.append("span not closed under products")
         return errs
 
     def __repr__(self) -> str:
-        tag = f" pauli L={self.L}" if self._masks is not None else ""
-        return f"MatrixAlg({self.name or 'anon'}, n={self.n}, dim={self.dim}{tag})"
+        return f"MatrixAlg({self.name or 'anon'}, n={self.n}, dim={self.dim} pauli L={self.L})"
 
 
 def _sylvester_basis(n: int, pairs: list[tuple[GMat, GMat]]) -> list[GMat]:
@@ -225,24 +205,14 @@ def _sylvester_basis(n: int, pairs: list[tuple[GMat, GMat]]) -> list[GMat]:
     ]
 
 
-def _dense_commutant(n: int, constraints: list[GMat]) -> list[GMat]:
-    """Exact nullspace of X A - A X = 0 over all constraint matrices A."""
-    return _sylvester_basis(n, [(a, a) for a in constraints])
-
-
-def _commutant_of(n: int, mats: list[GMat], name: str) -> MatrixAlg:
-    paulis = [as_pauli_string(m) for m in mats]
-    if n > 1 and n & (n - 1) == 0 and all(p is not None for p in paulis):
-        L = n.bit_length() - 1
-        masks = pauli_commutant_masks(L, [(x, z) for x, z, _ in paulis])
-        return MatrixAlg.pauli_span(L, masks, name=name)
-    return MatrixAlg(n, _dense_commutant(n, mats), validate=False, name=name)
+def _commutant_of(L: int, masks, name: str) -> MatrixAlg:
+    return MatrixAlg.pauli_span(L, pauli_commutant_masks(L, masks), name=name)
 
 
 def commutant(alg: MatrixAlg) -> MatrixAlg:
-    """{X : XA = AX for every basis A}, by exact nullspace solve (symplectic
-    mask solve on string algebras)."""
-    return _commutant_of(alg.n, alg.basis, name=f"{alg.name}'")
+    """{X : XA = AX for every A in alg}: the strings symplectically
+    orthogonal to every mask of alg."""
+    return _commutant_of(alg.L, alg.masks(), name=f"{alg.name}'")
 
 
 def bicommutant(alg: MatrixAlg) -> MatrixAlg:
@@ -256,15 +226,7 @@ def bicommutant(alg: MatrixAlg) -> MatrixAlg:
 
 
 def span_equal(a: MatrixAlg, b: MatrixAlg) -> bool:
-    if a.n != b.n:
-        return False
-    am, bm = a.masks(), b.masks()
-    if am is not None and bm is not None:
-        return am == bm
-    if a.dim != b.dim:
-        return False
-    sa = a.span()
-    return all(sa.contains(m) for m in b.basis)
+    return a.n == b.n and a.masks() == b.masks()
 
 
 # ---------------------------------------------------------------------------
@@ -305,10 +267,9 @@ class MatrixNet:
         if missing:
             raise SchemaError(f"regions without site sets: {missing}")
         for u, alg in sorted(self.overrides.items()):
-            if alg.masks() is None or alg.n != self.n:
+            if alg.n != self.n:
                 raise SchemaError(
-                    f"algebra of region {u} is not a Pauli-string algebra "
-                    f"on {sites} qubits"
+                    f"algebra of region {u} acts on {alg.L} qubits, not {sites}"
                 )
 
     def algebra(self, region: str) -> MatrixAlg:
@@ -467,7 +428,6 @@ class LocalizedEndo:
         self.region = region
         self.unitary = unitary
         self.label = label or (f"Ad[{unitary!r}]" if unitary is not None else "endo")
-        self._images = images
         if unitary is not None and validate and not unitary.is_unitary():
             raise PreconditionError("implementing matrix is not unitary")
         if unitary is not None and mask is None:
@@ -476,14 +436,19 @@ class LocalizedEndo:
         self._mask = mask
         if unitary is None and images is None:
             raise PreconditionError("endomorphism needs a unitary or basis images")
-        if images is not None and len(images) != len(net.global_algebra().basis):
-            raise PreconditionError("basis images do not match the global basis")
+        if images is not None:
+            # images of the global basis, keyed by the mask of its string
+            glob_masks = sorted(net.global_algebra().masks())
+            if len(images) != len(glob_masks):
+                raise PreconditionError("basis images do not match the global basis")
+            images = dict(zip(glob_masks, images))
+        self._images = images
         if validate and images is not None:
             self._check_homomorphism()
 
     def _check_homomorphism(self) -> None:
         glob = self.net.global_algebra()
-        for img in self._images:
+        for img in self._images.values():
             if not glob.contains(img):
                 raise PreconditionError("image leaves the global algebra")
         ident = GMat.identity(self.net.n)
@@ -499,20 +464,15 @@ class LocalizedEndo:
     def apply(self, m: GMat) -> GMat:
         if self.unitary is not None:
             return self.unitary @ m @ self.unitary.adjoint()
-        # the global basis is unit Pauli strings, HS-orthogonal with squared
-        # norm N: the coordinate on a string is its HS inner product with m
-        # over N
-        norm = GaussianRational.of(self.net.n)
-        out, residual = GMat.zero(self.net.n), m
-        for base, img in zip(self.net.global_algebra().basis, self._images):
-            inner = base.hs_inner(m)
-            if inner.is_zero():
-                continue
-            coeff = inner / norm
-            residual = residual - base.scale(coeff)
-            out = out + img.scale(coeff)
-        if not residual.is_zero():
-            raise PreconditionError("matrix outside the global algebra")
+        # m is the sum of c * P(x, z), so its image is the sum of c times the
+        # image of P(x, z)
+        out = GMat.zero(self.net.n)
+        for mask, c in pauli_coefficients(m).items():
+            img = self._images.get(mask)
+            if img is None:
+                raise PreconditionError("matrix outside the global algebra")
+            term = img if c == GR_ONE else img.scale(c)
+            out = term if out.is_zero() else out + term
         return out
 
     @property
@@ -543,7 +503,7 @@ class LocalizedEndo:
             self.net,
             region,
             unitary=self.unitary,
-            images=self._images,
+            images=None if self._images is None else list(self._images.values()),
             label=label or self.label,
             validate=False,
             mask=self._mask,

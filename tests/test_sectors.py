@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sectorfact.fixtures import (
+    collapse_sector,
     diagonal_net,
     entangler_unitary,
     pauli_sector,
@@ -14,14 +15,19 @@ from sectorfact.fixtures import (
     reflection_unitary,
     standard_sector_family,
 )
+import sectorfact.fixtures as fixtures_module
+import sectorfact.linalg as linalg_module
 import sectorfact.sectors as sectors_module
 from sectorfact.linalg import (
     GMat,
+    GR_I,
     GR_ONE,
     GR_ZERO,
     GaussianRational,
     as_pauli_string,
     nullspace,
+    pauli_coefficients,
+    pauli_mask_span,
     pauli_string,
 )
 from sectorfact.reports import PreconditionError, SchemaError, dump_json
@@ -38,7 +44,6 @@ from sectorfact.sectors import (
     check_transportable,
     commutant,
     _ad_equal,
-    _dense_commutant,
     _solve_intertwiner,
     diamond,
     diamond_mor,
@@ -77,8 +82,6 @@ def test_commutant_of_middle_factor(net4):
 def test_commutant_dense_agrees_with_mask_path():
     # dual route: the dense exact nullspace solve must reproduce the
     # symplectic mask computation on every single-qubit string algebra
-    from sectorfact.sectors import _dense_commutant
-
     for masks in [
         [(0, 0), (1, 0)],
         [(0, 0), (0, 1)],
@@ -87,28 +90,26 @@ def test_commutant_dense_agrees_with_mask_path():
     ]:
         alg = MatrixAlg.pauli_span(1, masks)
         fast = commutant(alg)
-        dense = MatrixAlg(2, _dense_commutant(2, alg.basis), validate=False)
-        assert fast.dim == dense.dim
-        assert all(fast.contains(m) for m in dense.basis)
+        dense = reference_dense_commutant(2, alg.basis)
+        assert fast.dim == len(dense)
+        assert all(fast.contains(m) for m in dense)
 
 
 def test_commutant_dense_agrees_two_qubits():
-    from sectorfact.sectors import _dense_commutant
-
     alg = MatrixAlg.full_on_sites(2, [0])
     fast = commutant(alg)
-    dense = MatrixAlg(4, _dense_commutant(4, alg.basis), validate=False)
-    assert fast.dim == dense.dim == 4
-    assert all(fast.contains(m) for m in dense.basis)
+    dense = reference_dense_commutant(4, alg.basis)
+    assert fast.dim == len(dense) == 4
+    assert all(fast.contains(m) for m in dense)
 
 
 def test_commutant_of_non_string_algebra():
-    # projections onto the two coordinates: an abelian non-string basis
+    # projections onto the two coordinates span an abelian algebra with no
+    # string basis; a MatrixAlg is a string algebra, so it is refused
     e00 = GMat(2, {(0, 0): GR_ONE})
     e11 = GMat(2, {(1, 1): GR_ONE})
-    alg = MatrixAlg(2, [e00, e11], name="diag")
-    c = commutant(alg)
-    assert c.dim == 2  # the diagonal algebra is its own commutant in M_2
+    with pytest.raises(SchemaError, match="not a scaled Pauli string"):
+        MatrixAlg(2, [e00, e11], name="diag")
 
 
 def test_bicommutant_fixtures(net4):
@@ -408,8 +409,8 @@ def test_intertwiner_for_general_endomorphism(bits4):
 
 
 def reference_dense_commutant(n, constraints):
-    """`_dense_commutant` before it shared its row builder with
-    `_solve_intertwiner`, kept verbatim as the oracle."""
+    """Exact nullspace basis of {X : X A = A X for every constraint A}, one
+    row per matrix entry: the dense oracle of the symplectic commutant."""
     rows = []
     for a in constraints:
         for i in range(n):
@@ -474,15 +475,6 @@ def gmats(n):
 
 @settings(max_examples=80, deadline=None)
 @given(st.data())
-def test_dense_commutant_matches_reference(data):
-    n = data.draw(st.integers(1, 3), label="n")
-    mats = data.draw(st.lists(gmats(n), max_size=3), label="constraints")
-    got = _dense_commutant(n, mats)
-    assert [m.key() for m in got] == [m.key() for m in reference_dense_commutant(n, mats)]
-
-
-@settings(max_examples=80, deadline=None)
-@given(st.data())
 def test_dense_intertwiner_matches_reference(data):
     n = data.draw(st.integers(2, 3), label="n")
     rhs = data.draw(st.lists(gmats(n), min_size=1, max_size=3), label="rhs")
@@ -504,6 +496,139 @@ def test_dense_intertwiner_matches_reference(data):
     if want is not None:
         assert got.key() == want.key()
         assert all(a @ got == got @ b for a, b in pairs)
+
+
+# -- Pauli expansion: membership without a dense engine -------------------------------
+
+
+def scaled_strings(L):
+    n = 1 << L
+    return st.builds(
+        pauli_string,
+        st.just(L),
+        st.integers(0, n - 1),
+        st.integers(0, n - 1),
+        st.builds(GaussianRational, _small, _small),
+    )
+
+
+# CZ and the site reflection: monomial unitaries that are not strings
+NON_STRING_UNITARIES = [
+    entangler_unitary(qubit_net(2), 0, 1),
+    reflection_unitary(2),
+    entangler_unitary(qubit_net(3), 0, 2),
+    reflection_unitary(3),
+]
+EXPANDED = st.one_of(
+    st.sampled_from([0, 1, 2]).flatmap(lambda L: gmats(1 << L)),
+    st.sampled_from([0, 1, 2]).flatmap(scaled_strings),
+    st.sampled_from(NON_STRING_UNITARIES),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(EXPANDED)
+def test_pauli_coefficients_are_the_hs_projections(m):
+    n = m.n
+    L = n.bit_length() - 1
+    want = {}
+    for x in range(n):
+        for z in range(n):
+            c = pauli_string(L, x, z).hs_inner(m) / GaussianRational.of(n)
+            if not c.is_zero():
+                want[(x, z)] = c
+    coeffs = pauli_coefficients(m)
+    assert coeffs == want
+    total = GMat.zero(n)
+    for (x, z), c in coeffs.items():
+        total = total + pauli_string(L, x, z, c)
+    assert total == m
+
+
+@st.composite
+def algebra_and_matrix(draw):
+    L = draw(st.integers(1, 2))
+    n = 1 << L
+    masks = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    alg = MatrixAlg.pauli_span(L, pauli_mask_span(L, draw(st.lists(masks, max_size=3))))
+    # a combination of the algebra's strings, sometimes plus anything
+    m = GMat.zero(n)
+    for x, z in draw(st.lists(st.sampled_from(sorted(alg.masks())), max_size=3)):
+        m = m + pauli_string(L, x, z, draw(st.builds(GaussianRational, _small, _small)))
+    if draw(st.booleans()):
+        m = m + draw(st.one_of(gmats(n), scaled_strings(L)))
+    return alg, m
+
+
+@settings(max_examples=150, deadline=None)
+@given(algebra_and_matrix())
+def test_contains_matches_projection_oracle(case):
+    # oracle: m lies in the algebra exactly when it equals its HS projection
+    # onto the algebra's strings, which are orthogonal with squared norm N
+    alg, m = case
+    projection = GMat.zero(alg.n)
+    for b in alg.basis:
+        projection = projection + b.scale(b.hs_inner(m) / GaussianRational.of(alg.n))
+    assert alg.contains(m) == (projection == m)
+
+
+def test_contains_on_the_span_of_i_and_x():
+    i2, x, z = GMat.identity(2), pauli_string(1, 1, 0), pauli_string(1, 0, 1)
+    alg = MatrixAlg(2, [i2, x])
+    assert alg.dim == 2
+    assert alg.contains(i2 + x.scale(GaussianRational.of(7)))
+    assert alg.contains(x.scale(GR_I))
+    assert not alg.contains(z)
+    with pytest.raises(SchemaError, match="linearly dependent"):
+        MatrixAlg(2, [i2, x, x.scale(GR_I)])
+
+
+def _assert_membership_verdicts(bits4, rho):
+    ident = GMat.identity(bits4.n)
+    # the reset sector is intertwined with itself by Z and by X at site 0,
+    # but only Z lies in the abelian local algebra
+    Intertwiner(rho, rho, pauli_string(4, 0, 0b1000))
+    with pytest.raises(PreconditionError, match="leaves the local algebra"):
+        Intertwiner(rho, rho, pauli_string(4, 0b1000, 0))
+    # CZ lies in the diagonal commutant but is not a string
+    if not _ad_equal(bits4, ident, entangler_unitary(bits4, 1, 2)):
+        pytest.fail("CZ commutes with the diagonal global algebra")
+    if bits4.global_algebra().contains(ident + pauli_string(4, 0b1000, 0)):
+        pytest.fail("I + X0 is not diagonal")
+
+
+def test_membership_verdicts(bits4):
+    _assert_membership_verdicts(bits4, collapse_sector(bits4))
+
+
+def test_membership_check_can_fail(monkeypatch, bits4):
+    # corruption probe: an expansion that drops its last term must turn a
+    # membership verdict
+    rho = collapse_sector(bits4)
+    real = sectors_module.pauli_coefficients
+    monkeypatch.setattr(
+        sectors_module, "pauli_coefficients", lambda m: dict(list(real(m).items())[:-1])
+    )
+    with pytest.raises(pytest.fail.Exception):
+        _assert_membership_verdicts(bits4, rho)
+
+
+def test_mask_only_net_checks_build_no_matrix():
+    patches = [
+        mock.patch.object(module, "pauli_string", wraps=pauli_string)
+        for module in (linalg_module, sectors_module, fixtures_module)
+    ]
+    built = [p.start() for p in patches]
+    try:
+        for net in (qubit_net(5), diagonal_net(4)):
+            assert net.validate().ok
+            assert check_perp_commutativity(net).ok
+            for u in net.category.objects:
+                check_haag_duality(net, u)
+    finally:
+        for p in patches:
+            p.stop()
+    assert [b.call_count for b in built] == [0, 0, 0]
 
 
 def test_diamond_mor_identity(net4):
@@ -615,10 +740,32 @@ def test_net_structure_valid(net4, bits4):
 
 
 def test_net_json_round_trip(net4, bits4):
-    from sectorfact.fixtures import net_from_json, net_to_json
+    from sectorfact.fixtures import net_from_json, net_to_json, poset_orth_category
     from sectorfact.orthcat import validate_category
 
-    for net in (net4, bits4):
+    q3 = qubit_net(3)
+
+    def q3_with(alg):
+        return MatrixNet(q3.category, 3, q3.region_sites, {"[1,1]": alg}, name="q3")
+
+    no_orth_doc = net_to_json(qubit_net(2))
+    no_orth_doc["orth"] = []
+    no_orth = net_from_json(no_orth_doc)
+    assert not no_orth.category.orth
+    # a and c are disjoint but not marked
+    pair_only = net_from_json({
+        "name": "pairnet",
+        "sites": 3,
+        "regions": [
+            {"id": "a", "sites": [0]},
+            {"id": "b", "sites": [1]},
+            {"id": "c", "sites": [2]},
+            {"id": "abc", "sites": [0, 1, 2]},
+        ],
+        "orth": [["a", "b"]],
+    })
+    full_override = q3_with(MatrixAlg.full_on_sites(3, [0]))
+    for net in (net4, bits4, full_override, no_orth, pair_only):
         doc = net_to_json(net)
         again = net_from_json(doc)
         assert again.sites == net.sites
@@ -627,6 +774,18 @@ def test_net_json_round_trip(net4, bits4):
         assert validate_category(again.category).ok
         for u in net.category.objects:
             assert span_equal(again.algebra(u), net.algebra(u))
+    assert net_to_json(no_orth)["orth"] == [] and net_to_json(pair_only)["orth"] == [["a", "b"]]
+    # an X-only algebra is neither "full" nor "diagonal"
+    with pytest.raises(SchemaError, match="neither full nor diagonal"):
+        net_to_json(q3_with(MatrixAlg.pauli_span(3, [(0, 0), (4, 0)])))
+    # orthogonality that depends on the target is no set of region pairs
+    regions = {"a": frozenset({0}), "b": frozenset({1}), "ab": frozenset({0, 1}),
+               "abc": frozenset({0, 1, 2})}
+    narrow = poset_orth_category(
+        "narrow", regions, lambda s1, s2, tgt: not (s1 & s2) and len(tgt) == 2
+    )
+    with pytest.raises(SchemaError, match="orthogonality"):
+        net_to_json(MatrixNet(narrow, 3, regions))
 
 
 def test_net_json_explicit_orth():
@@ -730,10 +889,12 @@ def test_unclosed_mask_check_can_fail(monkeypatch):
         _assert_rejects_unclosed()
 
 
-def test_algebra_lookups_built_once(net4):
-    alg = net4.algebra("[2,3]")
+def test_algebra_lookups_built_once():
+    alg = qubit_net(4).algebra("[2,3]")
     assert isinstance(alg.masks(), frozenset) and alg.masks() is alg.masks()
-    assert alg.span() is alg.span()
+    with mock.patch.object(sectors_module, "pauli_string", wraps=pauli_string) as built:
+        assert alg.basis is alg.basis
+    assert built.call_count == alg.dim == 16
 
 
 def test_global_algebra_of_six_sites():
@@ -746,17 +907,16 @@ def test_global_algebra_of_six_sites():
 def test_net_rejects_non_string_override():
     base = qubit_net(2)
     cz = entangler_unitary(base, 0, 1)
-    non_string = MatrixAlg(4, [GMat.identity(4), cz], name="CZ")
-    assert non_string.masks() is None
+    with pytest.raises(SchemaError, match="not a scaled Pauli string"):
+        MatrixAlg(4, [GMat.identity(4), cz], name="CZ")
     wrong_size = MatrixAlg.full_on_sites(1, [0], name="one-qubit")
-    for alg in (non_string, wrong_size):
-        with pytest.raises(SchemaError):
-            MatrixNet(
-                category=base.category,
-                sites=2,
-                region_sites=base.region_sites,
-                overrides={"[1,2]": alg},
-            )
+    with pytest.raises(SchemaError, match="acts on 1 qubits, not 2"):
+        MatrixNet(
+            category=base.category,
+            sites=2,
+            region_sites=base.region_sites,
+            overrides={"[1,2]": wrong_size},
+        )
 
 
 def _image_sector(rho):
