@@ -1,10 +1,24 @@
+import dataclasses
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sectorfact.fixtures import interval_category, trivial_action
+import sectorfact.operad as operad_module
+import sectorfact.sectors as sectors_module
+from sectorfact.fixtures import (
+    collapse_sector,
+    diagonal_net,
+    entangler_unitary,
+    interval_category,
+    pauli_sector,
+    qubit_net,
+    standard_sector_family,
+    trivial_action,
+)
+from sectorfact.linalg import pauli_string
 from sectorfact.operad import (
     EquivariantAlgebraAssignment,
     FiniteAlgebraAssignment,
@@ -26,6 +40,7 @@ from sectorfact.reports import (
     ValidationReport,
     dump_json,
 )
+from sectorfact.sectors import LocalizedEndo, sector_algebra_assignment
 
 
 def unary(cat, u, v):
@@ -670,3 +685,284 @@ def test_kernel_accepting_undefined_outer_composite_is_internal_error(intcat6, m
     _force_clean_summary(monkeypatch, clean=False)
     with pytest.raises(RuntimeError, match="compose rejects"):
         validate_operad(probe_b(intcat6), 2)
+
+
+# -- the algebra proof against the full walk ---------------------------------------------
+
+
+def reference_validate_algebra(cat, assign, bound=3):
+    """The walk of every diagram instance that `validate_algebra` ran
+    before it proved the summarized tuples, kept verbatim as the oracle."""
+    report = ValidationReport(check="algebra-axioms", subject=assign.name or cat.name)
+    ops = enumerate_all_operations(cat, bound)
+    ops_by_target = {}
+    for op in ops:
+        ops_by_target.setdefault(op.target, []).append(op)
+
+    def apply(op, args, context):
+        try:
+            return assign.structure(op)(args)
+        except PreconditionError as exc:
+            report.add(
+                "structure-arity", {"context": context, "op": op.label(), "detail": str(exc)}
+            )
+            return None
+
+    def tuples_for(sources):
+        return itertools.product(*(assign.carrier(u) for u in sources))
+
+    for v in cat.objects:
+        unary = PrefactOperation(v, (v,), (cat.identities[v],))
+        for x in assign.carrier(v):
+            y = apply(unary, (x,), "unit")
+            if y is not None and not assign.equal(x, y):
+                report.add(
+                    "unit-diagram",
+                    {"object": v, "element": assign.describe(x), "got": assign.describe(y)},
+                )
+
+    for f in ops:
+        for gs in _reference_inner_tuples(ops_by_target, f.sources, bound):
+            try:
+                fg = compose(cat, f, gs)
+            except PreconditionError:
+                continue
+            for xs in tuples_for(fg.sources):
+                lhs = apply(fg, tuple(xs), "composition")
+                if lhs is None:
+                    continue
+                pos = 0
+                mids = []
+                for g in gs:
+                    mid = apply(g, tuple(xs[pos : pos + g.arity]), "composition")
+                    pos += g.arity
+                    mids.append(mid)
+                if any(m is None for m in mids):
+                    continue
+                rhs = apply(f, tuple(mids), "composition")
+                if rhs is not None and not assign.equal(lhs, rhs):
+                    report.add(
+                        "composition-diagram",
+                        {
+                            "f": f.label(),
+                            "g": [g.label() for g in gs],
+                            "elements": [assign.describe(x) for x in xs],
+                        },
+                    )
+
+    for f in ops:
+        if f.arity < 2:
+            continue
+        for sigma in itertools.permutations(range(f.arity)):
+            fsig = permute(f, sigma)
+            for xs in tuples_for(f.sources):
+                lhs = apply(fsig, tuple(xs[s] for s in sigma), "permutation")
+                rhs = apply(f, tuple(xs), "permutation")
+                if lhs is None or rhs is None:
+                    continue
+                if not assign.equal(lhs, rhs):
+                    report.add(
+                        "permutation-diagram",
+                        {
+                            "f": f.label(),
+                            "sigma": list(sigma),
+                            "elements": [assign.describe(x) for x in xs],
+                        },
+                    )
+    return report
+
+
+def _cz_family(net):
+    # CZ on sites 0 and 1 at [1,2]: inner, but no Pauli string, so no summary
+    family = standard_sector_family(net)
+    family["[1,2]"] = [
+        LocalizedEndo(net, "[1,2]", unitary=entangler_unitary(net, 0, 1), label="CZ@[1,2]")
+    ]
+    return family
+
+
+def _misfiled_family(net):
+    # [1,1] also lists an X on site 1 labelled [1,1] (not localized there,
+    # yet every diagram holds) and the X sector of [2,2]: every structure
+    # map on a tuple holding the latter raises, a structure-arity witness
+    family = standard_sector_family(net)
+    stray = LocalizedEndo(net, "[1,1]", unitary=pauli_string(net.sites, 1 << (net.sites - 2), 0),
+                          label="X@[2,2]-listed-at-[1,1]")
+    family["[1,1]"] = family["[1,1]"] + [stray, pauli_sector(net, "X", "[2,2]")]
+    return family
+
+
+def _collapse_family(net):
+    # the image-built reset sector of the diagonal net next to its inner ones
+    family = standard_sector_family(net)
+    family["[1,2]"] = [collapse_sector(net)]
+    return family
+
+
+def _sectors(net, family_of):
+    return net.category, sector_algebra_assignment(net, family_of(net))
+
+
+# name -> (net and assignment, bound); built when a test asks
+_PROOF_CASES = {
+    **{
+        f"standard-qubit{L}-b{b}": (lambda L=L: _sectors(qubit_net(L), standard_sector_family), b)
+        for L in (2, 3, 4)
+        for b in (1, 2, 3)
+    },
+    "standard-qubit5-b2": (lambda: _sectors(qubit_net(5), standard_sector_family), 2),
+    "cz-qubit4-b2": (lambda: _sectors(qubit_net(4), _cz_family), 2),
+    "cz-qubit3-b3": (lambda: _sectors(qubit_net(3), _cz_family), 3),
+    "misfiled-qubit4-b2": (lambda: _sectors(qubit_net(4), _misfiled_family), 2),
+    "collapse-bits4-b2": (lambda: _sectors(diagonal_net(4), _collapse_family), 2),
+    **{
+        f"multiplication-qubit{L}-b2": (
+            lambda L=L: (qubit_net(L).category, multiplication_assignment(qubit_net(L))), 2
+        )
+        for L in (2, 3)
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PROOF_CASES))
+def test_algebra_proof_matches_the_full_walk(name):
+    build, bound = _PROOF_CASES[name]
+    cat, assign = build()
+    want = dump_json(reference_validate_algebra(cat, assign, bound).to_dict())
+    assert dump_json(validate_algebra(cat, assign, bound).to_dict()) == want
+    if name.startswith("misfiled"):
+        assert '"structure-arity"' in want and '"composition"' in want
+
+
+def test_summary_without_the_region_test_loses_the_misfiled_witnesses(monkeypatch):
+    net = qubit_net(4)
+    want = reference_validate_algebra(*_sectors(net, _misfiled_family), 2).violations
+    # corruption probe: a summary that ignores where the sector is filed
+    monkeypatch.setattr(
+        sectors_module, "_sector_summary", lambda u, s: s.mask if s.unitary is not None else None
+    )
+    got = validate_algebra(*_sectors(net, _misfiled_family), 2).violations
+    assert all(v.axiom == "structure-arity" for v in want + got)
+    assert len(got) < len(want)
+    assert {v.witness["context"] for v in got} == {"unit"}
+
+
+def _logged(assign, log):
+    """The assignment with each structure evaluation and each equality test
+    appended to `log`; every diagram instance ends with one equality test."""
+    def structure(op):
+        run = assign.structure(op)
+
+        def logged(args):
+            log.append(("eval", op.label(), tuple(x.label for x in args), args))
+            return run(args)
+
+        return logged
+
+    def equal(a, b):
+        log.append(("equal",))
+        return assign.equal(a, b)
+
+    return dataclasses.replace(assign, structure=structure, equal=equal)
+
+
+def _instances(log):
+    out, current = [], []
+    for event in log:
+        current.append(event)
+        if event[0] == "equal":
+            out.append(current)
+            current = []
+    assert not current
+    return out
+
+
+def _labels(instances):
+    return [event[:3] for instance in instances for event in instance]
+
+
+def test_proof_walks_exactly_the_tuples_holding_cz():
+    net = qubit_net(4)
+    family = _cz_family(net)
+    walked, full = [], []
+    validate_algebra(net.category, _logged(sector_algebra_assignment(net, family), walked), 3)
+    reference_validate_algebra(
+        net.category, _logged(sector_algebra_assignment(net, family), full), 3
+    )
+    instances = _instances(full)
+    units = sum(len(family.get(u, [])) + 1 for u in net.category.objects)
+    # an instance starts with an evaluation on carrier elements (x, x sigma
+    # or the xs of gamma(f; g)); it holds CZ when one of them has no mask
+    holding_cz = [
+        inst for inst in instances[units:] if any(x.mask is None for x in inst[0][3])
+    ]
+    assert 0 < len(holding_cz) < len(instances) - units
+    assert _labels(_instances(walked)) == _labels(instances[:units] + holding_cz)
+
+
+def _count_theorem311(monkeypatch, family_of):
+    """theorem311 on qubit4 at bound 3, counting structure maps and sector
+    products in all and inside `validate_algebra`."""
+    calls = {"pfa": 0, "diamond": 0, "pfa-in-algebra": 0}
+
+    def counted(name, fn):
+        def run(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return run
+
+    def algebra(*args, **kwargs):
+        before = calls["pfa"]
+        out = real_algebra(*args, **kwargs)
+        calls["pfa-in-algebra"] += calls["pfa"] - before
+        return out
+
+    real_algebra = operad_module.validate_algebra
+    for key, name in (("pfa", "pfa_structure_map"), ("diamond", "diamond")):
+        monkeypatch.setattr(sectors_module, name, counted(key, getattr(sectors_module, name)))
+    monkeypatch.setattr(operad_module, "validate_algebra", algebra)
+    net = qubit_net(4)
+    family = family_of(net)
+    report = sectors_module.validate_theorem_3_11(net, family, bound=3)
+    return report, calls, net, sectors_module.sector_carriers(net, family)
+
+
+def test_theorem311_on_the_standard_family_evaluates_only_the_unit_diagram(monkeypatch):
+    report, calls, _, carriers = _count_theorem311(monkeypatch, standard_sector_family)
+    assert report.ok
+    # one evaluation of F(id_V) per carrier element, and no sector product
+    units = sum(len(sectors) for sectors in carriers.values())
+    assert calls == {"pfa": units, "diamond": 0, "pfa-in-algebra": units}
+
+
+def test_theorem311_on_the_cz_family_walks_the_pairs_holding_cz(monkeypatch):
+    report, calls, net, carriers = _count_theorem311(monkeypatch, _cz_family)
+    # strict monoidality makes three structure-map evaluations per pair of
+    # tuples (rhos, rhodots), and walks the pairs that hold CZ
+    pairs = 0
+    for op in enumerate_all_operations(net.category, 2):
+        if op.arity:
+            pools = [carriers[u] for u in op.sources]
+            masked = [[s for s in pool if s.mask is not None] for pool in pools]
+            pairs += math.prod(map(len, pools)) ** 2 - math.prod(map(len, masked)) ** 2
+    assert pairs > 0
+    assert calls["pfa"] - calls["pfa-in-algebra"] == 3 * pairs
+    # the same report as the walk of everything, forced by hiding the masks
+    monkeypatch.setattr(LocalizedEndo, "mask", None)
+    walked = _count_theorem311(monkeypatch, _cz_family)[0]
+    assert dump_json(walked.to_dict()) == dump_json(report.to_dict())
+
+
+def test_theorem311_on_qubit5_at_bound_3_matches_the_full_walk(monkeypatch):
+    def report():
+        net = qubit_net(5)
+        family = standard_sector_family(net)
+        return dump_json(sectors_module.validate_theorem_3_11(net, family, bound=3).to_dict())
+
+    proved = report()
+    # the full walk: the reference sweep, and no sector summarized for the
+    # strict-monoidality loop
+    monkeypatch.setattr(operad_module, "validate_algebra", reference_validate_algebra)
+    monkeypatch.setattr(sectors_module, "_sector_summary", lambda u, s: None)
+    assert report() == proved

@@ -27,10 +27,11 @@ from sectorfact.linalg import (
     as_pauli_string,
     nullspace,
     pauli_coefficients,
+    pauli_commute,
     pauli_mask_span,
     pauli_string,
 )
-from sectorfact.reports import PreconditionError, SchemaError, dump_json
+from sectorfact.reports import PreconditionError, SchemaError, ValidationReport, dump_json
 from sectorfact.sectors import (
     Intertwiner,
     LocalizedEndo,
@@ -49,10 +50,11 @@ from sectorfact.sectors import (
     diamond_mor,
     identity_sector,
     pfa_structure_map,
+    sector_algebra_assignment,
     span_equal,
     validate_theorem_3_11,
 )
-from sectorfact.operad import enumerate_operations
+from sectorfact.operad import enumerate_all_operations, enumerate_operations
 
 
 # -- commutants -------------------------------------------------------------------
@@ -303,6 +305,91 @@ def test_entangler_not_localized(net4):
 def test_identity_localized_anywhere(net4):
     for region in net4.category.objects:
         assert check_localized(identity_sector(net4, region), net4).ok
+
+
+def reference_check_localized(rho, net):
+    """The `GMat` loop that `check_localized` runs for unmasked sectors, run
+    on every sector: the oracle of the mask branch."""
+    report = ValidationReport(check="localized", subject=rho.label)
+    for u in net.orth_partners(rho.region):
+        for i, a in enumerate(net.algebra(u).basis):
+            if rho.apply(a) != a:
+                report.add(
+                    "strict-localization",
+                    {"region": rho.region, "orthogonal_region": u, "basis_index": i},
+                )
+    return report
+
+
+def _skew4():
+    # region [2,3] moved to sites {1,3}: the reflection no longer maps the
+    # net onto itself, so some transformed sectors are not localized
+    from sectorfact.fixtures import net_from_json, net_to_json
+
+    doc = net_to_json(qubit_net(4, name="skew4"))
+    for region in doc["regions"]:
+        if region["id"] == "[2,3]":
+            region["sites"] = [1, 3]
+    return net_from_json(doc)
+
+
+@pytest.fixture(scope="module")
+def localization_cases():
+    """(net, sector) for every sector of `_wrong_site_family`, a CZ on sites
+    0 and 3 filed at [1,1], the reset sector on bits4, and every sector
+    `g_act_sector` checks when it transforms them, on qubit4, skew4 and
+    bits4."""
+    from sectorfact.fixtures import qubit_reflection_data
+
+    cases = []
+    real = sectors_module.check_localized
+
+    def record(rho, net):
+        cases.append((net, rho))
+        return real(rho, net)
+
+    for net in (qubit_net(4), _skew4(), diagonal_net(4)):
+        data = qubit_reflection_data(net)
+        sectors = [rho for family in _wrong_site_family(net).values() for rho in family]
+        sectors.append(
+            LocalizedEndo(net, "[1,1]", unitary=entangler_unitary(net, 0, 3), label="CZ")
+        )
+        if net.overrides:
+            sectors.append(collapse_sector(net))
+        for rho in sectors:
+            cases.append((net, rho))
+            with mock.patch.object(sectors_module, "check_localized", record):
+                for g in data.action.group.elements:
+                    try:
+                        sectors_module.g_act_sector(g, rho, data)
+                    except PreconditionError:
+                        pass
+    return cases
+
+
+def _localization_reports(check, cases):
+    return [dump_json(check(rho, net).to_dict()) for net, rho in cases]
+
+
+def test_check_localized_matches_the_matrix_loop(localization_cases):
+    want = _localization_reports(reference_check_localized, localization_cases)
+    assert _localization_reports(check_localized, localization_cases) == want
+    failing = [
+        rho.mask for (_, rho), report in zip(localization_cases, want) if '"basis_index"' in report
+    ]
+    # both branches are exercised, and masked sectors fail at several indices
+    assert any(m is None for m in failing) and sum(m is not None for m in failing) >= 4
+
+
+def test_check_localized_probes(monkeypatch, localization_cases):
+    want = _localization_reports(reference_check_localized, localization_cases)
+    with monkeypatch.context() as m:
+        # the masks in set order, not in the order of `basis`
+        m.setattr(MatrixAlg, "sorted_masks", property(lambda alg: list(alg.masks())))
+        assert _localization_reports(check_localized, localization_cases) != want
+    with monkeypatch.context() as m:
+        m.setattr(sectors_module, "pauli_commute", lambda *masks: not pauli_commute(*masks))
+        assert _localization_reports(check_localized, localization_cases) != want
 
 
 # -- transport ----------------------------------------------------------------------------------
@@ -1119,6 +1206,62 @@ def test_same_map_probe_ignoring_the_commutant(monkeypatch):
         _check_mask_rule(BITS4, x0, x0z1)
 
 
+# -- the summary behind the algebra proof ----------------------------------------------------------
+
+
+def test_sector_summary_is_the_rederived_mask(net2, net4):
+    summary = sector_algebra_assignment(net4, {}).summary
+    xz = pauli_sector(net4, "XZ", "[1,2]")
+    assert summary("[1,2]", xz) == xz.mask == (0b1000, 0b0100)
+    assert summary("[1,3]", xz) is None  # filed at another region
+    assert summary("[1,1]", identity_sector(net4, "[1,1]")) == (0, 0)
+    cz = LocalizedEndo(net4, "[1,2]", unitary=entangler_unitary(net4, 0, 1), label="CZ")
+    assert cz.mask is None and summary("[1,2]", cz) is None
+    lying = LocalizedEndo(net4, "[1,2]", unitary=xz.unitary, mask=(0b1000, 0))
+    assert lying.mask == (0b1000, 0) and summary("[1,2]", lying) is None
+    image = _image_sector(pauli_sector(net2, "X", "[1,1]"))
+    assert sector_algebra_assignment(net2, {}).summary("[1,1]", image) is None
+
+
+_PREMISE_NETS = {L: qubit_net(L) for L in (2, 3, 4)}
+_PREMISE_OPS = {
+    L: enumerate_all_operations(net.category, 3) for L, net in _PREMISE_NETS.items()
+}
+
+
+@st.composite
+def masked_structure_inputs(draw):
+    L = draw(st.sampled_from(sorted(_PREMISE_NETS)))
+    net, ops = _PREMISE_NETS[L], _PREMISE_OPS[L]
+    arity = draw(st.sampled_from(sorted({op.arity for op in ops})))
+    op = draw(st.sampled_from([op for op in ops if op.arity == arity]))
+    sectors = []
+    for u in op.sources:
+        x, z = draw(st.integers(0, (1 << L) - 1)), draw(st.integers(0, (1 << L) - 1))
+        u_built = draw(st.sampled_from([u] + sorted(net.category.objects)))
+        rho = LocalizedEndo(
+            net, u_built, unitary=pauli_string(L, x, z, draw(st.sampled_from(UNIMODULAR))),
+            validate=False,
+        )
+        sectors.append(rho if u_built == u else rho.relabel(u))
+    return net, op, tuple(sectors)
+
+
+@settings(max_examples=120, deadline=None)
+@given(masked_structure_inputs())
+def test_structure_maps_xor_the_masks(case):
+    net, op, sectors = case
+    summary = sector_algebra_assignment(net, {}).summary
+    x = z = 0
+    for rho, u in zip(sectors, op.sources):
+        assert summary(u, rho) == rho.mask
+        x, z = x ^ rho.mask[0], z ^ rho.mask[1]
+    out = pfa_structure_map(op, sectors, net)
+    assert out.region == op.target
+    assert out.mask == _decoded(out.unitary) == (x, z)
+    assert summary(op.target, out) == (x, z)
+
+
 # -- reports with and without the mask rule --------------------------------------------------------
 
 
@@ -1152,10 +1295,14 @@ def test_sector_campaigns_identical_without_masks(monkeypatch, tmp_path):
 
     net = str(tmp_path / "qubit4.json")
     assert main(["fixtures", "export", "qubit4", "--out", net]) == 0
+    # with the masks hidden no sector has a summary, so theorem311 and
+    # operad algebra walk every diagram instance the proof skips
     campaigns = [
         ["sectors", "equivariance", "--net", net],
         ["operad", "algebra", "--net", net, "--bound", "2", "--equivariant"],
         ["sectors", "diamond", "--net", net],
+        ["sectors", "theorem311", "--net", net, "--bound", "3"],
+        ["operad", "algebra", "--net", net, "--bound", "3"],
     ]
 
     def outputs(tag):
