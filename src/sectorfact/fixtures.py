@@ -269,7 +269,7 @@ def collapse_sector(net: MatrixNet, region: str = "[1,2]") -> LocalizedEndo:
         if s not in region_cells:
             keep |= 1 << (net.sites - 1 - s)
     images = []
-    for x, z in net.global_algebra().sorted_masks:
+    for x, z in sorted(net.global_algebra().masks()):
         if x != 0:
             raise SchemaError("collapse sector needs a diagonal net")
         images.append(pauli_string(net.sites, 0, z & keep))

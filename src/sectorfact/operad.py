@@ -11,10 +11,9 @@ pairwise-orthogonal tuple keeps it pairwise orthogonal; `validate_operad`
 checks that each composite it needs is defined and walks no permutation.
 Its associativity sweep skips the (f, g) that an interned proof clears and
 runs the reference loop over `compose` for the rest.  Likewise
-`validate_algebra` proves the composition and permutation diagrams on the
-element tuples whose members all carry an XOR-additive summary (the masks
-of Pauli sectors) and walks only the tuples that hold an element without
-one.
+`validate_algebra` proves the composition and permutation diagrams when
+every carrier element carries an XOR-additive summary (the masks of Pauli
+sectors) and walks every instance otherwise.
 """
 
 from __future__ import annotations
@@ -560,6 +559,9 @@ class FiniteAlgebraAssignment:
     structure map is defined, its result's summary at the target is the
     XOR of the inputs' summaries (the identity in arity 0), and elements
     with equal summaries are `equal`.  The default summarizes nothing.
+    `validate_algebra` reads only whether a summary is None; the value is
+    what the contract speaks of, and the tests check it against the
+    structure maps.
     """
 
     carrier: Callable[[str], Sequence[Any]]
@@ -570,49 +572,21 @@ class FiniteAlgebraAssignment:
     summary: Callable[[str, Any], Any] = staticmethod(lambda u, x: None)
 
 
-def open_tuples(pools: Sequence[Sequence[Any]], open_flags: Sequence[Sequence[bool]]):
-    """The tuples of itertools.product(*pools), in product order, that hold
-    at least one element flagged open (open_flags[i][j] flags pools[i][j])."""
-    n = len(pools)
-    # some pool at position >= i holds an open element
-    later = [False] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        later[i] = later[i + 1] or any(open_flags[i])
-
-    def walk(i: int, prefix: tuple, hit: bool):
-        if i == n:
-            yield prefix
-            return
-        for x, is_open in zip(pools[i], open_flags[i]):
-            if hit or is_open or later[i + 1]:
-                yield from walk(i + 1, prefix + (x,), hit or is_open)
-
-    if later[0]:
-        yield from walk(0, (), False)
-
-
 def validate_algebra(
     cat: OrthCategory, assign: FiniteAlgebraAssignment, bound: int = 3
 ) -> ValidationReport:
     """Check the unit, composition, and permutation diagrams of an algebra
     over the prefactorization operad on spanning elements, exactly.
 
-    The unit diagram is walked on every element.  The composition and
-    permutation diagrams are proved on each element tuple whose members
-    all have a summary: by the summary contract of
-    `FiniteAlgebraAssignment`, each side is defined and its summary is the
-    XOR of the same multiset of input summaries, so the sides are equal.
-    Only the tuples holding an element without a summary are walked, in
-    the order of the full walk, so the report lists the same violations in
-    the same order; when every element has a summary no operation is
-    enumerated.  The tests keep the full walk as the oracle.
+    The unit diagram is walked on every element.  When every carrier
+    element has a summary, the composition and permutation diagrams are
+    proved rather than walked: by the summary contract of
+    `FiniteAlgebraAssignment`, each side of each instance is defined and
+    its summary is the XOR of the same multiset of input summaries, so the
+    sides are equal, and no operation is enumerated.  Otherwise every
+    instance is walked.  The tests keep the full walk as the oracle.
     """
     report = ValidationReport(check="algebra-axioms", subject=assign.name or cat.name)
-    carriers = {v: list(assign.carrier(v)) for v in cat.objects}
-    open_flags = {
-        v: [assign.summary(v, x) is None for x in xs] for v, xs in carriers.items()
-    }
-    has_open = {v: any(flags) for v, flags in open_flags.items()}
 
     def apply(op: PrefactOperation, args: tuple, context: str):
         try:
@@ -623,20 +597,20 @@ def validate_algebra(
             )
             return None
 
-    def walked_tuples(sources: tuple[str, ...]):
-        return open_tuples([carriers[u] for u in sources], [open_flags[u] for u in sources])
+    def tuples_for(sources: tuple[str, ...]):
+        return itertools.product(*(assign.carrier(u) for u in sources))
 
     # unit diagram: F(id_V) = id
     for v in cat.objects:
         unary = PrefactOperation(v, (v,), (cat.identities[v],))
-        for x in carriers[v]:
+        for x in assign.carrier(v):
             y = apply(unary, (x,), "unit")
             if y is not None and not assign.equal(x, y):
                 report.add(
                     "unit-diagram",
                     {"object": v, "element": assign.describe(x), "got": assign.describe(y)},
                 )
-    if not any(has_open.values()):
+    if all(assign.summary(v, x) is not None for v in cat.objects for x in assign.carrier(v)):
         return report
     ops = enumerate_all_operations(cat, bound)
     ops_by_target: dict[str, list[PrefactOperation]] = {}
@@ -646,21 +620,18 @@ def validate_algebra(
     # composition diagram: F(gamma(f;g)) = F(f) o (F(g_1) x ... x F(g_n))
     for f in ops:
         for gs in _inner_tuples(ops_by_target, f.sources, bound):
-            # the sources of gamma(f; g) are those of the g_i in order
-            if not any(has_open[u] for g in gs for u in g.sources):
-                continue
             try:
                 fg = compose(cat, f, gs)
             except PreconditionError:
                 continue
-            for xs in walked_tuples(fg.sources):
-                lhs = apply(fg, xs, "composition")
+            for xs in tuples_for(fg.sources):
+                lhs = apply(fg, tuple(xs), "composition")
                 if lhs is None:
                     continue
                 pos = 0
                 mids = []
                 for g in gs:
-                    mid = apply(g, xs[pos : pos + g.arity], "composition")
+                    mid = apply(g, tuple(xs[pos : pos + g.arity]), "composition")
                     pos += g.arity
                     mids.append(mid)
                 if any(m is None for m in mids):
@@ -678,13 +649,13 @@ def validate_algebra(
 
     # permutation diagram: F(f sigma)(x sigma) = F(f)(x)
     for f in ops:
-        if f.arity < 2 or not any(has_open[u] for u in f.sources):
+        if f.arity < 2:
             continue
         for sigma in itertools.permutations(range(f.arity)):
             fsig = permute(f, sigma)
-            for xs in walked_tuples(f.sources):
+            for xs in tuples_for(f.sources):
                 lhs = apply(fsig, tuple(xs[s] for s in sigma), "permutation")
-                rhs = apply(f, xs, "permutation")
+                rhs = apply(f, tuple(xs), "permutation")
                 if lhs is None or rhs is None:
                     continue
                 if not assign.equal(lhs, rhs):

@@ -28,6 +28,7 @@ Pauli expansion: each coefficient times the image of its string.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 from .linalg import (
@@ -153,15 +154,10 @@ class MatrixAlg:
         return self._masks
 
     @functools.cached_property
-    def sorted_masks(self) -> list[tuple[int, int]]:
-        """The masks in sorted order, the order of `basis`."""
-        return sorted(self._masks)
-
-    @functools.cached_property
     def basis(self) -> list[GMat]:
         """The unit strings of the masks in sorted mask order, built on
         first use."""
-        return [pauli_string(self.L, x, z) for x, z in self.sorted_masks]
+        return [pauli_string(self.L, x, z) for x, z in sorted(self._masks)]
 
     def contains(self, m: GMat) -> bool:
         """m lies in the algebra exactly when every Pauli coefficient of m
@@ -442,7 +438,7 @@ class LocalizedEndo:
             raise PreconditionError("endomorphism needs a unitary or basis images")
         if images is not None:
             # images of the global basis, keyed by the mask of its string
-            glob_masks = net.global_algebra().sorted_masks
+            glob_masks = sorted(net.global_algebra().masks())
             if len(images) != len(glob_masks):
                 raise PreconditionError("basis images do not match the global basis")
             images = dict(zip(glob_masks, images))
@@ -532,7 +528,7 @@ def check_localized(rho: LocalizedEndo, net: MatrixNet) -> ValidationReport:
         if a is None:
             fixed = (rho.apply(m) == m for m in net.algebra(u).basis)
         else:
-            fixed = (pauli_commute(*a, *b) for b in net.algebra(u).sorted_masks)
+            fixed = (pauli_commute(*a, *b) for b in sorted(net.algebra(u).masks()))
         for i, ok in enumerate(fixed):
             if not ok:
                 report.add(
@@ -871,12 +867,11 @@ def validate_theorem_3_11(
     the operad of the index category, and strict monoidality of every
     structure map on sector pairs.
 
-    Strict monoidality is proved, like the algebra diagrams, on the pairs
-    of tuples whose sectors all have a summary (`_sector_summary`): each
-    side is a product of the same masks, so both carry their XOR and
-    `same_map` accepts them.  Only the tuples holding a sector without one
-    are walked, in the order of the full loop."""
-    from .operad import enumerate_all_operations, open_tuples, validate_algebra
+    Strict monoidality is proved, like the algebra diagrams, when every
+    sector has a summary (`_sector_summary`): each side is a product of
+    the same masks, so both carry their XOR and `same_map` accepts them.
+    Otherwise every pair of tuples is walked."""
+    from .operad import enumerate_all_operations, validate_algebra
     from .orthcat import (
         check_assumption_extension,
         check_assumption_orthocomplement,
@@ -921,38 +916,35 @@ def validate_theorem_3_11(
     report.violations.extend(alg_report.violations)
 
     # strict monoidality of each structure map on sector pairs
-    open_flags = {
-        u: [assign.summary(u, s) is None for s in sectors] for u, sectors in carriers.items()
-    }
-    if not any(any(flags) for flags in open_flags.values()):
+    if all(assign.summary(u, s) is not None for u, sectors in carriers.items() for s in sectors):
         return report
     for op in enumerate_all_operations(net.category, min(bound, 2)):
         if op.arity == 0:
             continue
         pools = [carriers[u] for u in op.sources]
-        flags = [open_flags[u] for u in op.sources]
-        # (rhos, rhodots) in the order of two nested products over the pools
-        for pair in open_tuples(pools + pools, flags + flags):
-            rhos, rhodots = pair[: op.arity], pair[op.arity :]
-            left = pfa_structure_map(
-                op,
-                tuple(diamond(r, rd) for r, rd in zip(rhos, rhodots)),
-                net,
-            )
-            right = diamond(
-                pfa_structure_map(op, rhos, net),
-                pfa_structure_map(op, rhodots, net),
-                region=op.target,
-            )
-            if not left.same_map(right):
-                report.add(
-                    "strict-monoidality",
-                    {
-                        "op": op.label(),
-                        "sectors": [r.label for r in rhos],
-                        "dotted": [r.label for r in rhodots],
-                    },
+        for rhos in itertools.product(*pools):
+            for rhodots in itertools.product(*pools):
+                left = pfa_structure_map(
+                    op,
+                    tuple(
+                        diamond(r, rd) for r, rd in zip(rhos, rhodots)
+                    ),
+                    net,
                 )
+                right = diamond(
+                    pfa_structure_map(op, rhos, net),
+                    pfa_structure_map(op, rhodots, net),
+                    region=op.target,
+                )
+                if not left.same_map(right):
+                    report.add(
+                        "strict-monoidality",
+                        {
+                            "op": op.label(),
+                            "sectors": [r.label for r in rhos],
+                            "dotted": [r.label for r in rhodots],
+                        },
+                    )
     return report
 
 

@@ -382,14 +382,15 @@ def test_check_localized_matches_the_matrix_loop(localization_cases):
 
 
 def test_check_localized_probes(monkeypatch, localization_cases):
-    want = _localization_reports(reference_check_localized, localization_cases)
+    masked = [(net, rho) for net, rho in localization_cases if rho.mask is not None]
+    want = _localization_reports(reference_check_localized, masked)
     with monkeypatch.context() as m:
         # the masks in set order, not in the order of `basis`
-        m.setattr(MatrixAlg, "sorted_masks", property(lambda alg: list(alg.masks())))
-        assert _localization_reports(check_localized, localization_cases) != want
+        m.setattr(sectors_module, "sorted", lambda xs: list(xs), raising=False)
+        assert _localization_reports(check_localized, masked) != want
     with monkeypatch.context() as m:
         m.setattr(sectors_module, "pauli_commute", lambda *masks: not pauli_commute(*masks))
-        assert _localization_reports(check_localized, localization_cases) != want
+        assert _localization_reports(check_localized, masked) != want
 
 
 # -- transport ----------------------------------------------------------------------------------
