@@ -411,7 +411,10 @@ def sparse_matmul(a: GMat, b: GMat) -> GMat:
 def nullspace(
     rows: list[list[GaussianRational]], ncols: int
 ) -> list[list[GaussianRational]]:
-    """Basis of {v : R v = 0} by exact Gauss-Jordan elimination."""
+    """Basis of {v : R v = 0} by exact Gauss-Jordan elimination.
+
+    The library itself solves no dense system; this is the dense oracle of
+    the tests (commutants, intertwiners), and `bench/tracer.py` times it."""
     reduced: list[list[GaussianRational]] = []
     pivots: list[int] = []
     for row in rows:

@@ -9,11 +9,13 @@ arithmetic: a set of (x, z) masks holding (0, 0) spans an algebra exactly
 when it is as large as its GF(2) span, a commutant is a GF(2) nullspace,
 and a matrix lies in an algebra exactly when its exact Pauli expansion
 (`pauli_coefficients`) uses only the algebra's masks.  `MatrixAlg` is
-therefore its mask set alone.  The one dense exact solve left is the
-intertwiner search of `find_covariance` for sectors given by basis
-images.  Sectors are unital *-endomorphisms of the global algebra acting
-as the identity on every algebra orthogonal to their localization region;
-the bundled ones are inner (conjugation by a local unitary).
+therefore its mask set alone, and no dense solve is left.  Sectors are
+unital *-endomorphisms of the global algebra acting as the identity on
+every algebra orthogonal to their localization region; the bundled ones
+are inner (conjugation by a local unitary).  A unital *-homomorphism is
+fixed by its images of the algebra's generators (`MatrixAlg.generators`,
+at most 2L strings), so homomorphism, intertwining and map-equality laws
+are checked on them.
 
 An inner sector whose unitary is a scalar times a Pauli string carries its
 (x, z) mask.  Products of such sectors get the XOR of the masks, and two
@@ -21,7 +23,7 @@ of them are the same map exactly when the XOR lies in the mask set of the
 global commutant (Ad_a = Ad_b iff b* a commutes with the global algebra,
 and b* a is a scalar times the string of the XOR).  Other unitaries (CZ,
 the site reflection) are compared by `_ad_equal` on `GMat`s, image-built
-sectors on the global basis.  An image-built sector maps a matrix by its
+sectors on the generators.  An image-built sector maps a matrix by its
 Pauli expansion: each coefficient times the image of its string.
 """
 
@@ -35,8 +37,8 @@ from .linalg import (
     GMat,
     GR_ONE,
     GR_ZERO,
+    _gf2_pivots,
     as_pauli_string,
-    nullspace,
     pauli_coefficients,
     pauli_commutant_masks,
     pauli_commute,
@@ -91,7 +93,8 @@ class MatrixAlg:
     GF(2) span.  Membership of a matrix is read off its exact Pauli
     expansion (`pauli_coefficients`), commutants are symplectic complements
     and span equality is mask-set equality, so no operation needs the
-    strings as matrices; `basis` builds them only when a caller asks.
+    strings as matrices; `basis` and `generators` build them only when a
+    caller asks.
     """
 
     def __init__(self, n: int, basis: list[GMat], validate: bool = True, name: str = ""):
@@ -159,6 +162,15 @@ class MatrixAlg:
         first use."""
         return [pauli_string(self.L, x, z) for x, z in sorted(self._masks)]
 
+    @functools.cached_property
+    def generators(self) -> list[GMat]:
+        """The unit strings of the reduced GF(2) rows of the masks, at most
+        2L: every string of the algebra is a scalar times a product of
+        them."""
+        L, low = self.L, (1 << self.L) - 1
+        rows = _gf2_pivots([(x << L) | z for x, z in sorted(self._masks)])
+        return [pauli_string(L, r >> L, r & low) for _, r in rows]
+
     def contains(self, m: GMat) -> bool:
         """m lies in the algebra exactly when every Pauli coefficient of m
         sits on one of its masks."""
@@ -180,29 +192,6 @@ class MatrixAlg:
 
     def __repr__(self) -> str:
         return f"MatrixAlg({self.name or 'anon'}, n={self.n}, dim={self.dim} pauli L={self.L})"
-
-
-def _sylvester_basis(n: int, pairs: list[tuple[GMat, GMat]]) -> list[GMat]:
-    """Exact nullspace basis of {Y : L Y = Y R for every pair (L, R)}, one
-    row of the linear system per entry (i, j) of L Y - Y R."""
-    rows = []
-    for lhs, rhs in pairs:
-        for i in range(n):
-            for j in range(n):
-                row = [GR_ZERO] * (n * n)
-                for k in range(n):
-                    lik = lhs.data.get((i, k))
-                    if lik is not None:
-                        row[k * n + j] = row[k * n + j] + lik
-                    rkj = rhs.data.get((k, j))
-                    if rkj is not None:
-                        row[i * n + k] = row[i * n + k] - rkj
-                if any(not v.is_zero() for v in row):
-                    rows.append(row)
-    return [
-        GMat(n, {(k // n, k % n): v for k, v in enumerate(vec) if not v.is_zero()})
-        for vec in nullspace(rows, n * n)
-    ]
 
 
 def _commutant_of(L: int, masks, name: str) -> MatrixAlg:
@@ -350,9 +339,9 @@ def check_perp_commutativity(net: MatrixNet) -> ValidationReport:
         if key in seen or (key[1], key[0]) in seen:
             continue
         seen.add(key)
-        p1, p2 = net.algebra(m1.src).masks(), net.algebra(m2.src).masks()
-        for (x1, z1) in sorted(p1):
-            for (x2, z2) in sorted(p2):
+        p2 = sorted(net.algebra(m2.src).masks())
+        for (x1, z1) in sorted(net.algebra(m1.src).masks()):
+            for (x2, z2) in p2:
                 if not pauli_commute(x1, z1, x2, z2):
                     report.add(
                         "perp-commutation",
@@ -447,18 +436,22 @@ class LocalizedEndo:
             self._check_homomorphism()
 
     def _check_homomorphism(self) -> None:
+        """Unital *-homomorphism, checked on the generators: rho(g b) =
+        rho(g) rho(b) for each generator g and basis string b gives
+        multiplicativity by induction on word length, and with it
+        rho(g*) = rho(g)* on the generators gives it on every product."""
         glob = self.net.global_algebra()
         for img in self._images.values():
             if not glob.contains(img):
                 raise PreconditionError("image leaves the global algebra")
-        ident = GMat.identity(self.net.n)
-        if not self.apply(ident).is_identity():
+        if not self.apply(GMat.identity(self.net.n)).is_identity():
             raise PreconditionError("endomorphism is not unital")
-        for a in glob.basis:
-            if not self.apply(a.adjoint()) == self.apply(a).adjoint():
+        for g in glob.generators:
+            rho_g = self.apply(g)
+            if self.apply(g.adjoint()) != rho_g.adjoint():
                 raise PreconditionError("endomorphism does not respect adjoints")
             for b in glob.basis:
-                if not self.apply(a @ b) == self.apply(a) @ self.apply(b):
+                if self.apply(g @ b) != rho_g @ self.apply(b):
                     raise PreconditionError("endomorphism is not multiplicative")
 
     def apply(self, m: GMat) -> GMat:
@@ -488,7 +481,7 @@ class LocalizedEndo:
         in the commutant's mask set; equal masks (a scalar b* a) are
         decided without building the commutant.  Other inner pairs go
         through `_ad_equal`, and image-built sectors are compared on the
-        basis."""
+        generators."""
         a, b = self.mask, other.mask
         if a is not None and b is not None:
             return a == b or (
@@ -496,7 +489,7 @@ class LocalizedEndo:
             )
         if self.unitary is not None and other.unitary is not None:
             return _ad_equal(self.net, self.unitary, other.unitary)
-        return _maps_equal_on_basis(self.net, self.apply, other.apply)
+        return _maps_equal_on_generators(self.net, self.apply, other.apply)
 
     def relabel(self, region: str, label: str | None = None) -> "LocalizedEndo":
         return LocalizedEndo(
@@ -635,8 +628,9 @@ def check_transportable(
 
 
 class Intertwiner:
-    """Matrix T with T rho(a) = rho'(a) T on the global basis; membership in
-    the local algebra of a joint localization region is validated."""
+    """Matrix T with T rho(a) = rho'(a) T on the global algebra, checked on
+    its generators; membership in the local algebra of a joint localization
+    region is validated."""
 
     def __init__(
         self,
@@ -650,7 +644,7 @@ class Intertwiner:
         self.matrix = matrix
         if validate:
             net = source.net
-            for a in net.global_algebra().basis:
+            for a in net.global_algebra().generators:
                 if matrix @ source.apply(a) != target.apply(a) @ matrix:
                     raise PreconditionError("matrix does not intertwine the sectors")
             join = net.join(source.region, target.region)
@@ -966,7 +960,8 @@ class SectorGroupData:
     def validate(self) -> ValidationReport:
         """Implementation axioms: each u_g unitary, the adjoint action matches
         the region action on every local algebra, compositions hold up to
-        phase, and the unit acts trivially."""
+        phase, and the unit acts trivially.  Ad u_g maps an algebra into
+        another exactly when it maps its generators there."""
         report = ValidationReport(check="group-implementation", subject=self.name)
         group = self.action.group
         unit = group.unit()
@@ -988,7 +983,7 @@ class SectorGroupData:
                 img = functor.apply_obj(region)
                 alg = self.net.algebra(region)
                 target = self.net.algebra(img)
-                for m in alg.basis:
+                for m in alg.generators:
                     if not target.contains(u @ m @ u.adjoint()):
                         report.add(
                             "covariant-implementation", {"g": g, "region": region}
@@ -1039,8 +1034,10 @@ class CovarianceFamily:
     method: str
 
 
-def _maps_equal_on_basis(net: MatrixNet, f, g) -> bool:
-    return all(f(a) == g(a) for a in net.global_algebra().basis)
+def _maps_equal_on_generators(net: MatrixNet, f, g) -> bool:
+    """f == g on the global algebra, for unital *-homomorphisms f and g:
+    maps that agree on the generators agree on every product of them."""
+    return all(f(a) == g(a) for a in net.global_algebra().generators)
 
 
 def _ad_equal(net: MatrixNet, a: GMat, b: GMat) -> bool:
@@ -1060,92 +1057,94 @@ def _ad_equal(net: MatrixNet, a: GMat, b: GMat) -> bool:
 def find_covariance(
     rho: LocalizedEndo, data: SectorGroupData
 ) -> CovarianceFamily | None:
-    """Projective family implementing the sector's covariance.
+    """Projective family implementing the sector's covariance: for each g a
+    unitary y with rho(u_g a u_g*) y = y rho(a) on the global algebra.
 
-    Inner sectors always admit the conjugated family.  For general sectors
-    the intertwining system is solved exactly by `_solve_intertwiner`, and
-    None is returned when it finds no solution.  On diagonal constraints
-    (the abelian nets) that search is complete, so None proves that no
-    unitary family exists; on other constraints it is not.
+    An inner sector Ad v has the conjugated family v u_g v*.  An image-built
+    sector on a global algebra with trivial commutant (all of M_N) is Ad w
+    for some unitary w, which `_pauli_twirl` recovers up to a scalar; the
+    family w u_g w*, divided by the scalar w w*, is returned only once the
+    law holds on the generators.  On diagonal constraints (the abelian
+    nets) `_solve_intertwiner` is complete, so None proves that no unitary
+    family exists.  Everything else raises PreconditionError: an
+    image-built sector that is no automorphism of a full global algebra,
+    and any global algebra that is neither full nor diagonal-constrained.
     """
-    net = data.net
     group = data.action.group
     if rho.unitary is not None:
-        fam = {}
-        for g in group.elements:
-            u_g = data.unitaries[g]
-            cand = rho.unitary @ u_g @ rho.unitary.adjoint()
-            # rho Ad_{u_g} = Ad_{v u_g} and Ad_cand rho = Ad_{cand v}
-            if not _ad_equal(net, rho.unitary @ u_g, cand @ rho.unitary):
-                return None
-            fam[g] = cand
+        v = rho.unitary
+        fam = {g: v @ data.unitaries[g] @ v.adjoint() for g in group.elements}
         return CovarianceFamily(sector=rho.label, unitaries=fam, method="inner")
+    net = data.net
+    glob = net.global_algebra()
+    full = glob.dim == net.n * net.n
+    if full:
+        w = _pauli_twirl(rho)
+        scale = None if w is None else (w @ w.adjoint()).scalar_multiple_of_identity()
+        if scale is None:
+            raise PreconditionError(f"{rho.label} is no automorphism of the global algebra")
     fam = {}
     for g in group.elements:
         u_g = data.unitaries[g]
-        glob = net.global_algebra()
-        pairs = [
-            (rho.apply(u_g @ a @ u_g.adjoint()), rho.apply(a)) for a in glob.basis
-        ]
-        y = _solve_intertwiner(net.n, pairs)
-        if y is None:
-            return None
-        fam[g] = y
-    return CovarianceFamily(sector=rho.label, unitaries=fam, method="linear-solve")
-
-
-def _solve_intertwiner(
-    n: int, pairs: list[tuple[GMat, GMat]]
-) -> GMat | None:
-    """A y with lhs*y = y*rhs for all pairs and y y* a nonzero scalar, or None.
-
-    On diagonal constraints the search is complete: None means no unitary
-    solution exists.  Otherwise only the nullspace basis vectors are tried,
-    so None can come back although a solution exists in their span: for
-    the single pair (X (x) I, X (x) I) the identity solves the system, yet
-    no basis vector of the 8-dimensional nullspace is unitary up to
-    scale."""
-    if all(
-        all(i == j for (i, j) in m.data) for pair in pairs for m in pair
-    ):
-        # diagonal constraints pin each entry separately
-        allowed = {}
-        for i in range(n):
-            for j in range(n):
-                if all(
-                    lhs.data.get((i, i), GR_ZERO) == rhs.data.get((j, j), GR_ZERO)
-                    for lhs, rhs in pairs
-                ):
-                    allowed[(i, j)] = GR_ONE
-        if not allowed:
-            return None
-        # a unitary solution must hit every row and column within the pattern
-        rows = {i for i, _ in allowed}
-        cols = {j for _, j in allowed}
-        if len(rows) < n or len(cols) < n:
-            return None
-        # diagonal constraints partition indices into label classes, so the
-        # pattern is a union of complete bipartite blocks and greedy
-        # matching within blocks is complete
-        match: dict[int, int] = {}
-        used: set[int] = set()
-        for i in range(n):
-            for j in range(n):
-                if (i, j) in allowed and j not in used:
-                    match[i] = j
-                    used.add(j)
-                    break
-            else:
+        pairs = [(rho.apply(u_g @ a @ u_g.adjoint()), rho.apply(a)) for a in glob.generators]
+        if full:
+            y = (w @ u_g @ w.adjoint()).scale(scale.inverse())
+            if any(lhs @ y != y @ rhs for lhs, rhs in pairs):
+                raise PreconditionError(f"twirled family of {rho.label} does not intertwine")
+        else:
+            y = _solve_intertwiner(net.n, pairs)
+            if y is None:
                 return None
-        y = GMat(n, {(i, j): GR_ONE for i, j in match.items()})
-        if all(lhs @ y == y @ rhs for lhs, rhs in pairs):
-            return y
-        return None
-    for y in _sylvester_basis(n, pairs):
-        prod = (y @ y.adjoint()).scalar_multiple_of_identity()
-        if prod is not None and not prod.is_zero():
-            return y
+        fam[g] = y
+    method = "twirl" if full else "diagonal-match"
+    return CovarianceFamily(sector=rho.label, unitaries=fam, method=method)
+
+
+def _pauli_twirl(rho: LocalizedEndo) -> GMat | None:
+    """A nonzero multiple of w when rho = Ad w on all of M_N; for any other
+    map the caller checks what comes back.
+
+    Summed over the N^2 strings, P M P* gives N tr(M) 1, so for the matrix
+    unit E_0k the sum of rho(P) E_0k P* = w P (w* E_0k) P* is
+    N conj(w_0k) w.  Row 0 of a unitary w has a nonzero entry, so the
+    first k with a nonzero sum yields w."""
+    n = rho.net.n
+    terms = [(rho.apply(p), p.adjoint()) for p in rho.net.global_algebra().basis]
+    for k in range(n):
+        unit = GMat(n, {(0, k): GR_ONE})
+        total = GMat.zero(n)
+        for img, p_adj in terms:
+            total = total + img @ unit @ p_adj
+        if not total.is_zero():
+            return total
     return None
+
+
+def _solve_intertwiner(n: int, pairs: list[tuple[GMat, GMat]]) -> GMat | None:
+    """A permutation y with lhs*y = y*rhs for every pair of diagonal
+    matrices, or None when no unitary solves them; PreconditionError for
+    any other pair."""
+    if any(i != j for pair in pairs for m in pair for i, j in m.data):
+        raise PreconditionError(
+            "no complete intertwiner search on a global algebra that is "
+            "neither full nor diagonal-constrained"
+        )
+    # diagonal pairs pin each entry: y may join row i to column j exactly
+    # when the diagonals agree there in every pair.  The support of a
+    # unitary solution holds a permutation (Birkhoff), and on this union of
+    # complete bipartite blocks greedy matching finds one if any exists
+    left = [tuple(lhs.data.get((i, i), GR_ZERO) for lhs, _ in pairs) for i in range(n)]
+    right = [tuple(rhs.data.get((j, j), GR_ZERO) for _, rhs in pairs) for j in range(n)]
+    free = list(range(n))
+    match = {}
+    for i in range(n):
+        j = next((j for j in free if right[j] == left[i]), None)
+        if j is None:
+            return None
+        free.remove(j)
+        match[(i, j)] = GR_ONE
+    y = GMat(n, match)
+    return y if all(lhs @ y == y @ rhs for lhs, rhs in pairs) else None
 
 
 def diamond_covariance(
@@ -1156,58 +1155,26 @@ def diamond_covariance(
     data: SectorGroupData,
 ) -> CovarianceFamily:
     """Composite covariance family for the product sector, with the defining
-    identity chain re-verified term by term on the global basis."""
+    identity chain re-verified stage by stage as maps on the generators."""
     net = data.net
     group = data.action.group
     out: dict[str, GMat] = {}
     prod = diamond(rho, rhodot, region=net.join(rho.region, rhodot.region))
-    inner = rho.unitary is not None and rhodot.unitary is not None
     for g in group.elements:
         u_g = data.unitaries[g]
         u_rho = fam.unitaries[g]
         u_dot = famdot.unitaries[g]
-        composite = u_rho @ rho.apply(u_g.adjoint() @ u_dot)
-        if inner:
-            # every stage of the identity chain is conjugation by an explicit
-            # unitary; consecutive stages are compared as adjoint actions
-            v, w = rho.unitary, rhodot.unitary
-            bridge = u_g.adjoint() @ u_dot
-            stages = [
-                v @ w @ u_g,
-                v @ u_dot @ w,
-                v @ u_g @ bridge @ w,
-                u_rho @ v @ bridge @ w,
-                composite @ v @ w,
-            ]
-            for step in range(len(stages) - 1):
-                if not _ad_equal(net, stages[step], stages[step + 1]):
-                    raise PreconditionError(
-                        f"covariance chain broke at step {step} for {g}"
-                    )
-            out[g] = composite
-            continue
-        # general sectors: compare the chain stages as maps on the basis
+        bridge = u_g.adjoint() @ u_dot
+        composite = u_rho @ rho.apply(bridge)
         chain = [
             lambda a: prod.apply(u_g @ a @ u_g.adjoint()),
             lambda a: rho.apply(u_dot @ rhodot.apply(a) @ u_dot.adjoint()),
-            lambda a: rho.apply(
-                u_g
-                @ (
-                    (u_g.adjoint() @ u_dot)
-                    @ rhodot.apply(a)
-                    @ (u_g.adjoint() @ u_dot).adjoint()
-                )
-                @ u_g.adjoint()
-            ),
-            lambda a: u_rho
-            @ rho.apply(
-                (u_g.adjoint() @ u_dot) @ rhodot.apply(a) @ (u_g.adjoint() @ u_dot).adjoint()
-            )
-            @ u_rho.adjoint(),
+            lambda a: rho.apply(u_g @ bridge @ rhodot.apply(a) @ bridge.adjoint() @ u_g.adjoint()),
+            lambda a: u_rho @ rho.apply(bridge @ rhodot.apply(a) @ bridge.adjoint()) @ u_rho.adjoint(),
             lambda a: composite @ prod.apply(a) @ composite.adjoint(),
         ]
         for step in range(len(chain) - 1):
-            if not _maps_equal_on_basis(net, chain[step], chain[step + 1]):
+            if not _maps_equal_on_generators(net, chain[step], chain[step + 1]):
                 raise PreconditionError(
                     f"covariance chain broke at step {step} for {g}"
                 )

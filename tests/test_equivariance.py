@@ -8,7 +8,9 @@ from sectorfact.fixtures import (
 )
 from sectorfact.linalg import GMat
 from sectorfact.orthcat import validate_group_action
+from sectorfact.reports import PreconditionError
 from sectorfact.sectors import (
+    CovarianceFamily,
     SectorGroupData,
     check_localized,
     diamond,
@@ -179,6 +181,26 @@ def test_covariant_sectors_closed_under_product(net4, z2_data, family4):
             assert lhs == rhs
 
 
+def test_covariance_chain_probe_shifted_family(net4, z2_data):
+    # X at site 1 lies outside the trivial global commutant, so shifting a
+    # family entry by it must break the chain where that entry enters
+    from sectorfact.linalg import pauli_string
+
+    rho = pauli_sector(net4, "X", "[1,1]").relabel("[1,2]")
+    sig = pauli_sector(net4, "Z", "[2,2]").relabel("[1,2]")
+    fam, famdot = find_covariance(rho, z2_data), find_covariance(sig, z2_data)
+    diamond_covariance(rho, sig, fam, famdot, z2_data)
+    shift = pauli_string(4, 0b0100, 0)
+
+    def shifted(f):
+        return CovarianceFamily(f.sector, {**f.unitaries, "r": shift @ f.unitaries["r"]}, f.method)
+
+    with pytest.raises(PreconditionError, match="chain broke at step 2 for r"):
+        diamond_covariance(rho, sig, shifted(fam), famdot, z2_data)
+    with pytest.raises(PreconditionError, match="chain broke at step 0 for r"):
+        diamond_covariance(rho, sig, fam, shifted(famdot), z2_data)
+
+
 def test_transformed_sector_covariant(net4, z2_data, family4):
     # g |> rho admits the transformed family: covariance survives the action
     rho = family4["[1,1]"][0]
@@ -202,9 +224,10 @@ def test_image_sector_action_and_covariance(net2):
         assert moved.region == moved_inner.region == "[2,2]"
         assert moved.same_map(moved_inner) and moved_inner.same_map(moved)
         fam = find_covariance(image, data)
-        assert fam is not None and fam.method == "linear-solve"
+        assert fam is not None and fam.method == "twirl"
         for g, u_g in data.unitaries.items():
             y = fam.unitaries[g]
+            assert y.is_unitary()
             for a in glob.basis:
                 assert image.apply(u_g @ a @ u_g.adjoint()) @ y == y @ image.apply(a)
 
@@ -230,16 +253,3 @@ def test_ad_equal_on_a_diagonal_global_algebra(bits4):
     assert all(_ad_equal(bits4, a, b) for a in z_type for b in z_type)
     assert not _ad_equal(bits4, x_type[0], x_type[1])
     assert _ad_equal(bits4, x_type[0], x_type[3])
-
-
-@pytest.mark.xfail(
-    strict=True,
-    reason="the dense branch of _solve_intertwiner tries only nullspace basis vectors",
-)
-def test_dense_intertwiner_search_is_incomplete():
-    from sectorfact.linalg import pauli_string
-    from sectorfact.sectors import _solve_intertwiner
-
-    x1 = pauli_string(2, 0b10, 0)
-    assert x1 @ GMat.identity(4) == GMat.identity(4) @ x1  # the identity solves it
-    assert _solve_intertwiner(4, [(x1, x1)]) is not None

@@ -12,6 +12,7 @@ from sectorfact.fixtures import (
     entangler_unitary,
     pauli_sector,
     qubit_net,
+    qubit_reflection_data,
     reflection_unitary,
     standard_sector_family,
 )
@@ -48,6 +49,7 @@ from sectorfact.sectors import (
     _solve_intertwiner,
     diamond,
     diamond_mor,
+    find_covariance,
     identity_sector,
     pfa_structure_map,
     sector_algebra_assignment,
@@ -339,8 +341,6 @@ def localization_cases():
     0 and 3 filed at [1,1], the reset sector on bits4, and every sector
     `g_act_sector` checks when it transforms them, on qubit4, skew4 and
     bits4."""
-    from sectorfact.fixtures import qubit_reflection_data
-
     cases = []
     real = sectors_module.check_localized
 
@@ -493,7 +493,7 @@ def test_intertwiner_for_general_endomorphism(bits4):
         Intertwiner(rho, rho, pauli_string(4, 0b1000, 0))  # X at site 0
 
 
-# -- the dense Sylvester solver against the builders it replaced -----------------------
+# -- dense oracles ---------------------------------------------------------------------
 
 
 def reference_dense_commutant(n, constraints):
@@ -525,7 +525,9 @@ def reference_dense_commutant(n, constraints):
 
 
 def reference_dense_intertwiner(n, pairs):
-    """The dense branch of `_solve_intertwiner` before the merge, verbatim."""
+    """The first vector of the exact nullspace basis of {Y : L Y = Y R for
+    every pair (L, R)} that is unitary up to a scalar, or None: the dense
+    search `find_covariance` ran before the Pauli twirl, verbatim."""
     rows = []
     for lhs, rhs in pairs:
         for i in range(n):
@@ -559,31 +561,6 @@ def gmats(n):
         st.builds(GaussianRational, _small, _small),
         max_size=n * n,
     ).map(lambda data: GMat(n, data))
-
-
-@settings(max_examples=80, deadline=None)
-@given(st.data())
-def test_dense_intertwiner_matches_reference(data):
-    n = data.draw(st.integers(2, 3), label="n")
-    rhs = data.draw(st.lists(gmats(n), min_size=1, max_size=3), label="rhs")
-    if all(i == j for m in rhs for i, j in m.data):
-        # one off-diagonal entry sends the solve down the dense branch
-        rhs.append(GMat(n, {(0, n - 1): GR_ONE}))
-    if data.draw(st.booleans(), label="conjugated"):
-        # lhs = u rhs u* for a monomial unitary u, so an intertwiner exists
-        perm = data.draw(st.permutations(range(n)), label="perm")
-        phases = data.draw(st.lists(st.sampled_from(_UNITS), min_size=n, max_size=n))
-        u = GMat(n, {(i, perm[i]): p for i, p in enumerate(phases)})
-        lhs = [u @ r @ u.adjoint() for r in rhs]
-    else:
-        lhs = data.draw(st.lists(gmats(n), min_size=len(rhs), max_size=len(rhs)), label="lhs")
-    pairs = list(zip(lhs, rhs))
-    got = _solve_intertwiner(n, pairs)
-    want = reference_dense_intertwiner(n, pairs)
-    assert (got is None) == (want is None)
-    if want is not None:
-        assert got.key() == want.key()
-        assert all(a @ got == got @ b for a, b in pairs)
 
 
 # -- Pauli expansion: membership without a dense engine -------------------------------
@@ -658,6 +635,17 @@ def test_contains_matches_projection_oracle(case):
     for b in alg.basis:
         projection = projection + b.scale(b.hs_inner(m) / GaussianRational.of(alg.n))
     assert alg.contains(m) == (projection == m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(algebra_and_matrix())
+def test_generators_are_a_basis_of_the_mask_group(case):
+    alg, _ = case
+    decoded = [as_pauli_string(g) for g in alg.generators]
+    assert all(c == GR_ONE for _, _, c in decoded)
+    masks = [(x, z) for x, z, _ in decoded]
+    assert len(masks) <= 2 * alg.L and 1 << len(masks) == alg.dim
+    assert pauli_mask_span(alg.L, masks) == alg.masks()
 
 
 def test_contains_on_the_span_of_i_and_x():
@@ -1037,6 +1025,213 @@ def test_image_sector_transport_with_inner_transporter(net2):
     assert got.transported.same_map(inner.transported)
     # without the candidate only the identity is tried, which leaves X on site 0
     assert not check_transportable(_image_sector(x), "[2,2]", net2).found
+
+
+# -- image-built sectors: the homomorphism check and covariance -------------------------
+
+
+def reference_is_homomorphism(rho):
+    """The full-basis check `_check_homomorphism` made before it moved to
+    the generators: images in the global algebra, unital, and adjoints and
+    products on every pair of basis strings."""
+    glob = rho.net.global_algebra()
+    return (
+        all(glob.contains(rho.apply(a)) for a in glob.basis)
+        and rho.apply(GMat.identity(rho.net.n)).is_identity()
+        and all(rho.apply(a.adjoint()) == rho.apply(a).adjoint() for a in glob.basis)
+        and all(
+            rho.apply(a @ b) == rho.apply(a) @ rho.apply(b)
+            for a in glob.basis
+            for b in glob.basis
+        )
+    )
+
+
+def _rebuilt(rho, images):
+    """An unvalidated copy of rho with the given basis images, and whether
+    the generator check accepts it."""
+    out = LocalizedEndo(rho.net, rho.region, images=images, validate=False)
+    try:
+        out._check_homomorphism()
+    except PreconditionError:
+        return out, False
+    return out, True
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["X", "Y", "Z"]),
+    st.dictionaries(st.integers(0, 15), st.sampled_from(_UNITS), max_size=3),
+)
+def test_homomorphism_check_matches_the_full_basis(letter, phases):
+    # a phase on some basis images keeps every image a string, so only
+    # unitality, adjoints or products can break
+    rho = _image_sector(pauli_sector(qubit_net(2), letter, "[1,1]"))
+    images = [rho.apply(a) for a in rho.net.global_algebra().basis]
+    for i, c in phases.items():
+        images[i] = images[i].scale(c)
+    out, accepted = _rebuilt(rho, images)
+    assert accepted == reference_is_homomorphism(out)
+
+
+def test_homomorphism_check_probes(net2):
+    rho = _image_sector(pauli_sector(net2, "X", "[1,1]"))
+    glob = net2.global_algebra()
+    intact = [rho.apply(a) for a in glob.basis]
+    generator = glob.basis.index(glob.generators[0])
+    product = len(intact) - 1  # Y (x) Y, a product of generators
+    assert glob.basis[product] not in glob.generators and generator != 0
+    broken = {
+        "not unital": {0: intact[0].scale(-GR_ONE)},
+        "does not respect adjoints": {generator: intact[generator].scale(GR_I)},
+        "not multiplicative": {product: intact[product].scale(-GR_ONE)},
+    }
+    for message, changes in broken.items():
+        images = [changes.get(i, m) for i, m in enumerate(intact)]
+        with pytest.raises(PreconditionError, match=message):
+            LocalizedEndo(net2, "[1,1]", images=images)
+        assert not reference_is_homomorphism(_rebuilt(rho, images)[0])
+    # an X string is no image on the diagonal net
+    bits2 = diagonal_net(2)
+    reset = collapse_sector(bits2, "[1,1]")
+    images = [reset.apply(a) for a in bits2.global_algebra().basis]
+    images[1] = pauli_string(2, 0b10, 0)
+    with pytest.raises(PreconditionError, match="image leaves the global algebra"):
+        LocalizedEndo(bits2, "[1,1]", images=images)
+
+
+def test_intertwiner_law_probe(net4):
+    # Z at site 0 lies in A([1,1]) but anticommutes with the X sector's
+    # unitary, so only the intertwining law can reject it
+    for rho in (pauli_sector(net4, "X", "[1,1]"), _image_sector(pauli_sector(net4, "X", "[1,1]"))):
+        z0 = pauli_string(4, 0, 0b1000)
+        with pytest.raises(PreconditionError, match="does not intertwine"):
+            Intertwiner(rho, rho, z0)
+        assert any(
+            z0 @ rho.apply(a) != rho.apply(a) @ z0 for a in net4.global_algebra().basis
+        )
+
+
+def _pauli_and_cz_images(net):
+    """Every single-site Pauli sector and a CZ on every pair of sites (at
+    the smallest interval holding both), rebuilt from their basis images."""
+    inner = [
+        pauli_sector(net, letter, u)
+        for u, cells in sorted(net.region_sites.items())
+        if len(cells) == 1
+        for letter in "XYZ"
+    ]
+    for a, b in itertools.combinations(range(net.sites), 2):
+        u = entangler_unitary(net, a, b)
+        inner.append(LocalizedEndo(net, f"[{a + 1},{b + 1}]", unitary=u, label=f"CZ{a}{b}"))
+    return [(rho, _image_sector(rho)) for rho in inner]
+
+
+@pytest.mark.parametrize("sites", [2, 3])
+def test_every_image_sector_gets_a_family(sites):
+    net = qubit_net(sites)
+    data = qubit_reflection_data(net)
+    cases = _pauli_and_cz_images(net)
+    assert len(cases) == 3 * sites + sites * (sites - 1) // 2
+    for inner, image in cases:
+        fam = find_covariance(image, data)
+        assert fam.method == "twirl"
+        for g, u_g in data.unitaries.items():
+            y = fam.unitaries[g]
+            assert y.is_unitary()
+            assert _ad_equal(net, y, inner.unitary @ u_g @ inner.unitary.adjoint())
+            for a in net.global_algebra().basis:
+                assert image.apply(u_g @ a @ u_g.adjoint()) @ y == y @ image.apply(a)
+
+
+def test_twirl_family_matches_the_dense_nullspace(net2):
+    data = qubit_reflection_data(net2)
+    glob = net2.global_algebra()
+    for inner, image in _pauli_and_cz_images(net2):
+        fam = find_covariance(image, data)
+        for g, u_g in data.unitaries.items():
+            pairs = [(image.apply(u_g @ a @ u_g.adjoint()), image.apply(a)) for a in glob.basis]
+            want = reference_dense_intertwiner(net2.n, pairs)
+            got = fam.unitaries[g]
+            (i, j), v = next(iter(want.data.items()))
+            assert got == want.scale(got.data[(i, j)] / v)
+
+
+def test_twirl_probes(monkeypatch, net2):
+    data = qubit_reflection_data(net2)
+    rho = _image_sector(pauli_sector(net2, "X", "[1,1]"))
+    # every string to the identity: a linear map whose twirl is not unitary
+    flat, _ = _rebuilt(rho, [GMat.identity(net2.n)] * net2.global_algebra().dim)
+    with pytest.raises(PreconditionError, match="no automorphism"):
+        find_covariance(flat, data)
+    # a twirl that misses w: the family u_g must fail the law at the swap
+    monkeypatch.setattr(sectors_module, "_pauli_twirl", lambda rho: GMat.identity(rho.net.n))
+    with pytest.raises(PreconditionError, match="does not intertwine"):
+        find_covariance(rho, data)
+
+
+def _x_type_net():
+    """qubit2 with every region algebra cut down to its X-type strings:
+    abelian, reflection-symmetric, neither full nor diagonal."""
+    base = qubit_net(2, name="xbits2")
+    overrides = {
+        u: MatrixAlg.pauli_span(
+            2, pauli_mask_span(2, [(1 << (1 - s), 0) for s in cells]), name=f"X({u})"
+        )
+        for u, cells in base.region_sites.items()
+    }
+    return MatrixNet(base.category, 2, base.region_sites, overrides=overrides, name="xbits2")
+
+
+def test_covariance_search_refused_on_a_partial_global_algebra():
+    net = _x_type_net()
+    data = qubit_reflection_data(net)
+    assert data.validate().ok
+    glob = net.global_algebra()
+    assert glob.dim == 4 and net.global_commutant().dim == 4
+    z0 = pauli_string(2, 0, 0b10)
+    rho = LocalizedEndo(net, "[1,1]", images=[z0 @ a @ z0 for a in glob.basis])
+    with pytest.raises(PreconditionError, match="neither full nor diagonal"):
+        find_covariance(rho, data)
+    # the inner form of the same sector still gets its conjugated family
+    assert find_covariance(LocalizedEndo(net, "[1,1]", unitary=z0), data).method == "inner"
+
+
+def _permutation_solutions(n, pairs):
+    for perm in itertools.permutations(range(n)):
+        y = GMat(n, {(i, perm[i]): GR_ONE for i in range(n)})
+        if all(lhs @ y == y @ rhs for lhs, rhs in pairs):
+            yield y
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_diagonal_matching_is_complete(data):
+    # a unitary supported on the allowed pattern exists exactly when a
+    # permutation does (Birkhoff), so the permutations are the oracle
+    n = data.draw(st.integers(1, 4), label="n")
+    labels = st.lists(st.sampled_from([GR_ONE, -GR_ONE, GR_I]), min_size=n, max_size=n)
+    count = data.draw(st.integers(1, 3), label="pairs")
+    rhs = [data.draw(labels, label="rhs") for _ in range(count)]
+    if data.draw(st.booleans(), label="permuted"):
+        perm = data.draw(st.permutations(range(n)), label="perm")
+        lhs = [[r[perm[i]] for i in range(n)] for r in rhs]
+    else:
+        lhs = [data.draw(labels, label="lhs") for _ in range(count)]
+    diag = lambda d: GMat(n, {(i, i): v for i, v in enumerate(d)})
+    pairs = [(diag(a), diag(b)) for a, b in zip(lhs, rhs)]
+    got = _solve_intertwiner(n, pairs)
+    assert (got is None) == (next(_permutation_solutions(n, pairs), None) is None)
+    if got is not None:
+        assert got.is_unitary() and all(a @ got == got @ b for a, b in pairs)
+
+
+def test_intertwiner_search_refuses_non_diagonal_pairs():
+    # the identity solves (X (x) I) Y = Y (X (x) I); no search short of the
+    # whole solution space may answer None here
+    x1 = pauli_string(2, 0b10, 0)
+    with pytest.raises(PreconditionError, match="neither full nor diagonal"):
+        _solve_intertwiner(4, [(x1, x1)])
 
 
 def test_net_json_orth_on_shared_site_sets():
