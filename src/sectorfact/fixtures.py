@@ -353,6 +353,8 @@ def net_from_json(doc: dict) -> MatrixNet:
         raise SchemaError(f"malformed net document: {exc}") from exc
     if local_dim != 2:
         raise SchemaError("only local dimension 2 (qubit chains) is supported")
+    if sites < 1:
+        raise SchemaError("a net needs at least one site")
     if len(region_sites) != len(ids):
         repeated = next(u for u in ids if ids.count(u) > 1)
         raise SchemaError(f"region id {repeated} is repeated")

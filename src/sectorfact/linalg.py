@@ -26,6 +26,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from .reports import PreconditionError
+
 __all__ = [
     "GaussianRational",
     "GR_ZERO",
@@ -40,7 +42,6 @@ __all__ = [
     "as_pauli_string",
     "pauli_coefficients",
     "pauli_commute",
-    "pauli_commutant_masks",
     "pauli_mask_span",
 ]
 
@@ -609,11 +610,60 @@ def pauli_mask_span(L: int, masks) -> set[tuple[int, int]]:
     return _mask_span(L, [(x << L) | z for x, z in masks])
 
 
-def pauli_commutant_masks(L: int, masks: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    """All (x, z) masks whose string commutes with every P(x_k, z_k).
+# ---------------------------------------------------------------------------
+# Signed Pauli maps.  A unital *-map that sends every string to a signed
+# string is fixed by its images of the reduced rows of its domain: its
+# tableau (Aaronson and Gottesman, arXiv:quant-ph/0406196), one signed mask
+# t << 1 | s per row.
+# ---------------------------------------------------------------------------
 
-    The constraint is linear over F_2, so the result is the span of a
-    nullspace basis (2L-bit vectors encoded as x << L | z).
-    """
-    rows = [(zk << L) | xk for xk, zk in masks]
-    return sorted(_mask_span(L, _gf2_nullspace(rows, 2 * L)))
+
+def _xz(v: int, L: int) -> int:
+    """|x & z| for the mask v = x << L | z: the number of Y letters."""
+    return ((v >> L) & v).bit_count()
+
+
+class _StringMap(dict):
+    """v -> the signed mask of rho(P(v)), for the map rho that sends the
+    string of the k-th of the reduced `rows` (`_gf2_pivots`) to tableau[k];
+    each image is found on its first lookup.
+
+    v is the XOR of the rows whose pivot bits it has set.  In the form
+    W(v) = X^x Z^z = i**-|x & z| P(v) a product of strings only picks up the
+    sign (-1)**|z_a & x_b| of W(a) W(b), so the rows and their images are
+    multiplied up in that form; c is the phase of rho(W(r)) against W(t).
+    A *-map sends the Hermitian P(v) to a Hermitian signed string."""
+
+    def __init__(self, L: int, rows: list[tuple[int, int]], tableau: tuple[int, ...]):
+        super().__init__()
+        self.L = L
+        self.steps, self.pivots = {}, 0
+        for (bit, r), code in zip(rows, tableau):
+            t = code >> 1
+            self.steps[1 << bit] = (r, r >> L, t, t >> L, 2 * (code & 1) + _xz(t, L) - _xz(r, L))
+            self.pivots |= 1 << bit
+
+    def __missing__(self, v: int) -> int:
+        e = src = img = 0
+        todo = v & self.pivots
+        while todo:
+            b = todo & -todo
+            todo ^= b
+            r, rx, t, tx, c = self.steps[b]
+            # rx and tx hold L bits, so src & rx is z(src) & x(r)
+            e += c + 2 * ((src & rx).bit_count() + (img & tx).bit_count())
+            src ^= r
+            img ^= t
+        if src != v:
+            raise PreconditionError("string outside the domain of the map")
+        e += _xz(v, self.L) - _xz(img, self.L)
+        if e & 1:  # rho(P(v)) is not Hermitian: the rows' images break a commutation
+            raise PreconditionError("endomorphism is not multiplicative")
+        code = self[v] = (img << 1) | ((e >> 1) & 1)
+        return code
+
+
+def _compose(outer: _StringMap, tableau: tuple[int, ...]) -> tuple[int, ...]:
+    """Tableau of outer after the tableau's map: each row's signed mask
+    mapped by `outer`, its sign carried along."""
+    return tuple(outer[code >> 1] ^ (code & 1) for code in tableau)

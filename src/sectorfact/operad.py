@@ -12,8 +12,8 @@ checks that each composite it needs is defined and walks no permutation.
 Its associativity sweep skips the (f, g) that an interned proof clears and
 runs the reference loop over `compose` for the rest.  Likewise
 `validate_algebra` proves the composition and permutation diagrams when
-every carrier element carries an XOR-additive summary (the masks of Pauli
-sectors) and walks every instance otherwise.
+every carrier element carries an XOR-additive summary (the sign bits of
+Pauli conjugations) and walks every instance otherwise.
 """
 
 from __future__ import annotations

@@ -9,38 +9,41 @@ arithmetic: a set of (x, z) masks holding (0, 0) spans an algebra exactly
 when it is as large as its GF(2) span, a commutant is a GF(2) nullspace,
 and a matrix lies in an algebra exactly when its exact Pauli expansion
 (`pauli_coefficients`) uses only the algebra's masks.  `MatrixAlg` is
-therefore its mask set alone, and no dense solve is left.  Sectors are
-unital *-endomorphisms of the global algebra acting as the identity on
-every algebra orthogonal to their localization region; the bundled ones
-are inner (conjugation by a local unitary).  A unital *-homomorphism is
-fixed by its images of the algebra's generators (`MatrixAlg.generators`,
-at most 2L strings), so homomorphism, intertwining and map-equality laws
-are checked on them.
+therefore its mask set alone, and no dense solve is left.
 
-An inner sector whose unitary is a scalar times a Pauli string carries its
-(x, z) mask.  Products of such sectors get the XOR of the masks, and two
-of them are the same map exactly when the XOR lies in the mask set of the
-global commutant (Ad_a = Ad_b iff b* a commutes with the global algebra,
-and b* a is a scalar times the string of the XOR).  Other unitaries (CZ,
-the site reflection) are compared by `_ad_equal` on `GMat`s, image-built
-sectors on the generators.  An image-built sector maps a matrix by its
-Pauli expansion: each coefficient times the image of its string.
+Sectors are unital *-endomorphisms of the global algebra acting as the
+identity on every algebra orthogonal to their localization region.  Such
+a map is fixed by its images of the global algebra's generators
+(`MatrixAlg.generators`, at most 2L strings), and every sector is held in
+that one form, its tableau (Aaronson and Gottesman,
+arXiv:quant-ph/0406196): each generator's image as a sign and a mask.
+Every sector the package builds (Pauli conjugations, CZ, the site
+reflection, `collapse_sector`, and their transports, products and
+g-images) sends each string to a signed string; a map that does not is
+refused.  A string's image is read off the tableau on masks, a matrix is
+mapped term by term on its Pauli expansion, two sectors are the same map
+exactly when their tableaux are equal, and the sector product composes
+tableaux.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .linalg import (
     GMat,
+    GR_MINUS_ONE,
     GR_ONE,
     GR_ZERO,
+    _StringMap,
+    _compose,
+    _gf2_nullspace,
     _gf2_pivots,
+    _mask_span,
     as_pauli_string,
     pauli_coefficients,
-    pauli_commutant_masks,
     pauli_commute,
     pauli_mask_span,
     pauli_string,
@@ -134,17 +137,24 @@ class MatrixAlg:
         return alg
 
     @staticmethod
+    def _span_of(L: int, vectors: list[int], name: str = "") -> "MatrixAlg":
+        """Algebra of the XOR span of the 2L-bit vectors x << L | z, closed
+        by construction; its rows come from the one elimination."""
+        alg = MatrixAlg.__new__(MatrixAlg)
+        alg.rows = sorted(_gf2_pivots(vectors))
+        alg._init(L, _mask_span(L, [r for _, r in alg.rows]), False, name)
+        return alg
+
+    @staticmethod
     def full_on_sites(L: int, sites, name: str = "") -> "MatrixAlg":
         """Tensor factor: all Pauli strings supported on the given sites."""
         bits = [1 << (L - 1 - site) for site in sites]
-        gens = [(b, 0) for b in bits] + [(0, b) for b in bits]
-        return MatrixAlg.pauli_span(L, pauli_mask_span(L, gens), name=name)
+        return MatrixAlg._span_of(L, [b << L for b in bits] + bits, name=name)
 
     @staticmethod
     def diagonal_on_sites(L: int, sites, name: str = "") -> "MatrixAlg":
         """Abelian subalgebra: Z-type strings supported on the given sites."""
-        gens = [(0, 1 << (L - 1 - site)) for site in sites]
-        return MatrixAlg.pauli_span(L, pauli_mask_span(L, gens), name=name)
+        return MatrixAlg._span_of(L, [1 << (L - 1 - site) for site in sites], name=name)
 
     # -- structure ---------------------------------------------------------
 
@@ -163,13 +173,18 @@ class MatrixAlg:
         return [pauli_string(self.L, x, z) for x, z in sorted(self._masks)]
 
     @functools.cached_property
+    def rows(self) -> list[tuple[int, int]]:
+        """The reduced GF(2) rows of the masks as (pivot bit, x << L | z) in
+        pivot order, at most 2L: a mask of the algebra is the XOR of the
+        rows whose pivot bits it has set."""
+        return sorted(_gf2_pivots([(x << self.L) | z for x, z in self._masks]))
+
+    @functools.cached_property
     def generators(self) -> list[GMat]:
-        """The unit strings of the reduced GF(2) rows of the masks, at most
-        2L: every string of the algebra is a scalar times a product of
-        them."""
+        """The unit strings of `rows`: every string of the algebra is a
+        scalar times a product of them."""
         L, low = self.L, (1 << self.L) - 1
-        rows = _gf2_pivots([(x << L) | z for x, z in sorted(self._masks)])
-        return [pauli_string(L, r >> L, r & low) for _, r in rows]
+        return [pauli_string(L, r >> L, r & low) for _, r in self.rows]
 
     def contains(self, m: GMat) -> bool:
         """m lies in the algebra exactly when every Pauli coefficient of m
@@ -194,14 +209,18 @@ class MatrixAlg:
         return f"MatrixAlg({self.name or 'anon'}, n={self.n}, dim={self.dim} pauli L={self.L})"
 
 
-def _commutant_of(L: int, masks, name: str) -> MatrixAlg:
-    return MatrixAlg.pauli_span(L, pauli_commutant_masks(L, masks), name=name)
+def _commutant_of(L: int, rows: list[int], name: str) -> MatrixAlg:
+    """The strings commuting with those of `rows`: P(v) commutes with
+    P(x, z) exactly when v is orthogonal to z << L | x over GF(2)."""
+    low = (1 << L) - 1
+    swapped = [((r & low) << L) | (r >> L) for r in rows]
+    return MatrixAlg._span_of(L, _gf2_nullspace(swapped, 2 * L), name)
 
 
 def commutant(alg: MatrixAlg) -> MatrixAlg:
     """{X : XA = AX for every A in alg}: the strings symplectically
     orthogonal to every mask of alg."""
-    return _commutant_of(alg.L, alg.masks(), name=f"{alg.name}'")
+    return _commutant_of(alg.L, [r for _, r in alg.rows], name=f"{alg.name}'")
 
 
 def bicommutant(alg: MatrixAlg) -> MatrixAlg:
@@ -252,6 +271,9 @@ class MatrixNet:
         self._algebras: dict[str, MatrixAlg] = {}
         # "__global__": the global algebra, "__commutant__": its commutant
         self._cache: dict[str, MatrixAlg] = {}
+        self._partners: dict[str, list[str]] = {}
+        # tableau -> its `_StringMap`, shared by equal sectors
+        self._maps: dict[tuple, _StringMap] = {}
         missing = [u for u in category.objects if u not in self.region_sites]
         if missing:
             raise SchemaError(f"regions without site sets: {missing}")
@@ -275,13 +297,8 @@ class MatrixNet:
 
     def global_algebra(self) -> MatrixAlg:
         if "__global__" not in self._cache:
-            masks = pauli_mask_span(
-                self.sites,
-                [m for u in self.category.objects for m in self.algebra(u).masks()],
-            )
-            self._cache["__global__"] = MatrixAlg.pauli_span(
-                self.sites, masks, name="A(global)"
-            )
+            rows = [r for u in self.category.objects for _, r in self.algebra(u).rows]
+            self._cache["__global__"] = MatrixAlg._span_of(self.sites, rows, name="A(global)")
         return self._cache["__global__"]
 
     def global_commutant(self) -> MatrixAlg:
@@ -290,15 +307,18 @@ class MatrixNet:
         return self._cache["__commutant__"]
 
     def orth_partners(self, region: str) -> list[str]:
-        """Objects U' admitting an orthogonal cospan (U' -> V) perp (region -> V)."""
-        out = set()
-        for f1, f2 in self.category.orth:
-            m1 = self.category.morphisms.get(f1)
-            m2 = self.category.morphisms.get(f2)
-            if m1 and m2 and m2.src == region:
-                out.add(m1.src)
-        out.discard(region)
-        return sorted(out)
+        """Objects U' admitting an orthogonal cospan (U' -> V) perp (region -> V),
+        found once per region."""
+        if region not in self._partners:
+            out = set()
+            for f1, f2 in self.category.orth:
+                m1 = self.category.morphisms.get(f1)
+                m2 = self.category.morphisms.get(f2)
+                if m1 and m2 and m2.src == region:
+                    out.add(m1.src)
+            out.discard(region)
+            self._partners[region] = sorted(out)
+        return self._partners[region]
 
     def join(self, u1: str, u2: str) -> str:
         """A minimal common superregion (fewest sites) of two regions."""
@@ -354,9 +374,9 @@ def check_perp_commutativity(net: MatrixNet) -> ValidationReport:
 
 
 def check_haag_duality(net: MatrixNet, region: str) -> dict:
-    """Bicommutant of A(U) against the joint commutant of all orthogonal
-    local algebras, as exact span equality; the joint commutant is the
-    symplectic complement of the partners' masks."""
+    """A(U), a string algebra and so its own bicommutant, against the joint
+    commutant of all orthogonal local algebras, as exact span equality; the
+    joint commutant is the symplectic complement of the partners' rows."""
     partners = net.orth_partners(region)
     if not partners:
         return {
@@ -367,14 +387,9 @@ def check_haag_duality(net: MatrixNet, region: str) -> dict:
             "reason": "no orthogonal cospan exists for the region",
             "assumption_failure": "orthocomplement",
         }
-    lhs = bicommutant(net.algebra(region))
-    rhs = MatrixAlg.pauli_span(
-        net.sites,
-        pauli_commutant_masks(
-            net.sites, [m for u in partners for m in net.algebra(u).masks()]
-        ),
-        name=f"joint-commutant({region})",
-    )
+    lhs = net.algebra(region)
+    rows = [r for u in partners for _, r in net.algebra(u).rows]
+    rhs = _commutant_of(net.sites, rows, f"joint-commutant({region})")
     holds = span_equal(lhs, rhs)
     return {
         "check": "haag-duality",
@@ -392,138 +407,158 @@ def check_haag_duality(net: MatrixNet, region: str) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _signed_strings(glob: MatrixAlg, images: list[GMat]) -> tuple[int, ...]:
+    """Tableau of a map from its images of glob's generators, refused
+    unless each is a scaled string of glob.  Any coefficient but -1 reads
+    as +1: a unitary's images have +-1, and image lists are compared with
+    the tableau's images afterwards."""
+    L, masks = glob.L, glob.masks()
+    out = []
+    for a in images:
+        p = as_pauli_string(a)
+        if p is None:
+            raise PreconditionError("generator image is not a signed Pauli string")
+        x, z, c = p
+        if (x, z) not in masks:
+            raise PreconditionError("image leaves the global algebra")
+        out.append((((x << L) | z) << 1) | (c == GR_MINUS_ONE))
+    return tuple(out)
+
+
+def _tableau_from_image_list(glob: MatrixAlg, images: list[GMat]) -> tuple[int, ...]:
+    """Tableau of the linear map sending the k-th string of `glob.basis` to
+    images[k], refused unless it is a unital *-homomorphism: Hermitian
+    signed strings as the generators' images, commuting pairwise as the
+    generators do (`_StringMap` checks it), and every image the tableau's."""
+    masks = sorted(glob.masks())
+    if len(images) != len(masks):
+        raise PreconditionError("basis images do not match the global basis")
+    if not images[0].is_identity():
+        raise PreconditionError("endomorphism is not unital")
+    L, low = glob.L, (1 << glob.L) - 1
+    index = {(x << L) | z: k for k, (x, z) in enumerate(masks)}
+    gens = [images[index[r]] for _, r in glob.rows]
+    if any(a != a.adjoint() for a in gens):
+        raise PreconditionError("endomorphism does not respect adjoints")
+    tableau = _signed_strings(glob, gens)
+    image = _StringMap(L, glob.rows, tableau)
+    for v, k in index.items():
+        code = image[v]
+        t, sign = code >> 1, GR_MINUS_ONE if code & 1 else GR_ONE
+        if images[k] != pauli_string(L, t >> L, t & low, sign):
+            raise PreconditionError("endomorphism is not multiplicative")
+    return tableau
+
+
 class LocalizedEndo:
     """Unital *-endomorphism of the net's global algebra together with a
-    localization region; inner sectors carry their implementing unitary.
+    localization region, held as its tableau: for the k-th row of the
+    global algebra's reduced GF(2) basis (`MatrixAlg.rows`), the image of
+    its string as the signed mask t << 1 | s, meaning (-1)**s P(t).
 
-    An inner sector whose unitary is a scalar times the Pauli string
-    P(x, z) also carries the mask (x, z), decoded once when the sector is
-    built unless the caller passes it (products and relabelled copies do).
+    A sector is built from a unitary u (Ad u) or from the images of the
+    strings of `global_algebra().basis`, and must send each generator to
+    +-1 times a string of the global algebra, else PreconditionError.
+    `_tableau` is taken as given: the package passes it for products,
+    transports and g-images, with `unitary` the tuple of their factors
+    (sectors or matrices) whose product is `.unitary`.
     """
 
     def __init__(
         self,
         net: MatrixNet,
         region: str,
-        unitary: GMat | None = None,
+        unitary: GMat | tuple | None = None,
         images: list[GMat] | None = None,
         label: str = "",
-        validate: bool = True,
-        mask: tuple[int, int] | None = None,
+        _tableau: tuple[int, ...] | None = None,
     ):
         if region not in net.region_sites:
             raise SchemaError(f"unknown region {region}")
-        self.net = net
-        self.region = region
-        self.unitary = unitary
-        self.label = label or (f"Ad[{unitary!r}]" if unitary is not None else "endo")
-        if unitary is not None and validate and not unitary.is_unitary():
-            raise PreconditionError("implementing matrix is not unitary")
-        if unitary is not None and mask is None:
-            p = as_pauli_string(unitary)
-            mask = None if p is None else (p[0], p[1])
-        self._mask = mask
-        if unitary is None and images is None:
+        glob = net.global_algebra()
+        if _tableau is None and unitary is not None:
+            if not unitary.is_unitary():
+                raise PreconditionError("implementing matrix is not unitary")
+            p, L, low = as_pauli_string(unitary), glob.L, (1 << glob.L) - 1
+            if p is not None:  # Ad P(a) negates the strings anticommuting with P(a)
+                _tableau = tuple(
+                    (r << 1) | (not pauli_commute(p[0], p[1], r >> L, r & low))
+                    for _, r in glob.rows
+                )
+            else:
+                adj = unitary.adjoint()
+                _tableau = _signed_strings(glob, [unitary @ g @ adj for g in glob.generators])
+        elif _tableau is None and images is not None:
+            _tableau = _tableau_from_image_list(glob, images)
+        elif _tableau is None:
             raise PreconditionError("endomorphism needs a unitary or basis images")
-        if images is not None:
-            # images of the global basis, keyed by the mask of its string
-            glob_masks = sorted(net.global_algebra().masks())
-            if len(images) != len(glob_masks):
-                raise PreconditionError("basis images do not match the global basis")
-            images = dict(zip(glob_masks, images))
-        self._images = images
-        if validate and images is not None:
-            self._check_homomorphism()
+        self.net, self.region, self.tableau, self._unitary = net, region, _tableau, unitary
+        self.label = label or (f"Ad[{unitary!r}]" if unitary is not None else "endo")
 
-    def _check_homomorphism(self) -> None:
-        """Unital *-homomorphism, checked on the generators: rho(g b) =
-        rho(g) rho(b) for each generator g and basis string b gives
-        multiplicativity by induction on word length, and with it
-        rho(g*) = rho(g)* on the generators gives it on every product."""
-        glob = self.net.global_algebra()
-        for img in self._images.values():
-            if not glob.contains(img):
-                raise PreconditionError("image leaves the global algebra")
-        if not self.apply(GMat.identity(self.net.n)).is_identity():
-            raise PreconditionError("endomorphism is not unital")
-        for g in glob.generators:
-            rho_g = self.apply(g)
-            if self.apply(g.adjoint()) != rho_g.adjoint():
-                raise PreconditionError("endomorphism does not respect adjoints")
-            for b in glob.basis:
-                if self.apply(g @ b) != rho_g @ self.apply(b):
-                    raise PreconditionError("endomorphism is not multiplicative")
+    @property
+    def unitary(self) -> GMat | None:
+        """The implementing unitary, read by `find_covariance`,
+        `check_transportable` and `diamond_covariance`: the one the sector
+        was built from, or the product of its factors' (multiplied out on
+        first read); None when some factor has none."""
+        if isinstance(self._unitary, tuple):
+            parts = [f.unitary if isinstance(f, LocalizedEndo) else f for f in self._unitary]
+            none = any(p is None for p in parts)
+            self._unitary = None if none else functools.reduce(GMat.__matmul__, parts)
+        return self._unitary
+
+    @property
+    def _map(self) -> _StringMap:
+        image = self.net._maps.get(self.tableau)
+        if image is None:
+            glob = self.net.global_algebra()
+            image = self.net._maps[self.tableau] = _StringMap(glob.L, glob.rows, self.tableau)
+        return image
 
     def apply(self, m: GMat) -> GMat:
-        if self.unitary is not None:
-            return self.unitary @ m @ self.unitary.adjoint()
-        # m is the sum of c * P(x, z), so its image is the sum of c times the
-        # image of P(x, z)
+        """The image of m, mapped term by term on its Pauli expansion."""
+        L, low = self.net.sites, (1 << self.net.sites) - 1
         out = GMat.zero(self.net.n)
-        for mask, c in pauli_coefficients(m).items():
-            img = self._images.get(mask)
-            if img is None:
-                raise PreconditionError("matrix outside the global algebra")
-            term = img if c == GR_ONE else img.scale(c)
+        for (x, z), c in pauli_coefficients(m).items():
+            code = self._map[(x << L) | z]
+            t = code >> 1
+            term = pauli_string(L, t >> L, t & low, -c if code & 1 else c)
             out = term if out.is_zero() else out + term
         return out
 
-    @property
-    def mask(self) -> tuple[int, int] | None:
-        """(x, z) when the unitary is a scalar times P(x, z), else None."""
-        return self._mask
-
     def same_map(self, other: "LocalizedEndo") -> bool:
-        """Equality as maps on the global basis (region labels ignored).
-
-        Two masked sectors are compared on their masks: b* a is a scalar
-        times P(xa ^ xb, za ^ zb), so the `_ad_equal` rule reads as a lookup
-        in the commutant's mask set; equal masks (a scalar b* a) are
-        decided without building the commutant.  Other inner pairs go
-        through `_ad_equal`, and image-built sectors are compared on the
-        generators."""
-        a, b = self.mask, other.mask
-        if a is not None and b is not None:
-            return a == b or (
-                (a[0] ^ b[0], a[1] ^ b[1]) in self.net.global_commutant().masks()
-            )
-        if self.unitary is not None and other.unitary is not None:
-            return _ad_equal(self.net, self.unitary, other.unitary)
-        return _maps_equal_on_generators(self.net, self.apply, other.apply)
+        """Equality as maps on the global algebra (region labels ignored):
+        tableau equality, as a *-map is fixed on the generators."""
+        return self.tableau == other.tableau
 
     def relabel(self, region: str, label: str | None = None) -> "LocalizedEndo":
-        return LocalizedEndo(
-            self.net,
-            region,
-            unitary=self.unitary,
-            images=None if self._images is None else list(self._images.values()),
-            label=label or self.label,
-            validate=False,
-            mask=self._mask,
-        )
+        label = label or self.label
+        return LocalizedEndo(self.net, region, self._unitary, label=label, _tableau=self.tableau)
 
     def __repr__(self) -> str:
         return f"LocalizedEndo({self.label}@{self.region})"
 
 
 def identity_sector(net: MatrixNet, region: str) -> LocalizedEndo:
-    return LocalizedEndo(net, region, unitary=GMat.identity(net.n), label="1", mask=(0, 0))
+    rows = net.global_algebra().rows
+    tableau = tuple(r << 1 for _, r in rows)
+    return LocalizedEndo(net, region, GMat.identity(net.n), label="1", _tableau=tableau)
 
 
 def check_localized(rho: LocalizedEndo, net: MatrixNet) -> ValidationReport:
     """Strict localization: the endomorphism fixes every local algebra
-    orthogonal to its region, elementwise on basis matrices.  A masked
-    sector Ad P(a) fixes the string P(b) exactly when the two strings
-    commute, so it is decided on the masks, taken in basis order."""
+    orthogonal to its region, elementwise on basis matrices.  It fixes an
+    algebra exactly when it fixes the algebra's generators; only an algebra
+    where one is moved is walked, in basis order, for the witnesses."""
     report = ValidationReport(check="localized", subject=rho.label)
-    a = rho.mask
+    image, L = rho._map, net.sites
     for u in net.orth_partners(rho.region):
-        if a is None:
-            fixed = (rho.apply(m) == m for m in net.algebra(u).basis)
-        else:
-            fixed = (pauli_commute(*a, *b) for b in sorted(net.algebra(u).masks()))
-        for i, ok in enumerate(fixed):
-            if not ok:
+        alg = net.algebra(u)
+        if all(image[r] == r << 1 for _, r in alg.rows):
+            continue
+        for i, (x, z) in enumerate(sorted(alg.masks())):
+            v = (x << L) | z
+            if image[v] != v << 1:
                 report.add(
                     "strict-localization",
                     {"region": rho.region, "orthogonal_region": u, "basis_index": i},
@@ -585,36 +620,25 @@ def check_transportable(
     candidates: list[tuple[str, GMat]] | None = None,
 ) -> TransportReport:
     """Search for a unitary v with Ad_v after rho strictly localized in the
-    target region.  For inner sectors the translated unitary v = u' u* is
-    tried first; extra candidates extend the searched family.  Absence is a
-    report outcome, not an error."""
+    target region.  For a sector with an implementing unitary u the
+    translated unitary v = u' u* is tried first; extra candidates extend the searched
+    family.  A candidate that is not unitary, or whose Ad_v is no signed
+    Pauli map of the global algebra, is skipped.  Absence is a report
+    outcome, not an error."""
     tried: list[tuple[str, GMat]] = [("identity", GMat.identity(net.n))]
     if rho.unitary is not None:
         moved = translate_string(net, rho.unitary, rho.region, target)
         if moved is not None:
             tried.append(("translated-pattern", moved @ rho.unitary.adjoint()))
-    for item in candidates or []:
-        tried.append(item)
+    tried += candidates or []
     for label, v in tried:
-        if not v.is_unitary():
+        try:
+            ad_v = LocalizedEndo(net, target, unitary=v)
+        except PreconditionError:
             continue
-        if rho.unitary is not None:
-            cand = LocalizedEndo(
-                net,
-                target,
-                unitary=v @ rho.unitary,
-                label=f"{rho.label}~>{target}",
-                validate=False,
-            )
-        else:
-            glob = net.global_algebra()
-            cand = LocalizedEndo(
-                net,
-                target,
-                images=[v @ rho.apply(a) @ v.adjoint() for a in glob.basis],
-                label=f"{rho.label}~>{target}",
-                validate=False,
-            )
+        tableau = _compose(ad_v._map, rho.tableau)
+        moved_label = f"{rho.label}~>{target}"
+        cand = LocalizedEndo(net, target, (ad_v, rho), label=moved_label, _tableau=tableau)
         if check_localized(cand, net).ok:
             return TransportReport(
                 found=True,
@@ -632,27 +656,18 @@ class Intertwiner:
     its generators; membership in the local algebra of a joint localization
     region is validated."""
 
-    def __init__(
-        self,
-        source: LocalizedEndo,
-        target: LocalizedEndo,
-        matrix: GMat,
-        validate: bool = True,
-    ):
+    def __init__(self, source: LocalizedEndo, target: LocalizedEndo, matrix: GMat):
         self.source = source
         self.target = target
         self.matrix = matrix
-        if validate:
-            net = source.net
-            for a in net.global_algebra().generators:
-                if matrix @ source.apply(a) != target.apply(a) @ matrix:
-                    raise PreconditionError("matrix does not intertwine the sectors")
-            join = net.join(source.region, target.region)
-            local = bicommutant(net.algebra(join))
-            if not local.contains(matrix):
-                raise PreconditionError(
-                    f"intertwiner leaves the local algebra of {join}"
-                )
+        net = source.net
+        for a in net.global_algebra().generators:
+            if matrix @ source.apply(a) != target.apply(a) @ matrix:
+                raise PreconditionError("matrix does not intertwine the sectors")
+        # a string algebra is its own double commutant
+        join = net.join(source.region, target.region)
+        if not net.algebra(join).contains(matrix):
+            raise PreconditionError(f"intertwiner leaves the local algebra of {join}")
 
     def __repr__(self) -> str:
         return f"Intertwiner({self.source.label}->{self.target.label})"
@@ -661,8 +676,9 @@ class Intertwiner:
 def diamond(
     rho: LocalizedEndo, rhodot: LocalizedEndo, region: str | None = None
 ) -> LocalizedEndo:
-    """Sector product: composition of endomorphisms.  Both factors must share
-    a region, or the caller supplies a common superregion."""
+    """Sector product: composition of endomorphisms, as the tableau of rho
+    after rhodot.  Both factors must share a region, or the caller supplies
+    a common superregion."""
     net = rho.net
     if region is None:
         if rho.region != rhodot.region:
@@ -675,20 +691,8 @@ def diamond(
             if not net.category.hom(r, region):
                 raise PreconditionError(f"{r} is not included in {region}")
     label = f"({rho.label}<>{rhodot.label})"
-    if rho.unitary is not None and rhodot.unitary is not None:
-        # a product of scaled Pauli strings is the scaled string of the XOR
-        a, b = rho.mask, rhodot.mask
-        return LocalizedEndo(
-            net,
-            region,
-            unitary=rho.unitary @ rhodot.unitary,
-            label=label,
-            validate=False,
-            mask=None if a is None or b is None else (a[0] ^ b[0], a[1] ^ b[1]),
-        )
-    glob = net.global_algebra()
-    images = [rho.apply(rhodot.apply(a)) for a in glob.basis]
-    return LocalizedEndo(net, region, images=images, label=label, validate=False)
+    tableau = _compose(rho._map, rhodot.tableau)
+    return LocalizedEndo(net, region, (rho, rhodot), label=label, _tableau=tableau)
 
 
 def diamond_mor(t: Intertwiner, tdot: Intertwiner) -> Intertwiner:
@@ -769,32 +773,39 @@ def sector_carriers(
     }
 
 
-def _sector_summary(u: str, s: LocalizedEndo) -> tuple[int, int] | None:
-    """The mask of an inner masked sector at region u, re-derived from its
-    unitary; None for any other sector, one at another region, or one whose
-    stored mask disagrees with its unitary."""
-    if s.region != u or s.mask is None or s.unitary is None:
+def _sector_summary(u: str, s: LocalizedEndo) -> int | None:
+    """The sign bits of a sector at region u whose tableau fixes every
+    mask (a Pauli conjugation), bit k for row k; None for any other sector
+    or one at another region."""
+    if s.region != u:
         return None
-    p = as_pauli_string(s.unitary)
-    return s.mask if p is not None and (p[0], p[1]) == s.mask else None
+    bits = 0
+    for k, (code, (_, r)) in enumerate(zip(s.tableau, s.net.global_algebra().rows)):
+        if code >> 1 != r:
+            return None
+        bits |= (code & 1) << k
+    return bits
 
 
 def sector_algebra_assignment(
     net: MatrixNet, family: dict[str, list[LocalizedEndo]]
 ):
     """Algebra-over-the-operad data for the sector model.  Structure-map
-    evaluations are cached on the operation and the regions and implementing
-    unitaries of the sectors (equal unitaries share an entry; a `GMat`
-    caches its hash): the diagram validators evaluate the same (operation,
-    sectors) pairs repeatedly.  The regions are part of the key because a
-    sector at a region other than its source makes the map raise.  Tuples
-    holding an image-built sector are not cached.
+    evaluations are cached on the operation and the regions and tableaux of
+    the sectors (equal tableaux share an entry): the diagram validators
+    evaluate the same (operation, sectors) pairs repeatedly.  The regions
+    are part of the key because a sector at a region other than its source
+    makes the map raise.  Sectors with equal tableaux but other labels or
+    unitaries share the first one's output; no report prints it, as the
+    validators describe carrier elements, and a unit diagram's output only
+    when it is another map.
 
-    The summary of a sector is its mask (`_sector_summary`).  It meets the
-    contract of `FiniteAlgebraAssignment`: `pfa_structure_map` on sectors
-    at their sources relabels them to the target and multiplies them, and
-    `diamond` gives a product of masked sectors the XOR of the masks (the
-    identity sector has mask (0, 0)); `same_map` accepts equal masks."""
+    The summary of a sector is its sign bits (`_sector_summary`).  It meets
+    the contract of `FiniteAlgebraAssignment`: `pfa_structure_map` on
+    sectors at their sources relabels them to the target and multiplies
+    them; `diamond` of two tableaux that fix every mask fixes every mask
+    and XORs the sign bits (the identity sector's are 0); `same_map` is
+    tableau equality."""
     from .operad import FiniteAlgebraAssignment
 
     carriers = sector_carriers(net, family)
@@ -802,12 +813,10 @@ def sector_algebra_assignment(
 
     def structure(op):
         def run(args):
-            key = (op, *[s.unitary for s in args], *[s.region for s in args])
+            key = (op, *[s.tableau for s in args], *[s.region for s in args])
             out = cache.get(key)
             if out is None:
-                out = pfa_structure_map(op, args, net)
-                if all(s.unitary is not None for s in args):
-                    cache[key] = out
+                out = cache[key] = pfa_structure_map(op, args, net)
             return out
 
         return run
@@ -827,21 +836,19 @@ def sector_equivariant_assignment(
 ):
     """Equivariant algebra data: the isomorphisms act by the implementing
     unitaries, sending sectors at U to transformed sectors at alpha_g(U).
-    Transformed inner sectors are cached on (g, region, unitary); the
-    diagram validators revisit the same elements many times and each
-    transform re-verifies localization."""
+    Transformed sectors are cached on (g, region, tableau), shared like
+    the structure maps' outputs; the diagram validators revisit the same
+    elements many times and each transform re-verifies localization."""
     from .operad import EquivariantAlgebraAssignment
 
     base = sector_algebra_assignment(net, family)
     cache: dict = {}
 
     def act(g: str, rho: LocalizedEndo) -> LocalizedEndo:
-        key = (g, rho.region, rho.unitary)
+        key = (g, rho.region, rho.tableau)
         out = cache.get(key)
         if out is None:
-            out = g_act_sector(g, rho, data)
-            if rho.unitary is not None:
-                cache[key] = out
+            out = cache[key] = g_act_sector(g, rho, data)
         return out
 
     return EquivariantAlgebraAssignment(
@@ -863,8 +870,8 @@ def validate_theorem_3_11(
 
     Strict monoidality is proved, like the algebra diagrams, when every
     sector has a summary (`_sector_summary`): each side is a product of
-    the same masks, so both carry their XOR and `same_map` accepts them.
-    Otherwise every pair of tuples is walked."""
+    Pauli conjugations with the same sign bits, so both carry their XOR and
+    `same_map` accepts them.  Otherwise every pair of tuples is walked."""
     from .operad import enumerate_all_operations, validate_algebra
     from .orthcat import (
         check_assumption_extension,
@@ -956,6 +963,15 @@ class SectorGroupData:
     action: GroupActionSpec
     unitaries: dict[str, GMat]
     name: str = ""
+    _ad: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def _conjugation(self, g: str) -> list[LocalizedEndo]:
+        """[Ad u_g, Ad u_g*] as sectors at any region, built once per g;
+        PreconditionError unless both are signed Pauli maps."""
+        if g not in self._ad:
+            u, region = self.unitaries[g], next(iter(self.net.region_sites))
+            self._ad[g] = [LocalizedEndo(self.net, region, w) for w in (u, u.adjoint())]
+        return self._ad[g]
 
     def validate(self) -> ValidationReport:
         """Implementation axioms: each u_g unitary, the adjoint action matches
@@ -974,7 +990,8 @@ class SectorGroupData:
                 report.add("unitary", {"g": g})
         if report.schema_errors or report.violations:
             return report
-        if not _ad_equal(self.net, self.unitaries[unit], GMat.identity(self.net.n)):
+        u_e = self.unitaries[unit]
+        if any(u_e @ m != m @ u_e for m in self.net.global_algebra().generators):
             report.add("unit-implementation", {"g": unit})
         for g in group.elements:
             u = self.unitaries[g]
@@ -1000,25 +1017,13 @@ class SectorGroupData:
 
 
 def g_act_sector(g: str, rho: LocalizedEndo, data: SectorGroupData) -> LocalizedEndo:
-    """Transformed sector: conjugate the endomorphism by the implementing
-    unitary; localization in the moved region is re-verified."""
-    u = data.unitaries[g]
+    """Transformed sector Ad u_g after rho after Ad u_g*, composed on
+    tableaux; localization in the moved region is re-verified."""
+    ad_u, ad_inv = data._conjugation(g)
     moved_region = data.action.action[g].apply_obj(rho.region)
+    tableau = _compose(ad_u._map, _compose(rho._map, ad_inv.tableau))
     label = f"{g}|>{rho.label}"
-    if rho.unitary is not None:
-        out = LocalizedEndo(
-            data.net,
-            moved_region,
-            unitary=u @ rho.unitary @ u.adjoint(),
-            label=label,
-            validate=False,
-        )
-    else:
-        glob = data.net.global_algebra()
-        images = [
-            u @ rho.apply(u.adjoint() @ a @ u) @ u.adjoint() for a in glob.basis
-        ]
-        out = LocalizedEndo(data.net, moved_region, images=images, label=label, validate=False)
+    out = LocalizedEndo(data.net, moved_region, (ad_u, rho, ad_inv), label=label, _tableau=tableau)
     loc = check_localized(out, data.net)
     if not loc.ok:
         raise PreconditionError(
@@ -1034,41 +1039,23 @@ class CovarianceFamily:
     method: str
 
 
-def _maps_equal_on_generators(net: MatrixNet, f, g) -> bool:
-    """f == g on the global algebra, for unital *-homomorphisms f and g:
-    maps that agree on the generators agree on every product of them."""
-    return all(f(a) == g(a) for a in net.global_algebra().generators)
-
-
-def _ad_equal(net: MatrixNet, a: GMat, b: GMat) -> bool:
-    """Ad_a == Ad_b on the global algebra, for unitaries a and b: exactly
-    when b* a commutes with the global algebra, that is, lies in its
-    commutant.  A scalar b* a is decided without the commutant.
-
-    `LocalizedEndo.same_map` reads this rule on masks when both unitaries
-    are scaled Pauli strings and calls it for every other inner pair; the
-    tests keep it as the oracle of the mask rule."""
-    c = b.adjoint() @ a
-    if c.scalar_multiple_of_identity() is not None:
-        return True
-    return net.global_commutant().contains(c)
-
-
 def find_covariance(
     rho: LocalizedEndo, data: SectorGroupData
 ) -> CovarianceFamily | None:
     """Projective family implementing the sector's covariance: for each g a
     unitary y with rho(u_g a u_g*) y = y rho(a) on the global algebra.
 
-    An inner sector Ad v has the conjugated family v u_g v*.  An image-built
-    sector on a global algebra with trivial commutant (all of M_N) is Ad w
-    for some unitary w, which `_pauli_twirl` recovers up to a scalar; the
-    family w u_g w*, divided by the scalar w w*, is returned only once the
-    law holds on the generators.  On diagonal constraints (the abelian
-    nets) `_solve_intertwiner` is complete, so None proves that no unitary
-    family exists.  Everything else raises PreconditionError: an
-    image-built sector that is no automorphism of a full global algebra,
-    and any global algebra that is neither full nor diagonal-constrained.
+    A sector with an implementing unitary v has the conjugated family
+    v u_g v*.
+    Any other sector on a global algebra with trivial commutant (all of
+    M_N) is Ad w for some unitary w, which `_pauli_twirl` recovers up to a
+    scalar; the family w u_g w*, divided by the scalar w w*, is returned
+    only once the law holds on the generators.  On diagonal constraints
+    (the abelian nets) `_solve_intertwiner` is complete, so None proves
+    that no unitary family exists.  Everything else raises
+    PreconditionError: a sector that is no automorphism of a full global
+    algebra, and any global algebra that is neither full nor
+    diagonal-constrained.
     """
     group = data.action.group
     if rho.unitary is not None:
@@ -1155,17 +1142,24 @@ def diamond_covariance(
     data: SectorGroupData,
 ) -> CovarianceFamily:
     """Composite covariance family for the product sector, with the defining
-    identity chain re-verified stage by stage as maps on the generators."""
+    identity chain re-verified stage by stage as maps on the generators.
+
+    The bridge u_g* u_dot need not lie in the global algebra (on a diagonal
+    net it permutes the basis), so a sector with an implementing unitary v
+    maps it as v bridge v*; any other sector raises PreconditionError on
+    it."""
     net = data.net
     group = data.action.group
+    gens = net.global_algebra().generators
     out: dict[str, GMat] = {}
     prod = diamond(rho, rhodot, region=net.join(rho.region, rhodot.region))
+    v = rho.unitary
     for g in group.elements:
         u_g = data.unitaries[g]
         u_rho = fam.unitaries[g]
         u_dot = famdot.unitaries[g]
         bridge = u_g.adjoint() @ u_dot
-        composite = u_rho @ rho.apply(bridge)
+        composite = u_rho @ (rho.apply(bridge) if v is None else v @ bridge @ v.adjoint())
         chain = [
             lambda a: prod.apply(u_g @ a @ u_g.adjoint()),
             lambda a: rho.apply(u_dot @ rhodot.apply(a) @ u_dot.adjoint()),
@@ -1174,7 +1168,7 @@ def diamond_covariance(
             lambda a: composite @ prod.apply(a) @ composite.adjoint(),
         ]
         for step in range(len(chain) - 1):
-            if not _maps_equal_on_generators(net, chain[step], chain[step + 1]):
+            if any(chain[step](a) != chain[step + 1](a) for a in gens):
                 raise PreconditionError(
                     f"covariance chain broke at step {step} for {g}"
                 )

@@ -1,9 +1,16 @@
+import contextlib
+import io
 import json
+import os
 import random
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sectorfact.cli import build_parser, main
+from sectorfact.fixtures import net_to_json, qubit_net
 from sectorfact.reports import dump_json, render_text
 
 
@@ -451,3 +458,68 @@ def test_malformed_documents_exit_2_without_traceback(workdir, capsys, fixture, 
     assert captured.out == ""
     assert captured.err.startswith("schema error: ") and captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
+
+
+# -- malformed nets, fuzzed ------------------------------------------------------------------------
+
+_JUNK = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 4), st.text(max_size=3),
+    st.lists(st.integers(-1, 3), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 2), max_size=2),
+)
+
+
+@st.composite
+def _malformed_net(draw):
+    """net_to_json(qubit_net(2)) with one to three mutations: wrong types,
+    unknown or repeated ids, out-of-range sites, bad algebra kinds and
+    malformed orth lists."""
+    doc = net_to_json(qubit_net(2))
+    ids = [r["id"] for r in doc["regions"]]
+    for _ in range(draw(st.integers(1, 3))):
+        regions = doc["regions"] if isinstance(doc.get("regions"), list) else None
+        kind = draw(st.sampled_from(
+            ["top", "region-key", "region", "repeat", "sites", "no-sites", "algebra", "orth"]
+        ))
+        if kind == "top" or regions is None or not regions:
+            key = draw(st.sampled_from(["sites", "local_dim", "regions", "orth", "name"]))
+            doc[key] = draw(_JUNK)
+            continue
+        k = draw(st.integers(0, len(regions) - 1))
+        region = regions[k] if isinstance(regions[k], dict) else {}
+        if kind == "region-key":
+            key = draw(st.sampled_from(["id", "sites", "algebra"]))
+            if draw(st.booleans()):
+                regions[k] = {**region, key: draw(_JUNK)}
+            else:
+                regions[k] = {a: b for a, b in region.items() if a != key}
+        elif kind == "region":
+            regions[k] = draw(_JUNK)
+        elif kind == "repeat":
+            doc["regions"] = regions + [regions[k]]
+        elif kind == "no-sites":
+            # every region on no site, so any chain length passes the range check
+            doc["regions"] = [{**r, "sites": []} if isinstance(r, dict) else r for r in regions]
+        elif kind == "sites":
+            regions[k] = {**region, "sites": draw(st.lists(st.integers(-2, 3), max_size=3))}
+        elif kind == "algebra":
+            algebra = st.sampled_from(["full", "diagonal", "bogus", 3, None])
+            regions[k] = {**region, "algebra": draw(algebra)}
+        else:
+            pair = st.lists(st.one_of(st.sampled_from(ids + ["[9,9]"]), _JUNK), max_size=3)
+            doc["orth"] = draw(st.one_of(_JUNK, st.just("disjoint"), st.lists(pair, max_size=3)))
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(_malformed_net(), st.sampled_from([["haag"], ["theorem311", "--bound", "1"]]))
+def test_malformed_nets_exit_cleanly(doc, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "net.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["sectors", command[0], "--net", path] + command[1:])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

@@ -181,6 +181,54 @@ def test_covariant_sectors_closed_under_product(net4, z2_data, family4):
             assert lhs == rhs
 
 
+def test_composite_family_on_a_diagonal_global_algebra(bits4):
+    # the bridge u_g* u_dot of two X sectors under the reflection is no
+    # diagonal matrix, so rho(bridge) lies outside the global algebra and is
+    # read from rho's unitary
+    data = qubit_reflection_data(bits4)
+    assert data.validate().ok
+    x1, x2 = (pauli_sector(bits4, "X", u).relabel("[1,2]") for u in ("[1,1]", "[2,2]"))
+    for rho, sig in ((x1, x2), (x2, x1)):
+        fam, famdot = find_covariance(rho, data), find_covariance(sig, data)
+        joint = diamond_covariance(rho, sig, fam, famdot, data)
+        prod = diamond(rho, sig)
+        for g, u_g in data.unitaries.items():
+            y = joint.unitaries[g]
+            assert y.is_unitary()
+            for m in bits4.global_algebra().basis:
+                assert prod.apply(u_g @ m @ u_g.adjoint()) == y @ prod.apply(m) @ y.adjoint()
+
+
+def test_derived_sectors_keep_their_implementing_unitary(bits4):
+    # a product, transport or g-image of sectors built from unitaries is
+    # implemented by the product of theirs, so the inner family, the
+    # translated pattern and the composite family reach it
+    from sectorfact.sectors import check_transportable
+
+    data = qubit_reflection_data(bits4)
+    x1, x2, x3 = (pauli_sector(bits4, "X", f"[{k},{k}]") for k in (1, 2, 3))
+    pair = diamond(x1.relabel("[1,2]"), x2.relabel("[1,2]"))
+    assert pair.unitary == x1.unitary @ x2.unitary
+    moved = g_act_sector("r", pair, data)
+    u_r = data.unitaries["r"]
+    assert moved.unitary == u_r @ pair.unitary @ u_r.adjoint() and moved.region == "[3,4]"
+    report = check_transportable(pair, "[3,4]", bits4)
+    assert report.found and report.transporter_label == "translated-pattern"
+    assert report.transported.unitary == report.transporter @ pair.unitary
+    fam = find_covariance(pair, data)
+    assert fam.method == "inner"
+    triple = pair.relabel("[1,3]")
+    sig = x3.relabel("[1,3]")
+    joint = diamond_covariance(triple, sig, fam, find_covariance(sig, data), data)
+    prod = diamond(triple, sig)
+    for g, u_g in data.unitaries.items():
+        y = joint.unitaries[g]
+        for m in bits4.global_algebra().basis:
+            assert prod.apply(u_g @ m @ u_g.adjoint()) == y @ prod.apply(m) @ y.adjoint()
+    # an image-built factor has no unitary, and neither has its product
+    assert diamond(collapse_sector(bits4), pair).unitary is None
+
+
 def test_covariance_chain_probe_shifted_family(net4, z2_data):
     # X at site 1 lies outside the trivial global commutant, so shifting a
     # family entry by it must break the chain where that entry enters
@@ -235,21 +283,26 @@ def test_image_sector_action_and_covariance(net2):
 def test_ad_equal_on_a_diagonal_global_algebra(bits4):
     from sectorfact.fixtures import entangler_unitary
     from sectorfact.linalg import pauli_string
-    from sectorfact.sectors import _ad_equal
+    from sectorfact.sectors import LocalizedEndo
 
     assert bits4.global_algebra().dim == 16  # the diagonal of M_16
     z_type = [pauli_string(4, 0, z) for z in (0, 0b1000, 0b0110, 0b1111)]
     z_type.append(entangler_unitary(bits4, 1, 2))
     x_type = [pauli_string(4, x, 0) for x in (0b1000, 0b0100, 0b0011)]
     x_type.append(pauli_string(4, 0b1000, 0b0001))
+    ad = {id(u): LocalizedEndo(bits4, "[1,1]", unitary=u) for u in z_type + x_type}
+
+    def same(a, b):
+        return ad[id(a)].same_map(ad[id(b)])
+
     outcomes = set()
     for a in z_type + x_type:
         for b in z_type + x_type:
             want = ad_equal(bits4, a, b)
-            assert _ad_equal(bits4, a, b) == want
+            assert same(a, b) == want
             outcomes.add(want)
     assert outcomes == {True, False}
     # Z-type unitaries commute with the diagonal; distinct X parts do not agree
-    assert all(_ad_equal(bits4, a, b) for a in z_type for b in z_type)
-    assert not _ad_equal(bits4, x_type[0], x_type[1])
-    assert _ad_equal(bits4, x_type[0], x_type[3])
+    assert all(same(a, b) for a in z_type for b in z_type)
+    assert not same(x_type[0], x_type[1])
+    assert same(x_type[0], x_type[3])

@@ -14,7 +14,6 @@ from sectorfact.linalg import (
     format_rational,
     nullspace,
     parse_rational,
-    pauli_commutant_masks,
     pauli_commute,
     pauli_mask_span,
     pauli_string,
@@ -149,6 +148,8 @@ def test_pauli_string_against_per_site_construction():
 
 def test_commutant_masks_against_enumeration():
     # brute-force oracle: enumerate all strings and test commutation directly
+    from sectorfact.sectors import MatrixAlg, commutant
+
     L = 3
     gens = [(0b100, 0), (0, 0b100), (0b010, 0b001)]
     expected = sorted(
@@ -157,7 +158,8 @@ def test_commutant_masks_against_enumeration():
         for z in range(8)
         if all(pauli_commute(x, z, gx, gz) for gx, gz in gens)
     )
-    assert pauli_commutant_masks(L, gens) == expected
+    alg = MatrixAlg.pauli_span(L, pauli_mask_span(L, gens))
+    assert sorted(commutant(alg).masks()) == expected
 
 
 def _frontier_closure(gens):

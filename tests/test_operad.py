@@ -838,9 +838,8 @@ def test_summary_without_the_region_test_loses_the_misfiled_witnesses(monkeypatc
     net = qubit_net(4)
     want = reference_validate_algebra(*_sectors(net, _misfiled_family), 2).violations
     # corruption probe: a summary that ignores where the sector is filed
-    monkeypatch.setattr(
-        sectors_module, "_sector_summary", lambda u, s: s.mask if s.unitary is not None else None
-    )
+    real = sectors_module._sector_summary
+    monkeypatch.setattr(sectors_module, "_sector_summary", lambda u, s: real(s.region, s))
     got = validate_algebra(*_sectors(net, _misfiled_family), 2).violations
     assert all(v.axiom == "structure-arity" for v in want + got)
     assert len(got) < len(want)

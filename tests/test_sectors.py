@@ -45,7 +45,6 @@ from sectorfact.sectors import (
     check_perp_commutativity_sectors,
     check_transportable,
     commutant,
-    _ad_equal,
     _solve_intertwiner,
     diamond,
     diamond_mor,
@@ -310,8 +309,8 @@ def test_identity_localized_anywhere(net4):
 
 
 def reference_check_localized(rho, net):
-    """The `GMat` loop that `check_localized` runs for unmasked sectors, run
-    on every sector: the oracle of the mask branch."""
+    """Every basis matrix of every orthogonal algebra mapped by `apply`: the
+    oracle of the generator test and the mask walk of `check_localized`."""
     report = ValidationReport(check="localized", subject=rho.label)
     for u in net.orth_partners(rho.region):
         for i, a in enumerate(net.algebra(u).basis):
@@ -371,26 +370,32 @@ def _localization_reports(check, cases):
     return [dump_json(check(rho, net).to_dict()) for net, rho in cases]
 
 
+def _is_pauli_conjugation(rho):
+    # a tableau that fixes every mask
+    return sectors_module._sector_summary(rho.region, rho) is not None
+
+
 def test_check_localized_matches_the_matrix_loop(localization_cases):
     want = _localization_reports(reference_check_localized, localization_cases)
     assert _localization_reports(check_localized, localization_cases) == want
     failing = [
-        rho.mask for (_, rho), report in zip(localization_cases, want) if '"basis_index"' in report
+        rho for (_, rho), report in zip(localization_cases, want) if '"basis_index"' in report
     ]
-    # both branches are exercised, and masked sectors fail at several indices
-    assert any(m is None for m in failing) and sum(m is not None for m in failing) >= 4
+    # Pauli conjugations and other maps fail, Pauli ones at several indices
+    pauli = [_is_pauli_conjugation(rho) for rho in failing]
+    assert not all(pauli) and sum(pauli) >= 4
 
 
 def test_check_localized_probes(monkeypatch, localization_cases):
-    masked = [(net, rho) for net, rho in localization_cases if rho.mask is not None]
-    want = _localization_reports(reference_check_localized, masked)
+    want = _localization_reports(reference_check_localized, localization_cases)
     with monkeypatch.context() as m:
         # the masks in set order, not in the order of `basis`
         m.setattr(sectors_module, "sorted", lambda xs: list(xs), raising=False)
-        assert _localization_reports(check_localized, masked) != want
+        assert _localization_reports(check_localized, localization_cases) != want
     with monkeypatch.context() as m:
-        m.setattr(sectors_module, "pauli_commute", lambda *masks: not pauli_commute(*masks))
-        assert _localization_reports(check_localized, masked) != want
+        # a generator test that passes every algebra
+        m.setattr(sectors_module, "all", lambda checks: True, raising=False)
+        assert _localization_reports(check_localized, localization_cases) != want
 
 
 # -- transport ----------------------------------------------------------------------------------
@@ -417,6 +422,20 @@ def test_transport_not_found(net4):
     rho = LocalizedEndo(net4, "[1,2]", unitary=entangler_unitary(net4, 0, 1), label="CZ12")
     report = check_transportable(rho, "[3,4]", net4)
     assert not report.found
+    # a candidate that is no signed Pauli map is skipped, not an error
+    rotation = _rotation_on_site(net4, 0)
+    assert not check_transportable(rho, "[3,4]", net4, [("rotation", rotation)]).found
+
+
+def _rotation_on_site(net, site):
+    """[[3/5, -4/5], [4/5, 3/5]] on one site: unitary, and Ad of it sends
+    Z to -7/25 Z + 24/25 X, no signed string."""
+    r = GMat.from_rows([[GaussianRational.of(F(3, 5)), GaussianRational.of(F(-4, 5))],
+                        [GaussianRational.of(F(4, 5)), GaussianRational.of(F(3, 5))]])
+    out = GMat.identity(1)
+    for s in range(net.sites):
+        out = out.tensor(r if s == site else GMat.identity(2))
+    return out
 
 
 # -- the sector product ---------------------------------------------------------------------------
@@ -494,6 +513,14 @@ def test_intertwiner_for_general_endomorphism(bits4):
 
 
 # -- dense oracles ---------------------------------------------------------------------
+
+
+def reference_ad_equal(net, a, b):
+    """Ad_a == Ad_b on the global algebra, for unitaries a and b: exactly
+    when b* a commutes with the global algebra, that is, lies in its
+    commutant.  The `GMat` oracle of tableau equality."""
+    c = b.adjoint() @ a
+    return c.scalar_multiple_of_identity() is not None or net.global_commutant().contains(c)
 
 
 def reference_dense_commutant(n, constraints):
@@ -667,7 +694,7 @@ def _assert_membership_verdicts(bits4, rho):
     with pytest.raises(PreconditionError, match="leaves the local algebra"):
         Intertwiner(rho, rho, pauli_string(4, 0b1000, 0))
     # CZ lies in the diagonal commutant but is not a string
-    if not _ad_equal(bits4, ident, entangler_unitary(bits4, 1, 2)):
+    if not reference_ad_equal(bits4, ident, entangler_unitary(bits4, 1, 2)):
         pytest.fail("CZ commutes with the diagonal global algebra")
     if bits4.global_algebra().contains(ident + pauli_string(4, 0b1000, 0)):
         pytest.fail("I + X0 is not diagonal")
@@ -1030,32 +1057,39 @@ def test_image_sector_transport_with_inner_transporter(net2):
 # -- image-built sectors: the homomorphism check and covariance -------------------------
 
 
-def reference_is_homomorphism(rho):
-    """The full-basis check `_check_homomorphism` made before it moved to
-    the generators: images in the global algebra, unital, and adjoints and
+def _linear(net, images):
+    """The linear map sending the k-th global basis string to images[k]."""
+    index = {mask: k for k, mask in enumerate(sorted(net.global_algebra().masks()))}
+
+    def apply(m):
+        out = GMat.zero(net.n)
+        for mask, c in pauli_coefficients(m).items():
+            out = out + images[index[mask]].scale(c)
+        return out
+
+    return apply
+
+
+def reference_is_homomorphism(net, images):
+    """Whether `_linear(net, images)` is a unital *-homomorphism, checked on
+    the full basis: images in the global algebra, unital, and adjoints and
     products on every pair of basis strings."""
-    glob = rho.net.global_algebra()
+    glob, apply = net.global_algebra(), _linear(net, images)
     return (
-        all(glob.contains(rho.apply(a)) for a in glob.basis)
-        and rho.apply(GMat.identity(rho.net.n)).is_identity()
-        and all(rho.apply(a.adjoint()) == rho.apply(a).adjoint() for a in glob.basis)
-        and all(
-            rho.apply(a @ b) == rho.apply(a) @ rho.apply(b)
-            for a in glob.basis
-            for b in glob.basis
-        )
+        all(glob.contains(img) for img in images)
+        and apply(GMat.identity(net.n)).is_identity()
+        and all(apply(a.adjoint()) == apply(a).adjoint() for a in glob.basis)
+        and all(apply(a @ b) == apply(a) @ apply(b) for a in glob.basis for b in glob.basis)
     )
 
 
-def _rebuilt(rho, images):
-    """An unvalidated copy of rho with the given basis images, and whether
-    the generator check accepts it."""
-    out = LocalizedEndo(rho.net, rho.region, images=images, validate=False)
+def _accepted(net, images):
+    """Whether the constructor accepts the raw basis images."""
     try:
-        out._check_homomorphism()
+        LocalizedEndo(net, "[1,1]", images=images)
     except PreconditionError:
-        return out, False
-    return out, True
+        return False
+    return True
 
 
 @settings(max_examples=60, deadline=None)
@@ -1066,31 +1100,44 @@ def _rebuilt(rho, images):
 def test_homomorphism_check_matches_the_full_basis(letter, phases):
     # a phase on some basis images keeps every image a string, so only
     # unitality, adjoints or products can break
-    rho = _image_sector(pauli_sector(qubit_net(2), letter, "[1,1]"))
-    images = [rho.apply(a) for a in rho.net.global_algebra().basis]
+    net = qubit_net(2)
+    rho = pauli_sector(net, letter, "[1,1]")
+    images = [rho.apply(a) for a in net.global_algebra().basis]
     for i, c in phases.items():
         images[i] = images[i].scale(c)
-    out, accepted = _rebuilt(rho, images)
-    assert accepted == reference_is_homomorphism(out)
+    assert _accepted(net, images) == reference_is_homomorphism(net, images)
 
 
 def test_homomorphism_check_probes(net2):
-    rho = _image_sector(pauli_sector(net2, "X", "[1,1]"))
     glob = net2.global_algebra()
-    intact = [rho.apply(a) for a in glob.basis]
+    intact = [pauli_sector(net2, "X", "[1,1]").apply(a) for a in glob.basis]
     generator = glob.basis.index(glob.generators[0])
+    partner = next(  # a generator that anticommutes with the first one
+        glob.basis.index(g) for g in glob.generators if not g.commutes_with(glob.generators[0])
+    )
     product = len(intact) - 1  # Y (x) Y, a product of generators
     assert glob.basis[product] not in glob.generators and generator != 0
-    broken = {
-        "not unital": {0: intact[0].scale(-GR_ONE)},
-        "does not respect adjoints": {generator: intact[generator].scale(GR_I)},
-        "not multiplicative": {product: intact[product].scale(-GR_ONE)},
-    }
-    for message, changes in broken.items():
+    broken = [
+        ("not unital", {0: intact[0].scale(-GR_ONE)}),
+        ("does not respect adjoints", {generator: intact[generator].scale(GR_I)}),
+        ("not multiplicative", {product: intact[product].scale(-GR_ONE)}),
+        # two anticommuting generators sent to one string
+        ("not multiplicative", {partner: intact[generator]}),
+    ]
+    for message, changes in broken:
         images = [changes.get(i, m) for i, m in enumerate(intact)]
         with pytest.raises(PreconditionError, match=message):
             LocalizedEndo(net2, "[1,1]", images=images)
-        assert not reference_is_homomorphism(_rebuilt(rho, images)[0])
+        assert not reference_is_homomorphism(net2, images)
+    # X and Z sent to one string on one qubit: the generators' images
+    # commute, and no sign of the image of Y makes that a homomorphism
+    qubit1 = qubit_net(1)
+    i1, x1, z1 = GMat.identity(2), pauli_string(1, 1, 0), pauli_string(1, 0, 1)
+    for sign in (GR_ONE, -GR_ONE):
+        images = [i1, z1, z1, i1.scale(sign)]  # the images of I, Z, X, Y
+        with pytest.raises(PreconditionError, match="not multiplicative"):
+            LocalizedEndo(qubit1, "[1,1]", images=images)
+        assert not reference_is_homomorphism(qubit1, images)
     # an X string is no image on the diagonal net
     bits2 = diagonal_net(2)
     reset = collapse_sector(bits2, "[1,1]")
@@ -1098,6 +1145,19 @@ def test_homomorphism_check_probes(net2):
     images[1] = pauli_string(2, 0b10, 0)
     with pytest.raises(PreconditionError, match="image leaves the global algebra"):
         LocalizedEndo(bits2, "[1,1]", images=images)
+    assert not reference_is_homomorphism(bits2, images)
+
+
+def test_non_clifford_maps_are_refused(net2):
+    # Ad R for a rotation R is an automorphism, but it sends Z to no
+    # signed string, so it has no tableau
+    r = _rotation_on_site(net2, 0)
+    images = [r @ a @ r.adjoint() for a in net2.global_algebra().basis]
+    assert reference_is_homomorphism(net2, images)
+    for built in (lambda: LocalizedEndo(net2, "[1,1]", unitary=r),
+                  lambda: LocalizedEndo(net2, "[1,1]", images=images)):
+        with pytest.raises(PreconditionError, match="not a signed Pauli string"):
+            built()
 
 
 def test_intertwiner_law_probe(net4):
@@ -1139,7 +1199,7 @@ def test_every_image_sector_gets_a_family(sites):
         for g, u_g in data.unitaries.items():
             y = fam.unitaries[g]
             assert y.is_unitary()
-            assert _ad_equal(net, y, inner.unitary @ u_g @ inner.unitary.adjoint())
+            assert reference_ad_equal(net, y, inner.unitary @ u_g @ inner.unitary.adjoint())
             for a in net.global_algebra().basis:
                 assert image.apply(u_g @ a @ u_g.adjoint()) @ y == y @ image.apply(a)
 
@@ -1160,10 +1220,15 @@ def test_twirl_family_matches_the_dense_nullspace(net2):
 def test_twirl_probes(monkeypatch, net2):
     data = qubit_reflection_data(net2)
     rho = _image_sector(pauli_sector(net2, "X", "[1,1]"))
-    # every string to the identity: a linear map whose twirl is not unitary
-    flat, _ = _rebuilt(rho, [GMat.identity(net2.n)] * net2.global_algebra().dim)
-    with pytest.raises(PreconditionError, match="no automorphism"):
-        find_covariance(flat, data)
+    # every string to the identity is no homomorphism, so it has no tableau
+    with pytest.raises(PreconditionError, match="not multiplicative"):
+        LocalizedEndo(net2, "[1,1]", images=[GMat.identity(net2.n)] * net2.global_algebra().dim)
+    # a twirl that is not a multiple of a unitary
+    with monkeypatch.context() as m:
+        m.setattr(sectors_module, "_pauli_twirl",
+                  lambda rho: GMat.identity(rho.net.n) + pauli_string(2, 0b10, 0))
+        with pytest.raises(PreconditionError, match="no automorphism"):
+            find_covariance(rho, data)
     # a twirl that misses w: the family u_g must fail the law at the swap
     monkeypatch.setattr(sectors_module, "_pauli_twirl", lambda rho: GMat.identity(rho.net.n))
     with pytest.raises(PreconditionError, match="does not intertwine"):
@@ -1275,15 +1340,15 @@ def test_region_named_like_the_global_cache_key():
     assert global_first.algebra("__global__").dim == 4
 
 
-# -- the mask rule of same_map and diamond ---------------------------------------------------------
+# -- the tableau rule of same_map and diamond ------------------------------------------------------
 #
-# A sector whose unitary is a scaled Pauli string carries its (x, z) mask;
-# `diamond` hands the XOR of two masks to the product, and `same_map` of two
-# masked sectors looks the XOR up in the global commutant's masks.  The
-# oracle is `_ad_equal` on the GMats and `as_pauli_string` of the product.
+# A sector is its tableau: `same_map` is tableau equality and `diamond`
+# composes tableaux without multiplying matrices.  The oracle is
+# `reference_ad_equal` on the unitaries the sectors were built from, and on
+# the product of those unitaries for a product.
 
 # qubit chains have the scalars as global commutant; the diagonal net's is
-# the 16 Z-type strings, so distinct masks can give the same map there
+# the 16 Z-type strings, so distinct strings can give the same map there
 QUBIT_NETS = [qubit_net(L) for L in (1, 2, 3, 4)]
 BITS4 = diagonal_net(4)
 UNIMODULAR = [GR_ONE, GaussianRational.of(0, 1), GaussianRational.of(-1), GaussianRational.of(0, -1)]
@@ -1297,24 +1362,26 @@ def _decoded(u):
 
 def _check_mask_rule(net, rho, sig):
     """same_map and diamond on rho, sig and their products agree with the
-    GMat oracle; pairs without two masks must go through `_ad_equal`."""
+    GMat oracle on the unitaries they stand for."""
     prod, swapped = sectors_module.diamond(rho, sig), sectors_module.diamond(sig, rho)
-    for s in (rho, sig, prod, swapped):
-        assert s.mask == _decoded(s.unitary)
+    unitary = {
+        id(rho): rho.unitary,
+        id(sig): sig.unitary,
+        id(prod): rho.unitary @ sig.unitary,
+        id(swapped): sig.unitary @ rho.unitary,
+    }
+    for s in (prod, swapped):
+        assert s.unitary == unitary[id(s)]
+        assert s.tableau == LocalizedEndo(net, s.region, unitary=unitary[id(s)]).tableau
     pairs = [(rho, sig), (sig, rho), (prod, swapped), (prod, rho), (sig, prod), (rho, rho)]
-    spy = mock.patch.object(sectors_module, "_ad_equal", wraps=_ad_equal)
     for a, b in pairs:
-        with spy as oracle_calls:
-            got = a.same_map(b)
-        masked = a.mask is not None and b.mask is not None
-        assert oracle_calls.call_count == (0 if masked else 1)
-        assert got == _ad_equal(net, a.unitary, b.unitary)
+        assert a.same_map(b) == reference_ad_equal(net, unitary[id(a)], unitary[id(b)])
 
 
 @st.composite
 def masked_pairs(draw):
-    # half the draws on the diagonal net, whose commutant branch is the one
-    # a rule testing a == b would get wrong
+    # half the draws on the diagonal net, where strings a commutant string
+    # apart are the same map
     net = draw(st.one_of(st.sampled_from(QUBIT_NETS), st.just(BITS4)))
     L, region = net.sites, draw(st.sampled_from(sorted(net.category.objects)))
     commutant = sorted(net.global_commutant().masks())
@@ -1330,14 +1397,14 @@ def masked_pairs(draw):
         else:
             x, z = draw(st.integers(0, (1 << L) - 1)), draw(st.integers(0, (1 << L) - 1))
             if near is not None and draw(st.booleans()):
-                # shift a masked operand by a commutant string: same map
+                # shift a string operand by a commutant string: same map
                 cx, cz = draw(st.sampled_from(commutant))
                 x, z = near[0] ^ cx, near[1] ^ cz
             u = pauli_string(L, x, z, draw(st.sampled_from(UNIMODULAR)))
-        return LocalizedEndo(net, region, unitary=u, label=kind, validate=False)
+        return LocalizedEndo(net, region, unitary=u, label=kind)
 
     rho = operand()
-    return net, rho, operand(near=rho.mask)
+    return net, rho, operand(near=_decoded(rho.unitary))
 
 
 @settings(max_examples=150, deadline=None)
@@ -1347,50 +1414,46 @@ def test_mask_rule_matches_ad_equal(case):
 
 
 def test_mask_rule_covers_both_branches():
+    # distinct strings that are the same map, and unitaries that are no
+    # strings (CZ, the reflection) next to a string
     assert len(BITS4.global_commutant().masks()) == 16
-    x0 = LocalizedEndo(BITS4, "[1,1]", unitary=pauli_string(4, 8, 0), validate=False)
+    x0 = LocalizedEndo(BITS4, "[1,1]", unitary=pauli_string(4, 8, 0))
     x0z1 = LocalizedEndo(
         BITS4, "[1,1]", unitary=pauli_string(4, 8, 4, GaussianRational.of(F(3, 5), F(4, 5)))
     )
-    # distinct masks, same map: the XOR (0, 4) is a commutant string
-    assert x0.mask == (8, 0) and x0z1.mask == (8, 4)
-    assert x0.same_map(x0z1) and _ad_equal(BITS4, x0.unitary, x0z1.unitary)
+    # the XOR (0, 4) is a commutant string
+    assert _decoded(x0.unitary) == (8, 0) and _decoded(x0z1.unitary) == (8, 4)
+    assert x0.same_map(x0z1) and reference_ad_equal(BITS4, x0.unitary, x0z1.unitary)
     _check_mask_rule(BITS4, x0, x0z1)
     net = qubit_net(4)
     for u in (entangler_unitary(net, 0, 3), reflection_unitary(4)):
         rho = LocalizedEndo(net, "[1,4]", unitary=u)
-        assert rho.mask is None and rho.relabel("[1,4]").mask is None
+        assert rho.relabel("[1,4]").same_map(rho)
         _check_mask_rule(net, rho, pauli_sector(net, "XZYI", "[1,4]"))
 
 
 def test_diamond_probe_or_instead_of_xor(monkeypatch):
-    # corruption probe: a product handed xa | xb instead of the XOR
-    real = sectors_module.diamond
-
-    def or_diamond(rho, rhodot, region=None):
-        out = real(rho, rhodot, region)
-        a, b = rho.mask, rhodot.mask
-        if a is not None and b is not None:
-            out._mask = (a[0] | b[0], a[1] | b[1])
-        return out
-
+    # corruption probe: a composition that ORs the carried sign into the
+    # image's sign instead of XORing it
+    monkeypatch.setattr(
+        sectors_module, "_compose",
+        lambda outer, tableau: tuple(outer[code >> 1] | (code & 1) for code in tableau),
+    )
     net = qubit_net(2)
     x, y = pauli_sector(net, "X", "[1,1]"), pauli_sector(net, "Y", "[1,1]")
-    monkeypatch.setattr(sectors_module, "diamond", or_diamond)
-    # only the decoded product sees this: OR, like XOR, is associative and
-    # commutative, so both sides of every theorem311 diagram agree under it
     with pytest.raises(AssertionError):
         _check_mask_rule(net, x, y)
 
 
 def test_same_map_probe_ignoring_the_commutant(monkeypatch):
-    # corruption probe: a mask rule that tests a == b is right on the qubit
-    # chains (scalar commutant) and must fail on the diagonal net
+    # corruption probe: comparing the implementing strings is right on the
+    # qubit chains (scalar commutant) and must fail on the diagonal net
     real = LocalizedEndo.same_map
 
     def naive(self, other):
-        if self.mask is not None and other.mask is not None:
-            return self.mask == other.mask
+        a, b = (None if s.unitary is None else _decoded(s.unitary) for s in (self, other))
+        if a is not None and b is not None:
+            return a == b
         return real(self, other)
 
     monkeypatch.setattr(LocalizedEndo, "same_map", naive)
@@ -1402,21 +1465,130 @@ def test_same_map_probe_ignoring_the_commutant(monkeypatch):
         _check_mask_rule(BITS4, x0, x0z1)
 
 
+# -- tableaux against the GMat oracle ---------------------------------------------------------------
+
+
+ORACLE_NETS = [qubit_net(2), qubit_net(3), diagonal_net(3)]
+ORACLE_DATA = {id(net): qubit_reflection_data(net) for net in ORACLE_NETS}
+
+
+@st.composite
+def oracle_sectors(draw):
+    """A net and two sectors at its full region, each a product of one to
+    three atoms, with the map each stands for as a function on GMats.
+    Atoms: Pauli, CZ and reflection-conjugated sectors, the collapse sector
+    on the diagonal net, and any of these rebuilt from its images."""
+    net = draw(st.sampled_from(ORACLE_NETS))
+    L, full = net.sites, f"[1,{net.sites}]"
+    data = ORACLE_DATA[id(net)]
+    basis = net.global_algebra().basis
+
+    def conj(u):
+        return lambda m: u @ m @ u.adjoint()
+
+    def atom():
+        kinds = ["pauli", "entangler", "reflected"] + (["collapse"] if net.overrides else [])
+        kind = draw(st.sampled_from(kinds), label="kind")
+        if kind == "collapse":
+            # the reset of sites 0 and 1 keeps the Z bit of site 2 only
+            rho = collapse_sector(net).relabel(full)
+            masks = sorted(net.global_algebra().masks())
+            dense = _linear(net, [pauli_string(L, 0, z & 0b001) for _, z in masks])
+        elif kind == "entangler":
+            a, b = draw(st.lists(st.integers(0, L - 1), min_size=2, max_size=2, unique=True))
+            u = entangler_unitary(net, a, b)
+            rho, dense = LocalizedEndo(net, full, unitary=u), conj(u)
+        else:
+            x, z = draw(st.integers(0, (1 << L) - 1)), draw(st.integers(0, (1 << L) - 1))
+            u = pauli_string(L, x, z, draw(st.sampled_from(UNIMODULAR)))
+            rho, dense = LocalizedEndo(net, full, unitary=u), conj(u)
+            if kind == "reflected":
+                r = data.unitaries["r"]
+                rho = sectors_module.g_act_sector("r", rho, data)
+                dense = conj(r @ u @ r.adjoint())
+        if draw(st.booleans(), label="rebuilt from images"):
+            rho = LocalizedEndo(net, full, images=[dense(a) for a in basis])
+        return rho, dense
+
+    def product(atoms):
+        rho, dense = atoms[0]
+        for sig, sig_dense in atoms[1:]:
+            rho = diamond(rho, sig)
+            dense = (lambda f, g: lambda m: f(g(m)))(dense, sig_dense)
+        return rho, dense
+
+    atoms = [atom() for _ in range(draw(st.integers(1, 3), label="factors"))]
+    other = list(reversed(atoms)) if draw(st.booleans(), label="reversed") else [atom()]
+    return net, product(atoms), product(other)
+
+
+@settings(max_examples=80, deadline=None)
+@given(oracle_sectors())
+def test_tableau_apply_and_same_map_match_the_gmat_oracle(case):
+    net, (rho, rho_dense), (sig, sig_dense) = case
+    basis = net.global_algebra().basis
+    assert all(rho.apply(a) == rho_dense(a) for a in basis)
+    assert all(sig.apply(a) == sig_dense(a) for a in basis)
+    assert rho.same_map(sig) == all(rho_dense(a) == sig_dense(a) for a in basis)
+
+
 # -- the summary behind the algebra proof ----------------------------------------------------------
 
 
-def test_sector_summary_is_the_rederived_mask(net2, net4):
+def _sign_bits(net, x, z):
+    """Bit k set when P(x, z) anticommutes with the k-th row's string: the
+    sign bits of Ad P(x, z)."""
+    L, low = net.sites, (1 << net.sites) - 1
+    rows = net.global_algebra().rows
+    return sum((not pauli_commute(x, z, r >> L, r & low)) << k for k, (_, r) in enumerate(rows))
+
+
+def test_sector_summary_is_the_sign_bits(net2, net4):
     summary = sector_algebra_assignment(net4, {}).summary
     xz = pauli_sector(net4, "XZ", "[1,2]")
-    assert summary("[1,2]", xz) == xz.mask == (0b1000, 0b0100)
+    assert summary("[1,2]", xz) == _sign_bits(net4, 0b1000, 0b0100) != 0
     assert summary("[1,3]", xz) is None  # filed at another region
-    assert summary("[1,1]", identity_sector(net4, "[1,1]")) == (0, 0)
+    assert summary("[1,1]", identity_sector(net4, "[1,1]")) == 0
     cz = LocalizedEndo(net4, "[1,2]", unitary=entangler_unitary(net4, 0, 1), label="CZ")
-    assert cz.mask is None and summary("[1,2]", cz) is None
-    lying = LocalizedEndo(net4, "[1,2]", unitary=xz.unitary, mask=(0b1000, 0))
-    assert lying.mask == (0b1000, 0) and summary("[1,2]", lying) is None
-    image = _image_sector(pauli_sector(net2, "X", "[1,1]"))
-    assert sector_algebra_assignment(net2, {}).summary("[1,1]", image) is None
+    assert summary("[1,2]", cz) is None
+    # a sector rebuilt from its images is the same tableau
+    x = pauli_sector(net2, "X", "[1,1]")
+    summary2 = sector_algebra_assignment(net2, {}).summary
+    assert summary2("[1,1]", _image_sector(x)) == summary2("[1,1]", x) == _sign_bits(net2, 2, 0)
+    bits4 = diagonal_net(4)
+    assert sector_algebra_assignment(bits4, {}).summary("[1,2]", collapse_sector(bits4)) is None
+
+
+def test_equal_tableaux_share_cached_outputs(bits4):
+    # Ad X0 and Ad X0 Z1 are one map on the diagonal net.  The caches key on
+    # tableaux, so the second sector gets the first one's output; the
+    # validators still name each carrier element by its own label
+    import dataclasses
+
+    from sectorfact.operad import validate_algebra
+    from sectorfact.sectors import sector_equivariant_assignment
+
+    x = pauli_sector(bits4, "X", "[1,1]")
+    xz = LocalizedEndo(bits4, "[1,1]", unitary=pauli_string(4, 0b1000, 0b0100), label="XZ")
+    assert x.tableau == xz.tableau and x.label != xz.label
+    family = {"[1,1]": [x, xz]}
+    assign = sector_algebra_assignment(bits4, family)
+    op = next(
+        op for op in enumerate_all_operations(bits4.category, 1)
+        if op.sources == ("[1,1]",) and op.target == "[1,2]"
+    )
+    out_x, out_xz = (assign.structure(op)((s,)) for s in (x, xz))
+    assert out_xz is out_x and out_x.label == x.label
+    assert out_xz.same_map(pfa_structure_map(op, (xz,), bits4))
+    iso = sector_equivariant_assignment(bits4, qubit_reflection_data(bits4), family).iso
+    moved_x, moved_xz = (iso("r", "[1,1]")(s) for s in (x, xz))
+    assert moved_xz is moved_x and moved_x.region == "[4,4]"
+    assert validate_algebra(bits4.category, assign, bound=2).ok
+    # every diagram failing: the unit witnesses name both sectors
+    failing = dataclasses.replace(assign, equal=lambda a, b: False)
+    report = validate_algebra(bits4.category, failing, bound=1)
+    named = {v.witness["element"] for v in report.violations if v.witness["object"] == "[1,1]"}
+    assert named == {"1", x.label, "XZ"}
 
 
 _PREMISE_NETS = {L: qubit_net(L) for L in (2, 3, 4)}
@@ -1436,8 +1608,7 @@ def masked_structure_inputs(draw):
         x, z = draw(st.integers(0, (1 << L) - 1)), draw(st.integers(0, (1 << L) - 1))
         u_built = draw(st.sampled_from([u] + sorted(net.category.objects)))
         rho = LocalizedEndo(
-            net, u_built, unitary=pauli_string(L, x, z, draw(st.sampled_from(UNIMODULAR))),
-            validate=False,
+            net, u_built, unitary=pauli_string(L, x, z, draw(st.sampled_from(UNIMODULAR)))
         )
         sectors.append(rho if u_built == u else rho.relabel(u))
     return net, op, tuple(sectors)
@@ -1448,17 +1619,18 @@ def masked_structure_inputs(draw):
 def test_structure_maps_xor_the_masks(case):
     net, op, sectors = case
     summary = sector_algebra_assignment(net, {}).summary
-    x = z = 0
+    x = z = bits = 0
     for rho, u in zip(sectors, op.sources):
-        assert summary(u, rho) == rho.mask
-        x, z = x ^ rho.mask[0], z ^ rho.mask[1]
+        mx, mz = _decoded(rho.unitary)
+        assert summary(u, rho) == _sign_bits(net, mx, mz)
+        x, z, bits = x ^ mx, z ^ mz, bits ^ summary(u, rho)
     out = pfa_structure_map(op, sectors, net)
     assert out.region == op.target
-    assert out.mask == _decoded(out.unitary) == (x, z)
-    assert summary(op.target, out) == (x, z)
+    assert out.same_map(LocalizedEndo(net, op.target, unitary=pauli_string(net.sites, x, z)))
+    assert summary(op.target, out) == bits == _sign_bits(net, x, z)
 
 
-# -- reports with and without the mask rule --------------------------------------------------------
+# -- reports with and without the summaries --------------------------------------------------------
 
 
 def _wrong_site_family(net):
@@ -1480,7 +1652,8 @@ def test_theorem_reports_identical_without_masks(monkeypatch, sites, bound, fami
         return dump_json(validate_theorem_3_11(net, family_of(net), bound=bound).to_dict())
 
     fast = report()
-    monkeypatch.setattr(LocalizedEndo, "mask", None)
+    # without summaries nothing is proved and every diagram is walked
+    monkeypatch.setattr(sectors_module, "_sector_summary", lambda u, s: None)
     assert report() == fast
     if family_of is _wrong_site_family:
         assert '"localization-precheck"' in fast and "X@[2,2]-listed-at-[1,1]" in fast
@@ -1491,8 +1664,8 @@ def test_sector_campaigns_identical_without_masks(monkeypatch, tmp_path):
 
     net = str(tmp_path / "qubit4.json")
     assert main(["fixtures", "export", "qubit4", "--out", net]) == 0
-    # with the masks hidden no sector has a summary, so theorem311 and
-    # operad algebra walk every diagram instance the proof skips
+    # with the summaries hidden theorem311 and operad algebra walk every
+    # diagram instance the proof skips
     campaigns = [
         ["sectors", "equivariance", "--net", net],
         ["operad", "algebra", "--net", net, "--bound", "2", "--equivariant"],
@@ -1510,5 +1683,5 @@ def test_sector_campaigns_identical_without_masks(monkeypatch, tmp_path):
         return out
 
     fast = outputs("fast")
-    monkeypatch.setattr(LocalizedEndo, "mask", None)
+    monkeypatch.setattr(sectors_module, "_sector_summary", lambda u, s: None)
     assert outputs("slow") == fast
