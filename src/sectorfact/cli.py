@@ -262,9 +262,11 @@ def cmd_geometry_witness(args) -> int:
             {"check": "witness-diagram", "holds": False, "reason": str(exc)}, args
         )
         return EXIT_VIOLATIONS
-    doc = diagram.to_json(u1, u2, ut)
+    invariants = diagram.verify(u1, u2, ut)
+    doc = diagram.to_json()
+    doc["invariants"] = invariants
     doc["check"] = "witness-diagram"
-    doc["holds"] = diagram.verified(u1, u2, ut)
+    doc["holds"] = all(invariants.values())
     _emit(doc, args)
     return _exit_from_ok(doc["holds"])
 

@@ -330,6 +330,14 @@ def net_to_json(net: MatrixNet) -> dict:
     }
 
 
+def _json_int(value, what: str) -> int:
+    """A JSON integer as it stands: a float, a string or a boolean is
+    refused rather than coerced."""
+    if type(value) is not int:
+        raise SchemaError(f"{what} must be an integer, not {value!r}")
+    return value
+
+
 def net_from_json(doc: dict) -> MatrixNet:
     """Net from its JSON form.  Every region algebra is a Pauli-string
     algebra ("full" or "diagonal" on the region's sites) and `local_dim`
@@ -337,11 +345,12 @@ def net_from_json(doc: dict) -> MatrixNet:
     on equal site sets are isomorphic objects, so a cospan is orthogonal
     when any pair of ids with its two site sets is marked."""
     try:
-        sites = int(doc["sites"])
-        local_dim = int(doc.get("local_dim", 2))
+        sites = _json_int(doc["sites"], "sites")
+        local_dim = _json_int(doc.get("local_dim", 2), "local_dim")
         ids = [str(r["id"]) for r in doc["regions"]]
         region_sites = {
-            str(r["id"]): frozenset(int(s) for s in r["sites"]) for r in doc["regions"]
+            str(r["id"]): frozenset(_json_int(s, f"region {r['id']} site") for s in r["sites"])
+            for r in doc["regions"]
         }
         kinds = {str(r["id"]): str(r.get("algebra", "full")) for r in doc["regions"]}
         orth_spec = doc.get("orth", "disjoint")

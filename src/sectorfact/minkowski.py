@@ -17,6 +17,10 @@ at that scale the centre, dt*(P- + P+), and every lift are integer
 vectors.  A certificate value is a quadratic form of such vectors over
 the known square (S*D)^2, so it is reported as one `Fraction` built from
 two integers; the vertex -b/(2a) does not depend on the scale at all.
+
+The witness builder decides its ray exits, primed cones (`_ray_frame`)
+and twelve invariants (`WitnessDiagram.verify`) on such frames too, and
+builds Fractions only for the cones and trace values a witness reports.
 """
 
 from __future__ import annotations
@@ -421,22 +425,27 @@ class WitnessDiagram:
     def verify(
         self, u1: DoubleCone, u2: DoubleCone, utilde: DoubleCone
     ) -> dict[str, bool]:
-        checks = {
-            "U1_in_V1": cone_included(u1, self.V1),
-            "U2_in_V2": cone_included(u2, self.V2),
-            "Ut_in_W": cone_included(utilde, self.W),
-            "V1_in_W": cone_included(self.V1, self.W),
-            "V2_in_W": cone_included(self.V2, self.W),
-            "V1_perp_V2": causally_disjoint(self.V1, self.V2),
-            "U1p_in_V1": cone_included(self.U1p, self.V1),
-            "U2p_in_V2": cone_included(self.U2p, self.V2),
-            "U1p_perp_Ut": causally_disjoint(self.U1p, utilde),
-            "U2p_perp_Ut": causally_disjoint(self.U2p, utilde),
+        """The twelve invariants, decided on the integer frame of the 16 tips."""
+        cones = (u1, u2, utilde, self.V1, self.V2, self.W, self.U1p, self.U2p)
+        _, rows = _integer_rows([t for c in cones for t in (c.pminus, c.pplus)])
+        if len({len(row) for row in rows}) != 1:
+            raise PreconditionError("dimension mismatch")
+        U1, U2, Ut, V1, V2, W, U1p, U2p = zip(rows[::2], rows[1::2])
+        return {
+            "U1_in_V1": _int_included(U1, V1),
+            "U2_in_V2": _int_included(U2, V2),
+            "Ut_in_W": _int_included(Ut, W),
+            "V1_in_W": _int_included(V1, W),
+            "V2_in_W": _int_included(V2, W),
+            "V1_perp_V2": _int_disjoint(V1, V2),
+            "U1p_in_V1": _int_included(U1p, V1),
+            "U2p_in_V2": _int_included(U2p, V2),
+            "U1p_perp_Ut": _int_disjoint(U1p, Ut),
+            "U2p_perp_Ut": _int_disjoint(U2p, Ut),
             # implied by the above on disjointness models; checked defensively
-            "U1p_perp_U1": causally_disjoint(self.U1p, u1),
-            "U2p_perp_U2": causally_disjoint(self.U2p, u2),
+            "U1p_perp_U1": _int_disjoint(U1p, U1),
+            "U2p_perp_U2": _int_disjoint(U2p, U2),
         }
-        return checks
 
     def verified(self, u1, u2, utilde) -> bool:
         return all(self.verify(u1, u2, utilde).values())
@@ -456,53 +465,31 @@ class WitnessDiagram:
         return doc
 
 
-def _ray_exit_closure(
-    cone: DoubleCone, base: MPoint, direction: MPoint, k: int
-) -> Fraction:
-    """Smallest dyadic multiple of 2^-k along base + s*direction that exits
-    cl(cone); the ray starts inside, so the exit is a single crossing."""
-    lo, hi = _F(0), _F(1)
-    guard = 0
-    while in_closure(cone, base + direction.scale(hi)):
-        lo, hi = hi, hi * 2
-        guard += 1
-        if guard > 64:
-            raise ExhaustedRetries("ray never exits the closure")
-    grid = _F(1, 1 << k)
-    while hi - lo > grid:
-        mid = (lo + hi) / 2
-        if in_closure(cone, base + direction.scale(mid)):
-            lo = mid
-        else:
-            hi = mid
-    # snap hi to the dyadic grid just beyond the crossing
-    num = hi / grid
-    hi = grid * (num.numerator // num.denominator)
-    while in_closure(cone, base + direction.scale(hi)):
-        hi += grid
-    return hi
+def _ray_frame(cones, base: MPoint, direction: MPoint, log2: int, extra: int = 0):
+    """The ray base + (n/2^log2)*direction, whose integer n hold every ray
+    exit's doublings and midpoints, and the tips of `cones`, times
+    2^(log2 + extra)*D for D the lcm of every denominator: returns n -> B + n*E
+    and each cone as a (minus, plus) pair of integer tuples."""
+    tips = (t for c in cones for t in (c.pminus, c.pplus))
+    _, (b, e, *rows) = _integer_rows((base, direction, *tips))
+    shift = log2 + extra
+    b, *rows = ([v << shift for v in row] for row in (b, *rows))
+    e = [v << extra for v in e]
+    return (lambda n: [x + n * y for x, y in zip(b, e)]), list(zip(rows[::2], rows[1::2]))
 
 
-def _ray_exit_hull(
-    cone: DoubleCone, base: MPoint, spatial_dir: tuple[Fraction, ...], k: int
-) -> Fraction | None:
-    """Dyadic parameter r with base + (0, r*dir) outside J(cl cone).
-
-    Along a purely spatial ray both causal lobes cut out bounded intervals,
-    so beyond their upper roots the predicate stays true; doubling plus
-    bisection finds a verified boundary point."""
-    direction = MPoint(_F(0), spatial_dir)
-    lo, hi = _F(0), _F(1)
-    guard = 0
-    while not outside_causal_hull(cone, base + direction.scale(hi)):
-        lo, hi = hi, hi * 2
-        guard += 1
-        if guard > 48:
+def _ray_exit(at, exited, one: int, doublings: int) -> int | None:
+    """Doubling from n = one until exited(at(n)), then bisection (the
+    bracket width is a power of two) down to the n that has exited while
+    n - 1 has not; None if n = one << doublings has not exited."""
+    lo, hi = 0, one
+    while not exited(at(hi)):
+        if hi >= one << doublings:
             return None
-    grid = _F(1, 1 << (k + 3))
-    while hi - lo > grid:
-        mid = (lo + hi) / 2
-        if outside_causal_hull(cone, base + direction.scale(mid)):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if exited(at(mid)):
             hi = mid
         else:
             lo = mid
@@ -549,9 +536,10 @@ def build_witness(
                     f"round {round_idx} push {push}: construction fell outside a region"
                 )
                 continue
-            if diagram.verified(u1, u2, utilde):
+            checks = diagram.verify(u1, u2, utilde)
+            if all(checks.values()):
                 return diagram
-            bad = [kk for kk, v in diagram.verify(u1, u2, utilde).items() if not v]
+            bad = [kk for kk, v in checks.items() if not v]
             failures.append(f"round {round_idx} push {push}: failed invariants {bad}")
     raise ExhaustedRetries(
         "no verified witness within the retry budget: " + "; ".join(failures[-6:])
@@ -559,27 +547,18 @@ def build_witness(
 
 
 def _attempt_witness(u1, u2, utilde, a, b, k, push=0) -> WitnessDiagram | None:
-    n_spatial = len(a.x)
     trace: dict = {"denominator_log2": k, "push": push}
     scale_time = (utilde.pplus.t - utilde.pminus.t) / 4
-
-    def hits_for(cone: DoubleCone, branch: str):
-        hp = segment_lightcone_hit(a, b, cone.pplus, branch=branch, denom_log2=k)
-        hm = segment_lightcone_hit(a, b, cone.pminus, branch=branch, denom_log2=k)
-        return hp, hm
-
-    h1p, h1m = hits_for(u1, "future")
-    h2p, h2m = hits_for(u2, "past")
+    tips = (u1.pplus, u1.pminus, u2.pplus, u2.pminus)
+    hits = [
+        segment_lightcone_hit(a, b, tip, branch=branch, denom_log2=k)
+        for tip, branch in zip(tips, ("future", "future", "past", "past"))
+    ]
 
     # the push direction tip - hit must be future/past causal: exact hits give
     # null directions, timelike-side roundings give timelike ones; either way
     # displacing a tip along its own causal direction only enlarges the cone
-    for hit, tip, future in (
-        (h1p, u1.pplus, True),
-        (h1m, u1.pminus, False),
-        (h2p, u2.pplus, True),
-        (h2m, u2.pminus, False),
-    ):
+    for hit, tip, future in zip(hits, tips, (True, False, True, False)):
         causal = sq_interval(hit.point, tip) <= 0
         oriented = tip.t > hit.point.t if future else tip.t < hit.point.t
         if not (causal and oriented):
@@ -587,66 +566,71 @@ def _attempt_witness(u1, u2, utilde, a, b, k, push=0) -> WitnessDiagram | None:
 
     def pushed_tip(hit: LightconeHit, tip: MPoint, label: str) -> MPoint:
         direction = tip - hit.point  # timelike after rounding; exact null when exact
-        lam = _ray_exit_closure(utilde, tip, direction, k)
+        # the smallest multiple of 2^-k along tip + s*direction outside cl(Utilde);
+        # the ray starts inside, so the exit is a single crossing
+        at, ((minus, plus),) = _ray_frame((utilde,), tip, direction, k)
+        n = _ray_exit(at, lambda p: not (_int_precedes(p, plus) and _int_precedes(minus, p)),
+                      1 << k, 64)
+        if n is None:
+            raise ExhaustedRetries("ray never exits the closure")
+        lam = _F(n, 1 << k)
         if push:
             lam = lam + push * scale_time / abs(direction.t)
         trace[label] = format_rational(1 + lam)  # parameter along the half-line
         return tip + direction.scale(lam)
 
-    l1p = pushed_tip(h1p, u1.pplus, "exit_H1_plus")
-    l1m = pushed_tip(h1m, u1.pminus, "exit_H1_minus")
-    l2p = pushed_tip(h2p, u2.pplus, "exit_H2_plus")
-    l2m = pushed_tip(h2m, u2.pminus, "exit_H2_minus")
-
+    labels = ("exit_H1_plus", "exit_H1_minus", "exit_H2_plus", "exit_H2_minus")
+    l1p, l1m, l2p, l2m = map(pushed_tip, hits, tips, labels)
     v1 = DoubleCone(l1m, l1p)
     v2 = DoubleCone(l2m, l2p)
 
     # enclosing cone around Utilde, V1, V2 via a 1-norm time bound
     cones = (utilde, v1, v2)
     cx = utilde.center.x
-    tp = max(
-        c.pplus.t + sum(abs(xi - ci) for xi, ci in zip(c.pplus.x, cx)) for c in cones
-    ) + 1
-    tm = min(
-        c.pminus.t - sum(abs(xi - ci) for xi, ci in zip(c.pminus.x, cx)) for c in cones
-    ) - 1
+
+    def reach(tip: MPoint) -> Fraction:
+        return sum(abs(xi - ci) for xi, ci in zip(tip.x, cx))
+
+    tp = max(c.pplus.t + reach(c.pplus) for c in cones) + 1
+    tm = min(c.pminus.t - reach(c.pminus) for c in cones) - 1
     w = DoubleCone(MPoint(tm, cx), MPoint(tp, cx))
 
     # primed regions: walk from each V_i center away from the other cone,
     # leave the causal hull of Utilde, then shrink an upright cone into place
     def primed(vi: DoubleCone, own: DoubleCone, other: DoubleCone, label: str):
         base = vi.center
-        dirs = []
         d_main = tuple(p - q for p, q in zip(own.center.x, other.center.x))
-        if any(d_main):
-            dirs.append(d_main)
         d_alt = tuple(p - q for p, q in zip(base.x, utilde.center.x))
-        if any(d_alt):
-            dirs.append(d_alt)
-        grid = _F(1, 1 << (k + 3))
-        for d in dirs:
-            r0 = _ray_exit_hull(utilde, base, d, k)
-            if r0 is None:
+        for d in (d for d in (d_main, d_alt) if any(d)):
+            ray = MPoint(_F(0), d)
+            # the first multiple of 2^-(k+3) outside J(cl Utilde); the half-height
+            # eps runs from height/2^3 to height/2^30, an integer 30 bits finer
+            at, (ut, v) = _ray_frame((utilde, vi), base, ray, k + 3, extra=30)
+
+            def outside(p) -> bool:
+                return not _int_precedes(ut[0], p) and not _int_precedes(p, ut[1])
+
+            n0 = _ray_exit(at, outside, 1 << (k + 3), 48)
+            if n0 is None:
                 continue
-            for j in range(4):  # scan slightly past the hull boundary
-                r = r0 + j * grid
-                xi = base + MPoint(_F(0), d).scale(r)
-                if not cone_contains(vi, xi) or not outside_causal_hull(utilde, xi):
+            for n in range(n0, n0 + 4):  # scan slightly past the hull boundary
+                t, *x = p = at(n)
+                if not _int_inside(v[0], v[1], p) or not outside(p):
                     continue
-                eps = (vi.pplus.t - vi.pminus.t) / 8
-                for _ in range(28):
-                    up = MPoint(eps, tuple(_F(0) for _ in range(n_spatial)))
-                    cand = DoubleCone(xi - up, xi + up)
-                    if cone_included(cand, vi) and causally_disjoint(cand, utilde):
+                eps = (v[1][0] - v[0][0]) >> 3
+                for halving in range(28):
+                    cand = ((t - eps, *x), (t + eps, *x))
+                    if _int_included(cand, v) and _int_disjoint(cand, ut):
+                        r = _F(n, 1 << (k + 3))
+                        xi = base + ray.scale(r)
+                        up = MPoint((vi.pplus.t - vi.pminus.t) / (8 << halving), (_F(0),) * len(d))
                         trace[label] = format_rational(r)
-                        return cand
-                    eps /= 2
+                        return DoubleCone(xi - up, xi + up)
+                    eps >>= 1
         return None
 
     u1p = primed(v1, u1, u2, "primed_1_offset")
-    if u1p is None:
-        return None
-    u2p = primed(v2, u2, u1, "primed_2_offset")
+    u2p = None if u1p is None else primed(v2, u2, u1, "primed_2_offset")
     if u2p is None:
         return None
     return WitnessDiagram(V1=v1, V2=v2, W=w, U1p=u1p, U2p=u2p, trace=trace)
@@ -675,13 +659,29 @@ def _int_interval(p: Sequence[int], q: Sequence[int]) -> int:
     return _int_inner(d, d)
 
 
+def _int_precedes(p: Sequence[int], q: Sequence[int]) -> bool:
+    """`causally_precedes` for integer tuples of one scale."""
+    return p[0] <= q[0] and _int_interval(p, q) <= 0
+
+
+def _int_chron_after(q: Sequence[int], p: Sequence[int]) -> bool:
+    """`chron_after` for integer tuples of one scale."""
+    return q[0] > p[0] and _int_interval(p, q) < 0
+
+
 def _int_inside(minus: Sequence[int], plus: Sequence[int], p: Sequence[int]) -> bool:
     """`cone_contains` for integer tips and an integer point of one scale."""
-    return (
-        plus[0] > p[0] > minus[0]
-        and _int_interval(plus, p) < 0
-        and _int_interval(p, minus) < 0
-    )
+    return _int_chron_after(plus, p) and _int_chron_after(p, minus)
+
+
+def _int_included(inner, outer) -> bool:
+    """`cone_included` for cones given as (minus, plus) integer tuples of one scale."""
+    return _int_precedes(inner[1], outer[1]) and _int_precedes(outer[0], inner[0])
+
+
+def _int_disjoint(u1, u2) -> bool:
+    """`causally_disjoint` for cones given as (minus, plus) integer tuples of one scale."""
+    return not _int_chron_after(u2[1], u1[0]) and not _int_chron_after(u1[1], u2[0])
 
 
 class ConeFrame:

@@ -426,6 +426,19 @@ def _net_repeated_region(doc):
     return {**doc, "regions": doc["regions"] + doc["regions"][:1]}
 
 
+_HAAG = ["sectors", "haag", "--net"]
+
+
+def _net_field(key, value):
+    return lambda doc: {**doc, key: value}
+
+
+def _net_region_site(value):
+    return lambda doc: {
+        **doc, "regions": [{**doc["regions"][0], "sites": [value]}] + doc["regions"][1:]
+    }
+
+
 @pytest.mark.parametrize(
     "fixture,command,corrupt",
     [
@@ -444,6 +457,14 @@ def _net_repeated_region(doc):
                      id="net-orth-unknown-region"),
         pytest.param("qubit2", ["sectors", "perp", "--net"], _net_repeated_region,
                      id="net-repeated-region"),
+        # a float, a boolean or a string where an integer belongs is refused, not coerced
+        pytest.param("qubit2", _HAAG, _net_field("sites", 2.5), id="net-sites-float"),
+        pytest.param("qubit2", _HAAG, _net_field("sites", True), id="net-sites-bool"),
+        pytest.param("qubit2", _HAAG, _net_field("sites", "2"), id="net-sites-string"),
+        pytest.param("qubit2", _HAAG, _net_field("local_dim", 2.0), id="net-local-dim-float"),
+        pytest.param("qubit2", _HAAG, _net_region_site(0.0), id="net-site-float"),
+        pytest.param("qubit2", _HAAG, _net_region_site(False), id="net-site-bool"),
+        pytest.param("qubit2", _HAAG, _net_region_site("0"), id="net-site-string"),
     ],
 )
 def test_malformed_documents_exit_2_without_traceback(workdir, capsys, fixture, command, corrupt):
@@ -464,6 +485,7 @@ def test_malformed_documents_exit_2_without_traceback(workdir, capsys, fixture, 
 
 _JUNK = st.one_of(
     st.none(), st.booleans(), st.integers(-3, 4), st.text(max_size=3),
+    st.sampled_from([2.5, 2.0, 0.0, "2", "0"]),
     st.lists(st.integers(-1, 3), max_size=3),
     st.dictionaries(st.text(max_size=2), st.integers(0, 2), max_size=2),
 )
@@ -471,7 +493,8 @@ _JUNK = st.one_of(
 
 @st.composite
 def _malformed_net(draw):
-    """net_to_json(qubit_net(2)) with one to three mutations: wrong types,
+    """net_to_json(qubit_net(2)) with one to three mutations: wrong types
+    (floats, booleans and strings where integers belong among them),
     unknown or repeated ids, out-of-range sites, bad algebra kinds and
     malformed orth lists."""
     doc = net_to_json(qubit_net(2))
@@ -501,7 +524,8 @@ def _malformed_net(draw):
             # every region on no site, so any chain length passes the range check
             doc["regions"] = [{**r, "sites": []} if isinstance(r, dict) else r for r in regions]
         elif kind == "sites":
-            regions[k] = {**region, "sites": draw(st.lists(st.integers(-2, 3), max_size=3))}
+            site = st.one_of(st.integers(-2, 3), st.sampled_from([1.0, True, "1"]))
+            regions[k] = {**region, "sites": draw(st.lists(site, max_size=3))}
         elif kind == "algebra":
             algebra = st.sampled_from(["full", "diagonal", "bogus", 3, None])
             regions[k] = {**region, "algebra": draw(algebra)}

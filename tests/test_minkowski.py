@@ -5,11 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sectorfact.linalg import format_rational
 from sectorfact.minkowski import (
     DoubleCone,
     ExhaustedRetries,
+    LightconeHit,
     MPoint,
     NoHit,
+    WitnessDiagram,
     build_witness,
     cauchy_lift,
     causally_disjoint,
@@ -21,7 +24,9 @@ from sectorfact.minkowski import (
     cone_included,
     cone_to_json,
     homotopy_point,
+    in_closure,
     minkowski_inner,
+    outside_causal_hull,
     point_from_json,
     point_to_json,
     project_cone,
@@ -29,7 +34,7 @@ from sectorfact.minkowski import (
     segment_spacelike_data,
     sq_interval,
 )
-from sectorfact.reports import PreconditionError
+from sectorfact.reports import PreconditionError, dump_json
 
 P = MPoint.of
 
@@ -389,6 +394,400 @@ def test_witness_four_dimensional_diagonal():
     u2 = DoubleCone(MPoint(F(-1), off), MPoint(F(1), off))
     ut = DoubleCone(MPoint(F(-7), (F(1),) * 3), MPoint(F(7), (F(1),) * 3))
     assert build_witness(u1, u2, ut).verified(u1, u2, ut)
+
+
+# -- the Fraction witness builder, the oracle of the integer one -------------------------------
+#
+# build_witness decides its ray exits, primed cones and invariants on integer
+# frames.  Below is the same builder written on Fractions and the public
+# Fraction predicates; on every cospan both must give the same report bytes,
+# or refuse with the same message.
+
+
+def reference_verify(diagram, u1, u2, utilde):
+    return {
+        "U1_in_V1": cone_included(u1, diagram.V1),
+        "U2_in_V2": cone_included(u2, diagram.V2),
+        "Ut_in_W": cone_included(utilde, diagram.W),
+        "V1_in_W": cone_included(diagram.V1, diagram.W),
+        "V2_in_W": cone_included(diagram.V2, diagram.W),
+        "V1_perp_V2": causally_disjoint(diagram.V1, diagram.V2),
+        "U1p_in_V1": cone_included(diagram.U1p, diagram.V1),
+        "U2p_in_V2": cone_included(diagram.U2p, diagram.V2),
+        "U1p_perp_Ut": causally_disjoint(diagram.U1p, utilde),
+        "U2p_perp_Ut": causally_disjoint(diagram.U2p, utilde),
+        "U1p_perp_U1": causally_disjoint(diagram.U1p, u1),
+        "U2p_perp_U2": causally_disjoint(diagram.U2p, u2),
+    }
+
+
+def reference_ray_exit_closure(
+    cone: DoubleCone, base: MPoint, direction: MPoint, k: int
+) -> F:
+    """Smallest dyadic multiple of 2^-k along base + s*direction that exits
+    cl(cone); the ray starts inside, so the exit is a single crossing."""
+    lo, hi = F(0), F(1)
+    guard = 0
+    while in_closure(cone, base + direction.scale(hi)):
+        lo, hi = hi, hi * 2
+        guard += 1
+        if guard > 64:
+            raise ExhaustedRetries("ray never exits the closure")
+    grid = F(1, 1 << k)
+    while hi - lo > grid:
+        mid = (lo + hi) / 2
+        if in_closure(cone, base + direction.scale(mid)):
+            lo = mid
+        else:
+            hi = mid
+    # snap hi to the dyadic grid just beyond the crossing
+    num = hi / grid
+    hi = grid * (num.numerator // num.denominator)
+    while in_closure(cone, base + direction.scale(hi)):
+        hi += grid
+    return hi
+
+
+def reference_ray_exit_hull(
+    cone: DoubleCone, base: MPoint, spatial_dir: tuple[F, ...], k: int
+) -> F | None:
+    """Dyadic parameter r with base + (0, r*dir) outside J(cl cone).
+
+    Along a purely spatial ray both causal lobes cut out bounded intervals,
+    so beyond their upper roots the predicate stays true; doubling plus
+    bisection finds a verified boundary point."""
+    direction = MPoint(F(0), spatial_dir)
+    lo, hi = F(0), F(1)
+    guard = 0
+    while not outside_causal_hull(cone, base + direction.scale(hi)):
+        lo, hi = hi, hi * 2
+        guard += 1
+        if guard > 48:
+            return None
+    grid = F(1, 1 << (k + 3))
+    while hi - lo > grid:
+        mid = (lo + hi) / 2
+        if outside_causal_hull(cone, base + direction.scale(mid)):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def reference_build_witness(
+    u1: DoubleCone,
+    u2: DoubleCone,
+    utilde: DoubleCone,
+    retry_budget: int = 8,
+) -> WitnessDiagram:
+    """Geometric witness for the extension property of a causally disjoint
+    cospan U1, U2 inside Utilde.
+
+    The spacelike segment between the two centers meets each tip's light
+    cone once; pushing the tips outward along (roundings of) those null
+    directions produces enlarged cones V1, V2 that stay causally disjoint,
+    an enclosing cone W, and primed cones U1', U2' placed in the causal
+    complement of Utilde inside V1, V2.  Every invariant is re-verified
+    exactly before returning; failures retry with finer dyadic resolution.
+    """
+    for u, nm in ((u1, "U1"), (u2, "U2")):
+        if not cone_included(u, utilde):
+            raise PreconditionError(f"{nm} is not included in the containing cone")
+    if not causally_disjoint(u1, u2):
+        raise PreconditionError("U1 and U2 are not causally disjoint")
+
+    a, b = u1.center, u2.center
+    failures = []
+    for round_idx in range(retry_budget):
+        k = 6 + 2 * round_idx
+        # smallest push past the closure exit that verifies wins; larger
+        # factors enlarge V1, V2 along the same (near-)null directions,
+        # which leaves their facing boundaries essentially in place
+        for push in (0, 1, 2, 4, 8):
+            try:
+                diagram = reference_attempt_witness(u1, u2, utilde, a, b, k, push)
+            except (NoHit, PreconditionError, ExhaustedRetries) as exc:
+                failures.append(f"round {round_idx} push {push}: {exc}")
+                continue
+            if diagram is None:
+                failures.append(
+                    f"round {round_idx} push {push}: construction fell outside a region"
+                )
+                continue
+            if all(reference_verify(diagram, u1, u2, utilde).values()):
+                return diagram
+            bad = [kk for kk, v in reference_verify(diagram, u1, u2, utilde).items() if not v]
+            failures.append(f"round {round_idx} push {push}: failed invariants {bad}")
+    raise ExhaustedRetries(
+        "no verified witness within the retry budget: " + "; ".join(failures[-6:])
+    )
+
+
+def reference_attempt_witness(u1, u2, utilde, a, b, k, push=0) -> WitnessDiagram | None:
+    n_spatial = len(a.x)
+    trace: dict = {"denominator_log2": k, "push": push}
+    scale_time = (utilde.pplus.t - utilde.pminus.t) / 4
+
+    def hits_for(cone: DoubleCone, branch: str):
+        hp = segment_lightcone_hit(a, b, cone.pplus, branch=branch, denom_log2=k)
+        hm = segment_lightcone_hit(a, b, cone.pminus, branch=branch, denom_log2=k)
+        return hp, hm
+
+    h1p, h1m = hits_for(u1, "future")
+    h2p, h2m = hits_for(u2, "past")
+
+    # the push direction tip - hit must be future/past causal: exact hits give
+    # null directions, timelike-side roundings give timelike ones; either way
+    # displacing a tip along its own causal direction only enlarges the cone
+    for hit, tip, future in (
+        (h1p, u1.pplus, True),
+        (h1m, u1.pminus, False),
+        (h2p, u2.pplus, True),
+        (h2m, u2.pminus, False),
+    ):
+        causal = sq_interval(hit.point, tip) <= 0
+        oriented = tip.t > hit.point.t if future else tip.t < hit.point.t
+        if not (causal and oriented):
+            return None
+
+    def pushed_tip(hit: LightconeHit, tip: MPoint, label: str) -> MPoint:
+        direction = tip - hit.point  # timelike after rounding; exact null when exact
+        lam = reference_ray_exit_closure(utilde, tip, direction, k)
+        if push:
+            lam = lam + push * scale_time / abs(direction.t)
+        trace[label] = format_rational(1 + lam)  # parameter along the half-line
+        return tip + direction.scale(lam)
+
+    l1p = pushed_tip(h1p, u1.pplus, "exit_H1_plus")
+    l1m = pushed_tip(h1m, u1.pminus, "exit_H1_minus")
+    l2p = pushed_tip(h2p, u2.pplus, "exit_H2_plus")
+    l2m = pushed_tip(h2m, u2.pminus, "exit_H2_minus")
+
+    v1 = DoubleCone(l1m, l1p)
+    v2 = DoubleCone(l2m, l2p)
+
+    # enclosing cone around Utilde, V1, V2 via a 1-norm time bound
+    cones = (utilde, v1, v2)
+    cx = utilde.center.x
+    tp = max(
+        c.pplus.t + sum(abs(xi - ci) for xi, ci in zip(c.pplus.x, cx)) for c in cones
+    ) + 1
+    tm = min(
+        c.pminus.t - sum(abs(xi - ci) for xi, ci in zip(c.pminus.x, cx)) for c in cones
+    ) - 1
+    w = DoubleCone(MPoint(tm, cx), MPoint(tp, cx))
+
+    # primed regions: walk from each V_i center away from the other cone,
+    # leave the causal hull of Utilde, then shrink an upright cone into place
+    def primed(vi: DoubleCone, own: DoubleCone, other: DoubleCone, label: str):
+        base = vi.center
+        dirs = []
+        d_main = tuple(p - q for p, q in zip(own.center.x, other.center.x))
+        if any(d_main):
+            dirs.append(d_main)
+        d_alt = tuple(p - q for p, q in zip(base.x, utilde.center.x))
+        if any(d_alt):
+            dirs.append(d_alt)
+        grid = F(1, 1 << (k + 3))
+        for d in dirs:
+            r0 = reference_ray_exit_hull(utilde, base, d, k)
+            if r0 is None:
+                continue
+            for j in range(4):  # scan slightly past the hull boundary
+                r = r0 + j * grid
+                xi = base + MPoint(F(0), d).scale(r)
+                if not cone_contains(vi, xi) or not outside_causal_hull(utilde, xi):
+                    continue
+                eps = (vi.pplus.t - vi.pminus.t) / 8
+                for _ in range(28):
+                    up = MPoint(eps, tuple(F(0) for _ in range(n_spatial)))
+                    cand = DoubleCone(xi - up, xi + up)
+                    if cone_included(cand, vi) and causally_disjoint(cand, utilde):
+                        trace[label] = format_rational(r)
+                        return cand
+                    eps /= 2
+        return None
+
+    u1p = primed(v1, u1, u2, "primed_1_offset")
+    if u1p is None:
+        return None
+    u2p = primed(v2, u2, u1, "primed_2_offset")
+    if u2p is None:
+        return None
+    return WitnessDiagram(V1=v1, V2=v2, W=w, U1p=u1p, U2p=u2p, trace=trace)
+
+
+
+def witness_outcome(u1, u2, ut, budget, reference=False):
+    """The report bytes of a witness, or the refusal's message."""
+    try:
+        if reference:
+            diagram = reference_build_witness(u1, u2, ut, retry_budget=budget)
+            invariants = reference_verify(diagram, u1, u2, ut)
+            return dump_json({**diagram.to_json(), "invariants": invariants})
+        return dump_json(build_witness(u1, u2, ut, retry_budget=budget).to_json(u1, u2, ut))
+    except ExhaustedRetries as exc:
+        return f"refused: {exc}"
+
+
+def assert_matches_reference(u1, u2, ut):
+    for budget in (0, 1, 2, 8):
+        fast = witness_outcome(u1, u2, ut, budget)
+        assert fast == witness_outcome(u1, u2, ut, budget, reference=True), (budget, fast)
+
+
+# the method of bench/workloads.py's _random_cospan, copied so that the tests
+# do not import the benchmark
+def _frac(rng, lo, hi, den=16):
+    return F(rng.randint(int(lo * den), int(hi * den)), den)
+
+
+def _random_cone(rng, n, height_range):
+    cx = tuple(_frac(rng, -4, 4) for _ in range(n - 1))
+    h = _frac(rng, *height_range)
+    tilt = tuple(_frac(rng, -1, 1, 32) * h / 4 for _ in range(n - 1))
+    return DoubleCone(
+        MPoint(-h, tuple(a - b / 2 for a, b in zip(cx, tilt))),
+        MPoint(h, tuple(a + b / 2 for a, b in zip(cx, tilt))),
+    )
+
+
+def random_cospan(rng, n):
+    """Two causally disjoint cones inside a containing cone, by construction."""
+    while True:
+        ut = _random_cone(rng, n, (3, 7))
+        half = (ut.pplus.t - ut.pminus.t) / 2
+        cones = []
+        for _ in range(60):
+            px = tuple(x + F(rng.randint(-24, 24), 32) * half for x in ut.center.x)
+            r = _frac(rng, 0.05, 0.5, 64) * half
+            t0 = ut.center.t + F(rng.randint(-8, 8), 32) * half
+            cand = DoubleCone(MPoint(t0 - r, px), MPoint(t0 + r, px))
+            if cone_included(cand, ut) and all(causally_disjoint(cand, c) for c in cones):
+                cones.append(cand)
+            if len(cones) == 2:
+                return cones[0], cones[1], ut
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3, 4]), st.integers(0, 2**32 - 1))
+def test_witness_matches_fraction_reference_on_random_cospans(n, seed):
+    assert_matches_reference(*random_cospan(random.Random(seed), n))
+
+
+def _near_touching(eps_den, n=2):
+    eps, pad = F(1, eps_den), (F(0),) * (n - 2)
+    return (
+        DoubleCone(MPoint(F(-1), (F(0), *pad)), MPoint(F(1), (F(0), *pad))),
+        DoubleCone(MPoint(F(-1), (2 + eps, *pad)), MPoint(F(1), (2 + eps, *pad))),
+        DoubleCone(MPoint(F(-4), (1 + eps / 2, *pad)), MPoint(F(4), (1 + eps / 2, *pad))),
+    )
+
+
+_DIAGONAL_OFF = (F(2) + F(1, 512), F(1), F(1))
+
+HAND_PICKED_COSPANS = [
+    pytest.param(DoubleCone(P(-1, 0), P(1, 0)), DoubleCone(P(-1, 4), P(1, 4)),
+                 DoubleCone(P(-4, 2), P(4, 2)), id="bundled"),
+    pytest.param(DoubleCone(P(-1, 0), P(1, 0)), DoubleCone(P(-1, 3), P(1, 3)),
+                 DoubleCone(P(F(-5, 2), F(3, 2)), P(F(5, 2), F(3, 2))), id="tight"),
+    pytest.param(DoubleCone(P(-1, 0, 0), P(1, 0, 0)), DoubleCone(P(-1, 5, 1), P(1, 5, 1)),
+                 DoubleCone(P(-6, 2, 0), P(6, 2, 0)), id="three-dimensional"),
+    *(pytest.param(*_near_touching(den, n), id=f"near-touching-1/{den}-d{n}")
+      for den in (64, 1024, 4096) for n in (2, 4)),
+    pytest.param(DoubleCone(P(F(-1, 64), 0), P(F(1, 64), 0)), DoubleCone(P(-3, 6), P(3, 6)),
+                 DoubleCone(P(-8, 3), P(8, 3)), id="skewed-sizes"),
+    pytest.param(DoubleCone(P(-2, 0), P(0, 0)),
+                 DoubleCone(MPoint(F(0), (4 + F(1, 1024),)), MPoint(F(2), (4 + F(1, 1024),))),
+                 DoubleCone(P(-6, 2), P(6, 2)), id="staggered"),
+    pytest.param(DoubleCone(P(-1, 0, 0, 0), P(1, 0, 0, 0)),
+                 DoubleCone(MPoint(F(-1), _DIAGONAL_OFF), MPoint(F(1), _DIAGONAL_OFF)),
+                 DoubleCone(MPoint(F(-7), (F(1),) * 3), MPoint(F(7), (F(1),) * 3)),
+                 id="four-dimensional-diagonal"),
+]
+
+
+@pytest.mark.parametrize("u1,u2,ut", HAND_PICKED_COSPANS)
+def test_witness_matches_fraction_reference_on_hand_picked_cospans(u1, u2, ut):
+    assert_matches_reference(u1, u2, ut)
+
+
+# -- corruption probes for the integer invariants ---------------------------------------------
+#
+# A hand-made diagram in the null coordinates a = t + x, b = t - x of 1+1
+# dimensions, where a double cone is the open rectangle between its tips
+# (a-, b-) and (a+, b+): U1 and U1' lie to the left (large b), U2 and U2'
+# to the right (large a), and U1', U2' outside Utilde's causal hull.
+
+PROBE = {
+    "u1": ((1, 6), (3, 8)),
+    "u2": ((6, 1), (8, 3)),
+    "ut": ((0, 0), (10, 10)),
+    "V1": ((-3, 5), (4, 12)),
+    "V2": ((5, -3), (12, 4)),
+    "W": ((-4, -4), (13, 13)),
+    "U1p": ((-2, 10), (-1, 11)),
+    "U2p": ((10, -2), (11, -1)),
+}
+
+# for each invariant, one region moved so that it alone fails
+PROBE_BREAKS = {
+    "U1_in_V1": ("V1", ((-3, 5), (2, 12))),  # V1 shrunk below U1
+    "U2_in_V2": ("V2", ((5, -3), (12, 2))),
+    "Ut_in_W": ("ut", ((-100, 100), (-99, 101))),  # Utilde far out to the left
+    "V1_in_W": ("W", ((-4, -4), (13, 11))),
+    "V2_in_W": ("W", ((-4, -4), (11, 13))),
+    "V1_perp_V2": ("V1", ((-3, 5), (6, 12))),
+    "U1p_in_V1": ("U1p", ((-5, 10), (-4, 11))),
+    "U2p_in_V2": ("U2p", ((10, -5), (11, -4))),
+    "U1p_perp_Ut": ("U1p", ((-2, 9), (-1, 10))),  # U1' inside Utilde's causal hull
+    "U2p_perp_Ut": ("U2p", ((9, -2), (10, -1))),
+    "U1p_perp_U1": ("u1", ((-2, 9), (0, 11))),  # U1 grown onto U1'
+    "U2p_perp_U2": ("u2", ((9, -2), (11, 0))),
+}
+
+
+def probe_cones(regions, n):
+    """The null-coordinate rectangles as cones of 1+(n-1) dimensions, moved
+    by a rational translation and positive scaling, which keep every
+    causal relation and give the integer frame denominators to clear."""
+    shift = (F(1, 3), F(-2, 9), F(5, 7), F(1, 11))[:n]
+    scale = F(5, 7)
+
+    def point(a, b):
+        coords = (F(a + b, 2), F(a - b, 2)) + (F(0),) * (n - 2)
+        return MPoint(scale * (coords[0] + shift[0]),
+                      tuple(scale * (v + s) for v, s in zip(coords[1:], shift[1:])))
+
+    return {name: DoubleCone(point(*lo), point(*hi)) for name, (lo, hi) in regions.items()}
+
+
+def probe_verdicts(regions, n):
+    cones = probe_cones(regions, n)
+    diagram = WitnessDiagram(*(cones[k] for k in ("V1", "V2", "W", "U1p", "U2p")))
+    us = (cones["u1"], cones["u2"], cones["ut"])
+    return diagram.verify(*us), reference_verify(diagram, *us)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_probe_diagram_holds(n):
+    fast, reference = probe_verdicts(PROBE, n)
+    assert fast == reference and all(fast.values())
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("key", sorted(PROBE_BREAKS))
+def test_invariant_probe_fails_only_its_key(key, n):
+    region, moved = PROBE_BREAKS[key]
+    fast, reference = probe_verdicts({**PROBE, region: moved}, n)
+    assert fast == reference
+    assert [k for k, ok in fast.items() if not ok] == [key]
+
+
+def test_verify_refuses_mixed_dimensions():
+    diagram = build_witness(UNIT, DoubleCone(P(-1, 4), P(1, 4)), DoubleCone(P(-4, 2), P(4, 2)))
+    with pytest.raises(PreconditionError):
+        diagram.verify(DoubleCone(P(-1, 0, 0), P(1, 0, 0)), UNIT, UNIT)
 
 
 # -- null-coordinate oracles (two dimensions) -------------------------------------
