@@ -117,14 +117,20 @@ def _emit(doc: dict, args) -> None:
         sys.stdout.write(render_text(doc) if getattr(args, "render", False) else payload)
 
 
-def _region_id(text: str) -> str:
+def _region_id(net, text: str) -> str:
+    """A region of the net named by its id, or by the interval shorthand
+    `a-b` or `a` for `[a,b]`; anything else is a schema error."""
     text = text.strip()
-    if text.startswith("["):
+    if text in net.region_sites:
         return text
-    if "-" in text:
-        a, b = text.split("-", 1)
-        return f"[{int(a)},{int(b)}]"
-    return f"[{int(text)},{int(text)}]"
+    a, dash, b = text.partition("-")
+    try:
+        region = f"[{int(a)},{int(b if dash else a)}]"
+    except ValueError:
+        region = None
+    if region not in net.region_sites:
+        raise SchemaError(f"unknown region {text!r}")
+    return region
 
 
 def _exit_from_ok(ok: bool) -> int:
@@ -299,7 +305,7 @@ def cmd_homotopy_verify(args) -> int:
 def cmd_sectors_haag(args) -> int:
     net = net_from_json(_load_json(args.net))
     if args.region:
-        regions = [_region_id(args.region)]
+        regions = [_region_id(net, args.region)]
     else:
         regions = [u for u in net.category.objects if net.orth_partners(u)]
     results = [check_haag_duality(net, u) for u in regions]
@@ -363,8 +369,8 @@ def cmd_sectors_diamond(args) -> int:
 def cmd_sectors_transport(args) -> int:
     net = net_from_json(_load_json(args.net))
     letters, _, region = args.sector.partition("@")
-    rho = pauli_sector(net, letters, _region_id(region))
-    report = check_transportable(rho, _region_id(args.target), net)
+    rho = pauli_sector(net, letters, _region_id(net, region))
+    report = check_transportable(rho, _region_id(net, args.target), net)
     doc = report.to_dict()
     doc["subject"] = net.name
     _emit(doc, args)

@@ -4,16 +4,17 @@ Operations are tuples of pairwise-orthogonal morphisms into a common
 target; composition is arrow-wise composition with tuple concatenation and
 the symmetric group acts by reindexing.  Validators check the operad
 axioms, the algebra diagrams (unit, composition, permutation) on finite
-spanning sets, and the equivariant-algebra coherence laws, all by
-exhaustive enumeration up to an arity bound.  Operad equivariance holds by
-construction wherever the composite is defined, since reindexing a
-pairwise-orthogonal tuple keeps it pairwise orthogonal; `validate_operad`
-checks that each composite it needs is defined and walks no permutation.
-Its associativity sweep skips the (f, g) that an interned proof clears and
-runs the reference loop over `compose` for the rest.  Likewise
-`validate_algebra` proves the composition and permutation diagrams when
-every carrier element carries an XOR-additive summary (the sign bits of
-Pauli conjugations) and walks every instance otherwise.
+spanning sets, and the equivariant-algebra coherence laws up to an arity
+bound.  The operad axioms follow from the category axioms (unit laws,
+associativity, and the closure of orthogonality under transposition, pre-
+and post-composition), so `validate_operad` runs `validate_category` first
+and enumerates nothing when it is clean.  On any other schema-clean
+category it sweeps on an interned kernel: equivariance needs no walk of
+permutations, and the associativity sweep skips the (f, g) that an
+interned proof clears and runs the reference loop over `compose` for the
+rest.  Likewise `validate_algebra` proves the composition and permutation
+diagrams when every carrier element carries an XOR-additive summary (the
+sign bits of Pauli conjugations) and walks every instance otherwise.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple, Sequence
 
-from .orthcat import GroupActionSpec, OrthCategory
+from .orthcat import GroupActionSpec, OrthCategory, validate_category
 from .reports import PreconditionError, SchemaError, ValidationReport
 
 __all__ = [
@@ -236,7 +237,8 @@ class _IOp(NamedTuple):
 
 class _OperadKernel:
     """The operad-axiom sweep of `validate_operad` on an interned form of a
-    schema-clean category, built once per call.
+    schema-clean category that fails some category axiom (a clean one is
+    proved), built once per call.
 
     Arrows and objects are ints, composition is a list of lists with -1
     where a composite is missing, and each arrow carries a mutual
@@ -247,7 +249,9 @@ class _OperadKernel:
     is the position of the public operation in `public`.
 
     The kernel decides the unit laws and which gamma(f; g) are defined, and
-    proves associativity for the (f, g) it can; every associativity
+    proves associativity for the (f, g) it can (`position`,
+    `clean_summary`), which on a category broken in one place is most of
+    them, so the walk stays small; every associativity
     witness comes from the public `compose`, the reference.  Each composite
     the kernel finds undefined is re-run through `compose` for its
     `PreconditionError`; `compose` disagreeing either way is an internal
@@ -512,36 +516,51 @@ class _OperadKernel:
 
 
 def validate_operad(cat: OrthCategory, bound: int = 3) -> ValidationReport:
-    """Exhaustive unit/associativity/equivariance check up to an arity bound.
+    """Unit/associativity/equivariance check up to an arity bound.
 
-    Equivariance needs no permutation sweep: once gamma(f; g) is defined,
-    gamma(f sigma; g_sigma) is the same blocks in sigma order and stays
-    pairwise orthogonal, because orthogonality is checked in both
-    directions.  In detail: the left side concatenates the blocks of the
-    pairs (f_s, g_s) in sigma order; the right side reorders the blocks of
-    gamma(f; g), which are the same blocks, so the arrow tuples are equal.
-    The left side is pairwise orthogonal because gamma(f; g) is and the
-    mutual masks of `_mutual_orth_masks` are symmetric (row mask AND column
-    mask).  What the reference reports under equivariance is therefore
-    each undefined gamma(f; g) with f of arity at least 2, witnessed after
-    the associativity walk (`_OperadKernel.run`).
+    When the category has no schema errors and `validate_category` reports
+    nothing, every axiom is proved from the category's and the report is
+    empty at every bound; no operation is enumerated.  The operad is built
+    from the orthogonal category as in Benini, Schenkel and Woike
+    (arXiv:1709.08657).  The proof, for operations f = (f_1..f_n) and
+    g_i = (g_i1..g_ik) into the source of f_i, all pairwise orthogonal:
 
-    The sweep runs on `_OperadKernel`, an interned form of the category
-    built once per call: int arrows, the composition table as a list of
-    lists and one mutual-orthogonality bitmask per arrow.  The kernel
-    decides the unit laws and which gamma(f; g) are defined, and proves
-    the (f, g) for which no h can break associativity.  Every other (f, g)
-    runs the reference loop over h on `compose`, in the reference order,
-    so violations appear in the same order; each composition the kernel
-    finds undefined is re-run through `compose` for the witness.  The
-    tests compare the reports with the brute-force loop over `compose`
-    byte for byte.
+    - Composites are defined.  Each arrow f_i g_ij is in the composition
+      table, which is total on composable pairs.  Within one block,
+      g_ij perp g_ik gives f_i g_ij perp f_i g_ik by post-composition with
+      f_i.  Across blocks, f_i perp f_l gives f_i g_ij perp f_l by
+      pre-composition on the left and then f_i g_ij perp f_l g_lm by
+      pre-composition on the right; the reverse direction is the same
+      argument from f_l perp f_i, which transposition provides.
+    - Unit laws: gamma(f; id..id) and gamma(id; f) have the arrows f_i id
+      and id f_i, which are f_i by the category's unit laws.
+    - Associativity: gamma(gamma(f; g); h) and gamma(f; gamma(g_i; h_i))
+      have the arrows (f_i g_ij) h and f_i (g_ij h), equal by the
+      category's associativity, and the same sources and target.
+    - Equivariance holds by construction: gamma(f sigma; g_sigma) is the
+      blocks of gamma(f; g) in sigma order, which is gamma(f; g) sigma<k>,
+      and reordering a pairwise-orthogonal tuple keeps it pairwise
+      orthogonal, since orthogonality is checked in both directions.
+
+    Otherwise the sweep runs on `_OperadKernel`, an interned form of the
+    category built once per call: int arrows, the composition table as a
+    list of lists and one mutual-orthogonality bitmask per arrow.  The
+    kernel decides the unit laws and which gamma(f; g) are defined, and
+    proves the (f, g) for which no h can break associativity.  Every other
+    (f, g) runs the reference loop over h on `compose`, in the reference
+    order, so violations appear in the same order; each composition the
+    kernel finds undefined is re-run through `compose` for the witness.
+    What the reference reports under equivariance is each undefined
+    gamma(f; g) with f of arity at least 2 (by the argument above), which
+    the kernel witnesses after the associativity walk with no permutation
+    sweep.  The tests compare the reports with the brute-force loop over
+    `compose` byte for byte.
     """
     report = ValidationReport(check="operad-axioms", subject=cat.name)
-    report.schema_errors = cat.schema_errors()
-    if report.schema_errors:
-        return report
-    _OperadKernel(cat, bound, report).run()
+    category = validate_category(cat)
+    report.schema_errors = category.schema_errors
+    if not category.ok and not report.schema_errors:
+        _OperadKernel(cat, bound, report).run()
     return report
 
 

@@ -144,6 +144,9 @@ def validate_category(cat: OrthCategory) -> ValidationReport:
     if report.schema_errors:
         return report
 
+    # Without schema errors every composable pair has a composite, so no
+    # composite below is None; an arrow may be named "", so none is tested
+    # for truth either.
     mors = sorted(cat.morphisms.values())
     # unit laws
     for f in mors:
@@ -157,12 +160,9 @@ def validate_category(cat: OrthCategory) -> ValidationReport:
     for f in mors:
         for g in cat.outof(f.tgt):
             gf = cat.compose(g.id, f.id)
-            if gf is None:
-                continue
             for h in cat.outof(g.tgt):
-                hg = cat.compose(h.id, g.id)
-                left = cat.compose(h.id, gf) if gf else None
-                right = cat.compose(hg, f.id) if hg else None
+                left = cat.compose(h.id, gf)
+                right = cat.compose(cat.compose(h.id, g.id), f.id)
                 if left != right:
                     report.add(
                         "associativity",
@@ -179,21 +179,21 @@ def validate_category(cat: OrthCategory) -> ValidationReport:
         # one-step closures; the general g.f1.h1 / g.f2.h2 form follows by induction
         for g in cat.outof(m1.tgt):
             c1, c2 = cat.compose(g.id, f1), cat.compose(g.id, f2)
-            if c1 and c2 and (c1, c2) not in cat.orth:
+            if (c1, c2) not in cat.orth:
                 report.add(
                     "orth-post-composition",
                     {"pair": [f1, f2], "g": g.id, "composite": [c1, c2]},
                 )
         for h1 in cat.into(m1.src):
             c1 = cat.compose(f1, h1.id)
-            if c1 and (c1, f2) not in cat.orth:
+            if (c1, f2) not in cat.orth:
                 report.add(
                     "orth-pre-composition",
                     {"pair": [f1, f2], "h": h1.id, "composite": [c1, f2]},
                 )
         for h2 in cat.into(m2.src):
             c2 = cat.compose(f2, h2.id)
-            if c2 and (f1, c2) not in cat.orth:
+            if (f1, c2) not in cat.orth:
                 report.add(
                     "orth-pre-composition",
                     {"pair": [f1, f2], "h": h2.id, "composite": [f1, c2]},

@@ -124,6 +124,37 @@ def test_sectors_commands(workdir):
     )
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        pytest.param(["haag", "--region", "x"], id="haag-region-not-an-interval"),
+        pytest.param(["transport", "--sector", "X@1-1", "--target", "zz"], id="transport-target"),
+        pytest.param(["transport", "--sector", "X@9-9", "--target", "3-3"], id="sector-region"),
+        pytest.param(["haag", "--region", "9-9"], id="haag-unknown-region"),
+    ],
+)
+def test_bad_region_arguments_exit_2_with_one_line(workdir, capsys, args):
+    tmp, export = workdir
+    net = export("qubit4")
+    capsys.readouterr()
+    code = main(["sectors", *args[:1], "--net", net, *args[1:]])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("schema error: unknown region ")
+    assert captured.err.count("\n") == 1
+
+
+def test_region_ids_of_a_custom_net_can_be_named(tmp_path):
+    doc = {"sites": 2, "regions": [{"id": "a", "sites": [0]}, {"id": "b", "sites": [1]},
+                                   {"id": "ab", "sites": [0, 1]}]}
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(doc))
+    assert main(["sectors", "haag", "--net", str(path), "--region", "a", "--out",
+                 str(tmp_path / "haag.json")]) == 0
+    assert read(tmp_path / "haag.json")["regions"][0]["region"] == "a"
+
+
 def test_sectors_equivariance_and_theorem(workdir, tmp_path):
     tmp, export = workdir
     net = export("qubit2")

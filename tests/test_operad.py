@@ -33,7 +33,7 @@ from sectorfact.operad import (
     validate_equivariant_algebra,
     validate_operad,
 )
-from sectorfact.orthcat import Morphism, OrthCategory
+from sectorfact.orthcat import Morphism, OrthCategory, validate_category
 from sectorfact.reports import (
     PreconditionError,
     SchemaError,
@@ -501,6 +501,14 @@ def assert_same_report(cat, bound):
     return want
 
 
+def kernel_report(cat, bound):
+    """The kernel sweep alone, also on a category whose clean
+    `validate_category` report lets `validate_operad` skip it."""
+    report = ValidationReport(check="operad-axioms", subject=cat.name)
+    operad_module._OperadKernel(cat, bound, report).run()
+    return dump_json(report.to_dict())
+
+
 def with_orth(cat, orth, name):
     return OrthCategory(
         cat.objects, cat.morphisms.values(), cat.compose_table, cat.identities,
@@ -561,7 +569,8 @@ def nonassociative_category():
 
 @pytest.mark.parametrize("n,bound", [(4, 3), (6, 2)])
 def test_kernel_matches_reference_on_interval_categories(n, bound):
-    assert_same_report(interval_category(n), bound)
+    cat = interval_category(n)
+    assert kernel_report(cat, bound) == assert_same_report(cat, bound)
 
 
 def test_kernel_matches_reference_on_probes(intcat6):
@@ -618,13 +627,11 @@ def test_kernel_accepting_non_orthogonal_tuple_is_caught(intcat6, monkeypatch):
 
 
 def test_kernel_rejecting_orthogonal_tuple_is_internal_error(intcat4, monkeypatch):
-    import sectorfact.operad as operad_module
-
     monkeypatch.setattr(
         operad_module, "_mutual_orth_masks", lambda cat, index: [0] * len(index)
     )
     with pytest.raises(RuntimeError, match="compose accepts"):
-        validate_operad(intcat4, 2)
+        kernel_report(intcat4, 2)
 
 
 def test_equivariance_walk_keeps_its_witnesses(intcat6):
@@ -649,7 +656,8 @@ def _force_clean_summary(monkeypatch, clean):
 def test_walking_every_pair_matches_reference_on_intcat4(intcat4, monkeypatch):
     # with no (f, g) proven clean, every associativity check runs on compose
     _force_clean_summary(monkeypatch, clean=False)
-    assert_same_report(intcat4, 3)
+    want = dump_json(reference_validate_operad(intcat4, 3).to_dict())
+    assert kernel_report(intcat4, 3) == want
 
 
 def test_walking_every_pair_matches_reference_on_probe_b_drop(monkeypatch):
@@ -685,6 +693,163 @@ def test_kernel_accepting_undefined_outer_composite_is_internal_error(intcat6, m
     _force_clean_summary(monkeypatch, clean=False)
     with pytest.raises(RuntimeError, match="compose rejects"):
         validate_operad(probe_b(intcat6), 2)
+
+
+# -- the proof path: a clean category enumerates nothing ---------------------------------
+
+
+def spy_on_the_sweep(monkeypatch):
+    """Count kernel constructions and operation enumerations."""
+    calls = {"kernel": 0, "enumerate": 0}
+    kernel, enumerate_all = operad_module._OperadKernel, operad_module.enumerate_all_operations
+
+    class CountedKernel(kernel):
+        def __init__(self, *args):
+            calls["kernel"] += 1
+            super().__init__(*args)
+
+    def counted_enumerate(*args, **kwargs):
+        calls["enumerate"] += 1
+        return enumerate_all(*args, **kwargs)
+
+    monkeypatch.setattr(operad_module, "_OperadKernel", CountedKernel)
+    monkeypatch.setattr(operad_module, "enumerate_all_operations", counted_enumerate)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["intcat6", "cyccat6"])
+def test_clean_category_enumerates_no_operation(name, request, monkeypatch):
+    cat = request.getfixturevalue(name)
+    calls = spy_on_the_sweep(monkeypatch)
+    report = validate_operad(cat, 3)
+    assert report.ok and report.violations == []
+    assert calls == {"kernel": 0, "enumerate": 0}
+
+
+def test_dirty_category_runs_the_kernel(intcat6, monkeypatch):
+    calls = spy_on_the_sweep(monkeypatch)
+    assert not validate_operad(probe_b(intcat6), 2).ok
+    assert calls == {"kernel": 1, "enumerate": 1}
+
+
+def test_schema_errors_are_reported_once_and_stop_the_sweep(intcat6, monkeypatch):
+    cat = probe_a(intcat6)
+    calls = spy_on_the_sweep(monkeypatch)
+    report = validate_operad(cat, 2)
+    assert report.schema_errors == cat.schema_errors() != []
+    assert report.violations == []
+    assert calls == {"kernel": 0, "enumerate": 0}
+
+
+_SUBSET_RELATIONS = {
+    # each is symmetric and holds for subsets of related sources, so the
+    # relation on arrows is closed under transposition and pre- and
+    # post-composition
+    "disjoint": lambda u, w, v: not u & w,
+    "disjoint-not-covering": lambda u, w, v: not u & w and u | w != v,
+    "gap": lambda u, w, v: all(abs(x - y) >= 2 for x in u for y in w),
+}
+
+
+def _subset_name(u):
+    return "s" + "".join(str(x) for x in sorted(u))
+
+
+def subset_category(family, relation, name="subsets"):
+    """The thin category of a family of subsets ordered by inclusion; two
+    arrows into V are orthogonal when `relation(U, U', V)` holds on their
+    sources."""
+    family = sorted(set(family), key=lambda u: (len(u), sorted(u)))
+    arrow = {(u, v): f"{_subset_name(u)}<{_subset_name(v)}" for u in family for v in family if u <= v}
+    mors = [Morphism(a, _subset_name(u), _subset_name(v)) for (u, v), a in arrow.items()]
+    table = {
+        (arrow[v, w], arrow[u, v]): arrow[u, w]
+        for (u, v) in arrow for w in family if v <= w
+    }
+    orth = [
+        (arrow[u, v], arrow[w, v])
+        for (u, v) in arrow for w in family if w <= v and relation(u, w, v)
+    ]
+    identities = {_subset_name(u): arrow[u, u] for u in family}
+    return OrthCategory([_subset_name(u) for u in family], mors, table, identities, orth, name=name)
+
+
+def with_parallel_copy(cat, a):
+    """`cat` with a second arrow a' parallel to a that composes like a (a'
+    itself only with identities) and is orthogonal wherever a is, so the
+    category axioms still hold; it lets a unit entry or a composite move to
+    an arrow of the right signature."""
+    m, copy = cat.morphisms[a], a + "'"
+    ids = set(cat.identities.values())
+    table = dict(cat.compose_table)
+    for (g, f), r in cat.compose_table.items():
+        if f == a:
+            table[g, copy] = copy if g in ids else r
+        if g == a:
+            table[copy, f] = copy if f in ids else r
+    swap = {a: (a, copy)}
+    orth = {(x, y) for p, q in cat.orth for x in swap.get(p, (p,)) for y in swap.get(q, (q,))}
+    return OrthCategory(
+        cat.objects, [*cat.morphisms.values(), Morphism(copy, m.src, m.tgt)], table,
+        cat.identities, orth, name=cat.name,
+    )
+
+
+@st.composite
+def thin_orthogonal_categories(draw):
+    """A random thin orthogonal category of subsets, sometimes with one
+    parallel copy of an arrow, and sometimes mutated: an orthogonality pair
+    dropped (one way or both), a composite redirected, or a unit entry
+    broken."""
+    ground = range(4)
+    subsets = [frozenset(c) for k in range(5) for c in itertools.combinations(ground, k)]
+    family = draw(st.lists(st.sampled_from(subsets), min_size=2, max_size=6, unique=True))
+    relation = draw(st.sampled_from(sorted(_SUBSET_RELATIONS)))
+    cat = subset_category(family, _SUBSET_RELATIONS[relation], name=relation)
+    ids = set(cat.identities.values())
+    proper = sorted(set(cat.morphisms) - ids)
+    if proper and draw(st.booleans()):
+        cat = with_parallel_copy(cat, draw(st.sampled_from(proper)))
+    mutation = draw(st.sampled_from(["none", "drop-one-way", "drop-both", "redirect", "unit"]))
+    orth, table = set(cat.orth), dict(cat.compose_table)
+    # a moved entry goes to a parallel arrow where there is one, keeping the
+    # schema clean; without a copy it goes anywhere and is a schema error
+    doubled = sorted(m.id for m in cat.morphisms.values() if len(cat.hom(m.src, m.tgt)) > 1)
+
+    def moved(r):
+        m = cat.morphisms[r]
+        parallel = [x for x in cat.hom(m.src, m.tgt) if x.id != r]
+        return draw(st.sampled_from(parallel or sorted(cat.morphisms.values()))).id
+
+    if mutation.startswith("drop") and orth:
+        a, b = draw(st.sampled_from(sorted(orth)))
+        orth -= {(a, b), (b, a)} if mutation == "drop-both" else {(a, b)}
+    elif mutation == "redirect":
+        key = draw(st.sampled_from(sorted(k for k, r in table.items() if r in doubled) or sorted(table)))
+        table[key] = moved(table[key])
+    elif mutation == "unit":
+        f = cat.morphisms[draw(st.sampled_from(doubled or sorted(cat.morphisms)))]
+        key = draw(st.sampled_from([
+            (cat.identities[f.tgt], f.id), (f.id, cat.identities[f.src]),
+        ]))
+        table[key] = moved(table[key])
+    name = f"{cat.name}/{mutation}"
+    return OrthCategory(cat.objects, cat.morphisms.values(), table, cat.identities, orth, name=name)
+
+
+def test_subset_categories_are_orthogonal_categories():
+    subsets = [frozenset(c) for k in range(4) for c in itertools.combinations(range(3), k)]
+    for relation, pred in _SUBSET_RELATIONS.items():
+        cat = subset_category(subsets, pred, name=relation)
+        assert cat.is_thin() and validate_category(cat).ok, relation
+        (a, *_) = sorted(set(cat.morphisms) - set(cat.identities.values()))
+        assert validate_category(with_parallel_copy(cat, a)).ok, relation
+
+
+@settings(max_examples=60, deadline=None)
+@given(thin_orthogonal_categories(), st.integers(0, 3))
+def test_proof_path_matches_reference_on_random_orthogonal_categories(cat, bound):
+    assert_same_report(cat, bound)
 
 
 # -- the algebra proof against the full walk ---------------------------------------------

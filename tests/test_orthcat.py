@@ -1,3 +1,6 @@
+import pytest
+from test_operad import reference_validate_operad, spy_on_the_sweep, with_parallel_copy
+
 from sectorfact.fixtures import (
     interval_category,
     interval_reflection_action,
@@ -18,6 +21,8 @@ from sectorfact.orthcat import (
     validate_category,
     validate_group_action,
 )
+from sectorfact.operad import validate_operad
+from sectorfact.reports import dump_json
 
 
 def one_object_category():
@@ -111,6 +116,139 @@ def test_orth_closure_full_form(intcat4):
 
 def test_cyclic_category_valid(cyccat6):
     assert validate_category(cyccat6).ok
+
+
+# -- corruption probes: each axiom of validate_category can fail -------------------
+#
+# `validate_operad` proves the operad axioms from a clean report here, so
+# each branch is shown to fire on its own mutated intcat4 (schema-clean),
+# and on each the operad check falls back to its kernel.
+
+
+def _arrow(src, tgt):
+    return f"{src}<={tgt}"
+
+
+def _mutated(cat, table=None, orth=None):
+    return OrthCategory(
+        cat.objects, cat.morphisms.values(), table or cat.compose_table, cat.identities,
+        cat.orth if orth is None else orth, name="mutated",
+    )
+
+
+def _moved_entry(cat, key, copy_of):
+    """`cat` with a parallel copy of `copy_of` and the composite `key` sent
+    to the copy instead of its result."""
+    doubled = with_parallel_copy(cat, copy_of)
+    table = dict(doubled.compose_table)
+    table[key] = copy_of + "'"
+    return _mutated(doubled, table=table)
+
+
+def _unit_left(cat):
+    f = _arrow("[1,1]", "[1,2]")
+    return _moved_entry(cat, (cat.identities["[1,2]"], f), f)
+
+
+def _unit_right(cat):
+    f = _arrow("[1,1]", "[1,2]")
+    return _moved_entry(cat, (f, cat.identities["[1,1]"]), f)
+
+
+def _associativity(cat):
+    # x (b a) goes to the copy of [1,1]<=[1,4], while (x b) a stays
+    return _moved_entry(cat, (_arrow("[1,3]", "[1,4]"), _arrow("[1,1]", "[1,3]")),
+                        _arrow("[1,1]", "[1,4]"))
+
+
+def _orth_cospan(cat):
+    return _mutated(cat, orth=set(cat.orth) | {(_arrow("[1,1]", "[1,2]"), _arrow("[4,4]", "[3,4]"))})
+
+
+def _without(cat, *pairs):
+    return _mutated(cat, orth=set(cat.orth) - set(pairs))
+
+
+def _orth_transposition(cat):
+    return _without(cat, (_arrow("[1,1]", "[1,2]"), _arrow("[2,2]", "[1,2]")))
+
+
+def _orth_post_composition(cat):
+    pair = (_arrow("[1,1]", "[1,4]"), _arrow("[2,2]", "[1,4]"))
+    return _without(cat, pair, pair[::-1])
+
+
+# [2,2] grows to [1,2] inside [1,4] beside [3,4], but [3,4] cannot grow beside [2,2]
+_SMALL, _LARGE = _arrow("[2,2]", "[1,4]"), _arrow("[3,4]", "[1,4]")
+
+
+def _orth_pre_composition_left(cat):
+    return _without(cat, (_SMALL, _LARGE))
+
+
+def _orth_pre_composition_right(cat):
+    return _without(cat, (_LARGE, _SMALL))
+
+
+def _pre_composed_on(side):
+    def fired(v):
+        pair, composite = v.witness["pair"], v.witness["composite"]
+        other = 1 - side
+        return composite[other] == pair[other] and composite[side] != pair[side]
+
+    return fired
+
+
+_CATEGORY_PROBES = {
+    "unit-left": ("unit-left", _unit_left, lambda v: v.witness == {
+        "f": _arrow("[1,1]", "[1,2]"), "got": _arrow("[1,1]", "[1,2]") + "'"}),
+    "unit-right": ("unit-right", _unit_right,
+                   lambda v: v.witness["got"] == _arrow("[1,1]", "[1,2]") + "'"),
+    "associativity": ("associativity", _associativity,
+                      lambda v: v.witness["h(gf)"] != v.witness["(hg)f"]),
+    "orth-cospan": ("orth-cospan", _orth_cospan, lambda v: True),
+    "orth-transposition": ("orth-transposition", _orth_transposition, lambda v: True),
+    "orth-post-composition": ("orth-post-composition", _orth_post_composition, lambda v: True),
+    "orth-pre-composition-left": ("orth-pre-composition", _orth_pre_composition_left,
+                                  _pre_composed_on(0)),
+    "orth-pre-composition-right": ("orth-pre-composition", _orth_pre_composition_right,
+                                   _pre_composed_on(1)),
+}
+
+
+@pytest.mark.parametrize("probe", sorted(_CATEGORY_PROBES))
+def test_each_category_axiom_can_fail(intcat4, probe, monkeypatch):
+    axiom, mutate, shape = _CATEGORY_PROBES[probe]
+    cat = mutate(intcat4)
+    report = validate_category(cat)
+    assert report.schema_errors == []
+    assert any(v.axiom == axiom and shape(v) for v in report.violations)
+    # the operad verdict no longer rests on a clean category: the kernel runs
+    calls = spy_on_the_sweep(monkeypatch)
+    got = dump_json(validate_operad(cat, 2).to_dict())
+    assert calls == {"kernel": 1, "enumerate": 1}
+    assert got == dump_json(reference_validate_operad(cat, 2).to_dict())
+
+
+def test_an_arrow_named_empty_is_still_checked():
+    # the composite of g and a is the arrow "", which a truth test would skip
+    objects = ["U", "V", "W"]
+    arrows = {"idU": "UU", "idV": "VV", "idW": "WW", "a": "UV", "b": "UV", "g": "VW",
+              "": "UW", "gb": "UW"}
+    ids = {u: f"id{u}" for u in objects}
+    table = {}
+    for m, (src, tgt) in arrows.items():
+        table[m, ids[src]] = m
+        table[ids[tgt], m] = m
+    table["g", "a"], table["g", "b"] = "", "gb"
+    orth = [("a", "b"), ("b", "a")]
+    cat = OrthCategory(objects, [Morphism(m, st[0], st[1]) for m, st in arrows.items()],
+                       table, ids, orth, name="empty-name")
+    axioms = {v.axiom for v in validate_category(cat).violations}
+    assert axioms == {"orth-post-composition"}
+    report = validate_operad(cat, 2)
+    assert not report.ok
+    assert dump_json(report.to_dict()) == dump_json(reference_validate_operad(cat, 2).to_dict())
 
 
 # -- filteredness ---------------------------------------------------------------
