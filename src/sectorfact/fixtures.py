@@ -17,7 +17,7 @@ from .orthcat import (
     OrthFunctor,
 )
 from .reports import SchemaError
-from .sectors import LocalizedEndo, MatrixAlg, MatrixNet, SectorGroupData
+from .sectors import LocalizedEndo, MatrixAlg, MatrixNet, SectorGroupData, span_equal
 
 __all__ = [
     "poset_orth_category",
@@ -307,9 +307,9 @@ def net_to_json(net: MatrixNet) -> dict:
     for u, sites in written.items():
         # a region without an override has the full algebra on its sites
         alg = net.overrides.get(u)
-        if alg is None or alg.masks() == MatrixAlg.full_on_sites(net.sites, sites).masks():
+        if alg is None or span_equal(alg, MatrixAlg.full_on_sites(net.sites, sites)):
             kind = "full"
-        elif alg.masks() == MatrixAlg.diagonal_on_sites(net.sites, sites).masks():
+        elif span_equal(alg, MatrixAlg.diagonal_on_sites(net.sites, sites)):
             kind = "diagonal"
         else:
             raise SchemaError(f"algebra of region {u} is neither full nor diagonal on its sites")

@@ -42,7 +42,6 @@ __all__ = [
     "as_pauli_string",
     "pauli_coefficients",
     "pauli_commute",
-    "pauli_mask_span",
 ]
 
 
@@ -601,13 +600,6 @@ def _mask_span(L: int, vectors: list[int]) -> set[tuple[int, int]]:
         span += [v ^ r for v in span]
     low = (1 << L) - 1
     return {(v >> L, v & low) for v in span}
-
-
-def pauli_mask_span(L: int, masks) -> set[tuple[int, int]]:
-    """XOR closure of (x, z) masks on L qubits, (0, 0) included: the masks
-    of every product of the given strings, found by row reduction in time
-    linear in the size of the result."""
-    return _mask_span(L, [(x << L) | z for x, z in masks])
 
 
 # ---------------------------------------------------------------------------

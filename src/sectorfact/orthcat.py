@@ -605,6 +605,8 @@ def category_from_json(doc: dict) -> OrthCategory:
         orth = [(str(a), str(b)) for a, b in doc.get("orth", [])]
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise SchemaError(f"malformed category document: {exc}") from exc
+    if len(set(objects)) != len(objects):
+        raise SchemaError("duplicate object ids")
     ids = [m.id for m in morphisms]
     if len(set(ids)) != len(ids):
         raise SchemaError("duplicate morphism ids")

@@ -4,12 +4,14 @@ A net assigns to every region of a finite orthogonal index category a
 unital *-subalgebra of a global matrix algebra over the Gaussian
 rationals.  Nets are qubit chains, and `MatrixNet` requires every local
 algebra to be spanned by Pauli strings.  That keeps commutants, Haag
-duality and all sector identities decidable by exact symplectic/mask
-arithmetic: a set of (x, z) masks holding (0, 0) spans an algebra exactly
-when it is as large as its GF(2) span, a commutant is a GF(2) nullspace,
-and a matrix lies in an algebra exactly when its exact Pauli expansion
-(`pauli_coefficients`) uses only the algebra's masks.  `MatrixAlg` is
-therefore its mask set alone, and no dense solve is left.
+duality and all sector identities decidable by exact symplectic
+arithmetic on GF(2) rows (Gottesman, arXiv:quant-ph/9705052; Dehaene and
+De Moor, Phys. Rev. A 68, 042318): the strings of an algebra are the XOR
+span of at most 2L (x, z) masks, a commutant is a GF(2) nullspace, and a
+matrix lies in an algebra exactly when every mask of its exact Pauli
+expansion (`pauli_coefficients`) reduces to zero against the algebra's
+rows.  `MatrixAlg` is therefore its reduced rows alone, and no dense
+solve is left.
 
 Sectors are unital *-endomorphisms of the global algebra acting as the
 identity on every algebra orthogonal to their localization region.  Such
@@ -45,7 +47,6 @@ from .linalg import (
     as_pauli_string,
     pauli_coefficients,
     pauli_commute,
-    pauli_mask_span,
     pauli_string,
 )
 from .orthcat import GroupActionSpec, OrthCategory
@@ -89,95 +90,79 @@ __all__ = [
 
 class MatrixAlg:
     """Unital *-subalgebra of M_N, N = 2**L, spanned by Pauli strings and
-    held as the frozenset of their (x, z) masks.
+    held as the reduced GF(2) rows of their (x, z) masks.
 
-    A mask set holding (0, 0) spans a unital *-algebra exactly when it is
-    closed under XOR, checked on construction as a size test against its
-    GF(2) span.  Membership of a matrix is read off its exact Pauli
-    expansion (`pauli_coefficients`), commutants are symplectic complements
-    and span equality is mask-set equality, so no operation needs the
-    strings as matrices; `basis` and `generators` build them only when a
-    caller asks.
+    `rows` are the (pivot bit, x << L | z) pairs of one Gauss-Jordan
+    elimination (`_gf2_pivots`) in pivot order, at most 2L: each pivot is
+    its row's highest bit and is set in no other row, so the rows are the
+    span's canonical basis and span equality is rows equality.  Strings of
+    an XOR span multiply to scalars times strings of the span, so every
+    span is an algebra.  Membership, inclusion and commutants are read off the
+    rows; the 2**rank masks (`masks`) and the strings as matrices (`basis`,
+    `generators`) are built only when a caller asks.
     """
 
-    def __init__(self, n: int, basis: list[GMat], validate: bool = True, name: str = ""):
-        """Algebra spanned by a caller's basis: every element must be a
-        scaled Pauli string on log2(n) qubits, else SchemaError."""
-        if not basis:
-            raise SchemaError("algebra needs at least one basis element")
-        if any(m.n != n for m in basis):
-            raise SchemaError("basis dimensions disagree")
-        decoded = [as_pauli_string(m) for m in basis]
-        if any(p is None for p in decoded):
-            raise SchemaError("basis element is not a scaled Pauli string")
-        self._init(n.bit_length() - 1, [(x, z) for x, z, _ in decoded], validate, name)
-
-    def _init(self, L: int, masks: list[tuple[int, int]], validate: bool, name: str) -> None:
+    def __init__(self, L: int, vectors, name: str = ""):
+        """Algebra of the XOR span of the 2L-bit vectors x << L | z."""
         self.L = L
         self.n = 1 << L
         self.name = name
-        self._masks = frozenset(masks)
-        if validate:
-            errs = self._closure_errors(len(masks))
-            if errs:
-                raise SchemaError("; ".join(errs))
+        self.rows = sorted(_gf2_pivots(list(vectors)))
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def pauli_span(L: int, masks, name: str = "") -> "MatrixAlg":
-        """Algebra spanned by the Pauli strings of the given (x, z) masks.
-
-        The mask set must contain (0,0) and be closed under XOR, which makes
-        the span a unital *-subalgebra; ``_closure_errors`` decides this as
-        a size test against the GF(2) span and raises SchemaError otherwise.
-        """
-        alg = MatrixAlg.__new__(MatrixAlg)
-        alg._init(L, list(set(masks)), True, name)
-        return alg
-
-    @staticmethod
-    def _span_of(L: int, vectors: list[int], name: str = "") -> "MatrixAlg":
-        """Algebra of the XOR span of the 2L-bit vectors x << L | z, closed
-        by construction; its rows come from the one elimination."""
-        alg = MatrixAlg.__new__(MatrixAlg)
-        alg.rows = sorted(_gf2_pivots(vectors))
-        alg._init(L, _mask_span(L, [r for _, r in alg.rows]), False, name)
+        """Algebra spanned by the Pauli strings of the given (x, z) masks,
+        which must hold (0, 0) and be closed under XOR, else SchemaError.
+        A set lies in its span, so it is closed exactly when it is as large
+        as the span."""
+        masks = set(masks)
+        alg = MatrixAlg(L, [(x << L) | z for x, z in masks], name)
+        if (0, 0) not in masks:
+            raise SchemaError("identity string missing from basis span")
+        if len(masks) != alg.dim:
+            raise SchemaError("span not closed under products")
         return alg
 
     @staticmethod
     def full_on_sites(L: int, sites, name: str = "") -> "MatrixAlg":
         """Tensor factor: all Pauli strings supported on the given sites."""
         bits = [1 << (L - 1 - site) for site in sites]
-        return MatrixAlg._span_of(L, [b << L for b in bits] + bits, name=name)
+        return MatrixAlg(L, [b << L for b in bits] + bits, name=name)
 
     @staticmethod
     def diagonal_on_sites(L: int, sites, name: str = "") -> "MatrixAlg":
         """Abelian subalgebra: Z-type strings supported on the given sites."""
-        return MatrixAlg._span_of(L, [1 << (L - 1 - site) for site in sites], name=name)
+        return MatrixAlg(L, [1 << (L - 1 - site) for site in sites], name=name)
 
     # -- structure ---------------------------------------------------------
 
     @property
     def dim(self) -> int:
-        return len(self._masks)
+        return 1 << len(self.rows)
+
+    def _spans(self, v: int) -> bool:
+        """Whether the string of the vector v = x << L | z lies in the
+        algebra: v reduces to 0 against the pivots."""
+        for bit, r in self.rows:
+            if (v >> bit) & 1:
+                v ^= r
+        return v == 0
 
     def masks(self) -> frozenset[tuple[int, int]]:
-        """The (x, z) masks of the spanning strings."""
+        """The (x, z) masks of the spanning strings, built on first use."""
         return self._masks
+
+    @functools.cached_property
+    def _masks(self) -> frozenset[tuple[int, int]]:
+        return frozenset(_mask_span(self.L, [r for _, r in self.rows]))
 
     @functools.cached_property
     def basis(self) -> list[GMat]:
         """The unit strings of the masks in sorted mask order, built on
         first use."""
-        return [pauli_string(self.L, x, z) for x, z in sorted(self._masks)]
-
-    @functools.cached_property
-    def rows(self) -> list[tuple[int, int]]:
-        """The reduced GF(2) rows of the masks as (pivot bit, x << L | z) in
-        pivot order, at most 2L: a mask of the algebra is the XOR of the
-        rows whose pivot bits it has set."""
-        return sorted(_gf2_pivots([(x << self.L) | z for x, z in self._masks]))
+        return [pauli_string(self.L, x, z) for x, z in sorted(self.masks())]
 
     @functools.cached_property
     def generators(self) -> list[GMat]:
@@ -188,22 +173,9 @@ class MatrixAlg:
 
     def contains(self, m: GMat) -> bool:
         """m lies in the algebra exactly when every Pauli coefficient of m
-        sits on one of its masks."""
-        return m.n == self.n and pauli_coefficients(m).keys() <= self._masks
-
-    def _closure_errors(self, count: int) -> list[str]:
-        """Why `count` strings with these masks span no unital *-algebra."""
-        mset = self._masks
-        errs = []
-        if len(mset) != count:
-            errs.append("basis strings are linearly dependent")
-        # a mask set holding (0, 0) is XOR-closed exactly when it is as
-        # large as its GF(2) span
-        if (0, 0) not in mset:
-            errs.append("identity string missing from basis span")
-        elif len(pauli_mask_span(self.L, mset)) != len(mset):
-            errs.append("span not closed under products")
-        return errs
+        sits on one of its strings."""
+        L = self.L
+        return m.n == self.n and all(self._spans((x << L) | z) for x, z in pauli_coefficients(m))
 
     def __repr__(self) -> str:
         return f"MatrixAlg({self.name or 'anon'}, n={self.n}, dim={self.dim} pauli L={self.L})"
@@ -214,12 +186,12 @@ def _commutant_of(L: int, rows: list[int], name: str) -> MatrixAlg:
     P(x, z) exactly when v is orthogonal to z << L | x over GF(2)."""
     low = (1 << L) - 1
     swapped = [((r & low) << L) | (r >> L) for r in rows]
-    return MatrixAlg._span_of(L, _gf2_nullspace(swapped, 2 * L), name)
+    return MatrixAlg(L, _gf2_nullspace(swapped, 2 * L), name)
 
 
 def commutant(alg: MatrixAlg) -> MatrixAlg:
     """{X : XA = AX for every A in alg}: the strings symplectically
-    orthogonal to every mask of alg."""
+    orthogonal to every row of alg."""
     return _commutant_of(alg.L, [r for _, r in alg.rows], name=f"{alg.name}'")
 
 
@@ -234,7 +206,7 @@ def bicommutant(alg: MatrixAlg) -> MatrixAlg:
 
 
 def span_equal(a: MatrixAlg, b: MatrixAlg) -> bool:
-    return a.n == b.n and a.masks() == b.masks()
+    return a.n == b.n and a.rows == b.rows
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +223,7 @@ class MatrixNet:
     counterexample fixtures).  Every region algebra is a Pauli-string
     algebra on `sites` qubits, checked here once, so the net-level
     checks (inclusion, perp-commutativity, Haag duality, the global
-    algebra and its commutant) run on (x, z) masks only.
+    algebra and its commutant) run on the algebras' GF(2) rows only.
     """
 
     def __init__(
@@ -298,7 +270,7 @@ class MatrixNet:
     def global_algebra(self) -> MatrixAlg:
         if "__global__" not in self._cache:
             rows = [r for u in self.category.objects for _, r in self.algebra(u).rows]
-            self._cache["__global__"] = MatrixAlg._span_of(self.sites, rows, name="A(global)")
+            self._cache["__global__"] = MatrixAlg(self.sites, rows, name="A(global)")
         return self._cache["__global__"]
 
     def global_commutant(self) -> MatrixAlg:
@@ -343,24 +315,35 @@ class MatrixNet:
                     "region-monotonicity", {"morphism": m.id, "src": m.src, "tgt": m.tgt}
                 )
                 continue
-            if not self.algebra(m.src).masks() <= self.algebra(m.tgt).masks():
+            tgt = self.algebra(m.tgt)
+            if not all(tgt._spans(r) for _, r in self.algebra(m.src).rows):
                 report.add("algebra-inclusion", {"morphism": m.id})
         return report
 
 
 def check_perp_commutativity(net: MatrixNet) -> ValidationReport:
     """Commutation of the local algebras over every orthogonal cospan of
-    the index category, decided string by string by the symplectic form."""
+    the index category, decided by the symplectic form on their rows: two
+    algebras commute exactly when their generators do.  Only a pair that
+    fails is walked string by string, in mask order, for the witnesses."""
     report = ValidationReport(check="perp-commutativity", subject=net.name)
     seen: set[tuple[str, str]] = set()
+    L, low = net.sites, (1 << net.sites) - 1
     for f1, f2 in sorted(net.category.orth):
         m1, m2 = net.category.morphisms[f1], net.category.morphisms[f2]
         key = (m1.src, m2.src)
         if key in seen or (key[1], key[0]) in seen:
             continue
         seen.add(key)
-        p2 = sorted(net.algebra(m2.src).masks())
-        for (x1, z1) in sorted(net.algebra(m1.src).masks()):
+        a1, a2 = net.algebra(m1.src), net.algebra(m2.src)
+        if all(
+            pauli_commute(r1 >> L, r1 & low, r2 >> L, r2 & low)
+            for _, r1 in a1.rows
+            for _, r2 in a2.rows
+        ):
+            continue
+        p2 = sorted(a2.masks())
+        for (x1, z1) in sorted(a1.masks()):
             for (x2, z2) in p2:
                 if not pauli_commute(x1, z1, x2, z2):
                     report.add(
@@ -412,14 +395,14 @@ def _signed_strings(glob: MatrixAlg, images: list[GMat]) -> tuple[int, ...]:
     unless each is a scaled string of glob.  Any coefficient but -1 reads
     as +1: a unitary's images have +-1, and image lists are compared with
     the tableau's images afterwards."""
-    L, masks = glob.L, glob.masks()
+    L = glob.L
     out = []
     for a in images:
         p = as_pauli_string(a)
         if p is None:
             raise PreconditionError("generator image is not a signed Pauli string")
         x, z, c = p
-        if (x, z) not in masks:
+        if not glob._spans((x << L) | z):
             raise PreconditionError("image leaves the global algebra")
         out.append((((x << L) | z) << 1) | (c == GR_MINUS_ONE))
     return tuple(out)

@@ -437,6 +437,10 @@ def _category_identities(doc):
     return {**doc, "identities": [1]}
 
 
+def _category_repeated_object(doc):
+    return {**doc, "objects": doc["objects"] + doc["objects"][:1]}
+
+
 def _action_list(doc):
     return {**doc, "action": [1]}
 
@@ -477,6 +481,10 @@ def _net_region_site(value):
         pytest.param("intcat4", ["operad", "check", "--in"], _orth_triple, id="operad-orth-triple"),
         pytest.param("intcat4", ["validate-category", "--in"], _category_identities, id="category-identities-list"),
         pytest.param("intcat4", ["operad", "check", "--in"], _category_identities, id="operad-identities-list"),
+        pytest.param("intcat4", ["validate-category", "--in"], _category_repeated_object,
+                     id="category-repeated-object"),
+        pytest.param("intcat4", ["operad", "check", "--in"], _category_repeated_object,
+                     id="operad-repeated-object"),
         pytest.param("z2-intcat6", ["validate-action", "--in"], _action_list, id="action-list"),
         pytest.param("z2-intcat6", ["validate-action", "--in"], _functor_objects, id="functor-objects-list"),
         pytest.param("z2-intcat6", ["validate-action", "--in"], _action_category_identities,

@@ -10,12 +10,12 @@ from sectorfact.linalg import (
     GR_ONE,
     GR_ZERO,
     GaussianRational,
+    _mask_span,
     as_pauli_string,
     format_rational,
     nullspace,
     parse_rational,
     pauli_commute,
-    pauli_mask_span,
     pauli_string,
     sparse_matmul,
 )
@@ -158,7 +158,7 @@ def test_commutant_masks_against_enumeration():
         for z in range(8)
         if all(pauli_commute(x, z, gx, gz) for gx, gz in gens)
     )
-    alg = MatrixAlg.pauli_span(L, pauli_mask_span(L, gens))
+    alg = MatrixAlg(L, [(x << L) | z for x, z in gens])
     assert sorted(commutant(alg).masks()) == expected
 
 
@@ -187,7 +187,7 @@ def mask_generators(draw):
 @given(mask_generators())
 def test_mask_span_matches_frontier_closure(case):
     L, gens = case
-    assert pauli_mask_span(L, gens) == _frontier_closure(gens)
+    assert _mask_span(L, [(x << L) | z for x, z in gens]) == _frontier_closure(gens)
 
 
 # -- exact linear algebra ------------------------------------------------------

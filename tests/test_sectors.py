@@ -11,6 +11,7 @@ from sectorfact.fixtures import (
     diagonal_net,
     entangler_unitary,
     pauli_sector,
+    poset_orth_category,
     qubit_net,
     qubit_reflection_data,
     reflection_unitary,
@@ -29,7 +30,6 @@ from sectorfact.linalg import (
     nullspace,
     pauli_coefficients,
     pauli_commute,
-    pauli_mask_span,
     pauli_string,
 )
 from sectorfact.reports import PreconditionError, SchemaError, ValidationReport, dump_json
@@ -106,15 +106,6 @@ def test_commutant_dense_agrees_two_qubits():
     assert all(fast.contains(m) for m in dense)
 
 
-def test_commutant_of_non_string_algebra():
-    # projections onto the two coordinates span an abelian algebra with no
-    # string basis; a MatrixAlg is a string algebra, so it is refused
-    e00 = GMat(2, {(0, 0): GR_ONE})
-    e11 = GMat(2, {(1, 1): GR_ONE})
-    with pytest.raises(SchemaError, match="not a scaled Pauli string"):
-        MatrixAlg(2, [e00, e11], name="diag")
-
-
 def test_bicommutant_fixtures(net4):
     for region in net4.category.objects:
         alg = net4.algebra(region)
@@ -126,15 +117,15 @@ def test_bicommutant_fixtures(net4):
 
 
 def test_bicommutant_check_detects_corrupted_commutant(monkeypatch):
-    # corruption probe: a commutant that loses one basis element must make
-    # the double-commutant check fail loudly
+    # corruption probe: a commutant that loses one row must make the
+    # double-commutant check fail loudly
     import sectorfact.sectors as sectors
 
     real = sectors.commutant
 
     def corrupted(alg):
         out = real(alg)
-        return MatrixAlg(out.n, out.basis[:-1], validate=False, name=out.name)
+        return MatrixAlg(out.L, [r for _, r in out.rows[:-1]], name=out.name)
 
     alg = MatrixAlg.full_on_sites(2, [0], name="A(0)")
     monkeypatch.setattr(sectors, "commutant", corrupted)
@@ -157,7 +148,7 @@ def test_bicommutant_check_survives_optimize():
         "real = sectors.commutant\n"
         "def corrupted(alg):\n"
         "    out = real(alg)\n"
-        "    return sectors.MatrixAlg(out.n, out.basis[:-1], validate=False)\n"
+        "    return sectors.MatrixAlg(out.L, [r for _, r in out.rows[:-1]])\n"
         "sectors.commutant = corrupted\n"
         "try:\n"
         "    sectors.bicommutant(sectors.MatrixAlg.full_on_sites(2, [0]))\n"
@@ -182,11 +173,8 @@ def test_commutant_dimension_inequality(net4):
         assert alg.dim * c.dim == n2
 
 
-def _random_mask_subgroup(rng, L):
-    gens = [
-        (rng.randrange(1 << L), rng.randrange(1 << L))
-        for _ in range(rng.randint(1, 3))
-    ]
+def _frontier_closure(gens):
+    """Reference XOR closure: grow {(0, 0)} by the generators until stable."""
     masks = {(0, 0)}
     frontier = [(0, 0)]
     while frontier:
@@ -197,6 +185,12 @@ def _random_mask_subgroup(rng, L):
                 masks.add(m)
                 frontier.append(m)
     return masks
+
+
+def _random_mask_subgroup(rng, L):
+    return _frontier_closure(
+        [(rng.randrange(1 << L), rng.randrange(1 << L)) for _ in range(rng.randint(1, 3))]
+    )
 
 
 def test_random_string_algebras_double_commutant():
@@ -286,6 +280,72 @@ def test_perp_commutativity_vacuous_without_orth():
     cat = poset_orth_category("noorth", regions, lambda s1, s2, _t: False)
     net = MatrixNet(category=cat, sites=2, region_sites=regions, name="noorth")
     assert check_perp_commutativity(net).ok
+
+
+def reference_check_perp_commutativity(net):
+    """Every mask pair of every orthogonal pair of algebras, in mask order:
+    the oracle of the generator test in `check_perp_commutativity`."""
+    report = ValidationReport(check="perp-commutativity", subject=net.name)
+    seen = set()
+    for f1, f2 in sorted(net.category.orth):
+        m1, m2 = net.category.morphisms[f1], net.category.morphisms[f2]
+        key = (m1.src, m2.src)
+        if key in seen or (key[1], key[0]) in seen:
+            continue
+        seen.add(key)
+        p2 = sorted(net.algebra(m2.src).masks())
+        for x1, z1 in sorted(net.algebra(m1.src).masks()):
+            for x2, z2 in p2:
+                if not pauli_commute(x1, z1, x2, z2):
+                    report.add(
+                        "perp-commutation",
+                        {"regions": [m1.src, m2.src], "witness": [[x1, z1], [x2, z2]]},
+                    )
+    return report
+
+
+def _assert_perp_matches_reference(net):
+    fast = check_perp_commutativity(net)
+    assert dump_json(fast.to_dict()) == dump_json(reference_check_perp_commutativity(net).to_dict())
+    return fast
+
+
+def test_perp_commutativity_matches_reference_on_x_next_to_z():
+    # X-type strings on sites 0 and 1 at [1,1], Z-type on site 1 at [2,2]:
+    # the two disjoint regions' algebras anticommute at site 1
+    base = qubit_net(3, name="xz3")
+    overrides = {
+        "[1,1]": MatrixAlg(3, [0b100 << 3, 0b010 << 3], name="X01"),
+        "[2,2]": MatrixAlg(3, [0b010], name="Z1"),
+    }
+    net = MatrixNet(base.category, 3, base.region_sites, overrides=overrides, name="xz3")
+    report = _assert_perp_matches_reference(net)
+    assert not report.ok
+    regions = {tuple(v.witness["regions"]) for v in report.violations}
+    assert regions == {("[1,1]", "[2,2]"), ("[1,1]", "[2,3]")}
+    for good in (qubit_net(4), diagonal_net(4), _x_type_net()):
+        assert _assert_perp_matches_reference(good).ok
+
+
+_PERP_BASES = {L: qubit_net(L) for L in (2, 3, 4)}
+
+
+@st.composite
+def overridden_nets(draw):
+    """qubit_net(L) with a random span of up to three strings put at some
+    of its regions, whatever their sites."""
+    L = draw(st.integers(2, 4))
+    base = _PERP_BASES[L]
+    mask = st.integers(0, (1 << (2 * L)) - 1)
+    regions = draw(st.lists(st.sampled_from(sorted(base.category.objects)), max_size=3))
+    overrides = {u: MatrixAlg(L, draw(st.lists(mask, max_size=3)), name=u) for u in regions}
+    return MatrixNet(base.category, L, base.region_sites, overrides=overrides, name="rand")
+
+
+@settings(max_examples=60, deadline=None)
+@given(overridden_nets())
+def test_perp_commutativity_matches_reference_on_random_overrides(net):
+    _assert_perp_matches_reference(net)
 
 
 # -- localization ------------------------------------------------------------------------------
@@ -642,7 +702,7 @@ def algebra_and_matrix(draw):
     L = draw(st.integers(1, 2))
     n = 1 << L
     masks = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
-    alg = MatrixAlg.pauli_span(L, pauli_mask_span(L, draw(st.lists(masks, max_size=3))))
+    alg = MatrixAlg.pauli_span(L, _frontier_closure(draw(st.lists(masks, max_size=3))))
     # a combination of the algebra's strings, sometimes plus anything
     m = GMat.zero(n)
     for x, z in draw(st.lists(st.sampled_from(sorted(alg.masks())), max_size=3)):
@@ -672,18 +732,16 @@ def test_generators_are_a_basis_of_the_mask_group(case):
     assert all(c == GR_ONE for _, _, c in decoded)
     masks = [(x, z) for x, z, _ in decoded]
     assert len(masks) <= 2 * alg.L and 1 << len(masks) == alg.dim
-    assert pauli_mask_span(alg.L, masks) == alg.masks()
+    assert _frontier_closure(masks) == alg.masks()
 
 
 def test_contains_on_the_span_of_i_and_x():
     i2, x, z = GMat.identity(2), pauli_string(1, 1, 0), pauli_string(1, 0, 1)
-    alg = MatrixAlg(2, [i2, x])
+    alg = MatrixAlg.pauli_span(1, [(0, 0), (1, 0)])
     assert alg.dim == 2
     assert alg.contains(i2 + x.scale(GaussianRational.of(7)))
     assert alg.contains(x.scale(GR_I))
     assert not alg.contains(z)
-    with pytest.raises(SchemaError, match="linearly dependent"):
-        MatrixAlg(2, [i2, x, x.scale(GR_I)])
 
 
 def _assert_membership_verdicts(bits4, rho):
@@ -968,12 +1026,11 @@ def test_site_algebras_match_letter_enumeration():
 def _assert_rejects_unclosed():
     not_closed = [(0, 0), (1, 0), (0, 1)]  # X and Z without Y = iXZ
     no_identity = [(1, 0), (0, 1), (1, 1)]
-    for masks in (not_closed, no_identity):
-        with pytest.raises(SchemaError):
-            MatrixAlg.pauli_span(1, masks)
-        with pytest.raises(SchemaError):
-            MatrixAlg(2, [pauli_string(1, x, z) for x, z in masks])
-    with pytest.raises(SchemaError):
+    with pytest.raises(SchemaError, match="span not closed under products"):
+        MatrixAlg.pauli_span(1, not_closed)
+    with pytest.raises(SchemaError, match="identity string missing from basis span"):
+        MatrixAlg.pauli_span(1, no_identity)
+    with pytest.raises(SchemaError, match="span not closed under products"):
         MatrixAlg.pauli_span(2, [(0, 0), (1, 0), (2, 0)])  # (3, 0) missing
 
 
@@ -983,13 +1040,72 @@ def test_unclosed_mask_sets_are_rejected():
 
 
 def test_unclosed_mask_check_can_fail(monkeypatch):
-    # corruption probe: a closure helper that returns its input unchanged
-    # must let a non-closed mask set through
-    import sectorfact.sectors as sectors
-
-    monkeypatch.setattr(sectors, "pauli_mask_span", lambda L, masks: set(masks))
+    # corruption probe: a `dim` that counts the identity and the rows
+    # instead of their span lets {I, X, Z} through the size test
+    monkeypatch.setattr(MatrixAlg, "dim", property(lambda self: 1 + len(self.rows)))
     with pytest.raises(pytest.fail.Exception):
         _assert_rejects_unclosed()
+
+
+@st.composite
+def generator_pairs(draw):
+    """Two generator lists on L <= 4 qubits; half the time the second spans
+    the same group as the first, rewritten as prefix XORs of a shuffle."""
+    L = draw(st.integers(1, 4))
+    mask = st.tuples(st.integers(0, (1 << L) - 1), st.integers(0, (1 << L) - 1))
+    gens = draw(st.lists(mask, max_size=6))
+    if gens and draw(st.booleans()):
+        shuffled = draw(st.permutations(gens))
+        other = [shuffled[0]] + [
+            (a[0] ^ b[0], a[1] ^ b[1]) for a, b in zip(shuffled, shuffled[1:])
+        ]
+    else:
+        other = draw(st.lists(mask, max_size=6))
+    return L, gens, other, draw(mask), draw(mask)
+
+
+@settings(max_examples=150, deadline=None)
+@given(generator_pairs())
+def test_rows_form_matches_the_mask_set_oracle(case):
+    L, gens_a, gens_b, p, q = case
+    a, b = (MatrixAlg(L, [(x << L) | z for x, z in g]) for g in (gens_a, gens_b))
+    set_a, set_b = _frontier_closure(gens_a), _frontier_closure(gens_b)
+    assert a.masks() == set_a and a.dim == len(set_a) and b.masks() == set_b
+    for x in range(1 << L):
+        for z in range(1 << L):
+            assert a._spans((x << L) | z) == ((x, z) in set_a)
+    m = pauli_string(L, *p) + pauli_string(L, *q, GR_I)
+    assert a.contains(m) == (p in set_a and q in set_a)
+    assert a.contains(pauli_string(L, *p)) == (p in set_a)
+    assert span_equal(a, b) == (set_a == set_b)
+    # inclusion, as `MatrixNet.validate` reads it
+    assert all(b._spans(r) for _, r in a.rows) == (set_a <= set_b)
+    empty, full = frozenset(), frozenset(range(L))
+    cat = poset_orth_category("incl", {"a": empty, "b": full}, lambda *_: False)
+    net = MatrixNet(cat, L, {"a": empty, "b": full}, overrides={"a": a, "b": b})
+    assert net.validate().ok == (set_a <= set_b)
+    expected = {
+        (x, z) for x in range(1 << L) for z in range(1 << L)
+        if all(pauli_commute(x, z, gx, gz) for gx, gz in set_a)
+    }
+    assert commutant(a).masks() == expected
+
+
+def test_checks_on_rows_build_no_mask_set(monkeypatch):
+    # nothing of size 2**rank is built until `masks` or `basis` is read
+    def refuse(L, vectors):
+        raise AssertionError("mask set built")
+
+    monkeypatch.setattr(sectors_module, "_mask_span", refuse)
+    net = qubit_net(12)
+    assert net.validate().ok and check_perp_commutativity(net).ok
+    for u in ("[1,1]", "[2,11]", "[1,12]"):
+        assert check_haag_duality(net, u)["holds"] is not None
+    assert net.global_commutant().dim == 1 and commutant(net.algebra("[3,5]")).dim == 4 ** 9
+    net6 = qubit_net(6)
+    assert validate_theorem_3_11(net6, standard_sector_family(net6), bound=2).ok
+    with pytest.raises(AssertionError, match="mask set built"):
+        net.algebra("[1,1]").masks()
 
 
 def test_algebra_lookups_built_once():
@@ -1007,11 +1123,8 @@ def test_global_algebra_of_six_sites():
 # -- the net layer: every region algebra is a string algebra ------------------------------
 
 
-def test_net_rejects_non_string_override():
+def test_net_rejects_override_of_wrong_size():
     base = qubit_net(2)
-    cz = entangler_unitary(base, 0, 1)
-    with pytest.raises(SchemaError, match="not a scaled Pauli string"):
-        MatrixAlg(4, [GMat.identity(4), cz], name="CZ")
     wrong_size = MatrixAlg.full_on_sites(1, [0], name="one-qubit")
     with pytest.raises(SchemaError, match="acts on 1 qubits, not 2"):
         MatrixNet(
@@ -1240,9 +1353,7 @@ def _x_type_net():
     abelian, reflection-symmetric, neither full nor diagonal."""
     base = qubit_net(2, name="xbits2")
     overrides = {
-        u: MatrixAlg.pauli_span(
-            2, pauli_mask_span(2, [(1 << (1 - s), 0) for s in cells]), name=f"X({u})"
-        )
+        u: MatrixAlg(2, [(1 << (1 - s)) << 2 for s in cells], name=f"X({u})")
         for u, cells in base.region_sites.items()
     }
     return MatrixNet(base.category, 2, base.region_sites, overrides=overrides, name="xbits2")
