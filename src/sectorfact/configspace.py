@@ -8,7 +8,9 @@ projection is certified spacelike for all intermediate times by exact
 quadratic sign analysis (not sampling).
 
 The causal sampler draws grid points center + (half/d)*k with k an integer
-vector in [-d, d]^n.  Both of its tests (inside the cone, spacelike to every
+vector in [-d, d]^n.  Each coordinate of k is the value and the stream of
+`rng.randint(-d, d)`, drawn by randint's own getrandbits rejection loop
+without its call layers.  Both of its tests (inside the cone, spacelike to every
 accepted point) are signs of squared intervals, which a positive rescaling
 keeps, so they run on k in an integer frame: scaled by d/half, and by the
 common denominator L of axis.x/axis.t, the tips sit at the integer vectors
@@ -20,9 +22,8 @@ cone and the configuration's rational points (see `minkowski`): every
 coordinate times the lcm D of their denominators, and the Cauchy lifts at
 the scale 2*dt*D at which they are integer vectors.  Membership and
 spacelikeness are signs, which the positive scale keeps; each certificate
-value is an integer over the square of the lift scale, and a `Fraction` is
-built only to format it, so the reports are those of exact rational
-arithmetic.
+value is an integer over the square of the lift scale, formatted in lowest
+terms with one gcd, so the reports are those of exact rational arithmetic.
 """
 
 from __future__ import annotations
@@ -132,20 +133,32 @@ def _grid_point_in_cone(
     `frame` is (d, L, tip): the grid denominator, the common denominator of
     axis.x/axis.t and the spatial part of the future tip, L*d*axis.x/axis.t.
     Returns the integer vector k = (kt, k1, ...) of a point strictly inside
-    the cone, or None."""
+    the cone, or None.
+
+    Each coordinate is drawn as `rng.randint(-d, d)` draws it: randrange
+    takes getrandbits(k) for k = (2d+1).bit_length() until it is below 2d+1
+    and adds -d, so the stream and the draws are those of randint."""
     d, scale, tip = frame
-    kt = rng.randint(-d, d)
-    ks = [rng.randint(-d, d) for _ in tip]
+    width = 2 * d + 1
+    bits = width.bit_length()
+    getrandbits = rng.getrandbits
+    draws = []
+    for _ in range(1 + len(tip)):
+        r = getrandbits(bits)
+        while r >= width:
+            r = getrandbits(bits)
+        draws.append(r - d)
+    kt = draws[0]
     # time gaps to the tips; |kt| <= d keeps them >= 0, so the strict
     # interval tests below also decide that both gaps are positive
     future, past = scale * (d - kt), scale * (d + kt)
     to_future = to_past = 0
-    for ki, ti in zip(ks, tip):
+    for ki, ti in zip(draws[1:], tip):
         lk = scale * ki
         to_future += (ti - lk) ** 2
         to_past += (ti + lk) ** 2
     if to_future < future * future and to_past < past * past:
-        return (kt, *ks)
+        return tuple(draws)
     return None
 
 
@@ -165,7 +178,8 @@ def sample_causal_config(
     out at the current resolution.
 
     Each draw is center + (half/d)*k for an integer vector k in [-d, d]^n
-    (one `rng.randint` for t, then one per spatial coordinate).  Cone
+    (one `rng.randint(-d, d)` for t, then one per spatial coordinate, drawn
+    as `_grid_point_in_cone` says).  Cone
     membership and pairwise spacelikeness are decided on k in the integer
     frame of the module docstring; the accepted points are then built as
     rationals and re-verified exactly by the CausalConfig constructor."""
@@ -199,11 +213,14 @@ def sample_causal_config(
                 accepted.append(k)
         if len(accepted) == m:
             step = axis.t / (2 * d)  # half the cone's height over d
-            points = tuple(
-                MPoint(c.t + k[0] * step, tuple(ci + ki * step for ci, ki in zip(c.x, k[1:])))
-                for k in accepted
-            )
-            return CausalConfig(cone=cone, points=points)
+            # the coordinate p/q + k*r/s is (p*s + k*r*q)/(q*s): one Fraction each
+            r, s = step.numerator, step.denominator
+            rows = [(v.numerator * s, r * v.denominator, v.denominator * s) for v in (c.t, *c.x)]
+            points = []
+            for k in accepted:
+                t, *x = (_F(p + ki * rq, den) for ki, (p, rq, den) in zip(k, rows))
+                points.append(MPoint(t, tuple(x)))
+            return CausalConfig(cone=cone, points=tuple(points))
         if d >= 1024:
             raise SamplingExhausted(
                 f"could not place {m} causally disjoint points (denominator {d})"

@@ -16,7 +16,7 @@ from .orthcat import (
     OrthCategory,
     OrthFunctor,
 )
-from .reports import SchemaError
+from .reports import SchemaError, json_list
 from .sectors import LocalizedEndo, MatrixAlg, MatrixNet, SectorGroupData, span_equal
 
 __all__ = [
@@ -354,10 +354,12 @@ def net_from_json(doc: dict) -> MatrixNet:
         }
         kinds = {str(r["id"]): str(r.get("algebra", "full")) for r in doc["regions"]}
         orth_spec = doc.get("orth", "disjoint")
-        marked = (
-            None if orth_spec == "disjoint"
-            else [(str(a), str(b)) for a, b in orth_spec]
-        )
+        marked = None
+        if orth_spec != "disjoint":
+            marked = []
+            for pair in json_list(orth_spec, "orth"):
+                a, b = json_list(pair, "an orth pair")
+                marked.append((str(a), str(b)))
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"malformed net document: {exc}") from exc
     if local_dim != 2:

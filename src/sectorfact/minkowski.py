@@ -15,12 +15,17 @@ their denominators and decides these signs on the integer vectors.  For
 the lifts it multiplies once more by S = 2*dt, where dt = D*(p+.t - p-.t):
 at that scale the centre, dt*(P- + P+), and every lift are integer
 vectors.  A certificate value is a quadratic form of such vectors over
-the known square (S*D)^2, so it is reported as one `Fraction` built from
-two integers; the vertex -b/(2a) does not depend on the scale at all.
+the known square (S*D)^2, so it is formatted from those two integers with
+one gcd; the vertex -b/(2a) does not depend on the scale at all.
 
-The witness builder decides its ray exits, primed cones (`_ray_frame`)
-and twelve invariants (`WitnessDiagram.verify`) on such frames too, and
-builds Fractions only for the cones and trace values a witness reports.
+A light-cone hit solves its quadratic on the frame of the segment's ends
+and the tip: the coefficients are integers, an exact root is found by an
+integer square root, and each rounded candidate and the sign of its
+interval to the tip are integers too (`segment_lightcone_hit`).  The
+witness builder decides these hits, its ray exits, primed cones
+(`_ray_frame`) and twelve invariants (`WitnessDiagram.verify`) on such
+frames, and builds Fractions only for the points, cones and trace values
+a witness reports.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .reports import PreconditionError, SchemaError
+from .reports import PreconditionError, SchemaError, json_list
 from .linalg import format_rational, parse_rational
 
 __all__ = [
@@ -313,24 +318,6 @@ def check_projection_inequality(p: MPoint, q: MPoint) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _rational_sqrt(f: Fraction) -> Fraction | None:
-    if f < 0:
-        return None
-    n, d = f.numerator, f.denominator
-    rn, rd = math.isqrt(n), math.isqrt(d)
-    if rn * rn == n and rd * rd == d:
-        return _F(rn, rd)
-    return None
-
-
-def _sqrt_floor(f: Fraction, k: int) -> Fraction:
-    """Dyadic lower bound of sqrt(f) within 2^(1-k)."""
-    if f <= 0:
-        return _F(0)
-    scaled = (f.numerator << (2 * k)) // f.denominator
-    return _F(math.isqrt(scaled), 1 << k)
-
-
 @dataclass(frozen=True)
 class LightconeHit:
     point: MPoint
@@ -353,56 +340,74 @@ def segment_lightcone_hit(
     irrational the returned point is a nearby rational on the timelike side
     of the cone (sq_interval to the tip strictly negative), certified in
     the result; all strict inequalities downstream survive this rounding.
-    """
+
+    Decided on the integer frame of a, b and tip (scale D): with e = b - a
+    and d = a - tip as integer vectors, A, B, C of the quadratic
+    A s^2 + 2B s + C are D^2 times the rational ones and disc = B^2 - AC is
+    D^4 times, so an exact root (-B +- sqrt(disc))/A is the same at either
+    scale.  Otherwise isq/2^k, isq = isqrt(disc*4^k // D^4), is the dyadic
+    lower bound of the rational sqrt(disc/D^4) at resolution 2^-k;
+    candidate j is s = n/m with n = -B*2^k + sign*(isq - j)*D^2 and
+    m = A*2^k, and its interval to the tip is A n^2 + 2B n m + C m^2 over
+    m^2 D^2."""
     if branch not in ("future", "past"):
         raise PreconditionError("branch must be 'future' or 'past'")
-    d = a - tip
-    e = b - a
-    A = minkowski_sq(e)
+    if not len(a.x) == len(b.x) == len(tip.x):
+        raise PreconditionError("dimension mismatch")
+    D, (ra, rb, rt) = _integer_rows((a, b, tip))
+    e = [q - p for p, q in zip(ra, rb)]
+    d = [p - q for p, q in zip(ra, rt)]
+    A = _int_inner(e, e)
     if A <= 0:
         raise PreconditionError("segment direction must be spacelike")
-    B = minkowski_inner(d, e)
-    C = minkowski_sq(d)
+    B = _int_inner(d, e)
+    C = _int_inner(d, d)
     disc = B * B - A * C
     if disc < 0:
         raise NoHit("segment misses the light cone: negative discriminant")
     sign = 1 if branch == "future" else -1
-    root = _rational_sqrt(disc)
-    if root is not None:
-        s = (-B + sign * root) / A
-        if not (0 <= s <= 1):
-            raise NoHit(f"root {s} outside the segment")
-        pt = a + e.scale(s)
-        q_at = A * s * s + 2 * B * s + C
+    root = math.isqrt(disc)
+    if root * root == disc:
+        n = -B + sign * root
+        if not (0 <= n <= A):
+            raise NoHit(f"root {_F(n, A)} outside the segment")
+        # an exact root: the interval to the tip is 0
         return LightconeHit(
-            point=pt,
-            s=s,
+            point=_frame_point(ra, e, n, A, D),
+            s=_F(n, A),
             exact=True,
-            certificate={"exact": True, "sq_to_tip": format_rational(q_at)},
+            certificate={"exact": True, "sq_to_tip": "0"},
         )
     # irrational root: rational approximation on the timelike side (q < 0)
+    D2 = D * D
     for k in (denom_log2, denom_log2 + 8, denom_log2 + 16, denom_log2 + 32):
-        approx = _sqrt_floor(disc, k)
-        s0 = (-B + sign * approx) / A
-        step = _F(sign, 1 << k) / A
+        isq = math.isqrt((disc << (2 * k)) // (D2 * D2))
+        m = A << k
         for j in range(4):
-            s = s0 - step * j
-            if not (0 < s < 1):
+            n = -(B << k) + sign * (isq - j) * D2
+            if not (0 < n < m):
                 continue
-            q_at = A * s * s + 2 * B * s + C
-            if q_at < 0:
+            q = A * n * n + 2 * B * n * m + C * m * m
+            if q < 0:
                 return LightconeHit(
-                    point=a + e.scale(s),
-                    s=s,
+                    point=_frame_point(ra, e, n, m, D),
+                    s=_F(n, m),
                     exact=False,
                     certificate={
                         "exact": False,
-                        "sq_to_tip": format_rational(q_at),
+                        "sq_to_tip": _format_ratio(q, m * m * D2),
                         "side": "timelike",
                         "denominator_log2": k,
                     },
                 )
     raise NoHit("could not certify a timelike-side rational approximation")
+
+
+def _frame_point(base: Sequence[int], e: Sequence[int], n: int, m: int, scale: int) -> MPoint:
+    """The point base + (n/m)*e of a frame of scale D, as rationals."""
+    den = m * scale
+    t, *x = (_F(p * m + n * q, den) for p, q in zip(base, e))
+    return MPoint(t, tuple(x))
 
 
 # ---------------------------------------------------------------------------
@@ -649,6 +654,14 @@ def _integer_rows(points: Sequence[MPoint]) -> tuple[int, list[tuple[int, ...]]]
     return scale, [tuple(v.numerator * (scale // v.denominator) for v in row) for row in rows]
 
 
+def _format_ratio(n: int, d: int) -> str:
+    """`format_rational(Fraction(n, d))` for d > 0, with one gcd."""
+    g = math.gcd(n, d)
+    if g == d:
+        return str(n // d)
+    return f"{n // g}/{d // g}"
+
+
 def _int_inner(u: Sequence[int], v: Sequence[int]) -> int:
     """Minkowski inner product of integer tuples (t, x1, ...)."""
     return sum(map(operator.mul, u, v)) - 2 * u[0] * v[0]
@@ -781,23 +794,23 @@ def _segment_certificate(v: Sequence[int], w: Sequence[int], denom: int) -> dict
     diff = [b - a for a, b in zip(v, w)]
     a = _int_inner(diff, diff)
     b = 2 * _int_inner(v, diff)
-    shown_c = format_rational(_F(c, denom))
+    shown_c = _format_ratio(c, denom)
     data = {
-        "a": format_rational(_F(a, denom)),
-        "b": format_rational(_F(b, denom)),
+        "a": _format_ratio(a, denom),
+        "b": _format_ratio(b, denom),
         "c": shown_c,
         "q0": shown_c,
-        "q1": format_rational(_F(q1, denom)),
+        "q1": _format_ratio(q1, denom),
     }
     if a <= 0:
         # concave or linear: minimum at the endpoints, both positive
         data["vertex"] = None
         data["positive"] = True
         return data
-    data["vertex"] = format_rational(_F(-b, 2 * a))
+    data["vertex"] = _format_ratio(-b, 2 * a)
     if 0 < -b < 2 * a:
         gap = 4 * a * c - b * b
-        data["vertex_value"] = format_rational(_F(gap, 4 * a * denom))
+        data["vertex_value"] = _format_ratio(gap, 4 * a * denom)
         data["positive"] = gap > 0
     else:
         data["positive"] = True
@@ -827,7 +840,8 @@ def point_to_json(p: MPoint) -> dict:
 
 def point_from_json(doc: dict) -> MPoint:
     try:
-        return MPoint(parse_rational(doc["t"]), tuple(parse_rational(v) for v in doc["x"]))
+        xs = json_list(doc["x"], "spatial coordinates x")
+        return MPoint(parse_rational(doc["t"]), tuple(parse_rational(v) for v in xs))
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"malformed point document: {exc}") from exc
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .reports import SchemaError, ValidationReport, Violation
+from .reports import SchemaError, ValidationReport, Violation, json_list
 
 __all__ = [
     "Morphism",
@@ -593,16 +593,20 @@ def category_to_json(cat: OrthCategory) -> dict:
 
 def category_from_json(doc: dict) -> OrthCategory:
     try:
-        objects = [str(u) for u in doc["objects"]]
+        objects = [str(u) for u in json_list(doc["objects"], "objects")]
         morphisms = [
             Morphism(str(m["id"]), str(m["src"]), str(m["tgt"]))
-            for m in doc["morphisms"]
+            for m in json_list(doc["morphisms"], "morphisms")
         ]
         compose = {
-            (str(e["g"]), str(e["f"])): str(e["result"]) for e in doc.get("compose", [])
+            (str(e["g"]), str(e["f"])): str(e["result"])
+            for e in json_list(doc.get("compose", []), "compose")
         }
         identities = {str(k): str(v) for k, v in doc.get("identities", {}).items()}
-        orth = [(str(a), str(b)) for a, b in doc.get("orth", [])]
+        orth = []
+        for pair in json_list(doc.get("orth", []), "orth"):
+            a, b = json_list(pair, "an orth pair")
+            orth.append((str(a), str(b)))
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise SchemaError(f"malformed category document: {exc}") from exc
     if len(set(objects)) != len(objects):
@@ -617,10 +621,10 @@ def action_from_json(doc: dict) -> GroupActionSpec:
     try:
         cat = category_from_json(doc["category"])
         group = GroupTable(
-            [str(e) for e in doc["group"]["elements"]],
+            [str(e) for e in json_list(doc["group"]["elements"], "group elements")],
             {
                 (str(e["a"]), str(e["b"])): str(e["result"])
-                for e in doc["group"]["table"]
+                for e in json_list(doc["group"]["table"], "group table")
             },
         )
         action = {}

@@ -19,6 +19,7 @@ __all__ = [
     "CITATIONS",
     "attach_citation",
     "dump_json",
+    "json_list",
     "render_text",
 ]
 
@@ -108,8 +109,76 @@ def attach_citation(doc: dict) -> dict:
 
 
 def dump_json(doc: dict) -> str:
-    """Canonical serialization: sorted keys, no floats anywhere by design."""
-    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
+    """Canonical serialization: the text of `json.dumps(doc, sort_keys=True,
+    indent=2, ensure_ascii=True)` plus a newline, written in one pass.
+
+    Only str, int, bool, None, dicts with str keys, lists and tuples are
+    written; anything else, a float included, raises TypeError (reports
+    carry rationals as strings, so a float is a bug)."""
+    parts: list[str] = []
+    _write(doc, parts, "\n")
+    parts.append("\n")
+    return "".join(parts)
+
+
+_escape = json.encoder.encode_basestring_ascii
+
+
+def _write(value, parts: list[str], newline: str) -> None:
+    """Append the JSON text of `value` to `parts`; `newline` is a newline
+    followed by the indent of the line `value` starts on.
+
+    A module-level function, not a closure over `parts`: a self-referencing
+    inner function would keep every report's parts alive until the cyclic
+    collector runs."""
+    if isinstance(value, str):
+        parts.append(_escape(value))
+    elif value is None:
+        parts.append("null")
+    elif value is True:
+        parts.append("true")
+    elif value is False:
+        parts.append("false")
+    elif isinstance(value, int):
+        parts.append(int.__repr__(value))
+    elif isinstance(value, dict):
+        if not value:
+            parts.append("{}")
+            return
+        inner = newline + "  "
+        comma = "," + inner
+        sep = "{" + inner
+        for key, item in sorted(value.items()):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            parts.append(sep)
+            parts.append(_escape(key))
+            parts.append(": ")
+            _write(item, parts, inner)
+            sep = comma
+        parts.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            parts.append("[]")
+            return
+        inner = newline + "  "
+        comma = "," + inner
+        sep = "[" + inner
+        for item in value:
+            parts.append(sep)
+            _write(item, parts, inner)
+            sep = comma
+        parts.append(newline + "]")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def json_list(value, what: str) -> list | tuple:
+    """A JSON array of an input document as it stands: a string, which
+    would iterate as its characters, or any other non-list is refused."""
+    if not isinstance(value, (list, tuple)):
+        raise SchemaError(f"{what} must be a list, not {value!r}")
+    return value
 
 
 def _walk(doc, indent: int, lines: list[str]) -> None:

@@ -464,6 +464,46 @@ def _net_repeated_region(doc):
 _HAAG = ["sectors", "haag", "--net"]
 
 
+# A string where a list belongs must be refused, not iterated as its
+# characters: read that way each document below is a valid input that
+# passes its check.
+def _cospan_category(objects, orth):
+    """Objects A, B, C with a: A -> C and b: B -> C orthogonal, and identities."""
+    arrows = [("i", "A", "A"), ("j", "B", "B"), ("k", "C", "C"), ("a", "A", "C"), ("b", "B", "C")]
+    composites = [("i", "i", "i"), ("j", "j", "j"), ("k", "k", "k"),
+                  ("a", "i", "a"), ("k", "a", "a"), ("b", "j", "b"), ("k", "b", "b")]
+    return {
+        "name": "cospan",
+        "objects": objects,
+        "morphisms": [{"id": m, "src": s, "tgt": t} for m, s, t in arrows],
+        "compose": [{"g": g, "f": f, "result": r} for g, f, r in composites],
+        "identities": {"A": "i", "B": "j", "C": "k"},
+        "orth": orth,
+    }
+
+
+def _category_objects_string(doc):
+    return _cospan_category("ABC", [["a", "b"], ["b", "a"]])
+
+
+def _category_orth_pair_string(doc):
+    return _cospan_category(["A", "B", "C"], ["ab", "ba"])
+
+
+def _group_elements_string(doc):
+    return {**doc, "group": {**doc["group"], "elements": "er"}}
+
+
+def _net_orth_pair_string(doc):
+    regions = [{"id": "a", "sites": [0]}, {"id": "b", "sites": [1]}]
+    return {"name": "ab", "sites": 2, "local_dim": 2, "regions": regions, "orth": ["ab", "ba"]}
+
+
+def _cone_x_string(doc):
+    # both tips at x = "05", which would read as the 1+2-dimensional x = (0, 5)
+    return {tip: {**point, "x": "05"} for tip, point in doc.items()}
+
+
 def _net_field(key, value):
     return lambda doc: {**doc, key: value}
 
@@ -504,6 +544,16 @@ def _net_region_site(value):
         pytest.param("qubit2", _HAAG, _net_region_site(0.0), id="net-site-float"),
         pytest.param("qubit2", _HAAG, _net_region_site(False), id="net-site-bool"),
         pytest.param("qubit2", _HAAG, _net_region_site("0"), id="net-site-string"),
+        pytest.param("intcat4", ["validate-category", "--in"], _category_objects_string,
+                     id="category-objects-string"),
+        pytest.param("intcat4", ["operad", "check", "--in"], _category_orth_pair_string,
+                     id="operad-orth-pair-string"),
+        pytest.param("z2-intcat6", ["validate-action", "--in"], _group_elements_string,
+                     id="action-elements-string"),
+        pytest.param("qubit2", ["sectors", "perp", "--net"], _net_orth_pair_string,
+                     id="net-orth-pair-string"),
+        pytest.param("wide-cone-m2", ["homotopy", "verify", "--cases", "1", "--cone"],
+                     _cone_x_string, id="cone-x-string"),
     ],
 )
 def test_malformed_documents_exit_2_without_traceback(workdir, capsys, fixture, command, corrupt):

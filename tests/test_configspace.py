@@ -388,6 +388,25 @@ def test_sampler_matches_reference_property(cone, m, seed, denom, budget):
         assert _same_config_results(cone, points)
 
 
+def test_grid_draw_leaves_the_stream_where_randint_would():
+    # each coordinate is drawn as rng.randint(-d, d) draws it (randrange's
+    # getrandbits rejection loop), so after every draw the generator is in
+    # randint's state, and an accepted draw holds randint's values
+    accepted = 0
+    for d in sorted({*range(64, 1025, 53), 64, 128, 256, 512, 1024}):
+        for seed in range(4):
+            for dims in (1, 2, 3, 4):
+                frame = (d, 1, (0,) * (dims - 1))  # an upright cone
+                fast, slow = random.Random(seed), random.Random(seed)
+                for _ in range(25):
+                    k = configspace._grid_point_in_cone(frame, fast)
+                    drawn = tuple(slow.randint(-d, d) for _ in range(dims))
+                    assert fast.getstate() == slow.getstate()
+                    assert k is None or k == drawn
+                    accepted += k is not None
+    assert accepted
+
+
 def test_sampler_reverifies_grid_points_on_the_tip(monkeypatch):
     # a draw that the grid test wrongly accepts on the future tip (kt = d)
     # is rejected by CausalConfig's exact check on its own integer frame

@@ -1,3 +1,5 @@
+import collections
+import math
 import random
 from fractions import Fraction as F
 
@@ -26,6 +28,7 @@ from sectorfact.minkowski import (
     homotopy_point,
     in_closure,
     minkowski_inner,
+    minkowski_sq,
     outside_causal_hull,
     point_from_json,
     point_to_json,
@@ -316,6 +319,215 @@ def test_spacelike_precondition():
         segment_lightcone_hit(P(0, 0), P(2, 1), P(1, 0))  # timelike direction
 
 
+# segment_lightcone_hit decides on the integer frame of a, b and tip.  Below
+# is the same routine on Fractions; on every input both must return the same
+# hit, or raise the same exception with the same message.
+
+
+def _rational_sqrt(f: F) -> F | None:
+    if f < 0:
+        return None
+    n, d = f.numerator, f.denominator
+    rn, rd = math.isqrt(n), math.isqrt(d)
+    if rn * rn == n and rd * rd == d:
+        return F(rn, rd)
+    return None
+
+
+def _sqrt_floor(f: F, k: int) -> F:
+    """Dyadic lower bound of sqrt(f) within 2^(1-k)."""
+    if f <= 0:
+        return F(0)
+    scaled = (f.numerator << (2 * k)) // f.denominator
+    return F(math.isqrt(scaled), 1 << k)
+
+
+def reference_segment_lightcone_hit(
+    a: MPoint,
+    b: MPoint,
+    tip: MPoint,
+    branch: str = "future",
+    denom_log2: int = 16,
+) -> LightconeHit:
+    """Intersection of the segment a->b with the light cone of `tip`, in
+    Fraction arithmetic: the larger root for "future", the smaller for
+    "past", rounded to the timelike side when irrational."""
+    if branch not in ("future", "past"):
+        raise PreconditionError("branch must be 'future' or 'past'")
+    d = a - tip
+    e = b - a
+    A = minkowski_sq(e)
+    if A <= 0:
+        raise PreconditionError("segment direction must be spacelike")
+    B = minkowski_inner(d, e)
+    C = minkowski_sq(d)
+    disc = B * B - A * C
+    if disc < 0:
+        raise NoHit("segment misses the light cone: negative discriminant")
+    sign = 1 if branch == "future" else -1
+    root = _rational_sqrt(disc)
+    if root is not None:
+        s = (-B + sign * root) / A
+        if not (0 <= s <= 1):
+            raise NoHit(f"root {s} outside the segment")
+        pt = a + e.scale(s)
+        q_at = A * s * s + 2 * B * s + C
+        return LightconeHit(
+            point=pt,
+            s=s,
+            exact=True,
+            certificate={"exact": True, "sq_to_tip": format_rational(q_at)},
+        )
+    # irrational root: rational approximation on the timelike side (q < 0)
+    for k in (denom_log2, denom_log2 + 8, denom_log2 + 16, denom_log2 + 32):
+        approx = _sqrt_floor(disc, k)
+        s0 = (-B + sign * approx) / A
+        step = F(sign, 1 << k) / A
+        for j in range(4):
+            s = s0 - step * j
+            if not (0 < s < 1):
+                continue
+            q_at = A * s * s + 2 * B * s + C
+            if q_at < 0:
+                return LightconeHit(
+                    point=a + e.scale(s),
+                    s=s,
+                    exact=False,
+                    certificate={
+                        "exact": False,
+                        "sq_to_tip": format_rational(q_at),
+                        "side": "timelike",
+                        "denominator_log2": k,
+                    },
+                )
+    raise NoHit("could not certify a timelike-side rational approximation")
+
+
+def _q(rng, bound):
+    den = rng.choice((1, 2, 3, 4, 5, 7, 8, 12))
+    return F(rng.randint(-bound * den, bound * den), den)
+
+
+# spatial vectors of rational length in 1, 2 and 3 dimensions
+_PYTHAGOREAN = {1: [(1,)], 2: [(3, 4), (5, 12), (8, 15)], 3: [(1, 2, 2), (2, 3, 6), (4, 4, 7)]}
+
+HIT_KINDS = ("random", "exact", "start", "end", "mismatch")
+
+
+def hit_case(rng, n, kind, k):
+    """(a, b, tip) in 1+(n-1) dimensions.
+
+    "random": any three points.  "exact": the tip's light cone passes
+    through a rational point of the segment.  "start" and "end": it crosses
+    the segment's line within a few steps 2^-k of s = 0 or s = 1, where the
+    rounding may need a later candidate or a finer resolution.  "mismatch":
+    the tip or b in another dimension."""
+    a = MPoint(_q(rng, 4), tuple(_q(rng, 4) for _ in range(n - 1)))
+    ex = tuple(_q(rng, 4) for _ in range(n - 1))
+    if not any(ex):
+        ex = (F(1),) + ex[1:]
+    if kind == "random":
+        et = _q(rng, 4)
+    else:  # spacelike: |et| below the largest spatial component
+        et = max(abs(v) for v in ex) * F(rng.randint(-7, 7), 8)
+    e = MPoint(et, ex)
+    b = a + e
+    if kind == "random":
+        return a, b, MPoint(_q(rng, 6), tuple(_q(rng, 6) for _ in range(n - 1)))
+    if kind == "mismatch":
+        other = MPoint(_q(rng, 4), tuple(_q(rng, 4) for _ in range(rng.choice([n - 2, n]))))
+        return (a, b, other) if rng.random() < 0.5 else (a, other, b)
+    side = rng.choice((1, -1))  # tip in the future or the past of the hit
+    if kind == "exact":
+        s = rng.choice((F(0), F(1), F(rng.randint(0, 12), 12)))
+        w = tuple(v * rng.choice((1, -1)) for v in rng.choice(_PYTHAGOREAN[n - 1]))
+        scale = F(rng.randint(1, 12), rng.randint(1, 6))
+        length = math.isqrt(sum(v * v for v in w))
+        p = a + e.scale(s)
+        return a, b, p + MPoint(side * length * scale, tuple(v * scale for v in w))
+    steps = F(rng.randint(-6, 6), 1 << (k + rng.randint(-2, 3))) / minkowski_sq(e)
+    p = a + e.scale((0 if kind == "start" else 1) + steps)
+    w = tuple(rng.randint(-9, 9) for _ in range(n - 1))
+    # |w| rounded up or down far below the grid, so that p is a hair off the cone
+    fine = k + 24
+    length = F(math.isqrt(sum(v * v for v in w) << (2 * fine)) + rng.randint(0, 1), 1 << fine)
+    return a, b, p + MPoint(side * length, tuple(map(F, w)))
+
+
+def hit_outcome(hit, *args, **kwargs):
+    """The hit's point, parameter, exactness and certificate, or the type
+    and message of its refusal."""
+    try:
+        h = hit(*args, **kwargs)
+    except (NoHit, PreconditionError) as exc:
+        return type(exc).__name__, str(exc)
+    return h.point, h.s, h.exact, h.certificate
+
+
+def hit_kind(a, b, tip, branch, k, outcome):
+    """What a hit case exercised: "exact", "first" (the first candidate),
+    "later-j" (a later candidate at the first resolution), "later-k" (a
+    finer resolution), or the refusal's type and message (without the
+    root's value)."""
+    if isinstance(outcome[0], str):
+        kind, message = outcome
+        return kind, "root outside the segment" if message.startswith("root ") else message
+    _, s, exact, certificate = outcome
+    if exact:
+        return "exact"
+    if certificate["denominator_log2"] > k:
+        return "later-k"
+    d, e = a - tip, b - a
+    A, B = minkowski_sq(e), minkowski_inner(d, e)
+    disc = B * B - A * minkowski_sq(d)
+    sign = 1 if branch == "future" else -1
+    return "first" if s == (-B + sign * _sqrt_floor(disc, k)) / A else "later-j"
+
+
+def _check_hit_case(n, kind, branch, k, seed):
+    a, b, tip = hit_case(random.Random(seed), n, kind, k)
+    fast = hit_outcome(segment_lightcone_hit, a, b, tip, branch=branch, denom_log2=k)
+    assert fast == hit_outcome(reference_segment_lightcone_hit, a, b, tip,
+                               branch=branch, denom_log2=k)
+    return hit_kind(a, b, tip, branch, k, fast)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([2, 3, 4]),
+    st.sampled_from(HIT_KINDS),
+    st.sampled_from(["future", "past"]),
+    st.integers(6, 22),
+    st.integers(0, 2**32 - 1),
+)
+def test_lightcone_hit_matches_fraction_reference(n, kind, branch, k, seed):
+    _check_hit_case(n, kind, branch, k, seed)
+
+
+def test_lightcone_hit_cases_cover_every_outcome():
+    # the cases of the property above, swept on fixed seeds: every outcome
+    # of the routine occurs in every dimension and on both branches, except
+    # that in 1+1 dimensions a spacelike line meets both null lines of the
+    # tip, at rational points
+    seen = collections.defaultdict(set)
+    for seed in range(1500):
+        n, kind, branch = 2 + seed % 3, HIT_KINDS[seed % 5], ("future", "past")[seed // 15 % 2]
+        seen[_check_hit_case(n, kind, branch, 6 + seed % 17, seed)].add((n, branch))
+    everywhere = {(n, branch) for n in (2, 3, 4) for branch in ("future", "past")}
+    for outcome in [
+        "exact",
+        ("NoHit", "root outside the segment"),
+        ("PreconditionError", "segment direction must be spacelike"),
+        ("PreconditionError", "dimension mismatch"),
+    ]:
+        assert seen[outcome] == everywhere, outcome
+    for outcome in ["first", "later-j", "later-k",
+                    ("NoHit", "segment misses the light cone: negative discriminant"),
+                    ("NoHit", "could not certify a timelike-side rational approximation")]:
+        assert seen[outcome] == {(n, b) for n, b in everywhere if n > 2}, outcome
+    assert len(seen) == 9
+
+
 # -- witness construction ---------------------------------------------------------------------
 
 
@@ -398,10 +610,11 @@ def test_witness_four_dimensional_diagonal():
 
 # -- the Fraction witness builder, the oracle of the integer one -------------------------------
 #
-# build_witness decides its ray exits, primed cones and invariants on integer
-# frames.  Below is the same builder written on Fractions and the public
-# Fraction predicates; on every cospan both must give the same report bytes,
-# or refuse with the same message.
+# build_witness decides its light-cone hits, ray exits, primed cones and
+# invariants on integer frames.  Below is the same builder written on
+# Fractions, the public Fraction predicates and the Fraction hit above; on
+# every cospan both must give the same report bytes, or refuse with the same
+# message.
 
 
 def reference_verify(diagram, u1, u2, utilde):
@@ -529,8 +742,8 @@ def reference_attempt_witness(u1, u2, utilde, a, b, k, push=0) -> WitnessDiagram
     scale_time = (utilde.pplus.t - utilde.pminus.t) / 4
 
     def hits_for(cone: DoubleCone, branch: str):
-        hp = segment_lightcone_hit(a, b, cone.pplus, branch=branch, denom_log2=k)
-        hm = segment_lightcone_hit(a, b, cone.pminus, branch=branch, denom_log2=k)
+        hp = reference_segment_lightcone_hit(a, b, cone.pplus, branch=branch, denom_log2=k)
+        hm = reference_segment_lightcone_hit(a, b, cone.pminus, branch=branch, denom_log2=k)
         return hp, hm
 
     h1p, h1m = hits_for(u1, "future")
