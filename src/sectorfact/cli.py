@@ -42,9 +42,15 @@ from .minkowski import (
     project_cone,
     ExhaustedRetries,
 )
-from .operad import validate_algebra, validate_equivariant_algebra, validate_operad
+from .operad import (
+    enumerate_all_operations,
+    validate_algebra,
+    validate_equivariant_algebra,
+    validate_operad,
+)
 from .orthcat import (
     action_from_json,
+    action_to_json,
     category_from_json,
     category_to_json,
     check_assumption_extension,
@@ -55,6 +61,7 @@ from .orthcat import (
 )
 from .reports import PreconditionError, SchemaError, attach_citation, dump_json, render_text
 from .sectors import (
+    INNER_MODEL_NOTE,
     check_haag_duality,
     check_perp_commutativity,
     check_transportable,
@@ -106,15 +113,16 @@ def _write_file(path: str, payload: str) -> None:
 
 
 def _emit(doc: dict, args) -> None:
-    doc = dict(doc)
-    doc["tool_version"] = __version__
-    if getattr(args, "paper_ref", False):
+    """Write a report to --out, and to stdout when there is no --out; with
+    --render stdout gets the text form."""
+    doc = {**doc, "tool_version": __version__}
+    if args.paper_ref:
         doc = attach_citation(doc)
     payload = dump_json(doc)
-    if getattr(args, "out", None):
+    if args.out:
         _write_file(args.out, payload)
-    if getattr(args, "render", False) or not getattr(args, "out", None):
-        sys.stdout.write(render_text(doc) if getattr(args, "render", False) else payload)
+    if args.render or not args.out:
+        sys.stdout.write(render_text(doc) if args.render else payload)
 
 
 def _region_id(net, text: str) -> str:
@@ -133,16 +141,13 @@ def _region_id(net, text: str) -> str:
     return region
 
 
-def _exit_from_ok(ok: bool) -> int:
-    return EXIT_OK if ok else EXIT_VIOLATIONS
-
-
 # ---------------------------------------------------------------------------
-# command handlers
+# command handlers: a report command returns (report, verdict); `main`
+# writes the report and maps it to the exit code
 # ---------------------------------------------------------------------------
 
 
-def cmd_validate_category(args) -> int:
+def cmd_validate_category(args) -> tuple[dict, bool]:
     cat = category_from_json(_load_json(args.infile))
     report = validate_category(cat).to_dict()
     extra = {}
@@ -154,43 +159,31 @@ def cmd_validate_category(args) -> int:
         extra["extension"] = check_assumption_extension(cat).to_dict()
     if extra:
         report["assumptions"] = extra
-    _emit(report, args)
-    ok = report["ok"] and all(
+    return report, report["ok"] and all(
         v.get("holds", v.get("filtered", True)) for v in extra.values()
     )
-    if report["schema_errors"]:
-        return EXIT_SCHEMA
-    return _exit_from_ok(ok)
 
 
-def cmd_validate_action(args) -> int:
+def cmd_validate_action(args) -> tuple[dict, bool]:
     spec = action_from_json(_load_json(args.infile))
     report = validate_group_action(spec).to_dict()
-    _emit(report, args)
-    if report["schema_errors"]:
-        return EXIT_SCHEMA
-    return _exit_from_ok(report["ok"])
+    return report, report["ok"]
 
 
-def cmd_operad_check(args) -> int:
+def cmd_operad_check(args) -> tuple[dict, bool]:
     _check_counts(bound=args.bound)
     cat = category_from_json(_load_json(args.infile))
     report = validate_operad(cat, bound=args.bound).to_dict()
     if args.dump:
-        from .operad import enumerate_all_operations
-
         grouped: dict = {}
         for op in enumerate_all_operations(cat, args.bound):
             key = f"({','.join(op.sources)})->{op.target}"
             grouped.setdefault(key, []).append(list(op.arrows))
         _write_file(args.dump, dump_json({"bound": args.bound, "operations": grouped}))
-    _emit(report, args)
-    if report["schema_errors"]:
-        return EXIT_SCHEMA
-    return _exit_from_ok(report["ok"])
+    return report, report["ok"]
 
 
-def cmd_operad_algebra(args) -> int:
+def cmd_operad_algebra(args) -> tuple[dict, bool]:
     _check_counts(bound=args.bound)
     net = net_from_json(_load_json(args.net))
     family = standard_sector_family(net)
@@ -203,60 +196,48 @@ def cmd_operad_algebra(args) -> int:
     else:
         assign = sector_algebra_assignment(net, family)
         report = validate_algebra(net.category, assign, bound=args.bound).to_dict()
-    _emit(report, args)
-    if report["schema_errors"]:
-        return EXIT_SCHEMA
-    return _exit_from_ok(report["ok"])
+    return report, report["ok"]
 
 
-def cmd_geometry_disjoint(args) -> int:
+def cmd_geometry_disjoint(args) -> tuple[dict, bool]:
     a = cone_from_json(_load_json(args.cone_a))
     b = cone_from_json(_load_json(args.cone_b))
     verdict = causally_disjoint(a, b)
-    _emit(
-        {
-            "check": "geometry-disjoint",
-            "a": cone_to_json(a),
-            "b": cone_to_json(b),
-            "holds": verdict,
-        },
-        args,
-    )
-    return _exit_from_ok(verdict)
+    doc = {
+        "check": "geometry-disjoint",
+        "a": cone_to_json(a),
+        "b": cone_to_json(b),
+        "holds": verdict,
+    }
+    return doc, verdict
 
 
-def cmd_geometry_include(args) -> int:
+def cmd_geometry_include(args) -> tuple[dict, bool]:
     inner = cone_from_json(_load_json(args.inner))
     outer = cone_from_json(_load_json(args.outer))
     verdict = cone_included(inner, outer)
-    _emit(
-        {
-            "check": "geometry-include",
-            "inner": cone_to_json(inner),
-            "outer": cone_to_json(outer),
-            "holds": verdict,
-        },
-        args,
-    )
-    return _exit_from_ok(verdict)
+    doc = {
+        "check": "geometry-include",
+        "inner": cone_to_json(inner),
+        "outer": cone_to_json(outer),
+        "holds": verdict,
+    }
+    return doc, verdict
 
 
-def cmd_geometry_project(args) -> int:
+def cmd_geometry_project(args) -> tuple[dict, bool]:
     cone = cone_from_json(_load_json(args.infile))
     shadow = project_cone(cone)
-    _emit(
-        {
-            "check": "geometry-project",
-            "cone": cone_to_json(cone),
-            "shadow": shadow.to_json(),
-            "holds": True,
-        },
-        args,
-    )
-    return EXIT_OK
+    doc = {
+        "check": "geometry-project",
+        "cone": cone_to_json(cone),
+        "shadow": shadow.to_json(),
+        "holds": True,
+    }
+    return doc, True
 
 
-def cmd_geometry_witness(args) -> int:
+def cmd_geometry_witness(args) -> tuple[dict, bool]:
     _check_counts(retry_budget=args.budget)
     u1 = cone_from_json(_load_json(args.u1))
     u2 = cone_from_json(_load_json(args.u2))
@@ -264,20 +245,14 @@ def cmd_geometry_witness(args) -> int:
     try:
         diagram = build_witness(u1, u2, ut, retry_budget=args.budget)
     except ExhaustedRetries as exc:
-        _emit(
-            {"check": "witness-diagram", "holds": False, "reason": str(exc)}, args
-        )
-        return EXIT_VIOLATIONS
-    invariants = diagram.verify(u1, u2, ut)
+        return {"check": "witness-diagram", "holds": False, "reason": str(exc)}, False
     doc = diagram.to_json()
-    doc["invariants"] = invariants
     doc["check"] = "witness-diagram"
-    doc["holds"] = all(invariants.values())
-    _emit(doc, args)
-    return _exit_from_ok(doc["holds"])
+    doc["holds"] = all(diagram.invariants.values())
+    return doc, doc["holds"]
 
 
-def cmd_homotopy_verify(args) -> int:
+def cmd_homotopy_verify(args) -> tuple[dict, bool]:
     _check_counts(m=args.m, cases=args.cases)
     cone = cone_from_json(_load_json(args.cone))
     cases = []
@@ -298,11 +273,10 @@ def cmd_homotopy_verify(args) -> int:
         "holds": certified == args.cases,
         "per_seed": cases,
     }
-    _emit(doc, args)
-    return _exit_from_ok(doc["holds"])
+    return doc, doc["holds"]
 
 
-def cmd_sectors_haag(args) -> int:
+def cmd_sectors_haag(args) -> tuple[dict, bool]:
     net = net_from_json(_load_json(args.net))
     if args.region:
         regions = [_region_id(net, args.region)]
@@ -315,18 +289,16 @@ def cmd_sectors_haag(args) -> int:
         "regions": results,
         "holds": all(r["holds"] for r in results),
     }
-    _emit(doc, args)
-    return _exit_from_ok(doc["holds"])
+    return doc, doc["holds"]
 
 
-def cmd_sectors_perp(args) -> int:
+def cmd_sectors_perp(args) -> tuple[dict, bool]:
     net = net_from_json(_load_json(args.net))
     report = check_perp_commutativity(net).to_dict()
-    _emit(report, args)
-    return _exit_from_ok(report["ok"])
+    return report, report["ok"]
 
 
-def cmd_sectors_diamond(args) -> int:
+def cmd_sectors_diamond(args) -> tuple[dict, bool]:
     net = net_from_json(_load_json(args.net))
     family = standard_sector_family(net)
     violations = []
@@ -352,8 +324,6 @@ def cmd_sectors_diamond(args) -> int:
                                 "sectors": [r1.label, r2.label, r3.label],
                             }
                         )
-    from .sectors import INNER_MODEL_NOTE
-
     doc = {
         "check": "diamond-laws",
         "subject": net.name,
@@ -362,22 +332,20 @@ def cmd_sectors_diamond(args) -> int:
         "ok": not violations,
         "notes": {"model": INNER_MODEL_NOTE},
     }
-    _emit(doc, args)
-    return _exit_from_ok(doc["ok"])
+    return doc, doc["ok"]
 
 
-def cmd_sectors_transport(args) -> int:
+def cmd_sectors_transport(args) -> tuple[dict, bool]:
     net = net_from_json(_load_json(args.net))
     letters, _, region = args.sector.partition("@")
     rho = pauli_sector(net, letters, _region_id(net, region))
     report = check_transportable(rho, _region_id(net, args.target), net)
     doc = report.to_dict()
     doc["subject"] = net.name
-    _emit(doc, args)
-    return _exit_from_ok(report.found)
+    return doc, report.found
 
 
-def cmd_sectors_equivariance(args) -> int:
+def cmd_sectors_equivariance(args) -> tuple[dict, bool]:
     net = net_from_json(_load_json(args.net))
     data = qubit_reflection_data(net)
     if any(u in net.overrides for u in net.category.objects):
@@ -415,21 +383,17 @@ def cmd_sectors_equivariance(args) -> int:
         doc["sectors"].append(
             {"sector": rho.label, "covariant": fam is not None}
         )
-    from .sectors import INNER_MODEL_NOTE
-
     doc["notes"] = {"model": INNER_MODEL_NOTE}
     doc["ok"] = ok
-    _emit(doc, args)
-    return _exit_from_ok(ok)
+    return doc, ok
 
 
-def cmd_sectors_theorem311(args) -> int:
+def cmd_sectors_theorem311(args) -> tuple[dict, bool]:
     _check_counts(bound=args.bound)
     net = net_from_json(_load_json(args.net))
     family = standard_sector_family(net)
     report = validate_theorem_3_11(net, family, bound=args.bound).to_dict()
-    _emit(report, args)
-    return _exit_from_ok(report["ok"])
+    return report, report["ok"]
 
 
 def cmd_report_render(args) -> int:
@@ -441,14 +405,12 @@ def cmd_report_render(args) -> int:
 
 
 def cmd_fixtures(args) -> int:
-    from .orthcat import category_to_json
-
     bundled = {
         "intcat6": lambda: category_to_json(interval_category(6)),
         "intcat6-proper": lambda: category_to_json(interval_category(6, max_len=5)),
         "intcat4": lambda: category_to_json(interval_category(4)),
         "cyccat6": lambda: category_to_json(cyclic_arc_category(6)),
-        "z2-intcat6": lambda: _action_json(interval_reflection_action(6)),
+        "z2-intcat6": lambda: action_to_json(interval_reflection_action(6)),
         "qubit2": lambda: net_to_json(qubit_net(2)),
         "qubit4": lambda: net_to_json(qubit_net(4)),
         "bits4": lambda: net_to_json(diagonal_net(4)),
@@ -469,34 +431,13 @@ def cmd_fixtures(args) -> int:
             sys.stdout.write(name + "\n")
         return EXIT_OK
     if args.name not in bundled:
-        sys.stderr.write(f"unknown fixture {args.name}\n")
-        return EXIT_SCHEMA
+        raise SchemaError(f"unknown fixture {args.name}")
     payload = dump_json(bundled[args.name]())
     if args.out:
         _write_file(args.out, payload)
     else:
         sys.stdout.write(payload)
     return EXIT_OK
-
-
-def _action_json(spec) -> dict:
-    cat = spec.category
-    return {
-        "name": spec.name,
-        "category": category_to_json(cat),
-        "group": {
-            "elements": list(spec.group.elements),
-            "table": [
-                {"a": a, "b": b, "result": spec.group.mult(a, b)}
-                for a in spec.group.elements
-                for b in spec.group.elements
-            ],
-        },
-        "action": {
-            g: {"objects": f.obj_map, "morphisms": f.mor_map}
-            for g, f in spec.action.items()
-        },
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -649,10 +590,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command.  The one place where a report command's report is
+    written and mapped to its exit code (see the module docstring)."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        result = args.func(args)
+        if isinstance(result, int):
+            return result
+        report, verdict = result
+        _emit(report, args)
     except SchemaError as exc:
         sys.stderr.write(f"schema error: {exc}\n")
         return EXIT_SCHEMA
@@ -662,7 +609,9 @@ def main(argv: list[str] | None = None) -> int:
     except SamplingExhausted as exc:
         sys.stderr.write(f"sampling exhausted: {exc}\n")
         return EXIT_SCHEMA
-
+    if report.get("schema_errors"):
+        return EXIT_SCHEMA
+    return EXIT_OK if verdict else EXIT_VIOLATIONS
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 from .minkowski import (
@@ -39,6 +39,7 @@ from .minkowski import (
     MPoint,
     SpatialConvex,
     cauchy_lift,
+    cone_to_json,
     point_to_json,
     sq_interval,
     _euclid_sq,
@@ -90,8 +91,6 @@ class CausalConfig:
         return len(self.points)
 
     def to_json(self) -> dict:
-        from .minkowski import cone_to_json
-
         return {
             "cone": cone_to_json(self.cone),
             "points": [point_to_json(p) for p in self.points],
@@ -299,12 +298,7 @@ class CertReport:
     pairs: list[dict] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "check": "homotopy-certification",
-            "certified": self.certified,
-            "size": self.size,
-            "pairs": self.pairs,
-        }
+        return {"check": "homotopy-certification", **asdict(self)}
 
 
 def certify_homotopy(config: CausalConfig) -> CertReport:

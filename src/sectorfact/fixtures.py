@@ -16,7 +16,7 @@ from .orthcat import (
     OrthCategory,
     OrthFunctor,
 )
-from .reports import SchemaError, json_list
+from .reports import SchemaError, json_int, json_list, json_str
 from .sectors import LocalizedEndo, MatrixAlg, MatrixNet, SectorGroupData, span_equal
 
 __all__ = [
@@ -330,14 +330,6 @@ def net_to_json(net: MatrixNet) -> dict:
     }
 
 
-def _json_int(value, what: str) -> int:
-    """A JSON integer as it stands: a float, a string or a boolean is
-    refused rather than coerced."""
-    if type(value) is not int:
-        raise SchemaError(f"{what} must be an integer, not {value!r}")
-    return value
-
-
 def net_from_json(doc: dict) -> MatrixNet:
     """Net from its JSON form.  Every region algebra is a Pauli-string
     algebra ("full" or "diagonal" on the region's sites) and `local_dim`
@@ -345,21 +337,25 @@ def net_from_json(doc: dict) -> MatrixNet:
     on equal site sets are isomorphic objects, so a cospan is orthogonal
     when any pair of ids with its two site sets is marked."""
     try:
-        sites = _json_int(doc["sites"], "sites")
-        local_dim = _json_int(doc.get("local_dim", 2), "local_dim")
-        ids = [str(r["id"]) for r in doc["regions"]]
+        sites = json_int(doc["sites"], "sites")
+        local_dim = json_int(doc.get("local_dim", 2), "local_dim")
+        ids = [json_str(r["id"], "region id") for r in doc["regions"]]
         region_sites = {
-            str(r["id"]): frozenset(_json_int(s, f"region {r['id']} site") for s in r["sites"])
-            for r in doc["regions"]
+            u: frozenset(json_int(s, f"region {u} site") for s in r["sites"])
+            for u, r in zip(ids, doc["regions"])
         }
-        kinds = {str(r["id"]): str(r.get("algebra", "full")) for r in doc["regions"]}
+        kinds = {
+            u: json_str(r.get("algebra", "full"), f"region {u} algebra")
+            for u, r in zip(ids, doc["regions"])
+        }
         orth_spec = doc.get("orth", "disjoint")
         marked = None
         if orth_spec != "disjoint":
             marked = []
             for pair in json_list(orth_spec, "orth"):
                 a, b = json_list(pair, "an orth pair")
-                marked.append((str(a), str(b)))
+                marked.append((json_str(a, "orth region"), json_str(b, "orth region")))
+        name = json_str(doc.get("name", "net"), "net name")
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"malformed net document: {exc}") from exc
     if local_dim != 2:
@@ -376,7 +372,7 @@ def net_from_json(doc: dict) -> MatrixNet:
         unknown = sorted({u for pair in marked for u in pair} - region_sites.keys())
         if unknown:
             raise SchemaError(f"orth names unknown region {unknown[0]}")
-    cat = _region_category(str(doc.get("name", "net")), region_sites, marked)
+    cat = _region_category(name, region_sites, marked)
     overrides = {}
     for u, kind in kinds.items():
         if kind == "diagonal":
@@ -390,5 +386,5 @@ def net_from_json(doc: dict) -> MatrixNet:
         sites=sites,
         region_sites=region_sites,
         overrides=overrides,
-        name=str(doc.get("name", "net")),
+        name=name,
     )

@@ -33,7 +33,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -418,7 +418,8 @@ def _frame_point(base: Sequence[int], e: Sequence[int], n: int, m: int, scale: i
 @dataclass(frozen=True)
 class WitnessDiagram:
     """Regions witnessing the extension property for a causally disjoint
-    pair inside a containing cone, with exact per-invariant verdicts."""
+    pair inside a containing cone, with exact per-invariant verdicts:
+    `build_witness` keeps the `verify` dict it accepted as `invariants`."""
 
     V1: DoubleCone
     V2: DoubleCone
@@ -426,6 +427,7 @@ class WitnessDiagram:
     U1p: DoubleCone
     U2p: DoubleCone
     trace: dict = field(default_factory=dict, compare=False)
+    invariants: dict = field(default_factory=dict, compare=False)
 
     def verify(
         self, u1: DoubleCone, u2: DoubleCone, utilde: DoubleCone
@@ -452,10 +454,7 @@ class WitnessDiagram:
             "U2p_perp_U2": _int_disjoint(U2p, U2),
         }
 
-    def verified(self, u1, u2, utilde) -> bool:
-        return all(self.verify(u1, u2, utilde).values())
-
-    def to_json(self, u1=None, u2=None, utilde=None) -> dict:
+    def to_json(self) -> dict:
         doc = {
             "V1": cone_to_json(self.V1),
             "V2": cone_to_json(self.V2),
@@ -463,8 +462,8 @@ class WitnessDiagram:
             "U1p": cone_to_json(self.U1p),
             "U2p": cone_to_json(self.U2p),
         }
-        if u1 is not None:
-            doc["invariants"] = self.verify(u1, u2, utilde)
+        if self.invariants:
+            doc["invariants"] = self.invariants
         if self.trace:
             doc["trace"] = self.trace
         return doc
@@ -543,7 +542,7 @@ def build_witness(
                 continue
             checks = diagram.verify(u1, u2, utilde)
             if all(checks.values()):
-                return diagram
+                return replace(diagram, invariants=checks)
             bad = [kk for kk, v in checks.items() if not v]
             failures.append(f"round {round_idx} push {push}: failed invariants {bad}")
     raise ExhaustedRetries(
@@ -560,13 +559,12 @@ def _attempt_witness(u1, u2, utilde, a, b, k, push=0) -> WitnessDiagram | None:
         for tip, branch in zip(tips, ("future", "future", "past", "past"))
     ]
 
-    # the push direction tip - hit must be future/past causal: exact hits give
-    # null directions, timelike-side roundings give timelike ones; either way
-    # displacing a tip along its own causal direction only enlarges the cone
+    # the push direction tip - hit must be future/past causal.  The hit makes
+    # it causal (an exact hit is null to its tip, a rounded one lies on the
+    # timelike side), so only its orientation is tested; displacing a tip
+    # along its own causal direction only enlarges the cone
     for hit, tip, future in zip(hits, tips, (True, False, True, False)):
-        causal = sq_interval(hit.point, tip) <= 0
-        oriented = tip.t > hit.point.t if future else tip.t < hit.point.t
-        if not (causal and oriented):
+        if not (tip.t > hit.point.t if future else tip.t < hit.point.t):
             return None
 
     def pushed_tip(hit: LightconeHit, tip: MPoint, label: str) -> MPoint:

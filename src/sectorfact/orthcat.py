@@ -9,10 +9,10 @@ reports listing each violated axiom with a witness, never bare booleans.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterable
 
-from .reports import SchemaError, ValidationReport, Violation, json_list
+from .reports import SchemaError, ValidationReport, Violation, json_list, json_str
 
 __all__ = [
     "Morphism",
@@ -30,6 +30,7 @@ __all__ = [
     "validate_group_action",
     "category_to_json",
     "category_from_json",
+    "action_to_json",
     "action_from_json",
 ]
 
@@ -211,14 +212,7 @@ class FilteredReport:
     counterexample: dict | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "subject": self.subject,
-            "thin": self.thin,
-            "filtered": self.filtered,
-            "reason": self.reason,
-            "counterexample": self.counterexample,
-        }
+        return asdict(self)
 
 
 def check_filtered(cat: OrthCategory) -> FilteredReport:
@@ -263,13 +257,7 @@ class OrthocomplementReport:
     witness: str | None = None  # first object without an orthogonal cospan
 
     def to_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "subject": self.subject,
-            "holds": self.holds,
-            "per_object": self.per_object,
-            "witness": self.witness,
-        }
+        return asdict(self)
 
 
 def check_assumption_orthocomplement(cat: OrthCategory) -> OrthocomplementReport:
@@ -298,14 +286,7 @@ class ExtensionReport:
     witness_example: dict | None = None  # diagram found for the first cospan
 
     def to_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "subject": self.subject,
-            "holds": self.holds,
-            "cospans_checked": self.cospans_checked,
-            "failure": self.failure,
-            "witness_example": self.witness_example,
-        }
+        return asdict(self)
 
 
 def _extension_side(
@@ -593,20 +574,22 @@ def category_to_json(cat: OrthCategory) -> dict:
 
 def category_from_json(doc: dict) -> OrthCategory:
     try:
-        objects = [str(u) for u in json_list(doc["objects"], "objects")]
+        objects = [json_str(u, "object id") for u in json_list(doc["objects"], "objects")]
         morphisms = [
-            Morphism(str(m["id"]), str(m["src"]), str(m["tgt"]))
+            Morphism(json_str(m["id"], "morphism id"), json_str(m["src"], "morphism src"),
+                     json_str(m["tgt"], "morphism tgt"))
             for m in json_list(doc["morphisms"], "morphisms")
         ]
-        compose = {
-            (str(e["g"]), str(e["f"])): str(e["result"])
-            for e in json_list(doc.get("compose", []), "compose")
-        }
-        identities = {str(k): str(v) for k, v in doc.get("identities", {}).items()}
+        compose = {}
+        for e in json_list(doc.get("compose", []), "compose"):
+            pair = json_str(e["g"], "compose g"), json_str(e["f"], "compose f")
+            compose[pair] = json_str(e["result"], "compose result")
+        identities = _str_map(doc.get("identities", {}), "identity")
         orth = []
         for pair in json_list(doc.get("orth", []), "orth"):
             a, b = json_list(pair, "an orth pair")
-            orth.append((str(a), str(b)))
+            orth.append((json_str(a, "orth morphism"), json_str(b, "orth morphism")))
+        name = json_str(doc.get("name", ""), "category name")
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise SchemaError(f"malformed category document: {exc}") from exc
     if len(set(objects)) != len(objects):
@@ -614,30 +597,58 @@ def category_from_json(doc: dict) -> OrthCategory:
     ids = [m.id for m in morphisms]
     if len(set(ids)) != len(ids):
         raise SchemaError("duplicate morphism ids")
-    return OrthCategory(objects, morphisms, compose, identities, orth, name=str(doc.get("name", "")))
+    return OrthCategory(objects, morphisms, compose, identities, orth, name=name)
+
+
+def _str_map(doc: dict, what: str) -> dict[str, str]:
+    """A JSON object from ids to ids, every value a string as it stands."""
+    return {json_str(k, what): json_str(v, what) for k, v in doc.items()}
+
+
+def action_to_json(spec: GroupActionSpec) -> dict:
+    """JSON form read back by `action_from_json`."""
+    return {
+        "name": spec.name,
+        "category": category_to_json(spec.category),
+        "group": {
+            "elements": list(spec.group.elements),
+            "table": [
+                {"a": a, "b": b, "result": spec.group.mult(a, b)}
+                for a in spec.group.elements
+                for b in spec.group.elements
+            ],
+        },
+        "action": {
+            g: {"objects": f.obj_map, "morphisms": f.mor_map}
+            for g, f in spec.action.items()
+        },
+    }
 
 
 def action_from_json(doc: dict) -> GroupActionSpec:
     try:
         cat = category_from_json(doc["category"])
-        group = GroupTable(
-            [str(e) for e in json_list(doc["group"]["elements"], "group elements")],
-            {
-                (str(e["a"]), str(e["b"])): str(e["result"])
-                for e in json_list(doc["group"]["table"], "group table")
-            },
-        )
+        group = doc["group"]
+        elements = [
+            json_str(e, "group element") for e in json_list(group["elements"], "group elements")
+        ]
+        table = {}
+        for e in json_list(group["table"], "group table"):
+            pair = json_str(e["a"], "group table a"), json_str(e["b"], "group table b")
+            table[pair] = json_str(e["result"], "group table result")
         action = {}
         for g, maps in doc["action"].items():
-            action[str(g)] = OrthFunctor(
+            g = json_str(g, "group element")
+            action[g] = OrthFunctor(
                 cat,
                 cat,
-                {str(k): str(v) for k, v in maps["objects"].items()},
-                {str(k): str(v) for k, v in maps["morphisms"].items()},
-                name=str(g),
+                _str_map(maps["objects"], "functor object"),
+                _str_map(maps["morphisms"], "functor morphism"),
+                name=g,
             )
+        name = json_str(doc.get("name", ""), "action name")
     except SchemaError:
         raise
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise SchemaError(f"malformed action document: {exc}") from exc
-    return GroupActionSpec(group=group, action=action, name=str(doc.get("name", "")))
+    return GroupActionSpec(group=GroupTable(elements, table), action=action, name=name)

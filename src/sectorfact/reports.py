@@ -19,7 +19,9 @@ __all__ = [
     "CITATIONS",
     "attach_citation",
     "dump_json",
+    "json_int",
     "json_list",
+    "json_str",
     "render_text",
 ]
 
@@ -85,8 +87,6 @@ CITATIONS = {
     "geometry-project": "Lemma 5.6",
     "witness-diagram": "Lemma 5.3 / Assumption 3.9",
     "homotopy-certification": "Construction 5.9, Prop 5.10",
-    "section-identity": "Construction 5.9",
-    "projection-inequality": "Lemma 5.6",
     "haag-duality": "Assumption 3.4 (3)",
     "perp-commutativity": "Example 2.4 (2)",
     "localized": "Corollary 3.7 (2)",
@@ -95,8 +95,6 @@ CITATIONS = {
     "sector-perp-commutativity": "Prop 3.10",
     "structure-maps": "Theorem 3.11, Eq 3.23",
     "group-implementation": "Assumption 4.1",
-    "sector-action": "Eq 4.12, Prop 4.6",
-    "covariance": "Def 4.7, Eqs 4.21-4.22",
 }
 
 
@@ -178,6 +176,22 @@ def json_list(value, what: str) -> list | tuple:
     would iterate as its characters, or any other non-list is refused."""
     if not isinstance(value, (list, tuple)):
         raise SchemaError(f"{what} must be a list, not {value!r}")
+    return value
+
+
+def json_str(value, what: str) -> str:
+    """A JSON string of an input document as it stands: a number, a
+    boolean or null is refused rather than coerced with str()."""
+    if not isinstance(value, str):
+        raise SchemaError(f"{what} must be a string, not {value!r}")
+    return value
+
+
+def json_int(value, what: str) -> int:
+    """A JSON integer as it stands: a float, a string or a boolean is
+    refused rather than coerced."""
+    if type(value) is not int:
+        raise SchemaError(f"{what} must be an integer, not {value!r}")
     return value
 
 

@@ -846,10 +846,11 @@ def validate_theorem_3_11(
     family: dict[str, list[LocalizedEndo]],
     bound: int = 3,
 ) -> ValidationReport:
-    """Full structure-map validation for a sector family: net prechecks,
-    strict localization of every family member, the algebra diagrams over
-    the operad of the index category, and strict monoidality of every
-    structure map on sector pairs.
+    """Full structure-map validation for a sector family: net prechecks
+    (nested regions have nested algebras, perp-commutativity, Haag
+    duality), strict localization of every family member, the algebra
+    diagrams over the operad of the index category, and strict monoidality
+    of every structure map on sector pairs.
 
     Strict monoidality is proved, like the algebra diagrams, when every
     sector has a summary (`_sector_summary`): each side is a product of
@@ -871,6 +872,10 @@ def validate_theorem_3_11(
         "extension": check_assumption_extension(net.category).holds,
         "model": INNER_MODEL_NOTE,
     }
+    structure = net.validate()
+    if not structure.ok:
+        report.violations.extend(structure.violations)
+        return report
     perp = check_perp_commutativity(net)
     if not perp.ok:
         report.violations.extend(perp.violations)

@@ -205,7 +205,7 @@ def test_criterion_4_witness_construction():
         u1, u2, ut = random_cospan(rng, n)
         try:
             diagram = build_witness(u1, u2, ut)
-            if not diagram.verified(u1, u2, ut):
+            if not all(diagram.verify(u1, u2, ut).values()):
                 failures += 1
         except Exception:
             failures += 1

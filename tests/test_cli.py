@@ -170,6 +170,26 @@ def test_sectors_equivariance_and_theorem(workdir, tmp_path):
     assert "notes" in doc2 and "model" in doc2["notes"]
 
 
+def test_theorem311_refuses_a_net_that_is_not_a_functor(tmp_path):
+    # b contains a and c, but its diagonal algebra holds neither full one
+    regions = [{"id": "a", "sites": [0]}, {"id": "b", "sites": [0, 1], "algebra": "diagonal"},
+               {"id": "c", "sites": [1]}]
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps({"name": "abc", "sites": 2, "regions": regions}))
+    out = tmp_path / "t311.json"
+    assert main(["sectors", "theorem311", "--net", str(path), "--bound", "2",
+                 "--out", str(out)]) == 1
+    found = [(v["axiom"], v["witness"]["morphism"]) for v in read(out)["violations"]]
+    assert found == [("algebra-inclusion", "a<=b"), ("algebra-inclusion", "c<=b")]
+
+
+def test_unknown_fixture_is_a_schema_error(capsys):
+    assert main(["fixtures", "export", "no-such-fixture"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "schema error: unknown fixture no-such-fixture\n"
+
+
 def test_sectors_equivariance_broken_net(workdir, tmp_path):
     tmp, export = workdir
     net = export("bits4")
@@ -504,6 +524,31 @@ def _cone_x_string(doc):
     return {tip: {**point, "x": "05"} for tip, point in doc.items()}
 
 
+# A number or null where an id string belongs must be refused, not coerced
+# with str(): read that way each document below is a valid input that
+# passes its check.
+def _category_ids_not_strings(doc):
+    return {
+        "name": "two",
+        "objects": [None, 7],
+        "morphisms": [{"id": None, "src": None, "tgt": None}, {"id": 1, "src": 7, "tgt": 7}],
+        "compose": [{"g": None, "f": None, "result": None}, {"g": 1, "f": 1, "result": 1}],
+        "identities": {"None": None, "7": 1},
+        "orth": [],
+    }
+
+
+def _group_elements_ints(doc):
+    index = {"e": 0, "r": 1}
+    table = [{k: index[v] for k, v in entry.items()} for entry in doc["group"]["table"]]
+    action = {str(index[g]): maps for g, maps in doc["action"].items()}
+    return {**doc, "group": {"elements": [0, 1], "table": table}, "action": action}
+
+
+def _net_region_ids_ints(doc):
+    return {**doc, "regions": [{**r, "id": k} for k, r in enumerate(doc["regions"])]}
+
+
 def _net_field(key, value):
     return lambda doc: {**doc, key: value}
 
@@ -554,6 +599,17 @@ def _net_region_site(value):
                      id="net-orth-pair-string"),
         pytest.param("wide-cone-m2", ["homotopy", "verify", "--cases", "1", "--cone"],
                      _cone_x_string, id="cone-x-string"),
+        pytest.param("intcat4", ["validate-category", "--in"], _category_ids_not_strings,
+                     id="category-ids-not-strings"),
+        pytest.param("intcat4", ["operad", "check", "--in"], _category_ids_not_strings,
+                     id="operad-ids-not-strings"),
+        pytest.param("z2-intcat6", ["validate-action", "--in"], _group_elements_ints,
+                     id="action-elements-ints"),
+        pytest.param("z2-intcat6", ["validate-action", "--in"], _net_field("name", 7),
+                     id="action-name-int"),
+        pytest.param("qubit2", ["sectors", "perp", "--net"], _net_region_ids_ints,
+                     id="net-region-ids-ints"),
+        pytest.param("qubit2", _HAAG, _net_field("name", None), id="net-name-null"),
     ],
 )
 def test_malformed_documents_exit_2_without_traceback(workdir, capsys, fixture, command, corrupt):

@@ -538,6 +538,7 @@ def test_witness_bundled_example():
     diagram = build_witness(u1, u2, ut)
     checks = diagram.verify(u1, u2, ut)
     assert all(checks.values()), checks
+    assert diagram.invariants == checks and diagram.to_json()["invariants"] == checks
     assert cone_included(u1, diagram.V1)
     # the future half-line through (1;0) exits the closure past parameter 3/2
     assert F(diagram.trace["exit_H1_plus"]) > F(3, 2)
@@ -548,7 +549,7 @@ def test_witness_tight_containment():
     u2 = DoubleCone(P(-1, 3), P(1, 3))
     ut = DoubleCone(P(F(-5, 2), F(3, 2)), P(F(5, 2), F(3, 2)))
     diagram = build_witness(u1, u2, ut)
-    assert diagram.verified(u1, u2, ut)
+    assert all(diagram.verify(u1, u2, ut).values())
 
 
 def test_witness_precondition():
@@ -563,7 +564,7 @@ def test_witness_three_dimensional():
     u1 = DoubleCone(P(-1, 0, 0), P(1, 0, 0))
     u2 = DoubleCone(P(-1, 5, 1), P(1, 5, 1))
     ut = DoubleCone(P(-6, 2, 0), P(6, 2, 0))
-    assert build_witness(u1, u2, ut).verified(u1, u2, ut)
+    assert all(build_witness(u1, u2, ut).verify(u1, u2, ut).values())
 
 
 def test_witness_budget_exhaustion():
@@ -583,20 +584,20 @@ def test_witness_near_touching_cones(eps_den):
     ut = DoubleCone(MPoint(F(-4), (1 + eps / 2,)), MPoint(F(4), (1 + eps / 2,)))
     assert causally_disjoint(u1, u2)
     diagram = build_witness(u1, u2, ut)
-    assert diagram.verified(u1, u2, ut)
+    assert all(diagram.verify(u1, u2, ut).values())
 
 
 def test_witness_skewed_sizes_and_stagger():
     tiny = DoubleCone(P(F(-1, 64), 0), P(F(1, 64), 0))
     huge = DoubleCone(P(-3, 6), P(3, 6))
     ut = DoubleCone(P(-8, 3), P(8, 3))
-    assert build_witness(tiny, huge, ut).verified(tiny, huge, ut)
+    assert all(build_witness(tiny, huge, ut).verify(tiny, huge, ut).values())
 
     eps = F(1, 1024)
     low = DoubleCone(P(-2, 0), P(0, 0))
     high = DoubleCone(MPoint(F(0), (4 + eps,)), MPoint(F(2), (4 + eps,)))
     ut2 = DoubleCone(P(-6, 2), P(6, 2))
-    assert build_witness(low, high, ut2).verified(low, high, ut2)
+    assert all(build_witness(low, high, ut2).verify(low, high, ut2).values())
 
 
 def test_witness_four_dimensional_diagonal():
@@ -605,7 +606,7 @@ def test_witness_four_dimensional_diagonal():
     off = (F(2) + eps, F(1), F(1))
     u2 = DoubleCone(MPoint(F(-1), off), MPoint(F(1), off))
     ut = DoubleCone(MPoint(F(-7), (F(1),) * 3), MPoint(F(7), (F(1),) * 3))
-    assert build_witness(u1, u2, ut).verified(u1, u2, ut)
+    assert all(build_witness(u1, u2, ut).verify(u1, u2, ut).values())
 
 
 # -- the Fraction witness builder, the oracle of the integer one -------------------------------
@@ -838,7 +839,7 @@ def witness_outcome(u1, u2, ut, budget, reference=False):
             diagram = reference_build_witness(u1, u2, ut, retry_budget=budget)
             invariants = reference_verify(diagram, u1, u2, ut)
             return dump_json({**diagram.to_json(), "invariants": invariants})
-        return dump_json(build_witness(u1, u2, ut, retry_budget=budget).to_json(u1, u2, ut))
+        return dump_json(build_witness(u1, u2, ut, retry_budget=budget).to_json())
     except ExhaustedRetries as exc:
         return f"refused: {exc}"
 

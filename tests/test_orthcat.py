@@ -13,6 +13,7 @@ from sectorfact.orthcat import (
     OrthCategory,
     OrthFunctor,
     action_from_json,
+    action_to_json,
     category_from_json,
     category_to_json,
     check_assumption_extension,
@@ -425,9 +426,7 @@ def test_category_json_round_trip(intcat6):
 
 
 def test_action_json_round_trip():
-    from sectorfact.cli import _action_json
-
     spec = interval_reflection_action(4)
-    doc = _action_json(spec)
+    doc = action_to_json(spec)
     again = action_from_json(doc)
     assert validate_group_action(again).ok
