@@ -25,10 +25,7 @@ from .minkowski import (
 )
 from .configspace import (
     CausalConfig,
-    SpatialConfig,
     certify_homotopy,
-    lift_config,
-    project_config,
     sample_causal_config,
 )
 from .orthcat import (

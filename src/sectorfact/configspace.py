@@ -1,11 +1,11 @@
 """Configuration spaces of (causally) disjoint points in double cones.
 
 Configurations live inside a fixed double cone with pairwise spacelike
-points; the spatial counterpart has pairwise distinct points inside the
-cone's shadow.  The projection and Cauchy-surface section are exact, and
-the straight-line homotopy between a configuration and its surface
-projection is certified spacelike for all intermediate times by exact
-quadratic sign analysis (not sampling).
+points.  Each point's spatial projection is lifted back onto the cone's
+Cauchy surface (`minkowski.cauchy_lift`, exact), and the straight-line
+homotopy between a configuration and its surface lift is certified
+spacelike for all intermediate times by exact quadratic sign analysis
+(not sampling).
 
 The causal sampler draws grid points center + (half/d)*k with k an integer
 vector in [-d, d]^n.  Each coordinate of k is the value and the stream of
@@ -37,25 +37,16 @@ from .minkowski import (
     ConeFrame,
     DoubleCone,
     MPoint,
-    SpatialConvex,
-    cauchy_lift,
     cone_to_json,
     point_to_json,
-    sq_interval,
-    _euclid_sq,
     _segment_certificate,
 )
-from .linalg import format_rational
 from .reports import PreconditionError
 
 __all__ = [
     "CausalConfig",
-    "SpatialConfig",
     "SamplingExhausted",
     "sample_causal_config",
-    "sample_spatial_config",
-    "project_config",
-    "lift_config",
     "certify_homotopy",
     "CertReport",
 ]
@@ -94,33 +85,6 @@ class CausalConfig:
         return {
             "cone": cone_to_json(self.cone),
             "points": [point_to_json(p) for p in self.points],
-        }
-
-
-@dataclass(frozen=True)
-class SpatialConfig:
-    """Tuple of pairwise distinct points in a convex spatial region."""
-
-    shadow: SpatialConvex
-    points: tuple[tuple[Fraction, ...], ...]
-
-    def __post_init__(self):
-        for q in self.points:
-            if not self.shadow.contains(q):
-                raise PreconditionError(f"spatial point {q} outside the region")
-        for i in range(len(self.points)):
-            for j in range(i + 1, len(self.points)):
-                if self.points[i] == self.points[j]:
-                    raise PreconditionError(f"points {i} and {j} coincide")
-
-    @property
-    def size(self) -> int:
-        return len(self.points)
-
-    def to_json(self) -> dict:
-        return {
-            "shadow": self.shadow.to_json(),
-            "points": [[format_rational(v) for v in q] for q in self.points],
         }
 
 
@@ -225,67 +189,6 @@ def sample_causal_config(
                 f"could not place {m} causally disjoint points (denominator {d})"
             )
         d *= 2
-
-
-def sample_spatial_config(
-    cone: DoubleCone, m: int, seed: int, denom: int = 64, budget: int = 20000
-) -> SpatialConfig:
-    """Rejection-sample m distinct spatial points in the cone's shadow."""
-    if m < 0:
-        raise PreconditionError("configuration size must be nonnegative")
-    shadow = cone.shadow
-    rng = random.Random(seed)
-    half = (cone.pplus.t - cone.pminus.t) / 2
-    marked = shadow.marked
-    d = denom
-    while True:
-        points: list[tuple[Fraction, ...]] = []
-        for _ in range(budget):
-            if len(points) == m:
-                break
-            q = tuple(
-                ci + _F(rng.randint(-d, d), d) * half for ci in marked
-            )
-            if shadow.contains(q) and all(q != r for r in points):
-                points.append(q)
-        if len(points) == m:
-            return SpatialConfig(shadow=shadow, points=tuple(points))
-        if d >= 1024:
-            raise SamplingExhausted(
-                f"could not place {m} distinct spatial points (denominator {d})"
-            )
-        d *= 2
-
-
-def project_config(config: CausalConfig) -> SpatialConfig:
-    """Pointwise spatial projection; distinctness of the images follows from
-    the exact projection inequality, which is re-checked for every pair."""
-    shadow = config.cone.shadow
-    points = tuple(p.x for p in config.points)
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            gap = sq_interval(config.points[i], config.points[j])
-            if not _euclid_sq(points[i], points[j]) >= gap > 0:
-                raise PreconditionError(
-                    f"projection inequality fails for points {i} and {j}"
-                )
-    return SpatialConfig(shadow=shadow, points=points)
-
-
-def lift_config(cone: DoubleCone, spatial: SpatialConfig) -> CausalConfig:
-    """Pointwise section onto the canonical Cauchy surface.
-
-    The input shadow must be the cone's own shadow; the lifted points are
-    pairwise spacelike (they lie in a spacelike hyperplane), re-verified by
-    the CausalConfig constructor, and project back to the input exactly.
-    """
-    if spatial.shadow != cone.shadow:
-        raise PreconditionError("spatial configuration lives in a different shadow")
-    lifted = tuple(cauchy_lift(cone, q) for q in spatial.points)
-    config = CausalConfig(cone=cone, points=lifted)
-    if project_config(config).points != spatial.points:
-        raise PreconditionError("lifted configuration does not project back")
-    return config
 
 
 @dataclass

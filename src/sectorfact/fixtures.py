@@ -181,10 +181,18 @@ def reflection_unitary(sites: int) -> GMat:
 
 
 def qubit_reflection_data(net: MatrixNet) -> SectorGroupData:
-    """Z2 site-reflection on the qubit chain implemented by the SWAP network."""
+    """Z2 site-reflection on the qubit chain implemented by the SWAP network.
+
+    The reflection acts on the interval ids [a,b]; a net region with any
+    other id is a schema error."""
+    action = interval_reflection_action(net.sites)
+    intervals = action.category.objects
+    for u in net.region_sites:
+        if u not in intervals:
+            raise SchemaError(f"region {u} is not an interval [a,b] of the {net.sites}-site chain")
     return SectorGroupData(
         net=net,
-        action=interval_reflection_action(net.sites),
+        action=action,
         unitaries={"e": GMat.identity(net.n), "r": reflection_unitary(net.sites)},
         name=f"Z2|{net.name}",
     )

@@ -251,13 +251,6 @@ class GMat:
             out_phases[r] = -p & 3
         return GMat._monomial_of(self.n, tuple(out_rows), tuple(out_phases))
 
-    def trace(self) -> GaussianRational:
-        t = GR_ZERO
-        for (i, j), v in self.data.items():
-            if i == j:
-                t = t + v
-        return t
-
     def hs_inner(self, other: "GMat") -> GaussianRational:
         """Hilbert-Schmidt inner product tr(self* other)."""
         a, b = self._monomial(), other._monomial()

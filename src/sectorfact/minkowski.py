@@ -172,11 +172,6 @@ class DoubleCone:
     def axis(self) -> MPoint:
         return self.pplus - self.pminus
 
-    @functools.cached_property
-    def shadow(self) -> "SpatialConvex":
-        """The spatial image `project_cone(self)`."""
-        return project_cone(self)
-
     def __str__(self) -> str:
         return f"Cone[{self.pminus}..{self.pplus}]"
 
@@ -234,48 +229,24 @@ def _sqrt_sum_lt(a2: Fraction, b2: Fraction, c: Fraction) -> bool:
 
 @dataclass(frozen=True)
 class SpatialConvex:
-    """Convex open subset of the spatial slice with a marked interior point.
-
-    kind "ball": {x : |x - center| < radius}; kind "shadow": the projected
-    double cone {x : |x - focus_plus| + |x - focus_minus| < length}.
+    """The spatial shadow of a double cone (`project_cone`): the convex open
+    region {x : |x - focus_plus| + |x - focus_minus| < length}, with a
+    marked interior point.
     """
 
-    kind: str
     marked: tuple[Fraction, ...]
-    center: tuple[Fraction, ...] | None = None
-    radius: Fraction | None = None
-    focus_minus: tuple[Fraction, ...] | None = None
-    focus_plus: tuple[Fraction, ...] | None = None
-    length: Fraction | None = None
+    focus_minus: tuple[Fraction, ...]
+    focus_plus: tuple[Fraction, ...]
+    length: Fraction
 
     def __post_init__(self):
-        if self.kind == "ball":
-            if self.radius is None or self.radius <= 0 or self.center is None:
-                raise PreconditionError("ball needs a positive radius and a center")
-        elif self.kind == "shadow":
-            if self.focus_minus is None or self.focus_plus is None or self.length is None:
-                raise PreconditionError("shadow needs both foci and a length")
-            if not self.length ** 2 > _euclid_sq(self.focus_plus, self.focus_minus):
-                raise PreconditionError("shadow is empty: length too small for foci")
-        else:
-            raise PreconditionError(f"unknown spatial region kind {self.kind}")
+        if not self.length ** 2 > _euclid_sq(self.focus_plus, self.focus_minus):
+            raise PreconditionError("shadow is empty: length too small for foci")
         if not self.contains(self.marked):
             raise PreconditionError("marked point lies outside the region")
 
-    @staticmethod
-    def ball(center, radius, marked=None) -> "SpatialConvex":
-        center = tuple(_F(v) for v in center)
-        return SpatialConvex(
-            kind="ball",
-            marked=tuple(_F(v) for v in (marked if marked is not None else center)),
-            center=center,
-            radius=_F(radius),
-        )
-
     def contains(self, x: Sequence[Fraction]) -> bool:
         x = tuple(_F(v) for v in x)
-        if self.kind == "ball":
-            return _euclid_sq(x, self.center) < self.radius ** 2
         return _sqrt_sum_lt(
             _euclid_sq(x, self.focus_plus),
             _euclid_sq(x, self.focus_minus),
@@ -283,15 +254,13 @@ class SpatialConvex:
         )
 
     def to_json(self) -> dict:
-        doc = {"kind": self.kind, "marked": [format_rational(v) for v in self.marked]}
-        if self.kind == "ball":
-            doc["center"] = [format_rational(v) for v in self.center]
-            doc["radius"] = format_rational(self.radius)
-        else:
-            doc["focus_minus"] = [format_rational(v) for v in self.focus_minus]
-            doc["focus_plus"] = [format_rational(v) for v in self.focus_plus]
-            doc["length"] = format_rational(self.length)
-        return doc
+        return {
+            "kind": "shadow",
+            "marked": [format_rational(v) for v in self.marked],
+            "focus_minus": [format_rational(v) for v in self.focus_minus],
+            "focus_plus": [format_rational(v) for v in self.focus_plus],
+            "length": format_rational(self.length),
+        }
 
 
 def project_cone(cone: DoubleCone) -> SpatialConvex:
@@ -300,7 +269,6 @@ def project_cone(cone: DoubleCone) -> SpatialConvex:
     point is the projected center."""
     xm, xp = cone.pminus.x, cone.pplus.x
     return SpatialConvex(
-        kind="shadow",
         marked=tuple((a + b) / 2 for a, b in zip(xm, xp)),
         focus_minus=xm,
         focus_plus=xp,

@@ -49,7 +49,15 @@ from .linalg import (
     pauli_commute,
     pauli_string,
 )
-from .orthcat import GroupActionSpec, OrthCategory
+from . import operad  # called as module attributes, which bench/tracer.py times
+from .operad import EquivariantAlgebraAssignment, FiniteAlgebraAssignment
+from .orthcat import (
+    GroupActionSpec,
+    OrthCategory,
+    check_assumption_extension,
+    check_assumption_orthocomplement,
+    check_filtered,
+)
 from .reports import PreconditionError, SchemaError, ValidationReport
 
 INNER_MODEL_NOTE = (
@@ -789,8 +797,6 @@ def sector_algebra_assignment(
     them; `diamond` of two tableaux that fix every mask fixes every mask
     and XORs the sign bits (the identity sector's are 0); `same_map` is
     tableau equality."""
-    from .operad import FiniteAlgebraAssignment
-
     carriers = sector_carriers(net, family)
     cache: dict = {}
 
@@ -822,8 +828,6 @@ def sector_equivariant_assignment(
     Transformed sectors are cached on (g, region, tableau), shared like
     the structure maps' outputs; the diagram validators revisit the same
     elements many times and each transform re-verifies localization."""
-    from .operad import EquivariantAlgebraAssignment
-
     base = sector_algebra_assignment(net, family)
     cache: dict = {}
 
@@ -856,13 +860,6 @@ def validate_theorem_3_11(
     sector has a summary (`_sector_summary`): each side is a product of
     Pauli conjugations with the same sign bits, so both carry their XOR and
     `same_map` accepts them.  Otherwise every pair of tuples is walked."""
-    from .operad import enumerate_all_operations, validate_algebra
-    from .orthcat import (
-        check_assumption_extension,
-        check_assumption_orthocomplement,
-        check_filtered,
-    )
-
     report = ValidationReport(check="structure-maps", subject=net.name)
     # no finite net satisfies every global hypothesis at once; record which
     # ones the index category carries so readers see the checked scope
@@ -901,13 +898,13 @@ def validate_theorem_3_11(
                 return report
 
     assign = sector_algebra_assignment(net, family)
-    alg_report = validate_algebra(net.category, assign, bound=bound)
+    alg_report = operad.validate_algebra(net.category, assign, bound=bound)
     report.violations.extend(alg_report.violations)
 
     # strict monoidality of each structure map on sector pairs
     if all(assign.summary(u, s) is not None for u, sectors in carriers.items() for s in sectors):
         return report
-    for op in enumerate_all_operations(net.category, min(bound, 2)):
+    for op in operad.enumerate_all_operations(net.category, min(bound, 2)):
         if op.arity == 0:
             continue
         pools = [carriers[u] for u in op.sources]

@@ -98,6 +98,136 @@ def test_geometry_project(workdir):
     assert doc["shadow"]["length"] == "2"
 
 
+_UPRIGHT_PROJECT = """{
+  "check": "geometry-project",
+  "citation": "Lemma 5.6",
+  "cone": {
+    "pminus": {
+      "t": "-1",
+      "x": [
+        "0"
+      ]
+    },
+    "pplus": {
+      "t": "1",
+      "x": [
+        "0"
+      ]
+    }
+  },
+  "holds": true,
+  "shadow": {
+    "focus_minus": [
+      "0"
+    ],
+    "focus_plus": [
+      "0"
+    ],
+    "kind": "shadow",
+    "length": "2",
+    "marked": [
+      "0"
+    ]
+  },
+  "tool_version": "0.1.0"
+}
+"""
+
+_TILTED_PROJECT = """{
+  "check": "geometry-project",
+  "citation": "Lemma 5.6",
+  "cone": {
+    "pminus": {
+      "t": "-1/2",
+      "x": [
+        "1/3",
+        "0"
+      ]
+    },
+    "pplus": {
+      "t": "5/4",
+      "x": [
+        "1/2",
+        "-1/4"
+      ]
+    }
+  },
+  "holds": true,
+  "shadow": {
+    "focus_minus": [
+      "1/3",
+      "0"
+    ],
+    "focus_plus": [
+      "1/2",
+      "-1/4"
+    ],
+    "kind": "shadow",
+    "length": "7/4",
+    "marked": [
+      "5/12",
+      "-1/8"
+    ]
+  },
+  "tool_version": "0.1.0"
+}
+"""
+
+_TIME_ONLY_PROJECT = """{
+  "check": "geometry-project",
+  "citation": "Lemma 5.6",
+  "cone": {
+    "pminus": {
+      "t": "-1",
+      "x": []
+    },
+    "pplus": {
+      "t": "3/2",
+      "x": []
+    }
+  },
+  "holds": true,
+  "shadow": {
+    "focus_minus": [],
+    "focus_plus": [],
+    "kind": "shadow",
+    "length": "5/2",
+    "marked": []
+  },
+  "tool_version": "0.1.0"
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "cone, expected",
+    [
+        pytest.param(None, _UPRIGHT_PROJECT, id="unit-cone-m2"),
+        pytest.param(
+            {"pminus": {"t": "-1/2", "x": ["1/3", "0"]}, "pplus": {"t": "5/4", "x": ["1/2", "-1/4"]}},
+            _TILTED_PROJECT,
+            id="tilted-1+2",
+        ),
+        pytest.param(
+            {"pminus": {"t": "-1", "x": []}, "pplus": {"t": "3/2", "x": []}},
+            _TIME_ONLY_PROJECT,
+            id="time-only-1+0",
+        ),
+    ],
+)
+def test_geometry_project_report_text(workdir, capsys, cone, expected):
+    # the full report, byte for byte, on an upright, a tilted and a 1+0 cone
+    tmp, export = workdir
+    if cone is None:
+        path = export("unit-cone-m2")
+    else:
+        path = tmp / "cone.json"
+        path.write_text(json.dumps(cone))
+    capsys.readouterr()
+    assert main(["geometry", "project", "--in", str(path), "--paper-ref"]) == 0
+    assert capsys.readouterr().out == expected
+
+
 def test_homotopy_verify(workdir):
     tmp, export = workdir
     out = tmp / "homotopy.json"
@@ -181,6 +311,28 @@ def test_theorem311_refuses_a_net_that_is_not_a_functor(tmp_path):
                  "--out", str(out)]) == 1
     found = [(v["axiom"], v["witness"]["morphism"]) for v in read(out)["violations"]]
     assert found == [("algebra-inclusion", "a<=b"), ("algebra-inclusion", "c<=b")]
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["sectors", "equivariance"], ["operad", "algebra", "--equivariant"]],
+    ids=["sectors-equivariance", "operad-algebra-equivariant"],
+)
+def test_reflection_refuses_region_ids_that_are_not_intervals(tmp_path, capsys, command):
+    # the site reflection acts on the interval ids [a,b]; a net with other
+    # ids is a schema error, not a KeyError
+    regions = [{"id": "a", "sites": [0]}, {"id": "b", "sites": [1]},
+               {"id": "c", "sites": [0, 1]}]
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps({"name": "abc", "sites": 2, "regions": regions}))
+    capsys.readouterr()
+    code = main(command + ["--net", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        "schema error: region a is not an interval [a,b] of the 2-site chain\n"
+    )
 
 
 def test_unknown_fixture_is_a_schema_error(capsys):

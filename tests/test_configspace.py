@@ -10,12 +10,8 @@ from sectorfact.configspace import (
     CausalConfig,
     CertReport,
     SamplingExhausted,
-    SpatialConfig,
     certify_homotopy,
-    lift_config,
-    project_config,
     sample_causal_config,
-    sample_spatial_config,
 )
 from sectorfact.linalg import format_rational
 from sectorfact.minkowski import (
@@ -44,8 +40,6 @@ def test_constructor_enforces_invariants():
         CausalConfig(WIDE, (P(0, 0), P(1, 0)))  # timelike pair
     with pytest.raises(PreconditionError):
         CausalConfig(WIDE, (P(0, 99),))  # outside the cone
-    with pytest.raises(PreconditionError):
-        SpatialConfig(project_cone(WIDE), ((F(0),), (F(0),)))  # coincident
 
 
 def test_sampler_sizes_and_determinism():
@@ -71,44 +65,12 @@ def test_sampler_exhaustion():
         sample_causal_config(tiny, 12, seed=5, budget=50)
 
 
-def test_project_empty_and_order():
-    empty = CausalConfig(WIDE, ())
-    assert project_config(empty).points == ()
-    config = CausalConfig(WIDE, (P(0, 0), P(0, 4)))
-    assert project_config(config).points == ((F(0),), (F(4),))
-
-
-def test_projection_distinctness_many_seeds():
-    for seed in range(120):
-        config = sample_causal_config(WIDE, 3, seed=seed)
-        spatial = project_config(config)
-        assert len(set(spatial.points)) == 3
-
-
 def test_lift_examples():
     unit = DoubleCone(P(-1, 0), P(1, 0))
-    shadow = project_cone(unit)
-    spatial = SpatialConfig(shadow, ((F(-1, 2),), (F(1, 2),)))
-    lifted = lift_config(unit, spatial)
-    assert lifted.points == (P(0, F(-1, 2)), P(0, F(1, 2)))
-
+    assert cauchy_lift(unit, (F(-1, 2),)) == P(0, F(-1, 2))
+    assert cauchy_lift(unit, (F(1, 2),)) == P(0, F(1, 2))
     tilted = DoubleCone(P(-1, 0), P(1, 1))
-    spatial2 = SpatialConfig(project_cone(tilted), ((F(1, 2),),))
-    assert lift_config(tilted, spatial2).points == (P(0, F(1, 2)),)
-
-
-def test_round_trip_many_seeds():
-    for seed in range(100):
-        spatial = sample_spatial_config(WIDE, 4, seed=seed)
-        lifted = lift_config(WIDE, spatial)
-        assert project_config(lifted).points == spatial.points
-
-
-def test_lift_rejects_foreign_shadow():
-    other = DoubleCone(P(-1, 50), P(1, 50))
-    spatial = sample_spatial_config(WIDE, 2, seed=0)
-    with pytest.raises(PreconditionError):
-        lift_config(other, spatial)
+    assert cauchy_lift(tilted, (F(1, 2),)) == P(0, F(1, 2))
 
 
 def test_certify_small_sizes_vacuous():
@@ -157,15 +119,11 @@ def test_json_shapes():
     config = sample_causal_config(WIDE, 2, seed=1)
     doc = config.to_json()
     assert set(doc) == {"cone", "points"}
-    spatial = project_config(config)
-    doc2 = spatial.to_json()
-    assert set(doc2) == {"shadow", "points"}
 
 
 def test_section_checks_survive_optimize():
-    # each check in cauchy_lift (the orthogonality and cone checks of its
-    # integer frame), project_config and lift_config must still reject a bad
-    # section when python -O strips asserts
+    # the orthogonality and cone checks of cauchy_lift's integer frame must
+    # still reject a bad section when python -O strips asserts
     import os
     import subprocess
     import sys
@@ -175,14 +133,11 @@ def test_section_checks_survive_optimize():
     script = (
         "import sys\n"
         "from fractions import Fraction as F\n"
-        "import sectorfact.configspace as configspace\n"
         "import sectorfact.minkowski as minkowski\n"
-        "from sectorfact.minkowski import DoubleCone, MPoint, project_cone\n"
+        "from sectorfact.minkowski import DoubleCone, MPoint\n"
         "from sectorfact.reports import PreconditionError\n"
         "assert False, 'asserts must be stripped'\n"
         "unit = DoubleCone(MPoint.of(-1, 0), MPoint.of(1, 0))\n"
-        "spatial = configspace.SpatialConfig(project_cone(unit), ((F(0),),))\n"
-        "pair = configspace.CausalConfig(unit, (MPoint.of(0, 0), MPoint.of(0, F(1, 2))))\n"
         "def raises(run):\n"
         "    try:\n"
         "        run()\n"
@@ -196,15 +151,9 @@ def test_section_checks_survive_optimize():
         "minkowski._int_inside = lambda minus, plus, p: False\n"
         "outside = raises(lambda: minkowski.cauchy_lift(unit, (F(0),)))\n"
         "minkowski._int_inside = real_inside\n"
-        "real_lift = configspace.cauchy_lift\n"
-        "configspace.cauchy_lift = lambda cone, q: MPoint(F(0), (q[0] + F(1, 8),))\n"
-        "shifted = raises(lambda: configspace.lift_config(unit, spatial))\n"
-        "configspace.cauchy_lift = real_lift\n"
-        "configspace.sq_interval = lambda p, q: F(1)\n"
-        "inequality = raises(lambda: configspace.project_config(pair))\n"
-        "if tilted and outside and shifted and inequality:\n"
+        "if tilted and outside:\n"
         "    sys.exit(3)\n"
-        "print(tilted, outside, shifted, inequality)\n"
+        "print(tilted, outside)\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(sectorfact.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
@@ -428,9 +377,8 @@ def test_cone_caches_keep_equality_and_hash():
     cold = DoubleCone(P(-2, 0, 0), P(2, 1, F(1, 2)))
     assert warm.center == P(0, F(1, 2), F(1, 4))
     assert warm.axis == P(4, 1, F(1, 2))
-    assert warm.shadow == project_cone(cold)
-    assert {"center", "axis", "shadow"} <= set(vars(warm))
-    assert not {"center", "axis", "shadow"} & set(vars(cold))
+    assert {"center", "axis"} <= set(vars(warm))
+    assert not {"center", "axis"} & set(vars(cold))
     assert warm == cold and hash(warm) == hash(cold)
     assert len({warm, cold}) == 1
 
@@ -464,7 +412,7 @@ def reference_check_config(cone: DoubleCone, points) -> None:
 
 def reference_cauchy_lift(cone: DoubleCone, q) -> MPoint:
     q = tuple(_F(v) for v in q)
-    if not cone.shadow.contains(q):
+    if not project_cone(cone).contains(q):
         raise PreconditionError(f"spatial point {q} outside the cone shadow")
     center = cone.center
     axis = cone.axis
@@ -578,29 +526,34 @@ odd_offsets = st.builds(
 )
 
 
-@settings(max_examples=80, deadline=None)
-@given(
-    st.one_of(cones(), st.sampled_from(TILTED_CONES)),
-    st.integers(0, 4),
-    st.integers(0, 2**16),
-    st.sampled_from([3, 5, 7]),
-    st.data(),
-)
-def test_lifted_and_shifted_configs_match_reference(cone, m, seed, denom, data):
-    # Cauchy lifts of spatial configurations over 3, 5 and 7, then each
-    # point moved in time by a multiple of half the cone's height over 3,
-    # 5 or 7: the constructor accepts some and rejects others
-    try:
-        spatial = sample_spatial_config(cone, m, seed, denom=denom, budget=50)
-    except SamplingExhausted:
-        return
-    lifted = lift_config(cone, spatial)
-    assert lifted.points == tuple(reference_cauchy_lift(cone, q) for q in spatial.points)
-    assert _same_config_results(cone, lifted.points)
+@st.composite
+def shadow_points(draw):
+    """A cone and up to four distinct spatial points inside its shadow, each
+    the shadow's marked point plus multiples of half the cone's height over
+    3, 5 or 7 (grid points outside the shadow are dropped)."""
+    cone = draw(st.one_of(cones(), st.sampled_from(TILTED_CONES)))
+    shadow = project_cone(cone)
+    d = draw(st.sampled_from([3, 5, 7]))
     half = cone.axis.t / 2
-    shifted = tuple(
-        MPoint(p.t + data.draw(odd_offsets) * half / 4, p.x) for p in lifted.points
-    )
+    grid = st.tuples(*(st.integers(-d, d).map(lambda k, c=c: c + _F(k, d) * half)
+                       for c in shadow.marked))
+    drawn = draw(st.lists(grid, min_size=1, max_size=12, unique=True))
+    return cone, [q for q in drawn if shadow.contains(q)][:4]
+
+
+@settings(max_examples=80, deadline=None)
+@given(shadow_points(), st.data())
+def test_lifted_and_shifted_configs_match_reference(cone_and_points, data):
+    # Cauchy lifts of spatial points over 3, 5 and 7, then each point moved
+    # in time by a multiple of half the cone's height over 3, 5 or 7: the
+    # constructor accepts some and rejects others
+    cone, spatial = cone_and_points
+    lifted = tuple(cauchy_lift(cone, q) for q in spatial)
+    assert lifted == tuple(reference_cauchy_lift(cone, q) for q in spatial)
+    assert tuple(p.x for p in lifted) == tuple(spatial)
+    assert _same_config_results(cone, lifted)
+    half = cone.axis.t / 2
+    shifted = tuple(MPoint(p.t + data.draw(odd_offsets) * half / 4, p.x) for p in lifted)
     _same_config_results(cone, shifted)
 
 

@@ -238,17 +238,16 @@ def test_marked_point_inside_shadow():
         assert project_cone(cone).contains(project_cone(cone).marked)
 
 
-def test_ball_region():
+def test_shadow_constructor_enforces_invariants():
     from sectorfact.minkowski import SpatialConvex
 
-    ball = SpatialConvex.ball([F(1), F(0)], F(2))
-    assert ball.contains([F(1), F(1)])
-    assert not ball.contains([F(3), F(0)])  # boundary excluded
-    assert ball.marked == (F(1), F(0))
-    with pytest.raises(PreconditionError):
-        SpatialConvex.ball([0], 0)
-    with pytest.raises(PreconditionError):
-        SpatialConvex.ball([0], 1, marked=[5])
+    shadow = project_cone(TILTED)
+    assert SpatialConvex(shadow.marked, shadow.focus_minus, shadow.focus_plus,
+                         shadow.length) == shadow
+    with pytest.raises(PreconditionError, match="shadow is empty"):
+        SpatialConvex((F(0),), (F(-1),), (F(1),), F(2))  # the segment itself
+    with pytest.raises(PreconditionError, match="marked point lies outside"):
+        SpatialConvex((F(5),), (F(-1),), (F(1),), F(3))
 
 
 @settings(max_examples=200, deadline=None)
