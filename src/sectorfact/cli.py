@@ -125,6 +125,22 @@ def _emit(doc: dict, args) -> None:
         sys.stdout.write(render_text(doc) if args.render else payload)
 
 
+def _on_a_functor(handler):
+    """Run `handler(args, net)` on the net of --net once `MatrixNet.validate`
+    shows that nested regions have nested algebras; otherwise the report
+    is that net-structure report, with a failed verdict."""
+
+    @functools.wraps(handler)
+    def run(args) -> tuple[dict, bool]:
+        net = net_from_json(_load_json(args.net))
+        structure = net.validate()
+        if not structure.ok:
+            return structure.to_dict(), False
+        return handler(args, net)
+
+    return run
+
+
 def _region_id(net, text: str) -> str:
     """A region of the net named by its id, or by the interval shorthand
     `a-b` or `a` for `[a,b]`; anything else is a schema error."""
@@ -183,9 +199,9 @@ def cmd_operad_check(args) -> tuple[dict, bool]:
     return report, report["ok"]
 
 
-def cmd_operad_algebra(args) -> tuple[dict, bool]:
+@_on_a_functor
+def cmd_operad_algebra(args, net) -> tuple[dict, bool]:
     _check_counts(bound=args.bound)
-    net = net_from_json(_load_json(args.net))
     family = standard_sector_family(net)
     if args.equivariant:
         data = qubit_reflection_data(net)
@@ -276,8 +292,8 @@ def cmd_homotopy_verify(args) -> tuple[dict, bool]:
     return doc, doc["holds"]
 
 
-def cmd_sectors_haag(args) -> tuple[dict, bool]:
-    net = net_from_json(_load_json(args.net))
+@_on_a_functor
+def cmd_sectors_haag(args, net) -> tuple[dict, bool]:
     if args.region:
         regions = [_region_id(net, args.region)]
     else:
@@ -292,14 +308,14 @@ def cmd_sectors_haag(args) -> tuple[dict, bool]:
     return doc, doc["holds"]
 
 
-def cmd_sectors_perp(args) -> tuple[dict, bool]:
-    net = net_from_json(_load_json(args.net))
+@_on_a_functor
+def cmd_sectors_perp(args, net) -> tuple[dict, bool]:
     report = check_perp_commutativity(net).to_dict()
     return report, report["ok"]
 
 
-def cmd_sectors_diamond(args) -> tuple[dict, bool]:
-    net = net_from_json(_load_json(args.net))
+@_on_a_functor
+def cmd_sectors_diamond(args, net) -> tuple[dict, bool]:
     family = standard_sector_family(net)
     violations = []
     checked = 0
@@ -335,8 +351,8 @@ def cmd_sectors_diamond(args) -> tuple[dict, bool]:
     return doc, doc["ok"]
 
 
-def cmd_sectors_transport(args) -> tuple[dict, bool]:
-    net = net_from_json(_load_json(args.net))
+@_on_a_functor
+def cmd_sectors_transport(args, net) -> tuple[dict, bool]:
     letters, _, region = args.sector.partition("@")
     rho = pauli_sector(net, letters, _region_id(net, region))
     report = check_transportable(rho, _region_id(net, args.target), net)
@@ -345,8 +361,8 @@ def cmd_sectors_transport(args) -> tuple[dict, bool]:
     return doc, report.found
 
 
-def cmd_sectors_equivariance(args) -> tuple[dict, bool]:
-    net = net_from_json(_load_json(args.net))
+@_on_a_functor
+def cmd_sectors_equivariance(args, net) -> tuple[dict, bool]:
     data = qubit_reflection_data(net)
     if any(u in net.overrides for u in net.category.objects):
         family = {}

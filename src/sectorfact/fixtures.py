@@ -18,6 +18,7 @@ from .orthcat import (
 )
 from .reports import SchemaError, json_int, json_list, json_str
 from .sectors import LocalizedEndo, MatrixAlg, MatrixNet, SectorGroupData, span_equal
+from .sectors import _conjugation_tableau
 
 __all__ = [
     "poset_orth_category",
@@ -183,17 +184,25 @@ def reflection_unitary(sites: int) -> GMat:
 def qubit_reflection_data(net: MatrixNet) -> SectorGroupData:
     """Z2 site-reflection on the qubit chain implemented by the SWAP network.
 
-    The reflection acts on the interval ids [a,b]; a net region with any
-    other id is a schema error."""
-    action = interval_reflection_action(net.sites)
-    intervals = action.category.objects
+    The reflection acts on the interval ids [a,b], 1 <= a <= b <= n, by
+    [a,b] -> [n+1-b, n+1-a].  A net region with any other id, or whose
+    image is not a net region, is a schema error, found before the
+    interval category is built."""
+    n = net.sites
     for u in net.region_sites:
-        if u not in intervals:
-            raise SchemaError(f"region {u} is not an interval [a,b] of the {net.sites}-site chain")
+        try:
+            a, b = (int(t) for t in u[1:-1].split(","))
+        except ValueError:
+            a = b = 0
+        if _interval_id(a, b) != u or not 1 <= a <= b <= n:
+            raise SchemaError(f"region {u} is not an interval [a,b] of the {n}-site chain")
+        image = _interval_id(n + 1 - b, n + 1 - a)
+        if image not in net.region_sites:
+            raise SchemaError(f"region {u} reflects to {image}, which is not a region of the net")
     return SectorGroupData(
         net=net,
-        action=action,
-        unitaries={"e": GMat.identity(net.n), "r": reflection_unitary(net.sites)},
+        action=interval_reflection_action(n),
+        unitaries={"e": GMat.identity(net.n), "r": reflection_unitary(n)},
         name=f"Z2|{net.name}",
     )
 
@@ -202,23 +211,22 @@ _LETTER_MASKS = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
 
 
 def pauli_sector(net: MatrixNet, letters: str, region: str) -> LocalizedEndo:
-    """Inner sector implemented by the Pauli pattern placed on the region's
-    sites in order; e.g. letters "X" on a single-site region."""
+    """Inner sector Ad P of the Pauli pattern P placed on the region's
+    sites in order, e.g. letters "X" on a single-site region; held as its
+    tableau, so no matrix is built."""
     cells = sorted(net.region_sites[region])
     if len(letters) != len(cells):
         raise SchemaError(
             f"pattern {letters!r} does not fit region {region} with {len(cells)} sites"
         )
-    x = z = 0
+    L, v = net.sites, 0
     for site, letter in zip(cells, letters.upper()):
         if letter not in _LETTER_MASKS:
             raise SchemaError(f"unknown Pauli letter {letter!r}")
         xb, zb = _LETTER_MASKS[letter]
-        shift = net.sites - 1 - site
-        x |= xb << shift
-        z |= zb << shift
-    u = pauli_string(net.sites, x, z)
-    return LocalizedEndo(net, region, unitary=u, label=f"{letters.upper()}@{region}")
+        v |= (xb << L | zb) << (L - 1 - site)
+    tableau = _conjugation_tableau(net.global_algebra(), v)
+    return LocalizedEndo(net, region, label=f"{letters.upper()}@{region}", _tableau=tableau)
 
 
 def standard_sector_family(net: MatrixNet) -> dict[str, list[LocalizedEndo]]:

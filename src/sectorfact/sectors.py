@@ -25,7 +25,9 @@ g-images) sends each string to a signed string; a map that does not is
 refused.  A string's image is read off the tableau on masks, a matrix is
 mapped term by term on its Pauli expansion, two sectors are the same map
 exactly when their tableaux are equal, and the sector product composes
-tableaux.
+tableaux.  The tableau is all a sector holds: when it is a Pauli
+conjugation, the implementing string is derived from it by one GF(2)
+solve, and its matrix is built only for the dense covariance families.
 """
 
 from __future__ import annotations
@@ -441,25 +443,35 @@ def _tableau_from_image_list(glob: MatrixAlg, images: list[GMat]) -> tuple[int, 
     return tableau
 
 
+def _conjugation_tableau(glob: MatrixAlg, v: int) -> tuple[int, ...]:
+    """Tableau of Ad P(v), v = x << L | z, on glob: each row kept, with
+    the sign bit set exactly when its string anticommutes with P(v)."""
+    L, low = glob.L, (1 << glob.L) - 1
+    return tuple(
+        (r << 1) | (not pauli_commute(v >> L, v & low, r >> L, r & low)) for _, r in glob.rows
+    )
+
+
 class LocalizedEndo:
     """Unital *-endomorphism of the net's global algebra together with a
-    localization region, held as its tableau: for the k-th row of the
+    localization region, held as its tableau alone: for the k-th row of the
     global algebra's reduced GF(2) basis (`MatrixAlg.rows`), the image of
     its string as the signed mask t << 1 | s, meaning (-1)**s P(t).
 
     A sector is built from a unitary u (Ad u) or from the images of the
     strings of `global_algebra().basis`, and must send each generator to
-    +-1 times a string of the global algebra, else PreconditionError.
-    `_tableau` is taken as given: the package passes it for products,
-    transports and g-images, with `unitary` the tuple of their factors
-    (sectors or matrices) whose product is `.unitary`.
+    +-1 times a string of the global algebra, else PreconditionError; the
+    matrices only serve to compute the tableau and are not kept.  Pauli
+    and identity sectors, products, transports and g-images pass
+    `_tableau` directly.  A matrix implementing the sector is derived from
+    the tableau when a dense consumer asks (`unitary`).
     """
 
     def __init__(
         self,
         net: MatrixNet,
         region: str,
-        unitary: GMat | tuple | None = None,
+        unitary: GMat | None = None,
         images: list[GMat] | None = None,
         label: str = "",
         _tableau: tuple[int, ...] | None = None,
@@ -470,12 +482,9 @@ class LocalizedEndo:
         if _tableau is None and unitary is not None:
             if not unitary.is_unitary():
                 raise PreconditionError("implementing matrix is not unitary")
-            p, L, low = as_pauli_string(unitary), glob.L, (1 << glob.L) - 1
-            if p is not None:  # Ad P(a) negates the strings anticommuting with P(a)
-                _tableau = tuple(
-                    (r << 1) | (not pauli_commute(p[0], p[1], r >> L, r & low))
-                    for _, r in glob.rows
-                )
+            p = as_pauli_string(unitary)
+            if p is not None:
+                _tableau = _conjugation_tableau(glob, (p[0] << glob.L) | p[1])
             else:
                 adj = unitary.adjoint()
                 _tableau = _signed_strings(glob, [unitary @ g @ adj for g in glob.generators])
@@ -483,20 +492,31 @@ class LocalizedEndo:
             _tableau = _tableau_from_image_list(glob, images)
         elif _tableau is None:
             raise PreconditionError("endomorphism needs a unitary or basis images")
-        self.net, self.region, self.tableau, self._unitary = net, region, _tableau, unitary
+        self.net, self.region, self.tableau = net, region, _tableau
         self.label = label or (f"Ad[{unitary!r}]" if unitary is not None else "endo")
 
-    @property
+    def pauli_mask(self) -> int | None:
+        """A mask a = x << L | z with Ad P(a) equal to the sector on the
+        global algebra, or None when the tableau is no Pauli conjugation
+        (`_sector_summary`).  Ad P(a) gives row r the sign bit a . swap(r)
+        (the symplectic form), so a solves the swapped rows, each with its
+        sign bit appended as bit 0: one `_gf2_pivots` elimination, and with
+        the free coordinates zero a holds each reduced equation's sign bit
+        at its pivot.  a is unique modulo the global commutant's masks."""
+        signs = _sector_summary(self.region, self)
+        if signs is None:
+            return None
+        L, low = self.net.sites, (1 << self.net.sites) - 1
+        rows = self.net.global_algebra().rows
+        eqs = [((r & low) << L | r >> L) << 1 | (signs >> k) & 1 for k, (_, r) in enumerate(rows)]
+        return sum((eq & 1) << (bit - 1) for bit, eq in _gf2_pivots(eqs))
+
+    @functools.cached_property
     def unitary(self) -> GMat | None:
-        """The implementing unitary, read by `find_covariance`,
-        `check_transportable` and `diamond_covariance`: the one the sector
-        was built from, or the product of its factors' (multiplied out on
-        first read); None when some factor has none."""
-        if isinstance(self._unitary, tuple):
-            parts = [f.unitary if isinstance(f, LocalizedEndo) else f for f in self._unitary]
-            none = any(p is None for p in parts)
-            self._unitary = None if none else functools.reduce(GMat.__matmul__, parts)
-        return self._unitary
+        """P(a) for a = `pauli_mask`, built on first read for the dense
+        consumers (`find_covariance`, `diamond_covariance`, intertwiners)."""
+        a, L = self.pauli_mask(), self.net.sites
+        return None if a is None else pauli_string(L, a >> L, a & ((1 << L) - 1))
 
     @property
     def _map(self) -> _StringMap:
@@ -523,17 +543,15 @@ class LocalizedEndo:
         return self.tableau == other.tableau
 
     def relabel(self, region: str, label: str | None = None) -> "LocalizedEndo":
-        label = label or self.label
-        return LocalizedEndo(self.net, region, self._unitary, label=label, _tableau=self.tableau)
+        return LocalizedEndo(self.net, region, label=label or self.label, _tableau=self.tableau)
 
     def __repr__(self) -> str:
         return f"LocalizedEndo({self.label}@{self.region})"
 
 
 def identity_sector(net: MatrixNet, region: str) -> LocalizedEndo:
-    rows = net.global_algebra().rows
-    tableau = tuple(r << 1 for _, r in rows)
-    return LocalizedEndo(net, region, GMat.identity(net.n), label="1", _tableau=tableau)
+    tableau = _conjugation_tableau(net.global_algebra(), 0)
+    return LocalizedEndo(net, region, label="1", _tableau=tableau)
 
 
 def check_localized(rho: LocalizedEndo, net: MatrixNet) -> ValidationReport:
@@ -557,32 +575,19 @@ def check_localized(rho: LocalizedEndo, net: MatrixNet) -> ValidationReport:
     return report
 
 
-def translate_string(net: MatrixNet, u: GMat, src: str, tgt: str) -> GMat | None:
-    """Move a Pauli-string unitary supported on src's sites to tgt's sites,
-    preserving the per-site letters in site order; None when shapes differ."""
-    p = as_pauli_string(u)
-    if p is None:
-        return None
-    x, z, coeff = p
-    L = net.sites
-    src_sites = sorted(net.region_sites[src])
+def translate_string(net: MatrixNet, v: int, src: str, tgt: str) -> int | None:
+    """Move the string of the mask v = x << L | z from src's sites to tgt's,
+    keeping the per-site letters in site order; None when the shapes differ."""
+    L, moved = net.sites, 0
     tgt_sites = sorted(net.region_sites[tgt])
-    letters = {}
-    for s in range(L):
-        shift = L - 1 - s
-        xb, zb = (x >> shift) & 1, (z >> shift) & 1
-        if xb or zb:
-            if s not in src_sites:
+    for k, s in enumerate(sorted(net.region_sites[src])):
+        letter = v >> (L - 1 - s) & (1 << L | 1)  # the x and z bits of site s
+        if letter:
+            if k >= len(tgt_sites):
                 return None
-            letters[src_sites.index(s)] = (xb, zb)
-    if letters and max(letters) >= len(tgt_sites):
-        return None
-    nx = nz = 0
-    for pos, (xb, zb) in letters.items():
-        shift = L - 1 - tgt_sites[pos]
-        nx |= xb << shift
-        nz |= zb << shift
-    return pauli_string(L, nx, nz, coeff)
+            v ^= letter << (L - 1 - s)
+            moved |= letter << (L - 1 - tgt_sites[k])
+    return None if v else moved
 
 
 @dataclass
@@ -591,7 +596,6 @@ class TransportReport:
     sector: str
     target: str
     transporter_label: str | None = None
-    transporter: GMat | None = None
     transported: LocalizedEndo | None = None
 
     def to_dict(self) -> dict:
@@ -604,41 +608,24 @@ class TransportReport:
         }
 
 
-def check_transportable(
-    rho: LocalizedEndo,
-    target: str,
-    net: MatrixNet,
-    candidates: list[tuple[str, GMat]] | None = None,
-) -> TransportReport:
+def check_transportable(rho: LocalizedEndo, target: str, net: MatrixNet) -> TransportReport:
     """Search for a unitary v with Ad_v after rho strictly localized in the
-    target region.  For a sector with an implementing unitary u the
-    translated unitary v = u' u* is tried first; extra candidates extend the searched
-    family.  A candidate that is not unitary, or whose Ad_v is no signed
-    Pauli map of the global algebra, is skipped.  Absence is a report
-    outcome, not an error."""
-    tried: list[tuple[str, GMat]] = [("identity", GMat.identity(net.n))]
-    if rho.unitary is not None:
-        moved = translate_string(net, rho.unitary, rho.region, target)
-        if moved is not None:
-            tried.append(("translated-pattern", moved @ rho.unitary.adjoint()))
-    tried += candidates or []
-    for label, v in tried:
-        try:
-            ad_v = LocalizedEndo(net, target, unitary=v)
-        except PreconditionError:
-            continue
-        tableau = _compose(ad_v._map, rho.tableau)
-        moved_label = f"{rho.label}~>{target}"
-        cand = LocalizedEndo(net, target, (ad_v, rho), label=moved_label, _tableau=tableau)
+    target region, on tableaux.  Two transporters are tried: the identity
+    (rho itself moved to the target), and, for a Pauli conjugation Ad P(a)
+    (`LocalizedEndo.pauli_mask`), v = P(a') P(a)* with a' the letters of a
+    moved to the target's sites, whose transported sector is Ad P(a').
+    Absence is a report outcome, not an error."""
+    moved_label = f"{rho.label}~>{target}"
+    tried = [("identity", rho.relabel(target, moved_label))]
+    a = rho.pauli_mask()
+    moved = None if a is None else translate_string(net, a, rho.region, target)
+    if moved is not None:
+        tableau = _conjugation_tableau(net.global_algebra(), moved)
+        ad_moved = LocalizedEndo(net, target, label=moved_label, _tableau=tableau)
+        tried.append(("translated-pattern", ad_moved))
+    for label, cand in tried:
         if check_localized(cand, net).ok:
-            return TransportReport(
-                found=True,
-                sector=rho.label,
-                target=target,
-                transporter_label=label,
-                transporter=v,
-                transported=cand,
-            )
+            return TransportReport(True, rho.label, target, label, cand)
     return TransportReport(found=False, sector=rho.label, target=target)
 
 
@@ -683,7 +670,7 @@ def diamond(
                 raise PreconditionError(f"{r} is not included in {region}")
     label = f"({rho.label}<>{rhodot.label})"
     tableau = _compose(rho._map, rhodot.tableau)
-    return LocalizedEndo(net, region, (rho, rhodot), label=label, _tableau=tableau)
+    return LocalizedEndo(net, region, label=label, _tableau=tableau)
 
 
 def diamond_mor(t: Intertwiner, tdot: Intertwiner) -> Intertwiner:
@@ -786,10 +773,10 @@ def sector_algebra_assignment(
     the sectors (equal tableaux share an entry): the diagram validators
     evaluate the same (operation, sectors) pairs repeatedly.  The regions
     are part of the key because a sector at a region other than its source
-    makes the map raise.  Sectors with equal tableaux but other labels or
-    unitaries share the first one's output; no report prints it, as the
-    validators describe carrier elements, and a unit diagram's output only
-    when it is another map.
+    makes the map raise.  Sectors with equal tableaux but other labels
+    share the first one's output; no report prints it, as the validators
+    describe carrier elements, and a unit diagram's output only when it is
+    another map.
 
     The summary of a sector is its sign bits (`_sector_summary`).  It meets
     the contract of `FiniteAlgebraAssignment`: `pfa_structure_map` on
@@ -1008,7 +995,7 @@ def g_act_sector(g: str, rho: LocalizedEndo, data: SectorGroupData) -> Localized
     moved_region = data.action.action[g].apply_obj(rho.region)
     tableau = _compose(ad_u._map, _compose(rho._map, ad_inv.tableau))
     label = f"{g}|>{rho.label}"
-    out = LocalizedEndo(data.net, moved_region, (ad_u, rho, ad_inv), label=label, _tableau=tableau)
+    out = LocalizedEndo(data.net, moved_region, label=label, _tableau=tableau)
     loc = check_localized(out, data.net)
     if not loc.ok:
         raise PreconditionError(
@@ -1030,10 +1017,10 @@ def find_covariance(
     """Projective family implementing the sector's covariance: for each g a
     unitary y with rho(u_g a u_g*) y = y rho(a) on the global algebra.
 
-    A sector with an implementing unitary v has the conjugated family
-    v u_g v*.
-    Any other sector on a global algebra with trivial commutant (all of
-    M_N) is Ad w for some unitary w, which `_pauli_twirl` recovers up to a
+    A Pauli conjugation, with v its string derived from the tableau
+    (`LocalizedEndo.unitary`), has the conjugated family v u_g v*.  Any
+    other sector (CZ, say) on a global algebra with trivial commutant (all
+    of M_N) is Ad w for some unitary w, which `_pauli_twirl` recovers up to a
     scalar; the family w u_g w*, divided by the scalar w w*, is returned
     only once the law holds on the generators.  On diagonal constraints
     (the abelian nets) `_solve_intertwiner` is complete, so None proves
@@ -1130,9 +1117,9 @@ def diamond_covariance(
     identity chain re-verified stage by stage as maps on the generators.
 
     The bridge u_g* u_dot need not lie in the global algebra (on a diagonal
-    net it permutes the basis), so a sector with an implementing unitary v
-    maps it as v bridge v*; any other sector raises PreconditionError on
-    it."""
+    net it permutes the basis), so a Pauli conjugation maps it as
+    v bridge v* with v its derived string; any other sector raises
+    PreconditionError on it."""
     net = data.net
     group = data.action.group
     gens = net.global_algebra().generators

@@ -335,6 +335,98 @@ def test_reflection_refuses_region_ids_that_are_not_intervals(tmp_path, capsys, 
     )
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["sectors", "equivariance"], ["operad", "algebra", "--equivariant"]],
+    ids=["sectors-equivariance", "operad-algebra-equivariant"],
+)
+def test_reflection_names_the_missing_image(tmp_path, capsys, command):
+    # [1,1] reflects to [3,3] on three sites, which the net lacks; both
+    # commands name it, before the interval category is built
+    regions = [{"id": "[1,1]", "sites": [0]}, {"id": "[2,2]", "sites": [1]}]
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps({"name": "part3", "sites": 3, "regions": regions}))
+    capsys.readouterr()
+    assert main(command + ["--net", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "schema error: region [1,1] reflects to [3,3], which is not a region of the net\n"
+    )
+
+
+@pytest.mark.parametrize("region", ["[0,1]", "[2,1]", "[1,4]", "[01,1]", "[1,1", "[1]", "[1,1,1]"])
+def test_reflection_refuses_ids_outside_the_chain(tmp_path, capsys, region):
+    regions = [{"id": region, "sites": [0]}]
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps({"name": "one", "sites": 3, "regions": regions}))
+    capsys.readouterr()
+    assert main(["sectors", "equivariance", "--net", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"schema error: region {region} is not an interval [a,b] of the 3-site chain\n"
+    )
+
+
+def _three_regions_on_200_sites(tmp_path):
+    regions = [{"id": "a", "sites": [0]}, {"id": "b", "sites": [1]}, {"id": "ab", "sites": [0, 1]}]
+    path = tmp_path / "three200.json"
+    path.write_text(json.dumps({"name": "three200", "sites": 200, "regions": regions}))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "command, code",
+    [
+        (["sectors", "haag"], 1),
+        (["sectors", "perp"], 0),
+        (["sectors", "diamond"], 0),
+        (["sectors", "transport", "--sector", "X@a", "--target", "b"], 0),
+        (["sectors", "equivariance"], 2),
+        (["sectors", "theorem311"], 1),
+        (["operad", "algebra"], 0),
+        (["operad", "algebra", "--equivariant"], 2),
+    ],
+    ids=lambda v: "-".join(v) if isinstance(v, list) else str(v),
+)
+def test_net_commands_on_a_200_site_document(tmp_path, capsys, command, code):
+    # the sectors are tableaux and the reflection ids are checked first, so
+    # no 2**200 matrix and no interval category of 200 sites is built
+    net = _three_regions_on_200_sites(tmp_path)
+    assert main(command + ["--net", net, "--out", str(tmp_path / "out.json")]) == code
+    err = capsys.readouterr().err
+    if code == 2:
+        assert err == "schema error: region a is not an interval [a,b] of the 200-site chain\n"
+    elif command[-1] == "theorem311":
+        assert [v["axiom"] for v in read(tmp_path / "out.json")["violations"]] == ["haag-precheck"]
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["sectors", "haag"],
+        ["sectors", "perp"],
+        ["sectors", "diamond"],
+        ["sectors", "transport", "--sector", "X@a", "--target", "c"],
+        ["sectors", "equivariance"],
+        ["operad", "algebra"],
+        ["operad", "algebra", "--equivariant"],
+    ],
+    ids=lambda v: "-".join(v),
+)
+def test_net_commands_refuse_a_net_that_is_not_a_functor(tmp_path, command):
+    # b contains a and c, but its diagonal algebra holds neither full one
+    regions = [{"id": "a", "sites": [0]}, {"id": "b", "sites": [0, 1], "algebra": "diagonal"},
+               {"id": "c", "sites": [1]}]
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps({"name": "abc", "sites": 2, "regions": regions}))
+    out = tmp_path / "report.json"
+    assert main(command + ["--net", str(path), "--out", str(out)]) == 1
+    doc = read(out)
+    assert doc["check"] == "net-structure" and doc["subject"] == "abc"
+    found = [(v["axiom"], v["witness"]["morphism"]) for v in doc["violations"]]
+    assert found == [("algebra-inclusion", "a<=b"), ("algebra-inclusion", "c<=b")]
+
+
 def test_unknown_fixture_is_a_schema_error(capsys):
     assert main(["fixtures", "export", "no-such-fixture"]) == 2
     captured = capsys.readouterr()

@@ -464,10 +464,13 @@ def test_check_localized_probes(monkeypatch, localization_cases):
 def test_transport_single_site(net4):
     rho = pauli_sector(net4, "X", "[1,1]")
     report = check_transportable(rho, "[3,3]", net4)
-    assert report.found
-    # v = u' u* for the same pattern at the target site
-    expected = pauli_string(4, 0b0010, 0) @ pauli_string(4, 0b1000, 0).adjoint()
-    assert report.transporter == expected
+    assert report.found and report.transporter_label == "translated-pattern"
+    # v = u' u* for the same pattern at the target site, so Ad v after rho
+    # is Ad u'
+    v = pauli_string(4, 0b0010, 0) @ pauli_string(4, 0b1000, 0).adjoint()
+    assert reference_ad_equal(net4, report.transported.unitary, v @ pauli_string(4, 0b1000, 0))
+    assert report.transported.same_map(pauli_sector(net4, "X", "[3,3]"))
+    assert report.transported.region == "[3,3]"
     assert check_localized(report.transported, net4).ok
 
 
@@ -481,10 +484,12 @@ def test_transport_not_found(net4):
     # an entangler admits no transporter within the searched family
     rho = LocalizedEndo(net4, "[1,2]", unitary=entangler_unitary(net4, 0, 1), label="CZ12")
     report = check_transportable(rho, "[3,4]", net4)
-    assert not report.found
-    # a candidate that is no signed Pauli map is skipped, not an error
-    rotation = _rotation_on_site(net4, 0)
-    assert not check_transportable(rho, "[3,4]", net4, [("rotation", rotation)]).found
+    assert not report.found and report.transporter_label is None
+    # CZ is no Pauli conjugation, so only the identity was tried
+    assert rho.pauli_mask() is None
+    assert report.to_dict() == {
+        "check": "transport", "found": False, "sector": "CZ12", "target": "[3,4]", "transporter": None
+    }
 
 
 def _rotation_on_site(net, site):
@@ -1146,12 +1151,15 @@ def _image_sector(rho):
 def test_image_sectors_agree_with_inner_sectors(net2):
     x, z = pauli_sector(net2, "X", "[1,1]"), pauli_sector(net2, "Z", "[1,1]")
     ix, iz = _image_sector(x), _image_sector(z)
-    assert ix.unitary is None and iz.unitary is None
-    for inner, image in ((x, ix), (z, iz)):
+    # the tableau is all a sector holds, so an image-built Pauli sector
+    # derives the same implementing string
+    for inner, image, u in ((x, ix, pauli_string(2, 2, 0)), (z, iz, pauli_string(2, 0, 2))):
         assert image.same_map(inner) and inner.same_map(image)
+        assert reference_ad_equal(net2, image.unitary, u)
     assert not ix.same_map(iz) and not iz.same_map(x)
     prod = diamond(ix, iz)
-    assert prod.unitary is None and prod.region == "[1,1]"
+    assert prod.region == "[1,1]"
+    assert reference_ad_equal(net2, prod.unitary, pauli_string(2, 2, 0) @ pauli_string(2, 0, 2))
     assert prod.same_map(diamond(x, z)) and diamond(x, z).same_map(prod)
 
 
@@ -1159,12 +1167,15 @@ def test_image_sector_transport_with_inner_transporter(net2):
     x = pauli_sector(net2, "X", "[1,1]")
     inner = check_transportable(x, "[2,2]", net2)
     assert inner.found and inner.transporter_label == "translated-pattern"
-    got = check_transportable(_image_sector(x), "[2,2]", net2, [("inner", inner.transporter)])
-    assert got.found and got.transporter_label == "inner"
-    assert got.transported.unitary is None and got.transported.region == "[2,2]"
+    # the image-built sector derives its string from the tableau, so it is
+    # moved by the same translated pattern
+    got = check_transportable(_image_sector(x), "[2,2]", net2)
+    assert got.found and got.transporter_label == "translated-pattern"
+    assert got.transported.region == "[2,2]"
     assert got.transported.same_map(inner.transported)
-    # without the candidate only the identity is tried, which leaves X on site 0
-    assert not check_transportable(_image_sector(x), "[2,2]", net2).found
+    assert got.transported.same_map(pauli_sector(net2, "X", "[2,2]"))
+    # the identity alone leaves X on site 0
+    assert not check_localized(x.relabel("[2,2]"), net2).ok
 
 
 # -- image-built sectors: the homomorphism check and covariance -------------------------
@@ -1287,40 +1298,45 @@ def test_intertwiner_law_probe(net4):
 
 def _pauli_and_cz_images(net):
     """Every single-site Pauli sector and a CZ on every pair of sites (at
-    the smallest interval holding both), rebuilt from their basis images."""
-    inner = [
-        pauli_sector(net, letter, u)
-        for u, cells in sorted(net.region_sites.items())
-        if len(cells) == 1
-        for letter in "XYZ"
+    the smallest interval holding both), each with its implementing matrix
+    and rebuilt from its basis images."""
+    L = net.sites
+    cases = [
+        (pauli_string(L, xb << (L - 1 - c), zb << (L - 1 - c)), f"[{c + 1},{c + 1}]")
+        for c in range(L)
+        for xb, zb in ((1, 0), (1, 1), (0, 1))
     ]
     for a, b in itertools.combinations(range(net.sites), 2):
-        u = entangler_unitary(net, a, b)
-        inner.append(LocalizedEndo(net, f"[{a + 1},{b + 1}]", unitary=u, label=f"CZ{a}{b}"))
-    return [(rho, _image_sector(rho)) for rho in inner]
+        cases.append((entangler_unitary(net, a, b), f"[{a + 1},{b + 1}]"))
+    return [(u, _image_sector(LocalizedEndo(net, region, unitary=u))) for u, region in cases]
 
 
 @pytest.mark.parametrize("sites", [2, 3])
 def test_every_image_sector_gets_a_family(sites):
+    # the Pauli images derive their string and get the inner family; the
+    # CZ images are no Pauli conjugation, and the twirl recovers CZ
     net = qubit_net(sites)
     data = qubit_reflection_data(net)
     cases = _pauli_and_cz_images(net)
     assert len(cases) == 3 * sites + sites * (sites - 1) // 2
-    for inner, image in cases:
+    methods = []
+    for u, image in cases:
         fam = find_covariance(image, data)
-        assert fam.method == "twirl"
+        methods.append(fam.method)
+        assert fam.method == ("twirl" if image.unitary is None else "inner")
         for g, u_g in data.unitaries.items():
             y = fam.unitaries[g]
             assert y.is_unitary()
-            assert reference_ad_equal(net, y, inner.unitary @ u_g @ inner.unitary.adjoint())
+            assert reference_ad_equal(net, y, u @ u_g @ u.adjoint())
             for a in net.global_algebra().basis:
                 assert image.apply(u_g @ a @ u_g.adjoint()) @ y == y @ image.apply(a)
+    assert methods == ["inner"] * (3 * sites) + ["twirl"] * (sites * (sites - 1) // 2)
 
 
 def test_twirl_family_matches_the_dense_nullspace(net2):
     data = qubit_reflection_data(net2)
     glob = net2.global_algebra()
-    for inner, image in _pauli_and_cz_images(net2):
+    for _, image in _pauli_and_cz_images(net2):
         fam = find_covariance(image, data)
         for g, u_g in data.unitaries.items():
             pairs = [(image.apply(u_g @ a @ u_g.adjoint()), image.apply(a)) for a in glob.basis]
@@ -1331,15 +1347,19 @@ def test_twirl_family_matches_the_dense_nullspace(net2):
 
 
 def test_twirl_probes(monkeypatch, net2):
-    data = qubit_reflection_data(net2)
-    rho = _image_sector(pauli_sector(net2, "X", "[1,1]"))
+    # the twirl serves sectors that are no Pauli conjugation: CZ on sites 0
+    # and 1 of three, which the reflection moves to sites 1 and 2
+    net3 = qubit_net(3)
+    data = qubit_reflection_data(net3)
+    rho = _image_sector(LocalizedEndo(net3, "[1,2]", unitary=entangler_unitary(net3, 0, 1)))
+    assert rho.unitary is None and find_covariance(rho, data).method == "twirl"
     # every string to the identity is no homomorphism, so it has no tableau
     with pytest.raises(PreconditionError, match="not multiplicative"):
         LocalizedEndo(net2, "[1,1]", images=[GMat.identity(net2.n)] * net2.global_algebra().dim)
     # a twirl that is not a multiple of a unitary
     with monkeypatch.context() as m:
         m.setattr(sectors_module, "_pauli_twirl",
-                  lambda rho: GMat.identity(rho.net.n) + pauli_string(2, 0b10, 0))
+                  lambda rho: GMat.identity(rho.net.n) + pauli_string(3, 0b100, 0))
         with pytest.raises(PreconditionError, match="no automorphism"):
             find_covariance(rho, data)
     # a twirl that misses w: the family u_g must fail the law at the swap
@@ -1365,12 +1385,99 @@ def test_covariance_search_refused_on_a_partial_global_algebra():
     assert data.validate().ok
     glob = net.global_algebra()
     assert glob.dim == 4 and net.global_commutant().dim == 4
-    z0 = pauli_string(2, 0, 0b10)
-    rho = LocalizedEndo(net, "[1,1]", images=[z0 @ a @ z0 for a in glob.basis])
+    # the site swap on the X strings is no Pauli conjugation
+    swap = reflection_unitary(2)
+    rho = LocalizedEndo(net, "[1,2]", images=[swap @ a @ swap for a in glob.basis])
+    assert rho.unitary is None
     with pytest.raises(PreconditionError, match="neither full nor diagonal"):
         find_covariance(rho, data)
-    # the inner form of the same sector still gets its conjugated family
-    assert find_covariance(LocalizedEndo(net, "[1,1]", unitary=z0), data).method == "inner"
+    # Ad Z0 built from its images derives Z0 and gets the conjugated family
+    z0 = pauli_string(2, 0, 0b10)
+    image = LocalizedEndo(net, "[1,1]", images=[z0 @ a @ z0 for a in glob.basis])
+    assert image.unitary == z0
+    assert find_covariance(image, data).method == "inner"
+
+
+# -- the implementing string, derived from the tableau ------------------------------------------
+
+
+def _sectors_of(net):
+    """Ad P for every string P, CZ on every pair of sites, the site
+    reflection, the collapse on a diagonal net, their g-images and some
+    products, all at the full region; a map the tableau form refuses is
+    skipped."""
+    L, full = net.sites, f"[1,{net.sites}]"
+    unitaries = [pauli_string(L, x, z) for x in range(1 << L) for z in range(1 << L)]
+    unitaries += [entangler_unitary(net, a, b) for a, b in itertools.combinations(range(L), 2)]
+    unitaries.append(reflection_unitary(L))
+    out = []
+    for u in unitaries:
+        try:
+            out.append(LocalizedEndo(net, full, unitary=u))
+        except PreconditionError:
+            continue
+    if all(x == 0 for x, _ in net.global_algebra().masks()):
+        out.append(collapse_sector(net).relabel(full))
+    data = qubit_reflection_data(net)
+    out += [sectors_module.g_act_sector("r", rho, data) for rho in out[:: 1 << L]]
+    out += [diamond(rho, sig) for rho in out[-3:] for sig in out[:: 1 << L]]
+    return out
+
+
+@pytest.mark.parametrize(
+    "net",
+    [qubit_net(2), qubit_net(3), qubit_net(4), diagonal_net(4), _x_type_net()],
+    ids=lambda net: net.name,
+)
+def test_derived_string_implements_exactly_the_pauli_conjugations(net):
+    sectors = _sectors_of(net)
+    commutant = net.global_commutant().masks()
+    L, low = net.sites, (1 << net.sites) - 1
+    kinds = set()
+    for rho in sectors:
+        summary = sectors_module._sector_summary(rho.region, rho)
+        assert (rho.unitary is None) == (summary is None)
+        kinds.add(summary is None)
+        if rho.unitary is None:
+            continue
+        assert LocalizedEndo(net, rho.region, unitary=rho.unitary).tableau == rho.tableau
+        a = rho.pauli_mask()
+        assert rho.unitary == pauli_string(L, a >> L, a & low)
+    assert kinds == {True, False}
+    # a Pauli conjugation derives the string it was built from, up to the
+    # global commutant, and the one representative with zero free
+    # coordinates: equal maps derive equal strings
+    derived = {}
+    for x in range(1 << L):
+        for z in range(1 << L):
+            rho = LocalizedEndo(net, f"[1,{L}]", unitary=pauli_string(L, x, z))
+            a = rho.pauli_mask()
+            assert (a >> L ^ x, (a & low) ^ z) in commutant
+            assert derived.setdefault(rho.tableau, a) == a
+    assert len(derived) * len(commutant) == 4 ** L
+
+
+def test_pauli_sectors_on_a_200_site_net_build_no_matrix(monkeypatch):
+    from sectorfact.fixtures import net_from_json
+
+    regions = [{"id": "a", "sites": [0]}, {"id": "b", "sites": [1]}, {"id": "ab", "sites": [0, 1]}]
+    net = net_from_json({"name": "three200", "sites": 200, "regions": regions})
+
+    def refuse(*args):
+        raise AssertionError("a 2**200 matrix was asked for")
+
+    for module in (linalg_module, sectors_module, fixtures_module):
+        monkeypatch.setattr(module, "pauli_string", refuse)
+    monkeypatch.setattr(GMat, "identity", staticmethod(refuse))
+    family = standard_sector_family(net)
+    x = family["a"][0]
+    assert x.pauli_mask() == 1 << 399 and check_localized(x, net).ok
+    report = check_transportable(x, "b", net)
+    assert report.found and report.transporter_label == "translated-pattern"
+    assert report.transported.same_map(pauli_sector(net, "X", "b"))
+    assert diamond(x, family["a"][1]).same_map(pauli_sector(net, "Y", "a"))
+    theorem = validate_theorem_3_11(net, family, bound=3)
+    assert [v.axiom for v in theorem.violations] == ["haag-precheck"]
 
 
 def _permutation_solutions(n, pairs):
@@ -1471,19 +1578,16 @@ def _decoded(u):
     return None if p is None else (p[0], p[1])
 
 
-def _check_mask_rule(net, rho, sig):
-    """same_map and diamond on rho, sig and their products agree with the
-    GMat oracle on the unitaries they stand for."""
+def _check_mask_rule(net, rho, u, sig, w):
+    """same_map, diamond and the derived strings on rho = Ad u, sig = Ad w
+    and their products agree with the GMat oracle on u, w, uw and wu."""
     prod, swapped = sectors_module.diamond(rho, sig), sectors_module.diamond(sig, rho)
-    unitary = {
-        id(rho): rho.unitary,
-        id(sig): sig.unitary,
-        id(prod): rho.unitary @ sig.unitary,
-        id(swapped): sig.unitary @ rho.unitary,
-    }
+    unitary = {id(rho): u, id(sig): w, id(prod): u @ w, id(swapped): w @ u}
     for s in (prod, swapped):
-        assert s.unitary == unitary[id(s)]
         assert s.tableau == LocalizedEndo(net, s.region, unitary=unitary[id(s)]).tableau
+    for s in (rho, sig, prod, swapped):
+        if s.unitary is not None:
+            assert reference_ad_equal(net, s.unitary, unitary[id(s)])
     pairs = [(rho, sig), (sig, rho), (prod, swapped), (prod, rho), (sig, prod), (rho, rho)]
     for a, b in pairs:
         assert a.same_map(b) == reference_ad_equal(net, unitary[id(a)], unitary[id(b)])
@@ -1512,10 +1616,10 @@ def masked_pairs(draw):
                 cx, cz = draw(st.sampled_from(commutant))
                 x, z = near[0] ^ cx, near[1] ^ cz
             u = pauli_string(L, x, z, draw(st.sampled_from(UNIMODULAR)))
-        return LocalizedEndo(net, region, unitary=u, label=kind)
+        return LocalizedEndo(net, region, unitary=u, label=kind), u
 
-    rho = operand()
-    return net, rho, operand(near=_decoded(rho.unitary))
+    rho, u = operand()
+    return (net, rho, u, *operand(near=_decoded(u)))
 
 
 @settings(max_examples=150, deadline=None)
@@ -1528,19 +1632,19 @@ def test_mask_rule_covers_both_branches():
     # distinct strings that are the same map, and unitaries that are no
     # strings (CZ, the reflection) next to a string
     assert len(BITS4.global_commutant().masks()) == 16
-    x0 = LocalizedEndo(BITS4, "[1,1]", unitary=pauli_string(4, 8, 0))
-    x0z1 = LocalizedEndo(
-        BITS4, "[1,1]", unitary=pauli_string(4, 8, 4, GaussianRational.of(F(3, 5), F(4, 5)))
-    )
-    # the XOR (0, 4) is a commutant string
-    assert _decoded(x0.unitary) == (8, 0) and _decoded(x0z1.unitary) == (8, 4)
-    assert x0.same_map(x0z1) and reference_ad_equal(BITS4, x0.unitary, x0z1.unitary)
-    _check_mask_rule(BITS4, x0, x0z1)
+    u, w = pauli_string(4, 8, 0), pauli_string(4, 8, 4, GaussianRational.of(F(3, 5), F(4, 5)))
+    x0, x0z1 = (LocalizedEndo(BITS4, "[1,1]", unitary=m) for m in (u, w))
+    # the XOR (0, 4) is a commutant string, and the derived string of both
+    # is the one without it
+    assert x0.same_map(x0z1) and reference_ad_equal(BITS4, u, w)
+    assert _decoded(x0.unitary) == _decoded(x0z1.unitary) == (8, 0)
+    _check_mask_rule(BITS4, x0, u, x0z1, w)
     net = qubit_net(4)
+    xzyi = pauli_string(4, 0b1010, 0b0110)
     for u in (entangler_unitary(net, 0, 3), reflection_unitary(4)):
         rho = LocalizedEndo(net, "[1,4]", unitary=u)
-        assert rho.relabel("[1,4]").same_map(rho)
-        _check_mask_rule(net, rho, pauli_sector(net, "XZYI", "[1,4]"))
+        assert rho.relabel("[1,4]").same_map(rho) and rho.unitary is None
+        _check_mask_rule(net, rho, u, pauli_sector(net, "XZYI", "[1,4]"), xzyi)
 
 
 def test_diamond_probe_or_instead_of_xor(monkeypatch):
@@ -1553,27 +1657,30 @@ def test_diamond_probe_or_instead_of_xor(monkeypatch):
     net = qubit_net(2)
     x, y = pauli_sector(net, "X", "[1,1]"), pauli_sector(net, "Y", "[1,1]")
     with pytest.raises(AssertionError):
-        _check_mask_rule(net, x, y)
+        _check_mask_rule(net, x, pauli_string(2, 2, 0), y, pauli_string(2, 2, 2))
 
 
 def test_same_map_probe_ignoring_the_commutant(monkeypatch):
-    # corruption probe: comparing the implementing strings is right on the
-    # qubit chains (scalar commutant) and must fail on the diagonal net
-    real = LocalizedEndo.same_map
+    # corruption probe: comparing the strings the sectors were built from
+    # is right on the qubit chains (scalar commutant) and must fail on the
+    # diagonal net
+    real, built = LocalizedEndo.same_map, {}
 
     def naive(self, other):
-        a, b = (None if s.unitary is None else _decoded(s.unitary) for s in (self, other))
-        if a is not None and b is not None:
-            return a == b
+        if self in built and other in built:
+            return built[self] == built[other]
         return real(self, other)
+
+    def sector(net, region, x, z):
+        rho = LocalizedEndo(net, region, unitary=pauli_string(net.sites, x, z))
+        built[rho] = (x, z)
+        return rho, pauli_string(net.sites, x, z)
 
     monkeypatch.setattr(LocalizedEndo, "same_map", naive)
     net = qubit_net(4)
-    _check_mask_rule(net, pauli_sector(net, "XI", "[1,2]"), pauli_sector(net, "XZ", "[1,2]"))
-    x0 = LocalizedEndo(BITS4, "[1,1]", unitary=pauli_string(4, 8, 0))
-    x0z1 = LocalizedEndo(BITS4, "[1,1]", unitary=pauli_string(4, 8, 4))
+    _check_mask_rule(net, *sector(net, "[1,2]", 8, 0), *sector(net, "[1,2]", 8, 4))
     with pytest.raises(AssertionError):
-        _check_mask_rule(BITS4, x0, x0z1)
+        _check_mask_rule(BITS4, *sector(BITS4, "[1,1]", 8, 0), *sector(BITS4, "[1,1]", 8, 4))
 
 
 # -- tableaux against the GMat oracle ---------------------------------------------------------------
