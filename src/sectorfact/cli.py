@@ -426,7 +426,7 @@ def cmd_fixtures(args) -> int:
         "intcat6-proper": lambda: category_to_json(interval_category(6, max_len=5)),
         "intcat4": lambda: category_to_json(interval_category(4)),
         "cyccat6": lambda: category_to_json(cyclic_arc_category(6)),
-        "z2-intcat6": lambda: action_to_json(interval_reflection_action(6)),
+        "z2-intcat6": lambda: action_to_json(interval_reflection_action(interval_category(6), 6)),
         "qubit2": lambda: net_to_json(qubit_net(2)),
         "qubit4": lambda: net_to_json(qubit_net(4)),
         "bits4": lambda: net_to_json(diagonal_net(4)),

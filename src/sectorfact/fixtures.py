@@ -44,7 +44,9 @@ def poset_orth_category(
     regions: dict[str, frozenset],
     orth_pred,
 ) -> OrthCategory:
-    """Thin category of regions ordered by inclusion.
+    """Thin category of regions ordered by inclusion, its arrows indexed by
+    target in one pass: g after f is the arrow src f <= tgt g, read off the
+    order, and the cospans into V are drawn from the arrows into V.
 
     `orth_pred(cells1, cells2, target_cells)` decides which cospans are
     orthogonal; the caller must supply a predicate whose relation is closed
@@ -52,24 +54,19 @@ def poset_orth_category(
     """
     objects = sorted(regions)
     morphisms = []
+    into: dict[str, list[Morphism]] = {v: [] for v in objects}
+    arrow: dict[tuple[str, str], str] = {}  # one id string per arrow, shared by the tables
     for a in objects:
         for b in objects:
             if regions[a] <= regions[b]:
-                morphisms.append(Morphism(f"{a}<={b}", a, b))
-    mor_ids = {(m.src, m.tgt): m.id for m in morphisms}
-    compose = {}
-    for g in morphisms:
-        for f in morphisms:
-            if f.tgt == g.src:
-                compose[(g.id, f.id)] = mor_ids[(f.src, g.tgt)]
-    identities = {a: mor_ids[(a, a)] for a in objects}
-    orth = []
-    for v in objects:
-        incoming = [m for m in morphisms if m.tgt == v]
-        for m1 in incoming:
-            for m2 in incoming:
-                if orth_pred(regions[m1.src], regions[m2.src], regions[v]):
-                    orth.append((m1.id, m2.id))
+                m = Morphism(f"{a}<={b}", a, b)
+                morphisms.append(m)
+                into[b].append(m)
+                arrow[a, b] = m.id
+    compose = {(g.id, f.id): arrow[f.src, g.tgt] for g in morphisms for f in into[g.src]}
+    identities = {a: arrow[a, a] for a in objects}
+    orth = [(m1.id, m2.id) for v in objects for m1 in into[v] for m2 in into[v]
+            if orth_pred(regions[m1.src], regions[m2.src], regions[v])]
     return OrthCategory(objects, morphisms, compose, identities, orth, name=name)
 
 
@@ -119,18 +116,15 @@ def cyclic_arc_category(m: int) -> OrthCategory:
     return poset_orth_category(f"CycCat({m})", regions, pred)
 
 
-def interval_reflection_action(n: int, max_len: int | None = None) -> GroupActionSpec:
-    """Z2 acting on the interval category by [a,b] -> [n+1-b, n+1-a]."""
-    cat = interval_category(n, max_len)
-
-    def refl_obj(u: str) -> str:
+def interval_reflection_action(cat: OrthCategory, n: int) -> GroupActionSpec:
+    """Z2 acting on a category of intervals of the n-site chain by
+    [a,b] -> [n+1-b, n+1-a] and U<=V -> r(U)<=r(V), which need not be an
+    arrow of `cat` unless it is `interval_category(n)`."""
+    obj_map = {}
+    for u in cat.objects:
         a, b = u.strip("[]").split(",")
-        return _interval_id(n + 1 - int(b), n + 1 - int(a))
-
-    obj_map = {u: refl_obj(u) for u in cat.objects}
-    mor_map = {
-        m.id: f"{obj_map[m.src]}<={obj_map[m.tgt]}" for m in cat.morphisms.values()
-    }
+        obj_map[u] = _interval_id(n + 1 - int(b), n + 1 - int(a))
+    mor_map = {m.id: f"{obj_map[m.src]}<={obj_map[m.tgt]}" for m in cat.morphisms.values()}
     g = OrthFunctor(cat, cat, obj_map, mor_map, name="r")
     e = OrthFunctor.identity_on(cat)
     group = GroupTable(
@@ -185,9 +179,9 @@ def qubit_reflection_data(net: MatrixNet) -> SectorGroupData:
     """Z2 site-reflection on the qubit chain implemented by the SWAP network.
 
     The reflection acts on the interval ids [a,b], 1 <= a <= b <= n, by
-    [a,b] -> [n+1-b, n+1-a].  A net region with any other id, or whose
-    image is not a net region, is a schema error, found before the
-    interval category is built."""
+    [a,b] -> [n+1-b, n+1-a], as an action on the net's own category.  A
+    net region with any other id, or whose image is not a net region, is a
+    schema error."""
     n = net.sites
     for u in net.region_sites:
         try:
@@ -201,7 +195,7 @@ def qubit_reflection_data(net: MatrixNet) -> SectorGroupData:
             raise SchemaError(f"region {u} reflects to {image}, which is not a region of the net")
     return SectorGroupData(
         net=net,
-        action=interval_reflection_action(n),
+        action=interval_reflection_action(net.category, n),
         unitaries={"e": GMat.identity(net.n), "r": reflection_unitary(n)},
         name=f"Z2|{net.name}",
     )

@@ -767,7 +767,7 @@ def validate_equivariant_algebra(
                     [functor.apply_mor(a) for a in op.arrows],
                     target=functor.apply_obj(op.target),
                 )
-            except PreconditionError as exc:
+            except (PreconditionError, SchemaError) as exc:  # SchemaError: no arrow of cat
                 report.add(
                     "action-operation",
                     {"g": g, "op": op.label(), "detail": str(exc)},

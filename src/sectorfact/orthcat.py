@@ -47,6 +47,9 @@ class OrthCategory:
 
     `orth` stores ordered pairs of morphism ids; closure under transposition
     is an axiom checked by ``validate_category``, not a structural guarantee.
+    `into`/`outof` of an id that is no object (an arrow's dangling end) are
+    empty.  `partners` reads the one index of `orth` by source, built in
+    one pass on first use.
     """
 
     def __init__(
@@ -67,6 +70,7 @@ class OrthCategory:
         self._into: dict[str, list[Morphism]] = {u: [] for u in self.objects}
         self._outof: dict[str, list[Morphism]] = {u: [] for u in self.objects}
         self._hom: dict[tuple[str, str], list[Morphism]] = {}
+        self._partners: dict[str, list[str]] | None = None
         for m in sorted(self.morphisms.values()):
             if m.tgt in self._into:
                 self._into[m.tgt].append(m)
@@ -94,6 +98,19 @@ class OrthCategory:
 
     def is_orth(self, f1: str, f2: str) -> bool:
         return (f1, f2) in self.orth
+
+    def partners(self, obj: str) -> list[str]:
+        """Sorted sources U' of the orthogonal pairs (U' -> V, obj -> V), obj
+        itself included when it is one; a pair naming an unknown morphism
+        is skipped."""
+        if self._partners is None:
+            index: dict[str, set[str]] = {}
+            for f1, f2 in self.orth:
+                m1, m2 = self.morphisms.get(f1), self.morphisms.get(f2)
+                if m1 is not None and m2 is not None:
+                    index.setdefault(m2.src, set()).add(m1.src)
+            self._partners = {u: sorted(us) for u, us in index.items()}
+        return self._partners.get(obj, [])
 
     def is_thin(self) -> bool:
         return all(len(ms) <= 1 for ms in self._hom.values())
@@ -128,10 +145,13 @@ class OrthCategory:
                 errors.append(f"compose entry ({g},{f}) is not composable")
             elif mr.src != mf.src or mr.tgt != mg.tgt:
                 errors.append(f"compose entry ({g},{f}) -> {r} has wrong signature")
+        by_tgt: dict[str, list[str]] = {}  # dangling targets too
+        for f in self.morphisms.values():
+            by_tgt.setdefault(f.tgt, []).append(f.id)
         for g in self.morphisms.values():
-            for f in self.morphisms.values():
-                if f.tgt == g.src and (g.id, f.id) not in self.compose_table:
-                    errors.append(f"composable pair ({g.id},{f.id}) missing from table")
+            for f in by_tgt.get(g.src, ()):
+                if (g.id, f) not in self.compose_table:
+                    errors.append(f"composable pair ({g.id},{f}) missing from table")
         for f1, f2 in sorted(self.orth):
             if f1 not in self.morphisms or f2 not in self.morphisms:
                 errors.append(f"orth pair ({f1},{f2}) references unknown morphism")
@@ -263,16 +283,9 @@ class OrthocomplementReport:
 def check_assumption_orthocomplement(cat: OrthCategory) -> OrthocomplementReport:
     """Every object U admits some orthogonal cospan (U' -> V) perp (U -> V)."""
     report = OrthocomplementReport(subject=cat.name)
-    by_source: dict[str, bool] = {u: False for u in cat.objects}
-    for f1, f2 in cat.orth:
-        m2 = cat.morphisms.get(f2)
-        if m2 is not None:
-            by_source[m2.src] = True
-    for u in cat.objects:
-        report.per_object[u] = by_source[u]
-        if not by_source[u] and report.witness is None:
-            report.witness = u
-    report.holds = all(by_source.values()) if cat.objects else False
+    report.per_object = {u: bool(cat.partners(u)) for u in cat.objects}
+    report.witness = next((u for u, ok in report.per_object.items() if not ok), None)
+    report.holds = bool(cat.objects) and report.witness is None
     return report
 
 

@@ -253,7 +253,6 @@ class MatrixNet:
         self._algebras: dict[str, MatrixAlg] = {}
         # "__global__": the global algebra, "__commutant__": its commutant
         self._cache: dict[str, MatrixAlg] = {}
-        self._partners: dict[str, list[str]] = {}
         # tableau -> its `_StringMap`, shared by equal sectors
         self._maps: dict[tuple, _StringMap] = {}
         missing = [u for u in category.objects if u not in self.region_sites]
@@ -289,18 +288,9 @@ class MatrixNet:
         return self._cache["__commutant__"]
 
     def orth_partners(self, region: str) -> list[str]:
-        """Objects U' admitting an orthogonal cospan (U' -> V) perp (region -> V),
-        found once per region."""
-        if region not in self._partners:
-            out = set()
-            for f1, f2 in self.category.orth:
-                m1 = self.category.morphisms.get(f1)
-                m2 = self.category.morphisms.get(f2)
-                if m1 and m2 and m2.src == region:
-                    out.add(m1.src)
-            out.discard(region)
-            self._partners[region] = sorted(out)
-        return self._partners[region]
+        """Sorted objects U' != region with an orthogonal cospan (U' -> V)
+        perp (region -> V): `OrthCategory.partners` without the region."""
+        return [u for u in self.category.partners(region) if u != region]
 
     def join(self, u1: str, u2: str) -> str:
         """A minimal common superregion (fewest sites) of two regions."""

@@ -32,8 +32,8 @@ def cyccat6():
 
 
 @pytest.fixture(scope="session")
-def z2_intcat6():
-    return interval_reflection_action(6)
+def z2_intcat6(intcat6):
+    return interval_reflection_action(intcat6, 6)
 
 
 @pytest.fixture(scope="session")

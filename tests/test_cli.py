@@ -53,6 +53,56 @@ def test_validate_category_violation(workdir, tmp_path):
     assert main(["validate-category", "--in", str(bad)]) == 1
 
 
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+
+# Arrows g (into X), h (out of Y), k and k2 (out of X) name objects the
+# document does not declare; (k2, g) is composable through X and missing.
+DANGLING = {
+    "name": "dangling",
+    "objects": ["U", "V"],
+    "morphisms": [
+        {"id": "1U", "src": "U", "tgt": "U"},
+        {"id": "1V", "src": "V", "tgt": "V"},
+        {"id": "f", "src": "U", "tgt": "V"},
+        {"id": "g", "src": "U", "tgt": "X"},
+        {"id": "h", "src": "Y", "tgt": "V"},
+        {"id": "k", "src": "X", "tgt": "V"},
+        {"id": "k2", "src": "X", "tgt": "U"},
+    ],
+    "compose": [
+        {"g": "1V", "f": "f", "result": "f"},
+        {"g": "f", "f": "1U", "result": "f"},
+        {"g": "1U", "f": "1U", "result": "1U"},
+        {"g": "1V", "f": "1V", "result": "1V"},
+        {"g": "k", "f": "g", "result": "f"},
+    ],
+    "identities": {"U": "1U", "V": "1V"},
+    "orth": [["f", "h"], ["h", "f"], ["h", "h"], ["k", "f"], ["f", "k"]],
+}
+
+
+@pytest.mark.parametrize(
+    "name, code",
+    [("intcat6", 1), ("intcat6-proper", 1), ("cyccat6", 1), ("dangling", 2)],
+)
+def test_assumption_reports_golden_text(workdir, tmp_path, name, code):
+    """The whole report of validate-category with all three assumption
+    checks, byte for byte, on the bundled categories and on a document
+    with dangling objects (schema errors, the checks still run)."""
+    tmp, export = workdir
+    if name == "dangling":
+        infile = tmp_path / "dangling.json"
+        infile.write_text(json.dumps(DANGLING))
+    else:
+        infile = export(name)
+    out = tmp_path / "report.json"
+    args = ["validate-category", "--in", str(infile), "--filtered", "--orthocomplement",
+            "--extension", "--out", str(out)]
+    assert main(args) == code
+    with open(os.path.join(GOLDEN, f"assumptions-{name}.json")) as fh:
+        assert out.read_text() == fh.read()
+
+
 def test_validate_action(workdir):
     tmp, export = workdir
     assert main(["validate-action", "--in", export("z2-intcat6")]) == 0
@@ -442,6 +492,27 @@ def test_sectors_equivariance_broken_net(workdir, tmp_path):
     doc = read(out)
     # the reset endomorphism is reported as non-covariant, by design
     assert any(s["covariant"] is False for s in doc["sectors"])
+
+
+def test_equivariant_algebra_on_a_net_the_reflection_does_not_preserve(tmp_path, capsys):
+    # skew4: region [2,3] sits on sites {1,3}, so the site reflection maps
+    # some arrows of the net's category to ids that are no arrows of it
+    doc = net_to_json(qubit_net(4, name="skew4"))
+    for region in doc["regions"]:
+        if region["id"] == "[2,3]":
+            region["sites"] = [1, 3]
+    net = tmp_path / "skew4.json"
+    net.write_text(json.dumps(doc))
+    out = tmp_path / "algebra.json"
+    args = ["operad", "algebra", "--net", str(net), "--bound", "2", "--equivariant"]
+    assert main(args + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == ""
+    report = read(out)
+    assert {v["axiom"] for v in report["violations"]} == {"action-operation"}
+    assert len(report["violations"]) == 11
+    details = {v["witness"]["detail"] for v in report["violations"]}
+    assert "unknown morphism [3,3]<=[2,3]" in details
+    assert main(["sectors", "equivariance", "--net", str(net)]) == 1
 
 
 def test_operad_algebra_cli(workdir, tmp_path):

@@ -1,9 +1,15 @@
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_operad import reference_validate_operad, spy_on_the_sweep, with_parallel_copy
 
 from sectorfact.fixtures import (
     interval_category,
     interval_reflection_action,
+    interval_regions,
+    poset_orth_category,
     trivial_action,
 )
 from sectorfact.orthcat import (
@@ -24,6 +30,7 @@ from sectorfact.orthcat import (
 )
 from sectorfact.operad import validate_operad
 from sectorfact.reports import dump_json
+from sectorfact.sectors import MatrixNet
 
 
 def one_object_category():
@@ -401,7 +408,7 @@ def test_non_group_table_is_schema_error():
 
 
 def test_action_composition_law_checked(intcat6):
-    spec = interval_reflection_action(6)
+    spec = interval_reflection_action(intcat6, 6)
     # tamper: replace r*r composite expectation by corrupting the table
     bad_group = GroupTable(
         ["e", "r"],
@@ -426,7 +433,249 @@ def test_category_json_round_trip(intcat6):
 
 
 def test_action_json_round_trip():
-    spec = interval_reflection_action(4)
+    spec = interval_reflection_action(interval_category(4), 4)
     doc = action_to_json(spec)
     again = action_from_json(doc)
     assert validate_group_action(again).ok
+
+
+# -- the partner index, composition from the order and schema errors --------------
+#
+# The three whole-relation scans that the index and the per-target lists
+# replaced, kept verbatim as differential oracles.
+
+
+def reference_orth_partners(category, region):
+    """`MatrixNet.orth_partners` before the partner index: one scan of the
+    whole relation per region."""
+    out = set()
+    for f1, f2 in category.orth:
+        m1 = category.morphisms.get(f1)
+        m2 = category.morphisms.get(f2)
+        if m1 and m2 and m2.src == region:
+            out.add(m1.src)
+    out.discard(region)
+    return sorted(out)
+
+
+def reference_poset_orth_category(name, regions, orth_pred):
+    """`poset_orth_category` before composition was read off the order: a
+    double loop over all arrows, and one scan of them per target."""
+    objects = sorted(regions)
+    morphisms = []
+    for a in objects:
+        for b in objects:
+            if regions[a] <= regions[b]:
+                morphisms.append(Morphism(f"{a}<={b}", a, b))
+    mor_ids = {(m.src, m.tgt): m.id for m in morphisms}
+    compose = {}
+    for g in morphisms:
+        for f in morphisms:
+            if f.tgt == g.src:
+                compose[(g.id, f.id)] = mor_ids[(f.src, g.tgt)]
+    identities = {a: mor_ids[(a, a)] for a in objects}
+    orth = []
+    for v in objects:
+        incoming = [m for m in morphisms if m.tgt == v]
+        for m1 in incoming:
+            for m2 in incoming:
+                if orth_pred(regions[m1.src], regions[m2.src], regions[v]):
+                    orth.append((m1.id, m2.id))
+    return OrthCategory(objects, morphisms, compose, identities, orth, name=name)
+
+
+def reference_schema_errors(self):
+    """`OrthCategory.schema_errors` before its by-target index: every arrow
+    paired with every other arrow."""
+    errors = []
+    objset = set(self.objects)
+    for m in self.morphisms.values():
+        if m.src not in objset:
+            errors.append(f"morphism {m.id} has dangling source {m.src}")
+        if m.tgt not in objset:
+            errors.append(f"morphism {m.id} has dangling target {m.tgt}")
+    for u in self.objects:
+        mid = self.identities.get(u)
+        if mid is None:
+            errors.append(f"object {u} has no identity morphism")
+        elif mid not in self.morphisms:
+            errors.append(f"identity of {u} references unknown morphism {mid}")
+        else:
+            m = self.morphisms[mid]
+            if m.src != u or m.tgt != u:
+                errors.append(f"identity of {u} is not an endomorphism: {mid}")
+    for (g, f), r in self.compose_table.items():
+        if g not in self.morphisms or f not in self.morphisms:
+            errors.append(f"compose entry ({g},{f}) references unknown morphism")
+            continue
+        if r not in self.morphisms:
+            errors.append(f"compose entry ({g},{f}) has unknown result {r}")
+            continue
+        mg, mf, mr = self.morphisms[g], self.morphisms[f], self.morphisms[r]
+        if mf.tgt != mg.src:
+            errors.append(f"compose entry ({g},{f}) is not composable")
+        elif mr.src != mf.src or mr.tgt != mg.tgt:
+            errors.append(f"compose entry ({g},{f}) -> {r} has wrong signature")
+    for g in self.morphisms.values():
+        for f in self.morphisms.values():
+            if f.tgt == g.src and (g.id, f.id) not in self.compose_table:
+                errors.append(f"composable pair ({g.id},{f.id}) missing from table")
+    for f1, f2 in sorted(self.orth):
+        if f1 not in self.morphisms or f2 not in self.morphisms:
+            errors.append(f"orth pair ({f1},{f2}) references unknown morphism")
+    return sorted(set(errors))
+
+
+def _arcs(m):
+    """The regions of `cyclic_arc_category(m)`."""
+    return {
+        f"arc({s},{k})": frozenset((s + j) % m for j in range(k))
+        for s in range(m)
+        for k in range(1, m)
+    }
+
+
+def _seeded_pred(seed):
+    """A deterministic orthogonality predicate that need not be symmetric,
+    so it yields one-way pairs."""
+
+    def pred(s1, s2, tgt):
+        key = repr((sorted(s1), sorted(s2), sorted(tgt), seed))
+        return random.Random(key).random() < 0.5
+
+    return pred
+
+
+def _disjoint(s1, s2, _tgt):
+    return not (s1 & s2)
+
+
+@st.composite
+def region_posets(draw):
+    """(regions, predicate): intervals, cyclic arcs, or random site sets
+    (equal sets allowed, so some objects are isomorphic), with the disjoint,
+    cyclic or a seeded one-way predicate."""
+    kind = draw(st.sampled_from(["interval", "cyclic", "random"]))
+    if kind == "interval":
+        n = draw(st.integers(1, 5))
+        regions = interval_regions(n, draw(st.integers(1, n)))
+    elif kind == "cyclic":
+        regions = _arcs(draw(st.integers(2, 5)))
+    else:
+        regions = draw(
+            st.dictionaries(
+                st.sampled_from("abcdefg"),
+                st.frozensets(st.integers(0, 3), max_size=3),
+                min_size=1,
+                max_size=6,
+            )
+        )
+    preds = [_disjoint, lambda s1, s2, tgt: len(tgt) >= 3 or not (s1 & s2)]
+    preds.append(_seeded_pred(draw(st.integers(0, 10**6))))
+    return regions, draw(st.sampled_from(preds))
+
+
+@st.composite
+def damaged_categories(draw):
+    """A poset category with one-way orth drops, and optionally dropped
+    compose entries and extra arrows with dangling ends, orth pairs naming
+    them or unknown ids."""
+    regions, pred = draw(region_posets())
+    cat = poset_orth_category("drawn", regions, pred)
+    orth = sorted(cat.orth)
+    drops = draw(st.sets(st.sampled_from(orth), max_size=4)) if orth else set()
+    orth = [p for p in orth if p not in drops]
+    table = dict(cat.compose_table)
+    for key in draw(st.sets(st.sampled_from(sorted(table)), max_size=3)):
+        del table[key]
+    ends = list(cat.objects) + ["GHOST", "X"]
+    extra = [
+        Morphism(f"extra{i}", src, tgt)
+        for i, (src, tgt) in enumerate(
+            draw(st.lists(st.tuples(st.sampled_from(ends), st.sampled_from(ends)), max_size=3))
+        )
+    ]
+    ids = sorted(cat.morphisms) + [m.id for m in extra] + ["unknown"]
+    orth += draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)), max_size=4))
+    morphisms = list(cat.morphisms.values()) + extra
+    return OrthCategory(cat.objects, morphisms, table, cat.identities, orth, name="damaged")
+
+
+def _same_category(a, b):
+    assert a.objects == b.objects
+    assert list(a.morphisms.items()) == list(b.morphisms.items())
+    assert list(a.compose_table.items()) == list(b.compose_table.items())
+    assert a.identities == b.identities
+    assert a.orth == b.orth
+
+
+@given(region_posets())
+@settings(max_examples=150, deadline=None)
+def test_poset_category_matches_the_double_loop(drawn):
+    regions, pred = drawn
+    _same_category(
+        poset_orth_category("p", regions, pred), reference_poset_orth_category("p", regions, pred)
+    )
+
+
+def test_bundled_categories_match_the_double_loop(intcat6, intcat6_proper, cyccat6):
+    cyclic = lambda s1, s2, tgt: len(tgt) >= 5 or not (s1 & s2)
+    for cat, regions, pred in [
+        (intcat6, interval_regions(6), _disjoint),
+        (intcat6_proper, interval_regions(6, 5), _disjoint),
+        (cyccat6, _arcs(6), cyclic),
+    ]:
+        _same_category(cat, reference_poset_orth_category(cat.name, regions, pred))
+
+
+@given(damaged_categories())
+@settings(max_examples=200, deadline=None)
+def test_partner_index_matches_the_scan(cat):
+    for u in list(cat.objects) + ["GHOST", "X"]:
+        partners = cat.partners(u)
+        assert partners == sorted(set(partners))
+        assert [p for p in partners if p != u] == reference_orth_partners(cat, u)
+        self_pair = any(
+            cat.morphisms[f1].src == u == cat.morphisms[f2].src
+            for f1, f2 in cat.orth
+            if f1 in cat.morphisms and f2 in cat.morphisms
+        )
+        assert (u in partners) == self_pair
+
+
+@given(region_posets(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_net_partners_match_the_scan_after_one_way_drops(drawn, data):
+    regions, pred = drawn
+    cat = poset_orth_category("p", regions, pred)
+    drops = data.draw(st.sets(st.sampled_from(sorted(cat.orth)), max_size=4)) if cat.orth else set()
+    cat = OrthCategory(cat.objects, cat.morphisms.values(), cat.compose_table,
+                       cat.identities, cat.orth - drops, name="p")
+    net = MatrixNet(category=cat, sites=4, region_sites=regions)
+    for u in cat.objects:
+        assert net.orth_partners(u) == reference_orth_partners(cat, u)
+
+
+@given(damaged_categories())
+@settings(max_examples=200, deadline=None)
+def test_schema_errors_match_the_all_pairs_loop(cat):
+    assert cat.schema_errors() == reference_schema_errors(cat)
+
+
+@given(region_posets())
+@settings(max_examples=100, deadline=None)
+def test_orthocomplement_matches_the_source_scan(drawn):
+    regions, pred = drawn
+    cat = poset_orth_category("p", regions, pred)
+    report = check_assumption_orthocomplement(cat)
+    for u in cat.objects:
+        assert report.per_object[u] == any(cat.morphisms[f2].src == u for _, f2 in cat.orth)
+
+
+def test_orthocomplement_skips_a_pair_naming_an_unknown_arrow():
+    # (zz, idU) names no arrow zz, so it is no cospan over U
+    cat = OrthCategory(["U"], [Morphism("idU", "U", "U")], {("idU", "idU"): "idU"},
+                       {"U": "idU"}, [("zz", "idU")])
+    report = check_assumption_orthocomplement(cat)
+    assert report.per_object == {"U": False} and report.witness == "U"
+    assert not report.holds
