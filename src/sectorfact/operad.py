@@ -10,11 +10,12 @@ associativity, and the closure of orthogonality under transposition, pre-
 and post-composition), so `validate_operad` runs `validate_category` first
 and enumerates nothing when it is clean.  On any other schema-clean
 category it sweeps on an interned kernel: equivariance needs no walk of
-permutations, and the associativity sweep skips the (f, g) that an
-interned proof clears and runs the reference loop over `compose` for the
-rest.  Likewise `validate_algebra` proves the composition and permutation
-diagrams when every carrier element carries an XOR-additive summary (the
-sign bits of Pauli conjugations) and walks every instance otherwise.
+permutations, and the associativity sweep skips the operations f, the
+pairs (f, g) and the h-tuples that interned proofs clear and runs the
+reference body on `compose` for the rest.  Likewise `validate_algebra`
+proves the composition and permutation diagrams when every carrier element
+carries an XOR-additive summary (the sign bits of Pauli conjugations) and
+walks every instance otherwise.
 """
 
 from __future__ import annotations
@@ -226,13 +227,15 @@ def _mutual_orth_masks(cat: OrthCategory, index: dict[str, int]) -> list[int]:
 
 class _IOp(NamedTuple):
     """Interned operation: object and arrow ids are positions in the sorted
-    object and morphism lists; `index` is the position in the op list."""
+    object and morphism lists; `index` is the position in the op list and
+    `rank` the position among the operations into the same target."""
 
     index: int
     target: int
     arrows: tuple[int, ...]
     sources: tuple[int, ...]
     arity: int
+    rank: int
 
 
 class _OperadKernel:
@@ -249,13 +252,13 @@ class _OperadKernel:
     is the position of the public operation in `public`.
 
     The kernel decides the unit laws and which gamma(f; g) are defined, and
-    proves associativity for the (f, g) it can (`position`,
-    `clean_summary`), which on a category broken in one place is most of
-    them, so the walk stays small; every associativity
-    witness comes from the public `compose`, the reference.  Each composite
-    the kernel finds undefined is re-run through `compose` for its
-    `PreconditionError`; `compose` disagreeing either way is an internal
-    error.
+    proves what it can of the associativity sweep at three levels: whole
+    operations f (`proved`), pairs (f, g) (`clean_summary`) and h-tuples
+    (`cleared`).  On a category broken in one place that is almost all of
+    it, so the walk stays small; every associativity witness comes from
+    the public `compose`, the reference.  Each composite the kernel finds
+    undefined is re-run through `compose` for its `PreconditionError`;
+    `compose` disagreeing either way is an internal error.
     """
 
     def __init__(self, cat: OrthCategory, bound: int, report: ValidationReport):
@@ -274,18 +277,18 @@ class _OperadKernel:
         self.bit = [1 << a for a in range(n)]
         self.mutual = _mutual_orth_masks(cat, aid)
         self.public = enumerate_all_operations(cat, bound)
-        self.public_by_target: dict[str, list[PrefactOperation]] = {}
-        for op in self.public:
-            self.public_by_target.setdefault(op.target, []).append(op)
-        self.ops = [
-            _IOp(k, obj_id[op.target], tuple(aid[a] for a in op.arrows),
-                 tuple(obj_id[u] for u in op.sources), op.arity)
-            for k, op in enumerate(self.public)
-        ]
+        self.ops: list[_IOp] = []
         self.by_target: dict[int, list[_IOp]] = {}
-        for op in self.ops:
-            self.by_target.setdefault(op.target, []).append(op)
+        for k, op in enumerate(self.public):
+            into = self.by_target.setdefault(obj_id[op.target], [])
+            iop = _IOp(k, obj_id[op.target], tuple(aid[a] for a in op.arrows),
+                       tuple(obj_id[u] for u in op.sources), op.arity, len(into))
+            into.append(iop)
+            self.ops.append(iop)
+        self.arrow_folds: list[tuple | None] = [None] * n
         self.positions: dict[tuple[int, int], tuple] = {}
+        # per-h parts of the positions of the f being swept
+        self.parts: dict[tuple[int, int], list] = {}
         # the (f, gs) with gamma(f; gs) undefined, in the order walked
         self.undefined: list[tuple[_IOp, tuple]] = []
 
@@ -317,35 +320,50 @@ class _OperadKernel:
             meet &= m
         return True
 
+    @staticmethod
+    def merged(folds) -> tuple[bool, int, int]:
+        """One fold that stands for any of these: ok when all are, the OR of
+        their bits and the AND of their masks.  `joined` of merged folds
+        implies `joined` of any one choice from each."""
+        ok, bits, meet = True, 0, -1
+        for o, b, m in folds:
+            ok, bits, meet = ok and o, bits | b, meet & m
+        return ok, bits, meet
+
     def block(self, fi: int, g: _IOp) -> tuple[bool, int, int]:
         """The fold of the block of gamma(f; g) that f_i contributes."""
         row = self.comp[fi]
         return self.fold([row[a] for a in g.arrows])
 
-    def position(self, fi: int, gj: int):
-        """Summary folds (ok, OR of bits, AND of mutual masks) of the
-        h-parts of gamma(g_j; h) and of (f_i g_j) h over every operation h
-        into the source of g_j; ok only when every part of both and of
-        f_i (g_j h) is defined and pairwise orthogonal and the last two are
-        equal.  Cached per arrow pair, so the table is at most the size of
-        the composition table."""
-        key = (fi, gj)
-        got = self.positions.get(key)
-        if got is not None:
-            return got
+    def position_parts(self, fi: int, gj: int) -> list:
+        """Per operation h into the source of g_j, in `rank` order: (clean,
+        fold of the h-part of gamma(g_j; h), fold of the h-part of
+        (f_i g_j) h), clean when both are defined and pairwise orthogonal
+        and f_i (g_j h) equals (f_i g_j) h arrow by arrow."""
         comp, fold = self.comp, self.fold
         row_f, row_g = comp[fi], comp[gj]
         row_fg = comp[row_f[gj]]
-        clean, in_bits, in_meet, left_bits, left_meet = True, 0, -1, 0, -1
+        out = []
         for h in self.by_target[self.src[gj]]:
             inner = [row_g[a] for a in h.arrows]
             left = [row_fg[a] for a in h.arrows]
-            (in_ok, b1, m1), (left_ok, b2, m2) = fold(inner), fold(left)
-            if not (in_ok and left_ok and [row_f[c] for c in inner] == left):
-                clean = False
-            in_bits, in_meet = in_bits | b1, in_meet & m1
-            left_bits, left_meet = left_bits | b2, left_meet & m2
-        got = self.positions[key] = (clean, in_bits, in_meet), (clean, left_bits, left_meet)
+            in_fold, left_fold = fold(inner), fold(left)
+            clean = in_fold[0] and left_fold[0] and [row_f[c] for c in inner] == left
+            out.append((clean, in_fold, left_fold))
+        return out
+
+    def position(self, fi: int, gj: int):
+        """The merged inner and left folds of `position_parts`, both ok
+        only when every part is clean.  Cached per arrow pair, so the table
+        is at most the size of the composition table."""
+        key = (fi, gj)
+        got = self.positions.get(key)
+        if got is None:
+            parts = self.position_parts(fi, gj)
+            clean = all(c for c, _, _ in parts)
+            _, in_bits, in_meet = self.merged(i for _, i, _ in parts)
+            _, left_bits, left_meet = self.merged(left for _, _, left in parts)
+            got = self.positions[key] = (clean, in_bits, in_meet), (clean, left_bits, left_meet)
         return got
 
     def clean_summary(self, fi: int, g: _IOp) -> tuple[bool, int, int]:
@@ -357,10 +375,42 @@ class _OperadKernel:
         lefts = [left for _, left in ps]
         if not (self.joined(inner for inner, _ in ps) and self.joined(lefts)):
             return False, 0, 0
-        bits, meet = 0, -1
-        for _, b, m in lefts:
-            bits, meet = bits | b, meet & m
-        return True, bits, meet
+        return self.merged(lefts)
+
+    def arrow(self, a: int) -> tuple:
+        """The merged `block` folds and the merged `clean_summary` folds of
+        a over every operation g into its source.  Cached per arrow."""
+        got = self.arrow_folds[a]
+        if got is None:
+            gs = self.by_target[self.src[a]]
+            got = self.arrow_folds[a] = (
+                self.merged(self.block(a, g) for g in gs),
+                self.merged(self.clean_summary(a, g) for g in gs),
+            )
+        return got
+
+    def cleared(self, f: _IOp, gs, hs) -> bool:
+        """Whether gamma(gamma(f; g); h) and gamma(f; gamma(g_i; h_i)) are
+        both defined and equal, decided on the parts of each position's h:
+        every part clean, each g_i's inner parts joined and all left parts
+        joined.  Parts are cached for the f being swept."""
+        parts, lefts, pos = self.parts, [], 0
+        for fi, g in zip(f.arrows, gs):
+            inners = []
+            for gj in g.arrows:
+                key = (fi, gj)
+                got = parts.get(key)
+                if got is None:
+                    got = parts[key] = self.position_parts(fi, gj)
+                clean, inner, left = got[hs[pos].rank]
+                if not clean:
+                    return False
+                inners.append(inner)
+                lefts.append(left)
+                pos += 1
+            if not self.joined(inners):
+                return False
+        return self.joined(lefts)
 
     # -- witnesses -----------------------------------------------------------
 
@@ -429,87 +479,85 @@ class _OperadKernel:
                 report.add("unit-left", {"op": pub.label(),
                                          "got": self.op(op.target, left).label()})
 
-    def outer_pairs(self):
-        """Each (f, gs) of the sweep with gamma(f; gs) defined, in the
-        reference order; an undefined gamma(f; gs) is witnessed under
-        `associativity` and recorded in `undefined` instead.  The fold of
-        the block each f_i contributes is cached per f."""
+    def proved(self, f: _IOp) -> bool:
+        """Whether no (f, g) can report anything: the merged blocks of f's
+        arrows are joined, so every gamma(f; g) is defined, and so are
+        their merged summaries, so no h breaks associativity."""
+        folds = [self.arrow(a) for a in f.arrows]
+        return self.joined(b for b, _ in folds) and self.joined(s for _, s in folds)
+
+    def associativity(self) -> None:
+        """gamma(gamma(f; g); h) = gamma(f; gamma(g_i; h_i)), in the
+        reference order.
+
+        An f that is `proved` enumerates no g.  For every other f, each
+        (f_i, g_i) is folded once, for its block and its `clean_summary`:
+        an undefined gamma(f; g) is witnessed under `associativity` and
+        recorded in `undefined`, and a defined one whose summaries are not
+        joined is walked over h.  The folds and the per-h parts are cached
+        per f."""
+        cache: dict[tuple[int, int], tuple] = {}
         for f in self.ops:
-            if not f.arity:
+            if not f.arity or self.proved(f):
                 continue
-            cache: dict[tuple[int, int], tuple[bool, int, int]] = {}
+            cache.clear()
+            self.parts.clear()
             for gs in _inner_tuples(self.by_target, f.sources, self.bound):
-                folds = []
+                folds, sums = [], []
                 for fi, g in zip(f.arrows, gs):
                     key = (fi, g.index)
-                    b = cache.get(key)
-                    if b is None:
-                        b = cache[key] = self.block(fi, g)
-                    folds.append(b)
-                if self.joined(folds):
-                    yield f, gs
-                else:
+                    got = cache.get(key)
+                    if got is None:
+                        got = cache[key] = self.block(fi, g), self.clean_summary(fi, g)
+                    folds.append(got[0])
+                    sums.append(got[1])
+                if not self.joined(folds):
                     self.undefined.append((f, gs))
                     self.witness(
                         self.public[f.index],
                         [self.public[g.index] for g in gs],
                         "associativity",
                     )
+                elif not self.joined(sums):
+                    self.walk(f, gs)
 
-    def associativity(self) -> None:
-        """gamma(gamma(f; g); h) = gamma(f; gamma(g_i; h_i)).
-
-        Per f, each (f_i, g_i) is summarised once over all its blocks h;
-        when every block is clean and the blocks of different positions are
-        mutually orthogonal, no h for this (f, g) can fail and the product
-        is skipped.  Every other (f, g) runs the reference loop over h on
-        `compose` (`walk`)."""
-        summaries: dict[tuple[int, int], tuple[bool, int, int]] = {}
-        current = None
-        for f, gs in self.outer_pairs():
-            if f is not current:
-                current = f
-                summaries.clear()
-            sums = []
-            for fi, g in zip(f.arrows, gs):
-                key = (fi, g.index)
-                s = summaries.get(key)
-                if s is None:
-                    s = summaries[key] = self.clean_summary(fi, g)
-                sums.append(s)
-            if not self.joined(sums):
-                self.walk(self.public[f.index], [self.public[g.index] for g in gs])
-
-    def walk(self, f: PrefactOperation, gs: list[PrefactOperation]) -> None:
+    def walk(self, f: _IOp, gs: tuple) -> None:
         """The reference associativity loop over h for one (f, g), on
-        `compose`; the kernel has found gamma(f; g) defined."""
+        `compose`, for each h that is not `cleared`; the kernel has found
+        gamma(f; g) defined."""
+        public = self.public
+        pf, pgs = public[f.index], [public[g.index] for g in gs]
         try:
-            fg = compose(self.cat, f, gs)
+            fg = compose(self.cat, pf, pgs)
         except PreconditionError as exc:
             raise RuntimeError(
-                f"operad kernel accepted {f.label()} composed with "
-                f"{[g.label() for g in gs]}, which compose rejects: {exc}"
+                f"operad kernel accepted {pf.label()} composed with "
+                f"{[g.label() for g in pgs]}, which compose rejects: {exc}"
             ) from exc
         guarded = self.guarded
-        for hs in _inner_tuples(self.public_by_target, fg.sources, self.bound):
+        sources = tuple(u for g in gs for u in g.sources)
+        for his in _inner_tuples(self.by_target, sources, self.bound):
+            if self.cleared(f, gs, his):
+                continue
+            hs = [public[h.index] for h in his]
             left = guarded(fg, hs, "associativity")
             if left is None:
                 continue
             gh, pos = [], 0
-            for g in gs:
+            for g in pgs:
                 inner = guarded(g, hs[pos : pos + g.arity], "associativity")
                 if inner is None:
                     break
                 gh.append(inner)
                 pos += g.arity
             else:
-                right = guarded(f, gh, "associativity")
+                right = guarded(pf, gh, "associativity")
                 if right is not None and left != right:
                     self.report.add(
                         "associativity",
                         {
-                            "f": f.label(),
-                            "g": [g.label() for g in gs],
+                            "f": pf.label(),
+                            "g": [g.label() for g in pgs],
                             "h": [h.label() for h in hs],
                         },
                     )
@@ -546,10 +594,37 @@ def validate_operad(cat: OrthCategory, bound: int = 3) -> ValidationReport:
     category built once per call: int arrows, the composition table as a
     list of lists and one mutual-orthogonality bitmask per arrow.  The
     kernel decides the unit laws and which gamma(f; g) are defined, and
-    proves the (f, g) for which no h can break associativity.  Every other
-    (f, g) runs the reference loop over h on `compose`, in the reference
-    order, so violations appear in the same order; each composition the
-    kernel finds undefined is re-run through `compose` for the witness.
+    proves associativity where it can, on folds (ok, OR of arrow bits, AND
+    of masks) of arrow tuples.  A fold is ok when its tuple is defined and
+    pairwise orthogonal, and a concatenation of tuples is pairwise
+    orthogonal when each fold is ok and each tuple's bits lie in the masks
+    of every earlier one (`joined`).  Merging folds (AND of ok, OR of bits,
+    AND of masks) only grows bits and shrinks masks, so tuples joined as
+    merged folds are joined for any choice of one tuple from each merge.
+    The proof has three levels, each built on the one before:
+
+    - h-tuples.  For f_i, g_ij and an operation h into the source of g_ij,
+      the part is clean when the tuples g_ij h and (f_i g_ij) h are defined
+      and pairwise orthogonal and f_i (g_ij h) = (f_i g_ij) h arrow by
+      arrow.  When every part of an h-tuple is clean, the inner parts of
+      each g_i are joined and all left parts are joined, then each
+      gamma(g_i; h_i) and gamma(gamma(f; g); h) are defined, and
+      gamma(f; gamma(g_i; h_i)) has the same arrows, sources and target
+      as the latter, so it is defined and equal: nothing is reported.
+    - Pairs (f, g).  Merge each position's parts over every h.  When for
+      each f_i the positions of g_i are clean and their merged inner and
+      left parts are joined, and the merged left parts of the f_i are
+      joined across i, every h-tuple of (f, g) is cleared as above.
+    - Operations f.  Merge the block f_i g and the summary of the previous
+      level over every g into the source of f_i.  When the merged blocks
+      of f's arrows are joined, every gamma(f; g) is defined, and when the
+      merged summaries are joined, every (f, g) is cleared as above, so f
+      reports nothing and no g is enumerated for it.
+
+    Every (f, g) not cleared runs the reference loop over h, in the
+    reference order, and each h-tuple not cleared runs the reference body
+    on `compose`, so violations appear in the same order; each composition
+    the kernel finds undefined is re-run through `compose` for the witness.
     What the reference reports under equivariance is each undefined
     gamma(f; g) with f of arity at least 2 (by the argument above), which
     the kernel witnesses after the associativity walk with no permutation

@@ -88,7 +88,7 @@ DANGLING = {
 def test_assumption_reports_golden_text(workdir, tmp_path, name, code):
     """The whole report of validate-category with all three assumption
     checks, byte for byte, on the bundled categories and on a document
-    with dangling objects (schema errors, the checks still run)."""
+    with dangling objects (schema errors, so no assumption check runs)."""
     tmp, export = workdir
     if name == "dangling":
         infile = tmp_path / "dangling.json"
@@ -101,6 +101,27 @@ def test_assumption_reports_golden_text(workdir, tmp_path, name, code):
     assert main(args) == code
     with open(os.path.join(GOLDEN, f"assumptions-{name}.json")) as fh:
         assert out.read_text() == fh.read()
+
+
+# An orth pair names the unknown morphism zz: a schema error.
+UNKNOWN_ORTH = {
+    "name": "unknown-orth",
+    "objects": ["U"],
+    "morphisms": [{"id": "idU", "src": "U", "tgt": "U"}],
+    "compose": [{"g": "idU", "f": "idU", "result": "idU"}],
+    "identities": {"U": "idU"},
+    "orth": [["zz", "idU"]],
+}
+
+
+@pytest.mark.parametrize("flag", ["--filtered", "--orthocomplement", "--extension"])
+def test_assumption_checks_do_not_run_on_schema_errors(tmp_path, capsys, flag):
+    infile = tmp_path / "unknown-orth.json"
+    infile.write_text(json.dumps(UNKNOWN_ORTH))
+    assert main(["validate-category", "--in", str(infile), flag]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["schema_errors"] == ["orth pair (zz,idU) references unknown morphism"]
+    assert "assumptions" not in doc
 
 
 def test_validate_action(workdir):
@@ -1005,5 +1026,64 @@ def test_malformed_nets_exit_cleanly(doc, command):
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main(["sectors", command[0], "--net", path] + command[1:])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+
+
+# -- malformed category documents, fuzzed ----------------------------------------------------------
+
+
+@st.composite
+def _mutated_category(draw):
+    """category_to_json(interval_category(3)) with one mutation: an orth,
+    compose or identities entry naming an unknown id, a missing identity,
+    or a duplicated morphism id."""
+    from sectorfact.fixtures import interval_category
+    from sectorfact.orthcat import category_to_json
+
+    doc = category_to_json(interval_category(3))
+    ghost = draw(st.sampled_from(["zz", "[9,9]", "[1,1]<=[9,9]", ""]))
+    kind = draw(st.sampled_from(["orth", "compose", "identities", "no-identity", "duplicate"]))
+    if kind == "orth":
+        pair = doc["orth"][draw(st.integers(0, len(doc["orth"]) - 1))]
+        pair[draw(st.integers(0, 1))] = ghost
+    elif kind == "compose":
+        entry = doc["compose"][draw(st.integers(0, len(doc["compose"]) - 1))]
+        entry[draw(st.sampled_from(["g", "f", "result"]))] = ghost
+    elif kind == "identities":
+        u = draw(st.sampled_from(sorted(doc["identities"])))
+        if draw(st.booleans()):
+            doc["identities"][u] = ghost
+        else:
+            doc["identities"][ghost] = doc["identities"].pop(u)
+    elif kind == "no-identity":
+        del doc["identities"][draw(st.sampled_from(sorted(doc["identities"])))]
+    else:
+        morphisms = doc["morphisms"]
+        k = draw(st.integers(0, len(morphisms) - 1))
+        other = morphisms[draw(st.integers(0, len(morphisms) - 1))]
+        if draw(st.booleans()):
+            morphisms.append(dict(morphisms[k]))
+        else:
+            morphisms[k] = {**morphisms[k], "id": other["id"]}
+    return doc
+
+
+_CATEGORY_COMMANDS = [
+    ["validate-category", "--filtered", "--orthocomplement", "--extension", "--in"],
+    ["operad", "check", "--bound", "2", "--in"],
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_mutated_category(), st.sampled_from(_CATEGORY_COMMANDS))
+def test_mutated_categories_exit_cleanly(doc, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "category.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(command + [path])
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()

@@ -644,13 +644,22 @@ def test_equivariance_walk_keeps_its_witnesses(intcat6):
     assert contexts.count("equivariance") == 14
 
 
-def _force_clean_summary(monkeypatch, clean):
-    import sectorfact.operad as operad_module
+def _force_proof(monkeypatch, level, verdict):
+    """Make one proof level of the kernel answer `verdict` everywhere:
+    `proved` for whole operations f, `cleared` for h-tuples."""
+    monkeypatch.setattr(operad_module._OperadKernel, level, lambda self, *args: verdict)
 
+
+def _force_clean_summary(monkeypatch, clean):
+    """Force every (f, g) summary clean or not; not clean also turns the
+    proofs for whole operations and for h-tuples off."""
     summary = (True, 0, -1) if clean else (False, 0, 0)
     monkeypatch.setattr(
         operad_module._OperadKernel, "clean_summary", lambda self, fi, g: summary
     )
+    if not clean:
+        _force_proof(monkeypatch, "proved", False)
+        _force_proof(monkeypatch, "cleared", False)
 
 
 def test_walking_every_pair_matches_reference_on_intcat4(intcat4, monkeypatch):
@@ -680,6 +689,26 @@ def test_proof_carries_the_associativity_result(intcat6, monkeypatch):
     _force_clean_summary(monkeypatch, clean=True)
     got = _associativity_witnesses(validate_operad(cat, 2))
     assert len(got) < len(want)
+
+
+@pytest.mark.parametrize("level", ["proved", "cleared"])
+def test_each_proof_level_carries_the_associativity_result(intcat6, monkeypatch, level):
+    # a proof level that clears everything loses probe B's witnesses
+    cat = probe_b(intcat6)
+    want = _associativity_witnesses(reference_validate_operad(cat, 2))
+    _force_proof(monkeypatch, level, True)
+    got = _associativity_witnesses(validate_operad(cat, 2))
+    assert len(got) < len(want)
+
+
+@pytest.mark.parametrize("level", ["proved", "cleared"])
+def test_kernel_matches_reference_with_one_proof_level_off(intcat6, monkeypatch, level):
+    _force_proof(monkeypatch, level, False)
+    assert '"context": "associativity"' in assert_same_report(probe_b(intcat6), 2)
+
+
+def test_kernel_matches_reference_on_probe_b_drop_at_bound_3():
+    assert '"context": "associativity"' in assert_same_report(probe_b(_INTERVAL_CATS[5]), 3)
 
 
 def test_kernel_accepting_undefined_outer_composite_is_internal_error(intcat6, monkeypatch):
