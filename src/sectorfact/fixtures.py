@@ -149,17 +149,13 @@ def trivial_action(cat: OrthCategory) -> GroupActionSpec:
 
 
 def qubit_net(sites: int = 4, name: str | None = None) -> MatrixNet:
-    """Chain of qubits indexed by the interval category; a region's algebra
-    is the full tensor factor on its sites."""
-    cat = interval_category(sites)
-    region_sites = {u: frozenset(s - 1 for s in cells) for u, cells in
-                    interval_regions(sites).items()}
-    return MatrixNet(
-        category=cat,
-        sites=sites,
-        region_sites=region_sites,
-        name=name or f"qubit{sites}",
-    )
+    """Chain of qubits indexed by the interval category, built as
+    `net_from_json` builds it; a region's algebra is the full tensor factor
+    on its sites."""
+    name = name or f"qubit{sites}"
+    region_sites = {u: frozenset(s - 1 for s in cells)
+                    for u, cells in interval_regions(sites).items()}
+    return MatrixNet(_region_category(name, region_sites, None), sites, region_sites, name=name)
 
 
 def reflection_unitary(sites: int) -> GMat:
@@ -253,20 +249,12 @@ def entangler_unitary(net: MatrixNet, site_a: int, site_b: int) -> GMat:
 def diagonal_net(sites: int = 4, name: str | None = None) -> MatrixNet:
     """Net of diagonal (abelian) algebras on the chain: every region gets the
     Z-type strings on its sites.  Its global algebra is the full diagonal."""
-    cat = interval_category(sites)
-    region_sites = {u: frozenset(s - 1 for s in cells) for u, cells in
-                    interval_regions(sites).items()}
+    net = qubit_net(sites, name or f"bits{sites}")
     overrides = {
         u: MatrixAlg.diagonal_on_sites(sites, cells, name=f"D({u})")
-        for u, cells in region_sites.items()
+        for u, cells in net.region_sites.items()
     }
-    return MatrixNet(
-        category=cat,
-        sites=sites,
-        region_sites=region_sites,
-        overrides=overrides,
-        name=name or f"bits{sites}",
-    )
+    return MatrixNet(net.category, sites, net.region_sites, overrides=overrides, name=net.name)
 
 
 def collapse_sector(net: MatrixNet, region: str = "[1,2]") -> LocalizedEndo:
@@ -326,8 +314,7 @@ def net_to_json(net: MatrixNet) -> dict:
         regions.append({"id": u, "sites": sorted(sites), "algebra": kind})
     orth, spec = net.category.orth, "disjoint"
     if _region_category(net.name, written, None).orth != orth:
-        mors = net.category.morphisms
-        pairs = sorted({tuple(sorted((mors[f1].src, mors[f2].src))) for f1, f2 in orth})
+        pairs = sorted(tuple(sorted(pair)) for pair in net.category.source_pairs())
         if _region_category(net.name, written, pairs).orth != orth:
             raise SchemaError("the orthogonality of the net is not given by pairs of regions")
         spec = [[a, b] for a, b in pairs]

@@ -9,6 +9,7 @@ reports listing each violated axiom with a witness, never bare booleans.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import asdict, dataclass, field
 from typing import Iterable
 
@@ -48,8 +49,10 @@ class OrthCategory:
     `orth` stores ordered pairs of morphism ids; closure under transposition
     is an axiom checked by ``validate_category``, not a structural guarantee.
     `into`/`outof` of an id that is no object (an arrow's dangling end) are
-    empty.  `partners` reads the one index of `orth` by source, built in
-    one pass on first use.
+    empty.  Which sources are orthogonal is known to one index of `orth`
+    alone, built in one pass on first use: for each ordered source pair
+    (U', U), the least orth pair (U' -> V, U -> V).  `partners` and
+    `source_pairs` read it.
     """
 
     def __init__(
@@ -70,7 +73,7 @@ class OrthCategory:
         self._into: dict[str, list[Morphism]] = {u: [] for u in self.objects}
         self._outof: dict[str, list[Morphism]] = {u: [] for u in self.objects}
         self._hom: dict[tuple[str, str], list[Morphism]] = {}
-        self._partners: dict[str, list[str]] | None = None
+        self._partners: dict[str, list[str]] = {}
         for m in sorted(self.morphisms.values()):
             if m.tgt in self._into:
                 self._into[m.tgt].append(m)
@@ -89,9 +92,6 @@ class OrthCategory:
     def outof(self, obj: str) -> list[Morphism]:
         return self._outof.get(obj, [])
 
-    def identity(self, obj: str) -> Morphism:
-        return self.morphisms[self.identities[obj]]
-
     def compose(self, g: str, f: str) -> str | None:
         """Composite id of g after f, or None when undefined."""
         return self.compose_table.get((g, f))
@@ -99,18 +99,33 @@ class OrthCategory:
     def is_orth(self, f1: str, f2: str) -> bool:
         return (f1, f2) in self.orth
 
+    @functools.cached_property
+    def _orth_index(self) -> dict[str, dict[str, tuple[str, str]]]:
+        """U -> {U': least orth pair (U' -> V, U -> V)}, built in one pass;
+        a pair naming an unknown morphism is skipped."""
+        index: dict[str, dict[str, tuple[str, str]]] = {}
+        for pair in self.orth:
+            m1, m2 = self.morphisms.get(pair[0]), self.morphisms.get(pair[1])
+            if m1 is not None and m2 is not None:
+                row = index.setdefault(m2.src, {})
+                row[m1.src] = min(pair, row.get(m1.src, pair))
+        return index
+
     def partners(self, obj: str) -> list[str]:
         """Sorted sources U' of the orthogonal pairs (U' -> V, obj -> V), obj
-        itself included when it is one; a pair naming an unknown morphism
-        is skipped."""
-        if self._partners is None:
-            index: dict[str, set[str]] = {}
-            for f1, f2 in self.orth:
-                m1, m2 = self.morphisms.get(f1), self.morphisms.get(f2)
-                if m1 is not None and m2 is not None:
-                    index.setdefault(m2.src, set()).add(m1.src)
-            self._partners = {u: sorted(us) for u, us in index.items()}
-        return self._partners.get(obj, [])
+        itself included when it is one."""
+        if obj not in self._partners:
+            self._partners[obj] = sorted(self._orth_index.get(obj, ()))
+        return self._partners[obj]
+
+    def source_pairs(self) -> list[tuple[str, str]]:
+        """Each unordered pair of orthogonal sources once, as the sources of
+        its least orth pair in either orientation, ordered by that pair:
+        the order in which ``sorted(orth)`` first meets each pair."""
+        index = self._orth_index
+        firsts = sorted((pair, u1, u) for u, row in index.items() for u1, pair in row.items()
+                        if pair <= index.get(u1, {}).get(u, pair))
+        return [(u1, u) for _, u1, u in firsts]
 
     def is_thin(self) -> bool:
         return all(len(ms) <= 1 for ms in self._hom.values())
@@ -133,6 +148,8 @@ class OrthCategory:
                 m = self.morphisms[mid]
                 if m.src != u or m.tgt != u:
                     errors.append(f"identity of {u} is not an endomorphism: {mid}")
+        for u in self.identities.keys() - objset:
+            errors.append(f"identity given for unknown object {u}")
         for (g, f), r in self.compose_table.items():
             if g not in self.morphisms or f not in self.morphisms:
                 errors.append(f"compose entry ({g},{f}) references unknown morphism")
@@ -336,12 +353,9 @@ def check_assumption_extension(cat: OrthCategory) -> ExtensionReport:
     with V1 perp V2 over W, Ui -> Vi, and primed legs Ui' -> Vi whose
     composites into W are orthogonal to T -> W."""
     report = ExtensionReport(subject=cat.name)
-    seen: set[frozenset] = set()
     for f1, f2 in sorted(cat.orth):
-        key = frozenset((f1, f2))
-        if key in seen:
-            continue
-        seen.add(key)
+        if f2 < f1 and (f2, f1) in cat.orth:
+            continue  # checked as its transpose
         report.cospans_checked += 1
         m1, m2 = cat.morphisms[f1], cat.morphisms[f2]
         found = None

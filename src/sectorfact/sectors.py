@@ -322,20 +322,15 @@ class MatrixNet:
 
 
 def check_perp_commutativity(net: MatrixNet) -> ValidationReport:
-    """Commutation of the local algebras over every orthogonal cospan of
-    the index category, decided by the symplectic form on their rows: two
-    algebras commute exactly when their generators do.  Only a pair that
-    fails is walked string by string, in mask order, for the witnesses."""
+    """Commutation of the local algebras over every pair of orthogonal
+    regions (`OrthCategory.source_pairs`), decided by the symplectic form
+    on their rows: two algebras commute exactly when their generators do.
+    Only a pair that fails is walked string by string, in mask order, for
+    the witnesses."""
     report = ValidationReport(check="perp-commutativity", subject=net.name)
-    seen: set[tuple[str, str]] = set()
     L, low = net.sites, (1 << net.sites) - 1
-    for f1, f2 in sorted(net.category.orth):
-        m1, m2 = net.category.morphisms[f1], net.category.morphisms[f2]
-        key = (m1.src, m2.src)
-        if key in seen or (key[1], key[0]) in seen:
-            continue
-        seen.add(key)
-        a1, a2 = net.algebra(m1.src), net.algebra(m2.src)
+    for u1, u2 in net.category.source_pairs():
+        a1, a2 = net.algebra(u1), net.algebra(u2)
         if all(
             pauli_commute(r1 >> L, r1 & low, r2 >> L, r2 & low)
             for _, r1 in a1.rows
@@ -349,7 +344,7 @@ def check_perp_commutativity(net: MatrixNet) -> ValidationReport:
                     report.add(
                         "perp-commutation",
                         {
-                            "regions": [m1.src, m2.src],
+                            "regions": [u1, u2],
                             "witness": [[x1, z1], [x2, z2]],
                         },
                     )
@@ -359,7 +354,8 @@ def check_perp_commutativity(net: MatrixNet) -> ValidationReport:
 def check_haag_duality(net: MatrixNet, region: str) -> dict:
     """A(U), a string algebra and so its own bicommutant, against the joint
     commutant of all orthogonal local algebras, as exact span equality; the
-    joint commutant is the symplectic complement of the partners' rows."""
+    joint commutant is the symplectic complement of the partners' distinct
+    rows."""
     partners = net.orth_partners(region)
     if not partners:
         return {
@@ -371,7 +367,7 @@ def check_haag_duality(net: MatrixNet, region: str) -> dict:
             "assumption_failure": "orthocomplement",
         }
     lhs = net.algebra(region)
-    rows = [r for u in partners for _, r in net.algebra(u).rows]
+    rows = list({r for u in partners for _, r in net.algebra(u).rows})
     rhs = _commutant_of(net.sites, rows, f"joint-commutant({region})")
     holds = span_equal(lhs, rhs)
     return {

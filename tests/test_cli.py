@@ -124,6 +124,21 @@ def test_assumption_checks_do_not_run_on_schema_errors(tmp_path, capsys, flag):
     assert "assumptions" not in doc
 
 
+# An identity is given for ZZ, an object the document does not declare.
+STRAY_IDENTITY = {**UNKNOWN_ORTH, "name": "stray-identity",
+                  "identities": {"U": "idU", "ZZ": "idU"}, "orth": []}
+
+
+@pytest.mark.parametrize("command", [["validate-category"], ["operad", "check", "--bound", "2"]])
+def test_an_identity_for_an_undeclared_object_is_a_schema_error(tmp_path, capsys, command):
+    infile = tmp_path / "stray-identity.json"
+    infile.write_text(json.dumps(STRAY_IDENTITY))
+    assert main(command + ["--in", str(infile)]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["schema_errors"] == ["identity given for unknown object ZZ"]
+    assert doc["violations"] == []
+
+
 def test_validate_action(workdir):
     tmp, export = workdir
     assert main(["validate-action", "--in", export("z2-intcat6")]) == 0

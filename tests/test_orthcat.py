@@ -486,7 +486,8 @@ def reference_poset_orth_category(name, regions, orth_pred):
 
 def reference_schema_errors(self):
     """`OrthCategory.schema_errors` before its by-target index: every arrow
-    paired with every other arrow."""
+    paired with every other arrow.  (Identities given for undeclared
+    objects were refused in both later.)"""
     errors = []
     objset = set(self.objects)
     for m in self.morphisms.values():
@@ -504,6 +505,9 @@ def reference_schema_errors(self):
             m = self.morphisms[mid]
             if m.src != u or m.tgt != u:
                 errors.append(f"identity of {u} is not an endomorphism: {mid}")
+    for u in self.identities:
+        if u not in objset:
+            errors.append(f"identity given for unknown object {u}")
     for (g, f), r in self.compose_table.items():
         if g not in self.morphisms or f not in self.morphisms:
             errors.append(f"compose entry ({g},{f}) references unknown morphism")
@@ -578,8 +582,8 @@ def region_posets(draw):
 @st.composite
 def damaged_categories(draw):
     """A poset category with one-way orth drops, and optionally dropped
-    compose entries and extra arrows with dangling ends, orth pairs naming
-    them or unknown ids."""
+    compose entries, extra arrows with dangling ends, orth pairs naming
+    them or unknown ids, and an identity given for an undeclared object."""
     regions, pred = draw(region_posets())
     cat = poset_orth_category("drawn", regions, pred)
     orth = sorted(cat.orth)
@@ -598,7 +602,10 @@ def damaged_categories(draw):
     ids = sorted(cat.morphisms) + [m.id for m in extra] + ["unknown"]
     orth += draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)), max_size=4))
     morphisms = list(cat.morphisms.values()) + extra
-    return OrthCategory(cat.objects, morphisms, table, cat.identities, orth, name="damaged")
+    identities = dict(cat.identities)
+    if draw(st.booleans()):
+        identities["GHOST"] = draw(st.sampled_from(ids))
+    return OrthCategory(cat.objects, morphisms, table, identities, orth, name="damaged")
 
 
 def _same_category(a, b):
@@ -679,3 +686,139 @@ def test_orthocomplement_skips_a_pair_naming_an_unknown_arrow():
     report = check_assumption_orthocomplement(cat)
     assert report.per_object == {"U": False} and report.witness == "U"
     assert not report.holds
+
+
+# -- the source pairs of the index --------------------------------------------------
+
+
+def reference_source_pairs(category):
+    """The region pairs `check_perp_commutativity` walked before the index:
+    `sorted(orth)`, each pair of sources kept in the orientation it is first
+    met in, either orientation deduped (pairs naming unknown ids skipped)."""
+    seen, out = set(), []
+    for f1, f2 in sorted(category.orth):
+        m1, m2 = category.morphisms.get(f1), category.morphisms.get(f2)
+        if m1 is None or m2 is None:
+            continue
+        key = (m1.src, m2.src)
+        if key in seen or (key[1], key[0]) in seen:
+            continue
+        seen.add(key)
+        out.append(key)
+    return out
+
+
+def _assert_index_matches_the_walks(cat):
+    assert cat.source_pairs() == reference_source_pairs(cat)
+    for u in list(cat.objects) + ["GHOST", "X"]:
+        assert [p for p in cat.partners(u) if p != u] == reference_orth_partners(cat, u)
+
+
+@given(damaged_categories())
+@settings(max_examples=200, deadline=None)
+def test_source_pairs_match_the_sorted_walk(cat):
+    _assert_index_matches_the_walks(cat)
+
+
+@given(region_posets(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_source_pairs_of_json_categories_with_parallel_arrows(drawn, data):
+    """Read back from JSON: a parallel copy of an arrow (orthogonal wherever
+    the arrow is), one-way drops, and an orth pair naming an unknown id."""
+    regions, pred = drawn
+    cat = poset_orth_category("p", regions, pred)
+    arrows = sorted(cat.morphisms)
+    doc = category_to_json(with_parallel_copy(cat, data.draw(st.sampled_from(arrows))))
+    drops = data.draw(st.sets(st.integers(0, len(doc["orth"]) - 1), max_size=3)) if doc["orth"] else set()
+    doc["orth"] = [p for i, p in enumerate(doc["orth"]) if i not in drops]
+    if data.draw(st.booleans()):
+        doc["orth"].append(["zz", data.draw(st.sampled_from(arrows))])
+    again = category_from_json(doc)
+    assert not again.is_thin()
+    _assert_index_matches_the_walks(again)
+
+
+def test_source_pairs_on_bundled_categories(intcat6, intcat6_proper, cyccat6):
+    for cat in (intcat6, intcat6_proper, cyccat6, interval_category(8)):
+        pairs = cat.source_pairs()
+        assert pairs and pairs == reference_source_pairs(cat)
+        assert len({frozenset(p) for p in pairs}) == len(pairs)
+
+
+def test_source_pairs_orient_by_the_least_pair():
+    # (a, b) and (b, a) have sources (U, U); (idV, a) has sources (V, U),
+    # and its transpose (a, idV), when present, is the lesser pair
+    base = two_parallel_category(with_orth=False)
+    for extra, expected in [([], ("V", "U")), ([("a", "idV")], ("U", "V"))]:
+        cat = OrthCategory(base.objects, base.morphisms.values(), base.compose_table,
+                           base.identities, [("b", "a"), ("idV", "a"), ("a", "b")] + extra)
+        assert cat.source_pairs() == [("U", "U"), expected]
+        assert cat.source_pairs() == reference_source_pairs(cat)
+    assert cat.partners("U") == ["U", "V"] and cat.partners("V") == ["U"]
+
+
+def reference_check_assumption_extension(cat):
+    """`check_assumption_extension` as it deduped transposed cospans with a
+    frozenset per cospan."""
+    from sectorfact.orthcat import ExtensionReport, _extension_side
+
+    report = ExtensionReport(subject=cat.name)
+    seen = set()
+    for f1, f2 in sorted(cat.orth):
+        key = frozenset((f1, f2))
+        if key in seen:
+            continue
+        seen.add(key)
+        report.cospans_checked += 1
+        m1, m2 = cat.morphisms[f1], cat.morphisms[f2]
+        found = None
+        for w in cat.outof(m1.tgt):
+            side1 = _extension_side(cat, m1.src, w)
+            if not side1:
+                continue
+            side2 = _extension_side(cat, m2.src, w)
+            if not side2:
+                continue
+            for b1, (a1, t1) in sorted(side1.items()):
+                for b2, (a2, t2) in sorted(side2.items()):
+                    if (b1, b2) in cat.orth:
+                        found = {
+                            "cospan": [f1, f2], "T_to_W": w.id, "V1_to_W": b1, "V2_to_W": b2,
+                            "U1_to_V1": a1, "U2_to_V2": a2, "U1p_to_V1": t1, "U2p_to_V2": t2,
+                        }
+                        break
+                if found:
+                    break
+            if found:
+                break
+        if found is None:
+            report.holds = False
+            report.failure = {"cospan": [f1, f2], "target": m1.tgt}
+            return report
+        if report.witness_example is None:
+            report.witness_example = found
+    return report
+
+
+@given(region_posets(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_extension_matches_the_frozenset_dedupe(drawn, data):
+    regions, pred = drawn
+    cat = poset_orth_category("p", regions, pred)
+    drops = data.draw(st.sets(st.sampled_from(sorted(cat.orth)), max_size=4)) if cat.orth else set()
+    cat = OrthCategory(cat.objects, cat.morphisms.values(), cat.compose_table,
+                       cat.identities, cat.orth - drops, name="p")
+    fast, slow = check_assumption_extension(cat), reference_check_assumption_extension(cat)
+    assert dump_json(fast.to_dict()) == dump_json(slow.to_dict())
+
+
+def test_extension_counts_each_cospan_once_as_the_frozenset_did(cyccat6):
+    # cyccat6 holds with every cospan counted; dropping (f1, f2) with f1 < f2
+    # leaves (f2, f1) to be counted alone, so the count stays the same
+    drop = [p for p in sorted(cyccat6.orth) if p[0] < p[1]][:40]
+    dropped = OrthCategory(cyccat6.objects, cyccat6.morphisms.values(), cyccat6.compose_table,
+                           cyccat6.identities, cyccat6.orth - set(drop))
+    for cat in (cyccat6, dropped):
+        fast, slow = check_assumption_extension(cat), reference_check_assumption_extension(cat)
+        assert dump_json(fast.to_dict()) == dump_json(slow.to_dict())
+        assert fast.holds and fast.cospans_checked == 846

@@ -56,6 +56,7 @@ from sectorfact.sectors import (
     validate_theorem_3_11,
 )
 from sectorfact.operad import enumerate_all_operations, enumerate_operations
+from sectorfact.orthcat import OrthCategory
 
 
 # -- commutants -------------------------------------------------------------------
@@ -333,19 +334,60 @@ _PERP_BASES = {L: qubit_net(L) for L in (2, 3, 4)}
 @st.composite
 def overridden_nets(draw):
     """qubit_net(L) with a random span of up to three strings put at some
-    of its regions, whatever their sites."""
+    of its regions, whatever their sites, and up to four orth pairs dropped
+    one way."""
     L = draw(st.integers(2, 4))
     base = _PERP_BASES[L]
     mask = st.integers(0, (1 << (2 * L)) - 1)
     regions = draw(st.lists(st.sampled_from(sorted(base.category.objects)), max_size=3))
     overrides = {u: MatrixAlg(L, draw(st.lists(mask, max_size=3)), name=u) for u in regions}
-    return MatrixNet(base.category, L, base.region_sites, overrides=overrides, name="rand")
+    cat = base.category
+    drops = draw(st.sets(st.sampled_from(sorted(cat.orth)), max_size=4))
+    if drops:
+        cat = OrthCategory(cat.objects, cat.morphisms.values(), cat.compose_table,
+                           cat.identities, cat.orth - drops, name=cat.name)
+    return MatrixNet(cat, L, base.region_sites, overrides=overrides, name="rand")
 
 
 @settings(max_examples=60, deadline=None)
 @given(overridden_nets())
 def test_perp_commutativity_matches_reference_on_random_overrides(net):
     _assert_perp_matches_reference(net)
+
+
+def reference_joint_commutant(net, region):
+    """The right side of Haag duality from every partner's rows, repeats
+    and all."""
+    rows = [r for u in net.orth_partners(region) for _, r in net.algebra(u).rows]
+    return sectors_module._commutant_of(net.sites, rows, "ref")
+
+
+@settings(max_examples=40, deadline=None)
+@given(overridden_nets())
+def test_haag_reads_each_row_once_to_the_same_commutant(net):
+    for u in net.category.objects:
+        report = check_haag_duality(net, u)
+        if net.orth_partners(u):
+            ref = reference_joint_commutant(net, u)
+            assert report["rhs_dim"] == ref.dim
+            assert report["holds"] == span_equal(net.algebra(u), ref)
+
+
+class _UnwalkableOrth(frozenset):
+    """An orth relation that answers membership but cannot be walked."""
+
+    def __iter__(self):
+        raise AssertionError("the orth relation was walked")
+
+
+def test_perp_and_haag_read_the_index_not_the_relation():
+    net = qubit_net(8)
+    expected = [check_haag_duality(net, u) for u in net.category.objects]
+    net.category.orth = _UnwalkableOrth(net.category.orth)
+    with pytest.raises(AssertionError):
+        sorted(net.category.orth)
+    assert check_perp_commutativity(net).ok
+    assert [check_haag_duality(net, u) for u in net.category.objects] == expected
 
 
 # -- localization ------------------------------------------------------------------------------
@@ -941,6 +983,12 @@ def test_net_json_round_trip(net4, bits4):
         for u in net.category.objects:
             assert span_equal(again.algebra(u), net.algebra(u))
     assert net_to_json(no_orth)["orth"] == [] and net_to_json(pair_only)["orth"] == [["a", "b"]]
+    # arrow a2<=t sorts before a<=t, so the index orients the pair (a2, a);
+    # the document writes it sorted
+    a2_doc = {"name": "a2", "sites": 3, "orth": [["a2", "a"]], "regions": [
+        {"id": u, "sites": s} for u, s in (("a", [0]), ("a2", [1]), ("c", [2]), ("t", [0, 1, 2]))]}
+    assert net_from_json(a2_doc).category.source_pairs() == [("a2", "a")]
+    assert net_to_json(net_from_json(a2_doc))["orth"] == [["a", "a2"]]
     # an X-only algebra is neither "full" nor "diagonal"
     with pytest.raises(SchemaError, match="neither full nor diagonal"):
         net_to_json(q3_with(MatrixAlg.pauli_span(3, [(0, 0), (4, 0)])))
