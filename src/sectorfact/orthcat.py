@@ -543,6 +543,10 @@ class GroupActionSpec:
 
 
 def validate_group_action(spec: GroupActionSpec) -> ValidationReport:
+    """Each g acts by an orthogonal functor, the unit acts as the identity
+    and composition follows the group table.  The unit and composition
+    checks compose the functors' tables, so they run only once every
+    functor is one."""
     report = ValidationReport(check="validate-action", subject=spec.name)
     report.schema_errors = list(spec.group.schema_errors())
     missing = [g for g in spec.group.elements if g not in spec.action]
@@ -555,6 +559,8 @@ def validate_group_action(spec: GroupActionSpec) -> ValidationReport:
             report.add(
                 "action-functor", {"g": g, "axiom": v.axiom, **v.witness}
             )
+    if report.violations:
+        return report
     if not spec.action[unit].is_identity():
         report.add("action-unit", {"e": unit})
     for g1 in spec.group.elements:

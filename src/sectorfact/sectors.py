@@ -59,6 +59,8 @@ from .orthcat import (
     check_assumption_extension,
     check_assumption_orthocomplement,
     check_filtered,
+    validate_category,
+    validate_group_action,
 )
 from .reports import PreconditionError, SchemaError, ValidationReport
 
@@ -800,9 +802,19 @@ def sector_equivariant_assignment(
     unitaries, sending sectors at U to transformed sectors at alpha_g(U).
     Transformed sectors are cached on (g, region, tableau), shared like
     the structure maps' outputs; the diagram validators revisit the same
-    elements many times and each transform re-verifies localization."""
+    elements many times and each transform re-verifies localization.
+
+    `iso_summary` maps sign bits (`_sector_summary`): bit k is the parity
+    of s & J_k, J_k the rows whose pivots are set in row k's image under
+    Ad u_g*, as <a', r_k> = <a, t_k> for Ad u_g Ad P(a) Ad u_g* = Ad P(a').
+    Such an image is defined where it is localized: so it is on a product
+    at V of sectors localized at the U_i, and on its g-image, when the
+    category is clean and the net a functor (the guard is this model's).
+    A region orthogonal to V is orthogonal to each U_i, or is U_i, and
+    then V, whose algebra contains A(U_i), is orthogonal to U_i."""
     base = sector_algebra_assignment(net, family)
     cache: dict = {}
+    parity_masks: dict = {}
 
     def act(g: str, rho: LocalizedEndo) -> LocalizedEndo:
         key = (g, rho.region, rho.tableau)
@@ -811,10 +823,19 @@ def sector_equivariant_assignment(
             out = cache[key] = g_act_sector(g, rho, data)
         return out
 
+    def iso_summary(g: str, s: int) -> int:
+        if g not in parity_masks:
+            pivots = [bit for bit, _ in net.global_algebra().rows]
+            parity_masks[g] = [sum((t >> (p + 1) & 1) << j for j, p in enumerate(pivots))
+                               for t in data._conjugation(g)[1].tableau]
+        return sum(((s & m).bit_count() & 1) << k for k, m in enumerate(parity_masks[g]))
+
+    clean = validate_category(net.category).ok and net.validate().ok
     return EquivariantAlgebraAssignment(
         base=base,
         iso=lambda g, u: (lambda rho: act(g, rho)),
         name=f"equivariant-sectors({net.name})",
+        iso_summary=iso_summary if clean else None,
     )
 
 
@@ -935,7 +956,9 @@ class SectorGroupData:
         """Implementation axioms: each u_g unitary, the adjoint action matches
         the region action on every local algebra, compositions hold up to
         phase, and the unit acts trivially.  Ad u_g maps an algebra into
-        another exactly when it maps its generators there."""
+        another exactly when it maps its generators there.  Once these
+        hold, the action must be one by orthogonal functors
+        (`validate_group_action`)."""
         report = ValidationReport(check="group-implementation", subject=self.name)
         group = self.action.group
         unit = group.unit()
@@ -971,6 +994,9 @@ class SectorGroupData:
                 phase = (uprod.adjoint() @ u12).scalar_multiple_of_identity()
                 if phase is None:
                     report.add("projective-composition", {"g1": g1, "g2": g2})
+        if report.ok:
+            action = validate_group_action(self.action)
+            report.schema_errors, report.violations = action.schema_errors, action.violations
         return report
 
 

@@ -144,6 +144,24 @@ def test_validate_action(workdir):
     assert main(["validate-action", "--in", export("z2-intcat6")]) == 0
 
 
+def test_validate_action_with_an_unknown_arrow_image(workdir, capsys):
+    # r sends an arrow to "zz": the functor is reported, and the unit and
+    # composition laws, which compose the tables, are not checked
+    tmp, export = workdir
+    doc = read(export("z2-intcat6"))
+    doc["action"]["r"]["morphisms"]["[1,1]<=[1,1]"] = "zz"
+    path = tmp / "zz.json"
+    path.write_text(json.dumps(doc))
+    out = tmp / "report.json"
+    capsys.readouterr()
+    assert main(["validate-action", "--in", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ""
+    assert read(out)["violations"] == [{
+        "axiom": "action-functor",
+        "witness": {"axiom": "functor-morphism-map", "g": "r", "morphism": "[1,1]<=[1,1]"},
+    }]
+
+
 def test_operad_check_small(workdir):
     tmp, export = workdir
     out = tmp / "operad.json"
@@ -549,6 +567,40 @@ def test_equivariant_algebra_on_a_net_the_reflection_does_not_preserve(tmp_path,
     details = {v["witness"]["detail"] for v in report["violations"]}
     assert "unknown morphism [3,3]<=[2,3]" in details
     assert main(["sectors", "equivariance", "--net", str(net)]) == 1
+
+
+def _qubit3_marked(tmp_path, name, orth):
+    doc = net_to_json(qubit_net(3, name=name))
+    doc["orth"] = orth
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_equivariant_algebra_on_overlapping_orthogonal_regions(tmp_path, capsys):
+    # overlap3: [1,2] and [2,3] marked orthogonal, and no pair of their
+    # subregions, so the category is not clean.  The reflection of a product
+    # of sectors at [2,3] is not localized in [1,2]: naturality is walked
+    net = _qubit3_marked(tmp_path, "overlap3", [["[1,2]", "[2,3]"]])
+    capsys.readouterr()
+    assert main(["operad", "algebra", "--net", net, "--bound", "3", "--equivariant"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "precondition error: transformed sector is not localized in [1,2]\n"
+
+
+def test_equivariance_refuses_a_reflection_that_is_no_orthogonal_functor(tmp_path):
+    # oneway3: [1,1] is orthogonal to [2,3], but their images [3,3] and
+    # [1,2] are not; the implementation axioms hold, the action's do not
+    net = _qubit3_marked(tmp_path, "oneway3", [["[1,1]", "[2,3]"]])
+    out = tmp_path / "equivariance.json"
+    assert main(["sectors", "equivariance", "--net", net, "--out", str(out)]) == 1
+    impl = read(out)["implementation"]
+    assert not impl["ok"]
+    assert [v["witness"]["axiom"] for v in impl["violations"]] == ["functor-orthogonality"] * 2
+    algebra = ["operad", "algebra", "--net", net, "--bound", "2", "--equivariant"]
+    assert main(algebra + ["--out", str(out)]) == 1
+    assert {v["axiom"] for v in read(out)["violations"]} == {"action-operation"}
 
 
 def test_operad_algebra_cli(workdir, tmp_path):
@@ -1100,5 +1152,52 @@ def test_mutated_categories_exit_cleanly(doc, command):
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main(command + [path])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+
+
+# -- mutated action documents, fuzzed ----------------------------------------------------------
+
+
+@st.composite
+def _mutated_action(draw):
+    """The z2-intcat6 action document with one mutation: an unknown id in a
+    functor's object or morphism map, a dropped functor, a swapped pair of
+    group-table results, or a group element left out."""
+    from sectorfact.fixtures import interval_category, interval_reflection_action
+    from sectorfact.orthcat import action_to_json
+
+    doc = action_to_json(interval_reflection_action(interval_category(6), 6))
+    ghost = draw(st.sampled_from(["zz", "[9,9]", "[1,1]<=[9,9]", "", "e"]))
+    kind = draw(st.sampled_from(["objects", "morphisms", "no-functor", "swap", "no-element"]))
+    g = draw(st.sampled_from(["e", "r"]))
+    if kind in ("objects", "morphisms"):
+        table = doc["action"][g][kind]
+        key = draw(st.sampled_from(sorted(table)))
+        if draw(st.booleans()):
+            table[key] = ghost
+        else:
+            table[ghost] = table.pop(key)
+    elif kind == "no-functor":
+        del doc["action"][g]
+    elif kind == "swap":
+        entries = doc["group"]["table"]
+        i, j = draw(st.lists(st.integers(0, len(entries) - 1), min_size=2, max_size=2, unique=True))
+        entries[i]["result"], entries[j]["result"] = entries[j]["result"], entries[i]["result"]
+    else:
+        doc["group"]["elements"].remove(g)
+    return doc
+
+
+@settings(max_examples=100, deadline=None)
+@given(_mutated_action())
+def test_mutated_actions_exit_cleanly(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "action.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["validate-action", "--in", path])
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()

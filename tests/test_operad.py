@@ -33,7 +33,7 @@ from sectorfact.operad import (
     validate_equivariant_algebra,
     validate_operad,
 )
-from sectorfact.orthcat import Morphism, OrthCategory, validate_category
+from sectorfact.orthcat import GroupActionSpec, Morphism, OrthCategory, validate_category
 from sectorfact.reports import (
     PreconditionError,
     SchemaError,
@@ -1123,3 +1123,282 @@ def test_theorem311_on_qubit5_at_bound_3_matches_the_full_walk(monkeypatch):
     monkeypatch.setattr(operad_module, "validate_algebra", reference_validate_algebra)
     monkeypatch.setattr(sectors_module, "_sector_summary", lambda u, s: None)
     assert report() == proved
+
+
+# -- the equivariant naturality proof against the full walk -----------------------
+
+
+def reference_validate_equivariant_algebra(
+    cat: OrthCategory,
+    assign: EquivariantAlgebraAssignment,
+    action: GroupActionSpec,
+    bound: int = 3,
+) -> ValidationReport:
+    """Check the unit law, the cocycle square, and naturality of the
+    equivariance isomorphisms against the structure maps."""
+    report = ValidationReport(
+        check="equivariant-algebra-axioms", subject=assign.name or cat.name
+    )
+    base = assign.base
+    unit = action.group.unit()
+    if unit is None:
+        report.schema_errors.append("group table has no identity element")
+        return report
+    for g in action.group.elements:
+        if g not in action.action:
+            report.schema_errors.append(f"missing functor for group element {g}")
+        try:
+            for u in cat.objects:
+                assign.iso(g, u)
+        except KeyError:
+            report.schema_errors.append(f"missing isomorphism data for group element {g}")
+    if report.schema_errors:
+        return report
+
+    # unit law
+    for u in cat.objects:
+        psi = assign.iso(unit, u)
+        for x in base.carrier(u):
+            if not base.equal(psi(x), x):
+                report.add("iso-unit", {"object": u, "element": base.describe(x)})
+
+    # cocycle square
+    for g1 in action.group.elements:
+        for g2 in action.group.elements:
+            prod = action.group.mult(g2, g1)
+            for u in cat.objects:
+                mid = action.action[g1].apply_obj(u)
+                for x in base.carrier(u):
+                    two_step = assign.iso(g2, mid)(assign.iso(g1, u)(x))
+                    one_step = assign.iso(prod, u)(x)
+                    if not base.equal(two_step, one_step):
+                        report.add(
+                            "iso-cocycle",
+                            {
+                                "g1": g1,
+                                "g2": g2,
+                                "object": u,
+                                "element": base.describe(x),
+                            },
+                        )
+
+    # naturality against structure maps
+    ops = enumerate_all_operations(cat, bound)
+    for g in action.group.elements:
+        functor = action.action[g]
+        for op in ops:
+            try:
+                moved = make_operation(
+                    cat,
+                    [functor.apply_mor(a) for a in op.arrows],
+                    target=functor.apply_obj(op.target),
+                )
+            except (PreconditionError, SchemaError) as exc:  # SchemaError: no arrow of cat
+                report.add(
+                    "action-operation",
+                    {"g": g, "op": op.label(), "detail": str(exc)},
+                )
+                continue
+            for xs in itertools.product(*(base.carrier(u) for u in op.sources)):
+                lhs = assign.iso(g, op.target)(base.structure(op)(tuple(xs)))
+                moved_args = tuple(
+                    assign.iso(g, u)(x) for u, x in zip(op.sources, xs)
+                )
+                rhs = base.structure(moved)(moved_args)
+                if not base.equal(lhs, rhs):
+                    report.add(
+                        "iso-naturality",
+                        {
+                            "g": g,
+                            "op": op.label(),
+                            "elements": [base.describe(x) for x in xs],
+                        },
+                    )
+    return report
+
+
+def _equivariant_case(kind, L, orth, drop, extra, action):
+    """(category, assignment, action) for the sector model, built afresh so
+    that each validator starts with empty caches.  `kind` is "qubit",
+    "bits" (the diagonal net) or "mixed" (the qubit net with a diagonal
+    algebra at [1,2], not a functor); `orth` the net document's orth field;
+    `drop` labels of standard sectors to leave out; `extra` None, "cz" (CZ on sites
+    0 and 1 at [1,2], no summary), "images" (the same map built from basis
+    images) or "collapse" (bits only); `action` "reflection", "trivial" or
+    ("skew", a, b): the reflection with arrow a sent to b instead."""
+    from sectorfact.fixtures import net_from_json, net_to_json, qubit_reflection_data
+    from sectorfact.linalg import GMat
+    from sectorfact.orthcat import OrthFunctor
+    from sectorfact.sectors import SectorGroupData, sector_equivariant_assignment
+
+    doc = net_to_json(diagonal_net(L) if kind == "bits" else qubit_net(L))
+    doc["orth"] = orth
+    if kind == "mixed":
+        next(r for r in doc["regions"] if r["id"] == "[1,2]")["algebra"] = "diagonal"
+    net = net_from_json(doc)
+    family = {
+        u: [s for s in sectors if s.label not in drop]
+        for u, sectors in standard_sector_family(net).items()
+    }
+    if extra == "cz":
+        cz = entangler_unitary(net, 0, 1)
+        family["[1,2]"] = [LocalizedEndo(net, "[1,2]", unitary=cz, label="CZ@[1,2]")]
+    elif extra == "images":
+        cz = entangler_unitary(net, 0, 1)
+        images = [cz @ b @ cz for b in net.global_algebra().basis]
+        family["[1,2]"] = [LocalizedEndo(net, "[1,2]", images=images, label="CZ-images@[1,2]")]
+    elif extra == "collapse":
+        family["[1,2]"] = [collapse_sector(net)]
+    if action == "trivial":
+        data = SectorGroupData(net, trivial_action(net.category), {"e": GMat.identity(net.n)})
+    else:
+        data = qubit_reflection_data(net)
+    if action not in ("reflection", "trivial"):
+        _, a, b = action
+        spec = data.action
+        r = spec.action["r"]
+        skewed = OrthFunctor(r.source, r.target, r.obj_map, {**r.mor_map, a: b}, name="r")
+        data.action = GroupActionSpec(spec.group, {**spec.action, "r": skewed}, spec.name)
+    assign = sector_equivariant_assignment(net, data, family)
+    return net.category, assign, data.action
+
+
+def _equivariant_outcome(validate, case, bound):
+    """The report's bytes, or the type and message of what it raised."""
+    try:
+        return dump_json(validate(*_equivariant_case(*case), bound=bound).to_dict())
+    except Exception as exc:  # compared, not swallowed: both sides must agree
+        return type(exc).__name__, str(exc)
+
+
+def _region_sites(L):
+    return {f"[{a},{b}]": set(range(a, b + 1)) for a in range(1, L + 1) for b in range(a, L + 1)}
+
+
+def _down_closed(L, pairs):
+    """The marked pairs with every pair of subregions added: a clean
+    category, so the proof may run."""
+    sites = _region_sites(L)
+    return sorted({
+        (a2, b2)
+        for a, b in pairs
+        for a2 in sites if sites[a2] <= sites[a]
+        for b2 in sites if sites[b2] <= sites[b]
+    })
+
+
+@st.composite
+def equivariant_cases(draw):
+    kind = draw(st.sampled_from(["qubit", "qubit", "bits", "mixed"]))
+    L = 4 if kind == "bits" else draw(st.sampled_from([3, 4]))
+    regions = sorted(_region_sites(L))
+    orth = "disjoint"
+    if draw(st.booleans()):
+        # any pairs, overlapping ones of larger regions included
+        pair = st.tuples(st.sampled_from(regions), st.sampled_from(regions))
+        pairs = draw(st.lists(pair, min_size=1, max_size=5))
+        orth = [list(p) for p in (_down_closed(L, pairs) if draw(st.booleans()) else pairs)]
+    labels = [f"{p}@[{i},{i}]" for i in range(1, L + 1) for p in "XZ"]
+    drop = tuple(draw(st.lists(st.sampled_from(labels), max_size=3, unique=True)))
+    extra = draw(st.sampled_from([None, "collapse"] if kind == "bits" else [None, "cz", "images"]))
+    action = draw(st.sampled_from(["reflection", "trivial", "skew"]))
+    if action == "skew":
+        from sectorfact.fixtures import interval_reflection_action
+
+        cat = interval_category(L)
+        r = interval_reflection_action(cat, L).action["r"]
+        a = draw(st.sampled_from(sorted(cat.morphisms)))
+        into = sorted(m.id for m in cat.into(r.apply_obj(cat.morphisms[a].tgt)))
+        action = ("skew", a, draw(st.sampled_from(into)))
+    bound = draw(st.sampled_from([1, 2, 3] if L == 3 else [1, 2]))
+    return (kind, L, orth, drop, extra, action), bound
+
+
+@settings(max_examples=100, deadline=None)
+@given(equivariant_cases())
+def test_equivariant_proof_matches_the_full_walk(case_and_bound):
+    case, bound = case_and_bound
+    want = _equivariant_outcome(reference_validate_equivariant_algebra, case, bound)
+    assert _equivariant_outcome(validate_equivariant_algebra, case, bound) == want
+
+
+_OVERLAP3 = [["[1,2]", "[2,3]"]]
+_EQUIVARIANT_PINS = {
+    # the proof runs: clean category, every carrier summarized
+    "qubit4-b2": (("qubit", 4, "disjoint", (), None, "reflection"), 2),
+    "qubit3-down-closed-overlap-b3": (
+        ("qubit", 3, [list(p) for p in _down_closed(3, _OVERLAP3)],
+         ("X@[2,2]", "Z@[2,2]"), None, "reflection"), 3),
+    "bits4-trivial-b2": (("bits", 4, "disjoint", (), None, "trivial"), 2),
+    # walked although the category is clean: A([1,1]) does not lie in the
+    # diagonal A([1,2]), which is orthogonal to it, so Z@[1,1] is localized
+    # at [1,1] and its inclusion in [1,2] is not localized there
+    "mixed2-not-a-functor-b1": (
+        ("mixed", 2, [list(p) for p in _down_closed(2, [("[1,1]", "[1,2]")])],
+         ("X@[1,1]", "X@[2,2]", "Z@[2,2]"), None, "reflection"), 1),
+    # walked: no summary, a dirty category, an arrow image off the object map
+    "qubit4-cz-b2": (("qubit", 4, "disjoint", (), "cz", "reflection"), 2),
+    "bits4-collapse-b2": (("bits", 4, "disjoint", (), "collapse", "reflection"), 2),
+    "overlap3-b3": (("qubit", 3, _OVERLAP3, (), None, "reflection"), 3),
+    "qubit3-skew-b2": (("qubit", 3, "disjoint", (), None, ("skew", "[1,1]<=[1,2]", "[2,2]<=[2,3]")), 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EQUIVARIANT_PINS))
+def test_equivariant_proof_matches_the_full_walk_on_pinned_cases(name):
+    case, bound = _EQUIVARIANT_PINS[name]
+    want = _equivariant_outcome(reference_validate_equivariant_algebra, case, bound)
+    assert _equivariant_outcome(validate_equivariant_algebra, case, bound) == want
+    if name == "overlap3-b3":
+        assert want == ("PreconditionError", "transformed sector is not localized in [1,2]")
+    if name == "mixed2-not-a-functor-b1":
+        assert want == ("PreconditionError", "transformed sector is not localized in [1,2]")
+    if name == "qubit3-skew-b2":
+        assert want[0] == "PreconditionError"
+
+
+@pytest.mark.parametrize(
+    "name, walks",
+    [("qubit4-b2", False), ("qubit3-down-closed-overlap-b3", False), ("bits4-trivial-b2", False),
+     ("qubit4-cz-b2", True)],
+)
+def test_equivariant_proof_evaluates_no_structure_map(name, walks):
+    # where the naturality square is proved, the unit and cocycle walks
+    # evaluate no structure map and nothing else does; CZ has no summary
+    case, bound = _EQUIVARIANT_PINS[name]
+    cat, assign, action = _equivariant_case(*case)
+    walked = []
+    logged = dataclasses.replace(assign, base=_logged(assign.base, walked))
+    assert validate_equivariant_algebra(cat, logged, action, bound=bound).ok
+    assert bool(walked) == walks
+
+
+def test_non_intertwining_iso_detected_with_the_sector_iso_summary(net2):
+    # the corruption of test_non_intertwining_iso_detected with the sector
+    # model's iso_summary declared: the images of X disagree with it, so the
+    # naturality square is walked and both laws are witnessed
+    from sectorfact.fixtures import qubit_reflection_data
+    from sectorfact.sectors import g_act_sector, sector_equivariant_assignment
+
+    data = qubit_reflection_data(net2)
+    family = standard_sector_family(net2)
+
+    def bad_iso(g, u):
+        def run(rho):
+            moved = g_act_sector(g, rho, data)
+            if g != "e" and rho.label.startswith("X"):
+                letters = "Z" * len(net2.region_sites[moved.region])
+                return pauli_sector(net2, letters, moved.region)
+            return moved
+
+        return run
+
+    def build():
+        sectors = sector_equivariant_assignment(net2, data, family)
+        assert sectors.iso_summary is not None
+        return dataclasses.replace(sectors, iso=bad_iso, name="bad")
+
+    want = reference_validate_equivariant_algebra(net2.category, build(), data.action, bound=1)
+    got = validate_equivariant_algebra(net2.category, build(), data.action, bound=1)
+    assert dump_json(got.to_dict()) == dump_json(want.to_dict())
+    assert {v.axiom for v in got.violations} == {"iso-cocycle", "iso-naturality"}

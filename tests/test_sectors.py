@@ -1857,6 +1857,70 @@ def test_equal_tableaux_share_cached_outputs(bits4):
     assert named == {"1", x.label, "XZ"}
 
 
+def _cz_as_a_group(net):
+    """Z2 acting trivially on the regions and by CZ on sites 0 and 1: a
+    Clifford map that sends a row to a product of several rows, unlike the
+    reflection, which permutes them."""
+    from sectorfact.fixtures import interval_reflection_action
+    from sectorfact.orthcat import GroupActionSpec, OrthFunctor
+    from sectorfact.sectors import SectorGroupData
+
+    group = interval_reflection_action(net.category, net.sites).group
+    same = OrthFunctor.identity_on(net.category)
+    action = GroupActionSpec(group, {"e": same, "r": same})
+    return SectorGroupData(net, action, {"e": GMat.identity(net.n), "r": entangler_unitary(net, 0, 1)})
+
+
+@pytest.mark.parametrize(
+    "net, data_of",
+    [(qubit_net(L), qubit_reflection_data) for L in (2, 3, 4, 5)]
+    + [(qubit_net(3), _cz_as_a_group), (diagonal_net(4), qubit_reflection_data)],
+    ids=["qubit2", "qubit3", "qubit4", "qubit5", "qubit3-cz", "bits4"],
+)
+def test_iso_summary_is_the_summary_of_the_g_image(net, data_of):
+    # random products of single-site Pauli sectors, at the whole chain (its
+    # own image under every g, and orthogonal to nothing): the sign bits of
+    # each g-image are iso_summary of the product's, which is XOR-additive
+    import random
+
+    from sectorfact.sectors import g_act_sector, sector_equivariant_assignment
+
+    data = data_of(net)
+    iso_summary = sector_equivariant_assignment(net, data, {}).iso_summary
+    summary = sectors_module._sector_summary
+    whole = f"[1,{net.sites}]"
+    singles = [
+        pauli_sector(net, p, f"[{i},{i}]").relabel(whole)
+        for i in range(1, net.sites + 1)
+        for p in "XYZ"
+    ]
+    rng = random.Random(net.sites)
+    previous = 0
+    for _ in range(200):
+        rho = identity_sector(net, whole)
+        for factor in rng.sample(singles, rng.randint(0, len(singles))):
+            rho = diamond(rho, factor)
+        s = summary(whole, rho)
+        for g in data.action.group.elements:
+            image = g_act_sector(g, rho, data)
+            assert summary(whole, image) == iso_summary(g, s)
+            assert iso_summary(g, s ^ previous) == iso_summary(g, s) ^ iso_summary(g, previous)
+        previous = s
+
+
+def test_iso_summary_is_declared_only_on_a_clean_category():
+    from sectorfact.fixtures import net_from_json, net_to_json
+    from sectorfact.sectors import sector_equivariant_assignment
+
+    doc = net_to_json(qubit_net(3))
+    clean = net_from_json(doc)
+    doc["orth"] = [["[1,2]", "[2,3]"]]
+    dirty = net_from_json(doc)
+    for net, declared in ((clean, True), (dirty, False)):
+        assign = sector_equivariant_assignment(net, qubit_reflection_data(net), {})
+        assert (assign.iso_summary is not None) == declared
+
+
 _PREMISE_NETS = {L: qubit_net(L) for L in (2, 3, 4)}
 _PREMISE_OPS = {
     L: enumerate_all_operations(net.category, 3) for L, net in _PREMISE_NETS.items()
