@@ -261,6 +261,8 @@ def collapse_sector(net: MatrixNet, region: str = "[1,2]") -> LocalizedEndo:
     """Endomorphism of the diagonal net that resets the region's bits to zero:
     unital, multiplicative, strictly localized, but admitting no unitary
     covariance family for the reflection."""
+    if region not in net.region_sites:
+        raise SchemaError(f"collapse sector needs region {region}, which the net lacks")
     keep = 0
     region_cells = net.region_sites[region]
     for s in range(net.sites):

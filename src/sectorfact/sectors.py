@@ -406,6 +406,15 @@ def _signed_strings(glob: MatrixAlg, images: list[GMat]) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _ad_tableau(alg: MatrixAlg, u: GMat) -> tuple[int, ...]:
+    """Tableau of Ad u on alg, refused unless u is unitary and Ad u sends
+    each of alg's generators to a signed string of alg."""
+    if not u.is_unitary():
+        raise PreconditionError("implementing matrix is not unitary")
+    adj = u.adjoint()
+    return _signed_strings(alg, [u @ g @ adj for g in alg.generators])
+
+
 def _tableau_from_image_list(glob: MatrixAlg, images: list[GMat]) -> tuple[int, ...]:
     """Tableau of the linear map sending the k-th string of `glob.basis` to
     images[k], refused unless it is a unital *-homomorphism: Hermitian
@@ -468,14 +477,7 @@ class LocalizedEndo:
             raise SchemaError(f"unknown region {region}")
         glob = net.global_algebra()
         if _tableau is None and unitary is not None:
-            if not unitary.is_unitary():
-                raise PreconditionError("implementing matrix is not unitary")
-            p = as_pauli_string(unitary)
-            if p is not None:
-                _tableau = _conjugation_tableau(glob, (p[0] << glob.L) | p[1])
-            else:
-                adj = unitary.adjoint()
-                _tableau = _signed_strings(glob, [unitary @ g @ adj for g in glob.generators])
+            _tableau = _ad_tableau(glob, unitary)
         elif _tableau is None and images is not None:
             _tableau = _tableau_from_image_list(glob, images)
         elif _tableau is None:
@@ -936,29 +938,55 @@ def validate_theorem_3_11(
 @dataclass
 class SectorGroupData:
     """Finite group acting on the index category together with implementing
-    unitaries on the global algebra."""
+    unitaries, which stay dense for the covariance families.  Each Ad u_g
+    is held as its tableau on all of M_N, built once per g (`_ad_tableau`);
+    a u_g that is no Clifford unitary has none: PreconditionError."""
 
     net: MatrixNet
     action: GroupActionSpec
     unitaries: dict[str, GMat]
     name: str = ""
+    _tableaux: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _ad: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
+    @functools.cached_property
+    def _m_n(self) -> MatrixAlg:
+        return MatrixAlg.full_on_sites(self.net.sites, range(self.net.sites), name="M_N")
+
+    def _full_tableaux(self, g: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The M_N tableaux of Ad u_g and Ad u_g*, built once per g."""
+        if g not in self._tableaux:
+            u = self.unitaries[g]
+            self._tableaux[g] = (_ad_tableau(self._m_n, u), _ad_tableau(self._m_n, u.adjoint()))
+        return self._tableaux[g]
+
     def _conjugation(self, g: str) -> list[LocalizedEndo]:
-        """[Ad u_g, Ad u_g*] as sectors at any region, built once per g;
-        PreconditionError unless both are signed Pauli maps."""
+        """[Ad u_g, Ad u_g*] as sectors at any region, built once per g:
+        the M_N tableaux restricted to the global algebra's rows;
+        PreconditionError unless both map it into itself."""
         if g not in self._ad:
-            u, region = self.unitaries[g], next(iter(self.net.region_sites))
-            self._ad[g] = [LocalizedEndo(self.net, region, w) for w in (u, u.adjoint())]
+            glob, full = self.net.global_algebra(), self._m_n
+            region = next(iter(self.net.region_sites))
+            maps = [_StringMap(full.L, full.rows, t) for t in self._full_tableaux(g)]
+            tableaux = [tuple(image[r] for _, r in glob.rows) for image in maps]
+            if not all(glob._spans(code >> 1) for t in tableaux for code in t):
+                raise PreconditionError("image leaves the global algebra")
+            self._ad[g] = [LocalizedEndo(self.net, region, _tableau=t) for t in tableaux]
         return self._ad[g]
 
     def validate(self) -> ValidationReport:
         """Implementation axioms: each u_g unitary, the adjoint action matches
         the region action on every local algebra, compositions hold up to
-        phase, and the unit acts trivially.  Ad u_g maps an algebra into
-        another exactly when it maps its generators there.  Once these
-        hold, the action must be one by orthogonal functors
-        (`validate_group_action`)."""
+        phase, and the unit acts trivially.  Once these hold, the action
+        must be one by orthogonal functors (`validate_group_action`).
+
+        All three are decided on the M_N tableaux.  Ad u_g maps an algebra
+        into another exactly when it maps its generators there (row
+        membership), and u_e acts trivially when it keeps every global row,
+        sign 0.  u_g1 u_g2 = c u_g1g2 exactly when (u_g1g2)* u_g1 u_g2 lies
+        in the commutant of the simple M_N, that is, when the tableaux of
+        Ad u_g1 Ad u_g2 and Ad u_g1g2 on M_N are equal, signs included; a
+        product that fixes the global algebra need not be a scalar."""
         report = ValidationReport(check="group-implementation", subject=self.name)
         group = self.action.group
         unit = group.unit()
@@ -971,28 +999,19 @@ class SectorGroupData:
                 report.add("unitary", {"g": g})
         if report.schema_errors or report.violations:
             return report
-        u_e = self.unitaries[unit]
-        if any(u_e @ m != m @ u_e for m in self.net.global_algebra().generators):
+        ad = {g: self._full_tableaux(g)[0] for g in group.elements}
+        maps = {g: _StringMap(self._m_n.L, self._m_n.rows, t) for g, t in ad.items()}
+        if any(maps[unit][r] != r << 1 for _, r in self.net.global_algebra().rows):
             report.add("unit-implementation", {"g": unit})
         for g in group.elements:
-            u = self.unitaries[g]
-            functor = self.action.action[g]
+            functor, image = self.action.action[g], maps[g]
             for region in self.net.category.objects:
-                img = functor.apply_obj(region)
-                alg = self.net.algebra(region)
-                target = self.net.algebra(img)
-                for m in alg.generators:
-                    if not target.contains(u @ m @ u.adjoint()):
-                        report.add(
-                            "covariant-implementation", {"g": g, "region": region}
-                        )
-                        break
+                target = self.net.algebra(functor.apply_obj(region))
+                if not all(target._spans(image[r] >> 1) for _, r in self.net.algebra(region).rows):
+                    report.add("covariant-implementation", {"g": g, "region": region})
         for g1 in group.elements:
             for g2 in group.elements:
-                u12 = self.unitaries[g1] @ self.unitaries[g2]
-                uprod = self.unitaries[group.mult(g1, g2)]
-                phase = (uprod.adjoint() @ u12).scalar_multiple_of_identity()
-                if phase is None:
+                if _compose(maps[g1], ad[g2]) != ad[group.mult(g1, g2)]:
                     report.add("projective-composition", {"g1": g1, "g2": g2})
         if report.ok:
             action = validate_group_action(self.action)
@@ -1032,14 +1051,12 @@ def find_covariance(
     A Pauli conjugation, with v its string derived from the tableau
     (`LocalizedEndo.unitary`), has the conjugated family v u_g v*.  Any
     other sector (CZ, say) on a global algebra with trivial commutant (all
-    of M_N) is Ad w for some unitary w, which `_pauli_twirl` recovers up to a
-    scalar; the family w u_g w*, divided by the scalar w w*, is returned
-    only once the law holds on the generators.  On diagonal constraints
-    (the abelian nets) `_solve_intertwiner` is complete, so None proves
-    that no unitary family exists.  Everything else raises
-    PreconditionError: a sector that is no automorphism of a full global
-    algebra, and any global algebra that is neither full nor
-    diagonal-constrained.
+    of M_N, which is simple) is Ad w for some unitary w, and then
+    y = rho(u_g) = w u_g w* satisfies the law; it is returned once the law
+    is checked on the generators.  On diagonal constraints (the abelian
+    nets) `_solve_intertwiner` is complete, so None proves that no unitary
+    family exists.  Any global algebra that is neither full nor
+    diagonal-constrained raises PreconditionError.
     """
     group = data.action.group
     if rho.unitary is not None:
@@ -1049,46 +1066,21 @@ def find_covariance(
     net = data.net
     glob = net.global_algebra()
     full = glob.dim == net.n * net.n
-    if full:
-        w = _pauli_twirl(rho)
-        scale = None if w is None else (w @ w.adjoint()).scalar_multiple_of_identity()
-        if scale is None:
-            raise PreconditionError(f"{rho.label} is no automorphism of the global algebra")
     fam = {}
     for g in group.elements:
         u_g = data.unitaries[g]
         pairs = [(rho.apply(u_g @ a @ u_g.adjoint()), rho.apply(a)) for a in glob.generators]
         if full:
-            y = (w @ u_g @ w.adjoint()).scale(scale.inverse())
+            y = rho.apply(u_g)
             if any(lhs @ y != y @ rhs for lhs, rhs in pairs):
-                raise PreconditionError(f"twirled family of {rho.label} does not intertwine")
+                raise PreconditionError(f"family rho(u_g) of {rho.label} does not intertwine")
         else:
             y = _solve_intertwiner(net.n, pairs)
             if y is None:
                 return None
         fam[g] = y
-    method = "twirl" if full else "diagonal-match"
+    method = "automorphism" if full else "diagonal-match"
     return CovarianceFamily(sector=rho.label, unitaries=fam, method=method)
-
-
-def _pauli_twirl(rho: LocalizedEndo) -> GMat | None:
-    """A nonzero multiple of w when rho = Ad w on all of M_N; for any other
-    map the caller checks what comes back.
-
-    Summed over the N^2 strings, P M P* gives N tr(M) 1, so for the matrix
-    unit E_0k the sum of rho(P) E_0k P* = w P (w* E_0k) P* is
-    N conj(w_0k) w.  Row 0 of a unitary w has a nonzero entry, so the
-    first k with a nonzero sum yields w."""
-    n = rho.net.n
-    terms = [(rho.apply(p), p.adjoint()) for p in rho.net.global_algebra().basis]
-    for k in range(n):
-        unit = GMat(n, {(0, k): GR_ONE})
-        total = GMat.zero(n)
-        for img, p_adj in terms:
-            total = total + img @ unit @ p_adj
-        if not total.is_zero():
-            return total
-    return None
 
 
 def _solve_intertwiner(n: int, pairs: list[tuple[GMat, GMat]]) -> GMat | None:

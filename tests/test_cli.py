@@ -548,6 +548,20 @@ def test_sectors_equivariance_broken_net(workdir, tmp_path):
     assert any(s["covariant"] is False for s in doc["sectors"])
 
 
+def test_equivariance_on_a_diagonal_net_without_the_collapse_region(tmp_path, capsys):
+    # the collapse sector of a diagonal net lives at [1,2]; a one-site net
+    # has no such region, which is a schema error, not a KeyError
+    doc = {"sites": 1, "regions": [{"id": "[1,1]", "sites": [0], "algebra": "diagonal"}]}
+    net = tmp_path / "bits1.json"
+    net.write_text(json.dumps(doc))
+    assert main(["sectors", "equivariance", "--net", str(net)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "schema error: collapse sector needs region [1,2], which the net lacks\n"
+    )
+
+
 def test_equivariant_algebra_on_a_net_the_reflection_does_not_preserve(tmp_path, capsys):
     # skew4: region [2,3] sits on sites {1,3}, so the site reflection maps
     # some arrows of the net's category to ids that are no arrows of it
@@ -1084,7 +1098,10 @@ def _malformed_net(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_malformed_net(), st.sampled_from([["haag"], ["theorem311", "--bound", "1"]]))
+@given(_malformed_net(), st.sampled_from([
+    ["sectors", "haag"], ["sectors", "theorem311", "--bound", "1"], ["sectors", "equivariance"],
+    ["operad", "algebra", "--equivariant"],
+]))
 def test_malformed_nets_exit_cleanly(doc, command):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "net.json")
@@ -1092,7 +1109,7 @@ def test_malformed_nets_exit_cleanly(doc, command):
             json.dump(doc, fh)
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = main(["sectors", command[0], "--net", path] + command[1:])
+            code = main(command[:2] + ["--net", path] + command[2:])
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
 

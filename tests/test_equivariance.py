@@ -1,14 +1,20 @@
+import itertools
+
 import pytest
 
 from sectorfact.fixtures import (
     collapse_sector,
+    diagonal_net,
+    entangler_unitary,
+    interval_reflection_action,
     pauli_sector,
+    qubit_net,
     qubit_reflection_data,
     reflection_unitary,
 )
-from sectorfact.linalg import GMat
-from sectorfact.orthcat import validate_group_action
-from sectorfact.reports import PreconditionError
+from sectorfact.linalg import GMat, pauli_string
+from sectorfact.orthcat import GroupActionSpec, OrthFunctor, validate_group_action
+from sectorfact.reports import PreconditionError, ValidationReport, dump_json
 from sectorfact.sectors import (
     CovarianceFamily,
     SectorGroupData,
@@ -19,6 +25,7 @@ from sectorfact.sectors import (
     g_act_sector,
     identity_sector,
 )
+from test_sectors import _rotation_on_site, _x_type_net
 
 
 def ad_equal(net, a, b):
@@ -310,3 +317,131 @@ def test_ad_equal_on_a_diagonal_global_algebra(bits4):
     assert all(same(a, b) for a in z_type for b in z_type)
     assert not same(x_type[0], x_type[1])
     assert same(x_type[0], x_type[3])
+
+
+# -- the tableau validate against the dense oracle ------------------------------------------
+
+
+def reference_group_validate(self):
+    """`SectorGroupData.validate` as it was before it decided on tableaux,
+    verbatim: the dense `GMat` oracle of the implementation axioms."""
+    report = ValidationReport(check="group-implementation", subject=self.name)
+    group = self.action.group
+    unit = group.unit()
+    for g in group.elements:
+        u = self.unitaries.get(g)
+        if u is None:
+            report.schema_errors.append(f"missing unitary for {g}")
+            continue
+        if not u.is_unitary():
+            report.add("unitary", {"g": g})
+    if report.schema_errors or report.violations:
+        return report
+    u_e = self.unitaries[unit]
+    if any(u_e @ m != m @ u_e for m in self.net.global_algebra().generators):
+        report.add("unit-implementation", {"g": unit})
+    for g in group.elements:
+        u = self.unitaries[g]
+        functor = self.action.action[g]
+        for region in self.net.category.objects:
+            img = functor.apply_obj(region)
+            alg = self.net.algebra(region)
+            target = self.net.algebra(img)
+            for m in alg.generators:
+                if not target.contains(u @ m @ u.adjoint()):
+                    report.add(
+                        "covariant-implementation", {"g": g, "region": region}
+                    )
+                    break
+    for g1 in group.elements:
+        for g2 in group.elements:
+            u12 = self.unitaries[g1] @ self.unitaries[g2]
+            uprod = self.unitaries[group.mult(g1, g2)]
+            phase = (uprod.adjoint() @ u12).scalar_multiple_of_identity()
+            if phase is None:
+                report.add("projective-composition", {"g1": g1, "g2": g2})
+    if report.ok:
+        action = validate_group_action(self.action)
+        report.schema_errors, report.violations = action.schema_errors, action.violations
+    return report
+
+
+def _z2_data(net, u_e, u_r, reflect=True):
+    """Z2 implemented by u_e and u_r, acting on the regions by the site
+    reflection, or by identity functors."""
+    action = interval_reflection_action(net.category, net.sites)
+    if not reflect:
+        same = OrthFunctor.identity_on(net.category)
+        action = GroupActionSpec(action.group, {"e": same, "r": same}, name="Z2|identity")
+    return SectorGroupData(net, action, {"e": u_e, "r": u_r}, name=f"Z2|{net.name}")
+
+
+def _clifford_implementations(net):
+    """(u_e, u_r) pairs: u_e the identity or a Pauli at site 0; u_r the site
+    reflection R, R P for every single-site Pauli P, R CZ(a, b) and
+    CZ(a, b) for every pair of sites, and every P."""
+    L, R = net.sites, reflection_unitary(net.sites)
+    singles = [
+        pauli_string(L, xb << (L - 1 - s), zb << (L - 1 - s))
+        for s in range(L)
+        for xb, zb in ((1, 0), (1, 1), (0, 1))
+    ]
+    czs = [entangler_unitary(net, a, b) for a, b in itertools.combinations(range(L), 2)]
+    u_rs = [R] + [R @ p for p in singles] + [R @ cz for cz in czs] + czs + singles
+    return [(u_e, u_r) for u_e in [GMat.identity(net.n)] + singles[:3] for u_r in u_rs]
+
+
+@pytest.mark.parametrize(
+    "net",
+    [qubit_net(2), qubit_net(3), qubit_net(4), diagonal_net(4), _x_type_net()],
+    ids=["qubit2", "qubit3", "qubit4", "bits4", "xbits2"],
+)
+def test_group_validate_matches_the_dense_oracle(net):
+    failing = set()
+    for u_e, u_r in _clifford_implementations(net):
+        for reflect in (True, False):
+            data = _z2_data(net, u_e, u_r, reflect)
+            got = data.validate()
+            assert dump_json(got.to_dict()) == dump_json(reference_group_validate(data).to_dict())
+            failing |= {v.axiom for v in got.violations}
+    # every axiom is seen to fail somewhere, so no comparison is vacuous
+    assert {"unit-implementation", "covariant-implementation",
+            "projective-composition"} <= failing
+
+
+def test_projective_composition_is_decided_on_m_n(bits4):
+    # (R CZ(0,1))^2 = CZ(0,1) CZ(3,2) fixes the diagonal global algebra but
+    # is no scalar: only the comparison on all of M_N sees it
+    u_r = reflection_unitary(4) @ entangler_unitary(bits4, 0, 1)
+    square = u_r @ u_r
+    assert all(square @ m == m @ square for m in bits4.global_algebra().generators)
+    assert square.scalar_multiple_of_identity() is None
+    data = _z2_data(bits4, GMat.identity(16), u_r)
+    report = data.validate()
+    assert [v.to_dict() for v in report.violations] == [
+        {"axiom": "projective-composition", "witness": {"g1": "r", "g2": "r"}}
+    ]
+    assert dump_json(report.to_dict()) == dump_json(reference_group_validate(data).to_dict())
+
+
+def test_a_pauli_unit_breaks_the_unit_and_the_compositions(net4):
+    # Ad X0 keeps every local algebra but flips the signs of Z0 and Y0
+    data = _z2_data(net4, pauli_string(4, 0b1000, 0), reflection_unitary(4))
+    report = data.validate()
+    assert [v.axiom for v in report.violations] == (
+        ["unit-implementation"] + ["projective-composition"] * 4
+    )
+    assert dump_json(report.to_dict()) == dump_json(reference_group_validate(data).to_dict())
+
+
+def test_a_non_clifford_implementation_is_refused(net4):
+    # R (rot0 (x) rot3*) implements the reflection and squares to 1, so the
+    # dense oracle accepts it; it sends Z0 to no signed string, so it has no
+    # tableau, and g_act_sector has always refused it
+    u_r = reflection_unitary(4) @ _rotation_on_site(net4, 0) @ _rotation_on_site(net4, 3).adjoint()
+    data = _z2_data(net4, GMat.identity(16), u_r)
+    assert reference_group_validate(data).ok
+    with pytest.raises(PreconditionError, match="not a signed Pauli string"):
+        data.validate()
+    with pytest.raises(PreconditionError, match="not a signed Pauli string"):
+        g_act_sector("r", pauli_sector(net4, "X", "[1,1]"), data)

@@ -1362,7 +1362,7 @@ def _pauli_and_cz_images(net):
 @pytest.mark.parametrize("sites", [2, 3])
 def test_every_image_sector_gets_a_family(sites):
     # the Pauli images derive their string and get the inner family; the
-    # CZ images are no Pauli conjugation, and the twirl recovers CZ
+    # CZ images are no Pauli conjugation, and their family is rho(u_g)
     net = qubit_net(sites)
     data = qubit_reflection_data(net)
     cases = _pauli_and_cz_images(net)
@@ -1371,14 +1371,14 @@ def test_every_image_sector_gets_a_family(sites):
     for u, image in cases:
         fam = find_covariance(image, data)
         methods.append(fam.method)
-        assert fam.method == ("twirl" if image.unitary is None else "inner")
+        assert fam.method == ("automorphism" if image.unitary is None else "inner")
         for g, u_g in data.unitaries.items():
             y = fam.unitaries[g]
             assert y.is_unitary()
             assert reference_ad_equal(net, y, u @ u_g @ u.adjoint())
             for a in net.global_algebra().basis:
                 assert image.apply(u_g @ a @ u_g.adjoint()) @ y == y @ image.apply(a)
-    assert methods == ["inner"] * (3 * sites) + ["twirl"] * (sites * (sites - 1) // 2)
+    assert methods == ["inner"] * (3 * sites) + ["automorphism"] * (sites * (sites - 1) // 2)
 
 
 def test_twirl_family_matches_the_dense_nullspace(net2):
@@ -1394,24 +1394,22 @@ def test_twirl_family_matches_the_dense_nullspace(net2):
             assert got == want.scale(got.data[(i, j)] / v)
 
 
-def test_twirl_probes(monkeypatch, net2):
-    # the twirl serves sectors that are no Pauli conjugation: CZ on sites 0
+def test_automorphism_family_probes(monkeypatch, net2):
+    # rho(u_g) serves sectors that are no Pauli conjugation: CZ on sites 0
     # and 1 of three, which the reflection moves to sites 1 and 2
     net3 = qubit_net(3)
     data = qubit_reflection_data(net3)
     rho = _image_sector(LocalizedEndo(net3, "[1,2]", unitary=entangler_unitary(net3, 0, 1)))
-    assert rho.unitary is None and find_covariance(rho, data).method == "twirl"
+    fam = find_covariance(rho, data)
+    assert rho.unitary is None and fam.method == "automorphism"
+    assert all(fam.unitaries[g] == rho.apply(u_g) for g, u_g in data.unitaries.items())
     # every string to the identity is no homomorphism, so it has no tableau
     with pytest.raises(PreconditionError, match="not multiplicative"):
         LocalizedEndo(net2, "[1,1]", images=[GMat.identity(net2.n)] * net2.global_algebra().dim)
-    # a twirl that is not a multiple of a unitary
-    with monkeypatch.context() as m:
-        m.setattr(sectors_module, "_pauli_twirl",
-                  lambda rho: GMat.identity(rho.net.n) + pauli_string(3, 0b100, 0))
-        with pytest.raises(PreconditionError, match="no automorphism"):
-            find_covariance(rho, data)
-    # a twirl that misses w: the family u_g must fail the law at the swap
-    monkeypatch.setattr(sectors_module, "_pauli_twirl", lambda rho: GMat.identity(rho.net.n))
+    # a family that misses rho: y = u_g itself must fail the law at the swap
+    apply = rho.apply
+    corrupted = lambda m: m if any(m is u_g for u_g in data.unitaries.values()) else apply(m)
+    monkeypatch.setattr(rho, "apply", corrupted)
     with pytest.raises(PreconditionError, match="does not intertwine"):
         find_covariance(rho, data)
 
