@@ -62,6 +62,7 @@ from .orthcat import (
 from .reports import PreconditionError, SchemaError, attach_citation, dump_json, render_text
 from .sectors import (
     INNER_MODEL_NOTE,
+    action_laws_hold,
     check_haag_duality,
     check_perp_commutativity,
     check_transportable,
@@ -367,10 +368,11 @@ def cmd_sectors_transport(args, net) -> tuple[dict, bool]:
 @_on_a_functor
 def cmd_sectors_equivariance(args, net) -> tuple[dict, bool]:
     data = qubit_reflection_data(net)
-    if any(u in net.overrides for u in net.category.objects):
-        family = {}
-    else:
-        family = standard_sector_family(net)
+    # the collapse sector serves an overridden net whose global algebra is
+    # diagonal; any other net gets the standard family
+    L = net.sites
+    collapse = bool(net.overrides) and all(r >> L == 0 for _, r in net.global_algebra().rows)
+    family = {} if collapse else standard_sector_family(net)
     impl = data.validate()
     doc = {
         "check": "group-implementation",
@@ -385,18 +387,12 @@ def cmd_sectors_equivariance(args, net) -> tuple[dict, bool]:
             entry = {"sector": rho.label}
             moved = {g: g_act_sector(g, rho, data) for g in group.elements}
             entry["action_regions"] = {g: m.region for g, m in moved.items()}
-            unit_ok = moved[group.unit()].same_map(rho)
-            comp_ok = all(
-                g_act_sector(g2, moved[g1], data).same_map(moved[group.mult(g2, g1)])
-                for g1 in group.elements
-                for g2 in group.elements
-            )
+            entry["action_laws"] = action_laws_hold(rho, moved, data, impl.ok)
             fam = find_covariance(rho, data)
-            entry["action_laws"] = unit_ok and comp_ok
             entry["covariant"] = fam is not None
             ok = ok and entry["action_laws"] and entry["covariant"]
             doc["sectors"].append(entry)
-    if not family and net.overrides:
+    if collapse:
         rho = collapse_sector(net)
         fam = find_covariance(rho, data)
         doc["sectors"].append(

@@ -8,7 +8,7 @@ JSON form used by the batch interface.
 
 from __future__ import annotations
 
-from .linalg import GMat, GR_ONE, GaussianRational, pauli_string
+from .linalg import pauli_string
 from .orthcat import (
     GroupActionSpec,
     GroupTable,
@@ -27,11 +27,9 @@ __all__ = [
     "interval_reflection_action",
     "trivial_action",
     "qubit_net",
-    "reflection_unitary",
     "qubit_reflection_data",
     "pauli_sector",
     "standard_sector_family",
-    "entangler_unitary",
     "diagonal_net",
     "collapse_sector",
     "net_to_json",
@@ -158,21 +156,19 @@ def qubit_net(sites: int = 4, name: str | None = None) -> MatrixNet:
     return MatrixNet(_region_category(name, region_sites, None), sites, region_sites, name=name)
 
 
-def reflection_unitary(sites: int) -> GMat:
-    """Permutation matrix reversing the site order on the chain."""
-    n = 1 << sites
-    data = {}
-    for b in range(n):
-        rev = 0
-        for s in range(sites):
-            if (b >> s) & 1:
-                rev |= 1 << (sites - 1 - s)
-        data[(rev, b)] = GR_ONE
-    return GMat(n, data)
+def _permutation_tableau(L: int, perm) -> tuple[int, ...]:
+    """M_N tableau (`SectorGroupData.tableaux`) of the unitary moving site
+    s to perm[s]: each row, a single-site Z (row k < L) or X string at site
+    L-1-k mod L, goes to the same letter at the image site, sign 0."""
+    return tuple(
+        1 << (k // L * L + L - 1 - perm[L - 1 - k % L]) << 1 for k in range(2 * L)
+    )
 
 
 def qubit_reflection_data(net: MatrixNet) -> SectorGroupData:
-    """Z2 site-reflection on the qubit chain implemented by the SWAP network.
+    """Z2 site-reflection on the qubit chain implemented by the SWAP network
+    R, held as the tableaux of Ad 1 and Ad R on M_N, built from the site
+    permutations (no matrix is built).
 
     The reflection acts on the interval ids [a,b], 1 <= a <= b <= n, by
     [a,b] -> [n+1-b, n+1-a], as an action on the net's own category.  A
@@ -192,7 +188,10 @@ def qubit_reflection_data(net: MatrixNet) -> SectorGroupData:
     return SectorGroupData(
         net=net,
         action=interval_reflection_action(net.category, n),
-        unitaries={"e": GMat.identity(net.n), "r": reflection_unitary(n)},
+        tableaux={
+            "e": _permutation_tableau(n, range(n)),
+            "r": _permutation_tableau(n, [n - 1 - s for s in range(n)]),
+        },
         name=f"Z2|{net.name}",
     )
 
@@ -227,18 +226,6 @@ def standard_sector_family(net: MatrixNet) -> dict[str, list[LocalizedEndo]]:
         if len(cells) == 1:
             family[u] = [pauli_sector(net, "X", u), pauli_sector(net, "Z", u)]
     return family
-
-
-def entangler_unitary(net: MatrixNet, site_a: int, site_b: int) -> GMat:
-    """Controlled-Z between two sites: diagonal, unitary, and in no proper
-    tensor factor containing only one of the sites."""
-    data = {}
-    for b in range(net.n):
-        sign = -1 if ((b >> (net.sites - 1 - site_a)) & 1) and (
-            (b >> (net.sites - 1 - site_b)) & 1
-        ) else 1
-        data[(b, b)] = GaussianRational.of(sign)
-    return GMat(net.n, data)
 
 
 # ---------------------------------------------------------------------------

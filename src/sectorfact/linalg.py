@@ -295,24 +295,6 @@ class GMat:
             self.adjoint() @ self
         ).is_identity()
 
-    def scalar_multiple_of_identity(self) -> GaussianRational | None:
-        """The scalar c with self == c*1, or None."""
-        mono = self._monomial()
-        if mono is not None and self.n:
-            rows, phases = mono
-            p = phases[0]
-            if rows == tuple(range(self.n)) and all(q == p for q in phases):
-                return _UNITS[p]
-            return None
-        c = self.data.get((0, 0), GR_ZERO)
-        if c.is_zero():
-            return GR_ZERO if self.is_zero() else None
-        if len(self.data) != self.n:
-            return None
-        if all(self.data.get((i, i)) == c for i in range(self.n)):
-            return c
-        return None
-
     def tensor(self, other: "GMat") -> "GMat":
         data = {}
         for (i, j), a in self.data.items():
@@ -652,3 +634,35 @@ def _compose(outer: _StringMap, tableau: tuple[int, ...]) -> tuple[int, ...]:
     """Tableau of outer after the tableau's map: each row's signed mask
     mapped by `outer`, its sign carried along."""
     return tuple(outer[code >> 1] ^ (code & 1) for code in tableau)
+
+
+def _string_matrix(L: int, code: int) -> GMat:
+    """The matrix (-1)**s P(t) of the signed mask t << 1 | s."""
+    t = code >> 1
+    return pauli_string(L, t >> L, t & ((1 << L) - 1), GR_MINUS_ONE if code & 1 else GR_ONE)
+
+
+def _chase(maps: tuple[_StringMap, ...], r: int) -> int:
+    """The signed image of the string of the mask r under maps applied in
+    order."""
+    code = r << 1
+    for image in maps:
+        code = image[code >> 1] ^ (code & 1)
+    return code
+
+
+def _inverse_tableau(L: int, tableau: tuple[int, ...]) -> tuple[int, ...]:
+    """Tableau of the inverse of a map of all of M_N, N = 2**L, given by its
+    tableau on M_N's rows, the unit vectors 1 << k (single-site Z and X
+    strings).  The inverse sends row k to (-1)**s P(v), v the XOR of the
+    rows whose images XOR to the mask 1 << k and s the sign of the map's
+    image of P(v) (`_StringMap`).  One GF(2) solve: each image tagged by its
+    row, t_j << 2L | 1 << j, eliminated; with 2L independent images every
+    reduced row is one image bit over the rows that make it.  Dependent
+    images have no inverse: PreconditionError."""
+    n = 2 * L
+    pivots = sorted(_gf2_pivots([(code >> 1) << n | 1 << j for j, code in enumerate(tableau)]))
+    if [bit for bit, _ in pivots] != list(range(n, 2 * n)):
+        raise PreconditionError("tableau images are dependent: the map has no inverse")
+    image = _StringMap(L, [(k, 1 << k) for k in range(n)], tableau)
+    return tuple(v << 1 | image[v] & 1 for v in (row & ((1 << n) - 1) for _, row in pivots))

