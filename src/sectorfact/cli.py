@@ -62,6 +62,7 @@ from .orthcat import (
 from .reports import PreconditionError, SchemaError, attach_citation, dump_json, render_text
 from .sectors import (
     INNER_MODEL_NOTE,
+    _sector_summary,
     action_laws_hold,
     check_haag_duality,
     check_perp_commutativity,
@@ -318,23 +319,33 @@ def cmd_sectors_perp(args, net) -> tuple[dict, bool]:
     return report, report["ok"]
 
 
-@_on_a_functor
-def cmd_sectors_diamond(args, net) -> tuple[dict, bool]:
-    family = standard_sector_family(net)
+def _diamond_laws(net, family) -> tuple[int, list[dict]]:
+    """The monoid laws of the sector product on each region's pool, the
+    identity sector and the family's sectors there: the instance count and
+    the violations.
+
+    A pool is proved when every sector in it has a summary
+    (`_sector_summary`): its tableau keeps every mask, so `diamond` at the
+    region keeps every mask and XORs the sign bits, the identity's being 0.
+    Then rho <> 1 and 1 <> rho have rho's tableau, (r1 <> r2) <> r3 and
+    r1 <> (r2 <> r3) both carry the XOR of the three sign bits, and
+    `same_map` is tableau equality: no instance fails, and none is built.
+    Any other pool is walked instance by instance."""
     violations = []
     checked = 0
     for u, sectors in sorted(family.items()):
         pool = [identity_sector(net, u)] + sectors
+        checked += len(pool) + len(pool) ** 3
+        if all(_sector_summary(u, s) is not None for s in pool):
+            continue
         for rho in pool:
             left = diamond(rho, identity_sector(net, u))
             right = diamond(identity_sector(net, u), rho)
-            checked += 1
             if not (left.same_map(rho) and right.same_map(rho)):
                 violations.append({"axiom": "monoid-unit", "sector": rho.label})
         for r1 in pool:
             for r2 in pool:
                 for r3 in pool:
-                    checked += 1
                     lhs = diamond(diamond(r1, r2), r3)
                     rhs = diamond(r1, diamond(r2, r3))
                     if not lhs.same_map(rhs):
@@ -344,6 +355,12 @@ def cmd_sectors_diamond(args, net) -> tuple[dict, bool]:
                                 "sectors": [r1.label, r2.label, r3.label],
                             }
                         )
+    return checked, violations
+
+
+@_on_a_functor
+def cmd_sectors_diamond(args, net) -> tuple[dict, bool]:
+    checked, violations = _diamond_laws(net, standard_sector_family(net))
     doc = {
         "check": "diamond-laws",
         "subject": net.name,

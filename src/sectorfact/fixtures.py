@@ -8,7 +8,6 @@ JSON form used by the batch interface.
 
 from __future__ import annotations
 
-from .linalg import pauli_string
 from .orthcat import (
     GroupActionSpec,
     GroupTable,
@@ -16,7 +15,7 @@ from .orthcat import (
     OrthCategory,
     OrthFunctor,
 )
-from .reports import SchemaError, json_int, json_list, json_str
+from .reports import PreconditionError, SchemaError, json_int, json_list, json_str
 from .sectors import LocalizedEndo, MatrixAlg, MatrixNet, SectorGroupData, span_equal
 from .sectors import _conjugation_tableau
 
@@ -247,20 +246,21 @@ def diagonal_net(sites: int = 4, name: str | None = None) -> MatrixNet:
 def collapse_sector(net: MatrixNet, region: str = "[1,2]") -> LocalizedEndo:
     """Endomorphism of the diagonal net that resets the region's bits to zero:
     unital, multiplicative, strictly localized, but admitting no unitary
-    covariance family for the reflection."""
+    covariance family for the reflection.  Built as its tableau: each row
+    of the global algebra, a Z-type string, keeps its letters off the
+    region, sign 0.  A row with an X letter is refused (the net is not
+    diagonal), and so is an image outside the global algebra."""
     if region not in net.region_sites:
         raise SchemaError(f"collapse sector needs region {region}, which the net lacks")
-    keep = 0
-    region_cells = net.region_sites[region]
-    for s in range(net.sites):
-        if s not in region_cells:
-            keep |= 1 << (net.sites - 1 - s)
-    images = []
-    for x, z in sorted(net.global_algebra().masks()):
-        if x != 0:
-            raise SchemaError("collapse sector needs a diagonal net")
-        images.append(pauli_string(net.sites, 0, z & keep))
-    return LocalizedEndo(net, region, images=images, label=f"reset@{region}")
+    L, cells = net.sites, net.region_sites[region]
+    keep = sum(1 << (L - 1 - s) for s in range(L) if s not in cells)
+    glob = net.global_algebra()
+    if any(r >> L for _, r in glob.rows):
+        raise SchemaError("collapse sector needs a diagonal net")
+    tableau = tuple((r & keep) << 1 for _, r in glob.rows)
+    if not all(glob._spans(code >> 1) for code in tableau):
+        raise PreconditionError("image leaves the global algebra")
+    return LocalizedEndo(net, region, label=f"reset@{region}", _tableau=tableau)
 
 
 # ---------------------------------------------------------------------------

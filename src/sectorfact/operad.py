@@ -9,14 +9,16 @@ bound.  The operad axioms follow from the category axioms (unit laws,
 associativity, and the closure of orthogonality under transposition, pre-
 and post-composition), so `validate_operad` runs `validate_category` first
 and enumerates nothing when it is clean.  On any other schema-clean
-category it sweeps on an interned kernel: equivariance needs no walk of
+category it sweeps the operations into targets above a violation on an
+interned kernel: equivariance needs no walk of
 permutations, and the associativity sweep skips the operations f, the
 pairs (f, g) and the h-tuples that interned proofs clear and runs the
 reference body on `compose` for the rest.  Likewise `validate_algebra`
 proves the composition and permutation diagrams when every carrier element
 carries an XOR-additive summary (the sign bits of Pauli conjugations) and
 walks every instance otherwise, and `validate_equivariant_algebra` proves
-the naturality square when the isomorphisms also act on the summaries.
+the naturality square when the isomorphisms also act on the summaries, and
+enumerates nothing when the group acts by orthogonal functors as well.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple, Sequence
 
-from .orthcat import GroupActionSpec, OrthCategory, validate_category
+from .orthcat import GroupActionSpec, OrthCategory, validate_category, violation_top
 from .reports import PreconditionError, SchemaError, ValidationReport
 
 __all__ = [
@@ -242,7 +244,8 @@ class _IOp(NamedTuple):
 class _OperadKernel:
     """The operad-axiom sweep of `validate_operad` on an interned form of a
     schema-clean category that fails some category axiom (a clean one is
-    proved), built once per call.
+    proved), built once per call.  Only the operations into the `dirty`
+    targets are swept; an operation into any other target is proved.
 
     Arrows and objects are ints, composition is a list of lists with -1
     where a composite is missing, and each arrow carries a mutual
@@ -262,7 +265,7 @@ class _OperadKernel:
     `compose` disagreeing either way is an internal error.
     """
 
-    def __init__(self, cat: OrthCategory, bound: int, report: ValidationReport):
+    def __init__(self, cat: OrthCategory, bound: int, report: ValidationReport, dirty: set[str]):
         self.cat = cat
         self.bound = bound
         self.report = report
@@ -278,14 +281,16 @@ class _OperadKernel:
         self.bit = [1 << a for a in range(n)]
         self.mutual = _mutual_orth_masks(cat, aid)
         self.public = enumerate_all_operations(cat, bound)
-        self.ops: list[_IOp] = []
+        # the operations into dirty targets, in `public` order
+        self.swept: list[_IOp] = []
         self.by_target: dict[int, list[_IOp]] = {}
         for k, op in enumerate(self.public):
             into = self.by_target.setdefault(obj_id[op.target], [])
             iop = _IOp(k, obj_id[op.target], tuple(aid[a] for a in op.arrows),
                        tuple(obj_id[u] for u in op.sources), op.arity, len(into))
             into.append(iop)
-            self.ops.append(iop)
+            if op.target in dirty:
+                self.swept.append(iop)
         self.arrow_folds: list[tuple | None] = [None] * n
         self.positions: dict[tuple[int, int], tuple] = {}
         # per-h parts of the positions of the f being swept
@@ -464,7 +469,7 @@ class _OperadKernel:
 
     def unit_laws(self) -> None:
         comp, ident, src, report = self.comp, self.ident, self.src, self.report
-        for op in self.ops:
+        for op in self.swept:
             pub = self.public[op.index]
             right = tuple([comp[a][ident[src[a]]] for a in op.arrows])
             if not self.fold(right)[0]:
@@ -498,7 +503,7 @@ class _OperadKernel:
         joined is walked over h.  The folds and the per-h parts are cached
         per f."""
         cache: dict[tuple[int, int], tuple] = {}
-        for f in self.ops:
+        for f in self.swept:
             if not f.arity or self.proved(f):
                 continue
             cache.clear()
@@ -591,8 +596,19 @@ def validate_operad(cat: OrthCategory, bound: int = 3) -> ValidationReport:
       and reordering a pairwise-orthogonal tuple keeps it pairwise
       orthogonal, since orthogonality is checked in both directions.
 
-    Otherwise the sweep runs on `_OperadKernel`, an interned form of the
-    category built once per call: int arrows, the composition table as a
+    The same proof holds target by target.  For operations f into V, every
+    object above is in the down-set D(V) = {U : hom(U, V) nonempty}, and
+    every category axiom it uses is an instance that `validate_category`
+    checks under a top object in D(V) (`violation_top`): the pairs it
+    closes end in V or in a source U_i of f, and its unit and
+    associativity instances end in V.  So V is dirty only when some
+    violation's top T has hom(T, V) nonempty, and operations into any other
+    target report nothing.  An orth-cospan violation has no top, and then
+    every target is dirty.
+
+    Otherwise the sweep runs on `_OperadKernel` over the operations into
+    the dirty targets, an interned form of the category built once per
+    call: int arrows, the composition table as a
     list of lists and one mutual-orthogonality bitmask per arrow.  The
     kernel decides the unit laws and which gamma(f; g) are defined, and
     proves associativity where it can, on folds (ok, OR of arrow bits, AND
@@ -636,7 +652,11 @@ def validate_operad(cat: OrthCategory, bound: int = 3) -> ValidationReport:
     category = validate_category(cat)
     report.schema_errors = category.schema_errors
     if not category.ok and not report.schema_errors:
-        _OperadKernel(cat, bound, report).run()
+        tops = {violation_top(cat, v) for v in category.violations}
+        dirty = set(cat.objects) if None in tops else {
+            v for v in cat.objects if any(cat.hom(t, v) for t in tops)
+        }
+        _OperadKernel(cat, bound, report, dirty).run()
     return report
 
 
@@ -798,8 +818,9 @@ def validate_equivariant_algebra(
     equivariance isomorphisms against the structure maps.
 
     The unit law and the cocycle square are walked on every carrier
-    element, and every moved operation g.f is built, a failure being an
-    `action-operation` violation.  The naturality square
+    element.  Every moved operation g.f is built, a failure being an
+    `action-operation` violation, unless it is proved (below).  The
+    naturality square
     iso_g(F(f)(x)) = F(g.f)(iso_g x) is proved for an operation f and g,
     rather than walked, when `iso_summary` is set, every carrier element
     has a summary, the image of each one under each iso_g (which the
@@ -816,8 +837,15 @@ def validate_equivariant_algebra(
     summaries are `equal`.  Any other (g, f) is walked on every element
     tuple.  An assignment declares `iso_summary` only where its contract
     holds; that is where a model's own preconditions go, such as the clean
-    category `sector_equivariant_assignment` needs.  The tests keep the
-    full walk as the oracle.
+    category `sector_equivariant_assignment` needs.
+
+    When the square is proved this way and every g acts on `cat` by an
+    orthogonal functor (`OrthFunctor.violations` empty), no operation is
+    enumerated: the functor sends each arrow f_i : U_i -> V of an operation
+    f to an arrow of `cat` from gU_i to gV, and each orthogonal pair of
+    f's arrows to an orthogonal pair, so `make_operation` builds g.f with
+    the sources gU_i, nothing reports `action-operation`, and every square
+    is proved.  The tests keep the full walk as the oracle.
     """
     report = ValidationReport(
         check="equivariant-algebra-axioms", subject=assign.name or cat.name
@@ -873,6 +901,11 @@ def validate_equivariant_algebra(
                         )
 
     # naturality against structure maps
+    functors = [action.action[g] for g in action.group.elements]
+    if provable and all(
+        f.source is cat and f.target is cat and not f.violations() for f in functors
+    ):
+        return report
     ops = enumerate_all_operations(cat, bound)
     for g in action.group.elements:
         functor = action.action[g]

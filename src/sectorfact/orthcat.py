@@ -25,6 +25,7 @@ __all__ = [
     "OrthocomplementReport",
     "ExtensionReport",
     "validate_category",
+    "violation_top",
     "check_filtered",
     "check_assumption_orthocomplement",
     "check_assumption_extension",
@@ -239,6 +240,26 @@ def validate_category(cat: OrthCategory) -> ValidationReport:
     return report
 
 
+# the witness arrow whose target is a violation's top; the orthogonality
+# axioms but post-composition name the pair's target
+_TOP_ARROW = {
+    "unit-left": "f", "unit-right": "f", "associativity": "h", "orth-post-composition": "g",
+}
+
+
+def violation_top(cat: OrthCategory, violation: Violation) -> str | None:
+    """The object T a `validate_category` violation lives under: every
+    arrow of its instance ends in T or has a composite into T.  For the
+    unit laws it is f's target, for associativity h's, for transposition
+    and pre-composition the pair's, and for post-composition g's.  An
+    orth-cospan violation has two targets and no top: None."""
+    if violation.axiom == "orth-cospan":
+        return None
+    key = _TOP_ARROW.get(violation.axiom)
+    arrow = violation.witness[key] if key else violation.witness["pair"][0]
+    return cat.morphisms[arrow].tgt
+
+
 @dataclass
 class FilteredReport:
     check: str = "check-filtered"
@@ -431,20 +452,16 @@ class OrthFunctor:
         for u in src.objects:
             if self.mor_map[src.identities[u]] != tgt.identities[self.obj_map[u]]:
                 out.append(Violation("functor-identity", {"object": u}))
-        for (g, f), r in sorted(src.compose_table.items()):
-            img = tgt.compose(self.mor_map[g], self.mor_map[f])
-            if img != self.mor_map[r]:
-                out.append(
-                    Violation("functor-composition", {"g": g, "f": f, "expected": img})
-                )
-        for f1, f2 in sorted(src.orth):
-            if (self.mor_map[f1], self.mor_map[f2]) not in tgt.orth:
-                out.append(
-                    Violation(
-                        "functor-orthogonality",
-                        {"cospan": [f1, f2], "image": [self.mor_map[f1], self.mor_map[f2]]},
-                    )
-                )
+        # only the failing entries are sorted, for the witness order
+        mor = self.mor_map
+        for g, f in sorted(
+            k for k, r in src.compose_table.items() if tgt.compose(mor[k[0]], mor[k[1]]) != mor[r]
+        ):
+            img = tgt.compose(mor[g], mor[f])
+            out.append(Violation("functor-composition", {"g": g, "f": f, "expected": img}))
+        for f1, f2 in sorted(p for p in src.orth if (mor[p[0]], mor[p[1]]) not in tgt.orth):
+            image = [mor[f1], mor[f2]]
+            out.append(Violation("functor-orthogonality", {"cospan": [f1, f2], "image": image}))
         return out
 
     def apply_obj(self, u: str) -> str:

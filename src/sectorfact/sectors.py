@@ -464,8 +464,7 @@ class LocalizedEndo:
     +-1 times a string of the global algebra, else PreconditionError; the
     matrices only serve to compute the tableau and are not kept.  Pauli
     and identity sectors, products, transports and g-images pass
-    `_tableau` directly.  A matrix implementing the sector is derived from
-    the tableau when a dense consumer asks (`unitary`).
+    `_tableau` directly.
     """
 
     def __init__(
@@ -504,13 +503,6 @@ class LocalizedEndo:
         rows = self.net.global_algebra().rows
         eqs = [((r & low) << L | r >> L) << 1 | (signs >> k) & 1 for k, (_, r) in enumerate(rows)]
         return sum((eq & 1) << (bit - 1) for bit, eq in _gf2_pivots(eqs))
-
-    @functools.cached_property
-    def unitary(self) -> GMat | None:
-        """P(a) for a = `pauli_mask`, built on first read; only dense
-        oracles read it."""
-        a, L = self.pauli_mask(), self.net.sites
-        return None if a is None else pauli_string(L, a >> L, a & ((1 << L) - 1))
 
     @property
     def _map(self) -> _StringMap:

@@ -1,10 +1,13 @@
 """Dense `GMat` forms that only the tests read: the site reflection and CZ as
-matrices, the scalar test of a matrix, and the M_N tableau of Ad u for a
-dense u.  The package holds group data and covariance families as tableaux;
-these are the oracles its tableaux are compared with."""
+matrices, the scalar test of a matrix, the M_N tableau of Ad u for a
+dense u, the Pauli string implementing a sector, and the collapse sector
+built from dense images.  The package holds sectors, group data and
+covariance families as tableaux; these are the oracles its tableaux are
+compared with."""
 
-from sectorfact.linalg import GMat, GR_ONE, GR_ZERO, GaussianRational, _UNITS
-from sectorfact.sectors import MatrixAlg, _ad_tableau
+from sectorfact.linalg import GMat, GR_ONE, GR_ZERO, GaussianRational, _UNITS, pauli_string
+from sectorfact.reports import SchemaError
+from sectorfact.sectors import LocalizedEndo, MatrixAlg, _ad_tableau
 
 
 def reflection_unitary(sites: int) -> GMat:
@@ -61,3 +64,28 @@ def reflection_unitaries(net) -> dict[str, GMat]:
     as tableaux."""
     return {"e": GMat.identity(net.n), "r": reflection_unitary(net.sites)}
 
+
+def pauli_unitary(rho) -> GMat | None:
+    """P(a) for a = `rho.pauli_mask()`: a matrix implementing the sector,
+    or None when it is no Pauli conjugation."""
+    a, L = rho.pauli_mask(), rho.net.sites
+    return None if a is None else pauli_string(L, a >> L, a & ((1 << L) - 1))
+
+
+def collapse_sector_from_images(net, region: str = "[1,2]") -> LocalizedEndo:
+    """The collapse sector of `fixtures.collapse_sector` built from the
+    2**L x 2**L image of every string of the global basis: each Z string
+    with the region's letters dropped."""
+    if region not in net.region_sites:
+        raise SchemaError(f"collapse sector needs region {region}, which the net lacks")
+    keep = 0
+    region_cells = net.region_sites[region]
+    for s in range(net.sites):
+        if s not in region_cells:
+            keep |= 1 << (net.sites - 1 - s)
+    images = []
+    for x, z in sorted(net.global_algebra().masks()):
+        if x != 0:
+            raise SchemaError("collapse sector needs a diagonal net")
+        images.append(pauli_string(net.sites, 0, z & keep))
+    return LocalizedEndo(net, region, images=images, label=f"reset@{region}")

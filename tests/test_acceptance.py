@@ -49,7 +49,7 @@ from sectorfact.sectors import (
 )
 from sectorfact.operad import validate_algebra
 
-from dense_oracle import m_n_tableau, reflection_unitaries
+from dense_oracle import m_n_tableau, pauli_unitary, reflection_unitaries
 
 
 def verdict(criterion: str, passed: bool, detail: str = "") -> None:
@@ -322,10 +322,10 @@ def test_criterion_7_sector_calculus():
     x2, z2 = family["[2,2]"]
     y1 = pauli_sector(net, "Y", "[1,1]")
     y2 = pauli_sector(net, "Y", "[2,2]")
-    t1 = Intertwiner(x1, z1, z1.unitary @ x1.unitary.adjoint())
-    t1p = Intertwiner(z1, y1, y1.unitary @ z1.unitary.adjoint())
-    t2 = Intertwiner(x2, z2, z2.unitary @ x2.unitary.adjoint())
-    t2p = Intertwiner(z2, y2, y2.unitary @ z2.unitary.adjoint())
+    t1 = Intertwiner(x1, z1, pauli_unitary(z1) @ pauli_unitary(x1).adjoint())
+    t1p = Intertwiner(z1, y1, pauli_unitary(y1) @ pauli_unitary(z1).adjoint())
+    t2 = Intertwiner(x2, z2, pauli_unitary(z2) @ pauli_unitary(x2).adjoint())
+    t2p = Intertwiner(z2, y2, pauli_unitary(y2) @ pauli_unitary(z2).adjoint())
     id1 = Intertwiner(x1, x1, GMat.identity(net.n))
     id2 = Intertwiner(x2, x2, GMat.identity(net.n))
     ok = ok and diamond_mor(id1, id2).matrix.is_identity()
@@ -344,7 +344,7 @@ def test_criterion_7_sector_calculus():
 
     # perp-commutativity for disjointly localized sectors and intertwiners
     far_x, far_z = family["[4,4]"]
-    t_far = Intertwiner(far_x, far_z, far_z.unitary @ far_x.unitary.adjoint())
+    t_far = Intertwiner(far_x, far_z, pauli_unitary(far_z) @ pauli_unitary(far_x).adjoint())
     report = check_perp_commutativity_sectors(x1, far_x, t1, t_far, net)
     ok = ok and report.ok
 
@@ -386,7 +386,7 @@ def test_criterion_8_equivariance():
             ok = ok and fam is not None
             for g in group.elements:
                 ok = ok and fam.tableaux[g] == m_n_tableau(
-                    4, rho.unitary @ unitaries[g] @ rho.unitary.adjoint()
+                    4, pauli_unitary(rho) @ unitaries[g] @ pauli_unitary(rho).adjoint()
                 )
 
     # compatibility of the action with the product

@@ -5,6 +5,7 @@ import pytest
 from dense_oracle import (
     entangler_unitary,
     m_n_tableau,
+    pauli_unitary,
     reflection_unitaries,
     reflection_unitary,
     scalar_multiple_of_identity,
@@ -139,7 +140,7 @@ def test_group_implementation_valid(z2_data):
 
 def test_implementation_breaks_with_wrong_unitary(net4):
     data = qubit_reflection_data(net4)
-    unitaries = {"e": GMat.identity(16), "r": pauli_sector(net4, "X", "[1,1]").unitary}
+    unitaries = {"e": GMat.identity(16), "r": pauli_unitary(pauli_sector(net4, "X", "[1,1]"))}
     broken = SectorGroupData.from_unitaries(net4, data.action, unitaries, name="broken")
     report = broken.validate()
     assert not report.ok
@@ -238,11 +239,11 @@ def test_inner_sector_family_form(net4, z2_data, family4):
             fam = find_covariance(rho, z2_data)
             assert fam is not None and fam.method == "inner"
             for g, u_g in reflection_unitaries(net4).items():
-                expected = rho.unitary @ u_g @ rho.unitary.adjoint()
+                expected = pauli_unitary(rho) @ u_g @ pauli_unitary(rho).adjoint()
                 assert fam.tableaux[g] == m_n_tableau(4, expected)
                 # the defining identity: rho Ad_{u_g} and Ad_{u^rho_g} rho
                 # are conjugations by v u_g and u^rho_g v respectively
-                assert ad_equal(net4, rho.unitary @ u_g, expected @ rho.unitary)
+                assert ad_equal(net4, pauli_unitary(rho) @ u_g, expected @ pauli_unitary(rho))
 
 
 def test_broken_symmetry_not_covariant(bits4):
@@ -266,7 +267,7 @@ def test_composite_family_two_sites(net4, z2_data):
     prod = diamond(rho, sig)
     direct = find_covariance(prod, z2_data)
     assert direct is not None
-    v, w = rho.unitary, sig.unitary
+    v, w = pauli_unitary(rho), pauli_unitary(sig)
     for g, u_g in reflection_unitaries(net4).items():
         assert joint.tableaux[g] == direct.tableaux[g]
         dense = reference_composite(v, v @ u_g @ v.adjoint(), w @ u_g @ w.adjoint(), u_g)
@@ -290,7 +291,7 @@ def test_covariant_sectors_closed_under_product(net4, z2_data, family4):
     famdot = find_covariance(sig, z2_data)
     joint = diamond_covariance(rho, sig, fam, famdot, z2_data)
     prod = diamond(rho, sig)
-    v, w = rho.unitary, sig.unitary
+    v, w = pauli_unitary(rho), pauli_unitary(sig)
     for g, u_g in reflection_unitaries(net4).items():
         u = reference_composite(v, v @ u_g @ v.adjoint(), w @ u_g @ w.adjoint(), u_g)
         assert joint.tableaux[g] == m_n_tableau(4, u)
@@ -311,7 +312,7 @@ def test_composite_family_on_a_diagonal_global_algebra(bits4):
         fam, famdot = find_covariance(rho, data), find_covariance(sig, data)
         joint = diamond_covariance(rho, sig, fam, famdot, data)
         prod = diamond(rho, sig)
-        v, w = rho.unitary, sig.unitary
+        v, w = pauli_unitary(rho), pauli_unitary(sig)
         for g, u_g in reflection_unitaries(bits4).items():
             y = reference_composite(v, v @ u_g @ v.adjoint(), w @ u_g @ w.adjoint(), u_g)
             assert joint.tableaux[g] == m_n_tableau(4, y)
@@ -330,13 +331,13 @@ def test_derived_sectors_keep_their_implementing_unitary(bits4):
     x1, x2, x3 = (pauli_sector(bits4, "X", f"[{k},{k}]") for k in (1, 2, 3))
     pair = diamond(x1.relabel("[1,2]"), x2.relabel("[1,2]"))
     x1x2 = pauli_string(4, 0b1100, 0)
-    assert ad_equal(bits4, pair.unitary, x1x2)
+    assert ad_equal(bits4, pauli_unitary(pair), x1x2)
     moved = g_act_sector("r", pair, data)
     u_r = reflection_unitary(4)
-    assert ad_equal(bits4, moved.unitary, u_r @ x1x2 @ u_r.adjoint()) and moved.region == "[3,4]"
+    assert ad_equal(bits4, pauli_unitary(moved), u_r @ x1x2 @ u_r.adjoint()) and moved.region == "[3,4]"
     report = check_transportable(pair, "[3,4]", bits4)
     assert report.found and report.transporter_label == "translated-pattern"
-    assert ad_equal(bits4, report.transported.unitary, pauli_string(4, 0b0011, 0))
+    assert ad_equal(bits4, pauli_unitary(report.transported), pauli_string(4, 0b0011, 0))
     assert report.transported.same_map(pauli_sector(bits4, "XX", "[3,4]"))
     fam = find_covariance(pair, data)
     assert fam.method == "inner"
@@ -344,14 +345,14 @@ def test_derived_sectors_keep_their_implementing_unitary(bits4):
     sig = x3.relabel("[1,3]")
     joint = diamond_covariance(triple, sig, fam, find_covariance(sig, data), data)
     prod = diamond(triple, sig)
-    v, w = triple.unitary, sig.unitary
+    v, w = pauli_unitary(triple), pauli_unitary(sig)
     for g, u_g in reflection_unitaries(bits4).items():
         y = reference_composite(v, v @ u_g @ v.adjoint(), w @ u_g @ w.adjoint(), u_g)
         assert joint.tableaux[g] == m_n_tableau(4, y)
         for m in bits4.global_algebra().basis:
             assert prod.apply(u_g @ m @ u_g.adjoint()) == y @ prod.apply(m) @ y.adjoint()
     # the collapse is no Pauli conjugation, and neither is its product
-    assert diamond(collapse_sector(bits4), pair).unitary is None
+    assert pauli_unitary(diamond(collapse_sector(bits4), pair)) is None
 
 
 def test_covariance_chain_probe_shifted_family(net4, z2_data):
@@ -397,12 +398,12 @@ def test_image_sector_action_and_covariance(net2):
         image = LocalizedEndo(net2, "[1,1]", images=[inner.apply(a) for a in glob.basis])
         moved, moved_inner = g_act_sector("r", image, data), g_act_sector("r", inner, data)
         # the tableau is all either holds, so both derive one string
-        assert ad_equal(net2, moved.unitary, moved_inner.unitary)
+        assert ad_equal(net2, pauli_unitary(moved), pauli_unitary(moved_inner))
         assert moved.region == moved_inner.region == "[2,2]"
         assert moved.same_map(moved_inner) and moved_inner.same_map(moved)
         fam = find_covariance(image, data)
         assert fam is not None and fam.method == "inner"
-        v = inner.unitary
+        v = pauli_unitary(inner)
         for g, u_g in reflection_unitaries(net2).items():
             y = v @ u_g @ v.adjoint()
             assert fam.tableaux[g] == m_n_tableau(2, y)

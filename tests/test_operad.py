@@ -497,10 +497,10 @@ def assert_same_report(cat, bound):
 
 
 def kernel_report(cat, bound):
-    """The kernel sweep alone, also on a category whose clean
-    `validate_category` report lets `validate_operad` skip it."""
+    """The kernel sweep alone over every target, also on a category whose
+    clean `validate_category` report lets `validate_operad` skip it."""
     report = ValidationReport(check="operad-axioms", subject=cat.name)
-    operad_module._OperadKernel(cat, bound, report).run()
+    operad_module._OperadKernel(cat, bound, report, set(cat.objects)).run()
     return dump_json(report.to_dict())
 
 
@@ -874,6 +874,108 @@ def test_subset_categories_are_orthogonal_categories():
 @given(thin_orthogonal_categories(), st.integers(0, 3))
 def test_proof_path_matches_reference_on_random_orthogonal_categories(cat, bound):
     assert_same_report(cat, bound)
+
+
+# -- the kernel sweeps only the targets above a violation ---------------------------------
+
+
+def _dirty_targets(cat):
+    """The targets whose operations the kernel sweeps, and the targets of
+    the operations whose `proved` it asks."""
+    swept, asked = [], []
+    kernel, proved = operad_module._OperadKernel, operad_module._OperadKernel.proved
+
+    class Spy(kernel):
+        def __init__(self, cat, bound, report, dirty):
+            swept.extend(sorted(dirty))
+            super().__init__(cat, bound, report, dirty)
+
+        def proved(self, f):
+            asked.append(self.cat.objects[f.target])
+            return proved(self, f)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(operad_module, "_OperadKernel", Spy)
+        validate_operad(cat, 2)
+    return swept, asked
+
+
+def damaged_at_two_incomparable_objects(cat):
+    """Probe B's pair dropped at [1,4] and a pair of [4,6] dropped too."""
+    drop = PROBE_B_DROP | {("[4,4]<=[4,6]", "[6,6]<=[4,6]"), ("[6,6]<=[4,6]", "[4,4]<=[4,6]")}
+    return with_orth(cat, [p for p in cat.orth if p not in drop], "two-damaged")
+
+
+def damaged_below_every_target():
+    """Subsets of {0, 1, 2} with an idempotent e != id at the empty set,
+    which has an arrow into every object: e composes like the identity
+    with the arrows out of it, and (id, e), (e, id), (e, e) are
+    orthogonal like (id, id), except that (e, id) is dropped.  Every
+    violation then has the empty set as its top."""
+    subsets = [frozenset(c) for k in range(4) for c in itertools.combinations(range(3), k)]
+    cat = subset_category(subsets, _SUBSET_RELATIONS["disjoint"])
+    bottom, ident = "s", cat.identities["s"]
+    table = dict(cat.compose_table)
+    table.update({("e", "e"): "e", ("e", ident): "e", (ident, "e"): "e"})
+    table.update({(g.id, "e"): g.id for g in cat.outof(bottom) if g.id != ident})
+    orth = set(cat.orth) | {(ident, "e"), ("e", "e")}
+    return OrthCategory(
+        cat.objects, [*cat.morphisms.values(), Morphism("e", bottom, bottom)], table,
+        cat.identities, orth, name="damaged-bottom",
+    )
+
+
+def with_orth_cospan_violation(cat):
+    """Probe B with a pair of arrows into different targets marked orthogonal."""
+    return with_orth(probe_b(cat), set(probe_b(cat).orth) | {("[1,1]<=[1,2]", "[3,3]<=[3,4]")},
+                     "cospan-violation")
+
+
+_DAMAGED = {
+    "probe-a": probe_a,
+    "probe-b": probe_b,
+    "two-incomparable": damaged_at_two_incomparable_objects,
+    "below-every-target": lambda cat: damaged_below_every_target(),
+    "orth-cospan": with_orth_cospan_violation,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DAMAGED))
+def test_sweeping_the_dirty_targets_matches_the_reference(intcat6, name):
+    cat = _DAMAGED[name](intcat6)
+    report = assert_same_report(cat, 2)
+    if name != "probe-a":
+        assert not validate_category(cat).ok and '"violations": []' not in report
+
+
+def test_the_dirty_targets_are_the_up_sets_of_the_violation_tops(intcat6):
+    above_14 = ["[1,4]", "[1,5]", "[1,6]"]
+    swept, asked = _dirty_targets(probe_b(intcat6))
+    assert swept == above_14
+    # the kernel asks `proved` of operations into dirty targets only
+    assert asked and set(asked) <= set(above_14)
+    swept, _ = _dirty_targets(damaged_at_two_incomparable_objects(intcat6))
+    assert swept == sorted({*above_14, "[1,6]", "[2,6]", "[3,6]", "[4,6]"})
+    everything = damaged_below_every_target()
+    assert {v.axiom for v in validate_category(everything).violations} == {
+        "orth-transposition", "orth-pre-composition"
+    }
+    assert _dirty_targets(everything)[0] == sorted(everything.objects)
+    cospan = with_orth_cospan_violation(intcat6)
+    assert _dirty_targets(cospan)[0] == sorted(intcat6.objects)
+
+
+def test_violation_tops_follow_the_witnesses(intcat6):
+    from sectorfact.orthcat import violation_top
+
+    cats = (probe_b(intcat6), nonassociative_category(), with_orth_cospan_violation(intcat6),
+            damaged_below_every_target())
+    tops = {(v.axiom, violation_top(cat, v)) for cat in cats for v in validate_category(cat).violations}
+    assert tops == {
+        ("orth-post-composition", "[1,4]"), ("orth-pre-composition", "[1,4]"),
+        ("unit-left", "D"), ("associativity", "D"), ("orth-post-composition", "D"),
+        ("orth-cospan", None), ("orth-transposition", "s"), ("orth-pre-composition", "s"),
+    }
 
 
 # -- the algebra proof against the full walk ---------------------------------------------
@@ -1397,3 +1499,92 @@ def test_non_intertwining_iso_detected_with_the_sector_iso_summary(net2):
     got = validate_equivariant_algebra(net2.category, build(), data.action, bound=1)
     assert dump_json(got.to_dict()) == dump_json(want.to_dict())
     assert {v.axiom for v in got.violations} == {"iso-cocycle", "iso-naturality"}
+
+
+# -- moved operations proved from the functor check ---------------------------------------
+
+
+def _marked_qubit3(orth, name):
+    from sectorfact.fixtures import net_from_json, net_to_json
+
+    doc = net_to_json(qubit_net(3, name=name))
+    doc["orth"] = orth
+    return net_from_json(doc)
+
+
+def _skew4():
+    """qubit4 with region [2,3] on sites {1, 3}: a clean category and a
+    net, but the reflection sends [2,2] <= [2,3] to no arrow."""
+    from sectorfact.fixtures import net_from_json, net_to_json
+
+    doc = net_to_json(qubit_net(4, name="skew4"))
+    next(r for r in doc["regions"] if r["id"] == "[2,3]")["sites"] = [1, 3]
+    return net_from_json(doc)
+
+
+_MOVED_NETS = {
+    **{f"qubit{L}": (lambda L=L: qubit_net(L)) for L in (2, 3, 4, 5)},
+    "bits4": lambda: diagonal_net(4),
+    # [1,1] is orthogonal to [2,3], but [3,3] is not to [1,2]
+    "oneway3": lambda: _marked_qubit3([["[1,1]", "[2,3]"]], "oneway3"),
+    "skew4": _skew4,
+}
+
+
+def _reflection_case(name):
+    from sectorfact.fixtures import qubit_reflection_data
+    from sectorfact.sectors import sector_equivariant_assignment
+
+    net = _MOVED_NETS[name]()
+    data = qubit_reflection_data(net)
+    return net.category, sector_equivariant_assignment(net, data, standard_sector_family(net)), data.action
+
+
+def _count_moved_operations(monkeypatch):
+    calls = {"enumerate_all_operations": 0, "make_operation": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(operad_module, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(operad_module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(_MOVED_NETS))
+def test_moved_operations_proof_matches_the_full_walk(name, monkeypatch):
+    want = dump_json(reference_validate_equivariant_algebra(*_reflection_case(name), bound=2).to_dict())
+    calls = _count_moved_operations(monkeypatch)
+    got = dump_json(validate_equivariant_algebra(*_reflection_case(name), bound=2).to_dict())
+    assert got == want
+    if name in ("oneway3", "skew4"):
+        # no orthogonal functor: every moved operation is built
+        assert '"axiom": "action-operation"' in got
+        assert calls["enumerate_all_operations"] == 1 and calls["make_operation"] > 0
+    else:
+        assert '"ok": true' in got
+        assert calls == {"enumerate_all_operations": 0, "make_operation": 0}
+
+
+def test_equivariant_algebra_cli_on_qubit6_builds_no_operation(tmp_path, monkeypatch):
+    from sectorfact.cli import main
+    from sectorfact.fixtures import net_to_json
+
+    path = tmp_path / "qubit6.json"
+    path.write_text(dump_json(net_to_json(qubit_net(6))))
+    calls = _count_moved_operations(monkeypatch)
+    argv = ["operad", "algebra", "--net", str(path), "--bound", "2", "--equivariant"]
+    assert main(argv + ["--out", str(tmp_path / "out.json")]) == 0
+    assert calls == {"enumerate_all_operations": 0, "make_operation": 0}
+
+
+def test_a_functor_violation_keeps_the_moved_operations_walked(monkeypatch):
+    # corruption probe: with the functor check skipped, skew4's moved
+    # operations are proved and its action-operation witnesses are lost
+    from sectorfact.orthcat import OrthFunctor
+
+    want = validate_equivariant_algebra(*_reflection_case("skew4"), bound=2)
+    monkeypatch.setattr(OrthFunctor, "violations", lambda self: [])
+    got = validate_equivariant_algebra(*_reflection_case("skew4"), bound=2)
+    assert {v.axiom for v in want.violations} == {"action-operation"}
+    assert got.violations == []

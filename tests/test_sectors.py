@@ -16,12 +16,15 @@ from sectorfact.fixtures import (
     standard_sector_family,
 )
 from dense_oracle import (
+    collapse_sector_from_images,
     entangler_unitary,
     m_n_tableau,
+    pauli_unitary,
     reflection_unitaries,
     reflection_unitary,
     scalar_multiple_of_identity,
 )
+import sectorfact.cli as cli_module
 import sectorfact.fixtures as fixtures_module
 import sectorfact.linalg as linalg_module
 import sectorfact.sectors as sectors_module
@@ -515,7 +518,7 @@ def test_transport_single_site(net4):
     # v = u' u* for the same pattern at the target site, so Ad v after rho
     # is Ad u'
     v = pauli_string(4, 0b0010, 0) @ pauli_string(4, 0b1000, 0).adjoint()
-    assert reference_ad_equal(net4, report.transported.unitary, v @ pauli_string(4, 0b1000, 0))
+    assert reference_ad_equal(net4, pauli_unitary(report.transported), v @ pauli_string(4, 0b1000, 0))
     assert report.transported.same_map(pauli_sector(net4, "X", "[3,3]"))
     assert report.transported.region == "[3,3]"
     assert check_localized(report.transported, net4).ok
@@ -565,7 +568,7 @@ def test_diamond_inner_product(net4):
     rho = pauli_sector(net4, "X", "[1,1]")
     sig = pauli_sector(net4, "Z", "[1,1]")
     prod = diamond(rho, sig)
-    uw = rho.unitary @ sig.unitary
+    uw = pauli_unitary(rho) @ pauli_unitary(sig)
     for a in net4.global_algebra().basis:
         assert prod.apply(a) == uw @ a @ uw.adjoint()
 
@@ -593,7 +596,7 @@ def test_diamond_region_bookkeeping(net4):
 
 def intertwiner_between(net, a, b):
     """The canonical intertwiner w u* between inner sectors at one region."""
-    return Intertwiner(a, b, b.unitary @ a.unitary.adjoint())
+    return Intertwiner(a, b, pauli_unitary(b) @ pauli_unitary(a).adjoint())
 
 
 def test_intertwiner_membership_enforced(net4):
@@ -606,7 +609,7 @@ def test_intertwiner_membership_enforced(net4):
     # X at site 3 intertwines X@[3,3] with itself but lives outside A([1,1])
     far = pauli_sector(net4, "X", "[3,3]")
     with pytest.raises(PreconditionError):
-        Intertwiner(rho, rho, far.unitary)
+        Intertwiner(rho, rho, pauli_unitary(far))
 
 
 def test_intertwiner_for_general_endomorphism(bits4):
@@ -829,7 +832,7 @@ def test_membership_check_can_fail(monkeypatch, bits4):
 def test_mask_only_net_checks_build_no_matrix():
     patches = [
         mock.patch.object(module, "pauli_string", wraps=pauli_string)
-        for module in (linalg_module, sectors_module, fixtures_module)
+        for module in (linalg_module, sectors_module)
     ]
     built = [p.start() for p in patches]
     try:
@@ -841,7 +844,7 @@ def test_mask_only_net_checks_build_no_matrix():
     finally:
         for p in patches:
             p.stop()
-    assert [b.call_count for b in built] == [0, 0, 0]
+    assert [b.call_count for b in built] == [0, 0]
 
 
 def test_diamond_mor_identity(net4):
@@ -1208,11 +1211,11 @@ def test_image_sectors_agree_with_inner_sectors(net2):
     # derives the same implementing string
     for inner, image, u in ((x, ix, pauli_string(2, 2, 0)), (z, iz, pauli_string(2, 0, 2))):
         assert image.same_map(inner) and inner.same_map(image)
-        assert reference_ad_equal(net2, image.unitary, u)
+        assert reference_ad_equal(net2, pauli_unitary(image), u)
     assert not ix.same_map(iz) and not iz.same_map(x)
     prod = diamond(ix, iz)
     assert prod.region == "[1,1]"
-    assert reference_ad_equal(net2, prod.unitary, pauli_string(2, 2, 0) @ pauli_string(2, 0, 2))
+    assert reference_ad_equal(net2, pauli_unitary(prod), pauli_string(2, 2, 0) @ pauli_string(2, 0, 2))
     assert prod.same_map(diamond(x, z)) and diamond(x, z).same_map(prod)
 
 
@@ -1377,7 +1380,7 @@ def test_every_image_sector_gets_a_family(sites):
     for u, image in cases:
         fam = find_covariance(image, data)
         methods.append(fam.method)
-        assert fam.method == ("automorphism" if image.unitary is None else "inner")
+        assert fam.method == ("automorphism" if pauli_unitary(image) is None else "inner")
         for g, u_g in reflection_unitaries(net).items():
             y = u @ u_g @ u.adjoint()
             assert fam.tableaux[g] == m_n_tableau(sites, y)
@@ -1407,7 +1410,7 @@ def test_automorphism_family_probes(monkeypatch, net2):
     cz = entangler_unitary(net3, 0, 1)
     rho = _image_sector(LocalizedEndo(net3, "[1,2]", unitary=cz))
     fam = find_covariance(rho, data)
-    assert rho.unitary is None and fam.method == "automorphism"
+    assert pauli_unitary(rho) is None and fam.method == "automorphism"
     for g, u_g in reflection_unitaries(net3).items():
         assert rho.apply(u_g) == cz @ u_g @ cz
         assert fam.tableaux[g] == m_n_tableau(3, rho.apply(u_g))
@@ -1442,13 +1445,13 @@ def test_covariance_search_refused_on_a_partial_global_algebra():
     # the site swap on the X strings is no Pauli conjugation
     swap = reflection_unitary(2)
     rho = LocalizedEndo(net, "[1,2]", images=[swap @ a @ swap for a in glob.basis])
-    assert rho.unitary is None
+    assert pauli_unitary(rho) is None
     with pytest.raises(PreconditionError, match="neither full nor diagonal"):
         find_covariance(rho, data)
     # Ad Z0 built from its images derives Z0 and gets the conjugated family
     z0 = pauli_string(2, 0, 0b10)
     image = LocalizedEndo(net, "[1,1]", images=[z0 @ a @ z0 for a in glob.basis])
-    assert image.unitary == z0
+    assert pauli_unitary(image) == z0
     assert find_covariance(image, data).method == "inner"
 
 
@@ -1490,13 +1493,13 @@ def test_derived_string_implements_exactly_the_pauli_conjugations(net):
     kinds = set()
     for rho in sectors:
         summary = sectors_module._sector_summary(rho.region, rho)
-        assert (rho.unitary is None) == (summary is None)
+        assert (pauli_unitary(rho) is None) == (summary is None)
         kinds.add(summary is None)
-        if rho.unitary is None:
+        if pauli_unitary(rho) is None:
             continue
-        assert LocalizedEndo(net, rho.region, unitary=rho.unitary).tableau == rho.tableau
+        assert LocalizedEndo(net, rho.region, unitary=pauli_unitary(rho)).tableau == rho.tableau
         a = rho.pauli_mask()
-        assert rho.unitary == pauli_string(L, a >> L, a & low)
+        assert pauli_unitary(rho) == pauli_string(L, a >> L, a & low)
     assert kinds == {True, False}
     # a Pauli conjugation derives the string it was built from, up to the
     # global commutant, and the one representative with zero free
@@ -1520,7 +1523,7 @@ def test_pauli_sectors_on_a_200_site_net_build_no_matrix(monkeypatch):
     def refuse(*args):
         raise AssertionError("a 2**200 matrix was asked for")
 
-    for module in (linalg_module, sectors_module, fixtures_module):
+    for module in (linalg_module, sectors_module):
         monkeypatch.setattr(module, "pauli_string", refuse)
     monkeypatch.setattr(GMat, "identity", staticmethod(refuse))
     family = standard_sector_family(net)
@@ -1640,8 +1643,8 @@ def _check_mask_rule(net, rho, u, sig, w):
     for s in (prod, swapped):
         assert s.tableau == LocalizedEndo(net, s.region, unitary=unitary[id(s)]).tableau
     for s in (rho, sig, prod, swapped):
-        if s.unitary is not None:
-            assert reference_ad_equal(net, s.unitary, unitary[id(s)])
+        if pauli_unitary(s) is not None:
+            assert reference_ad_equal(net, pauli_unitary(s), unitary[id(s)])
     pairs = [(rho, sig), (sig, rho), (prod, swapped), (prod, rho), (sig, prod), (rho, rho)]
     for a, b in pairs:
         assert a.same_map(b) == reference_ad_equal(net, unitary[id(a)], unitary[id(b)])
@@ -1691,13 +1694,13 @@ def test_mask_rule_covers_both_branches():
     # the XOR (0, 4) is a commutant string, and the derived string of both
     # is the one without it
     assert x0.same_map(x0z1) and reference_ad_equal(BITS4, u, w)
-    assert _decoded(x0.unitary) == _decoded(x0z1.unitary) == (8, 0)
+    assert _decoded(pauli_unitary(x0)) == _decoded(pauli_unitary(x0z1)) == (8, 0)
     _check_mask_rule(BITS4, x0, u, x0z1, w)
     net = qubit_net(4)
     xzyi = pauli_string(4, 0b1010, 0b0110)
     for u in (entangler_unitary(net, 0, 3), reflection_unitary(4)):
         rho = LocalizedEndo(net, "[1,4]", unitary=u)
-        assert rho.relabel("[1,4]").same_map(rho) and rho.unitary is None
+        assert rho.relabel("[1,4]").same_map(rho) and pauli_unitary(rho) is None
         _check_mask_rule(net, rho, u, pauli_sector(net, "XZYI", "[1,4]"), xzyi)
 
 
@@ -1735,6 +1738,129 @@ def test_same_map_probe_ignoring_the_commutant(monkeypatch):
     _check_mask_rule(net, *sector(net, "[1,2]", 8, 0), *sector(net, "[1,2]", 8, 4))
     with pytest.raises(AssertionError):
         _check_mask_rule(BITS4, *sector(BITS4, "[1,1]", 8, 0), *sector(BITS4, "[1,1]", 8, 4))
+
+
+# -- the diamond laws proved from sign bits -----------------------------------------------------------
+
+
+def reference_diamond_laws(net, family):
+    """Every monoid-law instance of `sectors diamond` walked on every pool,
+    the oracle of the proof in `cli._diamond_laws`."""
+    checked, violations = 0, []
+    for u, sectors in sorted(family.items()):
+        pool = [identity_sector(net, u)] + sectors
+        for rho in pool:
+            left = diamond(rho, identity_sector(net, u))
+            right = diamond(identity_sector(net, u), rho)
+            checked += 1
+            if not (left.same_map(rho) and right.same_map(rho)):
+                violations.append({"axiom": "monoid-unit", "sector": rho.label})
+        for r1, r2, r3 in itertools.product(pool, repeat=3):
+            checked += 1
+            if not diamond(diamond(r1, r2), r3).same_map(diamond(r1, diamond(r2, r3))):
+                violations.append(
+                    {"axiom": "monoid-associativity", "sectors": [r1.label, r2.label, r3.label]}
+                )
+    return checked, violations
+
+
+def _count_cli_diamonds(monkeypatch):
+    """The regions of the sector products the diamond command builds."""
+    regions = []
+    real = cli_module.diamond
+
+    def counted(rho, rhodot, region=None):
+        regions.append(rho.region)
+        return real(rho, rhodot, region)
+
+    monkeypatch.setattr(cli_module, "diamond", counted)
+    return regions
+
+
+@pytest.mark.parametrize("net", [qubit_net(2), qubit_net(3), qubit_net(4), diagonal_net(4)],
+                         ids=lambda net: net.name)
+def test_diamond_laws_proof_matches_the_walk_by_report_bytes(net, tmp_path, monkeypatch):
+    path = tmp_path / "net.json"
+    path.write_text(dump_json(fixtures_module.net_to_json(net)))
+
+    def report():
+        out = tmp_path / "diamond.json"
+        assert cli_module.main(["sectors", "diamond", "--net", str(path), "--out", str(out)]) == 0
+        return out.read_bytes()
+
+    built = _count_cli_diamonds(monkeypatch)
+    proved = report()
+    assert built == []
+    monkeypatch.setattr(cli_module, "_diamond_laws", reference_diamond_laws)
+    assert report() == proved
+
+
+@pytest.mark.parametrize("kind", ["cz", "collapse"])
+def test_a_pool_with_a_non_summary_sector_is_walked(kind, monkeypatch):
+    net = qubit_net(4) if kind == "cz" else diagonal_net(4)
+    family = standard_sector_family(net)
+    if kind == "cz":
+        family["[1,2]"] = [LocalizedEndo(net, "[1,2]", unitary=entangler_unitary(net, 0, 1), label="CZ")]
+    else:
+        family["[1,2]"] = [collapse_sector(net)]
+    want = reference_diamond_laws(net, family)
+    built = _count_cli_diamonds(monkeypatch)
+    assert cli_module._diamond_laws(net, family) == want
+    # the pool {1, rho} at [1,2] alone: two products per unit instance and
+    # four per associativity instance
+    assert built == ["[1,2]"] * (2 * 2 + 4 * 2 ** 3)
+
+
+def _check_diamond_premise(net):
+    """On every pair of Pauli conjugations at one region of at most two
+    sites, `diamond` keeps every mask and XORs the sign bits."""
+    summary = sectors_module._sector_summary
+    for u, cells in sorted(net.region_sites.items()):
+        if len(cells) > 2:
+            continue
+        pool = [identity_sector(net, u)] + [
+            pauli_sector(net, "".join(p), u) for p in itertools.product("IXYZ", repeat=len(cells))
+        ]
+        for a, b in itertools.product(pool, repeat=2):
+            assert summary(u, diamond(a, b)) == summary(u, a) ^ summary(u, b), (u, a, b)
+
+
+@pytest.mark.parametrize("L", [2, 3, 4])
+def test_diamond_keeps_masks_and_xors_sign_bits(L):
+    _check_diamond_premise(qubit_net(L))
+
+
+def test_diamond_premise_probe_dropping_the_sign(monkeypatch):
+    # corruption probe: a composition that drops the carried sign
+    monkeypatch.setattr(
+        sectors_module, "_compose", lambda outer, tableau: tuple(outer[code >> 1] for code in tableau)
+    )
+    with pytest.raises(AssertionError):
+        _check_diamond_premise(qubit_net(2))
+
+
+@pytest.mark.parametrize("L", [2, 3, 4, 5, 6])
+def test_collapse_tableau_matches_the_image_built_sector(L):
+    net = diagonal_net(L)
+    for region in sorted(net.region_sites):
+        rho, oracle = collapse_sector(net, region), collapse_sector_from_images(net, region)
+        assert rho.tableau == oracle.tableau and rho.label == oracle.label
+
+
+def test_collapse_refusals_match_the_image_built_sector():
+    # a full algebra at [1,2]; a diagonal global algebra without Z1 alone,
+    # so resetting site 0 of Z0 Z1 leaves it; a missing region
+    pair = MatrixAlg.pauli_span(2, [(0, 0), (0, 3)])
+    qubit2 = qubit_net(2)
+    narrow = MatrixNet(qubit2.category, 2, qubit2.region_sites,
+                       overrides={u: pair for u in qubit2.region_sites})
+    cases = [(qubit2, "[1,2]", SchemaError, "needs a diagonal net"),
+             (narrow, "[1,1]", PreconditionError, "image leaves the global algebra"),
+             (diagonal_net(1), "[1,2]", SchemaError, "which the net lacks")]
+    for net, region, error, message in cases:
+        for build in (collapse_sector, collapse_sector_from_images):
+            with pytest.raises(error, match=message):
+                build(net, region)
 
 
 # -- tableaux against the GMat oracle ---------------------------------------------------------------
@@ -1958,7 +2084,7 @@ def test_structure_maps_xor_the_masks(case):
     summary = sector_algebra_assignment(net, {}).summary
     x = z = bits = 0
     for rho, u in zip(sectors, op.sources):
-        mx, mz = _decoded(rho.unitary)
+        mx, mz = _decoded(pauli_unitary(rho))
         assert summary(u, rho) == _sign_bits(net, mx, mz)
         x, z, bits = x ^ mx, z ^ mz, bits ^ summary(u, rho)
     out = pfa_structure_map(op, sectors, net)
