@@ -67,7 +67,6 @@ from .sectors import (
     check_haag_duality,
     check_perp_commutativity,
     check_transportable,
-    diamond,
     find_covariance,
     g_act_sector,
     identity_sector,
@@ -319,54 +318,37 @@ def cmd_sectors_perp(args, net) -> tuple[dict, bool]:
     return report, report["ok"]
 
 
-def _diamond_laws(net, family) -> tuple[int, list[dict]]:
-    """The monoid laws of the sector product on each region's pool, the
-    identity sector and the family's sectors there: the instance count and
-    the violations.
+def _diamond_laws(net, family) -> int:
+    """The number of monoid-law instances of the sector product on each
+    region's pool, the identity sector and the family's sectors there, each
+    one proved: a pool with a sector that is no Pauli conjugation is refused.
 
-    A pool is proved when every sector in it has a summary
-    (`_sector_summary`): its tableau keeps every mask, so `diamond` at the
-    region keeps every mask and XORs the sign bits, the identity's being 0.
-    Then rho <> 1 and 1 <> rho have rho's tableau, (r1 <> r2) <> r3 and
-    r1 <> (r2 <> r3) both carry the XOR of the three sign bits, and
-    `same_map` is tableau equality: no instance fails, and none is built.
-    Any other pool is walked instance by instance."""
-    violations = []
+    Every sector in a proved pool has a summary (`_sector_summary`): its
+    tableau keeps every mask, so `diamond` at the region keeps every mask
+    and XORs the sign bits, the identity's being 0.  Then rho <> 1 and
+    1 <> rho have rho's tableau, (r1 <> r2) <> r3 and r1 <> (r2 <> r3) both
+    carry the XOR of the three sign bits, and `same_map` is tableau
+    equality: no instance fails, and none is built.  The family of
+    `sectors diamond`, `standard_sector_family`, holds Pauli conjugations
+    only; the tests keep the instance walk as the oracle."""
     checked = 0
     for u, sectors in sorted(family.items()):
         pool = [identity_sector(net, u)] + sectors
+        for s in pool:
+            if _sector_summary(u, s) is None:
+                raise PreconditionError(f"sector {s.label} at {u} is not a Pauli conjugation")
         checked += len(pool) + len(pool) ** 3
-        if all(_sector_summary(u, s) is not None for s in pool):
-            continue
-        for rho in pool:
-            left = diamond(rho, identity_sector(net, u))
-            right = diamond(identity_sector(net, u), rho)
-            if not (left.same_map(rho) and right.same_map(rho)):
-                violations.append({"axiom": "monoid-unit", "sector": rho.label})
-        for r1 in pool:
-            for r2 in pool:
-                for r3 in pool:
-                    lhs = diamond(diamond(r1, r2), r3)
-                    rhs = diamond(r1, diamond(r2, r3))
-                    if not lhs.same_map(rhs):
-                        violations.append(
-                            {
-                                "axiom": "monoid-associativity",
-                                "sectors": [r1.label, r2.label, r3.label],
-                            }
-                        )
-    return checked, violations
+    return checked
 
 
 @_on_a_functor
 def cmd_sectors_diamond(args, net) -> tuple[dict, bool]:
-    checked, violations = _diamond_laws(net, standard_sector_family(net))
     doc = {
         "check": "diamond-laws",
         "subject": net.name,
-        "instances": checked,
-        "violations": violations,
-        "ok": not violations,
+        "instances": _diamond_laws(net, standard_sector_family(net)),
+        "violations": [],
+        "ok": True,
         "notes": {"model": INNER_MODEL_NOTE},
     }
     return doc, doc["ok"]
