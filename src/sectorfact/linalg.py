@@ -666,3 +666,36 @@ def _inverse_tableau(L: int, tableau: tuple[int, ...]) -> tuple[int, ...]:
         raise PreconditionError("tableau images are dependent: the map has no inverse")
     image = _StringMap(L, [(k, 1 << k) for k in range(n)], tableau)
     return tuple(v << 1 | image[v] & 1 for v in (row & ((1 << n) - 1) for _, row in pivots))
+
+
+def _diagonal_tableau(L: int, pairs: list[tuple[int, int]]) -> tuple[int, ...] | None:
+    """M_N tableau of a unitary y with Ad y(rhs) = lhs for each pair of
+    signed Z masks, or None when no unitary solves them; a mask with an X
+    letter raises PreconditionError.  Complete: y may join basis states i
+    and j only where all pairs' diagonals agree, and a unitary on that
+    support exists exactly when a permutation does (Birkhoff), that is, when
+    both diagonals carry one multiset of signatures.  For lhs
+    (-1)**a_r Z^(l_r), state i has the signature (a_r + l_r . i)_r; these
+    fill the coset a + col(l), each point 2**(L - rank) times.  So a
+    solution exists exactly when (1) every XOR relation among the rhs masks
+    m_r holds for the pairs (l_r, a_r ^ b_r) and (2) every one among the l_r
+    holds among the m_r.  Then m_r -> l_r extends to an invertible N, the
+    free coordinates paired in order, and m_r -> a_r ^ b_r to a functional
+    d: the affine permutation Clifford with Ad y(Z^z) = (-1)**(d . z) Z^(Nz)
+    and Ad y(X^x) = X^(N^-T x) (Dehaene and De Moor, Phys. Rev. A 68,
+    042318).  One elimination per condition, each side's masks above the
+    other's; their reduced rows and the free pairs give N, d and N^-1."""
+    if any(code >> (L + 1) for pair in pairs for code in pair):
+        raise PreconditionError("no complete intertwiner search on a global algebra that is "
+                                "neither full nor diagonal-constrained")
+    fwd = dict(_gf2_pivots([b >> 1 << (L + 1) | a >> 1 << 1 | (a ^ b) & 1 for a, b in pairs]))
+    back = dict(_gf2_pivots([a >> 1 << L | b >> 1 for a, b in pairs]))
+    if any(bit <= L for bit in fwd) or any(bit < L for bit in back):
+        return None
+    m_free = [k for k in range(L) if k + L + 1 not in fwd]
+    free = list(zip(m_free, [k for k in range(L) if k + L not in back]))
+    # rows e_k | N e_k | d_k and e_k | N^-1 e_k, k ascending; N e_p = e_q
+    z = sorted(_gf2_pivots([*fwd.values(), *(1 << (p + L + 1) | 1 << (q + 1) for p, q in free)]))
+    inv = sorted(_gf2_pivots([*back.values(), *(1 << (q + L) | 1 << p for p, q in free)]))
+    x_half = [sum((row >> k & 1) << i for i, (_, row) in enumerate(inv)) << (L + 1) for k in range(L)]
+    return tuple(row & ((2 << L) - 1) for _, row in z) + tuple(x_half)

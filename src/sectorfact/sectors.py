@@ -27,9 +27,9 @@ mapped term by term on its Pauli expansion, two sectors are the same map
 exactly when their tableaux are equal, and the sector product composes
 tableaux.  The tableau is all a sector holds: when it is a Pauli
 conjugation, the implementing string is derived from it by one GF(2)
-solve.  Group data and covariance families are tableaux on all of M_N too;
-only the diagonal matching of a non-Clifford sector's family builds
-matrices.
+solve.  Group data and covariance families are tableaux on all of M_N too,
+the diagonal matching's permutations included, so no verdict builds a
+matrix.
 """
 
 from __future__ import annotations
@@ -41,11 +41,10 @@ from dataclasses import dataclass, field
 from .linalg import (
     GMat,
     GR_MINUS_ONE,
-    GR_ONE,
-    GR_ZERO,
     _StringMap,
     _chase,
     _compose,
+    _diagonal_tableau,
     _gf2_nullspace,
     _gf2_pivots,
     _inverse_tableau,
@@ -1069,14 +1068,11 @@ def action_laws_hold(
 
 @dataclass
 class CovarianceFamily:
-    """A sector's covariance family y_g: for each g the M_N tableau of
-    Ad y_g (`tableaux`), or, for the diagonal matching, whose permutation
-    y_g need not be a Clifford, the matrix itself (`unitaries`)."""
+    """A sector's covariance family y_g: for each g the M_N tableau of Ad y_g."""
 
     sector: str
     method: str
     tableaux: dict[str, tuple[int, ...]] = field(default_factory=dict)
-    unitaries: dict[str, GMat] = field(default_factory=dict)
 
 
 def _extension(rho: LocalizedEndo, data: SectorGroupData):
@@ -1098,16 +1094,17 @@ def _extension(rho: LocalizedEndo, data: SectorGroupData):
 def find_covariance(
     rho: LocalizedEndo, data: SectorGroupData
 ) -> CovarianceFamily | None:
-    """Projective family implementing the sector's covariance: for each g a
-    unitary y_g with rho Ad u_g = Ad y_g rho on the global algebra.
+    """Projective family implementing the sector's covariance: for each g the
+    M_N tableau of a unitary y_g with rho Ad u_g = Ad y_g rho on the global algebra.
 
     When rho extends to Ad v on M_N (`_extension`), y_g = v u_g v* does:
     its tableau is rhohat Ad u_g rhohat^-1.  For an automorphism the law is
     checked on the global rows.  On diagonal constraints (the abelian nets)
-    the pairs (rho(Ad u_g(a)), rho(a)) are signed strings read off the
-    tableaux, and `_solve_intertwiner` is complete on them, so None proves
-    that no unitary family exists.  Any global algebra that is neither full
-    nor diagonal-constrained raises PreconditionError.
+    the pairs (rho(Ad u_g(a)), rho(a)) are signed Z strings read off the
+    tableaux, and `_diagonal_tableau` is complete on them (y_g permutes the
+    basis states affinely), so None proves that no unitary family exists.
+    Any global algebra that is neither full nor diagonal-constrained raises
+    PreconditionError.
     """
     group, L, rows = data.action.group, data.net.sites, data._m_n.rows
     ext = _extension(rho, data)
@@ -1124,42 +1121,11 @@ def find_covariance(
     fam = {}
     for g in group.elements:
         image = data._full_maps(g)[0]
-        pairs = [
-            (_string_matrix(L, _chase((image, rho._map), r)), _string_matrix(L, rho._map[r]))
-            for _, r in data.net.global_algebra().rows
-        ]
-        y = _solve_intertwiner(data.net.n, pairs)
+        pairs = [(_chase((image, rho._map), r), rho._map[r]) for _, r in data.net.global_algebra().rows]
+        y = fam[g] = _diagonal_tableau(L, pairs)
         if y is None:
             return None
-        fam[g] = y
-    return CovarianceFamily(sector=rho.label, method="diagonal-match", unitaries=fam)
-
-
-def _solve_intertwiner(n: int, pairs: list[tuple[GMat, GMat]]) -> GMat | None:
-    """A permutation y with lhs*y = y*rhs for every pair of diagonal
-    matrices, or None when no unitary solves them; PreconditionError for
-    any other pair."""
-    if any(i != j for pair in pairs for m in pair for i, j in m.data):
-        raise PreconditionError(
-            "no complete intertwiner search on a global algebra that is "
-            "neither full nor diagonal-constrained"
-        )
-    # diagonal pairs pin each entry: y may join row i to column j exactly
-    # when the diagonals agree there in every pair.  The support of a
-    # unitary solution holds a permutation (Birkhoff), and on this union of
-    # complete bipartite blocks greedy matching finds one if any exists
-    left = [tuple(lhs.data.get((i, i), GR_ZERO) for lhs, _ in pairs) for i in range(n)]
-    right = [tuple(rhs.data.get((j, j), GR_ZERO) for _, rhs in pairs) for j in range(n)]
-    free = list(range(n))
-    match = {}
-    for i in range(n):
-        j = next((j for j in free if right[j] == left[i]), None)
-        if j is None:
-            return None
-        free.remove(j)
-        match[(i, j)] = GR_ONE
-    y = GMat(n, match)
-    return y if all(lhs @ y == y @ rhs for lhs, rhs in pairs) else None
+    return CovarianceFamily(sector=rho.label, method="diagonal-match", tableaux=fam)
 
 
 def diamond_covariance(
@@ -1176,12 +1142,12 @@ def diamond_covariance(
     y_g's composite is y_g rhohat(u_g* ydot_g), whose Ad is Ad y_g rhohat
     Ad u_g* Ad ydot_g rhohat^-1.  The bridge u_g* ydot_g need not lie in the
     global algebra (on a diagonal net it permutes the basis), so rho is
-    extended to M_N as rhohat (`_extension`).  A rho without one, or a
-    family held as matrices, raises PreconditionError."""
+    extended to M_N as rhohat (`_extension`).  A rho without one raises
+    PreconditionError."""
     net, L = data.net, data.net.sites
     rows, glob = data._m_n.rows, net.global_algebra()
     ext = _extension(rho, data)
-    if ext is None or not (fam.tableaux and famdot.tableaux):
+    if ext is None:
         raise PreconditionError(f"no composite family for {rho.label} without tableaux on M_N")
     _, hat, hat_inv = ext
     hat_map = _StringMap(L, rows, hat)

@@ -1,12 +1,22 @@
 """Dense `GMat` forms that only the tests read: the site reflection and CZ as
 matrices, the scalar test of a matrix, the M_N tableau of Ad u for a
-dense u, the Pauli string implementing a sector, and the collapse sector
-built from dense images.  The package holds sectors, group data and
-covariance families as tableaux; these are the oracles its tableaux are
-compared with."""
+dense u, the Pauli string implementing a sector, the collapse sector
+built from dense images, and the diagonal matching of covariance pairs
+as matrices.  The package holds sectors, group data and covariance
+families as tableaux; these are the oracles its tableaux are compared
+with."""
 
-from sectorfact.linalg import GMat, GR_ONE, GR_ZERO, GaussianRational, _UNITS, pauli_string
-from sectorfact.reports import SchemaError
+from sectorfact.linalg import (
+    GMat,
+    GR_ONE,
+    GR_ZERO,
+    GaussianRational,
+    _UNITS,
+    _chase,
+    _string_matrix,
+    pauli_string,
+)
+from sectorfact.reports import PreconditionError, SchemaError
 from sectorfact.sectors import LocalizedEndo, MatrixAlg, _ad_tableau
 
 
@@ -89,3 +99,49 @@ def collapse_sector_from_images(net, region: str = "[1,2]") -> LocalizedEndo:
             raise SchemaError("collapse sector needs a diagonal net")
         images.append(pauli_string(net.sites, 0, z & keep))
     return LocalizedEndo(net, region, images=images, label=f"reset@{region}")
+
+
+def solve_intertwiner(n: int, pairs: list[tuple[GMat, GMat]]) -> GMat | None:
+    """A permutation y with lhs*y = y*rhs for every pair of diagonal
+    matrices, or None when no unitary solves them; PreconditionError for
+    any other pair."""
+    if any(i != j for pair in pairs for m in pair for i, j in m.data):
+        raise PreconditionError(
+            "no complete intertwiner search on a global algebra that is "
+            "neither full nor diagonal-constrained"
+        )
+    # diagonal pairs pin each entry: y may join row i to column j exactly
+    # when the diagonals agree there in every pair.  The support of a
+    # unitary solution holds a permutation (Birkhoff), and on this union of
+    # complete bipartite blocks greedy matching finds one if any exists
+    left = [tuple(lhs.data.get((i, i), GR_ZERO) for lhs, _ in pairs) for i in range(n)]
+    right = [tuple(rhs.data.get((j, j), GR_ZERO) for _, rhs in pairs) for j in range(n)]
+    free = list(range(n))
+    match = {}
+    for i in range(n):
+        j = next((j for j in free if right[j] == left[i]), None)
+        if j is None:
+            return None
+        free.remove(j)
+        match[(i, j)] = GR_ONE
+    y = GMat(n, match)
+    return y if all(lhs @ y == y @ rhs for lhs, rhs in pairs) else None
+
+
+def dense_diagonal_family(rho, data) -> dict[str, GMat] | None:
+    """The diagonal matching of `find_covariance` on matrices: for each g
+    the pairs (rho(Ad u_g(a)), rho(a)) over the global rows a, built as
+    2**L x 2**L matrices and matched by `solve_intertwiner`; the
+    permutations y_g, or None when some g has none."""
+    L, fam = data.net.sites, {}
+    for g in data.action.group.elements:
+        image = data._full_maps(g)[0]
+        pairs = [
+            (_string_matrix(L, _chase((image, rho._map), r)), _string_matrix(L, rho._map[r]))
+            for _, r in data.net.global_algebra().rows
+        ]
+        y = solve_intertwiner(data.net.n, pairs)
+        if y is None:
+            return None
+        fam[g] = y
+    return fam

@@ -1,8 +1,11 @@
 import itertools
+import json
+import random
 
 import pytest
 
 from dense_oracle import (
+    dense_diagonal_family,
     entangler_unitary,
     m_n_tableau,
     pauli_unitary,
@@ -14,16 +17,21 @@ from sectorfact.fixtures import (
     collapse_sector,
     diagonal_net,
     interval_reflection_action,
+    net_to_json,
     pauli_sector,
     qubit_net,
     qubit_reflection_data,
     standard_sector_family,
+    trivial_action,
 )
-from sectorfact.linalg import GMat, _StringMap, pauli_string
+from sectorfact.cli import main as cli_main
+from sectorfact.linalg import GMat, _StringMap, _chase, pauli_string
 from sectorfact.orthcat import GroupActionSpec, OrthFunctor, validate_group_action
 from sectorfact.reports import PreconditionError, ValidationReport, dump_json
 from sectorfact.sectors import (
     CovarianceFamily,
+    LocalizedEndo,
+    MatrixAlg,
     SectorGroupData,
     _conjugation_tableau,
     _inverse_tableau,
@@ -77,11 +85,17 @@ def test_reflection_tableaux_match_the_dense_reflection(L):
     assert tuple(ad_r[v] for _, v in rows) == data.tableaux["r"]
 
 
-def test_the_reflection_path_builds_no_matrix(monkeypatch):
+def test_the_reflection_path_builds_no_matrix(monkeypatch, tmp_path):
     # qubit_reflection_data -> validate -> g_act_sector -> find_covariance
-    # on a qubit net runs on tableaux alone
+    # on a qubit net runs on tableaux alone, and so do the equivariance
+    # campaigns on diagonal nets, whose collapse sector takes the diagonal
+    # matching
     net = qubit_net(6)
     family = standard_sector_family(net)
+    nets = []
+    for L in range(4, 9):
+        nets.append(tmp_path / f"bits{L}.json")
+        nets[-1].write_text(json.dumps(net_to_json(diagonal_net(L))))
 
     def refuse(*args, **kwargs):
         raise AssertionError("a GMat was built")
@@ -96,6 +110,10 @@ def test_the_reflection_path_builds_no_matrix(monkeypatch):
             moved = {g: g_act_sector(g, rho, data) for g in ("e", "r")}
             assert action_laws_hold(rho, moved, data, report.ok)
             assert find_covariance(rho, data).method == "inner"
+    out = str(tmp_path / "report.json")
+    for path in nets:
+        for args in (["sectors", "equivariance"], ["operad", "algebra", "--equivariant", "--bound", "2"]):
+            assert cli_main(args + ["--net", str(path), "--out", out]) == 0
 
 
 def _clifford_samples(net):
@@ -252,6 +270,51 @@ def test_broken_symmetry_not_covariant(bits4):
     rho = collapse_sector(bits4)
     assert check_localized(rho, bits4).ok
     assert find_covariance(rho, data) is None
+    # the reflection maps [2,3] to itself, and the reset there commutes
+    # with it: a family of affine basis permutations
+    fam = find_covariance(collapse_sector(bits4, "[2,3]"), data)
+    assert fam is not None and fam.method == "diagonal-match"
+
+
+def _diagonal_group_data(net):
+    """The site reflection; the trivial group; and Z2 acting by identity
+    functors, implemented by X at site 0, which flips the sign of every Z
+    string with a letter there."""
+    L, m_n = net.sites, MatrixAlg.full_on_sites(net.sites, range(net.sites))
+    one = _conjugation_tableau(m_n, 0)
+    same = OrthFunctor.identity_on(net.category)
+    flip = GroupActionSpec(interval_reflection_action(net.category, L).group, {"e": same, "r": same})
+    return [
+        qubit_reflection_data(net),
+        SectorGroupData(net, trivial_action(net.category), {"e": one}),
+        SectorGroupData(net, flip, {"e": one, "r": _conjugation_tableau(m_n, 1 << (2 * L - 1))}),
+    ]
+
+
+@pytest.mark.parametrize("L", range(2, 7))
+def test_diagonal_families_match_the_dense_matching(L):
+    # on diagonal_net(L) every sector's verdict equals the dense matching's,
+    # and every family found satisfies rho Ad u_g = Ad y_g rho on the global
+    # rows.  Any GF(2)-linear map of the Z rows, with signs, is a
+    # *-endomorphism of the commutative global algebra
+    net, rng = diagonal_net(L), random.Random(L)
+    sectors = [collapse_sector(net, f"[{k},{k + 1}]") for k in range(1, L)]
+    sectors.append(identity_sector(net, "[1,1]"))
+    for _ in range(12):
+        tableau = tuple(rng.randrange(1 << L) << 1 | rng.randrange(2) for _ in range(L))
+        sectors.append(LocalizedEndo(net, f"[1,{L}]", _tableau=tableau))
+    verdicts = []
+    for data in _diagonal_group_data(net):
+        assert data.validate().ok
+        for rho in sectors:
+            fam = find_covariance(rho, data)
+            assert (fam is None) == (dense_diagonal_family(rho, data) is None)
+            verdicts.append(fam is not None)
+            for g in () if fam is None else data.action.group.elements:
+                y, image = _StringMap(L, data._m_n.rows, fam.tableaux[g]), data._full_maps(g)[0]
+                for _, r in net.global_algebra().rows:
+                    assert _chase((rho._map, y), r) == _chase((image, rho._map), r)
+    assert any(verdicts) and not all(verdicts)
 
 
 # -- composite families ------------------------------------------------------------------
@@ -353,6 +416,25 @@ def test_derived_sectors_keep_their_implementing_unitary(bits4):
             assert prod.apply(u_g @ m @ u_g.adjoint()) == y @ prod.apply(m) @ y.adjoint()
     # the collapse is no Pauli conjugation, and neither is its product
     assert pauli_unitary(diamond(collapse_sector(bits4), pair)) is None
+
+
+def test_composite_family_with_a_diagonal_match_factor(bits4):
+    # the reset at [2,3] has only a diagonal-match family, and rho = X at
+    # [2,2] extends to M_N, so their composite is a family of the product
+    data = qubit_reflection_data(bits4)
+    x, reset = pauli_sector(bits4, "X", "[2,2]"), collapse_sector(bits4, "[2,3]")
+    fam, famdot = find_covariance(x, data), find_covariance(reset, data)
+    assert (fam.method, famdot.method) == ("inner", "diagonal-match")
+    joint = diamond_covariance(x, reset, fam, famdot, data)
+    assert joint.method == "composite"
+    prod = diamond(x, reset, region="[2,3]")
+    for g in ("e", "r"):
+        y, image = _StringMap(4, data._m_n.rows, joint.tableaux[g]), data._full_maps(g)[0]
+        for _, r in bits4.global_algebra().rows:
+            assert _chase((prod._map, y), r) == _chase((image, prod._map), r)
+    # the reset has no extension to M_N, so no composite starts from it
+    with pytest.raises(PreconditionError, match=r"no composite family for reset@\[2,3\] without tableaux on M_N"):
+        diamond_covariance(reset, x, famdot, fam, data)
 
 
 def test_covariance_chain_probe_shifted_family(net4, z2_data):

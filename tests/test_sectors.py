@@ -1,4 +1,6 @@
+import functools
 import itertools
+import operator
 from fractions import Fraction as F
 from unittest import mock
 
@@ -23,6 +25,7 @@ from dense_oracle import (
     reflection_unitaries,
     reflection_unitary,
     scalar_multiple_of_identity,
+    solve_intertwiner,
 )
 import sectorfact.cli as cli_module
 import sectorfact.fixtures as fixtures_module
@@ -34,6 +37,10 @@ from sectorfact.linalg import (
     GR_ONE,
     GR_ZERO,
     GaussianRational,
+    _StringMap,
+    _diagonal_tableau,
+    _inverse_tableau,
+    _string_matrix,
     as_pauli_string,
     nullspace,
     pauli_coefficients,
@@ -53,7 +60,6 @@ from sectorfact.sectors import (
     check_perp_commutativity_sectors,
     check_transportable,
     commutant,
-    _solve_intertwiner,
     diamond,
     diamond_mor,
     find_covariance,
@@ -1546,7 +1552,7 @@ def _permutation_solutions(n, pairs):
 
 @settings(max_examples=80, deadline=None)
 @given(st.data())
-def test_diagonal_matching_is_complete(data):
+def test_the_dense_matching_oracle_is_complete(data):
     # a unitary supported on the allowed pattern exists exactly when a
     # permutation does (Birkhoff), so the permutations are the oracle
     n = data.draw(st.integers(1, 4), label="n")
@@ -1560,18 +1566,65 @@ def test_diagonal_matching_is_complete(data):
         lhs = [data.draw(labels, label="lhs") for _ in range(count)]
     diag = lambda d: GMat(n, {(i, i): v for i, v in enumerate(d)})
     pairs = [(diag(a), diag(b)) for a, b in zip(lhs, rhs)]
-    got = _solve_intertwiner(n, pairs)
+    got = solve_intertwiner(n, pairs)
     assert (got is None) == (next(_permutation_solutions(n, pairs), None) is None)
     if got is not None:
         assert got.is_unitary() and all(a @ got == got @ b for a, b in pairs)
 
 
+def _invertible_columns(data, L):
+    """The columns N e_k of a random invertible L x L matrix over GF(2): a
+    unit upper triangle with its rows permuted."""
+    perm = data.draw(st.permutations(range(L)), label="perm")
+    cols = [1 << k | data.draw(st.integers(0, (1 << k) - 1), label="above") for k in range(L)]
+    return [sum((c >> i & 1) << perm[i] for i in range(L)) for c in cols]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_diagonal_matching_is_complete(data):
+    # `_diagonal_tableau` on random signed Z-mask pairs against the dense
+    # matcher, and at L <= 2 against every permutation; half the examples
+    # are solvable by construction: lhs = (-1)**(d . m) Z^(N m) for rhs Z^m
+    L = data.draw(st.integers(1, 4), label="L")
+    signed = st.integers(0, (2 << L) - 1)
+    rhs = data.draw(st.lists(signed, min_size=1, max_size=4), label="rhs")
+    solvable = data.draw(st.booleans(), label="solvable")
+    if solvable:
+        cols = _invertible_columns(data, L)
+        d = data.draw(st.integers(0, (1 << L) - 1), label="d")
+        times_n = lambda m: functools.reduce(operator.xor, (c for k, c in enumerate(cols) if m >> k & 1), 0)
+        lhs = [times_n(b >> 1) << 1 | (b ^ (d & b >> 1).bit_count()) & 1 for b in rhs]
+    else:
+        lhs = data.draw(st.lists(signed, min_size=len(rhs), max_size=len(rhs)), label="lhs")
+    pairs = list(zip(lhs, rhs))
+    got = _diagonal_tableau(L, pairs)
+    n, dense = 1 << L, [(_string_matrix(L, a), _string_matrix(L, b)) for a, b in pairs]
+    assert (got is None) == (solve_intertwiner(n, dense) is None)
+    if L <= 2:
+        assert (got is None) == (next(_permutation_solutions(n, dense), None) is None)
+    assert got is not None or not solvable
+    if got is not None:
+        rows, low = [(k, 1 << k) for k in range(2 * L)], (1 << L) - 1
+        image = _StringMap(L, rows, got)
+        assert all(image[b >> 1] ^ (b & 1) == a for a, b in pairs)
+        _inverse_tableau(L, got)
+        commute = lambda v, w: pauli_commute(v >> L, v & low, w >> L, w & low)
+        assert len(got) == 2 * L
+        for (_, r), t in zip(rows, got):
+            for (_, r2), t2 in zip(rows, got):
+                assert commute(r, r2) == commute(t >> 1, t2 >> 1)
+
+
 def test_intertwiner_search_refuses_non_diagonal_pairs():
-    # the identity solves (X (x) I) Y = Y (X (x) I); no search short of the
-    # whole solution space may answer None here
-    x1 = pauli_string(2, 0b10, 0)
-    with pytest.raises(PreconditionError, match="neither full nor diagonal"):
-        _solve_intertwiner(4, [(x1, x1)])
+    # the identity solves Ad y(X (x) I) = X (x) I; no search short of the
+    # whole solution space may answer None here, on masks or on matrices
+    x1, z2 = 0b1000 << 1, 0b0001 << 1
+    for pairs in ([(x1, x1)], [(z2, z2), (x1, z2)], [(z2, x1)]):
+        with pytest.raises(PreconditionError, match="neither full nor diagonal"):
+            _diagonal_tableau(2, pairs)
+        with pytest.raises(PreconditionError, match="neither full nor diagonal"):
+            solve_intertwiner(4, [(_string_matrix(2, a), _string_matrix(2, b)) for a, b in pairs])
 
 
 def test_net_json_orth_on_shared_site_sets():
