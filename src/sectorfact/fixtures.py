@@ -11,10 +11,10 @@ from __future__ import annotations
 from .orthcat import (
     GroupActionSpec,
     GroupTable,
-    Morphism,
     OrthCategory,
     OrthFunctor,
 )
+from .posets import PosetCategory, _poset_table
 from .reports import PreconditionError, SchemaError, json_int, json_list, json_str
 from .sectors import LocalizedEndo, MatrixAlg, MatrixNet, SectorGroupData, span_equal
 from .sectors import _conjugation_tableau
@@ -39,32 +39,25 @@ __all__ = [
 def poset_orth_category(
     name: str,
     regions: dict[str, frozenset],
-    orth_pred,
+    pair,
+    wide=None,
 ) -> OrthCategory:
-    """Thin category of regions ordered by inclusion, its arrows indexed by
-    target in one pass: g after f is the arrow src f <= tgt g, read off the
-    order, and the cospans into V are drawn from the arrows into V.
+    """Thin category of regions ordered by inclusion (`PosetCategory`),
+    which answers from the order and builds no table until one is read.
 
-    `orth_pred(cells1, cells2, target_cells)` decides which cospans are
-    orthogonal; the caller must supply a predicate whose relation is closed
-    under the category operations (validated separately).
+    A cospan (U1 <= V, U2 <= V) is orthogonal when `pair(cells1, cells2)`
+    holds or, with `wide` given, `wide(target_cells)` does; the caller
+    must supply predicates whose relation is closed under the category
+    operations (validated separately).  Ids containing "<=" make arrow ids
+    ambiguous, and get the table category of the same arrows.
     """
-    objects = sorted(regions)
-    morphisms = []
-    into: dict[str, list[Morphism]] = {v: [] for v in objects}
-    arrow: dict[tuple[str, str], str] = {}  # one id string per arrow, shared by the tables
-    for a in objects:
-        for b in objects:
-            if regions[a] <= regions[b]:
-                m = Morphism(f"{a}<={b}", a, b)
-                morphisms.append(m)
-                into[b].append(m)
-                arrow[a, b] = m.id
-    compose = {(g.id, f.id): arrow[f.src, g.tgt] for g in morphisms for f in into[g.src]}
-    identities = {a: arrow[a, a] for a in objects}
-    orth = [(m1.id, m2.id) for v in objects for m1 in into[v] for m2 in into[v]
-            if orth_pred(regions[m1.src], regions[m2.src], regions[v])]
-    return OrthCategory(objects, morphisms, compose, identities, orth, name=name)
+    if any("<=" in u for u in regions):
+        return _poset_table(name, regions, pair, wide)
+    return PosetCategory(name, regions, pair, wide)
+
+
+def _disjoint(s1: frozenset, s2: frozenset) -> bool:
+    return not (s1 & s2)
 
 
 def _interval_id(a: int, b: int) -> str:
@@ -85,11 +78,7 @@ def interval_category(n: int, max_len: int | None = None) -> OrthCategory:
     orthogonal exactly when the sources are disjoint.  `max_len` restricts
     the interval length (n-1 drops the full interval)."""
     label = f"IntCat({n})" if max_len in (None, n) else f"IntCat({n},len<={max_len})"
-    return poset_orth_category(
-        label,
-        interval_regions(n, max_len),
-        lambda s1, s2, _tgt: not (s1 & s2),
-    )
+    return poset_orth_category(label, interval_regions(n, max_len), _disjoint)
 
 
 def cyclic_arc_category(m: int) -> OrthCategory:
@@ -107,22 +96,19 @@ def cyclic_arc_category(m: int) -> OrthCategory:
             cells = frozenset((s + k) % m for k in range(length))
             regions[f"arc({s},{length})"] = cells
 
-    def pred(s1, s2, tgt):
-        return len(tgt) >= m - 1 or not (s1 & s2)
-
-    return poset_orth_category(f"CycCat({m})", regions, pred)
+    return poset_orth_category(f"CycCat({m})", regions, _disjoint, lambda tgt: len(tgt) >= m - 1)
 
 
 def interval_reflection_action(cat: OrthCategory, n: int) -> GroupActionSpec:
     """Z2 acting on a category of intervals of the n-site chain by
-    [a,b] -> [n+1-b, n+1-a] and U<=V -> r(U)<=r(V), which need not be an
-    arrow of `cat` unless it is `interval_category(n)`."""
+    [a,b] -> [n+1-b, n+1-a] and U<=V -> r(U)<=r(V) (an induced
+    `OrthFunctor`), which need not be an arrow of `cat` unless it is
+    `interval_category(n)`."""
     obj_map = {}
     for u in cat.objects:
         a, b = u.strip("[]").split(",")
         obj_map[u] = _interval_id(n + 1 - int(b), n + 1 - int(a))
-    mor_map = {m.id: f"{obj_map[m.src]}<={obj_map[m.tgt]}" for m in cat.morphisms.values()}
-    g = OrthFunctor(cat, cat, obj_map, mor_map, name="r")
+    g = OrthFunctor(cat, cat, obj_map, name="r")
     e = OrthFunctor.identity_on(cat)
     group = GroupTable(
         ["e", "r"],
@@ -274,14 +260,12 @@ def _region_category(name: str, region_sites: dict[str, frozenset], marked) -> O
     of region ids, and a cospan is orthogonal when its two site sets are
     those of a marked pair, in either order."""
     if marked is None:
-        pred = lambda s1, s2, _tgt: not (s1 & s2)
-    else:
-        cell_pairs = set()
-        for a, b in marked:
-            cell_pairs.add((region_sites[a], region_sites[b]))
-            cell_pairs.add((region_sites[b], region_sites[a]))
-        pred = lambda s1, s2, _tgt: (s1, s2) in cell_pairs
-    return poset_orth_category(name, region_sites, pred)
+        return poset_orth_category(name, region_sites, _disjoint)
+    cell_pairs = set()
+    for a, b in marked:
+        cell_pairs.add((region_sites[a], region_sites[b]))
+        cell_pairs.add((region_sites[b], region_sites[a]))
+    return poset_orth_category(name, region_sites, lambda s1, s2: (s1, s2) in cell_pairs)
 
 
 def net_to_json(net: MatrixNet) -> dict:
@@ -301,10 +285,10 @@ def net_to_json(net: MatrixNet) -> dict:
         else:
             raise SchemaError(f"algebra of region {u} is neither full nor diagonal on its sites")
         regions.append({"id": u, "sites": sorted(sites), "algebra": kind})
-    orth, spec = net.category.orth, "disjoint"
-    if _region_category(net.name, written, None).orth != orth:
-        pairs = sorted(tuple(sorted(pair)) for pair in net.category.source_pairs())
-        if _region_category(net.name, written, pairs).orth != orth:
+    cat, spec = net.category, "disjoint"
+    if not cat.same_orth(_region_category(net.name, written, None)):
+        pairs = sorted(tuple(sorted(pair)) for pair in cat.source_pairs())
+        if not cat.same_orth(_region_category(net.name, written, pairs)):
             raise SchemaError("the orthogonality of the net is not given by pairs of regions")
         spec = [[a, b] for a, b in pairs]
     return {

@@ -76,7 +76,7 @@ def make_operation(cat: OrthCategory, arrows: Sequence[str], target: str | None 
         return point_operation(target)
     ms = []
     for a in arrows:
-        m = cat.morphisms.get(a)
+        m = cat.arrow(a)
         if m is None:
             raise SchemaError(f"unknown morphism {a}")
         ms.append(m)
@@ -130,23 +130,19 @@ def enumerate_all_operations(
     for v in targets:
         out.append(point_operation(v))
         incoming = cat.into(v)
-        level = [(m.id,) for m in incoming]
+        level = [(m,) for m in incoming]
         for arity in range(1, bound + 1):
-            for arrows in level:
+            for ms in level:
                 out.append(
-                    PrefactOperation(
-                        v,
-                        tuple(cat.morphisms[a].src for a in arrows),
-                        tuple(arrows),
-                    )
+                    PrefactOperation(v, tuple(m.src for m in ms), tuple(m.id for m in ms))
                 )
             if arity < bound:
                 level = [
-                    arrows + (m.id,)
-                    for arrows in level
+                    ms + (m,)
+                    for ms in level
                     for m in incoming
                     if all(
-                        cat.is_orth(a, m.id) and cat.is_orth(m.id, a) for a in arrows
+                        cat.is_orth(a.id, m.id) and cat.is_orth(m.id, a.id) for a in ms
                     )
                 ]
     return sorted(out)
@@ -168,7 +164,7 @@ def compose(
     arrows: list[str] = []
     sources: list[str] = []
     for f_id, inner in zip(outer.arrows, inners):
-        if inner.target != cat.morphisms[f_id].src:
+        if inner.target != cat.arrow(f_id).src:
             raise PreconditionError(
                 f"inner target {inner.target} does not match source of {f_id}"
             )

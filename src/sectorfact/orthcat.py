@@ -2,9 +2,12 @@
 
 An orthogonal category is a finite category together with a set of
 distinguished cospan pairs ("orthogonal" pairs) that is closed under
-transposition and under pre- and post-composition.  Everything here is
-table-driven and validated exhaustively; validators return structured
-reports listing each violated axiom with a witness, never bare booleans.
+transposition and under pre- and post-composition.  `OrthCategory` holds
+explicit tables and is validated exhaustively; `posets.PosetCategory`, a
+thin category of regions ordered by inclusion, answers the same queries
+from the order and an orthogonality predicate, and proves what it can.
+Validators return structured reports listing each violated axiom with a
+witness, never bare booleans.
 """
 
 from __future__ import annotations
@@ -56,6 +59,10 @@ class OrthCategory:
     `source_pairs` read it.
     """
 
+    # whether each arrow U -> V has the id "U<=V", which an induced
+    # functor (`OrthFunctor` without `mor_map`) maps it to
+    induced_ids = False
+
     def __init__(
         self,
         objects: Iterable[str],
@@ -97,8 +104,43 @@ class OrthCategory:
         """Composite id of g after f, or None when undefined."""
         return self.compose_table.get((g, f))
 
+    def arrow(self, mid: str) -> Morphism | None:
+        """The arrow with this id, or None."""
+        return self.morphisms.get(mid)
+
     def is_orth(self, f1: str, f2: str) -> bool:
         return (f1, f2) in self.orth
+
+    def orth_pairs(self) -> Iterable[tuple[str, str]]:
+        """The orth pairs in sorted order."""
+        return sorted(self.orth)
+
+    def same_orth(self, other: "OrthCategory") -> bool:
+        return self.orth == other.orth
+
+    def has_cocone(self, a: str, b: str) -> bool:
+        """Whether some object V has arrows a -> V and b -> V."""
+        return any(self.hom(a, v) and self.hom(b, v) for v in self.objects)
+
+    def generating_arrows(self) -> list[Morphism]:
+        """Arrows such that a reflexive, transitive relation on objects that
+        holds along each of them holds along every arrow: here all of them."""
+        return sorted(self.morphisms.values())
+
+    @property
+    def table(self) -> "OrthCategory":
+        """The table category with these arrows, composites and orth pairs."""
+        return self
+
+    def proved(self) -> bool:
+        """Whether `validate_category` is proved to report nothing without
+        a walk: never, for a table category."""
+        return False
+
+    def induces(self, target: "OrthCategory", obj_map: dict[str, str]) -> bool:
+        """Whether the object map induces a functor into target that is
+        proved to have no `OrthFunctor.violations`: never, here."""
+        return False
 
     @functools.cached_property
     def _orth_index(self) -> dict[str, dict[str, tuple[str, str]]]:
@@ -177,8 +219,41 @@ class OrthCategory:
 
 
 def validate_category(cat: OrthCategory) -> ValidationReport:
-    """Exhaustive axiom check; schema problems short-circuit axiom checks."""
+    """Exhaustive axiom check; schema problems short-circuit axiom checks.
+
+    A poset category (`posets.PosetCategory`) is proved rather than walked
+    when its `proved()` holds.
+    It has no schema errors: its arrows are the pairs U <= V, every
+    composable pair has the composite read off the order, and identities
+    are U <= U, so the unit laws and associativity hold by construction,
+    as does orth-cospan, since a cospan's arrows share their target.  An
+    orth pair (U1 <= V, U2 <= V) is one where S(U1, U2), the set of
+    targets V with pair(U1, U2) or wide(V), contains V, so:
+
+    - Transposition is S(U1, U2) = S(U2, U1): it fails exactly when
+      pair(U1, U2) differs from pair(U2, U1) and some common upper bound
+      of U1 and U2 is not wide.
+    - Pre-composition with h : U1' <= U1 is S(U1, U2) within S(U1', U2),
+      closure under shrinking a source.  Upper bounds of U1 and U2 bound
+      U1' and U2, so it fails exactly when pair(U1, U2) holds,
+      pair(U1', U2) does not, and some common upper bound of U1 and U2 is
+      not wide.  With transposition, the second source follows.
+    - Post-composition with g : V <= V' is closure of S(U1, U2) under
+      enlarging the target.  A pair orthogonal by `pair` is orthogonal
+      into every target, so it fails exactly when V is wide, V' is not,
+      and some U1, U2 below V fail `pair`.
+    - Each closure holds along every arrow once it holds along the covers
+      and the arrows between isomorphic objects (`generating_arrows`),
+      since every arrow is a chain of them and each step keeps the
+      cospans into V (pre-composition) or the sources (post-composition).
+
+    Otherwise the walk runs on `table`, so the witnesses and their order
+    are the table category's.
+    """
     report = ValidationReport(check="validate-category", subject=cat.name)
+    if cat.proved():
+        return report
+    cat = cat.table
     report.schema_errors = cat.schema_errors()
     if report.schema_errors:
         return report
@@ -257,7 +332,7 @@ def violation_top(cat: OrthCategory, violation: Violation) -> str | None:
         return None
     key = _TOP_ARROW.get(violation.axiom)
     arrow = violation.witness[key] if key else violation.witness["pair"][0]
-    return cat.morphisms[arrow].tgt
+    return cat.arrow(arrow).tgt
 
 
 @dataclass
@@ -284,9 +359,7 @@ def check_filtered(cat: OrthCategory) -> FilteredReport:
         for b in cat.objects:
             if a > b:
                 continue
-            if not any(
-                cat.hom(a, v) and cat.hom(b, v) for v in cat.objects
-            ):
+            if not cat.has_cocone(a, b):
                 report.reason = "object pair admits no cocone"
                 report.counterexample = {"pair": [a, b]}
                 return report
@@ -355,10 +428,10 @@ def _extension_side(
         done = False
         for a in alist:
             for t in cat.into(v):
-                if (t.id, a.id) not in cat.orth:
+                if not cat.is_orth(t.id, a.id):
                     continue
                 bt = cat.compose(b.id, t.id)
-                if bt is None or (bt, w.id) not in cat.orth:
+                if bt is None or not cat.is_orth(bt, w.id):
                     continue
                 out[b.id] = (a.id, t.id)
                 done = True
@@ -372,13 +445,15 @@ def check_assumption_extension(cat: OrthCategory) -> ExtensionReport:
     """For every orthogonal cospan (U1 -> T) perp (U2 -> T), search for the
     seven-object extension diagram: a morphism T -> W and orthogonal cospans
     with V1 perp V2 over W, Ui -> Vi, and primed legs Ui' -> Vi whose
-    composites into W are orthogonal to T -> W."""
+    composites into W are orthogonal to T -> W.  The cospans are read in
+    sorted order (`orth_pairs`), and the first without a diagram ends the
+    search."""
     report = ExtensionReport(subject=cat.name)
-    for f1, f2 in sorted(cat.orth):
-        if f2 < f1 and (f2, f1) in cat.orth:
+    for f1, f2 in cat.orth_pairs():
+        if f2 < f1 and cat.is_orth(f2, f1):
             continue  # checked as its transpose
         report.cospans_checked += 1
-        m1, m2 = cat.morphisms[f1], cat.morphisms[f2]
+        m1, m2 = cat.arrow(f1), cat.arrow(f2)
         found = None
         for w in cat.outof(m1.tgt):
             side1 = _extension_side(cat, m1.src, w)
@@ -389,7 +464,7 @@ def check_assumption_extension(cat: OrthCategory) -> ExtensionReport:
                 continue
             for b1, (a1, t1) in sorted(side1.items()):
                 for b2, (a2, t2) in sorted(side2.items()):
-                    if (b1, b2) in cat.orth:
+                    if cat.is_orth(b1, b2):
                         found = {
                             "cospan": [f1, f2],
                             "T_to_W": w.id,
@@ -415,24 +490,39 @@ def check_assumption_extension(cat: OrthCategory) -> ExtensionReport:
 
 
 class OrthFunctor:
-    """Functor between orthogonal categories, given by object/morphism tables."""
+    """Functor between orthogonal categories, given by its object table and
+    a morphism table, or `induced` by the object map when `mor_map` is
+    None: each arrow U -> V goes to the id F(U)<=F(V), the arrow between
+    the images in a poset category.  An induced functor's `mor_map` is
+    built on first read."""
 
     def __init__(
         self,
         source: OrthCategory,
         target: OrthCategory,
         obj_map: dict[str, str],
-        mor_map: dict[str, str],
+        mor_map: dict[str, str] | None = None,
         name: str = "",
     ):
         self.source = source
         self.target = target
         self.obj_map = dict(obj_map)
-        self.mor_map = dict(mor_map)
+        self.induced = mor_map is None
+        if not self.induced:
+            self.mor_map = dict(mor_map)
         self.name = name
+
+    @functools.cached_property
+    def mor_map(self) -> dict[str, str]:
+        return {m.id: self._image(m) for m in self.source.morphisms.values()}
+
+    def _image(self, m: Morphism) -> str:
+        return f"{self.obj_map[m.src]}<={self.obj_map[m.tgt]}"
 
     def violations(self) -> list[Violation]:
         out: list[Violation] = []
+        if self.induced and self.source.induces(self.target, self.obj_map):
+            return out
         src, tgt = self.source, self.target
         for u in src.objects:
             if self.obj_map.get(u) not in tgt.objects:
@@ -468,22 +558,22 @@ class OrthFunctor:
         return self.obj_map[u]
 
     def apply_mor(self, f: str) -> str:
-        return self.mor_map[f]
+        return self._image(self.source.arrow(f)) if self.induced else self.mor_map[f]
+
+    def _induced_on_poset(self) -> bool:
+        """Whether each arrow's image is read off the object map with ids
+        that name their ends, so the object maps decide the morphism maps."""
+        return self.induced and self.source.induced_ids
 
     def is_identity(self) -> bool:
-        return all(v == k for k, v in self.obj_map.items()) and all(
-            v == k for k, v in self.mor_map.items()
+        return all(v == k for k, v in self.obj_map.items()) and (
+            self._induced_on_poset() or all(v == k for k, v in self.mor_map.items())
         )
 
     @staticmethod
     def identity_on(cat: OrthCategory) -> "OrthFunctor":
-        return OrthFunctor(
-            cat,
-            cat,
-            {u: u for u in cat.objects},
-            {m: m for m in cat.morphisms},
-            name="id",
-        )
+        mor_map = None if cat.induced_ids else {m: m for m in cat.morphisms}
+        return OrthFunctor(cat, cat, {u: u for u in cat.objects}, mor_map, name="id")
 
     def after(self, other: "OrthFunctor") -> "OrthFunctor":
         """self o other."""
@@ -491,12 +581,15 @@ class OrthFunctor:
             other.source,
             self.target,
             {u: self.obj_map[v] for u, v in other.obj_map.items()},
+            None if self.induced and other.induced else
             {f: self.mor_map[g] for f, g in other.mor_map.items()},
             name=f"{self.name}.{other.name}",
         )
 
     def same_tables(self, other: "OrthFunctor") -> bool:
-        return self.obj_map == other.obj_map and self.mor_map == other.mor_map
+        by_objects = (self.source is other.source and self._induced_on_poset()
+                      and other._induced_on_poset())
+        return self.obj_map == other.obj_map and (by_objects or self.mor_map == other.mor_map)
 
 
 class GroupTable:

@@ -29,8 +29,9 @@ from sectorfact.orthcat import (
     validate_group_action,
 )
 from sectorfact.operad import validate_operad
+from sectorfact.posets import PosetCategory, _poset_table
 from sectorfact.reports import dump_json
-from sectorfact.sectors import MatrixNet
+from sectorfact.sectors import MatrixAlg, MatrixNet
 
 
 def one_object_category():
@@ -539,19 +540,20 @@ def _arcs(m):
     }
 
 
-def _seeded_pred(seed):
-    """A deterministic orthogonality predicate that need not be symmetric,
-    so it yields one-way pairs."""
-
-    def pred(s1, s2, tgt):
-        key = repr((sorted(s1), sorted(s2), sorted(tgt), seed))
-        return random.Random(key).random() < 0.5
-
-    return pred
+def _seeded(seed, *sets):
+    """A deterministic coin on site sets, for predicates that need not be
+    symmetric, closed under shrinking a source or enlarging the target."""
+    return random.Random(repr(([sorted(s) for s in sets], seed))).random() < 0.5
 
 
-def _disjoint(s1, s2, _tgt):
+def _disjoint(s1, s2):
     return not (s1 & s2)
+
+
+def _joined(pair, wide):
+    """The (source, source, target) predicate of `poset_orth_category(...,
+    pair, wide)`, for the double-loop reference."""
+    return lambda s1, s2, tgt: pair(s1, s2) or wide is not None and wide(tgt)
 
 
 @st.composite
@@ -574,8 +576,10 @@ def region_posets(draw):
                 max_size=6,
             )
         )
-    preds = [_disjoint, lambda s1, s2, tgt: len(tgt) >= 3 or not (s1 & s2)]
-    preds.append(_seeded_pred(draw(st.integers(0, 10**6))))
+    seed = draw(st.integers(0, 10**6))
+    seeded_pair = lambda s1, s2: _seeded(seed, s1, s2)
+    preds = [(_disjoint, None), (_disjoint, lambda tgt: len(tgt) >= 3),
+             (seeded_pair, None), (seeded_pair, lambda tgt: _seeded(seed, tgt))]
     return regions, draw(st.sampled_from(preds))
 
 
@@ -584,8 +588,8 @@ def damaged_categories(draw):
     """A poset category with one-way orth drops, and optionally dropped
     compose entries, extra arrows with dangling ends, orth pairs naming
     them or unknown ids, and an identity given for an undeclared object."""
-    regions, pred = draw(region_posets())
-    cat = poset_orth_category("drawn", regions, pred)
+    regions, preds = draw(region_posets())
+    cat = poset_orth_category("drawn", regions, *preds)
     orth = sorted(cat.orth)
     drops = draw(st.sets(st.sampled_from(orth), max_size=4)) if orth else set()
     orth = [p for p in orth if p not in drops]
@@ -619,17 +623,18 @@ def _same_category(a, b):
 @given(region_posets())
 @settings(max_examples=150, deadline=None)
 def test_poset_category_matches_the_double_loop(drawn):
-    regions, pred = drawn
+    regions, preds = drawn
     _same_category(
-        poset_orth_category("p", regions, pred), reference_poset_orth_category("p", regions, pred)
+        poset_orth_category("p", regions, *preds),
+        reference_poset_orth_category("p", regions, _joined(*preds)),
     )
 
 
 def test_bundled_categories_match_the_double_loop(intcat6, intcat6_proper, cyccat6):
-    cyclic = lambda s1, s2, tgt: len(tgt) >= 5 or not (s1 & s2)
+    cyclic = _joined(_disjoint, lambda tgt: len(tgt) >= 5)
     for cat, regions, pred in [
-        (intcat6, interval_regions(6), _disjoint),
-        (intcat6_proper, interval_regions(6, 5), _disjoint),
+        (intcat6, interval_regions(6), _joined(_disjoint, None)),
+        (intcat6_proper, interval_regions(6, 5), _joined(_disjoint, None)),
         (cyccat6, _arcs(6), cyclic),
     ]:
         _same_category(cat, reference_poset_orth_category(cat.name, regions, pred))
@@ -653,8 +658,8 @@ def test_partner_index_matches_the_scan(cat):
 @given(region_posets(), st.data())
 @settings(max_examples=100, deadline=None)
 def test_net_partners_match_the_scan_after_one_way_drops(drawn, data):
-    regions, pred = drawn
-    cat = poset_orth_category("p", regions, pred)
+    regions, preds = drawn
+    cat = poset_orth_category("p", regions, *preds)
     drops = data.draw(st.sets(st.sampled_from(sorted(cat.orth)), max_size=4)) if cat.orth else set()
     cat = OrthCategory(cat.objects, cat.morphisms.values(), cat.compose_table,
                        cat.identities, cat.orth - drops, name="p")
@@ -672,8 +677,8 @@ def test_schema_errors_match_the_all_pairs_loop(cat):
 @given(region_posets())
 @settings(max_examples=100, deadline=None)
 def test_orthocomplement_matches_the_source_scan(drawn):
-    regions, pred = drawn
-    cat = poset_orth_category("p", regions, pred)
+    regions, preds = drawn
+    cat = poset_orth_category("p", regions, *preds)
     report = check_assumption_orthocomplement(cat)
     for u in cat.objects:
         assert report.per_object[u] == any(cat.morphisms[f2].src == u for _, f2 in cat.orth)
@@ -725,8 +730,8 @@ def test_source_pairs_match_the_sorted_walk(cat):
 def test_source_pairs_of_json_categories_with_parallel_arrows(drawn, data):
     """Read back from JSON: a parallel copy of an arrow (orthogonal wherever
     the arrow is), one-way drops, and an orth pair naming an unknown id."""
-    regions, pred = drawn
-    cat = poset_orth_category("p", regions, pred)
+    regions, preds = drawn
+    cat = poset_orth_category("p", regions, *preds)
     arrows = sorted(cat.morphisms)
     doc = category_to_json(with_parallel_copy(cat, data.draw(st.sampled_from(arrows))))
     drops = data.draw(st.sets(st.integers(0, len(doc["orth"]) - 1), max_size=3)) if doc["orth"] else set()
@@ -803,8 +808,8 @@ def reference_check_assumption_extension(cat):
 @given(region_posets(), st.data())
 @settings(max_examples=100, deadline=None)
 def test_extension_matches_the_frozenset_dedupe(drawn, data):
-    regions, pred = drawn
-    cat = poset_orth_category("p", regions, pred)
+    regions, preds = drawn
+    cat = poset_orth_category("p", regions, *preds)
     drops = data.draw(st.sets(st.sampled_from(sorted(cat.orth)), max_size=4)) if cat.orth else set()
     cat = OrthCategory(cat.objects, cat.morphisms.values(), cat.compose_table,
                        cat.identities, cat.orth - drops, name="p")
@@ -822,3 +827,140 @@ def test_extension_counts_each_cospan_once_as_the_frozenset_did(cyccat6):
         fast, slow = check_assumption_extension(cat), reference_check_assumption_extension(cat)
         assert dump_json(fast.to_dict()) == dump_json(slow.to_dict())
         assert fast.holds and fast.cospans_checked == 846
+
+
+# -- thin categories by predicate against their tables -----------------------------
+#
+# A `PosetCategory` answers from the order and its predicates; its `table`
+# (the category `poset_orth_category` built before) is the reference.  Ids
+# are chosen so that sorting by id and by arrow id ("id<=...") disagree
+# ("a1<=" sorts before "a<="), and equal site sets make isomorphic objects.
+
+_IDS = ["a", "a1", "a-b", "ab", "b", "b0", "c", "[1,2]", "[1,2]x"]
+
+
+@st.composite
+def poset_predicates(draw):
+    """(regions, pair, wide) on at most 5 sites, a top region among them:
+    the disjoint, marked-pair and cyclic-style predicates, clean or with
+    one damage (a one-way drop, a pair not closed under shrinking a
+    source, wide targets not closed under enlarging), or with random
+    pairs and wide targets."""
+    ids = draw(st.lists(st.sampled_from(_IDS), min_size=1, max_size=7, unique=True))
+    sets = st.frozensets(st.integers(0, 4), max_size=4)
+    regions = {u: draw(sets) for u in ids}
+    regions["top"] = frozenset(range(5))
+    cells = sorted(set(regions.values()), key=sorted)
+    disjoint = {(s, t) for s in cells for t in cells if not s & t}
+    some_disjoint = sorted(disjoint, key=repr) or [(cells[0], cells[0])]
+    kind = draw(st.sampled_from(["disjoint", "marked", "cyclic", "one-way", "unshrunk",
+                                 "narrow", "random"]))
+    wide = None
+    if kind == "marked":
+        chosen = draw(st.sets(st.sampled_from(some_disjoint), max_size=4))
+        pairs = {(s, t) for s0, t0 in chosen for s in cells for t in cells
+                 if (s <= s0 and t <= t0) or (s <= t0 and t <= s0)}
+    elif kind == "one-way":
+        s1, s2 = draw(st.sampled_from(some_disjoint))
+        pairs = {(s, t) for s, t in disjoint if not (t == s2 and s >= s1)}
+    elif kind == "unshrunk":
+        s1, s2 = draw(st.sampled_from(cells)), draw(st.sampled_from(cells))
+        pairs = disjoint | {(s1, s2), (s2, s1)}
+    elif kind == "random":
+        pairs = draw(st.sets(st.tuples(st.sampled_from(cells), st.sampled_from(cells)), max_size=12))
+        wide = set(draw(st.sets(st.sampled_from(cells), max_size=3)))
+    else:
+        pairs = disjoint
+    if kind == "cyclic":
+        k = draw(st.integers(1, 5))
+        wide = {s for s in cells if len(s) >= k}
+    elif kind == "narrow":
+        k = draw(st.integers(0, 4))
+        wide = {s for s in cells if len(s) == k}
+    return regions, (lambda s, t: (s, t) in pairs, None if wide is None else wide.__contains__)
+
+
+def _accessors(cat):
+    """Every query of a category on its objects, an unknown id and every
+    arrow pair, as plain values."""
+    objs = list(cat.objects) + ["GHOST"]
+    ids = sorted(m.id for u in cat.objects for m in cat.into(u)) + ["GHOST<=a", "zz"]
+    return {
+        "objects": cat.objects,
+        "identities": cat.identities,
+        "hom": [cat.hom(a, b) for a in objs for b in objs],
+        "into": [cat.into(u) for u in objs],
+        "outof": [cat.outof(u) for u in objs],
+        "arrow": [cat.arrow(f) for f in ids],
+        "compose": [cat.compose(g, f) for g in ids for f in ids],
+        "is_orth": [cat.is_orth(f1, f2) for f1 in ids for f2 in ids],
+        "orth_pairs": list(cat.orth_pairs()),
+        "partners": [cat.partners(u) for u in objs],
+        "source_pairs": cat.source_pairs(),
+        "has_cocone": [cat.has_cocone(a, b) for a in objs for b in objs],
+        "is_thin": cat.is_thin(),
+        "schema_errors": cat.schema_errors(),
+    }
+
+
+def _reports(cat, net):
+    return [dump_json(r.to_dict()) for r in (
+        validate_category(cat), check_filtered(cat), check_assumption_orthocomplement(cat),
+        check_assumption_extension(cat), net.validate(),
+    )] + [dump_json(category_to_json(cat))]
+
+
+@given(poset_predicates(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_thin_category_answers_as_its_table(drawn, data):
+    regions, (pair, wide) = drawn
+    thin = poset_orth_category("p", regions, pair, wide)
+    assert isinstance(thin, PosetCategory)
+    table = _poset_table("p", regions, pair, wide)
+    assert _accessors(thin) == _accessors(table)
+    assert thin.same_orth(table) and table.same_orth(thin)
+    assert thin.proved() == validate_category(table).ok
+    # a net over the same regions, with some algebras diagonal and some
+    # regions moved, so that inclusion and monotonicity can fail
+    diagonal = data.draw(st.sets(st.sampled_from(sorted(regions))))
+    moved = data.draw(st.dictionaries(st.sampled_from(sorted(regions)),
+                                      st.frozensets(st.integers(0, 4)), max_size=2))
+    sites = {**regions, **moved}
+    overrides = {u: MatrixAlg.diagonal_on_sites(5, sites[u]) for u in diagonal}
+    nets = [MatrixNet(cat, 5, sites, overrides, name="n") for cat in (thin, table)]
+    assert _reports(thin, nets[0]) == _reports(table, nets[1])
+    # an induced functor against the same object map on the tables
+    obj_map = {u: data.draw(st.sampled_from(sorted(regions) + ["GHOST"])) for u in thin.objects}
+    induced = OrthFunctor(thin, thin, obj_map)
+    mor_map = {m.id: f"{obj_map[m.src]}<={obj_map[m.tgt]}" for m in table.morphisms.values()}
+    assert induced.violations() == OrthFunctor(table, table, obj_map, mor_map).violations()
+    assert induced.mor_map == mor_map
+
+
+def _intervals4(pair, wide=None):
+    regions = interval_regions(4)
+    return poset_orth_category("i4", regions, pair, wide), _poset_table("i4", regions, pair, wide)
+
+
+@pytest.mark.parametrize("damage", ["one-way", "unshrunk", "narrow"])
+def test_each_closure_of_a_thin_category_is_checked(damage):
+    """One damage each, the rest closed: a one-way drop of the pairs ([1,*],
+    [4,4]), a pair of overlapping sources whose shrinkings are not
+    orthogonal, and wide targets of two sites under wider ones."""
+    disjoint = lambda s1, s2: not s1 & s2
+    thin, table = {
+        "one-way": lambda: _intervals4(lambda s1, s2: disjoint(s1, s2) and not (s2 == {4} and 1 in s1)),
+        "unshrunk": lambda: _intervals4(
+            lambda s1, s2: disjoint(s1, s2) or {s1, s2} == {frozenset({1, 2}), frozenset({2, 3})}),
+        "narrow": lambda: _intervals4(disjoint, lambda tgt: len(tgt) == 2),
+    }[damage]()
+    report = validate_category(thin)
+    assert not report.ok and not thin.proved()
+    assert dump_json(report.to_dict()) == dump_json(validate_category(table).to_dict())
+
+
+def test_ambiguous_arrow_ids_keep_the_table_category():
+    regions = {"a": frozenset({0}), "a<=b": frozenset({0, 1})}
+    cat = poset_orth_category("amb", regions, lambda s1, s2: not s1 & s2)
+    assert type(cat) is OrthCategory
+    assert sorted(cat.morphisms) == ["a<=a", "a<=a<=b", "a<=b<=a<=b"]

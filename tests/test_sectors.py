@@ -1,5 +1,6 @@
 import functools
 import itertools
+import json
 import operator
 from fractions import Fraction as F
 from unittest import mock
@@ -30,6 +31,7 @@ from dense_oracle import (
 import sectorfact.cli as cli_module
 import sectorfact.fixtures as fixtures_module
 import sectorfact.linalg as linalg_module
+import sectorfact.posets as posets_module
 import sectorfact.sectors as sectors_module
 from sectorfact.linalg import (
     GMat,
@@ -277,7 +279,7 @@ def test_perp_commutativity_violation_witnessed():
         for u, cells in interval_regions(3).items()
     }
     bad_cat = poset_orth_category(
-        "bad", regions, lambda s1, s2, _t: len(s1 & s2) <= 1
+        "bad", regions, lambda s1, s2: len(s1 & s2) <= 1
     )
     net = MatrixNet(category=bad_cat, sites=3, region_sites=regions, name="bad")
     report = check_perp_commutativity(net)
@@ -292,7 +294,7 @@ def test_perp_commutativity_vacuous_without_orth():
         u: frozenset(s - 1 for s in cells)
         for u, cells in interval_regions(2).items()
     }
-    cat = poset_orth_category("noorth", regions, lambda s1, s2, _t: False)
+    cat = poset_orth_category("noorth", regions, lambda s1, s2: False)
     net = MatrixNet(category=cat, sites=2, region_sites=regions, name="noorth")
     assert check_perp_commutativity(net).ok
 
@@ -387,21 +389,54 @@ def test_haag_reads_each_row_once_to_the_same_commutant(net):
             assert report["holds"] == span_equal(net.algebra(u), ref)
 
 
-class _UnwalkableOrth(frozenset):
-    """An orth relation that answers membership but cannot be walked."""
-
-    def __iter__(self):
-        raise AssertionError("the orth relation was walked")
+def _no_table(*args):
+    raise AssertionError("a category table was built")
 
 
-def test_perp_and_haag_read_the_index_not_the_relation():
+def test_perp_and_haag_read_the_index_not_the_relation(monkeypatch):
+    """On the thin category of a net no table is built; the reports are the
+    table category's."""
     net = qubit_net(8)
-    expected = [check_haag_duality(net, u) for u in net.category.objects]
-    net.category.orth = _UnwalkableOrth(net.category.orth)
-    with pytest.raises(AssertionError):
-        sorted(net.category.orth)
-    assert check_perp_commutativity(net).ok
+    table_net = MatrixNet(net.category.table, net.sites, net.region_sites, name=net.name)
+    expected = [check_haag_duality(table_net, u) for u in net.category.objects]
+    perp = check_perp_commutativity(table_net).to_dict()
+    net = qubit_net(8)
+    monkeypatch.setattr(posets_module, "_poset_table", _no_table)
+    assert check_perp_commutativity(net).to_dict() == perp
     assert [check_haag_duality(net, u) for u in net.category.objects] == expected
+
+
+def test_net_commands_build_no_table(monkeypatch, tmp_path, capsys):
+    """theorem311, the equivariant algebra and the other net commands on a
+    chain read the order and the predicate alone: neither `compose_table`
+    nor the full `orth` set is built."""
+    path = tmp_path / "q6.json"
+    path.write_text(json.dumps(fixtures_module.net_to_json(qubit_net(6))))
+    monkeypatch.setattr(posets_module, "_poset_table", _no_table)
+    for args in (["sectors", "theorem311", "--bound", "3"], ["sectors", "haag"],
+                 ["sectors", "perp"], ["sectors", "diamond"], ["sectors", "equivariance"],
+                 ["operad", "algebra", "--bound", "2", "--equivariant"]):
+        assert cli_module.main(args + ["--net", str(path)]) == 0, args
+    capsys.readouterr()
+    net = qubit_net(6)
+    assert validate_theorem_3_11(net, standard_sector_family(net), bound=3).ok
+
+
+def test_each_net_command_validates_the_net_once(tmp_path, capsys):
+    """`MatrixNet.validate` runs once per command: the equivariant
+    algebra's clean-category guard takes the verdict `_on_a_functor`
+    already has."""
+    path = tmp_path / "q3.json"
+    path.write_text(json.dumps(fixtures_module.net_to_json(qubit_net(3))))
+    with mock.patch.object(MatrixNet, "validate", autospec=True,
+                           side_effect=MatrixNet.validate) as spy:
+        for args in (["operad", "algebra", "--bound", "2", "--equivariant"],
+                     ["operad", "algebra", "--bound", "2"], ["sectors", "theorem311"],
+                     ["sectors", "haag"], ["sectors", "equivariance"]):
+            spy.reset_mock()
+            assert cli_module.main(args + ["--net", str(path)]) == 0, args
+            assert spy.call_count == 1, args
+    capsys.readouterr()
 
 
 # -- localization ------------------------------------------------------------------------------
@@ -1009,9 +1044,7 @@ def test_net_json_round_trip(net4, bits4):
     # orthogonality that depends on the target is no set of region pairs
     regions = {"a": frozenset({0}), "b": frozenset({1}), "ab": frozenset({0, 1}),
                "abc": frozenset({0, 1, 2})}
-    narrow = poset_orth_category(
-        "narrow", regions, lambda s1, s2, tgt: not (s1 & s2) and len(tgt) == 2
-    )
+    narrow = poset_orth_category("narrow", regions, lambda s1, s2: False, lambda tgt: len(tgt) == 2)
     with pytest.raises(SchemaError, match="orthogonality"):
         net_to_json(MatrixNet(narrow, 3, regions))
 
@@ -2036,7 +2069,8 @@ def test_equal_tableaux_share_cached_outputs(bits4):
     out_x, out_xz = (assign.structure(op)((s,)) for s in (x, xz))
     assert out_xz is out_x and out_x.label == x.label
     assert out_xz.same_map(pfa_structure_map(op, (xz,), bits4))
-    iso = sector_equivariant_assignment(bits4, qubit_reflection_data(bits4), family).iso
+    iso = sector_equivariant_assignment(
+        bits4, qubit_reflection_data(bits4), family, bits4.validate().ok).iso
     moved_x, moved_xz = (iso("r", "[1,1]")(s) for s in (x, xz))
     assert moved_xz is moved_x and moved_x.region == "[4,4]"
     assert validate_algebra(bits4.category, assign, bound=2).ok
@@ -2077,7 +2111,7 @@ def test_iso_summary_is_the_summary_of_the_g_image(net, data_of):
     from sectorfact.sectors import g_act_sector, sector_equivariant_assignment
 
     data = data_of(net)
-    iso_summary = sector_equivariant_assignment(net, data, {}).iso_summary
+    iso_summary = sector_equivariant_assignment(net, data, {}, net.validate().ok).iso_summary
     summary = sectors_module._sector_summary
     whole = f"[1,{net.sites}]"
     singles = [
@@ -2108,7 +2142,7 @@ def test_iso_summary_is_declared_only_on_a_clean_category():
     doc["orth"] = [["[1,2]", "[2,3]"]]
     dirty = net_from_json(doc)
     for net, declared in ((clean, True), (dirty, False)):
-        assign = sector_equivariant_assignment(net, qubit_reflection_data(net), {})
+        assign = sector_equivariant_assignment(net, qubit_reflection_data(net), {}, net.validate().ok)
         assert (assign.iso_summary is not None) == declared
 
 
