@@ -209,7 +209,7 @@ def cmd_operad_algebra(args, net) -> tuple[dict, bool]:
     family = standard_sector_family(net)
     if args.equivariant:
         data = qubit_reflection_data(net)
-        assign = sector_equivariant_assignment(net, data, family, net_ok=True)
+        assign = sector_equivariant_assignment(net, data, family)
         report = validate_equivariant_algebra(
             net.category, assign, data.action, bound=args.bound
         ).to_dict()

@@ -262,6 +262,7 @@ class MatrixNet:
         self._cache: dict[str, MatrixAlg] = {}
         # tableau -> its `_StringMap`, shared by equal sectors
         self._maps: dict[tuple, _StringMap] = {}
+        self._structure: ValidationReport | None = None
         missing = [u for u in category.objects if u not in self.region_sites]
         if missing:
             raise SchemaError(f"regions without site sets: {missing}")
@@ -301,11 +302,16 @@ class MatrixNet:
 
     def join(self, u1: str, u2: str) -> str:
         """A minimal common superregion (fewest sites) of two regions."""
-        cat = self.category
-        tops = [v for v in cat.objects if cat.hom(u1, v) and cat.hom(u2, v)]
-        if not tops:
+        best = None
+        for v in self.category.objects:
+            if self.category.hom(u1, v) and self.category.hom(u2, v):
+                if best is None or len(self.region_sites[v]) < len(
+                    self.region_sites[best]
+                ):
+                    best = v
+        if best is None:
             raise PreconditionError(f"no common superregion of {u1} and {u2}")
-        return min(tops, key=lambda v: len(self.region_sites[v]))
+        return best
 
     def _fault(self, m):  # the violation along the arrow m, if any
         if not self.region_sites[m.src] <= self.region_sites[m.tgt]:
@@ -318,13 +324,15 @@ class MatrixNet:
         """Functoriality: nested regions give nested algebras, along every
         arrow.  Both are transitive, so they are checked along the
         category's generating arrows, and every arrow is walked, for the
-        witnesses, only when one fails there."""
-        report = ValidationReport(check="net-structure", subject=self.name)
-        if any(map(self._fault, self.category.generating_arrows())):
-            for fault in map(self._fault, sorted(self.category.morphisms.values())):
-                if fault:
-                    report.add(*fault)
-        return report
+        witnesses, only when one fails there.  The net does not change once
+        built, so the report is made once and kept."""
+        if self._structure is None:
+            self._structure = ValidationReport(check="net-structure", subject=self.name)
+            if any(map(self._fault, self.category.generating_arrows())):
+                for fault in map(self._fault, sorted(self.category.morphisms.values())):
+                    if fault:
+                        self._structure.add(*fault)
+        return self._structure
 
 
 def check_perp_commutativity(net: MatrixNet) -> ValidationReport:
@@ -479,10 +487,10 @@ class LocalizedEndo:
         glob = net.global_algebra()
         if _tableau is None and unitary is not None:
             _tableau = _ad_tableau(glob, unitary)
-        elif _tableau is None:
-            if images is None:
-                raise PreconditionError("endomorphism needs a unitary or basis images")
+        elif _tableau is None and images is not None:
             _tableau = _tableau_from_image_list(glob, images)
+        elif _tableau is None:
+            raise PreconditionError("endomorphism needs a unitary or basis images")
         self.net, self.region, self.tableau = net, region, _tableau
         self.label = label or (f"Ad[{unitary!r}]" if unitary is not None else "endo")
 
@@ -534,9 +542,8 @@ class LocalizedEndo:
 
 
 def identity_sector(net: MatrixNet, region: str) -> LocalizedEndo:
-    return LocalizedEndo(
-        net, region, label="1", _tableau=_conjugation_tableau(net.global_algebra(), 0)
-    )
+    tableau = _conjugation_tableau(net.global_algebra(), 0)
+    return LocalizedEndo(net, region, label="1", _tableau=tableau)
 
 
 def check_localized(rho: LocalizedEndo, net: MatrixNet) -> ValidationReport:
@@ -654,7 +661,8 @@ def diamond(
             if not net.category.hom(r, region):
                 raise PreconditionError(f"{r} is not included in {region}")
     label = f"({rho.label}<>{rhodot.label})"
-    return LocalizedEndo(net, region, label=label, _tableau=_compose(rho._map, rhodot.tableau))
+    tableau = _compose(rho._map, rhodot.tableau)
+    return LocalizedEndo(net, region, label=label, _tableau=tableau)
 
 
 def diamond_mor(t: Intertwiner, tdot: Intertwiner) -> Intertwiner:
@@ -792,7 +800,7 @@ def sector_algebra_assignment(
 
 
 def sector_equivariant_assignment(
-    net: MatrixNet, data: "SectorGroupData", family: dict[str, list[LocalizedEndo]], net_ok: bool
+    net: MatrixNet, data: "SectorGroupData", family: dict[str, list[LocalizedEndo]]
 ):
     """Equivariant algebra data: the isomorphisms act by the implementing
     unitaries, sending sectors at U to transformed sectors at alpha_g(U).
@@ -805,8 +813,7 @@ def sector_equivariant_assignment(
     Ad u_g*, as <a', r_k> = <a, t_k> for Ad u_g Ad P(a) Ad u_g* = Ad P(a').
     Such an image is defined where it is localized: so it is on a product
     at V of sectors localized at the U_i, and on its g-image, when the
-    category is clean and the net a functor, `net_ok` being the caller's
-    `net.validate()` verdict (the guard is this model's).
+    category is clean and the net a functor (the guard is this model's).
     A region orthogonal to V is orthogonal to each U_i, or is U_i, and
     then V, whose algebra contains A(U_i), is orthogonal to U_i."""
     base = sector_algebra_assignment(net, family)
@@ -827,7 +834,7 @@ def sector_equivariant_assignment(
                                for t in data._conjugation(g)[1].tableau]
         return sum(((s & m).bit_count() & 1) << k for k, m in enumerate(parity_masks[g]))
 
-    clean = net_ok and validate_category(net.category).ok
+    clean = validate_category(net.category).ok and net.validate().ok
     return EquivariantAlgebraAssignment(
         base=base,
         iso=lambda g, u: (lambda rho: act(g, rho)),
@@ -1027,8 +1034,10 @@ def g_act_sector(g: str, rho: LocalizedEndo, data: SectorGroupData) -> Localized
     ad_u, ad_inv = data._conjugation(g)
     moved_region = data.action.action[g].apply_obj(rho.region)
     tableau = _compose(ad_u._map, _compose(rho._map, ad_inv.tableau))
-    out = LocalizedEndo(data.net, moved_region, label=f"{g}|>{rho.label}", _tableau=tableau)
-    if not check_localized(out, data.net).ok:
+    label = f"{g}|>{rho.label}"
+    out = LocalizedEndo(data.net, moved_region, label=label, _tableau=tableau)
+    loc = check_localized(out, data.net)
+    if not loc.ok:
         raise PreconditionError(
             f"transformed sector is not localized in {moved_region}"
         )

@@ -299,7 +299,7 @@ def test_equivariant_algebra_z2(net2):
 
     data = qubit_reflection_data(net2)
     family = standard_sector_family(net2)
-    assign = sector_equivariant_assignment(net2, data, family, net2.validate().ok)
+    assign = sector_equivariant_assignment(net2, data, family)
     report = validate_equivariant_algebra(net2.category, assign, data.action, bound=2)
     assert report.ok
 
@@ -316,7 +316,7 @@ def test_equivariant_trivial_group_reduces_to_algebra(net2):
     family = standard_sector_family(net2)
     triv = trivial_action(net2.category)
     data = SectorGroupData.from_unitaries(net2, triv, {"e": GMat.identity(net2.n)}, name="triv")
-    assign = sector_equivariant_assignment(net2, data, family, net2.validate().ok)
+    assign = sector_equivariant_assignment(net2, data, family)
     eq_report = validate_equivariant_algebra(net2.category, assign, triv, bound=2)
     plain = validate_algebra(
         net2.category, sector_algebra_assignment(net2, family), bound=2
@@ -1356,7 +1356,7 @@ def _equivariant_case(kind, L, orth, drop, extra, action):
         r = spec.action["r"]
         skewed = OrthFunctor(r.source, r.target, r.obj_map, {**r.mor_map, a: b}, name="r")
         data.action = GroupActionSpec(spec.group, {**spec.action, "r": skewed}, spec.name)
-    assign = sector_equivariant_assignment(net, data, family, net.validate().ok)
+    assign = sector_equivariant_assignment(net, data, family)
     return net.category, assign, data.action
 
 
@@ -1491,7 +1491,7 @@ def test_non_intertwining_iso_detected_with_the_sector_iso_summary(net2):
         return run
 
     def build():
-        sectors = sector_equivariant_assignment(net2, data, family, net2.validate().ok)
+        sectors = sector_equivariant_assignment(net2, data, family)
         assert sectors.iso_summary is not None
         return dataclasses.replace(sectors, iso=bad_iso, name="bad")
 
@@ -1537,8 +1537,7 @@ def _reflection_case(name):
 
     net = _MOVED_NETS[name]()
     data = qubit_reflection_data(net)
-    return net.category, sector_equivariant_assignment(
-        net, data, standard_sector_family(net), net.validate().ok), data.action
+    return net.category, sector_equivariant_assignment(net, data, standard_sector_family(net)), data.action
 
 
 def _count_moved_operations(monkeypatch):

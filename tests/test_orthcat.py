@@ -540,13 +540,19 @@ def _arcs(m):
     }
 
 
-def _seeded(seed, *sets):
-    """A deterministic coin on site sets, for predicates that need not be
-    symmetric, closed under shrinking a source or enlarging the target."""
-    return random.Random(repr(([sorted(s) for s in sets], seed))).random() < 0.5
+def _seeded_pred(seed):
+    """A deterministic orthogonality predicate that need not be symmetric,
+    so it yields one-way pairs, and that may vary with the target for a
+    fixed source pair."""
+
+    def pred(s1, s2, tgt):
+        key = repr((sorted(s1), sorted(s2), sorted(tgt), seed))
+        return random.Random(key).random() < 0.5
+
+    return pred
 
 
-def _disjoint(s1, s2):
+def _disjoint(s1, s2, _tgt):
     return not (s1 & s2)
 
 
@@ -560,7 +566,7 @@ def _joined(pair, wide):
 def region_posets(draw):
     """(regions, predicate): intervals, cyclic arcs, or random site sets
     (equal sets allowed, so some objects are isomorphic), with the disjoint,
-    cyclic or a seeded one-way predicate."""
+    cyclic or a seeded one-way (source, source, target) predicate."""
     kind = draw(st.sampled_from(["interval", "cyclic", "random"]))
     if kind == "interval":
         n = draw(st.integers(1, 5))
@@ -576,11 +582,33 @@ def region_posets(draw):
                 max_size=6,
             )
         )
-    seed = draw(st.integers(0, 10**6))
-    seeded_pair = lambda s1, s2: _seeded(seed, s1, s2)
-    preds = [(_disjoint, None), (_disjoint, lambda tgt: len(tgt) >= 3),
-             (seeded_pair, None), (seeded_pair, lambda tgt: _seeded(seed, tgt))]
+    preds = [_disjoint, lambda s1, s2, tgt: len(tgt) >= 3 or not (s1 & s2)]
+    preds.append(_seeded_pred(draw(st.integers(0, 10**6))))
     return regions, draw(st.sampled_from(preds))
+
+
+@st.composite
+def region_pair_posets(draw):
+    """(regions, (pair, wide)) for `poset_orth_category`: the regions of
+    `region_posets`, a disjoint or seeded source-pair predicate, and no,
+    large or seeded wide targets."""
+    regions, _ = draw(region_posets())
+    coin, none = _seeded_pred(draw(st.integers(0, 10**6))), frozenset()
+    pair = draw(st.sampled_from([lambda s1, s2: not (s1 & s2), lambda s1, s2: coin(s1, s2, none)]))
+    wide = draw(st.sampled_from([None, lambda tgt: len(tgt) >= 3, lambda tgt: coin(none, none, tgt)]))
+    return regions, (pair, wide)
+
+
+@st.composite
+def poset_categories(draw, name="p"):
+    """(regions, category): the table category of a `region_posets` draw,
+    built by the double loop, or the thin category of a
+    `region_pair_posets` draw."""
+    if draw(st.booleans()):
+        regions, pred = draw(region_posets())
+        return regions, reference_poset_orth_category(name, regions, pred)
+    regions, (pair, wide) = draw(region_pair_posets())
+    return regions, poset_orth_category(name, regions, pair, wide)
 
 
 @st.composite
@@ -588,8 +616,7 @@ def damaged_categories(draw):
     """A poset category with one-way orth drops, and optionally dropped
     compose entries, extra arrows with dangling ends, orth pairs naming
     them or unknown ids, and an identity given for an undeclared object."""
-    regions, preds = draw(region_posets())
-    cat = poset_orth_category("drawn", regions, *preds)
+    _, cat = draw(poset_categories("drawn"))
     orth = sorted(cat.orth)
     drops = draw(st.sets(st.sampled_from(orth), max_size=4)) if orth else set()
     orth = [p for p in orth if p not in drops]
@@ -620,7 +647,7 @@ def _same_category(a, b):
     assert a.orth == b.orth
 
 
-@given(region_posets())
+@given(region_pair_posets())
 @settings(max_examples=150, deadline=None)
 def test_poset_category_matches_the_double_loop(drawn):
     regions, preds = drawn
@@ -631,10 +658,10 @@ def test_poset_category_matches_the_double_loop(drawn):
 
 
 def test_bundled_categories_match_the_double_loop(intcat6, intcat6_proper, cyccat6):
-    cyclic = _joined(_disjoint, lambda tgt: len(tgt) >= 5)
+    cyclic = lambda s1, s2, tgt: len(tgt) >= 5 or not (s1 & s2)
     for cat, regions, pred in [
-        (intcat6, interval_regions(6), _joined(_disjoint, None)),
-        (intcat6_proper, interval_regions(6, 5), _joined(_disjoint, None)),
+        (intcat6, interval_regions(6), _disjoint),
+        (intcat6_proper, interval_regions(6, 5), _disjoint),
         (cyccat6, _arcs(6), cyclic),
     ]:
         _same_category(cat, reference_poset_orth_category(cat.name, regions, pred))
@@ -655,11 +682,10 @@ def test_partner_index_matches_the_scan(cat):
         assert (u in partners) == self_pair
 
 
-@given(region_posets(), st.data())
+@given(poset_categories(), st.data())
 @settings(max_examples=100, deadline=None)
 def test_net_partners_match_the_scan_after_one_way_drops(drawn, data):
-    regions, preds = drawn
-    cat = poset_orth_category("p", regions, *preds)
+    regions, cat = drawn
     drops = data.draw(st.sets(st.sampled_from(sorted(cat.orth)), max_size=4)) if cat.orth else set()
     cat = OrthCategory(cat.objects, cat.morphisms.values(), cat.compose_table,
                        cat.identities, cat.orth - drops, name="p")
@@ -674,11 +700,10 @@ def test_schema_errors_match_the_all_pairs_loop(cat):
     assert cat.schema_errors() == reference_schema_errors(cat)
 
 
-@given(region_posets())
+@given(poset_categories())
 @settings(max_examples=100, deadline=None)
 def test_orthocomplement_matches_the_source_scan(drawn):
-    regions, preds = drawn
-    cat = poset_orth_category("p", regions, *preds)
+    _, cat = drawn
     report = check_assumption_orthocomplement(cat)
     for u in cat.objects:
         assert report.per_object[u] == any(cat.morphisms[f2].src == u for _, f2 in cat.orth)
@@ -725,13 +750,12 @@ def test_source_pairs_match_the_sorted_walk(cat):
     _assert_index_matches_the_walks(cat)
 
 
-@given(region_posets(), st.data())
+@given(poset_categories(), st.data())
 @settings(max_examples=100, deadline=None)
 def test_source_pairs_of_json_categories_with_parallel_arrows(drawn, data):
     """Read back from JSON: a parallel copy of an arrow (orthogonal wherever
     the arrow is), one-way drops, and an orth pair naming an unknown id."""
-    regions, preds = drawn
-    cat = poset_orth_category("p", regions, *preds)
+    _, cat = drawn
     arrows = sorted(cat.morphisms)
     doc = category_to_json(with_parallel_copy(cat, data.draw(st.sampled_from(arrows))))
     drops = data.draw(st.sets(st.integers(0, len(doc["orth"]) - 1), max_size=3)) if doc["orth"] else set()
@@ -805,11 +829,10 @@ def reference_check_assumption_extension(cat):
     return report
 
 
-@given(region_posets(), st.data())
+@given(poset_categories(), st.data())
 @settings(max_examples=100, deadline=None)
 def test_extension_matches_the_frozenset_dedupe(drawn, data):
-    regions, preds = drawn
-    cat = poset_orth_category("p", regions, *preds)
+    _, cat = drawn
     drops = data.draw(st.sets(st.sampled_from(sorted(cat.orth)), max_size=4)) if cat.orth else set()
     cat = OrthCategory(cat.objects, cat.morphisms.values(), cat.compose_table,
                        cat.identities, cat.orth - drops, name="p")

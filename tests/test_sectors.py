@@ -389,17 +389,29 @@ def test_haag_reads_each_row_once_to_the_same_commutant(net):
             assert report["holds"] == span_equal(net.algebra(u), ref)
 
 
+class _UnwalkableOrth(frozenset):
+    """An orth relation that answers membership but cannot be walked."""
+
+    def __iter__(self):
+        raise AssertionError("the orth relation was walked")
+
+
 def _no_table(*args):
     raise AssertionError("a category table was built")
 
 
 def test_perp_and_haag_read_the_index_not_the_relation(monkeypatch):
-    """On the thin category of a net no table is built; the reports are the
-    table category's."""
+    """On a table category the net reads the partner index, not `orth`; on
+    the thin category of a net no table is built.  The reports agree."""
     net = qubit_net(8)
     table_net = MatrixNet(net.category.table, net.sites, net.region_sites, name=net.name)
     expected = [check_haag_duality(table_net, u) for u in net.category.objects]
     perp = check_perp_commutativity(table_net).to_dict()
+    table_net.category.orth = _UnwalkableOrth(table_net.category.orth)
+    with pytest.raises(AssertionError):
+        sorted(table_net.category.orth)
+    assert check_perp_commutativity(table_net).to_dict() == perp
+    assert [check_haag_duality(table_net, u) for u in net.category.objects] == expected
     net = qubit_net(8)
     monkeypatch.setattr(posets_module, "_poset_table", _no_table)
     assert check_perp_commutativity(net).to_dict() == perp
@@ -422,20 +434,23 @@ def test_net_commands_build_no_table(monkeypatch, tmp_path, capsys):
     assert validate_theorem_3_11(net, standard_sector_family(net), bound=3).ok
 
 
-def test_each_net_command_validates_the_net_once(tmp_path, capsys):
-    """`MatrixNet.validate` runs once per command: the equivariant
-    algebra's clean-category guard takes the verdict `_on_a_functor`
-    already has."""
+def test_each_net_command_validates_the_net_once(monkeypatch, tmp_path, capsys):
+    """The net-structure check walks the net once per command: the report
+    is kept, and the equivariant algebra's clean-category guard reads it."""
+    doc = fixtures_module.net_to_json(qubit_net(3))
+    assert isinstance(fixtures_module.net_from_json(doc).category, posets_module.PosetCategory)
     path = tmp_path / "q3.json"
-    path.write_text(json.dumps(fixtures_module.net_to_json(qubit_net(3))))
-    with mock.patch.object(MatrixNet, "validate", autospec=True,
-                           side_effect=MatrixNet.validate) as spy:
-        for args in (["operad", "algebra", "--bound", "2", "--equivariant"],
-                     ["operad", "algebra", "--bound", "2"], ["sectors", "theorem311"],
-                     ["sectors", "haag"], ["sectors", "equivariance"]):
-            spy.reset_mock()
-            assert cli_module.main(args + ["--net", str(path)]) == 0, args
-            assert spy.call_count == 1, args
+    path.write_text(json.dumps(doc))
+    walks = []
+    walk = posets_module.PosetCategory.generating_arrows
+    monkeypatch.setattr(posets_module.PosetCategory, "generating_arrows",
+                        lambda cat: walks.append(cat) or walk(cat))
+    for args in (["operad", "algebra", "--bound", "2", "--equivariant"],
+                 ["operad", "algebra", "--bound", "2"], ["sectors", "theorem311"],
+                 ["sectors", "haag"], ["sectors", "equivariance"]):
+        walks.clear()
+        assert cli_module.main(args + ["--net", str(path)]) == 0, args
+        assert len(walks) == 1, args
     capsys.readouterr()
 
 
@@ -2069,8 +2084,7 @@ def test_equal_tableaux_share_cached_outputs(bits4):
     out_x, out_xz = (assign.structure(op)((s,)) for s in (x, xz))
     assert out_xz is out_x and out_x.label == x.label
     assert out_xz.same_map(pfa_structure_map(op, (xz,), bits4))
-    iso = sector_equivariant_assignment(
-        bits4, qubit_reflection_data(bits4), family, bits4.validate().ok).iso
+    iso = sector_equivariant_assignment(bits4, qubit_reflection_data(bits4), family).iso
     moved_x, moved_xz = (iso("r", "[1,1]")(s) for s in (x, xz))
     assert moved_xz is moved_x and moved_x.region == "[4,4]"
     assert validate_algebra(bits4.category, assign, bound=2).ok
@@ -2111,7 +2125,7 @@ def test_iso_summary_is_the_summary_of_the_g_image(net, data_of):
     from sectorfact.sectors import g_act_sector, sector_equivariant_assignment
 
     data = data_of(net)
-    iso_summary = sector_equivariant_assignment(net, data, {}, net.validate().ok).iso_summary
+    iso_summary = sector_equivariant_assignment(net, data, {}).iso_summary
     summary = sectors_module._sector_summary
     whole = f"[1,{net.sites}]"
     singles = [
@@ -2142,7 +2156,7 @@ def test_iso_summary_is_declared_only_on_a_clean_category():
     doc["orth"] = [["[1,2]", "[2,3]"]]
     dirty = net_from_json(doc)
     for net, declared in ((clean, True), (dirty, False)):
-        assign = sector_equivariant_assignment(net, qubit_reflection_data(net), {}, net.validate().ok)
+        assign = sector_equivariant_assignment(net, qubit_reflection_data(net), {})
         assert (assign.iso_summary is not None) == declared
 
 
