@@ -14,7 +14,7 @@ from .orthcat import (
     OrthCategory,
     OrthFunctor,
 )
-from .posets import PosetCategory, _poset_table
+from .posets import PosetCategory
 from .reports import PreconditionError, SchemaError, json_int, json_list, json_str
 from .sectors import LocalizedEndo, MatrixAlg, MatrixNet, SectorGroupData, span_equal
 from .sectors import _conjugation_tableau
@@ -36,24 +36,9 @@ __all__ = [
 ]
 
 
-def poset_orth_category(
-    name: str,
-    regions: dict[str, frozenset],
-    pair,
-    wide=None,
-) -> OrthCategory:
-    """Thin category of regions ordered by inclusion (`PosetCategory`),
-    which answers from the order and builds no table until one is read.
-
-    A cospan (U1 <= V, U2 <= V) is orthogonal when `pair(cells1, cells2)`
-    holds or, with `wide` given, `wide(target_cells)` does; the caller
-    must supply predicates whose relation is closed under the category
-    operations (validated separately).  Ids containing "<=" make arrow ids
-    ambiguous, and get the table category of the same arrows.
-    """
-    if any("<=" in u for u in regions):
-        return _poset_table(name, regions, pair, wide)
-    return PosetCategory(name, regions, pair, wide)
+# Thin category of regions ordered by inclusion; `validate_category` checks
+# that the caller's predicates give a relation closed under its operations.
+poset_orth_category = PosetCategory
 
 
 def _disjoint(s1: frozenset, s2: frozenset) -> bool:

@@ -668,34 +668,55 @@ def _inverse_tableau(L: int, tableau: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(v << 1 | image[v] & 1 for v in (row & ((1 << n) - 1) for _, row in pivots))
 
 
-def _diagonal_tableau(L: int, pairs: list[tuple[int, int]]) -> tuple[int, ...] | None:
-    """M_N tableau of a unitary y with Ad y(rhs) = lhs for each pair of
-    signed Z masks, or None when no unitary solves them; a mask with an X
-    letter raises PreconditionError.  Complete: y may join basis states i
-    and j only where all pairs' diagonals agree, and a unitary on that
-    support exists exactly when a permutation does (Birkhoff), that is, when
-    both diagonals carry one multiset of signatures.  For lhs
-    (-1)**a_r Z^(l_r), state i has the signature (a_r + l_r . i)_r; these
-    fill the coset a + col(l), each point 2**(L - rank) times.  So a
-    solution exists exactly when (1) every XOR relation among the rhs masks
-    m_r holds for the pairs (l_r, a_r ^ b_r) and (2) every one among the l_r
-    holds among the m_r.  Then m_r -> l_r extends to an invertible N, the
-    free coordinates paired in order, and m_r -> a_r ^ b_r to a functional
-    d: the affine permutation Clifford with Ad y(Z^z) = (-1)**(d . z) Z^(Nz)
-    and Ad y(X^x) = X^(N^-T x) (Dehaene and De Moor, Phys. Rev. A 68,
-    042318).  One elimination per condition, each side's masks above the
-    other's; their reduced rows and the free pairs give N, d and N^-1."""
-    if any(code >> (L + 1) for pair in pairs for code in pair):
-        raise PreconditionError("no complete intertwiner search on a global algebra that is "
-                                "neither full nor diagonal-constrained")
-    fwd = dict(_gf2_pivots([b >> 1 << (L + 1) | a >> 1 << 1 | (a ^ b) & 1 for a, b in pairs]))
-    back = dict(_gf2_pivots([a >> 1 << L | b >> 1 for a, b in pairs]))
-    if any(bit <= L for bit in fwd) or any(bit < L for bit in back):
+def _gf2_solve(eqs: list[int]) -> int | None:
+    """A vector a with a . (eq >> 1) = eq & 1 for every equation eq, its free
+    coordinates zero, or None when the equations are inconsistent."""
+    pivots = _gf2_pivots(eqs)
+    if any(bit == 0 for bit, _ in pivots):
         return None
-    m_free = [k for k in range(L) if k + L + 1 not in fwd]
-    free = list(zip(m_free, [k for k in range(L) if k + L not in back]))
-    # rows e_k | N e_k | d_k and e_k | N^-1 e_k, k ascending; N e_p = e_q
-    z = sorted(_gf2_pivots([*fwd.values(), *(1 << (p + L + 1) | 1 << (q + 1) for p, q in free)]))
-    inv = sorted(_gf2_pivots([*back.values(), *(1 << (q + L) | 1 << p for p, q in free)]))
-    x_half = [sum((row >> k & 1) << i for i, (_, row) in enumerate(inv)) << (L + 1) for k in range(L)]
-    return tuple(row & ((2 << L) - 1) for _, row in z) + tuple(x_half)
+    return sum((eq & 1) << (bit - 1) for bit, eq in pivots)
+
+
+def _extension_tableau(L: int, pairs: list[tuple[int, int]]) -> tuple[int, ...] | None:
+    """M_N tableau of a unitary y with Ad y(P(rhs)) = P(lhs), signs included,
+    for every pair of signed masks (lhs, rhs), or None when there is none.
+
+    Ad y is a Clifford: a map S of the masks F_2^2L keeping the symplectic
+    form <a, b> = |swap(a) & b| mod 2 (commutation), and a sign per row
+    (Dehaene and De Moor, Phys. Rev. A 68, 042318).  So y exists only if
+    (a) every XOR relation among the rhs masks holds among the lhs, signs
+    included, (b) every one among the lhs holds among the rhs and (c) the
+    map keeps the form.  Then it exists (Witt's theorem): the reduced pairs
+    (d, phi(d)) give an isometry phi, and each unit vector u off the
+    domain's pivots (they complete it to a basis) gets w off the image with
+    <w, phi(d)> = <u, d> for each d.  If w = phi(d0), add a c in the
+    image's complement but not in the image: else the image, and so the
+    isometric domain, would contain their complements, and u - d0,
+    orthogonal to the domain, would lie in it.  At rank 2L phi is S.
+    Flipping row k's sign flips the strings with bit k; the Pauli product
+    phases fix each relation's sign whatever S, so one more solve fixes
+    the signs or finds a relation they break."""
+    n, low, full = 2 * L, (1 << L) - 1, (1 << 2 * L) - 1
+    swap = lambda v: (v & low) << L | v >> L
+    def off(rows, v):  # v reduced by echelon rows: 0 exactly when they span it
+        for bit, row in rows:
+            v ^= row if v >> bit & 1 else 0
+        return v
+    basis = dict(_gf2_pivots([b >> 1 << n | a >> 1 for a, b in pairs]))
+    dom, img = [row >> n for row in basis.values()], [row & full for row in basis.values()]
+    span = _gf2_pivots(img)
+    if (any(bit < n for bit in basis) or len(span) < len(img)
+            or any((swap(d) & e ^ swap(w) & x).bit_count() & 1
+                   for k, (d, w) in enumerate(zip(dom, img)) for e, x in zip(dom[:k], img[:k]))):
+        return None
+    for u in (1 << k for k in range(n) if k + n not in basis):
+        w = _gf2_solve([swap(x) << 1 | (swap(u) & d).bit_count() & 1 for d, x in zip(dom, img)])
+        if not off(span, w):
+            w ^= next(c for c in _gf2_nullspace([swap(x) for x in img], n) if off(span, c))
+        span.append(((r := off(span, w)).bit_length() - 1, r))
+        dom, img = dom + [u], img + [w]
+    rows = sorted(_gf2_pivots([d << n | w for d, w in zip(dom, img)]))
+    tableau = [(row & full) << 1 for _, row in rows]
+    image = _StringMap(L, [(k, 1 << k) for k in range(n)], tuple(tableau))
+    flips = _gf2_solve([b >> 1 << 1 | (a ^ b ^ image[b >> 1]) & 1 for a, b in pairs])
+    return None if flips is None else tuple(t | flips >> k & 1 for k, t in enumerate(tableau))

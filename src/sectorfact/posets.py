@@ -12,6 +12,7 @@ import functools
 from typing import Iterable
 
 from .orthcat import Morphism, OrthCategory
+from .reports import SchemaError
 
 __all__ = ["PosetCategory"]
 
@@ -37,13 +38,14 @@ class PosetCategory(OrthCategory):
     object's up-set and down-set is a bitmask of positions, and so is the
     set of U2 with pair(U1, U2).  Arrow ids sort by source, in the order of
     `id + "<="`, then by target.  An id containing "<=" would make arrow
-    ids ambiguous, so `fixtures.poset_orth_category` keeps the table
-    category for those.
+    ids ambiguous: SchemaError.
     """
 
     induced_ids = True
 
     def __init__(self, name: str, regions: dict[str, frozenset], pair, wide=None):
+        for u in (u for u in regions if "<=" in u):
+            raise SchemaError(f"region id {u} contains <=, which arrow ids use")
         self.name = name
         self.objects = tuple(sorted(regions))
         self.regions = {u: regions[u] for u in self.objects}

@@ -28,8 +28,7 @@ exactly when their tableaux are equal, and the sector product composes
 tableaux.  The tableau is all a sector holds: when it is a Pauli
 conjugation, the implementing string is derived from it by one GF(2)
 solve.  Group data and covariance families are tableaux on all of M_N too,
-the diagonal matching's permutations included, so no verdict builds a
-matrix.
+so no verdict builds a matrix.
 """
 
 from __future__ import annotations
@@ -44,9 +43,10 @@ from .linalg import (
     _StringMap,
     _chase,
     _compose,
-    _diagonal_tableau,
+    _extension_tableau,
     _gf2_nullspace,
     _gf2_pivots,
+    _gf2_solve,
     _inverse_tableau,
     _mask_span,
     _string_matrix,
@@ -499,16 +499,15 @@ class LocalizedEndo:
         global algebra, or None when the tableau is no Pauli conjugation
         (`_sector_summary`).  Ad P(a) gives row r the sign bit a . swap(r)
         (the symplectic form), so a solves the swapped rows, each with its
-        sign bit appended as bit 0: one `_gf2_pivots` elimination, and with
-        the free coordinates zero a holds each reduced equation's sign bit
-        at its pivot.  a is unique modulo the global commutant's masks."""
+        sign bit appended as bit 0 (`_gf2_solve`, free coordinates zero).
+        a is unique modulo the global commutant's masks."""
         signs = _sector_summary(self.region, self)
         if signs is None:
             return None
         L, low = self.net.sites, (1 << self.net.sites) - 1
         rows = self.net.global_algebra().rows
         eqs = [((r & low) << L | r >> L) << 1 | (signs >> k) & 1 for k, (_, r) in enumerate(rows)]
-        return sum((eq & 1) << (bit - 1) for bit, eq in _gf2_pivots(eqs))
+        return _gf2_solve(eqs)
 
     @property
     def _map(self) -> _StringMap:
@@ -1086,16 +1085,14 @@ def _extension(rho: LocalizedEndo, data: SectorGroupData):
     """(method, rhohat, rhohat^-1): rho extended to all of M_N, as M_N
     tableaux, or None.  A Pauli conjugation is Ad P(a), a its mask
     (`LocalizedEndo.pauli_mask`), its own inverse ("inner"); any other
-    sector on a global algebra with trivial commutant (all of M_N, which is
-    simple) is Ad w for some unitary w and is its own extension, inverted
-    by `_inverse_tableau` ("automorphism")."""
-    a, net = rho.pauli_mask(), rho.net
+    sector extends exactly when `_extension_tableau` maps the global rows
+    as rho does, inverted by `_inverse_tableau` ("extension")."""
+    a, L = rho.pauli_mask(), rho.net.sites
     if a is not None:
         hat = _conjugation_tableau(data._m_n, a)
         return "inner", hat, hat
-    if net.global_algebra().dim == net.n * net.n:
-        return "automorphism", rho.tableau, _inverse_tableau(net.sites, rho.tableau)
-    return None
+    hat = _extension_tableau(L, [(rho._map[r], r << 1) for _, r in rho.net.global_algebra().rows])
+    return None if hat is None else ("extension", hat, _inverse_tableau(L, hat))
 
 
 def find_covariance(
@@ -1105,34 +1102,29 @@ def find_covariance(
     M_N tableau of a unitary y_g with rho Ad u_g = Ad y_g rho on the global algebra.
 
     When rho extends to Ad v on M_N (`_extension`), y_g = v u_g v* does:
-    its tableau is rhohat Ad u_g rhohat^-1.  For an automorphism the law is
-    checked on the global rows.  On diagonal constraints (the abelian nets)
-    the pairs (rho(Ad u_g(a)), rho(a)) are signed Z strings read off the
-    tableaux, and `_diagonal_tableau` is complete on them (y_g permutes the
-    basis states affinely), so None proves that no unitary family exists.
-    Any global algebra that is neither full nor diagonal-constrained raises
-    PreconditionError.
+    its tableau is rhohat Ad u_g rhohat^-1, and for an "extension" the law
+    is checked on the global rows.  Otherwise the pairs (rho(Ad u_g(a)),
+    rho(a)) over the global rows a are signed strings read off the
+    tableaux, and `_extension_tableau` is complete on them ("match"), so
+    None proves that no unitary family exists.
     """
-    group, L, rows = data.action.group, data.net.sites, data._m_n.rows
-    ext = _extension(rho, data)
-    if ext is not None:
-        method, hat, hat_inv = ext
-        hat_map, fam = _StringMap(L, rows, hat), {}
-        for g in group.elements:
-            y = fam[g] = _compose(hat_map, _compose(data._full_maps(g)[0], hat_inv))
-            if method == "automorphism" and (
-                _compose(_StringMap(L, rows, y), rho.tableau) != _compose(rho._map, data.tableaux[g])
-            ):
-                raise PreconditionError(f"family rho(u_g) of {rho.label} does not intertwine")
-        return CovarianceFamily(sector=rho.label, method=method, tableaux=fam)
-    fam = {}
-    for g in group.elements:
+    glob, L, rows = data.net.global_algebra(), data.net.sites, data._m_n.rows
+    ext, fam = _extension(rho, data), {}
+    hat = ext and _StringMap(L, rows, ext[1])
+    for g in data.action.group.elements:
         image = data._full_maps(g)[0]
-        pairs = [(_chase((image, rho._map), r), rho._map[r]) for _, r in data.net.global_algebra().rows]
-        y = fam[g] = _diagonal_tableau(L, pairs)
-        if y is None:
-            return None
-    return CovarianceFamily(sector=rho.label, method="diagonal-match", tableaux=fam)
+        if ext is None:
+            pairs = [(_chase((image, rho._map), r), rho._map[r]) for _, r in glob.rows]
+            y = fam[g] = _extension_tableau(L, pairs)
+            if y is None:
+                return None
+            continue
+        y = fam[g] = _compose(hat, _compose(image, ext[2]))
+        if ext[0] == "extension" and _compose(_StringMap(L, rows, y), rho.tableau) != tuple(
+            _chase((image, rho._map), r) for _, r in glob.rows
+        ):
+            raise PreconditionError(f"family rho(u_g) of {rho.label} does not intertwine")
+    return CovarianceFamily(sector=rho.label, method=ext[0] if ext else "match", tableaux=fam)
 
 
 def diamond_covariance(

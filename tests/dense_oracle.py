@@ -129,7 +129,7 @@ def solve_intertwiner(n: int, pairs: list[tuple[GMat, GMat]]) -> GMat | None:
 
 
 def dense_diagonal_family(rho, data) -> dict[str, GMat] | None:
-    """The diagonal matching of `find_covariance` on matrices: for each g
+    """`find_covariance`'s match on a diagonal net, on matrices: for each g
     the pairs (rho(Ad u_g(a)), rho(a)) over the global rows a, built as
     2**L x 2**L matrices and matched by `solve_intertwiner`; the
     permutations y_g, or None when some g has none."""

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from sectorfact.cli import build_parser, main
 from sectorfact.fixtures import net_to_json, qubit_net
-from sectorfact.reports import dump_json, render_text
+from sectorfact.posets import PosetCategory
+from sectorfact.reports import SchemaError, dump_json, render_text
 
 
 @pytest.fixture()
@@ -469,6 +470,24 @@ def test_reflection_refuses_ids_outside_the_chain(tmp_path, capsys, region):
     assert capsys.readouterr().err == (
         f"schema error: region {region} is not an interval [a,b] of the 3-site chain\n"
     )
+
+
+def test_region_ids_with_the_arrow_separator_exit_2_on_every_net_command(tmp_path, capsys):
+    # "a<=b<=c" would name both a <= b<=c and a<=b <= c, so an id holding
+    # "<=" is refused before any category is built
+    regions = [{"id": "a", "sites": [0]}, {"id": "b<=c", "sites": [0, 1]},
+               {"id": "a<=b", "sites": [0]}, {"id": "c", "sites": [0, 1]}]
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps({"name": "amb", "sites": 2, "regions": regions}))
+    with pytest.raises(SchemaError, match="region id b<=c contains <="):
+        PosetCategory("amb", {r["id"]: frozenset(r["sites"]) for r in regions}, lambda s1, s2: False)
+    for command in (["sectors", "haag"], ["sectors", "perp"], ["sectors", "diamond"],
+                    ["sectors", "transport", "--sector", "X@a", "--target", "c"],
+                    ["sectors", "equivariance"], ["sectors", "theorem311"],
+                    ["operad", "algebra"], ["operad", "algebra", "--equivariant"]):
+        capsys.readouterr()
+        assert main(command + ["--net", str(path)]) == 2
+        assert capsys.readouterr() == ("", "schema error: region id b<=c contains <=, which arrow ids use\n")
 
 
 def _three_regions_on_200_sites(tmp_path):

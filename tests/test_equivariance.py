@@ -35,7 +35,9 @@ from sectorfact.sectors import (
     SectorGroupData,
     _conjugation_tableau,
     _inverse_tableau,
+    MatrixNet,
     action_laws_hold,
+    check_haag_duality,
     check_localized,
     diamond,
     diamond_covariance,
@@ -88,8 +90,8 @@ def test_reflection_tableaux_match_the_dense_reflection(L):
 def test_the_reflection_path_builds_no_matrix(monkeypatch, tmp_path):
     # qubit_reflection_data -> validate -> g_act_sector -> find_covariance
     # on a qubit net runs on tableaux alone, and so do the equivariance
-    # campaigns on diagonal nets, whose collapse sector takes the diagonal
-    # matching
+    # campaigns on diagonal nets, whose collapse sector takes the
+    # extension kernel once per g
     net = qubit_net(6)
     family = standard_sector_family(net)
     nets = []
@@ -273,7 +275,7 @@ def test_broken_symmetry_not_covariant(bits4):
     # the reflection maps [2,3] to itself, and the reset there commutes
     # with it: a family of affine basis permutations
     fam = find_covariance(collapse_sector(bits4, "[2,3]"), data)
-    assert fam is not None and fam.method == "diagonal-match"
+    assert fam is not None and fam.method == "match"
 
 
 def _diagonal_group_data(net):
@@ -315,6 +317,72 @@ def test_diagonal_families_match_the_dense_matching(L):
                 for _, r in net.global_algebra().rows:
                     assert _chase((rho._map, y), r) == _chase((image, rho._map), r)
     assert any(verdicts) and not all(verdicts)
+
+
+def _x_mirror(net):
+    """The X-letter mirror of a diagonal net, the image of Hadamard on every
+    site: each region gets the X-type strings on its sites."""
+    L = net.sites
+    overrides = {
+        u: MatrixAlg(L, [1 << (L - 1 - s) << L for s in cells], name=f"X({u})")
+        for u, cells in net.region_sites.items()
+    }
+    return MatrixNet(net.category, L, net.region_sites, overrides=overrides, name=f"x{net.name}")
+
+
+@pytest.mark.parametrize("L", range(2, 7))
+def test_collapse_verdicts_survive_the_hadamard_mirror(L):
+    # Hadamard on every site commutes with the site reflection, so the
+    # reset of each region is covariant on diagonal_net(L) exactly when
+    # the reset of the X letters there is covariant on the mirror
+    net = diagonal_net(L)
+    mirror = _x_mirror(net)
+    data, mirror_data = qubit_reflection_data(net), qubit_reflection_data(mirror)
+    verdicts = []
+    for u, cells in net.region_sites.items():
+        keep = sum(1 << (L - 1 - s) for s in range(L) if s not in cells)
+        reset = LocalizedEndo(mirror, u, _tableau=tuple((r & keep << L) << 1 for _, r in mirror.global_algebra().rows))
+        verdict = find_covariance(collapse_sector(net, u), data) is not None
+        assert (find_covariance(reset, mirror_data) is not None) == verdict
+        verdicts.append(verdict)
+    assert any(verdicts) and not all(verdicts)
+
+
+def _z2_fixed_point_net(L=4):
+    """qubit_net(L) cut down to the strings with an even number of Z or Y
+    letters in each region, those that commute with X on all its sites:
+    spanned by X at each site and Z Z at each pair of neighbours."""
+    base, bit = qubit_net(L, name=f"z2fix{L}"), lambda s: 1 << (L - 1 - s)
+    overrides = {
+        u: MatrixAlg(L, [bit(s) << L for s in cells] + [bit(s) | bit(s + 1) for s in cells if s + 1 in cells])
+        for u, cells in base.region_sites.items()
+    }
+    return MatrixNet(base.category, L, base.region_sites, overrides=overrides, name=base.name)
+
+
+def test_z2_fixed_point_net_has_covariant_sectors_that_extend():
+    net = _z2_fixed_point_net()
+    assert net.validate().ok
+    assert net.global_algebra().dim == 128 and net.global_commutant().dim == 2
+    haag = {u: check_haag_duality(net, u) for u in net.category.objects if net.orth_partners(u)}
+    assert not any(r["holds"] for r in haag.values())
+    assert [(haag[u]["lhs_dim"], haag[u]["rhs_dim"]) for u in ("[1,1]", "[2,3]")] == [(2, 8), (8, 64)]
+    data = qubit_reflection_data(net)
+    assert data.validate().ok
+    # Ad Z at site 2 is a Pauli conjugation, though Z there lies outside
+    # the global algebra; the restricted reflection is none, and extends
+    z = pauli_sector(net, "Z", "[2,2]")
+    assert check_localized(z, net).ok and not net.global_algebra()._spans(z.pauli_mask())
+    reflection = data._conjugation("r")[0]
+    assert reflection.pauli_mask() is None
+    fam, famz = find_covariance(reflection, data), find_covariance(z, data)
+    assert (fam.method, famz.method) == ("extension", "inner")
+    for g in ("e", "r"):
+        y, image = _StringMap(4, data._m_n.rows, fam.tableaux[g]), data._full_maps(g)[0]
+        for _, r in net.global_algebra().rows:
+            assert _chase((reflection._map, y), r) == _chase((image, reflection._map), r)
+    for pair in ((reflection, z, fam, famz), (z, reflection, famz, fam)):
+        assert diamond_covariance(*pair, data).method == "composite"
 
 
 # -- composite families ------------------------------------------------------------------
@@ -419,12 +487,12 @@ def test_derived_sectors_keep_their_implementing_unitary(bits4):
 
 
 def test_composite_family_with_a_diagonal_match_factor(bits4):
-    # the reset at [2,3] has only a diagonal-match family, and rho = X at
+    # the reset at [2,3] has only a match family, and rho = X at
     # [2,2] extends to M_N, so their composite is a family of the product
     data = qubit_reflection_data(bits4)
     x, reset = pauli_sector(bits4, "X", "[2,2]"), collapse_sector(bits4, "[2,3]")
     fam, famdot = find_covariance(x, data), find_covariance(reset, data)
-    assert (fam.method, famdot.method) == ("inner", "diagonal-match")
+    assert (fam.method, famdot.method) == ("inner", "match")
     joint = diamond_covariance(x, reset, fam, famdot, data)
     assert joint.method == "composite"
     prod = diamond(x, reset, region="[2,3]")

@@ -1,3 +1,4 @@
+import functools
 import itertools
 from fractions import Fraction
 
@@ -10,6 +11,10 @@ from sectorfact.linalg import (
     GR_ONE,
     GR_ZERO,
     GaussianRational,
+    _StringMap,
+    _extension_tableau,
+    _gf2_pivots,
+    _inverse_tableau,
     _mask_span,
     as_pauli_string,
     format_rational,
@@ -377,3 +382,90 @@ def test_scaled_non_string_is_rejected():
     # one entry in column 0, but the quotient diag(1, 3/2) is not a string
     diag = GMat(2, {(0, 0): GaussianRational.of(2), (1, 1): GaussianRational.of(3)})
     assert as_pauli_string(diag) is None
+
+
+# -- the Clifford extension kernel ----------------------------------------------------------------
+
+
+def _symplectic(L, a, b):
+    """1 when the strings of the masks a and b anticommute."""
+    low = (1 << L) - 1
+    return (((a & low) << L | a >> L) & b).bit_count() & 1
+
+
+def _unit_rows(L):
+    return [(k, 1 << k) for k in range(2 * L)]
+
+
+@functools.cache
+def _cliffords(L):
+    """Every Clifford tableau on L sites, each with the signed image of every
+    mask: the images of the unit rows that are independent and keep the
+    symplectic form (6 at L = 1, 720 at L = 2), times every sign pattern."""
+    n, out = 2 * L, {}
+    for images in itertools.product(range(1, 1 << n), repeat=n):
+        if len(_gf2_pivots(list(images))) < n or any(
+            _symplectic(L, images[i], images[j]) != _symplectic(L, 1 << i, 1 << j)
+            for i in range(n) for j in range(i)
+        ):
+            continue
+        for signs in range(1 << n):
+            tableau = tuple(v << 1 | signs >> k & 1 for k, v in enumerate(images))
+            image = _StringMap(L, _unit_rows(L), tableau)
+            out[tableau] = [image[v] for v in range(1 << n)]
+    return out
+
+
+def test_the_clifford_enumeration_counts():
+    assert [len(_cliffords(L)) for L in (1, 2)] == [24, 720 * 16]
+
+
+def _maps(image, pairs):
+    return all(image[b >> 1] ^ b & 1 == a for a, b in pairs)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_extension_kernel_matches_every_clifford(data):
+    # the verdict is "some Clifford maps every pair", and a returned tableau
+    # is one of them; pairs are random, mapped by a Clifford, or mapped and
+    # then one bit off (a sign, a letter or a commutation)
+    L = data.draw(st.integers(1, 2), label="L")
+    cliffords = _cliffords(L)
+    signed = st.integers(0, (2 << 2 * L) - 1)
+    rhs = data.draw(st.lists(signed, min_size=1, max_size=5), label="rhs")
+    mode = data.draw(st.sampled_from(["random", "mapped", "one-off"]), label="mode")
+    if mode == "random":
+        lhs = data.draw(st.lists(signed, min_size=len(rhs), max_size=len(rhs)), label="lhs")
+    else:
+        image = cliffords[data.draw(st.sampled_from(sorted(cliffords)), label="clifford")]
+        lhs = [image[b >> 1] ^ b & 1 for b in rhs]
+        if mode == "one-off":
+            k = data.draw(st.integers(0, len(rhs) - 1), label="k")
+            lhs[k] ^= 1 << data.draw(st.integers(0, 2 * L), label="bit")
+    pairs = list(zip(lhs, rhs))
+    got = _extension_tableau(L, pairs)
+    assert (got is not None) == any(_maps(image, pairs) for image in cliffords.values())
+    assert got is None or (got in cliffords and _maps(cliffords[got], pairs))
+    if mode == "mapped":
+        assert got is not None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_extension_kernel_solves_the_pairs_of_a_clifford(data):
+    # a random Clifford on up to 5 sites, as transvections v -> v + <v, h> h
+    # (they generate the symplectic group) and random signs; the pairs it
+    # maps must be solved, by an invertible tableau that maps them
+    L = data.draw(st.integers(1, 5), label="L")
+    n, images = 2 * L, [1 << k for k in range(2 * L)]
+    for h in data.draw(st.lists(st.integers(1, (1 << n) - 1), max_size=3 * n), label="h"):
+        images = [v ^ h if _symplectic(L, v, h) else v for v in images]
+    signs = data.draw(st.integers(0, (1 << n) - 1), label="signs")
+    image = _StringMap(L, _unit_rows(L), tuple(v << 1 | signs >> k & 1 for k, v in enumerate(images)))
+    rhs = data.draw(st.lists(st.integers(0, (2 << n) - 1), min_size=1, max_size=n + 2), label="rhs")
+    pairs = [(image[b >> 1] ^ b & 1, b) for b in rhs]
+    got = _extension_tableau(L, pairs)
+    assert got is not None and len(got) == n
+    assert _maps(_StringMap(L, _unit_rows(L), got), pairs)
+    _inverse_tableau(L, got)

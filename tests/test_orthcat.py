@@ -981,9 +981,3 @@ def test_each_closure_of_a_thin_category_is_checked(damage):
     assert not report.ok and not thin.proved()
     assert dump_json(report.to_dict()) == dump_json(validate_category(table).to_dict())
 
-
-def test_ambiguous_arrow_ids_keep_the_table_category():
-    regions = {"a": frozenset({0}), "a<=b": frozenset({0, 1})}
-    cat = poset_orth_category("amb", regions, lambda s1, s2: not s1 & s2)
-    assert type(cat) is OrthCategory
-    assert sorted(cat.morphisms) == ["a<=a", "a<=a<=b", "a<=b<=a<=b"]

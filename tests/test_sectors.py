@@ -40,7 +40,8 @@ from sectorfact.linalg import (
     GR_ZERO,
     GaussianRational,
     _StringMap,
-    _diagonal_tableau,
+    _chase,
+    _extension_tableau,
     _inverse_tableau,
     _string_matrix,
     as_pauli_string,
@@ -1424,7 +1425,8 @@ def _pauli_and_cz_images(net):
 @pytest.mark.parametrize("sites", [2, 3])
 def test_every_image_sector_gets_a_family(sites):
     # the Pauli images derive their string and get the inner family; the
-    # CZ images are no Pauli conjugation, and their family is rho(u_g).
+    # CZ images are no Pauli conjugation, and their extension's family is
+    # rho(u_g).
     # Either way the family's tableau is that of the dense u u_g u*
     net = qubit_net(sites)
     data = qubit_reflection_data(net)
@@ -1434,13 +1436,13 @@ def test_every_image_sector_gets_a_family(sites):
     for u, image in cases:
         fam = find_covariance(image, data)
         methods.append(fam.method)
-        assert fam.method == ("automorphism" if pauli_unitary(image) is None else "inner")
+        assert fam.method == ("extension" if pauli_unitary(image) is None else "inner")
         for g, u_g in reflection_unitaries(net).items():
             y = u @ u_g @ u.adjoint()
             assert fam.tableaux[g] == m_n_tableau(sites, y)
             for a in net.global_algebra().basis:
                 assert image.apply(u_g @ a @ u_g.adjoint()) @ y == y @ image.apply(a)
-    assert methods == ["inner"] * (3 * sites) + ["automorphism"] * (sites * (sites - 1) // 2)
+    assert methods == ["inner"] * (3 * sites) + ["extension"] * (sites * (sites - 1) // 2)
 
 
 def test_twirl_family_matches_the_dense_nullspace(net2):
@@ -1464,7 +1466,7 @@ def test_automorphism_family_probes(monkeypatch, net2):
     cz = entangler_unitary(net3, 0, 1)
     rho = _image_sector(LocalizedEndo(net3, "[1,2]", unitary=cz))
     fam = find_covariance(rho, data)
-    assert pauli_unitary(rho) is None and fam.method == "automorphism"
+    assert pauli_unitary(rho) is None and fam.method == "extension"
     for g, u_g in reflection_unitaries(net3).items():
         assert rho.apply(u_g) == cz @ u_g @ cz
         assert fam.tableaux[g] == m_n_tableau(3, rho.apply(u_g))
@@ -1490,18 +1492,22 @@ def _x_type_net():
     return MatrixNet(base.category, 2, base.region_sites, overrides=overrides, name="xbits2")
 
 
-def test_covariance_search_refused_on_a_partial_global_algebra():
+def test_covariance_search_decides_a_partial_global_algebra():
     net = _x_type_net()
     data = qubit_reflection_data(net)
     assert data.validate().ok
     glob = net.global_algebra()
     assert glob.dim == 4 and net.global_commutant().dim == 4
-    # the site swap on the X strings is no Pauli conjugation
+    # the site swap on the X strings is no Pauli conjugation, but it
+    # extends to M_N, so its family is decided
     swap = reflection_unitary(2)
     rho = LocalizedEndo(net, "[1,2]", images=[swap @ a @ swap for a in glob.basis])
     assert pauli_unitary(rho) is None
-    with pytest.raises(PreconditionError, match="neither full nor diagonal"):
-        find_covariance(rho, data)
+    fam = find_covariance(rho, data)
+    assert fam is not None and fam.method == "extension"
+    for g in ("e", "r"):
+        y, image = _StringMap(2, data._m_n.rows, fam.tableaux[g]), data._full_maps(g)[0]
+        assert all(_chase((rho._map, y), r) == _chase((image, rho._map), r) for _, r in glob.rows)
     # Ad Z0 built from its images derives Z0 and gets the conjugated family
     z0 = pauli_string(2, 0, 0b10)
     image = LocalizedEndo(net, "[1,1]", images=[z0 @ a @ z0 for a in glob.basis])
@@ -1631,7 +1637,7 @@ def _invertible_columns(data, L):
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_diagonal_matching_is_complete(data):
-    # `_diagonal_tableau` on random signed Z-mask pairs against the dense
+    # `_extension_tableau` on random signed Z-mask pairs against the dense
     # matcher, and at L <= 2 against every permutation; half the examples
     # are solvable by construction: lhs = (-1)**(d . m) Z^(N m) for rhs Z^m
     L = data.draw(st.integers(1, 4), label="L")
@@ -1646,7 +1652,7 @@ def test_diagonal_matching_is_complete(data):
     else:
         lhs = data.draw(st.lists(signed, min_size=len(rhs), max_size=len(rhs)), label="lhs")
     pairs = list(zip(lhs, rhs))
-    got = _diagonal_tableau(L, pairs)
+    got = _extension_tableau(L, pairs)
     n, dense = 1 << L, [(_string_matrix(L, a), _string_matrix(L, b)) for a, b in pairs]
     assert (got is None) == (solve_intertwiner(n, dense) is None)
     if L <= 2:
@@ -1664,13 +1670,16 @@ def test_diagonal_matching_is_complete(data):
                 assert commute(r, r2) == commute(t >> 1, t2 >> 1)
 
 
-def test_intertwiner_search_refuses_non_diagonal_pairs():
-    # the identity solves Ad y(X (x) I) = X (x) I; no search short of the
-    # whole solution space may answer None here, on masks or on matrices
-    x1, z2 = 0b1000 << 1, 0b0001 << 1
-    for pairs in ([(x1, x1)], [(z2, z2), (x1, z2)], [(z2, x1)]):
-        with pytest.raises(PreconditionError, match="neither full nor diagonal"):
-            _diagonal_tableau(2, pairs)
+def test_extension_kernel_on_non_diagonal_pairs():
+    # X at site 0 and Z at site 1 on two sites: the identity solves
+    # Ad y(X0) = X0; Z1 cannot go to both Z1 and X0; some Clifford sends X0
+    # to Z1.  The dense matcher is complete on diagonal pairs only
+    x0, z1 = 0b1000 << 1, 0b0001 << 1
+    assert _extension_tableau(2, [(x0, x0)]) == (2, 4, 8, 16)
+    assert _extension_tableau(2, [(z1, z1), (x0, z1)]) is None
+    y = _extension_tableau(2, [(z1, x0)])
+    assert y is not None and _StringMap(2, [(k, 1 << k) for k in range(4)], y)[x0 >> 1] == z1
+    for pairs in ([(x0, x0)], [(z1, z1), (x0, z1)], [(z1, x0)]):
         with pytest.raises(PreconditionError, match="neither full nor diagonal"):
             solve_intertwiner(4, [(_string_matrix(2, a), _string_matrix(2, b)) for a, b in pairs])
 
