@@ -185,7 +185,7 @@ def pauli_sector(net: MatrixNet, letters: str, region: str) -> LocalizedEndo:
         xb, zb = _LETTER_MASKS[letter]
         v |= (xb << L | zb) << (L - 1 - site)
     tableau = _conjugation_tableau(net.global_algebra(), v)
-    return LocalizedEndo(net, region, label=f"{letters.upper()}@{region}", _tableau=tableau)
+    return LocalizedEndo(net, region, tableau, f"{letters.upper()}@{region}")
 
 
 def standard_sector_family(net: MatrixNet) -> dict[str, list[LocalizedEndo]]:
@@ -231,7 +231,7 @@ def collapse_sector(net: MatrixNet, region: str = "[1,2]") -> LocalizedEndo:
     tableau = tuple((r & keep) << 1 for _, r in glob.rows)
     if not all(glob._spans(code >> 1) for code in tableau):
         raise PreconditionError("image leaves the global algebra")
-    return LocalizedEndo(net, region, label=f"reset@{region}", _tableau=tableau)
+    return LocalizedEndo(net, region, tableau, f"reset@{region}")
 
 
 # ---------------------------------------------------------------------------

@@ -1,22 +1,26 @@
-"""Exact linear algebra over the Gaussian rationals.
+"""Exact linear algebra over the Gaussian rationals, and the GF(2) kernels
+of the Pauli-string calculus.
 
 Scalars are complex numbers with rational real and imaginary parts, so
 every verdict downstream (commutants, span equalities, intertwiner laws)
-is a matter of exact equality rather than tolerance.
+is a matter of exact equality rather than tolerance.  The package decides
+everything on GF(2) masks: strings are (x, z) bit masks, algebras are
+reduced rows (`_gf2_pivots`), sectors and Cliffords are tableaux
+(`_StringMap`), and a product of two strings is a mask XOR and a phase
+(`_string_product`), so intertwiners are Pauli sums of Gaussian
+rationals.
 
-Matrices (``GMat``) have two exact forms.  The sparse form maps (row, col)
-to nonzero scalars and serves every input.  The monomial form applies when
-a matrix is a permutation times phases in {1, i, -1, -i}, which covers
-every unitary the sector calculus builds: Pauli strings with unit
-coefficient, the site reflection, CZ, the identity, and their products and
-adjoints.  It stores the row and the phase exponent (mod 4) of each
-column, so products, adjoints, inner products, equality, hashing and the
-unitarity and scalar tests are O(n) work on small ints, in the spirit of
+``GMat`` is the dense matrix type the tests' oracle compares those masks
+with, at small L; no command builds one.  It stays here, with
+``nullspace``, ``pauli_string`` and ``as_pauli_string``, because
+``bench/tracer.py`` binds those names at import.  A ``GMat`` has two exact
+forms: a sparse one for any matrix, and a monomial one (a permutation
+times phases in {1, i, -1, -i}, as a Pauli string with unit coefficient,
+the site reflection or CZ) whose products, adjoints, inner products,
+equality and hashing are O(n) work on small ints, in the spirit of
 stabilizer-circuit simulation (Aaronson and Gottesman,
-arXiv:quant-ph/0406196).  Any operand without that form (non-unit entries
-such as 2 or 3/5+4/5i, dense matrices, image-built endomorphisms) takes
-the sparse path, and ``sparse_matmul`` is both that path's product and the
-reference the monomial product is tested against.
+arXiv:quant-ph/0406196).  ``sparse_matmul`` is the sparse path's product
+and the reference the monomial product is tested against.
 """
 
 from __future__ import annotations
@@ -40,7 +44,6 @@ __all__ = [
     "format_rational",
     "pauli_string",
     "as_pauli_string",
-    "pauli_coefficients",
     "pauli_commute",
 ]
 
@@ -130,7 +133,8 @@ GR_MINUS_ONE = GaussianRational(Fraction(-1))
 
 
 class GMat:
-    """Immutable square matrix over the Gaussian rationals.
+    """Immutable square matrix over the Gaussian rationals: the type of the
+    tests' dense oracle (see the module docstring).
 
     Two exact forms describe the same entries.  The sparse form ``data``
     maps (row, col) to a nonzero scalar and works for any matrix.  The
@@ -146,8 +150,7 @@ class GMat:
     ``data`` on first use; ``data`` is then built lazily from it.  Products,
     adjoints, Hilbert-Schmidt inner products, equality, hashing and the
     identity, unitarity and scalar tests run on the monomial form when
-    every operand has one, and on the sparse form otherwise (non-unit
-    entries, dense or image-built matrices).
+    every operand has one, and on the sparse form otherwise.
     """
 
     __slots__ = ("n", "_data", "_mono", "_hash")
@@ -491,42 +494,6 @@ def as_pauli_string(m: GMat) -> tuple[int, int, GaussianRational] | None:
     return (x, z, coeff) if pauli_string(L, x, z, coeff) == m else None
 
 
-def pauli_coefficients(m: GMat) -> dict[tuple[int, int], GaussianRational]:
-    """{(x, z): c} with m == sum of c * P(x, z), zero coefficients left out,
-    keys in sorted order.
-
-    The coefficient on P(x, z) is tr(P(x, z)* m) / N.  A scaled string
-    decodes through ``as_pauli_string``; any other matrix is expanded per
-    x = row ^ col: P(x, z)* holds i**-|x & z| * (-1)**|z & col| at
-    (col, col ^ x), so each coefficient is a signed sum of the entries of m
-    on that x.
-    """
-    n = m.n
-    if n <= 0 or n & (n - 1):
-        raise ValueError(f"no Pauli expansion of a matrix of size {n}")
-    p = as_pauli_string(m)
-    if p is not None:
-        return {(p[0], p[1]): p[2]}
-    by_x: dict[int, list[tuple[int, GaussianRational]]] = {}
-    for (row, col), v in m.data.items():
-        by_x.setdefault(row ^ col, []).append((col, v))
-    out = {}
-    for x in sorted(by_x):
-        entries = by_x[x]
-        for z in range(n):
-            re = im = Fraction(0)
-            for col, v in entries:
-                if (z & col).bit_count() & 1:
-                    re -= v.re
-                    im -= v.im
-                else:
-                    re += v.re
-                    im += v.im
-            if re or im:
-                out[(x, z)] = GaussianRational(re / n, im / n) * _UNITS[-(x & z).bit_count() & 3]
-    return out
-
-
 def pauli_commute(x1: int, z1: int, x2: int, z2: int) -> bool:
     """True iff P(x1,z1) and P(x2,z2) commute (symplectic form vanishes)."""
     return ((x1 & z2).bit_count() + (z1 & x2).bit_count()) % 2 == 0
@@ -590,6 +557,15 @@ def _xz(v: int, L: int) -> int:
     return ((v >> L) & v).bit_count()
 
 
+def _string_product(L: int, a: int, b: int) -> tuple[int, GaussianRational]:
+    """(a ^ b, i**e) with P(a) P(b) = i**e P(a ^ b) for the masks a, b =
+    x << L | z.  In the form W(v) = X^x Z^z = i**-|x & z| P(v) the product
+    W(a) W(b) = (-1)**|z_a & x_b| W(a ^ b) only picks up a sign, so e =
+    |x_a & z_a| + |x_b & z_b| + 2 |z_a & x_b| - |x_c & z_c| mod 4, c = a ^ b."""
+    c = a ^ b
+    return c, _UNITS[(_xz(a, L) + _xz(b, L) + 2 * (a & b >> L).bit_count() - _xz(c, L)) & 3]
+
+
 class _StringMap(dict):
     """v -> the signed mask of rho(P(v)), for the map rho that sends the
     string of the k-th of the reduced `rows` (`_gf2_pivots`) to tableau[k];
@@ -634,12 +610,6 @@ def _compose(outer: _StringMap, tableau: tuple[int, ...]) -> tuple[int, ...]:
     """Tableau of outer after the tableau's map: each row's signed mask
     mapped by `outer`, its sign carried along."""
     return tuple(outer[code >> 1] ^ (code & 1) for code in tableau)
-
-
-def _string_matrix(L: int, code: int) -> GMat:
-    """The matrix (-1)**s P(t) of the signed mask t << 1 | s."""
-    t = code >> 1
-    return pauli_string(L, t >> L, t & ((1 << L) - 1), GR_MINUS_ONE if code & 1 else GR_ONE)
 
 
 def _chase(maps: tuple[_StringMap, ...], r: int) -> int:

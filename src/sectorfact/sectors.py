@@ -8,27 +8,25 @@ duality and all sector identities decidable by exact symplectic
 arithmetic on GF(2) rows (Gottesman, arXiv:quant-ph/9705052; Dehaene and
 De Moor, Phys. Rev. A 68, 042318): the strings of an algebra are the XOR
 span of at most 2L (x, z) masks, a commutant is a GF(2) nullspace, and a
-matrix lies in an algebra exactly when every mask of its exact Pauli
-expansion (`pauli_coefficients`) reduces to zero against the algebra's
-rows.  `MatrixAlg` is therefore its reduced rows alone, and no dense
-solve is left.
+string lies in an algebra exactly when its mask reduces to zero against
+the algebra's rows.  `MatrixAlg` is therefore its reduced rows alone.
 
 Sectors are unital *-endomorphisms of the global algebra acting as the
 identity on every algebra orthogonal to their localization region.  Such
-a map is fixed by its images of the global algebra's generators
-(`MatrixAlg.generators`, at most 2L strings), and every sector is held in
-that one form, its tableau (Aaronson and Gottesman,
-arXiv:quant-ph/0406196): each generator's image as a sign and a mask.
-Every sector the package builds (Pauli conjugations, CZ, the site
-reflection, `collapse_sector`, and their transports, products and
-g-images) sends each string to a signed string; a map that does not is
-refused.  A string's image is read off the tableau on masks, a matrix is
-mapped term by term on its Pauli expansion, two sectors are the same map
-exactly when their tableaux are equal, and the sector product composes
-tableaux.  The tableau is all a sector holds: when it is a Pauli
-conjugation, the implementing string is derived from it by one GF(2)
-solve.  Group data and covariance families are tableaux on all of M_N too,
-so no verdict builds a matrix.
+a map is fixed by its images of the strings of the global algebra's rows
+(at most 2L), and every sector is held in that one form, its tableau
+(Aaronson and Gottesman, arXiv:quant-ph/0406196): each row's image as a
+sign and a mask.  A string's image is read off the tableau on masks, two
+sectors are the same map exactly when their tableaux are equal, and the
+sector product composes tableaux.  When a sector is a Pauli conjugation,
+the implementing string is derived from its tableau by one GF(2) solve.
+Group data and covariance families are tableaux on all of M_N too.
+
+Intertwiners, the morphisms between sectors (Doplicher, Haag and Roberts,
+Commun. Math. Phys. 23 (1971)), are Pauli sums {x << L | z: c}: a sector
+maps a sum term by term, and sums multiply string by string
+(`_string_product`).  So the sector layer holds masks only, and no
+verdict builds a matrix.
 """
 
 from __future__ import annotations
@@ -38,8 +36,8 @@ import itertools
 from dataclasses import dataclass, field
 
 from .linalg import (
-    GMat,
-    GR_MINUS_ONE,
+    GR_ONE,
+    GaussianRational,
     _StringMap,
     _chase,
     _compose,
@@ -49,11 +47,8 @@ from .linalg import (
     _gf2_solve,
     _inverse_tableau,
     _mask_span,
-    _string_matrix,
-    as_pauli_string,
-    pauli_coefficients,
+    _string_product,
     pauli_commute,
-    pauli_string,
 )
 from . import operad  # called as module attributes, which bench/tracer.py times
 from .operad import EquivariantAlgebraAssignment, FiniteAlgebraAssignment
@@ -114,9 +109,9 @@ class MatrixAlg:
     its row's highest bit and is set in no other row, so the rows are the
     span's canonical basis and span equality is rows equality.  Strings of
     an XOR span multiply to scalars times strings of the span, so every
-    span is an algebra.  Membership, inclusion and commutants are read off the
-    rows; the 2**rank masks (`masks`) and the strings as matrices (`basis`,
-    `generators`) are built only when a caller asks.
+    span is an algebra.  Membership, inclusion and commutants are read off
+    the rows, and masks are the algebra's only element form: the 2**rank
+    masks of its strings (`masks`) are built only when a caller asks.
     """
 
     def __init__(self, L: int, vectors, name: str = ""):
@@ -174,25 +169,6 @@ class MatrixAlg:
     @functools.cached_property
     def _masks(self) -> frozenset[tuple[int, int]]:
         return frozenset(_mask_span(self.L, [r for _, r in self.rows]))
-
-    @functools.cached_property
-    def basis(self) -> list[GMat]:
-        """The unit strings of the masks in sorted mask order, built on
-        first use."""
-        return [pauli_string(self.L, x, z) for x, z in sorted(self.masks())]
-
-    @functools.cached_property
-    def generators(self) -> list[GMat]:
-        """The unit strings of `rows`: every string of the algebra is a
-        scalar times a product of them."""
-        L, low = self.L, (1 << self.L) - 1
-        return [pauli_string(L, r >> L, r & low) for _, r in self.rows]
-
-    def contains(self, m: GMat) -> bool:
-        """m lies in the algebra exactly when every Pauli coefficient of m
-        sits on one of its strings."""
-        L = self.L
-        return m.n == self.n and all(self._spans((x << L) | z) for x, z in pauli_coefficients(m))
 
     def __repr__(self) -> str:
         return f"MatrixAlg({self.name or 'anon'}, n={self.n}, dim={self.dim} pauli L={self.L})"
@@ -400,56 +376,6 @@ def check_haag_duality(net: MatrixNet, region: str) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _signed_strings(glob: MatrixAlg, images: list[GMat]) -> tuple[int, ...]:
-    """Tableau of a map from its images of glob's generators, refused
-    unless each is a scaled string of glob.  Any coefficient but -1 reads
-    as +1: a unitary's images have +-1, and image lists are compared with
-    the tableau's images afterwards."""
-    L = glob.L
-    out = []
-    for a in images:
-        p = as_pauli_string(a)
-        if p is None:
-            raise PreconditionError("generator image is not a signed Pauli string")
-        x, z, c = p
-        if not glob._spans((x << L) | z):
-            raise PreconditionError("image leaves the global algebra")
-        out.append((((x << L) | z) << 1) | (c == GR_MINUS_ONE))
-    return tuple(out)
-
-
-def _ad_tableau(alg: MatrixAlg, u: GMat) -> tuple[int, ...]:
-    """Tableau of Ad u on alg, refused unless u is unitary and Ad u sends
-    each of alg's generators to a signed string of alg."""
-    if not u.is_unitary():
-        raise PreconditionError("implementing matrix is not unitary")
-    adj = u.adjoint()
-    return _signed_strings(alg, [u @ g @ adj for g in alg.generators])
-
-
-def _tableau_from_image_list(glob: MatrixAlg, images: list[GMat]) -> tuple[int, ...]:
-    """Tableau of the linear map sending the k-th string of `glob.basis` to
-    images[k], refused unless it is a unital *-homomorphism: Hermitian
-    signed strings as the generators' images, commuting pairwise as the
-    generators do (`_StringMap` checks it), and every image the tableau's."""
-    masks = sorted(glob.masks())
-    if len(images) != len(masks):
-        raise PreconditionError("basis images do not match the global basis")
-    if not images[0].is_identity():
-        raise PreconditionError("endomorphism is not unital")
-    L = glob.L
-    index = {(x << L) | z: k for k, (x, z) in enumerate(masks)}
-    gens = [images[index[r]] for _, r in glob.rows]
-    if any(a != a.adjoint() for a in gens):
-        raise PreconditionError("endomorphism does not respect adjoints")
-    tableau = _signed_strings(glob, gens)
-    image = _StringMap(L, glob.rows, tableau)
-    for v, k in index.items():
-        if images[k] != _string_matrix(L, image[v]):
-            raise PreconditionError("endomorphism is not multiplicative")
-    return tableau
-
-
 def _conjugation_tableau(glob: MatrixAlg, v: int) -> tuple[int, ...]:
     """Tableau of Ad P(v), v = x << L | z, on glob: each row kept, with
     the sign bit set exactly when its string anticommutes with P(v)."""
@@ -465,34 +391,17 @@ class LocalizedEndo:
     global algebra's reduced GF(2) basis (`MatrixAlg.rows`), the image of
     its string as the signed mask t << 1 | s, meaning (-1)**s P(t).
 
-    A sector is built from a unitary u (Ad u) or from the images of the
-    strings of `global_algebra().basis`, and must send each generator to
-    +-1 times a string of the global algebra, else PreconditionError; the
-    matrices only serve to compute the tableau and are not kept.  Pauli
-    and identity sectors, products, transports and g-images pass
-    `_tableau` directly.
+    The tableau is taken as given: reading the image of a string outside
+    the global algebra, or of a product whose row images break a
+    commutation among the rows, raises PreconditionError (`_StringMap`).
+    Its builders check that the images lie in the global algebra.
     """
 
-    def __init__(
-        self,
-        net: MatrixNet,
-        region: str,
-        unitary: GMat | None = None,
-        images: list[GMat] | None = None,
-        label: str = "",
-        _tableau: tuple[int, ...] | None = None,
-    ):
+    def __init__(self, net: MatrixNet, region: str, tableau: tuple[int, ...], label: str = ""):
         if region not in net.region_sites:
             raise SchemaError(f"unknown region {region}")
-        glob = net.global_algebra()
-        if _tableau is None and unitary is not None:
-            _tableau = _ad_tableau(glob, unitary)
-        elif _tableau is None and images is not None:
-            _tableau = _tableau_from_image_list(glob, images)
-        elif _tableau is None:
-            raise PreconditionError("endomorphism needs a unitary or basis images")
-        self.net, self.region, self.tableau = net, region, _tableau
-        self.label = label or (f"Ad[{unitary!r}]" if unitary is not None else "endo")
+        self.net, self.region, self.tableau = net, region, tableau
+        self.label = label or "endo"
 
     def pauli_mask(self) -> int | None:
         """A mask a = x << L | z with Ad P(a) equal to the sector on the
@@ -517,24 +426,20 @@ class LocalizedEndo:
             image = self.net._maps[self.tableau] = _StringMap(glob.L, glob.rows, self.tableau)
         return image
 
-    def apply(self, m: GMat) -> GMat:
-        """The image of m, mapped term by term on its Pauli expansion."""
-        L, low = self.net.sites, (1 << self.net.sites) - 1
-        out = GMat.zero(self.net.n)
-        for (x, z), c in pauli_coefficients(m).items():
-            code = self._map[(x << L) | z]
-            t = code >> 1
-            term = pauli_string(L, t >> L, t & low, -c if code & 1 else c)
-            out = term if out.is_zero() else out + term
-        return out
+    def apply(self, terms: dict[int, GaussianRational]) -> dict[int, GaussianRational]:
+        """The image of the Pauli sum {v: c}, term by term: each string to
+        its signed string.  A sector need not be injective, so images may
+        meet and cancel."""
+        image = self._map
+        return _pauli_sum((image[v] >> 1, -c if image[v] & 1 else c) for v, c in terms.items())
 
     def same_map(self, other: "LocalizedEndo") -> bool:
         """Equality as maps on the global algebra (region labels ignored):
-        tableau equality, as a *-map is fixed on the generators."""
+        tableau equality, as a *-map is fixed on the strings of the rows."""
         return self.tableau == other.tableau
 
     def relabel(self, region: str, label: str | None = None) -> "LocalizedEndo":
-        return LocalizedEndo(self.net, region, label=label or self.label, _tableau=self.tableau)
+        return LocalizedEndo(self.net, region, self.tableau, label or self.label)
 
     def __repr__(self) -> str:
         return f"LocalizedEndo({self.label}@{self.region})"
@@ -542,14 +447,15 @@ class LocalizedEndo:
 
 def identity_sector(net: MatrixNet, region: str) -> LocalizedEndo:
     tableau = _conjugation_tableau(net.global_algebra(), 0)
-    return LocalizedEndo(net, region, label="1", _tableau=tableau)
+    return LocalizedEndo(net, region, tableau, "1")
 
 
 def check_localized(rho: LocalizedEndo, net: MatrixNet) -> ValidationReport:
     """Strict localization: the endomorphism fixes every local algebra
-    orthogonal to its region, elementwise on basis matrices.  It fixes an
-    algebra exactly when it fixes the algebra's generators; only an algebra
-    where one is moved is walked, in basis order, for the witnesses."""
+    orthogonal to its region, string by string.  It fixes an algebra
+    exactly when it fixes the strings of the algebra's rows; only an
+    algebra where one is moved is walked, in mask order, for the
+    witnesses."""
     report = ValidationReport(check="localized", subject=rho.label)
     image, L = rho._map, net.sites
     for u in net.orth_partners(rho.region):
@@ -612,7 +518,7 @@ def check_transportable(rho: LocalizedEndo, target: str, net: MatrixNet) -> Tran
     moved = None if a is None else translate_string(net, a, rho.region, target)
     if moved is not None:
         tableau = _conjugation_tableau(net.global_algebra(), moved)
-        ad_moved = LocalizedEndo(net, target, label=moved_label, _tableau=tableau)
+        ad_moved = LocalizedEndo(net, target, tableau, moved_label)
         tried.append(("translated-pattern", ad_moved))
     for label, cand in tried:
         if check_localized(cand, net).ok:
@@ -620,22 +526,40 @@ def check_transportable(rho: LocalizedEndo, target: str, net: MatrixNet) -> Tran
     return TransportReport(found=False, sector=rho.label, target=target)
 
 
-class Intertwiner:
-    """Matrix T with T rho(a) = rho'(a) T on the global algebra, checked on
-    its generators; membership in the local algebra of a joint localization
-    region is validated."""
+def _pauli_sum(terms) -> dict[int, GaussianRational]:
+    """{v: c} summed over the (v, c) pairs of `terms`, zeros dropped."""
+    out: dict[int, GaussianRational] = {}
+    for v, c in terms:
+        out[v] = out[v] + c if v in out else c
+    return {v: c for v, c in out.items() if not c.is_zero()}
 
-    def __init__(self, source: LocalizedEndo, target: LocalizedEndo, matrix: GMat):
-        self.source = source
-        self.target = target
-        self.matrix = matrix
-        net = source.net
-        for a in net.global_algebra().generators:
-            if matrix @ source.apply(a) != target.apply(a) @ matrix:
-                raise PreconditionError("matrix does not intertwine the sectors")
-        # a string algebra is its own double commutant
+
+def _times(L: int, s: dict, t: dict) -> dict[int, GaussianRational]:
+    """The Pauli sum of the product of two Pauli sums, string by string."""
+    out = []
+    for a, c in s.items():
+        for b, d in t.items():
+            v, unit = _string_product(L, a, b)
+            out.append((v, unit * c * d))
+    return _pauli_sum(out)
+
+
+class Intertwiner:
+    """Pauli sum T = sum of c P(v) over `terms` {v: c}, v = x << L | z, with
+    T rho(a) = rho'(a) T for rho = source and rho' = target on the global
+    algebra, checked on the strings of its rows.  T must lie in the local
+    algebra of a joint localization region: every mask is spanned there."""
+
+    def __init__(self, source: LocalizedEndo, target: LocalizedEndo, terms: dict[int, GaussianRational]):
+        net, L = source.net, source.net.sites
+        self.source, self.target = source, target
+        self.terms = _pauli_sum(terms.items())
+        for _, r in net.global_algebra().rows:
+            row = {r: GR_ONE}
+            if _times(L, self.terms, source.apply(row)) != _times(L, target.apply(row), self.terms):
+                raise PreconditionError("Pauli sum does not intertwine the sectors")
         join = net.join(source.region, target.region)
-        if not net.algebra(join).contains(matrix):
+        if not all(map(net.algebra(join)._spans, self.terms)):
             raise PreconditionError(f"intertwiner leaves the local algebra of {join}")
 
     def __repr__(self) -> str:
@@ -661,7 +585,7 @@ def diamond(
                 raise PreconditionError(f"{r} is not included in {region}")
     label = f"({rho.label}<>{rhodot.label})"
     tableau = _compose(rho._map, rhodot.tableau)
-    return LocalizedEndo(net, region, label=label, _tableau=tableau)
+    return LocalizedEndo(net, region, tableau, label)
 
 
 def diamond_mor(t: Intertwiner, tdot: Intertwiner) -> Intertwiner:
@@ -669,13 +593,9 @@ def diamond_mor(t: Intertwiner, tdot: Intertwiner) -> Intertwiner:
     for the product sectors is re-verified exactly."""
     rho, rho_p = t.source, t.target
     sig, sig_p = tdot.source, tdot.target
-    matrix = t.matrix @ rho.apply(tdot.matrix)
+    terms = _times(rho.net.sites, t.terms, rho.apply(tdot.terms))
     region = rho.net.join(rho.region, sig.region)
-    return Intertwiner(
-        source=diamond(rho, sig, region=region),
-        target=diamond(rho_p, sig_p, region=region),
-        matrix=matrix,
-    )
+    return Intertwiner(diamond(rho, sig, region), diamond(rho_p, sig_p, region), terms)
 
 
 def check_perp_commutativity_sectors(
@@ -686,7 +606,15 @@ def check_perp_commutativity_sectors(
     net: MatrixNet,
 ) -> ValidationReport:
     """Sectors localized in orthogonal regions commute under the product, and
-    so do their intertwiners, exactly."""
+    so do their intertwiners, exactly.  The intertwiners are given both or
+    neither, t_k between sectors at rho_k's region, else PreconditionError."""
+    if (t1 is None) != (t2 is None):
+        raise PreconditionError("give both intertwiners or neither")
+    for rho, t in ((rho1, t1), (rho2, t2)):
+        if t is not None and not (
+            isinstance(t, Intertwiner) and t.source.region == t.target.region == rho.region
+        ):
+            raise PreconditionError(f"{t!r} is no intertwiner of sectors at {rho.region}")
     report = ValidationReport(
         check="sector-perp-commutativity", subject=f"{rho1.label},{rho2.label}"
     )
@@ -700,12 +628,13 @@ def check_perp_commutativity_sectors(
     right = diamond(rho2, rho1, region=join)
     if not left.same_map(right):
         report.add("object-commutativity", {"regions": [rho1.region, rho2.region]})
-    if t1 is not None and t2 is not None:
-        m_left = t1.matrix @ t1.source.apply(t2.matrix)
-        m_right = t2.matrix @ t2.source.apply(t1.matrix)
+    if t1 is not None:
+        L = net.sites
+        m_left = _times(L, t1.terms, t1.source.apply(t2.terms))
+        m_right = _times(L, t2.terms, t2.source.apply(t1.terms))
         if m_left != m_right:
             report.add("morphism-commutativity", {"pair": [repr(t1), repr(t2)]})
-        if m_left != t1.matrix @ t2.matrix:
+        if m_left != _times(L, t1.terms, t2.terms):
             report.add("morphism-localization", {"pair": [repr(t1), repr(t2)]})
     return report
 
@@ -942,9 +871,9 @@ class SectorGroupData:
     Clifford unitaries, held as their tableaux alone: `tableaux[g]` is the
     M_N tableau of Ad u_g on the rows of `MatrixAlg.full_on_sites(L,
     range(L))`, the single-site Z and X strings (row k the unit vector
-    1 << k).  Ad u_g* is derived once per g (`_inverse_tableau`).
-    `from_unitaries` is the one dense entry: a matrix that is no Clifford
-    unitary has no tableau, PreconditionError."""
+    1 << k).  Ad u_g* is derived once per g (`_inverse_tableau`).  The
+    fixtures build the tableaux from site permutations
+    (`fixtures._permutation_tableau`)."""
 
     net: MatrixNet
     action: GroupActionSpec
@@ -952,14 +881,6 @@ class SectorGroupData:
     name: str = ""
     _maps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _ad: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    @classmethod
-    def from_unitaries(
-        cls, net: MatrixNet, action: GroupActionSpec, unitaries: dict[str, GMat], name: str = ""
-    ) -> "SectorGroupData":
-        data = cls(net, action, {}, name)
-        data.tableaux.update({g: _ad_tableau(data._m_n, u) for g, u in unitaries.items()})
-        return data
 
     @functools.cached_property
     def _m_n(self) -> MatrixAlg:
@@ -982,7 +903,7 @@ class SectorGroupData:
             tableaux = [tuple(image[r] for _, r in glob.rows) for image in self._full_maps(g)]
             if not all(glob._spans(code >> 1) for t in tableaux for code in t):
                 raise PreconditionError("image leaves the global algebra")
-            self._ad[g] = [LocalizedEndo(self.net, region, _tableau=t) for t in tableaux]
+            self._ad[g] = [LocalizedEndo(self.net, region, t) for t in tableaux]
         return self._ad[g]
 
     def validate(self) -> ValidationReport:
@@ -1034,7 +955,7 @@ def g_act_sector(g: str, rho: LocalizedEndo, data: SectorGroupData) -> Localized
     moved_region = data.action.action[g].apply_obj(rho.region)
     tableau = _compose(ad_u._map, _compose(rho._map, ad_inv.tableau))
     label = f"{g}|>{rho.label}"
-    out = LocalizedEndo(data.net, moved_region, label=label, _tableau=tableau)
+    out = LocalizedEndo(data.net, moved_region, tableau, label)
     loc = check_localized(out, data.net)
     if not loc.ok:
         raise PreconditionError(

@@ -17,7 +17,7 @@ from sectorfact.fixtures import (
     qubit_reflection_data,
     standard_sector_family,
 )
-from sectorfact.linalg import GMat
+from sectorfact.linalg import GR_ONE
 from sectorfact.minkowski import (
     DoubleCone,
     MPoint,
@@ -49,7 +49,7 @@ from sectorfact.sectors import (
 )
 from sectorfact.operad import validate_algebra
 
-from dense_oracle import m_n_tableau, pauli_unitary, reflection_unitaries
+from dense_oracle import as_pauli_sum, m_n_tableau, pauli_sum_matrix, pauli_unitary, reflection_unitaries
 
 
 def verdict(criterion: str, passed: bool, detail: str = "") -> None:
@@ -322,29 +322,33 @@ def test_criterion_7_sector_calculus():
     x2, z2 = family["[2,2]"]
     y1 = pauli_sector(net, "Y", "[1,1]")
     y2 = pauli_sector(net, "Y", "[2,2]")
-    t1 = Intertwiner(x1, z1, pauli_unitary(z1) @ pauli_unitary(x1).adjoint())
-    t1p = Intertwiner(z1, y1, pauli_unitary(y1) @ pauli_unitary(z1).adjoint())
-    t2 = Intertwiner(x2, z2, pauli_unitary(z2) @ pauli_unitary(x2).adjoint())
-    t2p = Intertwiner(z2, y2, pauli_unitary(y2) @ pauli_unitary(z2).adjoint())
-    id1 = Intertwiner(x1, x1, GMat.identity(net.n))
-    id2 = Intertwiner(x2, x2, GMat.identity(net.n))
-    ok = ok and diamond_mor(id1, id2).matrix.is_identity()
-    lhs = diamond_mor(
-        Intertwiner(x1, y1, t1p.matrix @ t1.matrix),
-        Intertwiner(x2, y2, t2p.matrix @ t2.matrix),
-    ).matrix
-    rhs = diamond_mor(t1p, t2p).matrix @ diamond_mor(t1, t2).matrix
+    # (intertwiners are Pauli sums; the dense oracle multiplies them)
+    def between(a, b):
+        return Intertwiner(a, b, as_pauli_sum(pauli_unitary(b) @ pauli_unitary(a).adjoint()))
+
+    def matrix(t):
+        return pauli_sum_matrix(net.sites, t.terms)
+
+    t1, t1p, t2, t2p = between(x1, z1), between(z1, y1), between(x2, z2), between(z2, y2)
+    id1 = Intertwiner(x1, x1, {0: GR_ONE})
+    id2 = Intertwiner(x2, x2, {0: GR_ONE})
+    ok = ok and matrix(diamond_mor(id1, id2)).is_identity()
+    lhs = matrix(diamond_mor(
+        Intertwiner(x1, y1, as_pauli_sum(matrix(t1p) @ matrix(t1))),
+        Intertwiner(x2, y2, as_pauli_sum(matrix(t2p) @ matrix(t2))),
+    ))
+    rhs = matrix(diamond_mor(t1p, t2p)) @ matrix(diamond_mor(t1, t2))
     ok = ok and lhs == rhs
-    star_l = diamond_mor(t1, t2).matrix.adjoint()
-    star_r = diamond_mor(
-        Intertwiner(z1, x1, t1.matrix.adjoint()),
-        Intertwiner(z2, x2, t2.matrix.adjoint()),
-    ).matrix
+    star_l = matrix(diamond_mor(t1, t2)).adjoint()
+    star_r = matrix(diamond_mor(
+        Intertwiner(z1, x1, as_pauli_sum(matrix(t1).adjoint())),
+        Intertwiner(z2, x2, as_pauli_sum(matrix(t2).adjoint())),
+    ))
     ok = ok and star_l == star_r
 
     # perp-commutativity for disjointly localized sectors and intertwiners
     far_x, far_z = family["[4,4]"]
-    t_far = Intertwiner(far_x, far_z, pauli_unitary(far_z) @ pauli_unitary(far_x).adjoint())
+    t_far = between(far_x, far_z)
     report = check_perp_commutativity_sectors(x1, far_x, t1, t_far, net)
     ok = ok and report.ok
 

@@ -5,8 +5,15 @@ import random
 import pytest
 
 from dense_oracle import (
+    ad_sector,
+    dense_apply,
+    dense_basis,
+    dense_contains,
     dense_diagonal_family,
+    dense_generators,
     entangler_unitary,
+    group_data_from_unitaries,
+    image_sector,
     m_n_tableau,
     pauli_unitary,
     reflection_unitaries,
@@ -55,7 +62,7 @@ def ad_equal(net, a, b):
     every basis element of the global algebra."""
     return all(
         a @ m @ a.adjoint() == b @ m @ b.adjoint()
-        for m in net.global_algebra().basis
+        for m in dense_basis(net.global_algebra())
     )
 
 
@@ -87,17 +94,34 @@ def test_reflection_tableaux_match_the_dense_reflection(L):
     assert tuple(ad_r[v] for _, v in rows) == data.tableaux["r"]
 
 
+# every command that reads a net, with its exit code on qubit4 and on bits4
+NET_COMMANDS = [
+    (["sectors", "haag"], 0, 1),
+    (["sectors", "perp"], 0, 0),
+    (["sectors", "diamond"], 0, 0),
+    (["sectors", "equivariance"], 0, 0),
+    (["sectors", "theorem311"], 0, 1),
+    (["sectors", "transport", "--sector", "X@1-1", "--target", "3-3"], 0, 0),
+    (["operad", "algebra", "--bound", "2"], 0, 0),
+    (["operad", "algebra", "--bound", "2", "--equivariant"], 0, 0),
+]
+
+
 def test_the_reflection_path_builds_no_matrix(monkeypatch, tmp_path):
     # qubit_reflection_data -> validate -> g_act_sector -> find_covariance
     # on a qubit net runs on tableaux alone, and so do the equivariance
     # campaigns on diagonal nets, whose collapse sector takes the
-    # extension kernel once per g
+    # extension kernel once per g, and every net command on qubit4 and
+    # bits4
     net = qubit_net(6)
     family = standard_sector_family(net)
     nets = []
     for L in range(4, 9):
         nets.append(tmp_path / f"bits{L}.json")
         nets[-1].write_text(json.dumps(net_to_json(diagonal_net(L))))
+    small = [tmp_path / "qubit4.json", tmp_path / "bits4.json"]
+    small[0].write_text(json.dumps(net_to_json(qubit_net(4))))
+    small[1].write_text(json.dumps(net_to_json(diagonal_net(4))))
 
     def refuse(*args, **kwargs):
         raise AssertionError("a GMat was built")
@@ -116,6 +140,9 @@ def test_the_reflection_path_builds_no_matrix(monkeypatch, tmp_path):
     for path in nets:
         for args in (["sectors", "equivariance"], ["operad", "algebra", "--equivariant", "--bound", "2"]):
             assert cli_main(args + ["--net", str(path), "--out", out]) == 0
+    for args, *codes in NET_COMMANDS:
+        for path, code in zip(small, codes):
+            assert cli_main(args + ["--net", str(path), "--out", out]) == code, (args, path.name)
 
 
 def _clifford_samples(net):
@@ -150,7 +177,7 @@ def test_inverse_tableau_refuses_dependent_images():
 def test_from_unitaries_refuses_a_matrix_with_no_tableau(net4):
     action = qubit_reflection_data(net4).action
     with pytest.raises(PreconditionError, match="not unitary"):
-        SectorGroupData.from_unitaries(net4, action, {"e": GMat.identity(16), "r": GMat.zero(16)})
+        group_data_from_unitaries(net4, action, {"e": GMat.identity(16), "r": GMat.zero(16)})
 
 
 def test_group_implementation_valid(z2_data):
@@ -161,7 +188,7 @@ def test_group_implementation_valid(z2_data):
 def test_implementation_breaks_with_wrong_unitary(net4):
     data = qubit_reflection_data(net4)
     unitaries = {"e": GMat.identity(16), "r": pauli_unitary(pauli_sector(net4, "X", "[1,1]"))}
-    broken = SectorGroupData.from_unitaries(net4, data.action, unitaries, name="broken")
+    broken = group_data_from_unitaries(net4, data.action, unitaries, name="broken")
     report = broken.validate()
     assert not report.ok
     assert any(v.axiom == "covariant-implementation" for v in report.violations)
@@ -304,7 +331,7 @@ def test_diagonal_families_match_the_dense_matching(L):
     sectors.append(identity_sector(net, "[1,1]"))
     for _ in range(12):
         tableau = tuple(rng.randrange(1 << L) << 1 | rng.randrange(2) for _ in range(L))
-        sectors.append(LocalizedEndo(net, f"[1,{L}]", _tableau=tableau))
+        sectors.append(LocalizedEndo(net, f"[1,{L}]", tableau=tableau))
     verdicts = []
     for data in _diagonal_group_data(net):
         assert data.validate().ok
@@ -341,7 +368,7 @@ def test_collapse_verdicts_survive_the_hadamard_mirror(L):
     verdicts = []
     for u, cells in net.region_sites.items():
         keep = sum(1 << (L - 1 - s) for s in range(L) if s not in cells)
-        reset = LocalizedEndo(mirror, u, _tableau=tuple((r & keep << L) << 1 for _, r in mirror.global_algebra().rows))
+        reset = LocalizedEndo(mirror, u, tableau=tuple((r & keep << L) << 1 for _, r in mirror.global_algebra().rows))
         verdict = find_covariance(collapse_sector(net, u), data) is not None
         assert (find_covariance(reset, mirror_data) is not None) == verdict
         verdicts.append(verdict)
@@ -426,9 +453,9 @@ def test_covariant_sectors_closed_under_product(net4, z2_data, family4):
     for g, u_g in reflection_unitaries(net4).items():
         u = reference_composite(v, v @ u_g @ v.adjoint(), w @ u_g @ w.adjoint(), u_g)
         assert joint.tableaux[g] == m_n_tableau(4, u)
-        for m in net4.global_algebra().basis:
-            lhs = prod.apply(u_g @ m @ u_g.adjoint())
-            rhs = u @ prod.apply(m) @ u.adjoint()
+        for m in dense_basis(net4.global_algebra()):
+            lhs = dense_apply(prod, u_g @ m @ u_g.adjoint())
+            rhs = u @ dense_apply(prod, m) @ u.adjoint()
             assert lhs == rhs
 
 
@@ -447,8 +474,8 @@ def test_composite_family_on_a_diagonal_global_algebra(bits4):
         for g, u_g in reflection_unitaries(bits4).items():
             y = reference_composite(v, v @ u_g @ v.adjoint(), w @ u_g @ w.adjoint(), u_g)
             assert joint.tableaux[g] == m_n_tableau(4, y)
-            for m in bits4.global_algebra().basis:
-                assert prod.apply(u_g @ m @ u_g.adjoint()) == y @ prod.apply(m) @ y.adjoint()
+            for m in dense_basis(bits4.global_algebra()):
+                assert dense_apply(prod, u_g @ m @ u_g.adjoint()) == y @ dense_apply(prod, m) @ y.adjoint()
 
 
 def test_derived_sectors_keep_their_implementing_unitary(bits4):
@@ -480,8 +507,8 @@ def test_derived_sectors_keep_their_implementing_unitary(bits4):
     for g, u_g in reflection_unitaries(bits4).items():
         y = reference_composite(v, v @ u_g @ v.adjoint(), w @ u_g @ w.adjoint(), u_g)
         assert joint.tableaux[g] == m_n_tableau(4, y)
-        for m in bits4.global_algebra().basis:
-            assert prod.apply(u_g @ m @ u_g.adjoint()) == y @ prod.apply(m) @ y.adjoint()
+        for m in dense_basis(bits4.global_algebra()):
+            assert dense_apply(prod, u_g @ m @ u_g.adjoint()) == y @ dense_apply(prod, m) @ y.adjoint()
     # the collapse is no Pauli conjugation, and neither is its product
     assert pauli_unitary(diamond(collapse_sector(bits4), pair)) is None
 
@@ -539,13 +566,11 @@ def test_transformed_sector_covariant(net4, z2_data, family4):
 
 
 def test_image_sector_action_and_covariance(net2):
-    from sectorfact.sectors import LocalizedEndo
-
     data = qubit_reflection_data(net2)
     glob = net2.global_algebra()
     for letter in "XZ":
         inner = pauli_sector(net2, letter, "[1,1]")
-        image = LocalizedEndo(net2, "[1,1]", images=[inner.apply(a) for a in glob.basis])
+        image = image_sector(net2, "[1,1]", [dense_apply(inner, a) for a in dense_basis(glob)])
         moved, moved_inner = g_act_sector("r", image, data), g_act_sector("r", inner, data)
         # the tableau is all either holds, so both derive one string
         assert ad_equal(net2, pauli_unitary(moved), pauli_unitary(moved_inner))
@@ -557,20 +582,19 @@ def test_image_sector_action_and_covariance(net2):
         for g, u_g in reflection_unitaries(net2).items():
             y = v @ u_g @ v.adjoint()
             assert fam.tableaux[g] == m_n_tableau(2, y)
-            for a in glob.basis:
-                assert image.apply(u_g @ a @ u_g.adjoint()) @ y == y @ image.apply(a)
+            for a in dense_basis(glob):
+                assert dense_apply(image, u_g @ a @ u_g.adjoint()) @ y == y @ dense_apply(image, a)
 
 
 def test_ad_equal_on_a_diagonal_global_algebra(bits4):
     from sectorfact.linalg import pauli_string
-    from sectorfact.sectors import LocalizedEndo
 
     assert bits4.global_algebra().dim == 16  # the diagonal of M_16
     z_type = [pauli_string(4, 0, z) for z in (0, 0b1000, 0b0110, 0b1111)]
     z_type.append(entangler_unitary(bits4, 1, 2))
     x_type = [pauli_string(4, x, 0) for x in (0b1000, 0b0100, 0b0011)]
     x_type.append(pauli_string(4, 0b1000, 0b0001))
-    ad = {id(u): LocalizedEndo(bits4, "[1,1]", unitary=u) for u in z_type + x_type}
+    ad = {id(u): ad_sector(bits4, "[1,1]", u) for u in z_type + x_type}
 
     def same(a, b):
         return ad[id(a)].same_map(ad[id(b)])
@@ -608,7 +632,7 @@ def reference_group_validate(self, unitaries):
     if report.schema_errors or report.violations:
         return report
     u_e = unitaries[unit]
-    if any(u_e @ m != m @ u_e for m in self.net.global_algebra().generators):
+    if any(u_e @ m != m @ u_e for m in dense_generators(self.net.global_algebra())):
         report.add("unit-implementation", {"g": unit})
     for g in group.elements:
         u = unitaries[g]
@@ -617,8 +641,8 @@ def reference_group_validate(self, unitaries):
             img = functor.apply_obj(region)
             alg = self.net.algebra(region)
             target = self.net.algebra(img)
-            for m in alg.generators:
-                if not target.contains(u @ m @ u.adjoint()):
+            for m in dense_generators(alg):
+                if not dense_contains(target, u @ m @ u.adjoint()):
                     report.add(
                         "covariant-implementation", {"g": g, "region": region}
                     )
@@ -643,7 +667,7 @@ def _z2_data(net, u_e, u_r, reflect=True):
     if not reflect:
         same = OrthFunctor.identity_on(net.category)
         action = GroupActionSpec(action.group, {"e": same, "r": same}, name="Z2|identity")
-    return SectorGroupData.from_unitaries(net, action, {"e": u_e, "r": u_r}, name=f"Z2|{net.name}")
+    return group_data_from_unitaries(net, action, {"e": u_e, "r": u_r}, name=f"Z2|{net.name}")
 
 
 def _clifford_implementations(net):
@@ -678,7 +702,7 @@ def test_projective_composition_is_decided_on_m_n(bits4):
     # is no scalar: only the comparison on all of M_N sees it
     u_r = reflection_unitary(4) @ entangler_unitary(bits4, 0, 1)
     square = u_r @ u_r
-    assert all(square @ m == m @ square for m in bits4.global_algebra().generators)
+    assert all(square @ m == m @ square for m in dense_generators(bits4.global_algebra()))
     assert scalar_multiple_of_identity(square) is None
     data = _z2_data(bits4, GMat.identity(16), u_r)
     report = data.validate()
@@ -709,4 +733,4 @@ def test_a_non_clifford_implementation_is_refused(net4):
     action = interval_reflection_action(net4.category, 4)
     assert reference_group_validate(SectorGroupData(net4, action, {}), unitaries).ok
     with pytest.raises(PreconditionError, match="not a signed Pauli string"):
-        SectorGroupData.from_unitaries(net4, action, unitaries)
+        group_data_from_unitaries(net4, action, unitaries)

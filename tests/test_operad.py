@@ -8,7 +8,13 @@ from hypothesis import strategies as st
 
 import sectorfact.operad as operad_module
 import sectorfact.sectors as sectors_module
-from dense_oracle import entangler_unitary
+from dense_oracle import (
+    ad_sector,
+    dense_basis,
+    entangler_unitary,
+    group_data_from_unitaries,
+    image_sector,
+)
 from sectorfact.fixtures import (
     collapse_sector,
     diagonal_net,
@@ -40,7 +46,7 @@ from sectorfact.reports import (
     ValidationReport,
     dump_json,
 )
-from sectorfact.sectors import LocalizedEndo, sector_algebra_assignment
+from sectorfact.sectors import sector_algebra_assignment
 
 
 def unary(cat, u, v):
@@ -199,7 +205,7 @@ def multiplication_assignment(net):
         return run
 
     return FiniteAlgebraAssignment(
-        carrier=lambda u: net.algebra(u).basis,
+        carrier=lambda u: dense_basis(net.algebra(u)),
         structure=structure,
         equal=lambda a, b: a == b,
         describe=lambda m: repr(m),
@@ -307,15 +313,11 @@ def test_equivariant_algebra_z2(net2):
 def test_equivariant_trivial_group_reduces_to_algebra(net2):
     from sectorfact.fixtures import standard_sector_family
     from sectorfact.linalg import GMat
-    from sectorfact.sectors import (
-        SectorGroupData,
-        sector_algebra_assignment,
-        sector_equivariant_assignment,
-    )
+    from sectorfact.sectors import sector_algebra_assignment, sector_equivariant_assignment
 
     family = standard_sector_family(net2)
     triv = trivial_action(net2.category)
-    data = SectorGroupData.from_unitaries(net2, triv, {"e": GMat.identity(net2.n)}, name="triv")
+    data = group_data_from_unitaries(net2, triv, {"e": GMat.identity(net2.n)}, name="triv")
     assign = sector_equivariant_assignment(net2, data, family)
     eq_report = validate_equivariant_algebra(net2.category, assign, triv, bound=2)
     plain = validate_algebra(
@@ -1067,7 +1069,7 @@ def _cz_family(net):
     # CZ on sites 0 and 1 at [1,2]: inner, but no Pauli string, so no summary
     family = standard_sector_family(net)
     family["[1,2]"] = [
-        LocalizedEndo(net, "[1,2]", unitary=entangler_unitary(net, 0, 1), label="CZ@[1,2]")
+        ad_sector(net, "[1,2]", entangler_unitary(net, 0, 1), label="CZ@[1,2]")
     ]
     return family
 
@@ -1077,7 +1079,7 @@ def _misfiled_family(net):
     # yet every diagram holds) and the X sector of [2,2]: every structure
     # map on a tuple holding the latter raises, a structure-arity witness
     family = standard_sector_family(net)
-    stray = LocalizedEndo(net, "[1,1]", unitary=pauli_string(net.sites, 1 << (net.sites - 2), 0),
+    stray = ad_sector(net, "[1,1]", pauli_string(net.sites, 1 << (net.sites - 2), 0),
                           label="X@[2,2]-listed-at-[1,1]")
     family["[1,1]"] = family["[1,1]"] + [stray, pauli_sector(net, "X", "[2,2]")]
     return family
@@ -1326,7 +1328,7 @@ def _equivariant_case(kind, L, orth, drop, extra, action):
     from sectorfact.fixtures import net_from_json, net_to_json, qubit_reflection_data
     from sectorfact.linalg import GMat
     from sectorfact.orthcat import OrthFunctor
-    from sectorfact.sectors import SectorGroupData, sector_equivariant_assignment
+    from sectorfact.sectors import sector_equivariant_assignment
 
     doc = net_to_json(diagonal_net(L) if kind == "bits" else qubit_net(L))
     doc["orth"] = orth
@@ -1339,15 +1341,15 @@ def _equivariant_case(kind, L, orth, drop, extra, action):
     }
     if extra == "cz":
         cz = entangler_unitary(net, 0, 1)
-        family["[1,2]"] = [LocalizedEndo(net, "[1,2]", unitary=cz, label="CZ@[1,2]")]
+        family["[1,2]"] = [ad_sector(net, "[1,2]", cz, label="CZ@[1,2]")]
     elif extra == "images":
         cz = entangler_unitary(net, 0, 1)
-        images = [cz @ b @ cz for b in net.global_algebra().basis]
-        family["[1,2]"] = [LocalizedEndo(net, "[1,2]", images=images, label="CZ-images@[1,2]")]
+        images = [cz @ b @ cz for b in dense_basis(net.global_algebra())]
+        family["[1,2]"] = [image_sector(net, "[1,2]", images, label="CZ-images@[1,2]")]
     elif extra == "collapse":
         family["[1,2]"] = [collapse_sector(net)]
     if action == "trivial":
-        data = SectorGroupData.from_unitaries(net, trivial_action(net.category), {"e": GMat.identity(net.n)})
+        data = group_data_from_unitaries(net, trivial_action(net.category), {"e": GMat.identity(net.n)})
     else:
         data = qubit_reflection_data(net)
     if action not in ("reflection", "trivial"):

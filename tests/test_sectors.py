@@ -19,15 +19,30 @@ from sectorfact.fixtures import (
     standard_sector_family,
 )
 from dense_oracle import (
+    DenseIntertwiner,
+    _string_matrix,
+    ad_sector,
+    as_pauli_sum,
     collapse_sector_from_images,
+    dense_apply,
+    dense_basis,
+    dense_contains,
+    dense_diamond_mor,
+    dense_generators,
+    dense_perp_sectors,
     entangler_unitary,
+    group_data_from_unitaries,
+    image_sector,
     m_n_tableau,
+    pauli_coefficients,
+    pauli_sum_matrix,
     pauli_unitary,
     reflection_unitaries,
     reflection_unitary,
     scalar_multiple_of_identity,
     solve_intertwiner,
 )
+import dense_oracle
 import sectorfact.cli as cli_module
 import sectorfact.fixtures as fixtures_module
 import sectorfact.linalg as linalg_module
@@ -43,10 +58,9 @@ from sectorfact.linalg import (
     _chase,
     _extension_tableau,
     _inverse_tableau,
-    _string_matrix,
+    _string_product,
     as_pauli_string,
     nullspace,
-    pauli_coefficients,
     pauli_commute,
     pauli_string,
 )
@@ -111,17 +125,17 @@ def test_commutant_dense_agrees_with_mask_path():
     ]:
         alg = MatrixAlg.pauli_span(1, masks)
         fast = commutant(alg)
-        dense = reference_dense_commutant(2, alg.basis)
+        dense = reference_dense_commutant(2, dense_basis(alg))
         assert fast.dim == len(dense)
-        assert all(fast.contains(m) for m in dense)
+        assert all(dense_contains(fast, m) for m in dense)
 
 
 def test_commutant_dense_agrees_two_qubits():
     alg = MatrixAlg.full_on_sites(2, [0])
     fast = commutant(alg)
-    dense = reference_dense_commutant(4, alg.basis)
+    dense = reference_dense_commutant(4, dense_basis(alg))
     assert fast.dim == len(dense) == 4
-    assert all(fast.contains(m) for m in dense)
+    assert all(dense_contains(fast, m) for m in dense)
 
 
 def test_bicommutant_fixtures(net4):
@@ -464,7 +478,7 @@ def test_localized_inner_sector(net4):
 
 
 def test_entangler_not_localized(net4):
-    rho = LocalizedEndo(net4, "[1,1]", unitary=entangler_unitary(net4, 0, 3), label="CZ")
+    rho = ad_sector(net4, "[1,1]", entangler_unitary(net4, 0, 3), label="CZ")
     report = check_localized(rho, net4)
     assert not report.ok
     assert report.violations[0].witness["orthogonal_region"]
@@ -480,8 +494,8 @@ def reference_check_localized(rho, net):
     oracle of the generator test and the mask walk of `check_localized`."""
     report = ValidationReport(check="localized", subject=rho.label)
     for u in net.orth_partners(rho.region):
-        for i, a in enumerate(net.algebra(u).basis):
-            if rho.apply(a) != a:
+        for i, a in enumerate(dense_basis(net.algebra(u))):
+            if dense_apply(rho, a) != a:
                 report.add(
                     "strict-localization",
                     {"region": rho.region, "orthogonal_region": u, "basis_index": i},
@@ -518,7 +532,7 @@ def localization_cases():
         data = qubit_reflection_data(net)
         sectors = [rho for family in _wrong_site_family(net).values() for rho in family]
         sectors.append(
-            LocalizedEndo(net, "[1,1]", unitary=entangler_unitary(net, 0, 3), label="CZ")
+            ad_sector(net, "[1,1]", entangler_unitary(net, 0, 3), label="CZ")
         )
         if net.overrides:
             sectors.append(collapse_sector(net))
@@ -589,7 +603,7 @@ def test_transport_identity(net4):
 
 def test_transport_not_found(net4):
     # an entangler admits no transporter within the searched family
-    rho = LocalizedEndo(net4, "[1,2]", unitary=entangler_unitary(net4, 0, 1), label="CZ12")
+    rho = ad_sector(net4, "[1,2]", entangler_unitary(net4, 0, 1), label="CZ12")
     report = check_transportable(rho, "[3,4]", net4)
     assert not report.found and report.transporter_label is None
     # CZ is no Pauli conjugation, so only the identity was tried
@@ -626,8 +640,8 @@ def test_diamond_inner_product(net4):
     sig = pauli_sector(net4, "Z", "[1,1]")
     prod = diamond(rho, sig)
     uw = pauli_unitary(rho) @ pauli_unitary(sig)
-    for a in net4.global_algebra().basis:
-        assert prod.apply(a) == uw @ a @ uw.adjoint()
+    for a in dense_basis(net4.global_algebra()):
+        assert dense_apply(prod, a) == uw @ a @ uw.adjoint()
 
 
 def test_diamond_associativity_instance(net4):
@@ -652,21 +666,31 @@ def test_diamond_region_bookkeeping(net4):
 
 
 def intertwiner_between(net, a, b):
-    """The canonical intertwiner w u* between inner sectors at one region."""
-    return Intertwiner(a, b, pauli_unitary(b) @ pauli_unitary(a).adjoint())
+    """The canonical intertwiner P(b) P(a)* between Pauli conjugations at
+    one region, as a Pauli sum."""
+    v, unit = _string_product(net.sites, b.pauli_mask(), a.pauli_mask())
+    return Intertwiner(a, b, {v: unit})
+
+
+def _matrix(t):
+    """The intertwiner's Pauli sum as a matrix."""
+    return pauli_sum_matrix(t.source.net.sites, t.terms)
 
 
 def test_intertwiner_membership_enforced(net4):
     rho = pauli_sector(net4, "X", "[1,1]")
     sig = pauli_sector(net4, "Z", "[1,1]")
     t = intertwiner_between(net4, rho, sig)
+    assert _matrix(t) == pauli_unitary(sig) @ pauli_unitary(rho).adjoint()
     local = bicommutant(net4.algebra("[1,1]"))
-    assert local.contains(t.matrix)
-    # a matrix that intertwines but is declared at the wrong regions fails:
-    # X at site 3 intertwines X@[3,3] with itself but lives outside A([1,1])
-    far = pauli_sector(net4, "X", "[3,3]")
-    with pytest.raises(PreconditionError):
-        Intertwiner(rho, rho, pauli_unitary(far))
+    assert dense_contains(local, _matrix(t))
+    # a sum that intertwines but is declared at the wrong regions fails:
+    # X at site 2 intertwines X@[3,3] with the identity sector but lives
+    # outside A([1,1])
+    far, x2 = pauli_sector(net4, "X", "[3,3]"), {0b0010 << 4: GR_ONE}
+    Intertwiner(far, identity_sector(net4, "[3,3]"), x2)
+    with pytest.raises(PreconditionError, match="leaves the local algebra"):
+        Intertwiner(far.relabel("[1,1]"), identity_sector(net4, "[1,1]"), x2)
 
 
 def test_intertwiner_for_general_endomorphism(bits4):
@@ -674,14 +698,48 @@ def test_intertwiner_for_general_endomorphism(bits4):
     from sectorfact.fixtures import collapse_sector
 
     rho = collapse_sector(bits4)
-    t = Intertwiner(rho, rho, pauli_string(4, 0, 0b1000))  # Z at site 0
-    assert t.matrix @ rho.apply(pauli_string(4, 0, 0b0011)) == rho.apply(
-        pauli_string(4, 0, 0b0011)
-    ) @ t.matrix
-    # an X-type matrix intertwines (the reset images are diagonal on other
+    t = Intertwiner(rho, rho, {0b1000: GR_ONE})  # Z at site 0
+    z23 = pauli_string(4, 0, 0b0011)
+    assert _matrix(t) @ dense_apply(rho, z23) == dense_apply(rho, z23) @ _matrix(t)
+    # the reset is not injective: 1 and Z0 have one image, so 1 - Z0 maps
+    # to 0, and so does T rho(1 - Z0)
+    one_minus_z0 = {0: GR_ONE, 0b1000: -GR_ONE}
+    assert rho.apply(one_minus_z0) == {}
+    assert diamond_mor(t, Intertwiner(rho, rho, one_minus_z0)).terms == {}
+    # an X-type sum intertwines (the reset images are diagonal on other
     # sites) but lies outside the abelian local algebra of the join region
-    with pytest.raises(PreconditionError):
-        Intertwiner(rho, rho, pauli_string(4, 0b1000, 0))  # X at site 0
+    with pytest.raises(PreconditionError, match="leaves the local algebra"):
+        Intertwiner(rho, rho, {0b1000 << 4: GR_ONE})  # X at site 0
+
+
+def test_intertwiner_corruption_probes():
+    # CZ on sites 0 and 1 is the one intertwiner, up to a scalar, from Ad CZ
+    # to the identity sector on a qubit chain: a four-term Pauli sum
+    net = qubit_net(3)
+    cz = entangler_unitary(net, 0, 1)
+    rho, one = ad_sector(net, "[1,2]", cz, label="CZ"), identity_sector(net, "[1,2]")
+    terms = as_pauli_sum(cz)
+    assert len(terms) == 4
+    Intertwiner(rho, one, terms)
+    DenseIntertwiner(rho, one, cz)
+    # on the diagonal net 1 + Z0 intertwines Ad X0 with itself, and so
+    # does 1 + Z0 + Z2, Z2 being in the global commutant, but Z2 leaves
+    # A([1,1])
+    bits3 = diagonal_net(3)
+    x0 = pauli_sector(bits3, "X", "[1,1]")
+    Intertwiner(x0, x0, {0: GR_ONE, 0b100: GR_ONE})
+    last = max(terms)
+    cases = [
+        (rho, one, {**terms, last: -terms[last]}, "does not intertwine"),  # one sign flipped
+        (rho, one, {**terms, 0b100 << 3: GR_ONE}, "does not intertwine"),  # X0 added
+        (x0, x0, {0: GR_ONE, 0b100: GR_ONE, 0b001: GR_ONE}, "leaves the local algebra"),
+    ]
+    for source, target, corrupt, message in cases:
+        L = source.net.sites
+        with pytest.raises(PreconditionError, match=message):
+            Intertwiner(source, target, corrupt)
+        with pytest.raises(PreconditionError, match=message):
+            DenseIntertwiner(source, target, pauli_sum_matrix(L, corrupt))
 
 
 # -- dense oracles ---------------------------------------------------------------------
@@ -692,7 +750,7 @@ def reference_ad_equal(net, a, b):
     when b* a commutes with the global algebra, that is, lies in its
     commutant.  The `GMat` oracle of tableau equality."""
     c = b.adjoint() @ a
-    return scalar_multiple_of_identity(c) is not None or net.global_commutant().contains(c)
+    return scalar_multiple_of_identity(c) is not None or dense_contains(net.global_commutant(), c)
 
 
 def reference_dense_commutant(n, constraints):
@@ -831,16 +889,16 @@ def test_contains_matches_projection_oracle(case):
     # onto the algebra's strings, which are orthogonal with squared norm N
     alg, m = case
     projection = GMat.zero(alg.n)
-    for b in alg.basis:
+    for b in dense_basis(alg):
         projection = projection + b.scale(b.hs_inner(m) / GaussianRational.of(alg.n))
-    assert alg.contains(m) == (projection == m)
+    assert dense_contains(alg, m) == (projection == m)
 
 
 @settings(max_examples=100, deadline=None)
 @given(algebra_and_matrix())
 def test_generators_are_a_basis_of_the_mask_group(case):
     alg, _ = case
-    decoded = [as_pauli_string(g) for g in alg.generators]
+    decoded = [as_pauli_string(g) for g in dense_generators(alg)]
     assert all(c == GR_ONE for _, _, c in decoded)
     masks = [(x, z) for x, z, _ in decoded]
     assert len(masks) <= 2 * alg.L and 1 << len(masks) == alg.dim
@@ -851,22 +909,22 @@ def test_contains_on_the_span_of_i_and_x():
     i2, x, z = GMat.identity(2), pauli_string(1, 1, 0), pauli_string(1, 0, 1)
     alg = MatrixAlg.pauli_span(1, [(0, 0), (1, 0)])
     assert alg.dim == 2
-    assert alg.contains(i2 + x.scale(GaussianRational.of(7)))
-    assert alg.contains(x.scale(GR_I))
-    assert not alg.contains(z)
+    assert dense_contains(alg, i2 + x.scale(GaussianRational.of(7)))
+    assert dense_contains(alg, x.scale(GR_I))
+    assert not dense_contains(alg, z)
 
 
 def _assert_membership_verdicts(bits4, rho):
     ident = GMat.identity(bits4.n)
     # the reset sector is intertwined with itself by Z and by X at site 0,
     # but only Z lies in the abelian local algebra
-    Intertwiner(rho, rho, pauli_string(4, 0, 0b1000))
+    Intertwiner(rho, rho, {0b1000: GR_ONE})
     with pytest.raises(PreconditionError, match="leaves the local algebra"):
-        Intertwiner(rho, rho, pauli_string(4, 0b1000, 0))
+        Intertwiner(rho, rho, {0b1000 << 4: GR_ONE})
     # CZ lies in the diagonal commutant but is not a string
     if not reference_ad_equal(bits4, ident, entangler_unitary(bits4, 1, 2)):
         pytest.fail("CZ commutes with the diagonal global algebra")
-    if bits4.global_algebra().contains(ident + pauli_string(4, 0b1000, 0)):
+    if dense_contains(bits4.global_algebra(), ident + pauli_string(4, 0b1000, 0)):
         pytest.fail("I + X0 is not diagonal")
 
 
@@ -875,41 +933,42 @@ def test_membership_verdicts(bits4):
 
 
 def test_membership_check_can_fail(monkeypatch, bits4):
-    # corruption probe: an expansion that drops its last term must turn a
-    # membership verdict
+    # corruption probes: an oracle expansion that drops its last term, and
+    # a mask check that passes every sum, must each turn a membership
+    # verdict
     rho = collapse_sector(bits4)
-    real = sectors_module.pauli_coefficients
-    monkeypatch.setattr(
-        sectors_module, "pauli_coefficients", lambda m: dict(list(real(m).items())[:-1])
-    )
-    with pytest.raises(pytest.fail.Exception):
-        _assert_membership_verdicts(bits4, rho)
+    real = dense_oracle.pauli_coefficients
+    with monkeypatch.context() as m:
+        m.setattr(dense_oracle, "pauli_coefficients", lambda m: dict(list(real(m).items())[:-1]))
+        with pytest.raises(pytest.fail.Exception):
+            _assert_membership_verdicts(bits4, rho)
+    with monkeypatch.context() as m:
+        m.setattr(sectors_module, "all", lambda checks: True, raising=False)
+        with pytest.raises(pytest.fail.Exception):
+            _assert_membership_verdicts(bits4, rho)
 
 
-def test_mask_only_net_checks_build_no_matrix():
-    patches = [
-        mock.patch.object(module, "pauli_string", wraps=pauli_string)
-        for module in (linalg_module, sectors_module)
-    ]
-    built = [p.start() for p in patches]
-    try:
-        for net in (qubit_net(5), diagonal_net(4)):
-            assert net.validate().ok
-            assert check_perp_commutativity(net).ok
-            for u in net.category.objects:
-                check_haag_duality(net, u)
-    finally:
-        for p in patches:
-            p.stop()
-    assert [b.call_count for b in built] == [0, 0]
+def test_mask_only_net_checks_build_no_matrix(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a GMat was built")
+
+    monkeypatch.setattr(GMat, "__init__", refuse)
+    monkeypatch.setattr(GMat, "_monomial_of", staticmethod(refuse))
+    for net in (qubit_net(5), diagonal_net(4)):
+        assert net.validate().ok
+        assert check_perp_commutativity(net).ok
+        for u in net.category.objects:
+            check_haag_duality(net, u)
 
 
 def test_diamond_mor_identity(net4):
     rho = pauli_sector(net4, "X", "[1,1]")
     sig = pauli_sector(net4, "X", "[2,2]")
-    id1 = Intertwiner(rho, rho, GMat.identity(net4.n))
-    id2 = Intertwiner(sig, sig, GMat.identity(net4.n))
-    assert diamond_mor(id1, id2).matrix.is_identity()
+    id1 = Intertwiner(rho, rho, {0: GR_ONE})
+    id2 = Intertwiner(sig, sig, {0: GR_ONE})
+    assert diamond_mor(id1, id2).terms == {0: GR_ONE}
+    dense = [DenseIntertwiner(t.source, t.target, _matrix(t)) for t in (id1, id2)]
+    assert dense_diamond_mor(*dense).matrix.is_identity()
 
 
 def test_diamond_mor_interchange(net4):
@@ -922,11 +981,11 @@ def test_diamond_mor_interchange(net4):
     t2 = intertwiner_between(net4, sig, sig2)
     t2p = intertwiner_between(net4, sig2, sig3)
     lhs = diamond_mor(
-        Intertwiner(rho, rho3, t1p.matrix @ t1.matrix),
-        Intertwiner(sig, sig3, t2p.matrix @ t2.matrix),
-    ).matrix
-    rhs = diamond_mor(t1p, t2p).matrix @ diamond_mor(t1, t2).matrix
-    assert lhs == rhs
+        Intertwiner(rho, rho3, as_pauli_sum(_matrix(t1p) @ _matrix(t1))),
+        Intertwiner(sig, sig3, as_pauli_sum(_matrix(t2p) @ _matrix(t2))),
+    )
+    rhs = _matrix(diamond_mor(t1p, t2p)) @ _matrix(diamond_mor(t1, t2))
+    assert _matrix(lhs) == rhs
 
 
 def test_diamond_mor_involution(net4):
@@ -934,11 +993,10 @@ def test_diamond_mor_involution(net4):
     sig, sig2 = pauli_sector(net4, "X", "[2,2]"), pauli_sector(net4, "Z", "[2,2]")
     t1 = intertwiner_between(net4, rho, rho2)
     t2 = intertwiner_between(net4, sig, sig2)
-    lhs = diamond_mor(t1, t2).matrix.adjoint()
-    t1s = Intertwiner(rho2, rho, t1.matrix.adjoint())
-    t2s = Intertwiner(sig2, sig, t2.matrix.adjoint())
-    rhs = diamond_mor(t1s, t2s).matrix
-    assert lhs == rhs
+    lhs = _matrix(diamond_mor(t1, t2)).adjoint()
+    t1s = Intertwiner(rho2, rho, as_pauli_sum(_matrix(t1).adjoint()))
+    t2s = Intertwiner(sig2, sig, as_pauli_sum(_matrix(t2).adjoint()))
+    assert _matrix(diamond_mor(t1s, t2s)) == lhs
 
 
 # -- perp commutativity of sectors -----------------------------------------------------------------------
@@ -958,6 +1016,26 @@ def test_sector_commutativity_same_region_rejected(net4):
     rho2 = pauli_sector(net4, "Z", "[1,1]")
     with pytest.raises(PreconditionError):
         check_perp_commutativity_sectors(rho1, rho2, None, None, net4)
+
+
+def test_sector_commutativity_refuses_a_single_intertwiner(net4):
+    rho1, rho2 = pauli_sector(net4, "X", "[1,1]"), pauli_sector(net4, "X", "[3,3]")
+    t1 = intertwiner_between(net4, rho1, pauli_sector(net4, "Z", "[1,1]"))
+    t2 = intertwiner_between(net4, rho2, pauli_sector(net4, "Z", "[3,3]"))
+    for pair in ((t1, None), (None, t2)):
+        with pytest.raises(PreconditionError, match="both intertwiners or neither"):
+            check_perp_commutativity_sectors(rho1, rho2, *pair, net4)
+
+
+def test_sector_commutativity_refuses_intertwiners_at_other_regions(net4):
+    rho1, rho2 = pauli_sector(net4, "X", "[1,1]"), pauli_sector(net4, "X", "[3,3]")
+    t1 = intertwiner_between(net4, rho1, pauli_sector(net4, "Z", "[1,1]"))
+    t2 = intertwiner_between(net4, rho2, pauli_sector(net4, "Z", "[3,3]"))
+    # swapped, across regions, or no intertwiner at all
+    across = Intertwiner(rho1, pauli_sector(net4, "X", "[1,1]").relabel("[1,3]"), {0: GR_ONE})
+    for pair in ((t2, t1), (across, t2), (t1, {0: GR_ONE}), (t1, _matrix(t2))):
+        with pytest.raises(PreconditionError, match="is no intertwiner of sectors at"):
+            check_perp_commutativity_sectors(rho1, rho2, *pair, net4)
 
 
 # -- structure maps ----------------------------------------------------------------------------------------
@@ -995,7 +1073,7 @@ def test_structure_map_localization_mismatch(net4):
 def test_theorem_validation_rejects_nonlocalized(net4, family4):
     bad = dict(family4)
     bad["[1,1]"] = family4["[1,1]"] + [
-        LocalizedEndo(net4, "[1,1]", unitary=entangler_unitary(net4, 0, 3), label="CZ")
+        ad_sector(net4, "[1,1]", entangler_unitary(net4, 0, 3), label="CZ")
     ]
     report = validate_theorem_3_11(net4, bad, bound=1)
     assert not report.ok
@@ -1191,8 +1269,8 @@ def test_rows_form_matches_the_mask_set_oracle(case):
         for z in range(1 << L):
             assert a._spans((x << L) | z) == ((x, z) in set_a)
     m = pauli_string(L, *p) + pauli_string(L, *q, GR_I)
-    assert a.contains(m) == (p in set_a and q in set_a)
-    assert a.contains(pauli_string(L, *p)) == (p in set_a)
+    assert dense_contains(a, m) == (p in set_a and q in set_a)
+    assert dense_contains(a, pauli_string(L, *p)) == (p in set_a)
     assert span_equal(a, b) == (set_a == set_b)
     # inclusion, as `MatrixNet.validate` reads it
     assert all(b._spans(r) for _, r in a.rows) == (set_a <= set_b)
@@ -1227,8 +1305,9 @@ def test_checks_on_rows_build_no_mask_set(monkeypatch):
 def test_algebra_lookups_built_once():
     alg = qubit_net(4).algebra("[2,3]")
     assert isinstance(alg.masks(), frozenset) and alg.masks() is alg.masks()
-    with mock.patch.object(sectors_module, "pauli_string", wraps=pauli_string) as built:
-        assert alg.basis is alg.basis
+    # the oracle's strings are built from the masks, one per mask
+    with mock.patch.object(dense_oracle, "pauli_string", wraps=pauli_string) as built:
+        assert len(dense_basis(alg)) == alg.dim
     assert built.call_count == alg.dim == 16
 
 
@@ -1254,8 +1333,8 @@ def test_net_rejects_override_of_wrong_size():
 def _image_sector(rho):
     """The inner sector rho rebuilt from its images of the global basis."""
     glob = rho.net.global_algebra()
-    return LocalizedEndo(
-        rho.net, rho.region, images=[rho.apply(a) for a in glob.basis], label=f"img-{rho.label}"
+    return image_sector(
+        rho.net, rho.region, [dense_apply(rho, a) for a in dense_basis(glob)], label=f"img-{rho.label}"
     )
 
 
@@ -1311,17 +1390,17 @@ def reference_is_homomorphism(net, images):
     products on every pair of basis strings."""
     glob, apply = net.global_algebra(), _linear(net, images)
     return (
-        all(glob.contains(img) for img in images)
+        all(dense_contains(glob, img) for img in images)
         and apply(GMat.identity(net.n)).is_identity()
-        and all(apply(a.adjoint()) == apply(a).adjoint() for a in glob.basis)
-        and all(apply(a @ b) == apply(a) @ apply(b) for a in glob.basis for b in glob.basis)
+        and all(apply(a.adjoint()) == apply(a).adjoint() for a in dense_basis(glob))
+        and all(apply(a @ b) == apply(a) @ apply(b) for a in dense_basis(glob) for b in dense_basis(glob))
     )
 
 
 def _accepted(net, images):
     """Whether the constructor accepts the raw basis images."""
     try:
-        LocalizedEndo(net, "[1,1]", images=images)
+        image_sector(net, "[1,1]", images)
     except PreconditionError:
         return False
     return True
@@ -1337,7 +1416,7 @@ def test_homomorphism_check_matches_the_full_basis(letter, phases):
     # unitality, adjoints or products can break
     net = qubit_net(2)
     rho = pauli_sector(net, letter, "[1,1]")
-    images = [rho.apply(a) for a in net.global_algebra().basis]
+    images = [dense_apply(rho, a) for a in dense_basis(net.global_algebra())]
     for i, c in phases.items():
         images[i] = images[i].scale(c)
     assert _accepted(net, images) == reference_is_homomorphism(net, images)
@@ -1345,13 +1424,13 @@ def test_homomorphism_check_matches_the_full_basis(letter, phases):
 
 def test_homomorphism_check_probes(net2):
     glob = net2.global_algebra()
-    intact = [pauli_sector(net2, "X", "[1,1]").apply(a) for a in glob.basis]
-    generator = glob.basis.index(glob.generators[0])
+    intact = [dense_apply(pauli_sector(net2, "X", "[1,1]"), a) for a in dense_basis(glob)]
+    generator = dense_basis(glob).index(dense_generators(glob)[0])
     partner = next(  # a generator that anticommutes with the first one
-        glob.basis.index(g) for g in glob.generators if not g.commutes_with(glob.generators[0])
+        dense_basis(glob).index(g) for g in dense_generators(glob) if not g.commutes_with(dense_generators(glob)[0])
     )
     product = len(intact) - 1  # Y (x) Y, a product of generators
-    assert glob.basis[product] not in glob.generators and generator != 0
+    assert dense_basis(glob)[product] not in dense_generators(glob) and generator != 0
     broken = [
         ("not unital", {0: intact[0].scale(-GR_ONE)}),
         ("does not respect adjoints", {generator: intact[generator].scale(GR_I)}),
@@ -1362,7 +1441,7 @@ def test_homomorphism_check_probes(net2):
     for message, changes in broken:
         images = [changes.get(i, m) for i, m in enumerate(intact)]
         with pytest.raises(PreconditionError, match=message):
-            LocalizedEndo(net2, "[1,1]", images=images)
+            image_sector(net2, "[1,1]", images)
         assert not reference_is_homomorphism(net2, images)
     # X and Z sent to one string on one qubit: the generators' images
     # commute, and no sign of the image of Y makes that a homomorphism
@@ -1371,26 +1450,44 @@ def test_homomorphism_check_probes(net2):
     for sign in (GR_ONE, -GR_ONE):
         images = [i1, z1, z1, i1.scale(sign)]  # the images of I, Z, X, Y
         with pytest.raises(PreconditionError, match="not multiplicative"):
-            LocalizedEndo(qubit1, "[1,1]", images=images)
+            image_sector(qubit1, "[1,1]", images)
         assert not reference_is_homomorphism(qubit1, images)
     # an X string is no image on the diagonal net
     bits2 = diagonal_net(2)
     reset = collapse_sector(bits2, "[1,1]")
-    images = [reset.apply(a) for a in bits2.global_algebra().basis]
+    images = [dense_apply(reset, a) for a in dense_basis(bits2.global_algebra())]
     images[1] = pauli_string(2, 0b10, 0)
     with pytest.raises(PreconditionError, match="image leaves the global algebra"):
-        LocalizedEndo(bits2, "[1,1]", images=images)
+        image_sector(bits2, "[1,1]", images)
     assert not reference_is_homomorphism(bits2, images)
 
+
+
+def test_string_map_refusals_are_reached_from_a_tableau():
+    # X and Z both sent to Z on one qubit: each row's image is a Hermitian
+    # string, and the image of Y = iXZ is none
+    qubit1 = qubit_net(1)
+    z = 0b01
+    rho = LocalizedEndo(qubit1, "[1,1]", tuple(z << 1 for _ in qubit1.global_algebra().rows))
+    assert rho.apply({0b10: GR_I, z: GR_ONE}) == {z: GR_ONE + GR_I}
+    with pytest.raises(PreconditionError, match="not multiplicative"):
+        rho.apply({0b11: GR_ONE})
+    # a sector of the diagonal net maps its Z strings, and an X string is
+    # outside its domain
+    bits1 = diagonal_net(1)
+    one = identity_sector(bits1, "[1,1]")
+    assert one.apply({z: GR_I}) == {z: GR_I}
+    with pytest.raises(PreconditionError, match="string outside the domain of the map"):
+        one.apply({0b10: GR_ONE})
 
 def test_non_clifford_maps_are_refused(net2):
     # Ad R for a rotation R is an automorphism, but it sends Z to no
     # signed string, so it has no tableau
     r = _rotation_on_site(net2, 0)
-    images = [r @ a @ r.adjoint() for a in net2.global_algebra().basis]
+    images = [r @ a @ r.adjoint() for a in dense_basis(net2.global_algebra())]
     assert reference_is_homomorphism(net2, images)
-    for built in (lambda: LocalizedEndo(net2, "[1,1]", unitary=r),
-                  lambda: LocalizedEndo(net2, "[1,1]", images=images)):
+    for built in (lambda: ad_sector(net2, "[1,1]", r),
+                  lambda: image_sector(net2, "[1,1]", images)):
         with pytest.raises(PreconditionError, match="not a signed Pauli string"):
             built()
 
@@ -1401,9 +1498,9 @@ def test_intertwiner_law_probe(net4):
     for rho in (pauli_sector(net4, "X", "[1,1]"), _image_sector(pauli_sector(net4, "X", "[1,1]"))):
         z0 = pauli_string(4, 0, 0b1000)
         with pytest.raises(PreconditionError, match="does not intertwine"):
-            Intertwiner(rho, rho, z0)
+            Intertwiner(rho, rho, as_pauli_sum(z0))
         assert any(
-            z0 @ rho.apply(a) != rho.apply(a) @ z0 for a in net4.global_algebra().basis
+            z0 @ dense_apply(rho, a) != dense_apply(rho, a) @ z0 for a in dense_basis(net4.global_algebra())
         )
 
 
@@ -1419,7 +1516,7 @@ def _pauli_and_cz_images(net):
     ]
     for a, b in itertools.combinations(range(net.sites), 2):
         cases.append((entangler_unitary(net, a, b), f"[{a + 1},{b + 1}]"))
-    return [(u, _image_sector(LocalizedEndo(net, region, unitary=u))) for u, region in cases]
+    return [(u, _image_sector(ad_sector(net, region, u))) for u, region in cases]
 
 
 @pytest.mark.parametrize("sites", [2, 3])
@@ -1440,8 +1537,8 @@ def test_every_image_sector_gets_a_family(sites):
         for g, u_g in reflection_unitaries(net).items():
             y = u @ u_g @ u.adjoint()
             assert fam.tableaux[g] == m_n_tableau(sites, y)
-            for a in net.global_algebra().basis:
-                assert image.apply(u_g @ a @ u_g.adjoint()) @ y == y @ image.apply(a)
+            for a in dense_basis(net.global_algebra()):
+                assert dense_apply(image, u_g @ a @ u_g.adjoint()) @ y == y @ dense_apply(image, a)
     assert methods == ["inner"] * (3 * sites) + ["extension"] * (sites * (sites - 1) // 2)
 
 
@@ -1451,7 +1548,7 @@ def test_twirl_family_matches_the_dense_nullspace(net2):
     for _, image in _pauli_and_cz_images(net2):
         fam = find_covariance(image, data)
         for g, u_g in reflection_unitaries(net2).items():
-            pairs = [(image.apply(u_g @ a @ u_g.adjoint()), image.apply(a)) for a in glob.basis]
+            pairs = [(dense_apply(image, u_g @ a @ u_g.adjoint()), dense_apply(image, a)) for a in dense_basis(glob)]
             want = reference_dense_intertwiner(net2.n, pairs)
             # scaled to a unit first entry, the solution is a monomial unitary
             (i, j), v = next(iter(want.data.items()))
@@ -1464,15 +1561,15 @@ def test_automorphism_family_probes(monkeypatch, net2):
     net3 = qubit_net(3)
     data = qubit_reflection_data(net3)
     cz = entangler_unitary(net3, 0, 1)
-    rho = _image_sector(LocalizedEndo(net3, "[1,2]", unitary=cz))
+    rho = _image_sector(ad_sector(net3, "[1,2]", cz))
     fam = find_covariance(rho, data)
     assert pauli_unitary(rho) is None and fam.method == "extension"
     for g, u_g in reflection_unitaries(net3).items():
-        assert rho.apply(u_g) == cz @ u_g @ cz
-        assert fam.tableaux[g] == m_n_tableau(3, rho.apply(u_g))
+        assert dense_apply(rho, u_g) == cz @ u_g @ cz
+        assert fam.tableaux[g] == m_n_tableau(3, dense_apply(rho, u_g))
     # every string to the identity is no homomorphism, so it has no tableau
     with pytest.raises(PreconditionError, match="not multiplicative"):
-        LocalizedEndo(net2, "[1,1]", images=[GMat.identity(net2.n)] * net2.global_algebra().dim)
+        image_sector(net2, "[1,1]", [GMat.identity(net2.n)] * net2.global_algebra().dim)
     # a family that misses rho^-1: with the identity for it, Ad y_g is
     # rho Ad u_g, and Ad y_g rho = rho Ad u_g rho is not rho Ad u_g
     identity = lambda L, tableau: tuple(1 << k << 1 for k in range(2 * L))
@@ -1501,7 +1598,7 @@ def test_covariance_search_decides_a_partial_global_algebra():
     # the site swap on the X strings is no Pauli conjugation, but it
     # extends to M_N, so its family is decided
     swap = reflection_unitary(2)
-    rho = LocalizedEndo(net, "[1,2]", images=[swap @ a @ swap for a in glob.basis])
+    rho = image_sector(net, "[1,2]", [swap @ a @ swap for a in dense_basis(glob)])
     assert pauli_unitary(rho) is None
     fam = find_covariance(rho, data)
     assert fam is not None and fam.method == "extension"
@@ -1510,7 +1607,7 @@ def test_covariance_search_decides_a_partial_global_algebra():
         assert all(_chase((rho._map, y), r) == _chase((image, rho._map), r) for _, r in glob.rows)
     # Ad Z0 built from its images derives Z0 and gets the conjugated family
     z0 = pauli_string(2, 0, 0b10)
-    image = LocalizedEndo(net, "[1,1]", images=[z0 @ a @ z0 for a in glob.basis])
+    image = image_sector(net, "[1,1]", [z0 @ a @ z0 for a in dense_basis(glob)])
     assert pauli_unitary(image) == z0
     assert find_covariance(image, data).method == "inner"
 
@@ -1530,7 +1627,7 @@ def _sectors_of(net):
     out = []
     for u in unitaries:
         try:
-            out.append(LocalizedEndo(net, full, unitary=u))
+            out.append(ad_sector(net, full, u))
         except PreconditionError:
             continue
     if all(x == 0 for x, _ in net.global_algebra().masks()):
@@ -1557,7 +1654,7 @@ def test_derived_string_implements_exactly_the_pauli_conjugations(net):
         kinds.add(summary is None)
         if pauli_unitary(rho) is None:
             continue
-        assert LocalizedEndo(net, rho.region, unitary=pauli_unitary(rho)).tableau == rho.tableau
+        assert ad_sector(net, rho.region, pauli_unitary(rho)).tableau == rho.tableau
         a = rho.pauli_mask()
         assert pauli_unitary(rho) == pauli_string(L, a >> L, a & low)
     assert kinds == {True, False}
@@ -1567,7 +1664,7 @@ def test_derived_string_implements_exactly_the_pauli_conjugations(net):
     derived = {}
     for x in range(1 << L):
         for z in range(1 << L):
-            rho = LocalizedEndo(net, f"[1,{L}]", unitary=pauli_string(L, x, z))
+            rho = ad_sector(net, f"[1,{L}]", pauli_string(L, x, z))
             a = rho.pauli_mask()
             assert (a >> L ^ x, (a & low) ^ z) in commutant
             assert derived.setdefault(rho.tableau, a) == a
@@ -1580,12 +1677,12 @@ def test_pauli_sectors_on_a_200_site_net_build_no_matrix(monkeypatch):
     regions = [{"id": "a", "sites": [0]}, {"id": "b", "sites": [1]}, {"id": "ab", "sites": [0, 1]}]
     net = net_from_json({"name": "three200", "sites": 200, "regions": regions})
 
-    def refuse(*args):
+    def refuse(*args, **kwargs):
         raise AssertionError("a 2**200 matrix was asked for")
 
-    for module in (linalg_module, sectors_module):
-        monkeypatch.setattr(module, "pauli_string", refuse)
-    monkeypatch.setattr(GMat, "identity", staticmethod(refuse))
+    monkeypatch.setattr(linalg_module, "pauli_string", refuse)
+    monkeypatch.setattr(GMat, "__init__", refuse)
+    monkeypatch.setattr(GMat, "_monomial_of", staticmethod(refuse))
     family = standard_sector_family(net)
     x = family["a"][0]
     assert x.pauli_mask() == 1 << 399 and check_localized(x, net).ok
@@ -1751,7 +1848,7 @@ def _check_mask_rule(net, rho, u, sig, w):
     prod, swapped = sectors_module.diamond(rho, sig), sectors_module.diamond(sig, rho)
     unitary = {id(rho): u, id(sig): w, id(prod): u @ w, id(swapped): w @ u}
     for s in (prod, swapped):
-        assert s.tableau == LocalizedEndo(net, s.region, unitary=unitary[id(s)]).tableau
+        assert s.tableau == ad_sector(net, s.region, unitary[id(s)]).tableau
     for s in (rho, sig, prod, swapped):
         if pauli_unitary(s) is not None:
             assert reference_ad_equal(net, pauli_unitary(s), unitary[id(s)])
@@ -1783,7 +1880,7 @@ def masked_pairs(draw):
                 cx, cz = draw(st.sampled_from(commutant))
                 x, z = near[0] ^ cx, near[1] ^ cz
             u = pauli_string(L, x, z, draw(st.sampled_from(UNIMODULAR)))
-        return LocalizedEndo(net, region, unitary=u, label=kind), u
+        return ad_sector(net, region, u, label=kind), u
 
     rho, u = operand()
     return (net, rho, u, *operand(near=_decoded(u)))
@@ -1800,7 +1897,7 @@ def test_mask_rule_covers_both_branches():
     # strings (CZ, the reflection) next to a string
     assert len(BITS4.global_commutant().masks()) == 16
     u, w = pauli_string(4, 8, 0), pauli_string(4, 8, 4, GaussianRational.of(F(3, 5), F(4, 5)))
-    x0, x0z1 = (LocalizedEndo(BITS4, "[1,1]", unitary=m) for m in (u, w))
+    x0, x0z1 = (ad_sector(BITS4, "[1,1]", m) for m in (u, w))
     # the XOR (0, 4) is a commutant string, and the derived string of both
     # is the one without it
     assert x0.same_map(x0z1) and reference_ad_equal(BITS4, u, w)
@@ -1809,7 +1906,7 @@ def test_mask_rule_covers_both_branches():
     net = qubit_net(4)
     xzyi = pauli_string(4, 0b1010, 0b0110)
     for u in (entangler_unitary(net, 0, 3), reflection_unitary(4)):
-        rho = LocalizedEndo(net, "[1,4]", unitary=u)
+        rho = ad_sector(net, "[1,4]", u)
         assert rho.relabel("[1,4]").same_map(rho) and pauli_unitary(rho) is None
         _check_mask_rule(net, rho, u, pauli_sector(net, "XZYI", "[1,4]"), xzyi)
 
@@ -1839,7 +1936,7 @@ def test_same_map_probe_ignoring_the_commutant(monkeypatch):
         return real(self, other)
 
     def sector(net, region, x, z):
-        rho = LocalizedEndo(net, region, unitary=pauli_string(net.sites, x, z))
+        rho = ad_sector(net, region, pauli_string(net.sites, x, z))
         built[rho] = (x, z)
         return rho, pauli_string(net.sites, x, z)
 
@@ -1918,7 +2015,7 @@ def test_a_pool_with_a_non_summary_sector_is_refused(kind):
     net = qubit_net(4) if kind == "cz" else diagonal_net(4)
     family = standard_sector_family(net)
     if kind == "cz":
-        family["[1,2]"] = [LocalizedEndo(net, "[1,2]", unitary=entangler_unitary(net, 0, 1), label="CZ")]
+        family["[1,2]"] = [ad_sector(net, "[1,2]", entangler_unitary(net, 0, 1), label="CZ")]
     else:
         family["[1,2]"] = [collapse_sector(net)]
     assert reference_diamond_laws(net, family)[1] == []
@@ -1994,7 +2091,7 @@ def oracle_sectors(draw):
     net = draw(st.sampled_from(ORACLE_NETS))
     L, full = net.sites, f"[1,{net.sites}]"
     data = ORACLE_DATA[id(net)]
-    basis = net.global_algebra().basis
+    basis = dense_basis(net.global_algebra())
 
     def conj(u):
         return lambda m: u @ m @ u.adjoint()
@@ -2010,17 +2107,17 @@ def oracle_sectors(draw):
         elif kind == "entangler":
             a, b = draw(st.lists(st.integers(0, L - 1), min_size=2, max_size=2, unique=True))
             u = entangler_unitary(net, a, b)
-            rho, dense = LocalizedEndo(net, full, unitary=u), conj(u)
+            rho, dense = ad_sector(net, full, u), conj(u)
         else:
             x, z = draw(st.integers(0, (1 << L) - 1)), draw(st.integers(0, (1 << L) - 1))
             u = pauli_string(L, x, z, draw(st.sampled_from(UNIMODULAR)))
-            rho, dense = LocalizedEndo(net, full, unitary=u), conj(u)
+            rho, dense = ad_sector(net, full, u), conj(u)
             if kind == "reflected":
                 r = reflection_unitary(L)
                 rho = sectors_module.g_act_sector("r", rho, data)
                 dense = conj(r @ u @ r.adjoint())
         if draw(st.booleans(), label="rebuilt from images"):
-            rho = LocalizedEndo(net, full, images=[dense(a) for a in basis])
+            rho = image_sector(net, full, [dense(a) for a in basis])
         return rho, dense
 
     def product(atoms):
@@ -2039,11 +2136,107 @@ def oracle_sectors(draw):
 @given(oracle_sectors())
 def test_tableau_apply_and_same_map_match_the_gmat_oracle(case):
     net, (rho, rho_dense), (sig, sig_dense) = case
-    basis = net.global_algebra().basis
-    assert all(rho.apply(a) == rho_dense(a) for a in basis)
-    assert all(sig.apply(a) == sig_dense(a) for a in basis)
+    basis = dense_basis(net.global_algebra())
+    assert all(dense_apply(rho, a) == rho_dense(a) for a in basis)
+    assert all(dense_apply(sig, a) == sig_dense(a) for a in basis)
     assert rho.same_map(sig) == all(rho_dense(a) == sig_dense(a) for a in basis)
 
+
+
+# -- intertwiners on masks against the GMat oracle ---------------------------------------------------
+
+
+NONZERO = st.builds(
+    lambda re, im, d: GaussianRational.of(F(re, d), F(im, d)),
+    st.integers(-3, 3), st.integers(-3, 3), st.integers(1, 3),
+).filter(lambda c: not c.is_zero())
+
+
+def pauli_sums(strings, min_size=0):
+    """Pauli sums {v: c} over the drawn strings, with nonzero Gaussian-rational
+    coefficients."""
+    return st.dictionaries(strings, NONZERO, min_size=min_size, max_size=3)
+
+
+def _outcome(build):
+    """("ok", the built value) or ("refused", which check refused), with
+    the mask path's and the oracle's messages read alike."""
+    try:
+        return "ok", build()
+    except PreconditionError as e:
+        for kind in ("does not intertwine", "leaves the local algebra", "not included in"):
+            if kind in str(e):
+                return "refused", kind
+        raise
+
+
+@settings(max_examples=60, deadline=None)
+@given(oracle_sectors(), st.data())
+def test_intertwiners_on_masks_match_the_gmat_oracle(case, data):
+    net, (rho, _), (sig, _) = case
+    L, glob, full = net.sites, net.global_algebra(), f"[1,{net.sites}]"
+    regions = sorted(net.region_sites)
+    strings = st.integers(0, (1 << 2 * L) - 1)
+    # apply, on a sum of the global algebra's strings
+    t = data.draw(pauli_sums(st.sampled_from(sorted(x << L | z for x, z in glob.masks()))))
+    assert pauli_sum_matrix(L, rho.apply(t)) == dense_apply(rho, pauli_sum_matrix(L, t))
+
+    def draw_intertwiner(source):
+        # from source to Ad P(w) source: P(w) P(s) intertwines when P(s)
+        # commutes with source's image, as s = 0 does; the labels are drawn,
+        # so membership in A(join) can fail too
+        w = data.draw(strings)
+        target = diamond(LocalizedEndo(net, full, sectors_module._conjugation_tableau(glob, w)), source)
+        terms = {}
+        for s, c in data.draw(pauli_sums(st.one_of(st.just(0), strings), min_size=1)).items():
+            v, unit = _string_product(L, w, s)
+            terms[v] = unit * c
+        source = source.relabel(data.draw(st.sampled_from(regions)))
+        target = target.relabel(data.draw(st.sampled_from(regions)))
+        mask = _outcome(lambda: Intertwiner(source, target, terms))
+        dense = _outcome(lambda: DenseIntertwiner(source, target, pauli_sum_matrix(L, terms)))
+        assert mask[0] == dense[0] and (mask[0] == "ok" or mask == dense)
+        if mask[0] == "ok":
+            assert pauli_sum_matrix(L, mask[1].terms) == dense[1].matrix
+        return mask[1], dense[1]
+
+    (t1, d1), (t2, d2) = draw_intertwiner(rho), draw_intertwiner(sig)
+    if isinstance(t1, Intertwiner) and isinstance(t2, Intertwiner):
+        mask = _outcome(lambda: diamond_mor(t1, t2))
+        dense = _outcome(lambda: dense_diamond_mor(d1, d2))
+        assert mask[0] == dense[0] and (mask[0] == "ok" or mask == dense)
+        if mask[0] == "ok":
+            assert pauli_sum_matrix(L, mask[1].terms) == dense[1].matrix
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(ORACLE_NETS), st.data())
+def test_perp_on_masks_matches_the_gmat_oracle(net, data):
+    # Pauli conjugations Ad P(a_k) at orthogonal regions r_k, a_k anywhere
+    # on the chain, so that localization and the checks can fail, and sums
+    # of strings of A(r_k) from Ad P(a_k) to Ad P(a_k ^ s_k), s_k their
+    # first string
+    L, glob = net.sites, net.global_algebra()
+    pairs = [(u, v) for u in sorted(net.region_sites) for v in sorted(net.orth_partners(u))]
+    regions = data.draw(st.sampled_from(pairs))
+    sectors, mask, dense = [], [], []
+    for r in regions:
+        local = sorted(x << L | z for x, z in net.algebra(r).masks())
+        terms = data.draw(pauli_sums(st.sampled_from(local), min_size=1))
+        a, s = data.draw(st.integers(0, (1 << 2 * L) - 1)), next(iter(terms))
+        rho, target = (
+            LocalizedEndo(net, r, sectors_module._conjugation_tableau(glob, v), f"{v}@{r}") for v in (a, a ^ s)
+        )
+        t = _outcome(lambda: Intertwiner(rho, target, terms))
+        d = _outcome(lambda: DenseIntertwiner(rho, target, pauli_sum_matrix(L, terms)))
+        assert t[0] == d[0] and (t[0] == "ok" or t == d)
+        if t[0] != "ok":
+            return
+        sectors.append(rho)
+        mask.append(t[1])
+        dense.append(d[1])
+    report = check_perp_commutativity_sectors(*sectors, *mask, net)
+    assert report == dense_perp_sectors(*sectors, *dense, net)
 
 # -- the summary behind the algebra proof ----------------------------------------------------------
 
@@ -2062,7 +2255,7 @@ def test_sector_summary_is_the_sign_bits(net2, net4):
     assert summary("[1,2]", xz) == _sign_bits(net4, 0b1000, 0b0100) != 0
     assert summary("[1,3]", xz) is None  # filed at another region
     assert summary("[1,1]", identity_sector(net4, "[1,1]")) == 0
-    cz = LocalizedEndo(net4, "[1,2]", unitary=entangler_unitary(net4, 0, 1), label="CZ")
+    cz = ad_sector(net4, "[1,2]", entangler_unitary(net4, 0, 1), label="CZ")
     assert summary("[1,2]", cz) is None
     # a sector rebuilt from its images is the same tableau
     x = pauli_sector(net2, "X", "[1,1]")
@@ -2082,7 +2275,7 @@ def test_equal_tableaux_share_cached_outputs(bits4):
     from sectorfact.sectors import sector_equivariant_assignment
 
     x = pauli_sector(bits4, "X", "[1,1]")
-    xz = LocalizedEndo(bits4, "[1,1]", unitary=pauli_string(4, 0b1000, 0b0100), label="XZ")
+    xz = ad_sector(bits4, "[1,1]", pauli_string(4, 0b1000, 0b0100), label="XZ")
     assert x.tableau == xz.tableau and x.label != xz.label
     family = {"[1,1]": [x, xz]}
     assign = sector_algebra_assignment(bits4, family)
@@ -2110,13 +2303,12 @@ def _cz_as_a_group(net):
     reflection, which permutes them."""
     from sectorfact.fixtures import interval_reflection_action
     from sectorfact.orthcat import GroupActionSpec, OrthFunctor
-    from sectorfact.sectors import SectorGroupData
 
     group = interval_reflection_action(net.category, net.sites).group
     same = OrthFunctor.identity_on(net.category)
     action = GroupActionSpec(group, {"e": same, "r": same})
     unitaries = {"e": GMat.identity(net.n), "r": entangler_unitary(net, 0, 1)}
-    return SectorGroupData.from_unitaries(net, action, unitaries)
+    return group_data_from_unitaries(net, action, unitaries)
 
 
 @pytest.mark.parametrize(
@@ -2185,8 +2377,8 @@ def masked_structure_inputs(draw):
     for u in op.sources:
         x, z = draw(st.integers(0, (1 << L) - 1)), draw(st.integers(0, (1 << L) - 1))
         u_built = draw(st.sampled_from([u] + sorted(net.category.objects)))
-        rho = LocalizedEndo(
-            net, u_built, unitary=pauli_string(L, x, z, draw(st.sampled_from(UNIMODULAR)))
+        rho = ad_sector(
+            net, u_built, pauli_string(L, x, z, draw(st.sampled_from(UNIMODULAR)))
         )
         sectors.append(rho if u_built == u else rho.relabel(u))
     return net, op, tuple(sectors)
@@ -2204,7 +2396,7 @@ def test_structure_maps_xor_the_masks(case):
         x, z, bits = x ^ mx, z ^ mz, bits ^ summary(u, rho)
     out = pfa_structure_map(op, sectors, net)
     assert out.region == op.target
-    assert out.same_map(LocalizedEndo(net, op.target, unitary=pauli_string(net.sites, x, z)))
+    assert out.same_map(ad_sector(net, op.target, pauli_string(net.sites, x, z)))
     assert summary(op.target, out) == bits == _sign_bits(net, x, z)
 
 
@@ -2214,7 +2406,7 @@ def test_structure_maps_xor_the_masks(case):
 def _wrong_site_family(net):
     # an X on site 1 listed at region [1,1]: not localized there
     family = standard_sector_family(net)
-    stray = LocalizedEndo(net, "[1,1]", unitary=pauli_string(net.sites, 1 << (net.sites - 2), 0),
+    stray = ad_sector(net, "[1,1]", pauli_string(net.sites, 1 << (net.sites - 2), 0),
                           label="X@[2,2]-listed-at-[1,1]")
     family["[1,1]"] = family["[1,1]"] + [stray]
     return family
