@@ -209,7 +209,7 @@ def cmd_operad_algebra(args, net) -> tuple[dict, bool]:
     family = standard_sector_family(net)
     if args.equivariant:
         data = qubit_reflection_data(net)
-        assign = sector_equivariant_assignment(net, data, family)
+        assign = sector_equivariant_assignment(data, family)
         report = validate_equivariant_algebra(
             net.category, assign, data.action, bound=args.bound
         ).to_dict()
@@ -358,7 +358,7 @@ def cmd_sectors_diamond(args, net) -> tuple[dict, bool]:
 def cmd_sectors_transport(args, net) -> tuple[dict, bool]:
     letters, _, region = args.sector.partition("@")
     rho = pauli_sector(net, letters, _region_id(net, region))
-    report = check_transportable(rho, _region_id(net, args.target), net)
+    report = check_transportable(rho, _region_id(net, args.target))
     doc = report.to_dict()
     doc["subject"] = net.name
     return doc, report.found
@@ -386,7 +386,7 @@ def cmd_sectors_equivariance(args, net) -> tuple[dict, bool]:
             entry = {"sector": rho.label}
             moved = {g: g_act_sector(g, rho, data) for g in group.elements}
             entry["action_regions"] = {g: m.region for g, m in moved.items()}
-            entry["action_laws"] = action_laws_hold(rho, moved, data, impl.ok)
+            entry["action_laws"] = action_laws_hold(rho, moved, data)
             fam = find_covariance(rho, data)
             entry["covariant"] = fam is not None
             ok = ok and entry["action_laws"] and entry["covariant"]

@@ -15,12 +15,11 @@ from .orthcat import (
     OrthFunctor,
 )
 from .posets import PosetCategory
-from .reports import PreconditionError, SchemaError, json_int, json_list, json_str
+from .reports import SchemaError, json_int, json_list, json_str
 from .sectors import LocalizedEndo, MatrixAlg, MatrixNet, SectorGroupData, span_equal
 from .sectors import _conjugation_tableau
 
 __all__ = [
-    "poset_orth_category",
     "interval_category",
     "cyclic_arc_category",
     "interval_reflection_action",
@@ -34,11 +33,6 @@ __all__ = [
     "net_to_json",
     "net_from_json",
 ]
-
-
-# Thin category of regions ordered by inclusion; `validate_category` checks
-# that the caller's predicates give a relation closed under its operations.
-poset_orth_category = PosetCategory
 
 
 def _disjoint(s1: frozenset, s2: frozenset) -> bool:
@@ -63,7 +57,7 @@ def interval_category(n: int, max_len: int | None = None) -> OrthCategory:
     orthogonal exactly when the sources are disjoint.  `max_len` restricts
     the interval length (n-1 drops the full interval)."""
     label = f"IntCat({n})" if max_len in (None, n) else f"IntCat({n},len<={max_len})"
-    return poset_orth_category(label, interval_regions(n, max_len), _disjoint)
+    return PosetCategory(label, interval_regions(n, max_len), _disjoint)
 
 
 def cyclic_arc_category(m: int) -> OrthCategory:
@@ -81,7 +75,7 @@ def cyclic_arc_category(m: int) -> OrthCategory:
             cells = frozenset((s + k) % m for k in range(length))
             regions[f"arc({s},{length})"] = cells
 
-    return poset_orth_category(f"CycCat({m})", regions, _disjoint, lambda tgt: len(tgt) >= m - 1)
+    return PosetCategory(f"CycCat({m})", regions, _disjoint, lambda tgt: len(tgt) >= m - 1)
 
 
 def interval_reflection_action(cat: OrthCategory, n: int) -> GroupActionSpec:
@@ -220,7 +214,8 @@ def collapse_sector(net: MatrixNet, region: str = "[1,2]") -> LocalizedEndo:
     covariance family for the reflection.  Built as its tableau: each row
     of the global algebra, a Z-type string, keeps its letters off the
     region, sign 0.  A row with an X letter is refused (the net is not
-    diagonal), and so is an image outside the global algebra."""
+    diagonal), and `LocalizedEndo` refuses an image outside the global
+    algebra."""
     if region not in net.region_sites:
         raise SchemaError(f"collapse sector needs region {region}, which the net lacks")
     L, cells = net.sites, net.region_sites[region]
@@ -229,8 +224,6 @@ def collapse_sector(net: MatrixNet, region: str = "[1,2]") -> LocalizedEndo:
     if any(r >> L for _, r in glob.rows):
         raise SchemaError("collapse sector needs a diagonal net")
     tableau = tuple((r & keep) << 1 for _, r in glob.rows)
-    if not all(glob._spans(code >> 1) for code in tableau):
-        raise PreconditionError("image leaves the global algebra")
     return LocalizedEndo(net, region, tableau, f"reset@{region}")
 
 
@@ -245,12 +238,12 @@ def _region_category(name: str, region_sites: dict[str, frozenset], marked) -> O
     of region ids, and a cospan is orthogonal when its two site sets are
     those of a marked pair, in either order."""
     if marked is None:
-        return poset_orth_category(name, region_sites, _disjoint)
+        return PosetCategory(name, region_sites, _disjoint)
     cell_pairs = set()
     for a, b in marked:
         cell_pairs.add((region_sites[a], region_sites[b]))
         cell_pairs.add((region_sites[b], region_sites[a]))
-    return poset_orth_category(name, region_sites, lambda s1, s2: (s1, s2) in cell_pairs)
+    return PosetCategory(name, region_sites, lambda s1, s2: (s1, s2) in cell_pairs)
 
 
 def net_to_json(net: MatrixNet) -> dict:

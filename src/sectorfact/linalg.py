@@ -220,9 +220,6 @@ class GMat:
                 data[k] = s
         return GMat(self.n, data)
 
-    def __sub__(self, other: "GMat") -> "GMat":
-        return self + other.scale(GR_MINUS_ONE)
-
     def scale(self, c: GaussianRational) -> "GMat":
         if c.is_zero():
             return GMat.zero(self.n)

@@ -50,8 +50,8 @@ from .linalg import (
     _string_product,
     pauli_commute,
 )
-from . import operad  # called as module attributes, which bench/tracer.py times
 from .operad import EquivariantAlgebraAssignment, FiniteAlgebraAssignment
+from .operad import enumerate_all_operations, validate_algebra
 from .orthcat import (
     GroupActionSpec,
     OrthCategory,
@@ -236,7 +236,7 @@ class MatrixNet:
         self._algebras: dict[str, MatrixAlg] = {}
         # "__global__": the global algebra, "__commutant__": its commutant
         self._cache: dict[str, MatrixAlg] = {}
-        # tableau -> its `_StringMap`, shared by equal sectors
+        # checked tableau -> its `_StringMap`, shared by equal sectors
         self._maps: dict[tuple, _StringMap] = {}
         self._structure: ValidationReport | None = None
         missing = [u for u in category.objects if u not in self.region_sites]
@@ -391,16 +391,26 @@ class LocalizedEndo:
     global algebra's reduced GF(2) basis (`MatrixAlg.rows`), the image of
     its string as the signed mask t << 1 | s, meaning (-1)**s P(t).
 
-    The tableau is taken as given: reading the image of a string outside
-    the global algebra, or of a product whose row images break a
-    commutation among the rows, raises PreconditionError (`_StringMap`).
-    Its builders check that the images lie in the global algebra.
+    A tableau with other than one image per row, or with an image outside
+    the global algebra, is refused with PreconditionError.  Each distinct
+    tableau is checked once per net, which keeps it with its `_StringMap`
+    in `net._maps`.  Reading the image of a string outside the global
+    algebra, or of a product whose row images break a commutation among
+    the rows, raises PreconditionError (`_StringMap`).
     """
 
     def __init__(self, net: MatrixNet, region: str, tableau: tuple[int, ...], label: str = ""):
         if region not in net.region_sites:
             raise SchemaError(f"unknown region {region}")
-        self.net, self.region, self.tableau = net, region, tableau
+        image = net._maps.get(tableau)
+        if image is None:
+            glob = net.global_algebra()
+            if len(tableau) != len(glob.rows) or not all(
+                code >> 1 == r or glob._spans(code >> 1) for code, (_, r) in zip(tableau, glob.rows)
+            ):
+                raise PreconditionError("image leaves the global algebra")
+            image = net._maps[tableau] = _StringMap(glob.L, glob.rows, tableau)
+        self.net, self.region, self.tableau, self._map = net, region, tableau, image
         self.label = label or "endo"
 
     def pauli_mask(self) -> int | None:
@@ -417,14 +427,6 @@ class LocalizedEndo:
         rows = self.net.global_algebra().rows
         eqs = [((r & low) << L | r >> L) << 1 | (signs >> k) & 1 for k, (_, r) in enumerate(rows)]
         return _gf2_solve(eqs)
-
-    @property
-    def _map(self) -> _StringMap:
-        image = self.net._maps.get(self.tableau)
-        if image is None:
-            glob = self.net.global_algebra()
-            image = self.net._maps[self.tableau] = _StringMap(glob.L, glob.rows, self.tableau)
-        return image
 
     def apply(self, terms: dict[int, GaussianRational]) -> dict[int, GaussianRational]:
         """The image of the Pauli sum {v: c}, term by term: each string to
@@ -450,14 +452,14 @@ def identity_sector(net: MatrixNet, region: str) -> LocalizedEndo:
     return LocalizedEndo(net, region, tableau, "1")
 
 
-def check_localized(rho: LocalizedEndo, net: MatrixNet) -> ValidationReport:
-    """Strict localization: the endomorphism fixes every local algebra
-    orthogonal to its region, string by string.  It fixes an algebra
+def check_localized(rho: LocalizedEndo) -> ValidationReport:
+    """Strict localization: the endomorphism fixes every local algebra of
+    its net orthogonal to its region, string by string.  It fixes an algebra
     exactly when it fixes the strings of the algebra's rows; only an
     algebra where one is moved is walked, in mask order, for the
     witnesses."""
     report = ValidationReport(check="localized", subject=rho.label)
-    image, L = rho._map, net.sites
+    net, image, L = rho.net, rho._map, rho.net.sites
     for u in net.orth_partners(rho.region):
         alg = net.algebra(u)
         if all(image[r] == r << 1 for _, r in alg.rows):
@@ -505,14 +507,15 @@ class TransportReport:
         }
 
 
-def check_transportable(rho: LocalizedEndo, target: str, net: MatrixNet) -> TransportReport:
+def check_transportable(rho: LocalizedEndo, target: str) -> TransportReport:
     """Search for a unitary v with Ad_v after rho strictly localized in the
-    target region, on tableaux.  Two transporters are tried: the identity
-    (rho itself moved to the target), and, for a Pauli conjugation Ad P(a)
-    (`LocalizedEndo.pauli_mask`), v = P(a') P(a)* with a' the letters of a
-    moved to the target's sites, whose transported sector is Ad P(a').
+    target region of rho's net, on tableaux.  Two transporters are tried:
+    the identity (rho itself moved to the target), and, for a Pauli
+    conjugation Ad P(a) (`LocalizedEndo.pauli_mask`), v = P(a') P(a)* with
+    a' the letters of a moved to the target's sites, whose transported
+    sector is Ad P(a').
     Absence is a report outcome, not an error."""
-    moved_label = f"{rho.label}~>{target}"
+    net, moved_label = rho.net, f"{rho.label}~>{target}"
     tried = [("identity", rho.relabel(target, moved_label))]
     a = rho.pauli_mask()
     moved = None if a is None else translate_string(net, a, rho.region, target)
@@ -521,7 +524,7 @@ def check_transportable(rho: LocalizedEndo, target: str, net: MatrixNet) -> Tran
         ad_moved = LocalizedEndo(net, target, tableau, moved_label)
         tried.append(("translated-pattern", ad_moved))
     for label, cand in tried:
-        if check_localized(cand, net).ok:
+        if check_localized(cand).ok:
             return TransportReport(True, rho.label, target, label, cand)
     return TransportReport(found=False, sector=rho.label, target=target)
 
@@ -603,11 +606,11 @@ def check_perp_commutativity_sectors(
     rho2: LocalizedEndo,
     t1: Intertwiner | None,
     t2: Intertwiner | None,
-    net: MatrixNet,
 ) -> ValidationReport:
-    """Sectors localized in orthogonal regions commute under the product, and
-    so do their intertwiners, exactly.  The intertwiners are given both or
-    neither, t_k between sectors at rho_k's region, else PreconditionError."""
+    """Sectors localized in orthogonal regions of rho1's net commute under
+    the product, and so do their intertwiners, exactly.  The intertwiners
+    are given both or neither, t_k between sectors at rho_k's region, else
+    PreconditionError."""
     if (t1 is None) != (t2 is None):
         raise PreconditionError("give both intertwiners or neither")
     for rho, t in ((rho1, t1), (rho2, t2)):
@@ -618,6 +621,7 @@ def check_perp_commutativity_sectors(
     report = ValidationReport(
         check="sector-perp-commutativity", subject=f"{rho1.label},{rho2.label}"
     )
+    net = rho1.net
     partners = net.orth_partners(rho1.region)
     if rho2.region not in partners:
         raise PreconditionError(
@@ -728,13 +732,14 @@ def sector_algebra_assignment(
 
 
 def sector_equivariant_assignment(
-    net: MatrixNet, data: "SectorGroupData", family: dict[str, list[LocalizedEndo]]
+    data: "SectorGroupData", family: dict[str, list[LocalizedEndo]]
 ):
-    """Equivariant algebra data: the isomorphisms act by the implementing
-    unitaries, sending sectors at U to transformed sectors at alpha_g(U).
-    Transformed sectors are cached on (g, region, tableau), shared like
-    the structure maps' outputs; the diagram validators revisit the same
-    elements many times and each transform re-verifies localization.
+    """Equivariant algebra data on the net of `data`: the isomorphisms act
+    by the implementing unitaries, sending sectors at U to transformed
+    sectors at alpha_g(U).  Transformed sectors are cached on (g, region,
+    tableau), shared like the structure maps' outputs; the diagram
+    validators revisit the same elements many times and each transform
+    re-verifies localization.
 
     `iso_summary` maps sign bits (`_sector_summary`): bit k is the parity
     of s & J_k, J_k the rows whose pivots are set in row k's image under
@@ -743,7 +748,10 @@ def sector_equivariant_assignment(
     at V of sectors localized at the U_i, and on its g-image, when the
     category is clean and the net a functor (the guard is this model's).
     A region orthogonal to V is orthogonal to each U_i, or is U_i, and
-    then V, whose algebra contains A(U_i), is orthogonal to U_i."""
+    then V, whose algebra contains A(U_i), is orthogonal to U_i.  The
+    validator maps a carrier element by g (`g_act_sector`, which refuses a
+    g whose Ad u_g* leaves the global algebra) before it reads a summary."""
+    net = data.net
     base = sector_algebra_assignment(net, family)
     cache: dict = {}
     parity_masks: dict = {}
@@ -757,9 +765,9 @@ def sector_equivariant_assignment(
 
     def iso_summary(g: str, s: int) -> int:
         if g not in parity_masks:
-            pivots = [bit for bit, _ in net.global_algebra().rows]
-            parity_masks[g] = [sum((t >> (p + 1) & 1) << j for j, p in enumerate(pivots))
-                               for t in data._conjugation(g)[1].tableau]
+            rows, inverse = net.global_algebra().rows, data._full_maps(g)[1]
+            parity_masks[g] = [sum((t >> (p + 1) & 1) << j for j, (p, _) in enumerate(rows))
+                               for t in (inverse[r] for _, r in rows)]
         return sum(((s & m).bit_count() & 1) << k for k, m in enumerate(parity_masks[g]))
 
     clean = validate_category(net.category).ok and net.validate().ok
@@ -815,7 +823,7 @@ def validate_theorem_3_11(
             if s.region != u:
                 report.add("localization-precheck", {"sector": s.label, "carrier": u})
                 return report
-            loc = check_localized(s, net)
+            loc = check_localized(s)
             if not loc.ok:
                 report.add(
                     "localization-precheck",
@@ -824,13 +832,13 @@ def validate_theorem_3_11(
                 return report
 
     assign = sector_algebra_assignment(net, family)
-    alg_report = operad.validate_algebra(net.category, assign, bound=bound)
+    alg_report = validate_algebra(net.category, assign, bound=bound)
     report.violations.extend(alg_report.violations)
 
     # strict monoidality of each structure map on sector pairs
     if all(assign.summary(u, s) is not None for u, sectors in carriers.items() for s in sectors):
         return report
-    for op in operad.enumerate_all_operations(net.category, min(bound, 2)):
+    for op in enumerate_all_operations(net.category, min(bound, 2)):
         if op.arity == 0:
             continue
         pools = [carriers[u] for u in op.sources]
@@ -871,16 +879,18 @@ class SectorGroupData:
     Clifford unitaries, held as their tableaux alone: `tableaux[g]` is the
     M_N tableau of Ad u_g on the rows of `MatrixAlg.full_on_sites(L,
     range(L))`, the single-site Z and X strings (row k the unit vector
-    1 << k).  Ad u_g* is derived once per g (`_inverse_tableau`).  The
-    fixtures build the tableaux from site permutations
-    (`fixtures._permutation_tableau`)."""
+    1 << k).  Ad u_g and Ad u_g* are held as M_N string maps, built once
+    per g (`_full_maps`); sectors are moved by chasing the global rows
+    through them (`g_act_sector`).  The fixtures build the tableaux from
+    site permutations (`fixtures._permutation_tableau`).  The data do not
+    change once built, so `validate` makes its report once and keeps it."""
 
     net: MatrixNet
     action: GroupActionSpec
     tableaux: dict[str, tuple[int, ...]]
     name: str = ""
     _maps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _ad: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _report: ValidationReport | None = field(default=None, init=False, repr=False, compare=False)
 
     @functools.cached_property
     def _m_n(self) -> MatrixAlg:
@@ -892,19 +902,6 @@ class SectorGroupData:
             L, t = self.net.sites, self.tableaux[g]
             self._maps[g] = tuple(_StringMap(L, self._m_n.rows, s) for s in (t, _inverse_tableau(L, t)))
         return self._maps[g]
-
-    def _conjugation(self, g: str) -> list[LocalizedEndo]:
-        """[Ad u_g, Ad u_g*] as sectors at any region, built once per g:
-        the M_N tableaux restricted to the global algebra's rows;
-        PreconditionError unless both map it into itself."""
-        if g not in self._ad:
-            glob = self.net.global_algebra()
-            region = next(iter(self.net.region_sites))
-            tableaux = [tuple(image[r] for _, r in glob.rows) for image in self._full_maps(g)]
-            if not all(glob._spans(code >> 1) for t in tableaux for code in t):
-                raise PreconditionError("image leaves the global algebra")
-            self._ad[g] = [LocalizedEndo(self.net, region, t) for t in tableaux]
-        return self._ad[g]
 
     def validate(self) -> ValidationReport:
         """Implementation axioms: the adjoint action matches the region
@@ -920,7 +917,9 @@ class SectorGroupData:
         in the commutant of the simple M_N, that is, when the tableaux of
         Ad u_g1 Ad u_g2 and Ad u_g1g2 on M_N are equal, signs included; a
         product that fixes the global algebra need not be a scalar."""
-        report = ValidationReport(check="group-implementation", subject=self.name)
+        if self._report is not None:
+            return self._report
+        report = self._report = ValidationReport(check="group-implementation", subject=self.name)
         group = self.action.group
         unit = group.unit()
         for g in group.elements:
@@ -949,14 +948,18 @@ class SectorGroupData:
 
 
 def g_act_sector(g: str, rho: LocalizedEndo, data: SectorGroupData) -> LocalizedEndo:
-    """Transformed sector Ad u_g after rho after Ad u_g*, composed on
-    tableaux; localization in the moved region is re-verified."""
-    ad_u, ad_inv = data._conjugation(g)
+    """Transformed sector Ad u_g after rho after Ad u_g*: each global row
+    chased through Ad u_g*, rho and Ad u_g, the outer two on M_N
+    (`_full_maps`); localization in the moved region is re-verified.  A
+    row that Ad u_g* moves out of the global algebra, rho's domain, raises
+    PreconditionError (`_StringMap`)."""
+    ad_u, ad_inv = data._full_maps(g)
     moved_region = data.action.action[g].apply_obj(rho.region)
-    tableau = _compose(ad_u._map, _compose(rho._map, ad_inv.tableau))
+    rows = data.net.global_algebra().rows
+    tableau = tuple(_chase((ad_inv, rho._map, ad_u), r) for _, r in rows)
     label = f"{g}|>{rho.label}"
     out = LocalizedEndo(data.net, moved_region, tableau, label)
-    loc = check_localized(out, data.net)
+    loc = check_localized(out)
     if not loc.ok:
         raise PreconditionError(
             f"transformed sector is not localized in {moved_region}"
@@ -965,13 +968,13 @@ def g_act_sector(g: str, rho: LocalizedEndo, data: SectorGroupData) -> Localized
 
 
 def action_laws_hold(
-    rho: LocalizedEndo, moved: dict[str, LocalizedEndo], data: SectorGroupData, implemented: bool
+    rho: LocalizedEndo, moved: dict[str, LocalizedEndo], data: SectorGroupData
 ) -> bool:
     """The unit law e.rho = rho and the composition law g2.(g1.rho) =
     (g2 g1).rho as maps, given the g-images `moved` of rho (`g_act_sector`).
 
-    Proved when `implemented`, the verdict of `data.validate()`, holds.
-    g.rho is Ad u_g rho Ad u_g* on the global rows (`_conjugation`).  The
+    Proved when the kept report of `data.validate()` is ok.  g.rho is
+    Ad u_g rho Ad u_g* on the global rows (`g_act_sector`).  The
     unit keeps every global row with sign 0, so Ad u_e and its inverse are
     the identity there, and e.rho is rho's tableau.  Projective composition
     is the M_N tableau identity Ad u_g2 Ad u_g1 = Ad u_g2g1; both sides map
@@ -981,7 +984,7 @@ def action_laws_hold(
     runs, makes their regions agree, and (g2 g1).rho is localized there, so
     the walk's `g_act_sector` would raise nothing.  Otherwise both laws are
     walked."""
-    if implemented:
+    if data.validate().ok:
         return True
     group = data.action.group
     unit_ok = moved[group.unit()].same_map(rho)

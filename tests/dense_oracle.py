@@ -238,7 +238,7 @@ def dense_diamond_mor(t: DenseIntertwiner, tdot: DenseIntertwiner) -> DenseInter
     )
 
 
-def dense_perp_sectors(rho1, rho2, t1, t2, net) -> ValidationReport:
+def dense_perp_sectors(rho1, rho2, t1, t2) -> ValidationReport:
     """`check_perp_commutativity_sectors` on `DenseIntertwiner`s."""
     if (t1 is None) != (t2 is None):
         raise PreconditionError("give both intertwiners or neither")
@@ -250,6 +250,7 @@ def dense_perp_sectors(rho1, rho2, t1, t2, net) -> ValidationReport:
     report = ValidationReport(
         check="sector-perp-commutativity", subject=f"{rho1.label},{rho2.label}"
     )
+    net = rho1.net
     partners = net.orth_partners(rho1.region)
     if rho2.region not in partners:
         raise PreconditionError(

@@ -349,7 +349,7 @@ def test_criterion_7_sector_calculus():
     # perp-commutativity for disjointly localized sectors and intertwiners
     far_x, far_z = family["[4,4]"]
     t_far = between(far_x, far_z)
-    report = check_perp_commutativity_sectors(x1, far_x, t1, t_far, net)
+    report = check_perp_commutativity_sectors(x1, far_x, t1, t_far)
     ok = ok and report.ok
 
     # algebra diagrams over the bundled operad, exhaustively to arity 3

@@ -35,6 +35,7 @@ from sectorfact.cli import main as cli_main
 from sectorfact.linalg import GMat, _StringMap, _chase, pauli_string
 from sectorfact.orthcat import GroupActionSpec, OrthFunctor, validate_group_action
 from sectorfact.reports import PreconditionError, ValidationReport, dump_json
+from sectorfact import sectors as sectors_module
 from sectorfact.sectors import (
     CovarianceFamily,
     LocalizedEndo,
@@ -134,7 +135,7 @@ def test_the_reflection_path_builds_no_matrix(monkeypatch, tmp_path):
     for sectors in family.values():
         for rho in sectors:
             moved = {g: g_act_sector(g, rho, data) for g in ("e", "r")}
-            assert action_laws_hold(rho, moved, data, report.ok)
+            assert action_laws_hold(rho, moved, data)
             assert find_covariance(rho, data).method == "inner"
     out = str(tmp_path / "report.json")
     for path in nets:
@@ -221,13 +222,43 @@ def test_action_composition_law(net4, z2_data, family4):
                     assert stepwise.same_map(direct)
 
 
-def test_proved_action_laws_agree_with_the_walk(net4, z2_data, family4):
+def test_proved_action_laws_agree_with_the_walk(monkeypatch, net4, z2_data, family4):
     assert z2_data.validate().ok
+    cases = []
     for sectors in family4.values():
         for rho in sectors:
             moved = {g: g_act_sector(g, rho, z2_data) for g in ("e", "r")}
-            assert action_laws_hold(rho, moved, z2_data, True)
-            assert action_laws_hold(rho, moved, z2_data, False)
+            cases.append((rho, moved))
+    assert all(action_laws_hold(rho, moved, z2_data) for rho, moved in cases)
+    # a report that is not ok makes action_laws_hold walk both laws on the
+    # same, implemented data; the walk must agree with the proof
+    unproved = ValidationReport(check="group-implementation")
+    unproved.add("unit-implementation", {"g": "e"})
+    monkeypatch.setattr(SectorGroupData, "validate", lambda self: unproved)
+    walked = []
+
+    def act(g, rho, data):
+        walked.append(g)
+        return g_act_sector(g, rho, data)
+
+    monkeypatch.setattr(sectors_module, "g_act_sector", act)
+    assert all(action_laws_hold(rho, moved, z2_data) for rho, moved in cases)
+    assert len(walked) == 4 * len(cases)
+
+
+def test_action_laws_read_the_kept_report_of_broken_data(net4, z2_data):
+    # Ad u_r = Ad u_e keeps every local algebra in place, so validate
+    # reports that it does not map [1,1] to [4,4].  The laws are walked,
+    # and g_act_sector refuses r.(X@[1,1]): it is not localized at [4,4]
+    broken = qubit_reflection_data(net4)
+    broken.tableaux["r"] = broken.tableaux["e"]
+    axioms = {v.axiom for v in broken.validate().violations}
+    assert "covariant-implementation" in axioms
+    assert broken.validate() is broken.validate()
+    rho = pauli_sector(net4, "X", "[1,1]")
+    moved = {g: g_act_sector(g, rho, z2_data) for g in ("e", "r")}
+    with pytest.raises(PreconditionError, match="not localized in \\[4,4\\]"):
+        action_laws_hold(rho, moved, broken)
 
 
 def test_action_laws_are_walked_when_the_implementation_fails(net4):
@@ -247,10 +278,10 @@ def test_action_laws_are_walked_when_the_implementation_fails(net4):
     rho = pauli_sector(net4, "XX", "[1,2]")
     moved = {g: g_act_sector(g, rho, data) for g in ("e", "r")}
     assert moved["r"].region == "[3,4]"
-    assert all(check_localized(m, net4).ok for m in moved.values())
+    assert all(check_localized(m).ok for m in moved.values())
     assert moved["e"].same_map(rho)
     assert not g_act_sector("r", moved["r"], data).same_map(rho)
-    assert not action_laws_hold(rho, moved, data, report.ok)
+    assert not action_laws_hold(rho, moved, data)
 
 
 def test_action_compatible_with_diamond(net4, z2_data):
@@ -297,7 +328,7 @@ def test_broken_symmetry_not_covariant(bits4):
     data = qubit_reflection_data(bits4)
     assert data.validate().ok
     rho = collapse_sector(bits4)
-    assert check_localized(rho, bits4).ok
+    assert check_localized(rho).ok
     assert find_covariance(rho, data) is None
     # the reflection maps [2,3] to itself, and the reset there commutes
     # with it: a family of affine basis permutations
@@ -399,8 +430,9 @@ def test_z2_fixed_point_net_has_covariant_sectors_that_extend():
     # Ad Z at site 2 is a Pauli conjugation, though Z there lies outside
     # the global algebra; the restricted reflection is none, and extends
     z = pauli_sector(net, "Z", "[2,2]")
-    assert check_localized(z, net).ok and not net.global_algebra()._spans(z.pauli_mask())
-    reflection = data._conjugation("r")[0]
+    assert check_localized(z).ok and not net.global_algebra()._spans(z.pauli_mask())
+    rows, image = net.global_algebra().rows, data._full_maps("r")[0]
+    reflection = LocalizedEndo(net, "[1,1]", tuple(image[r] for _, r in rows))
     assert reflection.pauli_mask() is None
     fam, famz = find_covariance(reflection, data), find_covariance(z, data)
     assert (fam.method, famz.method) == ("extension", "inner")
@@ -493,7 +525,7 @@ def test_derived_sectors_keep_their_implementing_unitary(bits4):
     moved = g_act_sector("r", pair, data)
     u_r = reflection_unitary(4)
     assert ad_equal(bits4, pauli_unitary(moved), u_r @ x1x2 @ u_r.adjoint()) and moved.region == "[3,4]"
-    report = check_transportable(pair, "[3,4]", bits4)
+    report = check_transportable(pair, "[3,4]")
     assert report.found and report.transporter_label == "translated-pattern"
     assert ad_equal(bits4, pauli_unitary(report.transported), pauli_string(4, 0b0011, 0))
     assert report.transported.same_map(pauli_sector(bits4, "XX", "[3,4]"))

@@ -305,7 +305,7 @@ def test_equivariant_algebra_z2(net2):
 
     data = qubit_reflection_data(net2)
     family = standard_sector_family(net2)
-    assign = sector_equivariant_assignment(net2, data, family)
+    assign = sector_equivariant_assignment(data, family)
     report = validate_equivariant_algebra(net2.category, assign, data.action, bound=2)
     assert report.ok
 
@@ -318,7 +318,7 @@ def test_equivariant_trivial_group_reduces_to_algebra(net2):
     family = standard_sector_family(net2)
     triv = trivial_action(net2.category)
     data = group_data_from_unitaries(net2, triv, {"e": GMat.identity(net2.n)}, name="triv")
-    assign = sector_equivariant_assignment(net2, data, family)
+    assign = sector_equivariant_assignment(data, family)
     eq_report = validate_equivariant_algebra(net2.category, assign, triv, bound=2)
     plain = validate_algebra(
         net2.category, sector_algebra_assignment(net2, family), bound=2
@@ -1157,10 +1157,10 @@ def _count_theorem311(monkeypatch, family_of):
         calls["pfa-in-algebra"] += calls["pfa"] - before
         return out
 
-    real_algebra = operad_module.validate_algebra
+    real_algebra = sectors_module.validate_algebra
     for key, name in (("pfa", "pfa_structure_map"), ("diamond", "diamond")):
         monkeypatch.setattr(sectors_module, name, counted(key, getattr(sectors_module, name)))
-    monkeypatch.setattr(operad_module, "validate_algebra", algebra)
+    monkeypatch.setattr(sectors_module, "validate_algebra", algebra)
     net = qubit_net(4)
     family = family_of(net)
     report = sectors_module.validate_theorem_3_11(net, family, bound=3)
@@ -1219,7 +1219,7 @@ def test_theorem311_on_qubit5_at_bound_3_matches_the_full_walk(monkeypatch):
     proved = report()
     # the full walk: the reference sweep, and no sector summarized for the
     # strict-monoidality loop
-    monkeypatch.setattr(operad_module, "validate_algebra", reference_validate_algebra)
+    monkeypatch.setattr(sectors_module, "validate_algebra", reference_validate_algebra)
     monkeypatch.setattr(sectors_module, "_sector_summary", lambda u, s: None)
     assert report() == proved
 
@@ -1358,7 +1358,7 @@ def _equivariant_case(kind, L, orth, drop, extra, action):
         r = spec.action["r"]
         skewed = OrthFunctor(r.source, r.target, r.obj_map, {**r.mor_map, a: b}, name="r")
         data.action = GroupActionSpec(spec.group, {**spec.action, "r": skewed}, spec.name)
-    assign = sector_equivariant_assignment(net, data, family)
+    assign = sector_equivariant_assignment(data, family)
     return net.category, assign, data.action
 
 
@@ -1493,7 +1493,7 @@ def test_non_intertwining_iso_detected_with_the_sector_iso_summary(net2):
         return run
 
     def build():
-        sectors = sector_equivariant_assignment(net2, data, family)
+        sectors = sector_equivariant_assignment(data, family)
         assert sectors.iso_summary is not None
         return dataclasses.replace(sectors, iso=bad_iso, name="bad")
 
@@ -1539,7 +1539,7 @@ def _reflection_case(name):
 
     net = _MOVED_NETS[name]()
     data = qubit_reflection_data(net)
-    return net.category, sector_equivariant_assignment(net, data, standard_sector_family(net)), data.action
+    return net.category, sector_equivariant_assignment(data, standard_sector_family(net)), data.action
 
 
 def _count_moved_operations(monkeypatch):

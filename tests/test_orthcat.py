@@ -9,7 +9,6 @@ from sectorfact.fixtures import (
     interval_category,
     interval_reflection_action,
     interval_regions,
-    poset_orth_category,
     trivial_action,
 )
 from sectorfact.orthcat import (
@@ -459,8 +458,8 @@ def reference_orth_partners(category, region):
     return sorted(out)
 
 
-def reference_poset_orth_category(name, regions, orth_pred):
-    """`poset_orth_category` before composition was read off the order: a
+def reference_poset_category(name, regions, orth_pred):
+    """`PosetCategory` before composition was read off the order: a
     double loop over all arrows, and one scan of them per target."""
     objects = sorted(regions)
     morphisms = []
@@ -557,7 +556,7 @@ def _disjoint(s1, s2, _tgt):
 
 
 def _joined(pair, wide):
-    """The (source, source, target) predicate of `poset_orth_category(...,
+    """The (source, source, target) predicate of `PosetCategory(...,
     pair, wide)`, for the double-loop reference."""
     return lambda s1, s2, tgt: pair(s1, s2) or wide is not None and wide(tgt)
 
@@ -589,7 +588,7 @@ def region_posets(draw):
 
 @st.composite
 def region_pair_posets(draw):
-    """(regions, (pair, wide)) for `poset_orth_category`: the regions of
+    """(regions, (pair, wide)) for `PosetCategory`: the regions of
     `region_posets`, a disjoint or seeded source-pair predicate, and no,
     large or seeded wide targets."""
     regions, _ = draw(region_posets())
@@ -606,9 +605,9 @@ def poset_categories(draw, name="p"):
     `region_pair_posets` draw."""
     if draw(st.booleans()):
         regions, pred = draw(region_posets())
-        return regions, reference_poset_orth_category(name, regions, pred)
+        return regions, reference_poset_category(name, regions, pred)
     regions, (pair, wide) = draw(region_pair_posets())
-    return regions, poset_orth_category(name, regions, pair, wide)
+    return regions, PosetCategory(name, regions, pair, wide)
 
 
 @st.composite
@@ -652,8 +651,8 @@ def _same_category(a, b):
 def test_poset_category_matches_the_double_loop(drawn):
     regions, preds = drawn
     _same_category(
-        poset_orth_category("p", regions, *preds),
-        reference_poset_orth_category("p", regions, _joined(*preds)),
+        PosetCategory("p", regions, *preds),
+        reference_poset_category("p", regions, _joined(*preds)),
     )
 
 
@@ -664,7 +663,7 @@ def test_bundled_categories_match_the_double_loop(intcat6, intcat6_proper, cycca
         (intcat6_proper, interval_regions(6, 5), _disjoint),
         (cyccat6, _arcs(6), cyclic),
     ]:
-        _same_category(cat, reference_poset_orth_category(cat.name, regions, pred))
+        _same_category(cat, reference_poset_category(cat.name, regions, pred))
 
 
 @given(damaged_categories())
@@ -855,7 +854,7 @@ def test_extension_counts_each_cospan_once_as_the_frozenset_did(cyccat6):
 # -- thin categories by predicate against their tables -----------------------------
 #
 # A `PosetCategory` answers from the order and its predicates; its `table`
-# (the category `poset_orth_category` built before) is the reference.  Ids
+# (the explicit category that was built before) is the reference.  Ids
 # are chosen so that sorting by id and by arrow id ("id<=...") disagree
 # ("a1<=" sorts before "a<="), and equal site sets make isomorphic objects.
 
@@ -937,7 +936,7 @@ def _reports(cat, net):
 @settings(max_examples=300, deadline=None)
 def test_thin_category_answers_as_its_table(drawn, data):
     regions, (pair, wide) = drawn
-    thin = poset_orth_category("p", regions, pair, wide)
+    thin = PosetCategory("p", regions, pair, wide)
     assert isinstance(thin, PosetCategory)
     table = _poset_table("p", regions, pair, wide)
     assert _accessors(thin) == _accessors(table)
@@ -962,7 +961,7 @@ def test_thin_category_answers_as_its_table(drawn, data):
 
 def _intervals4(pair, wide=None):
     regions = interval_regions(4)
-    return poset_orth_category("i4", regions, pair, wide), _poset_table("i4", regions, pair, wide)
+    return PosetCategory("i4", regions, pair, wide), _poset_table("i4", regions, pair, wide)
 
 
 @pytest.mark.parametrize("damage", ["one-way", "unshrunk", "narrow"])

@@ -13,11 +13,11 @@ from sectorfact.fixtures import (
     collapse_sector,
     diagonal_net,
     pauli_sector,
-    poset_orth_category,
     qubit_net,
     qubit_reflection_data,
     standard_sector_family,
 )
+from sectorfact.posets import PosetCategory
 from dense_oracle import (
     DenseIntertwiner,
     _string_matrix,
@@ -287,13 +287,13 @@ def test_perp_commutativity_holds(net4):
 
 def test_perp_commutativity_violation_witnessed():
     # declare overlapping intervals orthogonal: sharing site 2 breaks it
-    from sectorfact.fixtures import interval_regions, poset_orth_category
+    from sectorfact.fixtures import interval_regions
 
     regions = {
         u: frozenset(s - 1 for s in cells)
         for u, cells in interval_regions(3).items()
     }
-    bad_cat = poset_orth_category(
+    bad_cat = PosetCategory(
         "bad", regions, lambda s1, s2: len(s1 & s2) <= 1
     )
     net = MatrixNet(category=bad_cat, sites=3, region_sites=regions, name="bad")
@@ -303,13 +303,13 @@ def test_perp_commutativity_violation_witnessed():
 
 
 def test_perp_commutativity_vacuous_without_orth():
-    from sectorfact.fixtures import interval_regions, poset_orth_category
+    from sectorfact.fixtures import interval_regions
 
     regions = {
         u: frozenset(s - 1 for s in cells)
         for u, cells in interval_regions(2).items()
     }
-    cat = poset_orth_category("noorth", regions, lambda s1, s2: False)
+    cat = PosetCategory("noorth", regions, lambda s1, s2: False)
     net = MatrixNet(category=cat, sites=2, region_sites=regions, name="noorth")
     assert check_perp_commutativity(net).ok
 
@@ -474,24 +474,25 @@ def test_each_net_command_validates_the_net_once(monkeypatch, tmp_path, capsys):
 
 def test_localized_inner_sector(net4):
     rho = pauli_sector(net4, "XZ", "[1,2]")
-    assert check_localized(rho, net4).ok
+    assert check_localized(rho).ok
 
 
 def test_entangler_not_localized(net4):
     rho = ad_sector(net4, "[1,1]", entangler_unitary(net4, 0, 3), label="CZ")
-    report = check_localized(rho, net4)
+    report = check_localized(rho)
     assert not report.ok
     assert report.violations[0].witness["orthogonal_region"]
 
 
 def test_identity_localized_anywhere(net4):
     for region in net4.category.objects:
-        assert check_localized(identity_sector(net4, region), net4).ok
+        assert check_localized(identity_sector(net4, region)).ok
 
 
-def reference_check_localized(rho, net):
+def reference_check_localized(rho):
     """Every basis matrix of every orthogonal algebra mapped by `apply`: the
     oracle of the generator test and the mask walk of `check_localized`."""
+    net = rho.net
     report = ValidationReport(check="localized", subject=rho.label)
     for u in net.orth_partners(rho.region):
         for i, a in enumerate(dense_basis(net.algebra(u))):
@@ -517,16 +518,16 @@ def _skew4():
 
 @pytest.fixture(scope="module")
 def localization_cases():
-    """(net, sector) for every sector of `_wrong_site_family`, a CZ on sites
+    """Every sector of `_wrong_site_family`, a CZ on sites
     0 and 3 filed at [1,1], the reset sector on bits4, and every sector
     `g_act_sector` checks when it transforms them, on qubit4, skew4 and
     bits4."""
     cases = []
     real = sectors_module.check_localized
 
-    def record(rho, net):
-        cases.append((net, rho))
-        return real(rho, net)
+    def record(rho):
+        cases.append(rho)
+        return real(rho)
 
     for net in (qubit_net(4), _skew4(), diagonal_net(4)):
         data = qubit_reflection_data(net)
@@ -537,7 +538,7 @@ def localization_cases():
         if net.overrides:
             sectors.append(collapse_sector(net))
         for rho in sectors:
-            cases.append((net, rho))
+            cases.append(rho)
             with mock.patch.object(sectors_module, "check_localized", record):
                 for g in data.action.group.elements:
                     try:
@@ -548,7 +549,7 @@ def localization_cases():
 
 
 def _localization_reports(check, cases):
-    return [dump_json(check(rho, net).to_dict()) for net, rho in cases]
+    return [dump_json(check(rho).to_dict()) for rho in cases]
 
 
 def _is_pauli_conjugation(rho):
@@ -560,7 +561,7 @@ def test_check_localized_matches_the_matrix_loop(localization_cases):
     want = _localization_reports(reference_check_localized, localization_cases)
     assert _localization_reports(check_localized, localization_cases) == want
     failing = [
-        rho for (_, rho), report in zip(localization_cases, want) if '"basis_index"' in report
+        rho for rho, report in zip(localization_cases, want) if '"basis_index"' in report
     ]
     # Pauli conjugations and other maps fail, Pauli ones at several indices
     pauli = [_is_pauli_conjugation(rho) for rho in failing]
@@ -584,7 +585,7 @@ def test_check_localized_probes(monkeypatch, localization_cases):
 
 def test_transport_single_site(net4):
     rho = pauli_sector(net4, "X", "[1,1]")
-    report = check_transportable(rho, "[3,3]", net4)
+    report = check_transportable(rho, "[3,3]")
     assert report.found and report.transporter_label == "translated-pattern"
     # v = u' u* for the same pattern at the target site, so Ad v after rho
     # is Ad u'
@@ -592,11 +593,11 @@ def test_transport_single_site(net4):
     assert reference_ad_equal(net4, pauli_unitary(report.transported), v @ pauli_string(4, 0b1000, 0))
     assert report.transported.same_map(pauli_sector(net4, "X", "[3,3]"))
     assert report.transported.region == "[3,3]"
-    assert check_localized(report.transported, net4).ok
+    assert check_localized(report.transported).ok
 
 
 def test_transport_identity(net4):
-    report = check_transportable(identity_sector(net4, "[1,1]"), "[4,4]", net4)
+    report = check_transportable(identity_sector(net4, "[1,1]"), "[4,4]")
     assert report.found
     assert report.transporter_label == "identity"
 
@@ -604,7 +605,7 @@ def test_transport_identity(net4):
 def test_transport_not_found(net4):
     # an entangler admits no transporter within the searched family
     rho = ad_sector(net4, "[1,2]", entangler_unitary(net4, 0, 1), label="CZ12")
-    report = check_transportable(rho, "[3,4]", net4)
+    report = check_transportable(rho, "[3,4]")
     assert not report.found and report.transporter_label is None
     # CZ is no Pauli conjugation, so only the identity was tried
     assert rho.pauli_mask() is None
@@ -1007,7 +1008,7 @@ def test_sector_commutativity_disjoint(net4):
     rho2 = pauli_sector(net4, "X", "[3,3]")
     t1 = intertwiner_between(net4, rho1, pauli_sector(net4, "Z", "[1,1]"))
     t2 = intertwiner_between(net4, rho2, pauli_sector(net4, "Z", "[3,3]"))
-    report = check_perp_commutativity_sectors(rho1, rho2, t1, t2, net4)
+    report = check_perp_commutativity_sectors(rho1, rho2, t1, t2)
     assert report.ok
 
 
@@ -1015,7 +1016,7 @@ def test_sector_commutativity_same_region_rejected(net4):
     rho1 = pauli_sector(net4, "X", "[1,1]")
     rho2 = pauli_sector(net4, "Z", "[1,1]")
     with pytest.raises(PreconditionError):
-        check_perp_commutativity_sectors(rho1, rho2, None, None, net4)
+        check_perp_commutativity_sectors(rho1, rho2, None, None)
 
 
 def test_sector_commutativity_refuses_a_single_intertwiner(net4):
@@ -1024,7 +1025,7 @@ def test_sector_commutativity_refuses_a_single_intertwiner(net4):
     t2 = intertwiner_between(net4, rho2, pauli_sector(net4, "Z", "[3,3]"))
     for pair in ((t1, None), (None, t2)):
         with pytest.raises(PreconditionError, match="both intertwiners or neither"):
-            check_perp_commutativity_sectors(rho1, rho2, *pair, net4)
+            check_perp_commutativity_sectors(rho1, rho2, *pair)
 
 
 def test_sector_commutativity_refuses_intertwiners_at_other_regions(net4):
@@ -1035,7 +1036,7 @@ def test_sector_commutativity_refuses_intertwiners_at_other_regions(net4):
     across = Intertwiner(rho1, pauli_sector(net4, "X", "[1,1]").relabel("[1,3]"), {0: GR_ONE})
     for pair in ((t2, t1), (across, t2), (t1, {0: GR_ONE}), (t1, _matrix(t2))):
         with pytest.raises(PreconditionError, match="is no intertwiner of sectors at"):
-            check_perp_commutativity_sectors(rho1, rho2, *pair, net4)
+            check_perp_commutativity_sectors(rho1, rho2, *pair)
 
 
 # -- structure maps ----------------------------------------------------------------------------------------
@@ -1091,7 +1092,7 @@ def test_net_structure_valid(net4, bits4):
 
 
 def test_net_json_round_trip(net4, bits4):
-    from sectorfact.fixtures import net_from_json, net_to_json, poset_orth_category
+    from sectorfact.fixtures import net_from_json, net_to_json
     from sectorfact.orthcat import validate_category
 
     q3 = qubit_net(3)
@@ -1138,7 +1139,7 @@ def test_net_json_round_trip(net4, bits4):
     # orthogonality that depends on the target is no set of region pairs
     regions = {"a": frozenset({0}), "b": frozenset({1}), "ab": frozenset({0, 1}),
                "abc": frozenset({0, 1, 2})}
-    narrow = poset_orth_category("narrow", regions, lambda s1, s2: False, lambda tgt: len(tgt) == 2)
+    narrow = PosetCategory("narrow", regions, lambda s1, s2: False, lambda tgt: len(tgt) == 2)
     with pytest.raises(SchemaError, match="orthogonality"):
         net_to_json(MatrixNet(narrow, 3, regions))
 
@@ -1275,7 +1276,7 @@ def test_rows_form_matches_the_mask_set_oracle(case):
     # inclusion, as `MatrixNet.validate` reads it
     assert all(b._spans(r) for _, r in a.rows) == (set_a <= set_b)
     empty, full = frozenset(), frozenset(range(L))
-    cat = poset_orth_category("incl", {"a": empty, "b": full}, lambda *_: False)
+    cat = PosetCategory("incl", {"a": empty, "b": full}, lambda *_: False)
     net = MatrixNet(cat, L, {"a": empty, "b": full}, overrides={"a": a, "b": b})
     assert net.validate().ok == (set_a <= set_b)
     expected = {
@@ -1355,17 +1356,17 @@ def test_image_sectors_agree_with_inner_sectors(net2):
 
 def test_image_sector_transport_with_inner_transporter(net2):
     x = pauli_sector(net2, "X", "[1,1]")
-    inner = check_transportable(x, "[2,2]", net2)
+    inner = check_transportable(x, "[2,2]")
     assert inner.found and inner.transporter_label == "translated-pattern"
     # the image-built sector derives its string from the tableau, so it is
     # moved by the same translated pattern
-    got = check_transportable(_image_sector(x), "[2,2]", net2)
+    got = check_transportable(_image_sector(x), "[2,2]")
     assert got.found and got.transporter_label == "translated-pattern"
     assert got.transported.region == "[2,2]"
     assert got.transported.same_map(inner.transported)
     assert got.transported.same_map(pauli_sector(net2, "X", "[2,2]"))
     # the identity alone leaves X on site 0
-    assert not check_localized(x.relabel("[2,2]"), net2).ok
+    assert not check_localized(x.relabel("[2,2]")).ok
 
 
 # -- image-built sectors: the homomorphism check and covariance -------------------------
@@ -1479,6 +1480,34 @@ def test_string_map_refusals_are_reached_from_a_tableau():
     assert one.apply({z: GR_I}) == {z: GR_I}
     with pytest.raises(PreconditionError, match="string outside the domain of the map"):
         one.apply({0b10: GR_ONE})
+
+
+def test_the_constructor_refuses_tableaux_off_the_global_algebra(monkeypatch):
+    # on the diagonal net: each Z row sent to the X string at its sites,
+    # no rows at all, one row too few or too many
+    bits2 = diagonal_net(2)
+    rows = bits2.global_algebra().rows
+    same = tuple(r << 1 for _, r in rows)
+    to_x = tuple(r << 2 << 1 for _, r in rows)
+    for tableau in (to_x, (), same[:-1], same + same[:1]):
+        with pytest.raises(PreconditionError, match="image leaves the global algebra"):
+            LocalizedEndo(bits2, "[1,1]", tableau)
+        assert tableau not in bits2._maps
+    # a product across nets: X on qubit_net(2) after Z on the diagonal net
+    # would be a tableau of 2 images on a net with 4 global rows
+    x = pauli_sector(qubit_net(2), "X", "[1,1]")
+    with pytest.raises(PreconditionError, match="image leaves the global algebra"):
+        diamond(x, pauli_sector(bits2, "Z", "[1,1]"))
+    # each distinct tableau is checked once per net: the swap of the two
+    # sites moves every row, and each image is reduced once
+    spans, fresh = [], diagonal_net(2)
+    swap = tuple(reversed(same))
+    real = MatrixAlg._spans
+    monkeypatch.setattr(MatrixAlg, "_spans", lambda alg, v: spans.append(v) or real(alg, v))
+    for region in ("[1,1]", "[2,2]", "[1,2]"):
+        LocalizedEndo(fresh, region, swap)
+    assert sorted(spans) == sorted(code >> 1 for code in swap)
+    assert LocalizedEndo(qubit_net(2), "[1,1]", x.tableau)._map is not x._map
 
 def test_non_clifford_maps_are_refused(net2):
     # Ad R for a rotation R is an automorphism, but it sends Z to no
@@ -1685,8 +1714,8 @@ def test_pauli_sectors_on_a_200_site_net_build_no_matrix(monkeypatch):
     monkeypatch.setattr(GMat, "_monomial_of", staticmethod(refuse))
     family = standard_sector_family(net)
     x = family["a"][0]
-    assert x.pauli_mask() == 1 << 399 and check_localized(x, net).ok
-    report = check_transportable(x, "b", net)
+    assert x.pauli_mask() == 1 << 399 and check_localized(x).ok
+    report = check_transportable(x, "b")
     assert report.found and report.transporter_label == "translated-pattern"
     assert report.transported.same_map(pauli_sector(net, "X", "b"))
     assert diamond(x, family["a"][1]).same_map(pauli_sector(net, "Y", "a"))
@@ -2235,8 +2264,8 @@ def test_perp_on_masks_matches_the_gmat_oracle(net, data):
         sectors.append(rho)
         mask.append(t[1])
         dense.append(d[1])
-    report = check_perp_commutativity_sectors(*sectors, *mask, net)
-    assert report == dense_perp_sectors(*sectors, *dense, net)
+    report = check_perp_commutativity_sectors(*sectors, *mask)
+    assert report == dense_perp_sectors(*sectors, *dense)
 
 # -- the summary behind the algebra proof ----------------------------------------------------------
 
@@ -2286,7 +2315,7 @@ def test_equal_tableaux_share_cached_outputs(bits4):
     out_x, out_xz = (assign.structure(op)((s,)) for s in (x, xz))
     assert out_xz is out_x and out_x.label == x.label
     assert out_xz.same_map(pfa_structure_map(op, (xz,), bits4))
-    iso = sector_equivariant_assignment(bits4, qubit_reflection_data(bits4), family).iso
+    iso = sector_equivariant_assignment(qubit_reflection_data(bits4), family).iso
     moved_x, moved_xz = (iso("r", "[1,1]")(s) for s in (x, xz))
     assert moved_xz is moved_x and moved_x.region == "[4,4]"
     assert validate_algebra(bits4.category, assign, bound=2).ok
@@ -2326,7 +2355,7 @@ def test_iso_summary_is_the_summary_of_the_g_image(net, data_of):
     from sectorfact.sectors import g_act_sector, sector_equivariant_assignment
 
     data = data_of(net)
-    iso_summary = sector_equivariant_assignment(net, data, {}).iso_summary
+    iso_summary = sector_equivariant_assignment(data, {}).iso_summary
     summary = sectors_module._sector_summary
     whole = f"[1,{net.sites}]"
     singles = [
@@ -2357,7 +2386,7 @@ def test_iso_summary_is_declared_only_on_a_clean_category():
     doc["orth"] = [["[1,2]", "[2,3]"]]
     dirty = net_from_json(doc)
     for net, declared in ((clean, True), (dirty, False)):
-        assign = sector_equivariant_assignment(net, qubit_reflection_data(net), {})
+        assign = sector_equivariant_assignment(qubit_reflection_data(net), {})
         assert (assign.iso_summary is not None) == declared
 
 
